@@ -3,13 +3,15 @@
 //! Two acceptance bars, both asserted on the full (non `--test`) run:
 //!
 //! * **Straggler-proofing** (floor ≥ [`SPEEDUP_FLOOR`]): micro-shard
-//!   leasing versus static [`ShardSpec::split`] when one of two workers is
-//!   a straggler. The grid is ragged twice over — DTPM cells cost more
+//!   leasing versus a static split when one of two workers is a
+//!   straggler. A static split is the coordinator with one lease of
+//!   `cells / workers` per worker and re-leasing off (a lease deadline no
+//!   stall reaches). The grid is ragged twice over — DTPM cells cost more
 //!   wall time per simulated second than Reactive ones (kind-major order
-//!   hands `split(2)` all the expensive cells in shard 0), and one DTPM
-//!   cell panics late and is retried under the resilience policy — and on
-//!   top of that worker 0 stalls for [`STRAGGLER_STALL`] before its first
-//!   delivery. Under a static split the stalled worker's whole shard
+//!   puts all the expensive cells in the first half-grid lease), and one
+//!   DTPM cell panics late and is retried under the resilience policy —
+//!   and on top of that worker 0 stalls for [`STRAGGLER_STALL`] before its
+//!   first delivery. Under a static split the stalled worker's whole half
 //!   convoys behind the stall; under leasing the coordinator re-leases the
 //!   silent worker's micro-shard after [`LEASE_TIMEOUT`] and the healthy
 //!   worker absorbs it, so the damage is bounded by the timeout instead of
@@ -21,8 +23,8 @@
 //!   [`platform_sim::CampaignRunner`] at the same thread count on the same
 //!   grid.
 //!
-//! The leasing arms must fold the **bit-identical** aggregate of the
-//! in-process run (compared by wire encoding, where every float is a bit
+//! Every coordinator arm must fold the **bit-identical** aggregate of the
+//! in-process run (compared by encoding, where every float is a bit
 //! pattern) — the tax and the speed-up are both pure wall clock. Worker
 //! calibration re-derivation happens during the untimed handshake, exactly
 //! as a long campaign would amortise it. Measured numbers land in
@@ -35,14 +37,14 @@ use platform_sim::distributed::{
 };
 use platform_sim::{
     Calibration, CalibrationCampaign, ChaosPlan, Coordinator, DtpmVariant, ExperimentKind,
-    MergeSink, ResiliencePolicy, ShardSpec, SweepSpec,
+    MergeSink, ResiliencePolicy, SweepSpec,
 };
 use workload::BenchmarkId;
 
 /// Simulated duration cap per cell, seconds (full run). Long enough that
 /// per-cell compute dominates per-lease latency.
 const FULL_DURATION_S: f64 = 300.0;
-/// Workers / static shards in the straggler arm.
+/// Workers (and static half-grid leases) in the straggler arm.
 const WORKERS: usize = 2;
 /// Cells per micro-shard lease.
 const LEASE_CELLS: usize = 2;
@@ -51,6 +53,9 @@ const STRAGGLER_STALL: Duration = Duration::from_millis(400);
 /// Missed-heartbeat deadline in the straggler arm: the bound leasing puts
 /// on the stall's damage.
 const LEASE_TIMEOUT: Duration = Duration::from_millis(100);
+/// The static split's lease deadline: longer than any run, so nothing is
+/// ever re-leased.
+const NO_RELEASE: Duration = Duration::from_secs(3600);
 /// Threads per side in the overhead arm.
 const OVERHEAD_THREADS: usize = 2;
 /// Lease size in the overhead arm: half the grid per lease, so the tax
@@ -66,11 +71,11 @@ const OVERHEAD_CEILING: f64 = 1.15;
 
 /// The ragged grid: kind-major order puts all DTPM cells (a predictive
 /// optimisation every control interval — expensive) in the first half and
-/// all Reactive cells (a threshold check — cheap) in the second, so
-/// `split(2)` hands shard 0 all the expensive cells. One DTPM cell panics
-/// late in its first attempt and heals on retry, so its true cost is
-/// roughly doubled in a way no static partitioner can predict. The same
-/// spec (chaos plan included — it travels in the shard codec) runs on
+/// all Reactive cells (a threshold check — cheap) in the second, so a
+/// static two-way split hands worker 0 all the expensive cells. One DTPM
+/// cell panics late in its first attempt and heals on retry, so its true
+/// cost is roughly doubled in a way no static partitioner can predict. The
+/// same spec (chaos plan included — it travels in the spec codec) runs on
 /// every arm; only the topology differs.
 fn campaign(test_mode: bool) -> SweepSpec {
     let (benchmarks, ambients, replicates, duration_s, panic_at) = if test_mode {
@@ -125,42 +130,13 @@ fn calibration_campaign() -> CalibrationCampaign {
 
 const CALIBRATION_SEED: u64 = 41;
 
-/// Static sharding with a straggler: `split(WORKERS)`, one OS thread per
-/// shard (each single-threaded, like one remote worker), and the thread
-/// holding shard 0 stalled for `stall` before it starts — a statically
-/// assigned shard has nowhere else to go, so the campaign eats the whole
-/// delay. Deterministic merge at the end.
-fn run_static_split(
-    spec: &SweepSpec,
-    calibration: &Calibration,
-    stall: Duration,
-) -> (Duration, platform_sim::CampaignAggregate) {
-    let shards = ShardSpec::split(spec, WORKERS);
-    let start = Instant::now();
-    let sinks: Vec<MergeSink> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(which, shard)| {
-                scope.spawn(move || {
-                    if which == 0 {
-                        std::thread::sleep(stall);
-                    }
-                    shard
-                        .runner()
-                        .with_threads(1)
-                        .with_resilience(resilience())
-                        .run(calibration)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard"))
-            .collect()
-    });
-    let merged = MergeSink::merge_all(sinks).expect("shards must merge");
-    (start.elapsed(), merged)
+/// Static sharding with a straggler: one `cells / WORKERS` lease per
+/// worker and no re-leasing. Worker 0 takes the first half and stalls; a
+/// statically assigned shard has nowhere else to go, so the campaign eats
+/// the whole delay.
+fn run_static_split(spec: &SweepSpec, chaos: WorkerChaos) -> (Duration, MergeSink) {
+    let half = spec.cells().div_ceil(WORKERS);
+    run_leased(spec, WORKERS, 1, half, NO_RELEASE, chaos)
 }
 
 /// Leased execution over in-process worker threads speaking the real
@@ -263,10 +239,10 @@ fn main() {
         .expect("calibration campaign must succeed");
 
     // Straggler arm: interleaved best-of-two per scheduler.
-    let (static_a, static_fold) = run_static_split(&spec, &calibration, stall);
+    let (static_a, static_fold) = run_static_split(&spec, straggler);
     let (leased_a, leased_fold) = run_leased(&spec, WORKERS, 1, LEASE_CELLS, timeout, straggler);
     let (leased_b, _) = run_leased(&spec, WORKERS, 1, LEASE_CELLS, timeout, straggler);
-    let (static_b, _) = run_static_split(&spec, &calibration, stall);
+    let (static_b, _) = run_static_split(&spec, straggler);
     let static_wall = static_a.min(static_b);
     let leased_wall = leased_a.min(leased_b);
 
@@ -295,29 +271,21 @@ fn main() {
     let inproc_wall = inproc_a.min(inproc_b);
     let dist_wall = dist_a.min(dist_b);
 
-    // The leasing paths fold in canonical order and must reproduce the
-    // in-process bits exactly (every float compared as a bit pattern via
-    // the wire encoding) — stalls, re-leases and deduped duplicates
-    // included. The static baseline combines shard aggregates through the
-    // Chan–Welford merge — deterministic, but a different floating-point
-    // association — so it gets exact integer fields and a tight tolerance
-    // on the float totals instead.
-    assert!(leased_fold.is_complete());
-    assert!(inproc_fold.is_complete() && dist_fold.is_complete());
+    // Every coordinator arm folds in canonical order and must reproduce
+    // the in-process bits exactly (every float compared as a bit pattern
+    // via the encoding) — stalls, re-leases and deduped duplicates
+    // included.
+    assert!(inproc_fold.is_complete());
+    assert_eq!(inproc_fold.aggregate().cells, cells);
     let reference = inproc_fold.encode();
-    assert_eq!(leased_fold.encode(), reference, "leased fold diverged");
-    assert_eq!(dist_fold.encode(), reference, "distributed fold diverged");
-    let inproc_agg = inproc_fold.aggregate();
-    assert_eq!(inproc_agg.cells, cells);
-    assert_eq!(static_fold.cells, inproc_agg.cells, "static cell count");
-    assert_eq!(static_fold.completed_runs, inproc_agg.completed_runs);
-    assert_eq!(static_fold.failed_cells, inproc_agg.failed_cells);
-    assert_eq!(static_fold.total_intervals, inproc_agg.total_intervals);
-    let energy_gap = (static_fold.total_energy_j - inproc_agg.total_energy_j).abs();
-    assert!(
-        energy_gap <= 1e-9 * inproc_agg.total_energy_j.abs(),
-        "static energy total diverged by {energy_gap}"
-    );
+    for (arm, fold) in [
+        ("static", &static_fold),
+        ("leased", &leased_fold),
+        ("distributed", &dist_fold),
+    ] {
+        assert!(fold.is_complete(), "{arm} fold incomplete");
+        assert_eq!(fold.encode(), reference, "{arm} fold diverged");
+    }
 
     let static_ms = static_wall.as_secs_f64() * 1e3;
     let leased_ms = leased_wall.as_secs_f64() * 1e3;

@@ -16,14 +16,13 @@
 
 use numeric::Matrix;
 use power_model::DomainPower;
-use serde::{Deserialize, Serialize};
 use soc_model::PowerDomain;
 
 use crate::predictor::{ThermalPredictor, HOTSPOT_COUNT};
 use crate::DtpmError;
 
 /// The computed power budget for the domain being throttled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBudget {
     /// Domain the budget applies to (the active CPU cluster).
     pub domain: PowerDomain,

@@ -36,7 +36,6 @@
 use std::sync::{Arc, RwLock};
 
 use power_model::DomainPower;
-use serde::{Deserialize, Serialize};
 use thermal_model::{DiscreteThermalModel, HorizonMap};
 
 use crate::DtpmError;
@@ -75,15 +74,14 @@ pub const HOTSPOT_COUNT: usize = 4;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThermalPredictor {
     model: DiscreteThermalModel,
     ambient_c: f64,
     /// Precomputed horizon maps, one per horizon ever requested. Shared
     /// (`Arc`) so clones of this predictor — e.g. the per-lane policies of a
     /// lockstep sweep — reuse the same `(Aₙ, Bₙ)` instead of recomputing
-    /// them per lane. Rebuilt lazily after deserialisation.
-    #[serde(skip)]
+    /// them per lane.
     maps: Arc<RwLock<Vec<Arc<HorizonMap>>>>,
 }
 

@@ -1,12 +1,11 @@
 //! The board's default fan controller.
 
-use serde::{Deserialize, Serialize};
 use soc_model::{FanLevel, FanPolicy};
 
 /// Stateful wrapper around the default fan policy: remembers the current level
 /// so that the hysteresis of [`FanPolicy::level_for`] applies across control
 /// intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanController {
     policy: FanPolicy,
     level: FanLevel,

@@ -1,7 +1,5 @@
 //! Idle-power / hotplug governor: how many cores should be online.
 
-use serde::{Deserialize, Serialize};
-
 /// Decides how many cores of the active cluster should be online based on the
 /// number of runnable work streams, with hysteresis so cores are not bounced
 /// on and off every interval.
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// This models the stock idle-power management the paper leaves in place: "the
 /// OS kernel wakes up more processors and increases their frequencies as the
 /// workload intensifies".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotplugGovernor {
     /// A core is added when the runnable streams exceed
     /// `online_cores − 1 + up_margin`.

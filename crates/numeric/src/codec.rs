@@ -2,11 +2,10 @@
 //! primitive encoding with floats as exact bit patterns, plus an IEEE
 //! CRC32 for integrity footers.
 //!
-//! The campaign layer's text checkpoint format already established the
-//! discipline — floats travel as bit patterns, never decimal renderings —
-//! and this module carries it into a length-prefixed binary form for the
-//! distributed dispatch path, where payloads are machine-to-machine and
-//! decode cost matters. [`ByteWriter`]/[`ByteReader`] are deliberately
+//! Floats travel as bit patterns, never decimal renderings, so every value
+//! round-trips exactly. These are the primitives under the simulator's one
+//! binary format (its wire protocol, checkpoints and grid fingerprints).
+//! [`ByteWriter`]/[`ByteReader`] are deliberately
 //! dumb: fixed-width little-endian primitives, length-prefixed byte
 //! strings, no varints, no framing — framing and versioning belong to the
 //! protocol layer. Every read is bounds-checked, so truncated or hostile
@@ -88,8 +87,7 @@ impl ByteWriter {
         self.put_u64(x as u64);
     }
 
-    /// Appends an `f64` as its exact bit pattern — the binary analogue of
-    /// the text format's 16-hex-digit float fields; nothing is rounded.
+    /// Appends an `f64` as its exact bit pattern; nothing is rounded.
     pub fn put_f64(&mut self, x: f64) {
         self.put_u64(x.to_bits());
     }

@@ -4,8 +4,6 @@
 //! power tables are all piecewise-linear lookups; [`Table1d`] provides a
 //! checked, monotonic table with clamped linear interpolation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::NumericError;
 
 /// Linearly interpolates `y(x)` on the sample points `(xs, ys)`.
@@ -36,7 +34,7 @@ pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumericError> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1d {
     xs: Vec<f64>,
     ys: Vec<f64>,

@@ -37,8 +37,6 @@
 //! # }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::aligned::{AlignedVec, PANEL_ALIGN};
 use crate::elem::Elem;
 use crate::matrix::Matrix;
@@ -61,7 +59,7 @@ pub type PanelF32 = PanelT<f32>;
 /// scenarios, stored row-major (`data[i * lanes + l]` is element `i` of
 /// scenario `l`) in [`crate::PANEL_ALIGN`]-byte-aligned storage, generic over
 /// the element precision ([`Elem`]: `f64` or `f32`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PanelT<E: Elem> {
     rows: usize,
     lanes: usize,

@@ -2,7 +2,6 @@
 
 use std::ops::{Add, Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
 use soc_model::PowerDomain;
 
 /// Power consumption of the four measured domains, in watts.
@@ -22,7 +21,7 @@ use soc_model::PowerDomain;
 /// assert_eq!(p.total(), 2.4);
 /// assert_eq!(p.to_vec(), vec![2.0, 0.0, 0.0, 0.4]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DomainPower {
     /// Big (A15) cluster power in watts.
     pub big_w: f64,

@@ -13,7 +13,6 @@
 
 use numeric::simd::{madd, madd_f32, PanelKernel};
 use numeric::{levenberg_marquardt, FitOptions, Vector};
-use serde::{Deserialize, Serialize};
 use soc_model::Voltage;
 
 use crate::PowerError;
@@ -24,7 +23,7 @@ pub fn celsius_to_kelvin(temp_c: f64) -> f64 {
 }
 
 /// The three condensed parameters of the leakage-current model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageParams {
     /// Pre-exponential constant `c1` (A/K²).
     pub c1: f64,
@@ -1256,7 +1255,7 @@ fn exp_delta_f32(d: f32) -> f32 {
 /// let hot = model.power_w(Voltage::from_volts(1.2), 80.0);
 /// assert!(hot > 2.5 * cool, "leakage grows steeply with temperature");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     params: LeakageParams,
 }

@@ -1,13 +1,12 @@
 //! The combined per-domain power model used by the DTPM framework.
 
-use serde::{Deserialize, Serialize};
 use soc_model::{Frequency, PowerDomain, Voltage};
 
 use crate::dynamic::ActivityEstimator;
 use crate::leakage::LeakageModel;
 
 /// Split of one domain's measured power into its components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSplit {
     /// Modelled leakage power, in watts.
     pub leakage_w: f64,
@@ -24,7 +23,7 @@ impl PowerSplit {
 
 /// Power model of a single measured domain: a characterised leakage model
 /// plus the run-time activity estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainPowerModel {
     domain: PowerDomain,
     leakage: LeakageModel,
@@ -121,7 +120,7 @@ impl DomainPowerModel {
 /// );
 /// assert!(at_min < 0.4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     domains: Vec<DomainPowerModel>,
 }

@@ -1,6 +1,6 @@
-//! Declarative sweep campaigns: a serde-able grid specification expanded
-//! lazily into experiment configurations and streamed through the
-//! lane-compacting sweep.
+//! Declarative sweep campaigns: a grid specification expanded lazily into
+//! experiment configurations and streamed through the lane-compacting
+//! sweep.
 //!
 //! The paper's evaluation is itself a grid — {baseline, reactive, DTPM} ×
 //! 15 benchmarks × ambient/fan conditions (Figures 6.5/6.9/6.10) — and the
@@ -9,7 +9,8 @@
 //! declares one: a cartesian product of configuration axes
 //! (ExperimentKinds × benchmarks × ambients × DTPM variants × fault
 //! scenarios × replicates) with deterministic per-cell seed derivation, so a
-//! campaign is a small value that can be serialised, reviewed, and re-run
+//! campaign is a small value that can be stored
+//! ([`crate::distributed::encode_spec`]), reviewed, and re-run
 //! bit-identically. The fault axis (default: a single fault-free entry)
 //! injects [`FaultPlan`] sensor-fault scenarios into whole slices of the
 //! grid, turning robustness studies into ordinary campaign cells.
@@ -31,10 +32,11 @@
 //!   memory is O(cells), never O(cells × intervals).
 
 use dtpm::DtpmConfig;
-use serde::{Deserialize, Serialize};
+use numeric::codec::ByteWriter;
 use workload::BenchmarkId;
 
 use crate::calibrate::Calibration;
+use crate::distributed::codec::put_spec;
 use crate::engine::EnginePrecision;
 use crate::error::SimError;
 use crate::experiment::{sweep_stream, ExperimentConfig, ExperimentKind, ResultSink};
@@ -42,14 +44,6 @@ use crate::faults::FaultPlan;
 use crate::observer::TracePolicy;
 use crate::plant::PlantPowerParams;
 use crate::resilience::{CampaignCheckpoint, ChaosPlan, ResiliencePolicy};
-
-fn default_fault_axis() -> Vec<Option<FaultPlan>> {
-    vec![None]
-}
-
-fn default_chaos_cells() -> Vec<(usize, ChaosPlan)> {
-    Vec::new()
-}
 
 /// SplitMix64: the finalising mix of a 64-bit counter into a well-distributed
 /// 64-bit value (Steele et al., *Fast splittable pseudorandom number
@@ -62,11 +56,18 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a over `bytes`.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// One point on a campaign's DTPM-variant axis: the prediction horizon and
 /// the temperature constraint, the two knobs the paper's sensitivity
 /// discussions vary. Non-DTPM kinds ignore this axis — declare a single
 /// variant when mixing kinds, or the grid runs redundant baseline cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtpmVariant {
     /// Prediction horizon in control intervals.
     pub horizon_steps: usize,
@@ -129,7 +130,7 @@ impl DtpmVariant {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The thermal-management configurations to run (grid axis 1).
     pub kinds: Vec<ExperimentKind>,
@@ -144,7 +145,6 @@ pub struct SweepSpec {
     /// fault-free baseline. Defaults to a single fault-free entry, which
     /// leaves the cell indexing (and therefore every derived seed) of
     /// pre-fault-axis campaigns unchanged.
-    #[serde(default = "default_fault_axis")]
     pub fault_plans: Vec<Option<FaultPlan>>,
     /// Replicate runs per grid point (grid axis 6, the seed axis): each
     /// replicate derives a distinct per-cell seed.
@@ -161,17 +161,14 @@ pub struct SweepSpec {
     pub plant: PlantPowerParams,
     /// Use ideal (noise-free) sensors in every cell.
     pub ideal_sensors: bool,
-    /// Plant-engine element precision shared by every cell. The serde
-    /// default ([`EnginePrecision::F64`]) keeps persisted campaign specs and
-    /// their results bit-identical.
-    #[serde(default)]
+    /// Plant-engine element precision shared by every cell (default
+    /// [`EnginePrecision::F64`]).
     pub precision: EnginePrecision,
     /// Deterministic executor-fault injection pinned to specific cells:
     /// each `(cell index, plan)` entry makes that cell's control loop carry
     /// the [`ChaosPlan`] — the containment/retry test hook, now a campaign
     /// property so distributed and in-process executions of the same spec
     /// inject identical faults. Empty (the default) is entirely inert.
-    #[serde(default = "default_chaos_cells")]
     pub chaos_cells: Vec<(usize, ChaosPlan)>,
 }
 
@@ -186,7 +183,7 @@ impl SweepSpec {
             benchmarks,
             ambients_c: vec![defaults.ambient_c],
             dtpm_variants: vec![DtpmVariant::default()],
-            fault_plans: default_fault_axis(),
+            fault_plans: vec![None],
             replicates: 1,
             campaign_seed: 1,
             base_dtpm: defaults.dtpm,
@@ -195,7 +192,7 @@ impl SweepSpec {
             plant: defaults.plant,
             ideal_sensors: defaults.ideal_sensors,
             precision: defaults.precision,
-            chaos_cells: default_chaos_cells(),
+            chaos_cells: Vec::new(),
         }
     }
 
@@ -331,23 +328,19 @@ impl SweepSpec {
         (0..self.cells()).map(|index| self.cell(index))
     }
 
-    /// A stable 64-bit fingerprint of the grid: every axis, seed and shared
-    /// scalar folds into it, so two specs fingerprint equal exactly when
-    /// they would materialise the same cells. Campaign checkpoints are bound
-    /// to this value ([`CampaignCheckpoint::fingerprint`]) so a checkpoint
-    /// cannot silently resume a different campaign.
+    /// A stable 64-bit fingerprint of the grid: FNV-1a over the spec's
+    /// canonical binary encoding (the payload of
+    /// [`crate::distributed::encode_spec`]), finalised through SplitMix64.
+    /// Every axis, seed and shared scalar is encoded — the codec fails to
+    /// compile until a new field is — so two specs fingerprint equal exactly
+    /// when they would materialise the same cells, and the value changes
+    /// only when the format does. Campaign checkpoints are bound to this
+    /// value ([`CampaignCheckpoint::fingerprint`]) so a checkpoint cannot
+    /// silently resume a different campaign.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the spec's canonical debug rendering (which includes
-        // the shortest round-trip form of every float), finalised through
-        // SplitMix64. The rendering is stable for a given spec value, which
-        // is all resume verification needs.
-        let rendered = format!("{self:?}");
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in rendered.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        splitmix64(hash)
+        let mut w = ByteWriter::new();
+        put_spec(&mut w, self);
+        splitmix64(fnv1a(w.as_slice()))
     }
 
     /// A runner for this campaign (streaming, summaries-only by default).
@@ -464,7 +457,7 @@ impl CampaignRunner<'_> {
     /// Runs an arbitrary subset of the grid — `indices` are global cell
     /// indices — pushing each report into `sink` tagged with its *global*
     /// index, so sinks see the same addressing as a whole-grid run. The
-    /// subset primitive behind shard execution and checkpoint resume.
+    /// subset primitive behind worker leases and checkpoint resume.
     ///
     /// # Panics
     ///
@@ -684,6 +677,16 @@ mod tests {
         assert_ne!(base, spec().with_replicates(4).fingerprint());
         assert_ne!(base, spec().with_max_duration_s(9.5).fingerprint());
         assert_ne!(base, spec().with_ambients_c(vec![24.0]).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_to_the_canonical_bytes() {
+        // Every checkpoint on disk is bound to this value: it may change only
+        // with the binary format itself.
+        let spec = SweepSpec::new(vec![ExperimentKind::Dtpm], vec![BenchmarkId::Crc32]);
+        assert_eq!(spec.fingerprint(), 0x9AAA_45AD_E465_339B);
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 
     #[test]

@@ -1,30 +1,31 @@
-//! The binary wire codec for distributed campaign payloads: compact
-//! little-endian encodings of the shard/result/checkpoint value types,
-//! built on [`numeric::codec`]'s primitives.
+//! The crate's one binary format: compact little-endian encodings of the
+//! grid, result and checkpoint value types, built on [`numeric::codec`]'s
+//! primitives. It is the wire format of distributed campaigns, the on-disk
+//! format of checkpoints, and the canonical bytes behind
+//! [`SweepSpec::fingerprint`].
 //!
 //! Two usage tiers share the field encoders below:
 //!
 //! * **Protocol messages** (`super::protocol`) embed the field encoders
 //!   directly inside length-prefixed frames — the transport's framing
 //!   bounds the payload, so no per-message checksum is added.
-//! * **Standalone blobs** ([`encode_shard`], [`encode_sink`],
+//! * **Standalone blobs** ([`encode_spec`], [`encode_sink`],
 //!   [`encode_checkpoint`]) are self-describing: a 4-byte type magic, the
 //!   payload, and a trailing CRC32 over everything before it — the format
 //!   for payloads that touch disk or cross an untrusted boundary. Their
 //!   decoders verify the checksum *first* ([`crate::SimError::Corrupted`]
-//!   on mismatch), then the magic, then the structure.
+//!   on mismatch), then the magic, then the structure. [`inspect`] renders
+//!   any blob as text for humans (`dtpm-worker inspect FILE`).
 //!
-//! The discipline matches the PR 9 text format exactly where it matters:
-//! floats travel as their 64-bit patterns, so decode∘encode is the
+//! Floats travel as their 64-bit patterns, so decode∘encode is the
 //! identity on every value including NaN payloads, negative zero and
-//! infinities — "distributed" and "in-process" describe the same bits. The
-//! text encoding remains the human-readable checkpoint format; this codec
-//! is the machine-to-machine fast path (see the `distributed_campaign`
-//! bench).
+//! infinities — "distributed", "resumed" and "in-process" describe the
+//! same bits.
 //!
 //! Enum variants are encoded as stable tag bytes through exhaustive
-//! matches, so adding a variant without extending the codec is a compile
-//! error, not a silent wire break.
+//! matches, and decoders build every struct with a full literal, so adding
+//! a variant or a field without extending the codec is a compile error, not
+//! a silent wire break (or a fingerprint that ignores the new field).
 
 use std::collections::BTreeMap;
 
@@ -43,7 +44,7 @@ use crate::faults::{FaultKind, FaultPlan, FaultWindow, SensorChannel};
 use crate::plant::PlantPowerParams;
 use crate::resilience::{
     CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,
-    ChaosPlan, MergeSink, ResiliencePolicy, ShardSpec,
+    ChaosPlan, MergeSink, ResiliencePolicy,
 };
 
 /// Converts a primitive-codec failure into the crate error type.
@@ -51,9 +52,10 @@ pub(crate) fn codec_error(e: CodecError) -> SimError {
     SimError::Io(e.to_string())
 }
 
-/// A structural decode failure above the primitive layer.
-fn malformed(what: &str) -> SimError {
-    SimError::Io(format!("malformed binary payload: {what}"))
+/// A structural decode failure above the primitive layer (also raised by
+/// the value constructors the decoders funnel through).
+pub(crate) fn malformed(what: impl std::fmt::Display) -> SimError {
+    SimError::Io(format!("malformed payload: {what}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -628,7 +630,7 @@ pub(crate) fn put_sink(w: &mut ByteWriter, sink: &MergeSink) {
 }
 
 /// Decodes a [`MergeSink`] written by [`put_sink`], re-validating every
-/// structural invariant through the same constructor as the text decoder.
+/// structural invariant through [`MergeSink`]'s checked constructor.
 pub(crate) fn take_sink(r: &mut ByteReader<'_>) -> Result<MergeSink, SimError> {
     let start = r.take_usize().map_err(codec_error)?;
     let end = r.take_usize().map_err(codec_error)?;
@@ -654,28 +656,6 @@ pub(crate) fn take_sink(r: &mut ByteReader<'_>) -> Result<MergeSink, SimError> {
     MergeSink::from_parts(start, end, next, aggregate, pending, failures)
 }
 
-/// Encodes a [`ShardSpec`] (the shared grid plus the owned range).
-pub(crate) fn put_shard(w: &mut ByteWriter, shard: &ShardSpec) {
-    put_spec(w, &shard.spec);
-    w.put_usize(shard.start);
-    w.put_usize(shard.end);
-}
-
-/// Decodes a [`ShardSpec`] written by [`put_shard`], validating the range
-/// against the decoded grid.
-pub(crate) fn take_shard(r: &mut ByteReader<'_>) -> Result<ShardSpec, SimError> {
-    let spec = take_spec(r)?;
-    let start = r.take_usize().map_err(codec_error)?;
-    let end = r.take_usize().map_err(codec_error)?;
-    if start > end {
-        return Err(malformed("inverted shard range"));
-    }
-    if end > spec.cells() {
-        return Err(malformed("shard range reaches past the grid"));
-    }
-    Ok(ShardSpec { spec, start, end })
-}
-
 /// Encodes a [`CampaignCheckpoint`] (fingerprint, bitmap, fold).
 pub(crate) fn put_checkpoint(w: &mut ByteWriter, checkpoint: &CampaignCheckpoint) {
     w.put_u64(checkpoint.fingerprint());
@@ -688,8 +668,8 @@ pub(crate) fn put_checkpoint(w: &mut ByteWriter, checkpoint: &CampaignCheckpoint
 }
 
 /// Decodes a [`CampaignCheckpoint`] written by [`put_checkpoint`],
-/// re-validating the bitmap/fold consistency through the same constructors
-/// as the text decoder.
+/// re-validating the bitmap/fold consistency through the checked
+/// constructors.
 pub(crate) fn take_checkpoint(r: &mut ByteReader<'_>) -> Result<CampaignCheckpoint, SimError> {
     let fingerprint = r.take_u64().map_err(codec_error)?;
     let cells = r.take_usize().map_err(codec_error)?;
@@ -706,8 +686,8 @@ pub(crate) fn take_checkpoint(r: &mut ByteReader<'_>) -> Result<CampaignCheckpoi
 // ---------------------------------------------------------------------------
 // Standalone blobs: magic + payload + CRC32.
 
-/// Type magic of a standalone shard blob.
-const SHARD_MAGIC: u32 = u32::from_le_bytes(*b"DSH1");
+/// Type magic of a standalone sweep-spec blob.
+const SPEC_MAGIC: u32 = u32::from_le_bytes(*b"DSP1");
 /// Type magic of a standalone merge-sink blob.
 const SINK_MAGIC: u32 = u32::from_le_bytes(*b"DSK1");
 /// Type magic of a standalone checkpoint blob.
@@ -757,27 +737,26 @@ fn finish_blob<T>(r: &ByteReader<'_>, value: T) -> Result<T, SimError> {
     Ok(value)
 }
 
-/// Serialises a [`ShardSpec`] as a CRC32-sealed binary blob — the payload a
-/// driver ships to a remote worker.
-pub fn encode_shard(shard: &ShardSpec) -> Vec<u8> {
-    seal_blob(SHARD_MAGIC, |w| put_shard(w, shard))
+/// Serialises a [`SweepSpec`] as a CRC32-sealed binary blob: a campaign
+/// definition that can be stored, shipped and re-run bit-identically.
+pub fn encode_spec(spec: &SweepSpec) -> Vec<u8> {
+    seal_blob(SPEC_MAGIC, |w| put_spec(w, spec))
 }
 
-/// Decodes a blob written by [`encode_shard`], bit-exactly.
+/// Decodes a blob written by [`encode_spec`], bit-exactly.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Corrupted`] on checksum/magic mismatch and
 /// [`SimError::Io`] on structurally malformed content.
-pub fn decode_shard(bytes: &[u8]) -> Result<ShardSpec, SimError> {
-    let mut r = open_blob(bytes, SHARD_MAGIC, "shard")?;
-    let shard = take_shard(&mut r)?;
-    finish_blob(&r, shard)
+pub fn decode_spec(bytes: &[u8]) -> Result<SweepSpec, SimError> {
+    let mut r = open_blob(bytes, SPEC_MAGIC, "sweep-spec")?;
+    let spec = take_spec(&mut r)?;
+    finish_blob(&r, spec)
 }
 
-/// Serialises a [`MergeSink`]'s full state as a CRC32-sealed binary blob —
-/// the result payload a worker ships back (any fold state round-trips,
-/// complete or mid-flight).
+/// Serialises a [`MergeSink`]'s full state as a CRC32-sealed binary blob
+/// (any fold state round-trips, complete or mid-flight).
 pub fn encode_sink(sink: &MergeSink) -> Vec<u8> {
     seal_blob(SINK_MAGIC, |w| put_sink(w, sink))
 }
@@ -795,8 +774,7 @@ pub fn decode_sink(bytes: &[u8]) -> Result<MergeSink, SimError> {
 }
 
 /// Serialises a [`CampaignCheckpoint`] as a CRC32-sealed binary blob — the
-/// compact machine-to-machine form of the text checkpoint (which remains
-/// the human-readable on-disk format).
+/// on-disk checkpoint format ([`CampaignCheckpoint::write_atomic`]).
 pub fn encode_checkpoint(checkpoint: &CampaignCheckpoint) -> Vec<u8> {
     seal_blob(CHECKPOINT_MAGIC, |w| put_checkpoint(w, checkpoint))
 }
@@ -811,6 +789,97 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CampaignCheckpoint, SimError> {
     let mut r = open_blob(bytes, CHECKPOINT_MAGIC, "checkpoint")?;
     let checkpoint = take_checkpoint(&mut r)?;
     finish_blob(&r, checkpoint)
+}
+
+/// Renders a standalone blob as text for humans: what it is, then every
+/// field. Floats print in their shortest round-trip decimal form.
+///
+/// # Errors
+///
+/// Returns [`SimError::Corrupted`] for bytes that are not an intact blob of
+/// a known kind, and the kind's decode error for malformed content.
+pub fn inspect(bytes: &[u8]) -> Result<String, SimError> {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let magic = bytes
+        .get(..4)
+        .map(|m| u32::from_le_bytes(m.try_into().expect("4 bytes")));
+    match magic {
+        Some(SPEC_MAGIC) => {
+            let spec = decode_spec(bytes)?;
+            let _ = writeln!(
+                out,
+                "sweep spec: {} cells, fingerprint {:016x}\n{spec:#?}",
+                spec.cells(),
+                spec.fingerprint()
+            );
+        }
+        Some(SINK_MAGIC) => render_sink(&mut out, &decode_sink(bytes)?),
+        Some(CHECKPOINT_MAGIC) => {
+            let checkpoint = decode_checkpoint(bytes)?;
+            let _ = writeln!(
+                out,
+                "checkpoint: fingerprint {:016x}, {} of {} cells complete",
+                checkpoint.fingerprint(),
+                checkpoint.completed(),
+                checkpoint.cells()
+            );
+            render_sink(&mut out, checkpoint.fold());
+        }
+        _ => {
+            return Err(SimError::Corrupted(
+                "not a sweep-spec, merge-sink or checkpoint blob".to_owned(),
+            ))
+        }
+    }
+    Ok(out)
+}
+
+/// The [`inspect`] rendering of a merge fold.
+fn render_sink(out: &mut String, sink: &MergeSink) {
+    use std::fmt::Write as _;
+    let range = sink.range();
+    let _ = writeln!(
+        out,
+        "merge fold over cells {}..{}: {} folded, {} pending",
+        range.start,
+        range.end,
+        sink.folded(),
+        sink.pending_outcomes().len()
+    );
+    let a = sink.aggregate();
+    for (name, count) in [
+        ("cells", a.cells),
+        ("completed_runs", a.completed_runs),
+        ("failed_cells", a.failed_cells),
+        ("shutdowns", a.shutdowns),
+        ("total_intervals", a.total_intervals),
+        ("escalations", a.escalations),
+        ("sensor_faults", a.sensor_faults),
+    ] {
+        let _ = writeln!(out, "  {name:<17} {count}");
+    }
+    let _ = writeln!(out, "  {:<17} {:?}", "total_energy_j", a.total_energy_j);
+    for (name, w) in [
+        ("energy_j", &a.energy_j),
+        ("mean_power_w", &a.mean_power_w),
+        ("execution_time_s", &a.execution_time_s),
+        ("peak_temp_c", &a.peak_temp_c),
+        ("mean_temp_c", &a.mean_temp_c),
+    ] {
+        let _ = writeln!(
+            out,
+            "  {name:<17} n={} mean={:?} variance={:?} min={:?} max={:?}",
+            w.count(),
+            w.mean(),
+            w.variance(),
+            w.min(),
+            w.max()
+        );
+    }
+    for failure in sink.failures() {
+        let _ = writeln!(out, "  failed cell {}: {}", failure.index, failure.error);
+    }
 }
 
 #[cfg(test)]
@@ -865,15 +934,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_blobs_round_trip_bit_exactly() {
-        let shard = ShardSpec::new(spec(), 3, 17);
-        let blob = encode_shard(&shard);
-        assert_eq!(decode_shard(&blob).expect("round trip"), shard);
+    fn spec_blobs_round_trip_bit_exactly() {
+        let spec = spec();
+        let blob = encode_spec(&spec);
+        let decoded = decode_spec(&blob).expect("round trip");
+        assert_eq!(decoded, spec);
         // The grid identity survives the wire: same fingerprint both sides.
-        assert_eq!(
-            decode_shard(&blob).unwrap().spec.fingerprint(),
-            shard.spec.fingerprint()
-        );
+        assert_eq!(decoded.fingerprint(), spec.fingerprint());
+        assert_eq!(encode_spec(&decoded), blob);
     }
 
     #[test]
@@ -901,46 +969,63 @@ mod tests {
             checkpoint.record(k, Err(SimError::Panicked(format!("boom {k}"))));
         }
         let blob = encode_checkpoint(&checkpoint);
-        let decoded = decode_checkpoint(&blob).expect("round trip");
-        assert_eq!(decoded, checkpoint);
-        // Binary and text decoders agree on the same state.
-        assert_eq!(
-            CampaignCheckpoint::decode(&checkpoint.encode()).expect("text"),
-            decoded
-        );
-        // And the binary form is the compact one.
+        assert_eq!(decode_checkpoint(&blob).expect("round trip"), checkpoint);
+        // A checkpoint in the retired v1 text format carries the same state
+        // through the binary form, which is the compact one.
+        let text = include_str!("../../tests/data/checkpoint-v1.txt");
+        let legacy = crate::resilience::v1::parse(text).expect("v1 fixture parses");
+        let blob = encode_checkpoint(&legacy);
+        assert_eq!(decode_checkpoint(&blob).expect("round trip"), legacy);
         assert!(
-            blob.len() < checkpoint.encode().len(),
+            blob.len() < text.len(),
             "binary blob ({} B) should undercut the text form ({} B)",
             blob.len(),
-            checkpoint.encode().len()
+            text.len()
         );
     }
 
     #[test]
     fn corrupted_blobs_are_rejected_wholesale() {
-        let shard = ShardSpec::new(spec(), 0, 10);
-        let good = encode_shard(&shard);
+        let good = encode_spec(&spec());
         // Any single flipped byte anywhere in the blob is caught.
         for position in [0, 4, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[position] ^= 0x40;
             assert!(
-                matches!(decode_shard(&bad), Err(SimError::Corrupted(_))),
+                matches!(decode_spec(&bad), Err(SimError::Corrupted(_))),
                 "flip at {position}"
             );
         }
         // Truncation is caught by the checksum too.
         assert!(matches!(
-            decode_shard(&good[..good.len() - 5]),
+            decode_spec(&good[..good.len() - 5]),
             Err(SimError::Corrupted(_))
         ));
-        assert!(matches!(decode_shard(&[]), Err(SimError::Corrupted(_))));
-        // A valid sink blob is not a valid shard blob (magic check).
+        assert!(matches!(decode_spec(&[]), Err(SimError::Corrupted(_))));
+        // A valid sink blob is not a valid spec blob (magic check).
         let sink_blob = encode_sink(&MergeSink::new(0..4));
         assert!(matches!(
-            decode_shard(&sink_blob),
+            decode_spec(&sink_blob),
             Err(SimError::Corrupted(_))
         ));
+    }
+
+    #[test]
+    fn inspect_renders_every_blob_kind() {
+        let spec = spec();
+        let rendered = inspect(&encode_spec(&spec)).expect("spec blob");
+        assert!(rendered.starts_with(&format!(
+            "sweep spec: {} cells, fingerprint {:016x}",
+            spec.cells(),
+            spec.fingerprint()
+        )));
+        let mut checkpoint = CampaignCheckpoint::new(0xF00D, 70);
+        checkpoint.record(0, Err(SimError::Panicked("boom".to_owned())));
+        let rendered = inspect(&encode_checkpoint(&checkpoint)).expect("checkpoint blob");
+        assert!(rendered.starts_with("checkpoint: fingerprint 000000000000f00d, 1 of 70 cells"));
+        assert!(rendered.contains("failed cell 0: cell panicked (contained): boom"));
+        let rendered = inspect(&encode_sink(checkpoint.fold())).expect("sink blob");
+        assert!(rendered.starts_with("merge fold over cells 0..70: 1 folded, 0 pending"));
+        assert!(matches!(inspect(b"garbage"), Err(SimError::Corrupted(_))));
     }
 }

@@ -29,7 +29,6 @@
 //! mid-flight — the basis of the lane-compacting scheduler in
 //! [`crate::ScenarioSweep`].
 
-use serde::{Deserialize, Serialize};
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
@@ -50,7 +49,7 @@ use crate::SimError;
 /// records their worst-case node-temperature divergence
 /// ([`MixedPanelEngine::worst_divergence_c`]) — the qualification mode for
 /// new scenario families, costing slightly more than an f64-only run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnginePrecision {
     /// Full f64 panels — the bit-identical default.
     #[default]

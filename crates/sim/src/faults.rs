@@ -1,4 +1,4 @@
-//! Sensor fault injection: deterministic, serde-able fault plans applied
+//! Sensor fault injection: deterministic, declarative fault plans applied
 //! over the sampled sensor chain.
 //!
 //! The controller only ever sees what [`crate::SensorSuite`] reports, so the
@@ -16,8 +16,8 @@
 //! * **Isolation.** An injector is owned by one control loop and touches only
 //!   that lane's readings; sibling lanes in a batched sweep cannot observe
 //!   it (pinned by `tests/compaction.rs`).
-//! * **Declarativity.** A plan is a small serde value, so fault scenarios are
-//!   grid cells like any other: [`crate::campaign::SweepSpec`] exposes a
+//! * **Declarativity.** A plan is a small plain value, so fault scenarios
+//!   are grid cells like any other: [`crate::campaign::SweepSpec`] exposes a
 //!   fault axis whose cells differ only in their plan.
 //!
 //! Faults corrupt the *measured* chain, never the plant: the silicon keeps
@@ -25,7 +25,6 @@
 //! exactly the failure mode the safety ladder and sensor-health monitor
 //! ([`crate::safety`]) exist to survive.
 
-use serde::{Deserialize, Serialize};
 use soc_model::PowerDomain;
 
 use crate::campaign::splitmix64;
@@ -33,7 +32,7 @@ use crate::sensors::SensorReadings;
 use crate::SimError;
 
 /// One addressable channel of the measured sensor chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorChannel {
     /// One of the four per-core temperature sensors (index 0..4).
     CoreTemp(usize),
@@ -94,7 +93,7 @@ impl std::fmt::Display for SensorChannel {
 }
 
 /// What a faulty channel reports while its window is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The reading freezes at the value it had when the window opened (a
     /// stuck register / wedged driver). Looks plausible — only the
@@ -133,7 +132,7 @@ pub enum FaultKind {
 /// One fault: a channel, a kind, and the `[start_s, end_s)` window (in
 /// simulation time) during which it is active. `end_s = f64::INFINITY` holds
 /// the fault for the rest of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// The channel this fault corrupts.
     pub channel: SensorChannel,
@@ -152,10 +151,10 @@ impl FaultWindow {
     }
 }
 
-/// A declarative, serde-able sensor fault scenario: a list of fault windows
+/// A declarative sensor fault scenario: a list of fault windows
 /// plus the seed that fixes every hash-derived choice (spike timing and
 /// signs). See the [module docs](self) for the determinism contract.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for hash-derived fault behaviour (spike timing/sign).
     pub seed: u64,

@@ -158,9 +158,6 @@ impl RunObserver for DecimatedTrace {
 /// the first `skip` intervals from the *stability* window only (mean power
 /// and the rates always cover the whole run), the streaming analogue of
 /// [`StabilityReport::of_steady_portion`]'s prefix skip.
-// Not serde-derived: the embedded [`numeric::Welford`] holds ±∞ sentinels
-// while empty, which JSON-style formats cannot round-trip. The streamed
-// wire format is the finished [`crate::metrics::RunSummary`].
 #[derive(Debug, Clone)]
 pub struct OnlineRunStats {
     skip: usize,

@@ -7,7 +7,6 @@
 //! controller identifies, so the controller faces realistic model error.
 
 use power_model::{DomainPower, LeakageModel, LeakageParams};
-use serde::{Deserialize, Serialize};
 use soc_model::{ClusterKind, FanLevel, PlatformState, SocSpec};
 use thermal_model::{ExynosThermalNetwork, StepTransition};
 use workload::Demand;
@@ -15,7 +14,7 @@ use workload::Demand;
 use crate::SimError;
 
 /// "True" power parameters of the simulated silicon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlantPowerParams {
     /// Effective switched capacitance of one fully-active big (A15) core, in
     /// farads (used as `P = act·C·V²·f` per busy core).
@@ -64,7 +63,7 @@ impl Default for PlantPowerParams {
 }
 
 /// Outcome of stepping the plant over one control interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantStep {
     /// True average power per measured domain over the interval, in watts.
     pub domain_power: DomainPower,

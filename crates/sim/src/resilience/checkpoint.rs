@@ -5,27 +5,30 @@
 //! A [`CampaignCheckpoint`] is small and closed-form — a completed-cell
 //! bitmap plus the canonical-order merge fold ([`MergeSink`]) over the
 //! completed cells — so it costs O(cells/8) bytes no matter how much trace
-//! data the campaign produced. Snapshots go to disk through the classic
-//! temp-file + `sync` + rename dance, so a kill at any instant leaves either
-//! the previous checkpoint or the new one, never a torn file. Because the
-//! embedded fold replays cells in canonical index order and stores floats as
-//! exact bit patterns, resuming from any checkpoint reproduces the
-//! uninterrupted campaign's merged output bit-for-bit.
+//! data the campaign produced. Snapshots go to disk in the crate's one
+//! binary format ([`crate::distributed::codec`], CRC32-sealed) through the
+//! classic temp-file + `sync` + rename dance, so a kill at any instant
+//! leaves either the previous checkpoint or the new one, never a torn file.
+//! Because the embedded fold replays cells in canonical index order and
+//! stores floats as exact bit patterns, resuming from any checkpoint
+//! reproduces the uninterrupted campaign's merged output bit-for-bit.
+//! Checkpoints of the retired v1 text format convert through
+//! [`CampaignCheckpoint::migrate_v1`].
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
 use super::merge::MergeSink;
-use super::wire;
+use super::v1;
+use crate::campaign::SweepSpec;
+use crate::distributed::codec::{self, malformed};
 use crate::error::SimError;
 use crate::experiment::{ResultSink, RunReport};
 
 /// A fixed-size bitmap over campaign cell indices: which cells have reported
 /// a terminal outcome (success or quarantined failure).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellBitmap {
     words: Vec<u64>,
     len: usize,
@@ -89,26 +92,26 @@ impl CellBitmap {
     }
 
     /// The raw 64-bit words backing the bitmap. Crate-internal, for the
-    /// wire codecs.
+    /// codec.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Reassembles a bitmap from its raw words, validating the word count
-    /// and that no bit is set past the cell count. Both wire decoders (text
-    /// and binary) funnel through here.
+    /// and that no bit is set past the cell count. Every decoder funnels
+    /// through here.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Io`] on any violated invariant.
     pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Result<CellBitmap, SimError> {
         if words.len() != len.div_ceil(64) {
-            return Err(wire::malformed("bitmap word count disagrees with cells"));
+            return Err(malformed("bitmap word count disagrees with cells"));
         }
         if !len.is_multiple_of(64) {
             if let Some(last) = words.last() {
                 if last >> (len % 64) != 0 {
-                    return Err(wire::malformed("bitmap has bits past the cell count"));
+                    return Err(malformed("bitmap has bits past the cell count"));
                 }
             }
         }
@@ -120,7 +123,7 @@ impl CellBitmap {
 /// (bitmap) and the canonical-order merge fold over their outcomes. Bound to
 /// its grid by the [`crate::SweepSpec`] fingerprint, so a checkpoint cannot
 /// silently resume a different campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     fingerprint: u64,
     bitmap: CellBitmap,
@@ -173,7 +176,7 @@ impl CampaignCheckpoint {
         &self.fold
     }
 
-    /// The completion bitmap. Crate-internal, for the wire codecs.
+    /// The completion bitmap. Crate-internal, for the codec.
     pub(crate) fn bitmap(&self) -> &CellBitmap {
         &self.bitmap
     }
@@ -198,8 +201,8 @@ impl CampaignCheckpoint {
 
     /// Reassembles a checkpoint from its raw parts, validating the
     /// cross-field invariants: the fold covers exactly the bitmap's cells
-    /// and the two completion counts agree. Both wire decoders (text and
-    /// binary) funnel through here.
+    /// and the two completion counts agree. Every decoder funnels through
+    /// here.
     ///
     /// # Errors
     ///
@@ -210,12 +213,10 @@ impl CampaignCheckpoint {
         fold: MergeSink,
     ) -> Result<CampaignCheckpoint, SimError> {
         if fold.range() != (0..bitmap.len()) {
-            return Err(wire::malformed("fold range disagrees with cell count"));
+            return Err(malformed("fold range disagrees with cell count"));
         }
         if fold.completed_cells() != bitmap.count_ones() {
-            return Err(wire::malformed(
-                "fold completion count disagrees with bitmap",
-            ));
+            return Err(malformed("fold completion count disagrees with bitmap"));
         }
         Ok(CampaignCheckpoint {
             fingerprint,
@@ -224,106 +225,45 @@ impl CampaignCheckpoint {
         })
     }
 
-    /// Serialises the checkpoint (the on-disk format): the v1 body followed
-    /// by a `crc32` integrity footer over every byte before it, so bit rot
-    /// and torn writes are detected at load instead of skewing a resumed
-    /// campaign.
-    pub fn encode(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        out.push_str("dtpm-campaign-checkpoint v1\n");
-        writeln!(out, "fingerprint {:016x}", self.fingerprint).expect("string write");
-        writeln!(out, "cells {}", self.bitmap.len).expect("string write");
-        out.push_str("bitmap");
-        for word in &self.bitmap.words {
-            use std::fmt::Write as _;
-            write!(out, " {word:016x}").expect("string write");
-        }
-        out.push('\n');
-        self.fold.encode_into(&mut out);
-        let crc = numeric::codec::crc32(out.as_bytes());
-        writeln!(out, "crc32 {crc:08x}").expect("string write");
-        out
-    }
-
-    /// Splits a trailing `crc32` footer line off a checkpoint rendering,
-    /// returning the covered body and the stated checksum — or `None` for a
-    /// footerless (pre-footer) checkpoint, which stays decodable.
-    fn split_crc_footer(text: &str) -> Result<Option<(&str, u32)>, SimError> {
-        let Some(stripped) = text.strip_suffix('\n') else {
-            return Ok(None);
-        };
-        let Some((head, last)) = stripped.rsplit_once('\n') else {
-            return Ok(None);
-        };
-        let Some(bits) = last.strip_prefix("crc32 ") else {
-            return Ok(None);
-        };
-        let stated = u32::from_str_radix(bits, 16)
-            .map_err(|_| SimError::Corrupted(format!("unreadable crc32 footer {bits:?}")))?;
-        // The footer covers everything before its own line, including the
-        // preceding newline.
-        Ok(Some((&text[..head.len() + 1], stated)))
+    /// Serialises the checkpoint in the on-disk format: the CRC32-sealed
+    /// binary blob of [`crate::distributed::encode_checkpoint`].
+    pub fn encode(&self) -> Vec<u8> {
+        codec::encode_checkpoint(self)
     }
 
     /// Decodes a checkpoint serialised by [`CampaignCheckpoint::encode`],
-    /// bit-exactly. Footerless checkpoints (written before the integrity
-    /// footer existed) decode unchanged; a present footer is verified
-    /// first, so corruption anywhere in the body is rejected wholesale.
+    /// bit-exactly. The checksum is verified first, so corruption anywhere
+    /// is rejected wholesale.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Corrupted`] on a checksum mismatch and
-    /// [`SimError::Io`] on structurally malformed input.
-    pub fn decode(text: &str) -> Result<CampaignCheckpoint, SimError> {
-        let text = match CampaignCheckpoint::split_crc_footer(text)? {
-            Some((body, stated)) => {
-                let computed = numeric::codec::crc32(body.as_bytes());
-                if computed != stated {
-                    return Err(SimError::Corrupted(format!(
-                        "checkpoint crc32 mismatch: footer says {stated:08x}, \
-                         content hashes to {computed:08x}"
-                    )));
-                }
-                body
-            }
-            None => text,
-        };
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or_default();
-        if header != "dtpm-campaign-checkpoint v1" {
-            return Err(wire::malformed(format!("bad checkpoint header {header:?}")));
+    /// Returns [`SimError::Corrupted`] on a checksum or type mismatch and
+    /// [`SimError::Io`] on structurally malformed input — including a
+    /// checkpoint of the retired v1 text format, which
+    /// [`CampaignCheckpoint::migrate_v1`] converts.
+    pub fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, SimError> {
+        if v1::is_v1(bytes) {
+            return Err(SimError::Io(
+                "checkpoint is in the retired v1 text format; \
+                 convert it with CampaignCheckpoint::migrate_v1"
+                    .to_owned(),
+            ));
         }
-        let fingerprint_line = lines
-            .next()
-            .ok_or_else(|| wire::malformed("missing fingerprint line"))?;
-        let fingerprint = match fingerprint_line.split_once(' ') {
-            Some(("fingerprint", bits)) => wire::parse_u64_hex(bits)?,
-            _ => return Err(wire::malformed("expected fingerprint line")),
-        };
-        let cells_line = lines
-            .next()
-            .ok_or_else(|| wire::malformed("missing cells line"))?;
-        let cells = match cells_line.split_once(' ') {
-            Some(("cells", n)) => wire::parse_usize(n)?,
-            _ => return Err(wire::malformed("expected cells line")),
-        };
-        let bitmap_line = lines
-            .next()
-            .ok_or_else(|| wire::malformed("missing bitmap line"))?;
-        let mut fields = bitmap_line.split_whitespace();
-        if fields.next() != Some("bitmap") {
-            return Err(wire::malformed("expected bitmap line"));
-        }
-        let words = fields
-            .map(wire::parse_u64_hex)
-            .collect::<Result<Vec<u64>, SimError>>()?;
-        let bitmap = CellBitmap::from_words(words, cells)?;
-        let fold = MergeSink::decode_from(&mut lines)?;
-        if lines.next().is_some() {
-            return Err(wire::malformed("trailing data after checkpoint"));
-        }
-        CampaignCheckpoint::from_parts(fingerprint, bitmap, fold)
+        codec::decode_checkpoint(bytes)
+    }
+
+    /// Converts a checkpoint written in the retired v1 text format: checks
+    /// that it was taken of `spec`'s grid, then binds it to the current
+    /// [`SweepSpec::fingerprint`]. Write the result back with
+    /// [`CampaignCheckpoint::write_atomic`] and resume as usual.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for a checkpoint of another
+    /// grid, [`SimError::Corrupted`] on a checksum mismatch, and
+    /// [`SimError::Io`] on malformed text.
+    pub fn migrate_v1(text: &str, spec: &SweepSpec) -> Result<CampaignCheckpoint, SimError> {
+        v1::migrate(text, spec)
     }
 
     /// Writes the checkpoint to `path` atomically: the serialised snapshot
@@ -340,7 +280,7 @@ impl CampaignCheckpoint {
         let tmp = PathBuf::from(tmp);
         {
             let mut file = fs::File::create(&tmp)?;
-            file.write_all(self.encode().as_bytes())?;
+            file.write_all(&self.encode())?;
             file.sync_all()?;
         }
         fs::rename(&tmp, path)?;
@@ -352,9 +292,10 @@ impl CampaignCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Io`] if the file cannot be read or is malformed.
+    /// As [`CampaignCheckpoint::decode`], plus [`SimError::Io`] if the file
+    /// cannot be read.
     pub fn load(path: &Path) -> Result<CampaignCheckpoint, SimError> {
-        CampaignCheckpoint::decode(&fs::read_to_string(path)?)
+        CampaignCheckpoint::decode(&fs::read(path)?)
     }
 }
 
@@ -522,18 +463,36 @@ mod tests {
         checkpoint.write_atomic(&path).expect("write");
         let loaded = CampaignCheckpoint::load(&path).expect("load");
         assert_eq!(loaded, checkpoint);
+
+        // A checkpoint read from the retired v1 text format lands on disk in
+        // the binary format and loads back unchanged.
+        let legacy = v1::parse(include_str!("../../tests/data/checkpoint-v1.txt")).expect("v1");
+        legacy.write_atomic(&path).expect("write");
+        assert_eq!(CampaignCheckpoint::load(&path).expect("load"), legacy);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn checkpoint_rejects_malformed_and_inconsistent_input() {
-        assert!(CampaignCheckpoint::decode("not a checkpoint").is_err());
+        assert!(CampaignCheckpoint::decode(b"not a checkpoint").is_err());
         let good = CampaignCheckpoint::new(7, 3).encode();
-        // Flip the cell count without touching the rest: inconsistency caught.
-        let bad = good.replace("cells 3", "cells 130");
-        assert!(CampaignCheckpoint::decode(&bad).is_err());
-        let truncated: String = good.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(CampaignCheckpoint::decode(&truncated).is_err());
+        assert!(CampaignCheckpoint::decode(&good[..good.len() / 2]).is_err());
+        // A correctly sealed blob whose bitmap covers 130 cells but whose
+        // fold covers 3: the checksum passes, the consistency check fails.
+        let mut w = numeric::codec::ByteWriter::new();
+        w.put_u32(u32::from_le_bytes(*b"DCP1"));
+        w.put_u64(7);
+        w.put_usize(130);
+        for _ in 0..3 {
+            w.put_u64(0);
+        }
+        codec::put_sink(&mut w, &MergeSink::new(0..3));
+        let crc = numeric::codec::crc32(w.as_slice());
+        w.put_u32(crc);
+        assert!(matches!(
+            CampaignCheckpoint::decode(w.as_slice()),
+            Err(SimError::Io(_))
+        ));
     }
 
     #[test]
@@ -543,48 +502,28 @@ mod tests {
             checkpoint.record(k, failed(k));
         }
         let encoded = checkpoint.encode();
-        let footer = encoded.trim_end().lines().last().expect("footer line");
-        assert!(footer.starts_with("crc32 "), "encode appends the footer");
         assert_eq!(
             CampaignCheckpoint::decode(&encoded).expect("round trip"),
             checkpoint
         );
-
-        // A footerless rendering — the pre-footer on-disk format — still
-        // decodes to the same state.
-        let legacy: String = encoded
-            .lines()
-            .filter(|line| !line.starts_with("crc32 "))
-            .map(|line| format!("{line}\n"))
-            .collect();
-        assert_eq!(
-            CampaignCheckpoint::decode(&legacy).expect("legacy decode"),
-            checkpoint
-        );
-
-        // A flipped hex digit in the body (here: the fingerprint) would
-        // parse fine structurally — the checksum catches it wholesale.
-        let flipped = encoded.replacen(
-            "fingerprint 000000000000abcd",
-            "fingerprint 000000000000abce",
-            1,
-        );
-        assert_ne!(flipped, encoded, "corruption actually applied");
+        // A flipped bit anywhere — here in the fingerprint, which would
+        // parse fine structurally — is caught wholesale by the checksum.
+        for position in [4, encoded.len() / 2, encoded.len() - 1] {
+            let mut flipped = encoded.clone();
+            flipped[position] ^= 0x01;
+            assert!(matches!(
+                CampaignCheckpoint::decode(&flipped),
+                Err(SimError::Corrupted(_))
+            ));
+        }
+        // A legacy v1 text checkpoint is recognised, not misread as
+        // corruption: decoding points at the migration, which accepts it.
+        let legacy = include_str!("../../tests/data/checkpoint-v1.txt");
         assert!(matches!(
-            CampaignCheckpoint::decode(&flipped),
-            Err(SimError::Corrupted(_))
+            CampaignCheckpoint::decode(legacy.as_bytes()),
+            Err(SimError::Io(msg)) if msg.contains("migrate_v1")
         ));
-
-        // An unreadable footer is corruption, not a silent legacy fallback.
-        let bad_footer = format!("{legacy}crc32 zzzzzzzz\n");
-        assert!(matches!(
-            CampaignCheckpoint::decode(&bad_footer),
-            Err(SimError::Corrupted(_))
-        ));
-
-        // A file truncated mid-body (footer gone entirely) is still
-        // rejected, through the structural checks.
-        assert!(CampaignCheckpoint::decode(&encoded[..encoded.len() / 2]).is_err());
+        assert!(v1::parse(legacy).is_ok());
     }
 
     #[test]

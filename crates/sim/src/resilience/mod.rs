@@ -1,5 +1,5 @@
 //! The robustness layer for long campaigns: checkpoint/resume, deterministic
-//! shard merge, and cell-level fault containment.
+//! merge, and cell-level fault containment.
 //!
 //! A production-scale campaign (the ROADMAP's million-cell fleet sweeps)
 //! runs for hours; without this module a single panicking cell, a runaway
@@ -27,37 +27,34 @@
 //!   because the merge folds per-cell stats in canonical index order, the
 //!   resumed campaign's merged output is bit-identical to an uninterrupted
 //!   run no matter where the kill landed.
-//! * **Sharding + merge** ([`shard`], [`merge`]): a [`ShardSpec`] is a
-//!   [`crate::SweepSpec`] plus a contiguous cell-index range; each shard
-//!   streams into its own [`MergeSink`], and
-//!   [`MergeSink::merge_all`] combines any number of shard sinks —
+//! * **Merge** ([`merge`]): a [`MergeSink`] folds per-cell outcomes in
+//!   canonical index order whatever order they arrive in, and
+//!   [`MergeSink::merge_all`] combines sinks over disjoint cell ranges —
 //!   via the exactly-commutative [`numeric::stats::Welford::merge`], folded
-//!   in canonical range order — into aggregates independent of shard
-//!   arrival order.
+//!   in canonical range order — into aggregates independent of arrival
+//!   order.
 //!
 //! Determinism is the design invariant throughout: retries re-derive the
 //! identical cell (seeds are a pure function of the campaign seed and cell
-//! index), merges fold in canonical cell order, and the checkpoint wire
-//! format stores floats as exact bit patterns — so "resumed", "sharded" and
+//! index), merges fold in canonical cell order, and checkpoints store
+//! floats as exact bit patterns (the binary format of
+//! [`crate::distributed::codec`]) — so "resumed", "distributed" and
 //! "uninterrupted" describe the same numbers.
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
 
 pub mod checkpoint;
 pub mod merge;
-pub mod shard;
+pub(crate) mod v1;
 
 pub use checkpoint::{CampaignCheckpoint, CellBitmap, CheckpointSink};
 pub use merge::{CampaignAggregate, CellFailure, CellOutcome, CellStats, MergeSink};
-pub use shard::{ShardRunner, ShardSpec};
 
 /// Containment policy for a sweep or campaign: how many times a transiently
 /// failing cell is retried before quarantine, and the cooperative per-cell
 /// deadline. The default (no retries, no deadline) keeps every existing
 /// sweep bit-identical — panic containment itself is always on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResiliencePolicy {
     /// How many times a cell that failed with a retryable error
     /// ([`SimError::Panicked`] / [`SimError::Deadline`]) is re-admitted
@@ -110,7 +107,7 @@ impl ResiliencePolicy {
 /// cell's control loop panic at a declared interval, optionally "healing"
 /// after a number of retry attempts so bounded retry can be exercised
 /// end-to-end. Entirely inert by default and on every healthy cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosPlan {
     /// Panic when the control loop stages the decision of this interval.
     pub panic_at_interval: Option<usize>,
@@ -153,73 +150,10 @@ impl ChaosPlan {
     }
 }
 
-/// The checkpoint/shard wire format's primitive encoders: floats travel as
-/// exact 64-bit patterns (hex), strings as hex-encoded UTF-8 — nothing is
-/// rounded, escaped or locale-dependent, so decode(encode(x)) is bit-exact.
-pub(crate) mod wire {
-    use crate::error::SimError;
-
-    /// A malformed-input decode error.
-    pub(crate) fn malformed(what: impl std::fmt::Display) -> SimError {
-        SimError::Io(format!("malformed checkpoint data: {what}"))
-    }
-
-    /// Encodes an `f64` as its exact bit pattern (16 hex digits).
-    pub(crate) fn fmt_f64(x: f64) -> String {
-        format!("{:016x}", x.to_bits())
-    }
-
-    /// Decodes an [`fmt_f64`]-encoded float, bit-exactly.
-    pub(crate) fn parse_f64(s: &str) -> Result<f64, SimError> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| malformed(format!("bad f64 bits {s:?}")))
-    }
-
-    /// Decodes a decimal `usize`.
-    pub(crate) fn parse_usize(s: &str) -> Result<usize, SimError> {
-        s.parse().map_err(|_| malformed(format!("bad count {s:?}")))
-    }
-
-    /// Decodes a hex `u64` (fingerprints, bitmap words).
-    pub(crate) fn parse_u64_hex(s: &str) -> Result<u64, SimError> {
-        u64::from_str_radix(s, 16).map_err(|_| malformed(format!("bad u64 bits {s:?}")))
-    }
-
-    /// Encodes a string as hex UTF-8 bytes (newline- and delimiter-safe).
-    pub(crate) fn fmt_str(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() * 2);
-        for byte in s.bytes() {
-            out.push_str(&format!("{byte:02x}"));
-        }
-        if out.is_empty() {
-            // A bare marker so empty strings still occupy a field.
-            out.push('-');
-        }
-        out
-    }
-
-    /// Decodes an [`fmt_str`]-encoded string.
-    pub(crate) fn parse_str(s: &str) -> Result<String, SimError> {
-        if s == "-" {
-            return Ok(String::new());
-        }
-        if !s.len().is_multiple_of(2) {
-            return Err(malformed(format!("odd-length string field {s:?}")));
-        }
-        let mut bytes = Vec::with_capacity(s.len() / 2);
-        for k in (0..s.len()).step_by(2) {
-            let byte = u8::from_str_radix(&s[k..k + 2], 16)
-                .map_err(|_| malformed(format!("bad string byte {:?}", &s[k..k + 2])))?;
-            bytes.push(byte);
-        }
-        String::from_utf8(bytes).map_err(|_| malformed("string field is not UTF-8"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{decode_sink, encode_sink};
 
     #[test]
     fn policy_defaults_are_inert() {
@@ -269,7 +203,9 @@ mod tests {
 
     #[test]
     fn wire_round_trips_are_bit_exact() {
-        for x in [
+        // Cell 0 never reports, so every outcome stays pending and travels
+        // verbatim: special floats and awkward strings included.
+        let floats = [
             0.0,
             -0.0,
             1.5,
@@ -277,17 +213,50 @@ mod tests {
             f64::NEG_INFINITY,
             f64::MIN_POSITIVE,
             std::f64::consts::PI,
-        ] {
-            let back = wire::parse_f64(&wire::fmt_f64(x)).expect("round trip");
-            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
+            f64::NAN,
+        ];
+        let strings = ["", "plain", "with spaces\nand newlines", "ünïcode"];
+        let failed_at = |k: usize| 1 + floats.len() + k;
+        let mut sink = MergeSink::new(0..failed_at(strings.len()));
+        for (k, &x) in floats.iter().enumerate() {
+            let stats = CellStats {
+                completed: true,
+                execution_time_s: x,
+                intervals: k,
+                energy_j: x,
+                mean_platform_power_w: x,
+                mean_temp_c: x,
+                peak_temp_c: x,
+                intervention_rate: x,
+                escalations: 0,
+                sensor_faults: 0,
+                shut_down: false,
+            };
+            sink.offer(1 + k, CellOutcome::Completed(stats));
         }
-        let nan = wire::parse_f64(&wire::fmt_f64(f64::NAN)).expect("round trip");
-        assert_eq!(nan.to_bits(), f64::NAN.to_bits());
-        for s in ["", "plain", "with spaces\nand newlines", "ünïcode"] {
-            assert_eq!(wire::parse_str(&wire::fmt_str(s)).expect("round trip"), s);
+        for (k, error) in strings.iter().enumerate() {
+            let failure = CellFailure {
+                index: failed_at(k),
+                error: (*error).to_owned(),
+            };
+            sink.offer(failed_at(k), CellOutcome::Failed(failure));
         }
-        assert!(wire::parse_f64("xyz").is_err());
-        assert!(wire::parse_str("abc").is_err(), "odd length rejected");
-        assert!(wire::parse_usize("-3").is_err());
+        let bytes = encode_sink(&sink);
+        let back = decode_sink(&bytes).expect("round trip");
+        // Compared by re-encoding: NaN != NaN under PartialEq.
+        assert_eq!(encode_sink(&back), bytes);
+        for (k, &x) in floats.iter().enumerate() {
+            let CellOutcome::Completed(stats) = &back.pending_outcomes()[&(1 + k)] else {
+                panic!("cell {} lost its stats", 1 + k);
+            };
+            assert_eq!(stats.energy_j.to_bits(), x.to_bits(), "{x}");
+        }
+        for (k, error) in strings.iter().enumerate() {
+            let CellOutcome::Failed(failure) = &back.pending_outcomes()[&failed_at(k)] else {
+                panic!("cell {} lost its failure", failed_at(k));
+            };
+            assert_eq!(failure.error, *error);
+        }
+        assert!(decode_sink(b"xyz").is_err());
     }
 }

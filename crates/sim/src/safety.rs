@@ -31,14 +31,13 @@
 //! screened readings sequence, so identical seeds and fault plans replay
 //! bit-identical logs regardless of lane or thread assignment.
 
-use serde::{Deserialize, Serialize};
 use soc_model::{ClusterKind, PlatformState, SocSpec};
 
 use crate::faults::SensorChannel;
 use crate::sensors::SensorReadings;
 
 /// Rung of the thermal safety ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SafetyState {
     /// No intervention: the policy's decision stands.
     Normal,
@@ -62,7 +61,7 @@ impl SafetyState {
 }
 
 /// Configuration of the [`SafetyLadder`] watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderConfig {
     /// Whether the watchdog runs at all.
     pub enabled: bool,
@@ -102,7 +101,7 @@ impl Default for LadderConfig {
 }
 
 /// Configuration of the [`SensorHealth`] monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Whether readings are screened at all.
     pub monitor: bool,
@@ -152,7 +151,7 @@ impl Default for HealthConfig {
 }
 
 /// The combined robustness configuration carried by an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SafetyConfig {
     /// Watchdog ladder configuration.
     pub ladder: LadderConfig,
@@ -178,7 +177,7 @@ impl SafetyConfig {
 }
 
 /// What the health monitor observed on a channel when it declared a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultObservation {
     /// NaN or ±inf.
     NonFinite,
@@ -189,7 +188,7 @@ pub enum FaultObservation {
 }
 
 /// One recorded robustness event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Incident {
     /// Control-interval index at which the event fired (0 = bootstrap).
     pub interval: usize,
@@ -200,7 +199,7 @@ pub struct Incident {
 }
 
 /// The kinds of robustness events recorded in an [`IncidentLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IncidentKind {
     /// A sensor channel started reporting implausible values.
     SensorFault {
@@ -254,7 +253,7 @@ pub enum IncidentKind {
 /// A pure function of the screened reading sequence: identical seeds and
 /// fault plans replay identical logs regardless of lane, thread or shard
 /// assignment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncidentLog {
     incidents: Vec<Incident>,
 }

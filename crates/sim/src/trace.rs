@@ -5,13 +5,12 @@ use std::path::Path;
 
 use numeric::Summary;
 use power_model::DomainPower;
-use serde::{Deserialize, Serialize};
 use soc_model::{ClusterKind, FanLevel};
 
 use crate::SimError;
 
 /// One logged control interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Simulation time at the end of the interval, seconds.
     pub time_s: f64,
@@ -50,7 +49,7 @@ impl TraceRecord {
 }
 
 /// A complete experiment trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     records: Vec<TraceRecord>,
 }

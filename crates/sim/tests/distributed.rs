@@ -10,7 +10,7 @@
 //!   lease points force re-leases and duplicate completions, and the
 //!   cell-level dedup still folds every cell exactly once (proptest over
 //!   injection points).
-//! * The binary codec round-trips arbitrary [`ShardSpec`] and [`MergeSink`]
+//! * The binary codec round-trips arbitrary [`SweepSpec`] and [`MergeSink`]
 //!   states bit-exactly, including non-finite float bit patterns.
 //! * Per-worker sink batching (the sweep-stream contention fix) does not
 //!   change delivered bits: multi-threaded and single-threaded folds agree.
@@ -23,7 +23,7 @@ use platform_sim::distributed::{
 };
 use platform_sim::{
     Calibration, CalibrationCampaign, CellOutcome, CellStats, Coordinator, DistributedReport,
-    ExperimentKind, MergeSink, ShardSpec, SweepSpec,
+    ExperimentKind, MergeSink, SweepSpec,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
@@ -181,12 +181,13 @@ proptest! {
 
 proptest! {
     #[test]
-    /// The shard codec round-trips arbitrary grids and ranges bit-exactly.
-    fn shard_codec_round_trips(
+    /// The spec codec round-trips arbitrary grids bit-exactly, and the
+    /// fingerprint (a hash of the same bytes) survives the trip.
+    fn spec_codec_round_trips(
         seed in 0i64..i64::MAX,
         ambients in prop::collection::vec(-40.0f64..120.0, 1..4),
         replicates in 1usize..4,
-        cut in 0usize..1000,
+        duration_s in 0.5f64..600.0,
     ) {
         let spec = SweepSpec::new(
             vec![ExperimentKind::Dtpm, ExperimentKind::WithoutFan],
@@ -194,16 +195,14 @@ proptest! {
         )
         .with_ambients_c(ambients)
         .with_replicates(replicates)
-        .with_campaign_seed(seed as u64);
-        let cells = spec.cells();
-        let start = cut % (cells + 1);
-        let end = start + (seed as usize % (cells - start + 1));
-        let shard = ShardSpec { spec, start, end };
-        let blob = platform_sim::distributed::encode_shard(&shard);
-        let decoded = platform_sim::distributed::decode_shard(&blob).expect("decode");
-        prop_assert_eq!(&decoded, &shard);
+        .with_campaign_seed(seed as u64)
+        .with_max_duration_s(duration_s);
+        let blob = platform_sim::distributed::encode_spec(&spec);
+        let decoded = platform_sim::distributed::decode_spec(&blob).expect("decode");
+        prop_assert_eq!(&decoded, &spec);
+        prop_assert_eq!(decoded.fingerprint(), spec.fingerprint());
         // Re-encoding the decoded value reproduces the exact blob.
-        prop_assert_eq!(platform_sim::distributed::encode_shard(&decoded), blob);
+        prop_assert_eq!(platform_sim::distributed::encode_spec(&decoded), blob);
     }
 }
 

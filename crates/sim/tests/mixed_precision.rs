@@ -278,7 +278,7 @@ fn calibration() -> &'static platform_sim::Calibration {
 
 #[test]
 fn f64_default_precision_is_bit_identical() {
-    // The serde default and the explicit F64 knob must run the very same
+    // The default precision and the explicit F64 knob must run the very same
     // engine: results agree bit for bit.
     let mut config = ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::Dijkstra);
     config.max_duration_s = 20.0;

@@ -1,5 +1,5 @@
-//! End-to-end campaign resilience: checkpoint/resume bit-identity, shard
-//! split/merge arrival-order independence, and cell-level fault containment.
+//! End-to-end campaign resilience: checkpoint/resume bit-identity, partial
+//! fold merge arrival-order independence, and cell-level fault containment.
 //!
 //! The contracts under test:
 //!
@@ -7,8 +7,8 @@
 //!   its on-disk checkpoint folds to the **bit-identical** aggregate of the
 //!   uninterrupted run (scalar lanes, where the engine is exactly
 //!   deterministic).
-//! * A grid split into shards and merged in any shard arrival order yields
-//!   one canonical aggregate.
+//! * A grid run as separate cell ranges and merged in any arrival order
+//!   yields one canonical aggregate.
 //! * A cell that panics or blows its deadline is quarantined as a structured
 //!   failure; sibling lanes of the same panel report summaries within the
 //!   batched-engine equivalence bar (≤ 1e-9) of solo runs.
@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use platform_sim::{
     Calibration, CalibrationCampaign, CampaignCheckpoint, ChaosPlan, CheckpointSink, CollectSink,
     Experiment, ExperimentConfig, ExperimentKind, FaultKind, FaultPlan, FaultWindow, MergeSink,
-    ResiliencePolicy, ResultSink, RunReport, RunSummary, ScenarioSweep, SensorChannel, ShardSpec,
-    SimError, SweepSpec, TracePolicy,
+    ResiliencePolicy, ResultSink, RunReport, RunSummary, ScenarioSweep, SensorChannel, SimError,
+    SweepSpec, TracePolicy,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
@@ -41,7 +41,7 @@ fn calibration() -> &'static Calibration {
 }
 
 /// A short six-cell campaign (2 kinds × 3 benchmarks, 1 s per cell) used by
-/// every checkpoint/shard test here.
+/// every checkpoint/merge test here.
 fn small_spec() -> SweepSpec {
     let mut spec = SweepSpec::new(
         vec![ExperimentKind::Dtpm, ExperimentKind::Reactive],
@@ -163,8 +163,8 @@ proptest! {
         write.expect("final checkpoint write");
 
         prop_assert!(resumed.is_complete());
-        // Wire-encoding equality is bit-exactness: every float is rendered
-        // by bit pattern.
+        // Encoding equality is bit-exactness: every float is stored as its
+        // bit pattern.
         prop_assert_eq!(resumed.fold().encode(), reference.encode());
         std::fs::remove_file(&path).ok();
     }
@@ -172,18 +172,18 @@ proptest! {
 
 #[test]
 fn shard_merge_is_independent_of_shard_arrival_order() {
+    // Three contiguous cell ranges, each run on its own into its own fold.
     let spec = small_spec();
-    let shards = ShardSpec::split(&spec, 3);
-    assert_eq!(shards.len(), 3);
-    let sinks: Vec<MergeSink> = shards
-        .iter()
-        .map(|shard| {
-            shard
-                .runner()
+    let sinks: Vec<MergeSink> = [0..2, 2..4, 4..6]
+        .into_iter()
+        .map(|range| {
+            let mut sink = MergeSink::new(range.clone());
+            spec.runner()
                 .with_threads(1)
                 .with_lanes(1)
                 .with_recording(TracePolicy::SummaryOnly)
-                .run(calibration())
+                .run_indices_into(&range.collect::<Vec<_>>(), calibration(), &mut sink);
+            sink
         })
         .collect();
 

@@ -1,14 +1,12 @@
 //! CPU clusters of the big.LITTLE processor.
 
-use serde::{Deserialize, Serialize};
-
 use crate::opp::OppTable;
 
 /// The two CPU cluster types of the ARM big.LITTLE architecture.
 ///
 /// The Exynos 5410 uses *cluster switching*: either the big (Cortex-A15) or
 /// the little (Cortex-A7) cluster is active at any time, never both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
     /// High-performance Cortex-A15 cluster ("big").
     Big,
@@ -44,9 +42,7 @@ impl std::fmt::Display for ClusterKind {
 }
 
 /// Identifier of a core inside a cluster (0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub usize);
 
 impl std::fmt::Display for CoreId {
@@ -56,7 +52,7 @@ impl std::fmt::Display for CoreId {
 }
 
 /// Static description of one CPU cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Which cluster this is.
     pub kind: ClusterKind,

@@ -6,8 +6,6 @@
 //! (DVFS), which the power model needs for `P_dyn = αCV²f` and
 //! `P_leak = V·I_leak`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SocError;
 
 /// A clock frequency, stored in MHz.
@@ -22,9 +20,7 @@ use crate::SocError;
 /// assert!((f.ghz() - 1.6).abs() < 1e-12);
 /// assert!((f.hz() - 1.6e9).abs() < 1.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Frequency(u32);
 
 impl Frequency {
@@ -65,7 +61,7 @@ impl std::fmt::Display for Frequency {
 /// let v = Voltage::from_volts(1.1);
 /// assert_eq!(v.volts(), 1.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Voltage(f64);
 
 impl Voltage {
@@ -87,7 +83,7 @@ impl std::fmt::Display for Voltage {
 }
 
 /// One operating performance point: a frequency and the voltage it requires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Clock frequency of this operating point.
     pub frequency: Frequency,
@@ -122,7 +118,7 @@ impl OperatingPoint {
 /// let f = table.floor(Frequency::from_mhz(1234)).unwrap();
 /// assert_eq!(f.frequency.mhz(), 1200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OppTable {
     points: Vec<OperatingPoint>,
 }

@@ -7,13 +7,12 @@
 //! with MATLAB's System Identification Toolbox.
 
 use numeric::{ridge_lstsq, Matrix, Vector};
-use serde::{Deserialize, Serialize};
 use thermal_model::DiscreteThermalModel;
 
 use crate::{IdentificationDataset, SysIdError};
 
 /// Options controlling the identification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdentificationOptions {
     /// Ridge (Tikhonov) regularisation applied to the normal equations. A
     /// small positive value keeps the problem well-conditioned when one input

@@ -13,16 +13,12 @@
 //! time step than the 100 ms control interval, so the controller's identified
 //! model is a genuine *reduction* of the plant, exactly as on real hardware.
 
-use serde::{Deserialize, Serialize};
-
 use numeric::{Matrix, Panel, PanelF32, Vector};
 
 use crate::ThermalError;
 
 /// Index of a node in a [`ThermalNetwork`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 /// Builder for a [`ThermalNetwork`].
@@ -164,7 +160,7 @@ impl ThermalNetworkBuilder {
 /// [`ThermalNetwork::with_extra_ambient_conductance`], cloning the entire
 /// network (names included) once per control interval. A `FanBoost` carries
 /// the same information as a two-word value instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanBoost {
     node: usize,
     conductance_w_per_k: f64,
@@ -242,7 +238,7 @@ impl RkScratch {
 }
 
 /// A lumped RC thermal network integrated with fixed-step RK4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalNetwork {
     names: Vec<String>,
     capacitances: Vec<f64>,
@@ -614,7 +610,7 @@ impl ThermalNetwork {
 /// Precomputed one-micro-step RK4 transition of a [`ThermalNetwork`] for a
 /// fixed fan boost, ambient temperature and step size
 /// (see [`ThermalNetwork::step_transition`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepTransition {
     n: usize,
     /// `Rᵀ`, row-major `n × n` — i.e. the columns of `R` stored contiguously,
@@ -674,7 +670,7 @@ impl StepTransition {
 /// Both paths accumulate each lane in the same order as
 /// [`StepTransition::apply`], so a batched lane's trajectory is bit-identical
 /// to the scalar transition given identical power inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchStepTransition {
     n: usize,
     /// `R`, row-major `n × n`.
@@ -787,7 +783,7 @@ impl BatchStepTransition {
 /// vector relative to [`BatchStepTransition::apply_panel`]. Like the f64
 /// form, the panel and per-lane paths share one per-lane accumulation
 /// order, so mixing them never changes a trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchStepTransitionF32 {
     n: usize,
     /// `R`, demoted, as an `n × n` row-major panel-as-matrix.
@@ -960,7 +956,7 @@ impl BatchStepTransitionF32 {
 /// sensors — plus lumped nodes for the little cluster, the GPU, the memory and
 /// the board/heat-sink ("case"). Only the case exchanges heat with the ambient;
 /// the fan increases that exchange.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExynosThermalNetwork {
     network: ThermalNetwork,
     big_cores: [NodeId; 4],

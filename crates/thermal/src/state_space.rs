@@ -14,14 +14,12 @@
 //! `T[k+1] = As·T[k] + Bs·P[k]` form physically meaningful and is how the
 //! identification in the `sysid` crate fits the model.
 
-use serde::{Deserialize, Serialize};
-
 use numeric::{Matrix, Vector};
 
 use crate::ThermalError;
 
 /// Discrete thermal state-space model `(As, Bs)` with a fixed sample period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteThermalModel {
     a: Matrix,
     b: Matrix,
@@ -336,7 +334,7 @@ impl DiscreteThermalModel {
 /// panel application of the same map is **bit-identical** per lane to this
 /// scalar application — the property the batched control-path predictor
 /// builds on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HorizonMap {
     horizon: usize,
     a_n: Matrix,

@@ -1,10 +1,8 @@
 //! The benchmark catalogue (Table 6.4) and per-benchmark work profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative CPU power intensity category used by the paper to group results
 /// (low / medium / high activity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkCategory {
     /// Light activity; the temperature barely approaches the constraint.
     Low,
@@ -25,7 +23,7 @@ impl std::fmt::Display for BenchmarkCategory {
 }
 
 /// Benchmark families used in Table 6.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkType {
     /// Encryption / hashing kernels (Blowfish, SHA).
     Security,
@@ -46,7 +44,7 @@ pub enum BenchmarkType {
 }
 
 /// Identifier of every benchmark used in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BenchmarkId {
     Blowfish,
@@ -200,7 +198,7 @@ impl std::fmt::Display for BenchmarkId {
 }
 
 /// One execution phase of a benchmark's work profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Amount of CPU work in this phase, in work units (one unit = what one
     /// fully-utilised big core completes per second at 1 GHz).
@@ -238,7 +236,7 @@ impl Phase {
 
 /// Static description of one benchmark: its Table 6.4 classification plus the
 /// synthetic work profile used by the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Benchmark {
     /// Identifier.
     pub id: BenchmarkId,

@@ -1,9 +1,7 @@
 //! Instantaneous resource demand of a running workload.
 
-use serde::{Deserialize, Serialize};
-
 /// What the running workload asks of the platform during one control interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// Number of parallel CPU work streams currently runnable (including the
     /// background load). A value of 2.5 means two fully busy cores plus one
@@ -57,7 +55,7 @@ impl Demand {
 
 /// The ever-present Android/kernel background load the paper keeps running
 /// during all experiments ("all background processes were allowed to run").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundLoad {
     /// Additional CPU work streams contributed by background processes.
     pub cpu_streams: f64,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::{Benchmark, BenchmarkId};
 use crate::demand::{BackgroundLoad, Demand};
@@ -15,7 +14,7 @@ use crate::demand::{BackgroundLoad, Demand};
 /// Execution time is therefore an *output* of the simulation — throttling the
 /// platform stretches the run exactly as it would on hardware, which is how
 /// the paper measures performance loss.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadState {
     benchmark: Benchmark,
     background: BackgroundLoad,
@@ -23,14 +22,7 @@ pub struct WorkloadState {
     /// Per-tick multiplicative jitter applied to the demand, emulating the
     /// natural variability of real applications.
     jitter_amplitude: f64,
-    #[serde(skip, default = "default_rng")]
     rng: StdRng,
-}
-
-// Only referenced from the `#[serde(default = "default_rng")]` attribute.
-#[allow(dead_code)]
-fn default_rng() -> StdRng {
-    StdRng::seed_from_u64(0)
 }
 
 impl WorkloadState {

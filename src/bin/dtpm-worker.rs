@@ -2,11 +2,14 @@
 //!
 //! A thin argument parser around [`platform_sim::distributed::serve`]: the
 //! coordinator ships the grid and calibration recipe over the transport, so
-//! the binary itself takes only wiring and (for tests) chaos flags.
+//! the binary itself takes only wiring and (for tests) chaos flags. The
+//! `inspect` subcommand prints a checkpoint, merge-sink or sweep-spec file
+//! as text ([`platform_sim::distributed::inspect`]).
 //!
 //! ```text
 //! dtpm-worker                         # serve on stdin/stdout (subprocess wiring)
 //! dtpm-worker --connect HOST:PORT     # connect to a listening coordinator
+//! dtpm-worker inspect FILE            # print a checkpoint/sink/spec blob
 //! ```
 //!
 //! Chaos flags (lease-recovery tests): `--die-after N` drops the transport
@@ -17,7 +20,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use platform_sim::distributed::{
-    serve_with, StdioTransport, TcpTransport, Transport, WorkerChaos, WorkerOptions,
+    inspect, serve_with, StdioTransport, TcpTransport, Transport, WorkerChaos, WorkerOptions,
 };
 
 /// Parsed command line.
@@ -29,7 +32,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: dtpm-worker [--connect HOST:PORT] \
-         [--die-after N] [--stall-after N] [--stall-ms M]"
+         [--die-after N] [--stall-after N] [--stall-ms M]\n       \
+         dtpm-worker inspect FILE"
     );
     std::process::exit(2);
 }
@@ -76,7 +80,29 @@ fn parse_count(flag: &str, text: &str) -> usize {
     })
 }
 
+/// `dtpm-worker inspect FILE`: prints the blob in `FILE` as text.
+fn inspect_file(args: &[String]) -> ExitCode {
+    let [path] = args else { usage() };
+    let rendered = std::fs::read(path)
+        .map_err(platform_sim::SimError::from)
+        .and_then(|bytes| inspect(&bytes));
+    match rendered {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("dtpm-worker: {path}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(("inspect", rest)) = argv.split_first().map(|(cmd, rest)| (cmd.as_str(), rest)) {
+        return inspect_file(rest);
+    }
     let args = parse_args();
     let transport: Box<dyn Transport> = match &args.connect {
         Some(addr) => match TcpTransport::connect(addr.as_str()) {

@@ -5,14 +5,18 @@
 //! Verifies the full stack — binary spawn, Hello/Ready handshake with
 //! worker-side calibration re-derivation, micro-shard leasing, per-cell
 //! outcome transport, subprocess death recovery — and that the merged
-//! aggregate is bit-identical to the in-process run of the same grid.
+//! aggregate is bit-identical to the in-process run of the same grid. Also
+//! covers the binary's `inspect` subcommand on a checkpoint file.
 
 use std::net::TcpListener;
 use std::process::Command;
 use std::time::Duration;
 
 use platform_sim::distributed::{ChildTransport, TcpTransport, Transport};
-use platform_sim::{CalibrationCampaign, Coordinator, ExperimentKind, MergeSink, SweepSpec};
+use platform_sim::{
+    CalibrationCampaign, CampaignCheckpoint, Coordinator, ExperimentKind, MergeSink, SimError,
+    SweepSpec,
+};
 use workload::BenchmarkId;
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_dtpm-worker");
@@ -132,4 +136,34 @@ fn tcp_workers_match_in_process_bits() {
         let status = child.wait().expect("worker must be reapable");
         assert!(status.success(), "worker must exit cleanly: {status}");
     }
+}
+
+#[test]
+fn inspect_prints_a_checkpoint_file_and_rejects_garbage() {
+    let spec = small_spec();
+    let mut checkpoint = CampaignCheckpoint::new(spec.fingerprint(), spec.cells());
+    checkpoint.record(0, Err(SimError::Panicked("boom".to_owned())));
+    let path = std::env::temp_dir().join(format!("dtpm-inspect-{}.ckpt", std::process::id()));
+    checkpoint.write_atomic(&path).expect("checkpoint write");
+    let inspect = || {
+        Command::new(WORKER_BIN)
+            .arg("inspect")
+            .arg(&path)
+            .output()
+            .expect("worker binary must run")
+    };
+    let output = inspect();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+    assert!(
+        stdout.starts_with(&format!(
+            "checkpoint: fingerprint {:016x}, 1 of 6 cells complete",
+            spec.fingerprint()
+        )),
+        "{stdout}"
+    );
+    assert!(stdout.contains("failed cell 0: cell panicked (contained): boom"));
+    std::fs::write(&path, b"not a blob").expect("overwrite");
+    assert!(!inspect().status.success());
+    std::fs::remove_file(&path).ok();
 }
