@@ -8,7 +8,8 @@
 //! wall-clock cost must stay under 2 % of the sweep.
 //!
 //! Both arms run the same lockstep DTPM sweep through the real executor
-//! (batched plant + batched decide), differing only in the safety
+//! (one thread, one panel engine as wide as the sweep: batched plant +
+//! batched decide), differing only in the safety
 //! configuration: **disabled** (pre-robustness hot path) vs **armed** (the
 //! default ladder + health monitor). Passes are interleaved best-of-N so the
 //! two arms see the same thermal/cache conditions; the overhead ceiling is
@@ -18,7 +19,7 @@
 use std::time::{Duration, Instant};
 
 use platform_sim::{
-    run_lockstep, CalibrationCampaign, ExperimentConfig, ExperimentKind, SafetyConfig,
+    CalibrationCampaign, ExperimentConfig, ExperimentKind, SafetyConfig, ScenarioSweep,
 };
 use workload::BenchmarkId;
 
@@ -31,8 +32,9 @@ const CONTROL_PERIOD_S: f64 = 0.01;
 /// Acceptance ceiling: armed-over-disabled wall-clock overhead, percent.
 const OVERHEAD_CEILING_PCT: f64 = 2.0;
 
-fn configs(safety: SafetyConfig, duration_s: f64) -> Vec<ExperimentConfig> {
-    (0..LANES)
+/// The lockstep sweep of one arm: every scenario in one `LANES`-wide engine.
+fn sweep(safety: SafetyConfig, duration_s: f64) -> ScenarioSweep {
+    let configs = (0..LANES)
         .map(|i| {
             let mut config = ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::MatrixMult)
                 .with_seed(4_400 + i as u64)
@@ -41,7 +43,10 @@ fn configs(safety: SafetyConfig, duration_s: f64) -> Vec<ExperimentConfig> {
             config.max_duration_s = duration_s;
             config
         })
-        .collect()
+        .collect();
+    ScenarioSweep::new(configs)
+        .with_threads(1)
+        .with_lanes(LANES)
 }
 
 fn main() {
@@ -57,15 +62,15 @@ fn main() {
     .run(37)
     .expect("calibration campaign must succeed");
 
-    let disabled_configs = configs(SafetyConfig::disabled(), duration_s);
-    let armed_configs = configs(SafetyConfig::default(), duration_s);
+    let disabled = sweep(SafetyConfig::disabled(), duration_s);
+    let armed = sweep(SafetyConfig::default(), duration_s);
 
     // Cross-check once, outside the timed loops: the armed stack must be
     // invisible on this fault-free sweep — bit-identical trajectories, no
     // incidents. A bench that got faster by perturbing the numbers would be
     // measuring the wrong thing.
-    let disabled_results = run_lockstep(&disabled_configs, &calibration);
-    let armed_results = run_lockstep(&armed_configs, &calibration);
+    let disabled_results = disabled.run(&calibration);
+    let armed_results = armed.run(&calibration);
     let mut intervals = 0usize;
     for (lane, (armed, disabled)) in armed_results.iter().zip(&disabled_results).enumerate() {
         let armed = armed.as_ref().expect("armed lane succeeds");
@@ -83,11 +88,11 @@ fn main() {
     let mut armed_best = Duration::MAX;
     for _ in 0..passes {
         let start = Instant::now();
-        std::hint::black_box(run_lockstep(&disabled_configs, &calibration));
+        std::hint::black_box(disabled.run(&calibration));
         disabled_best = disabled_best.min(start.elapsed());
 
         let start = Instant::now();
-        std::hint::black_box(run_lockstep(&armed_configs, &calibration));
+        std::hint::black_box(armed.run(&calibration));
         armed_best = armed_best.min(start.elapsed());
     }
 

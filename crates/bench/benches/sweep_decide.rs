@@ -23,12 +23,12 @@
 //! The acceptance bar is ≥ 1.5× decisions/s for the batched arm, asserted as
 //! a floor in the full (non `--test`) run; measured numbers land in
 //! `BENCH_sweep_decide.json` together with an end-to-end control-heavy
-//! `run_lockstep` sweep for context.
+//! lockstep sweep (one thread, one `LANES`-wide engine) for context.
 
 use std::time::{Duration, Instant};
 
 use dtpm::{BatchPredictor, DtpmAction, DtpmConfig, DtpmInputs, DtpmPolicy};
-use platform_sim::{run_lockstep, CalibrationCampaign, ExperimentConfig, ExperimentKind};
+use platform_sim::{CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep};
 use power_model::{DomainPower, PowerModel};
 use soc_model::{Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use workload::BenchmarkId;
@@ -242,8 +242,11 @@ fn main() {
             config
         })
         .collect();
+    let sweep = ScenarioSweep::new(sweep_configs)
+        .with_threads(1)
+        .with_lanes(LANES);
     let sweep_start = Instant::now();
-    let sweep_results = run_lockstep(&sweep_configs, &calibration);
+    let sweep_results = sweep.run(&calibration);
     let sweep_wall = sweep_start.elapsed();
     let sweep_decisions: usize = sweep_results
         .iter()

@@ -4,7 +4,8 @@
 //! The workload is the static scheduler's worst case: tiles of one *long*
 //! scenario packed with short ones (benchmark-major sweep order). Static
 //! tiling — the pre-compaction `ScenarioSweep` behaviour, reproduced here as
-//! sequential [`run_lockstep`] calls over consecutive lane-groups — keeps
+//! one single-thread sweep per consecutive lane-group, each as wide as its
+//! tile so the whole tile steps in lockstep — keeps
 //! every tile alive until its long pole completes, stepping the finished
 //! short lanes as frozen ballast the whole time. The compacting scheduler
 //! retires finished lanes and admits queued scenarios into them, so the
@@ -20,8 +21,8 @@
 use std::time::{Duration, Instant};
 
 use platform_sim::{
-    run_lockstep, Calibration, CalibrationCampaign, ExperimentConfig, ExperimentKind,
-    ScenarioSweep, SimError, SimulationResult,
+    Calibration, CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep, SimError,
+    SimulationResult,
 };
 use workload::BenchmarkId;
 
@@ -58,7 +59,10 @@ fn run_static(
 ) -> Vec<Result<SimulationResult, SimError>> {
     let mut results = Vec::with_capacity(configs.len());
     for tile in configs.chunks(LANES) {
-        results.extend(run_lockstep(tile, calibration));
+        let sweep = ScenarioSweep::new(tile.to_vec())
+            .with_threads(1)
+            .with_lanes(tile.len());
+        results.extend(sweep.run(calibration));
     }
     results
 }

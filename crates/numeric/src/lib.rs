@@ -63,11 +63,6 @@
 //!   discretisation, leakage anchoring via `libm` exp, least-squares fits)
 //!   always stays in f64 and is demoted once per control interval, so f32
 //!   only ever integrates short inter-anchor spans.
-//! * **What shadow mode costs.** The simulator's `F32Shadow` mode steps the
-//!   f64 engine in lockstep with the f32 engine and records the worst-case
-//!   node-temperature divergence, so it pays for *both* engines (slightly
-//!   more than 1× + 1/speedup ≈ 1.6× the f64-only cost) — use it to qualify
-//!   a new scenario family, then switch to plain `F32`.
 //! * **Measured error** (16-lane paper-scale sweep shape, f32 vs f64 oracle;
 //!   see `BENCH_mixed_precision.json` and the `mixed_precision` proptests):
 //!   worst-case trajectory divergence stays below the 1e-3 °C budget with

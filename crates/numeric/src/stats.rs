@@ -173,15 +173,16 @@ impl Welford {
 
     /// Merges two accumulators into the statistics of their combined sample
     /// streams (Chan et al.'s parallel combination of mean and `M2`, plus
-    /// plain min/max folds), the building block for sharded campaigns.
+    /// plain min/max folds), for statistics gathered in parts (per lane,
+    /// thread or worker) and combined afterwards.
     ///
     /// The combination formula is not floating-point symmetric in its
     /// operands, so `merge` first orders the pair by a fixed total order
     /// over their raw state (count, then the bit patterns of mean/m2/
     /// min/max) and always applies the formula to the ordered pair. That
     /// makes the operation **exactly commutative** — `a.merge(&b)` is
-    /// bit-identical to `b.merge(&a)` — which is what lets shard aggregates
-    /// be independent of arrival order. Associativity holds only up to
+    /// bit-identical to `b.merge(&a)` — so two parts combine to the same
+    /// bits whichever arrives first. Associativity holds only up to
     /// floating-point rounding; order-sensitive pipelines should fold in a
     /// canonical sequence (as the campaign merge sink does).
     ///

@@ -1,5 +1,5 @@
 //! Property-based tests for the parallel Welford merge (Chan et al.), the
-//! primitive behind deterministic shard-merge in campaign aggregation:
+//! primitive for combining statistics gathered in parts:
 //! exact commutativity (via the fp-stable operand ordering rule),
 //! associativity up to floating-point rounding, and merge-of-splits
 //! agreeing with a sequential feed of the concatenated stream.

@@ -217,7 +217,6 @@ fn put_precision(w: &mut ByteWriter, precision: EnginePrecision) {
     w.put_u8(match precision {
         EnginePrecision::F64 => 0,
         EnginePrecision::F32 => 1,
-        EnginePrecision::F32Shadow => 2,
     });
 }
 
@@ -225,7 +224,6 @@ fn take_precision(r: &mut ByteReader<'_>) -> Result<EnginePrecision, SimError> {
     Ok(match r.take_u8().map_err(codec_error)? {
         0 => EnginePrecision::F64,
         1 => EnginePrecision::F32,
-        2 => EnginePrecision::F32Shadow,
         _ => return Err(malformed("unknown engine precision tag")),
     })
 }
@@ -969,18 +967,13 @@ mod tests {
             checkpoint.record(k, Err(SimError::Panicked(format!("boom {k}"))));
         }
         let blob = encode_checkpoint(&checkpoint);
-        assert_eq!(decode_checkpoint(&blob).expect("round trip"), checkpoint);
-        // A checkpoint in the retired v1 text format carries the same state
-        // through the binary form, which is the compact one.
-        let text = include_str!("../../tests/data/checkpoint-v1.txt");
-        let legacy = crate::resilience::v1::parse(text).expect("v1 fixture parses");
-        let blob = encode_checkpoint(&legacy);
-        assert_eq!(decode_checkpoint(&blob).expect("round trip"), legacy);
-        assert!(
-            blob.len() < text.len(),
-            "binary blob ({} B) should undercut the text form ({} B)",
-            blob.len(),
-            text.len()
+        let decoded = decode_checkpoint(&blob).expect("round trip");
+        assert_eq!(decoded, checkpoint);
+        // The text rendering of `dtpm-worker inspect` is a function of the
+        // decoded state alone, so it survives the round trip unchanged.
+        assert_eq!(
+            inspect(&encode_checkpoint(&decoded)).expect("decoded blob"),
+            inspect(&blob).expect("original blob")
         );
     }
 
@@ -1008,6 +1001,30 @@ mod tests {
             decode_spec(&sink_blob),
             Err(SimError::Corrupted(_))
         ));
+    }
+
+    #[test]
+    fn retired_precision_tag_is_an_error() {
+        // Tag 2 was the f64-shadowed f32 engine. Find the precision byte as
+        // the one byte an F64 and an F32 spec differ in, set it to 2 and
+        // re-seal, so only the tag is wrong.
+        let f64_blob = encode_spec(&spec());
+        let mut blob = encode_spec(&spec().with_precision(EnginePrecision::F32));
+        let differing: Vec<usize> = (0..blob.len() - 4)
+            .filter(|&i| blob[i] != f64_blob[i])
+            .collect();
+        let [at] = differing[..] else {
+            panic!("specs differ in more than the precision byte: {differing:?}");
+        };
+        assert_eq!((f64_blob[at], blob[at]), (0, 1));
+        blob[at] = 2;
+        blob.truncate(blob.len() - 4);
+        let crc = crc32(&blob);
+        blob.extend_from_slice(&crc.to_le_bytes());
+        match decode_spec(&blob) {
+            Err(SimError::Io(message)) => assert!(message.contains("precision"), "{message}"),
+            other => panic!("tag 2 must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

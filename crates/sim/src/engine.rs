@@ -5,18 +5,21 @@
 //! for a new scenario ([`PlantEngine::admit`]), advance every lane by one
 //! control interval with per-lane inputs held constant
 //! ([`PlantEngine::step_interval`]), and read back per-lane temperatures and
-//! accumulated energy. Two backends implement it today:
+//! accumulated energy. Three backends implement it:
 //!
 //! * [`ScalarEngine`] — one independent [`PhysicalPlant`] per lane, stepped
 //!   back to back. The single-lane instantiation *is* the classic scalar
 //!   simulation path ([`crate::Experiment::run`]).
 //! * [`PanelEngine`] — the structure-of-arrays [`BatchPlant`]: all lanes
 //!   advanced per instruction stream, one scenario per panel column.
+//! * [`MixedPanelEngine`] — the same panel layout at f32 width with f64
+//!   anchoring ([`MixedBatchPlant`]), selected by [`EnginePrecision::F32`].
 //!
-//! Because both speak the same contract, the control-loop executor in
-//! [`crate::experiment`] is written once, generically, and the batched
-//! lockstep runner is just the many-lane instantiation of the same code that
-//! runs a single scalar experiment. The seam is also where a device backend
+//! Because all three speak the same contract, the control-loop executor in
+//! [`crate::experiment`] is written once, generically, and a many-lane sweep
+//! is just a wider instantiation of the same code that runs a single scalar
+//! experiment; which engine a run gets is decided in one place, from its
+//! lane count and precision. The seam is also where a device backend
 //! slots in: a GPU engine would keep temperature/power state in device
 //! buffers and consume the precomputed per-step math exposed by
 //! [`thermal_model::BatchStepTransition`] (`r` / `s_power` / `ambient_drive`
@@ -45,10 +48,6 @@ use crate::SimError;
 /// [`EnginePrecision::F32`] selects the [`MixedPanelEngine`] — f32 panel
 /// state with f64 anchoring, roughly doubling SIMD width on the hot loops
 /// within a validated ≤ 1e-3 °C trajectory budget.
-/// [`EnginePrecision::F32Shadow`] steps *both* engines in lockstep and
-/// records their worst-case node-temperature divergence
-/// ([`MixedPanelEngine::worst_divergence_c`]) — the qualification mode for
-/// new scenario families, costing slightly more than an f64-only run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnginePrecision {
     /// Full f64 panels — the bit-identical default.
@@ -56,8 +55,6 @@ pub enum EnginePrecision {
     F64,
     /// f32 panels with f64 anchoring (the mixed-precision engine).
     F32,
-    /// f32 engine with an f64 shadow stepped in lockstep for validation.
-    F32Shadow,
 }
 
 /// One lane's interval-constant control inputs to
@@ -179,15 +176,6 @@ impl ScalarEngine {
             energy_j: vec![0.0; params.len()],
         }
     }
-
-    /// Borrowed view of lane `lane`'s plant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn plant(&self, lane: usize) -> &PhysicalPlant {
-        &self.plants[lane]
-    }
 }
 
 impl PlantEngine for ScalarEngine {
@@ -270,11 +258,6 @@ impl PanelEngine {
             energy_j: vec![0.0; params.len()],
         }
     }
-
-    /// Borrowed view of the underlying batch plant.
-    pub fn batch(&self) -> &BatchPlant {
-        &self.plant
-    }
 }
 
 impl PlantEngine for PanelEngine {
@@ -320,30 +303,13 @@ impl PlantEngine for PanelEngine {
     }
 }
 
-/// The f64 shadow state of a [`MixedPanelEngine`] in
-/// [`EnginePrecision::F32Shadow`] mode.
-#[derive(Debug, Clone)]
-struct ShadowState {
-    plant: BatchPlant,
-    steps: Vec<Result<PlantStep, SimError>>,
-    nodes32: Vec<f64>,
-    nodes64: Vec<f64>,
-    worst_divergence_c: f64,
-}
-
 /// The mixed-precision backend: a [`MixedBatchPlant`] advancing every lane
 /// at f32 panel width with f64 anchoring (see the [`crate::mixed`] module
 /// docs for the precision split and its budgets).
-///
-/// With [`MixedPanelEngine::with_shadow`] the engine additionally steps a
-/// full-precision [`BatchPlant`] in lockstep on the same inputs and records
-/// the worst node-temperature divergence observed so far — the
-/// [`EnginePrecision::F32Shadow`] validation mode.
 #[derive(Debug, Clone)]
 pub struct MixedPanelEngine {
     plant: MixedBatchPlant,
     energy_j: Vec<f64>,
-    shadow: Option<Box<ShadowState>>,
 }
 
 impl MixedPanelEngine {
@@ -357,43 +323,7 @@ impl MixedPanelEngine {
         MixedPanelEngine {
             plant: MixedBatchPlant::new(spec, params),
             energy_j: vec![0.0; params.len()],
-            shadow: None,
         }
-    }
-
-    /// Creates the engine with an f64 shadow plant stepped in lockstep; the
-    /// per-lane results still come from the f32 engine, while
-    /// [`MixedPanelEngine::worst_divergence_c`] tracks the divergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn with_shadow(spec: SocSpec, params: &[PlantPowerParams]) -> Self {
-        let plant = MixedBatchPlant::new(spec.clone(), params);
-        let node_count = plant.node_count();
-        MixedPanelEngine {
-            plant,
-            energy_j: vec![0.0; params.len()],
-            shadow: Some(Box::new(ShadowState {
-                plant: BatchPlant::new(spec, params),
-                steps: Vec::with_capacity(params.len()),
-                nodes32: vec![0.0; node_count],
-                nodes64: vec![0.0; node_count],
-                worst_divergence_c: 0.0,
-            })),
-        }
-    }
-
-    /// Borrowed view of the underlying mixed batch plant.
-    pub fn batch(&self) -> &MixedBatchPlant {
-        &self.plant
-    }
-
-    /// Worst absolute f32-vs-f64 node-temperature divergence (°C) observed
-    /// since construction, across every lane and interval. `None` unless the
-    /// engine was built with [`MixedPanelEngine::with_shadow`].
-    pub fn worst_divergence_c(&self) -> Option<f64> {
-        self.shadow.as_ref().map(|s| s.worst_divergence_c)
     }
 }
 
@@ -408,9 +338,6 @@ impl PlantEngine for MixedPanelEngine {
 
     fn admit(&mut self, lane: usize, params: PlantPowerParams) {
         self.plant.admit_lane(lane, params);
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.plant.admit_lane(lane, params);
-        }
         self.energy_j[lane] = 0.0;
     }
 
@@ -425,22 +352,6 @@ impl PlantEngine for MixedPanelEngine {
         for (lane, step) in steps.iter().enumerate() {
             if let Ok(step) = step {
                 self.energy_j[lane] += step.platform_power_w * interval_s;
-            }
-        }
-        if let Some(shadow) = self.shadow.as_mut() {
-            let shadow_steps = &mut shadow.steps;
-            shadow
-                .plant
-                .step_interval_into(inputs, interval_s, shadow_steps)?;
-            for lane in 0..self.plant.lanes() {
-                self.plant.node_temps_into(lane, &mut shadow.nodes32);
-                shadow.plant.node_temps_into(lane, &mut shadow.nodes64);
-                for (a, b) in shadow.nodes32.iter().zip(&shadow.nodes64) {
-                    let d = (a - b).abs();
-                    if d > shadow.worst_divergence_c {
-                        shadow.worst_divergence_c = d;
-                    }
-                }
             }
         }
         Ok(())
@@ -581,7 +492,6 @@ mod tests {
         let mut mixed = MixedPanelEngine::new(spec.clone(), &params);
         assert_eq!(mixed.lanes(), panel.lanes());
         assert_eq!(mixed.node_count(), panel.node_count());
-        assert!(mixed.worst_divergence_c().is_none());
         let state = PlatformState::default_for(&spec);
         let d = demand();
         let mut a = Vec::new();
@@ -613,35 +523,6 @@ mod tests {
                 "lane {lane} energy: {ep} vs {em}"
             );
         }
-    }
-
-    #[test]
-    fn shadow_mode_records_worst_divergence() {
-        let spec = SocSpec::odroid_xu_e();
-        let params = [PlantPowerParams::default(), PlantPowerParams::default()];
-        let mut shadowed = MixedPanelEngine::with_shadow(spec.clone(), &params);
-        assert_eq!(shadowed.worst_divergence_c(), Some(0.0));
-        let state = PlatformState::default_for(&spec);
-        let d = demand();
-        let mut out = Vec::new();
-        for _ in 0..50 {
-            let inputs: Vec<LaneInput<'_>> = (0..2)
-                .map(|_| LaneInput {
-                    state: &state,
-                    demand: &d,
-                    fan_level: FanLevel::Off,
-                    ambient_c: 28.0,
-                })
-                .collect();
-            shadowed.step_interval(&inputs, 0.1, &mut out).unwrap();
-        }
-        let worst = shadowed.worst_divergence_c().unwrap();
-        assert!(worst > 0.0, "lockstep runs must observe some divergence");
-        assert!(worst < 1e-3, "divergence {worst:.3e} exceeds the budget");
-        // Admission resets both engines, so the shadow stays in lockstep.
-        shadowed.admit(1, PlantPowerParams::default());
-        let admitted = PlantPowerParams::default().initial_temp_c;
-        assert_eq!(shadowed.core_temps_c(1), [admitted; 4]);
     }
 
     #[test]

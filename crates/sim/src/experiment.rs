@@ -109,9 +109,7 @@ pub struct ExperimentConfig {
     pub safety: SafetyConfig,
     /// Plant-engine element precision. The default [`EnginePrecision::F64`]
     /// keeps every existing campaign bit-identical;
-    /// [`EnginePrecision::F32`] runs the mixed-precision panel engine and
-    /// [`EnginePrecision::F32Shadow`] additionally steps an f64 shadow in
-    /// lockstep to record the worst-case divergence.
+    /// [`EnginePrecision::F32`] runs the mixed-precision panel engine.
     pub precision: EnginePrecision,
     /// Deterministic executor-fault injection for containment testing
     /// (`None`: no injected faults, zero per-interval work). See
@@ -242,10 +240,10 @@ pub struct SimulationResult {
 /// workload, governors, the configured thermal-management policy, and the
 /// running trace/energy bookkeeping.
 ///
-/// Splitting the controller side out of [`Experiment`] is what lets the
-/// lockstep runner ([`run_lockstep`]) drive K control loops against one
-/// [`BatchPlant`]: control decisions stay strictly per-lane while the plant
-/// integration is batched.
+/// Splitting the controller side out of the plant is what lets one executor
+/// ([`drive_engine`]) drive K control loops against one multi-lane engine:
+/// control decisions stay strictly per-lane while the plant integration is
+/// batched.
 #[derive(Debug)]
 struct ControlLoop {
     config: ExperimentConfig,
@@ -343,11 +341,11 @@ impl ControlLoop {
                 "maximum duration must exceed the control period",
             ));
         }
-        // The fault-plan gate: every run path (scalar experiments, lockstep
-        // batches, sweeps and campaigns) builds its control loops here, so a
-        // malformed sensor-fault scenario is rejected with a descriptive
-        // error before anything executes instead of producing silent
-        // nonsense mid-campaign.
+        // The fault-plan gate: every run path (scalar experiments, sweeps
+        // and campaigns) builds its control loops here, so a malformed
+        // sensor-fault scenario is rejected with a descriptive error before
+        // anything executes instead of producing silent nonsense
+        // mid-campaign.
         if let Some(plan) = &config.faults {
             plan.validate()?;
         }
@@ -976,11 +974,11 @@ fn lane_input(lane: &LaneSlot) -> LaneInput<'_> {
 /// 3. absorbs the per-lane plant steps back into the control loops.
 ///
 /// Control decisions stay strictly per-lane; only the plant integration is
-/// delegated to the engine. [`Experiment::run`] is this function over a
-/// single-lane [`ScalarEngine`] with an empty queue, [`run_lockstep`] over a
-/// [`PanelEngine`] as wide as the configuration list, and the
+/// delegated to the engine, which [`engine_for`] picks. [`Experiment::run`]
+/// is this function over a single-lane engine with an empty queue, and the
 /// lane-compacting [`ScenarioSweep`] over per-worker engines refilled from
-/// a shared scenario queue.
+/// a shared scenario queue (a one-thread sweep as wide as its configuration
+/// list is plain lockstep).
 ///
 /// Every lane's result is reported through `publish` exactly once, keyed by
 /// the slot index handed out by `next` (or pre-assigned in `lanes`);
@@ -1007,7 +1005,7 @@ fn drive_engine<E, N, P>(
     next: &mut N,
     publish: &mut P,
 ) where
-    E: PlantEngine,
+    E: PlantEngine + ?Sized,
     N: FnMut() -> Option<(usize, ControlLoop)>,
     P: FnMut(usize, Result<RunReport, SimError>),
 {
@@ -1197,115 +1195,32 @@ fn drive_engine<E, N, P>(
     }
 }
 
-/// The plant engine a run or sweep group steps, selected by
-/// [`ExperimentConfig::precision`]: the scalar/panel f64 paths or the
-/// mixed-precision f32 panel (optionally with its f64 shadow).
-#[derive(Debug)]
-enum AnyEngine {
-    Scalar(Box<ScalarEngine>),
-    Panel(Box<PanelEngine>),
-    // Every engine is boxed so the dispatch enum stays pointer-sized: the
-    // panel engines carry whole scenario panels (the mixed one at both
-    // precisions plus per-lane caches) and dwarf anything unboxed.
-    Mixed(Box<MixedPanelEngine>),
-}
-
-impl AnyEngine {
-    /// Builds the engine `precision` selects for the given lanes; `lanes`
-    /// picks between the scalar and panel f64 forms (the mixed engine is
-    /// panel-native at every width).
-    fn build(
-        spec: SocSpec,
-        params: &[PlantPowerParams],
-        lanes: usize,
-        precision: EnginePrecision,
-    ) -> AnyEngine {
-        match precision {
-            EnginePrecision::F64 if lanes == 1 => {
-                AnyEngine::Scalar(Box::new(ScalarEngine::new(spec, params)))
-            }
-            EnginePrecision::F64 => AnyEngine::Panel(Box::new(PanelEngine::new(spec, params))),
-            EnginePrecision::F32 => AnyEngine::Mixed(Box::new(MixedPanelEngine::new(spec, params))),
-            EnginePrecision::F32Shadow => {
-                AnyEngine::Mixed(Box::new(MixedPanelEngine::with_shadow(spec, params)))
-            }
-        }
-    }
-}
-
-/// `AnyEngine` forwards the whole plant contract to its selected backend, so
-/// the generic executor and sweep bodies stay monomorphised over one type.
-impl PlantEngine for AnyEngine {
-    fn lanes(&self) -> usize {
-        match self {
-            AnyEngine::Scalar(e) => e.lanes(),
-            AnyEngine::Panel(e) => e.lanes(),
-            AnyEngine::Mixed(e) => e.lanes(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            AnyEngine::Scalar(e) => e.node_count(),
-            AnyEngine::Panel(e) => e.node_count(),
-            AnyEngine::Mixed(e) => e.node_count(),
-        }
-    }
-
-    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
-        match self {
-            AnyEngine::Scalar(e) => e.admit(lane, params),
-            AnyEngine::Panel(e) => e.admit(lane, params),
-            AnyEngine::Mixed(e) => e.admit(lane, params),
-        }
-    }
-
-    fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        match self {
-            AnyEngine::Scalar(e) => e.step_interval(inputs, interval_s, steps),
-            AnyEngine::Panel(e) => e.step_interval(inputs, interval_s, steps),
-            AnyEngine::Mixed(e) => e.step_interval(inputs, interval_s, steps),
-        }
-    }
-
-    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        match self {
-            AnyEngine::Scalar(e) => e.core_temps_c(lane),
-            AnyEngine::Panel(e) => e.core_temps_c(lane),
-            AnyEngine::Mixed(e) => e.core_temps_c(lane),
-        }
-    }
-
-    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        match self {
-            AnyEngine::Scalar(e) => e.node_temps_into(lane, out),
-            AnyEngine::Panel(e) => e.node_temps_into(lane, out),
-            AnyEngine::Mixed(e) => e.node_temps_into(lane, out),
-        }
-    }
-
-    fn energy_j(&self, lane: usize) -> f64 {
-        match self {
-            AnyEngine::Scalar(e) => e.energy_j(lane),
-            AnyEngine::Panel(e) => e.energy_j(lane),
-            AnyEngine::Mixed(e) => e.energy_j(lane),
-        }
+/// Builds the engine for one run or sweep group: `params` holds the plant
+/// parameters of the lanes it starts with, `lanes` the group's configured
+/// batch width. One f64 lane gets the [`ScalarEngine`], wider f64 batches
+/// the [`PanelEngine`], and [`EnginePrecision::F32`] the
+/// [`MixedPanelEngine`] at every width. This is the only place an engine
+/// for [`drive_engine`] is built.
+fn engine_for(
+    spec: SocSpec,
+    params: &[PlantPowerParams],
+    lanes: usize,
+    precision: EnginePrecision,
+) -> Box<dyn PlantEngine> {
+    match precision {
+        EnginePrecision::F64 if lanes == 1 => Box::new(ScalarEngine::new(spec, params)),
+        EnginePrecision::F64 => Box::new(PanelEngine::new(spec, params)),
+        EnginePrecision::F32 => Box::new(MixedPanelEngine::new(spec, params)),
     }
 }
 
 /// The closed-loop simulation of one benchmark run: a control loop wired
 /// to a single-lane engine (scalar f64 by default, the mixed-precision
 /// panel under [`EnginePrecision::F32`]) and driven by the same generic
-/// executor as the batched and sweeping paths.
+/// executor as the sweeping paths.
 #[derive(Debug)]
 pub struct Experiment {
     control: ControlLoop,
-    engine: AnyEngine,
 }
 
 impl Experiment {
@@ -1318,9 +1233,9 @@ impl Experiment {
     ///
     /// Returns [`SimError::InvalidConfig`] for non-physical timing parameters.
     pub fn new(config: &ExperimentConfig, calibration: &Calibration) -> Result<Self, SimError> {
-        let control = ControlLoop::new(config, calibration, TracePolicy::Full)?;
-        let engine = AnyEngine::build(control.spec.clone(), &[config.plant], 1, config.precision);
-        Ok(Experiment { control, engine })
+        Ok(Experiment {
+            control: ControlLoop::new(config, calibration, TracePolicy::Full)?,
+        })
     }
 
     /// Replaces the run's trace-retention policy (the default is
@@ -1355,15 +1270,18 @@ impl Experiment {
     ///
     /// Propagates plant, platform and DTPM errors.
     pub fn run_report(self) -> Result<RunReport, SimError> {
-        let Experiment {
-            control,
-            mut engine,
-        } = self;
+        let control = self.control;
         let period_s = control.config.control_period_s;
+        let mut engine = engine_for(
+            control.spec.clone(),
+            &[control.config.plant],
+            1,
+            control.config.precision,
+        );
         let mut lanes = [LaneSlot::holding(0, control)];
         let mut out = None;
         drive_engine(
-            &mut engine,
+            engine.as_mut(),
             period_s,
             &mut lanes,
             &ResiliencePolicy::default(),
@@ -1895,9 +1813,9 @@ pub(crate) fn sweep_stream<F, S>(
                     .into_iter()
                     .map(|(slot, control)| LaneSlot::holding(slot, control))
                     .collect();
-                let mut engine = AnyEngine::build(spec, &params, lanes, precision);
+                let mut engine = engine_for(spec, &params, lanes, precision);
                 drive_engine(
-                    &mut engine,
+                    engine.as_mut(),
                     period_s,
                     &mut lane_slots,
                     policy,
@@ -1923,93 +1841,4 @@ pub(crate) fn sweep_stream<F, S>(
             }
         });
     }
-}
-
-fn run_one(
-    config: &ExperimentConfig,
-    calibration: &Calibration,
-) -> Result<SimulationResult, SimError> {
-    Experiment::new(config, calibration)?.run()
-}
-
-/// Runs the given configurations in lockstep on one [`PanelEngine`]: each
-/// scenario keeps its own control loop (sensors, governors, policy, trace —
-/// decisions stay strictly per-lane) while the plant integration advances all
-/// lanes per instruction stream, one scenario per panel column. The stepping
-/// logic itself is the shared `drive_engine` executor — the same code that
-/// runs a scalar [`Experiment`] — instantiated over the batched engine with
-/// as many lanes as configurations.
-///
-/// Results come back in input order; individual failures do not abort the
-/// batch. Scenarios finishing early stay in the batch as frozen lanes until
-/// the slowest lane completes (a [`ScenarioSweep`] avoids that tail by
-/// refilling freed lanes from its scenario queue). All configurations must
-/// share one `control_period_s` and one engine precision; mixed periods or
-/// precisions cannot step on one engine and fall back to scalar per-scenario
-/// runs.
-pub fn run_lockstep(
-    configs: &[ExperimentConfig],
-    calibration: &Calibration,
-) -> Vec<Result<SimulationResult, SimError>> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let period_s = configs[0].control_period_s;
-    let precision = configs[0].precision;
-    if configs
-        .iter()
-        .any(|config| config.control_period_s != period_s || config.precision != precision)
-    {
-        return configs
-            .iter()
-            .map(|config| run_one(config, calibration))
-            .collect();
-    }
-
-    let mut slots: Vec<Option<Result<RunReport, SimError>>> =
-        (0..configs.len()).map(|_| None).collect();
-    let mut lanes: Vec<LaneSlot> = Vec::new();
-    let mut lane_params = Vec::new();
-    for (slot, config) in configs.iter().enumerate() {
-        match ControlLoop::new(config, calibration, TracePolicy::Full) {
-            Ok(control) => {
-                lanes.push(LaneSlot::holding(slot, control));
-                lane_params.push(config.plant);
-            }
-            Err(e) => slots[slot] = Some(Err(e)),
-        }
-    }
-
-    if !lanes.is_empty() {
-        // The f64 path keeps the panel engine even for one lane (bit-identical
-        // to the scalar engine there); precision selects the mixed backend.
-        let mut engine = match precision {
-            EnginePrecision::F64 => AnyEngine::Panel(Box::new(PanelEngine::new(
-                SocSpec::odroid_xu_e(),
-                &lane_params,
-            ))),
-            _ => AnyEngine::build(
-                SocSpec::odroid_xu_e(),
-                &lane_params,
-                lane_params.len(),
-                precision,
-            ),
-        };
-        drive_engine(
-            &mut engine,
-            period_s,
-            &mut lanes,
-            &ResiliencePolicy::default(),
-            &mut || None,
-            &mut |slot, result| slots[slot] = Some(result),
-        );
-    }
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.expect("every lockstep slot is filled")
-                .map(RunReport::into_simulation_result)
-        })
-        .collect()
 }

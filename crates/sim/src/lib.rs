@@ -53,8 +53,9 @@
 //! * [`engine`] — the pluggable [`engine::PlantEngine`] backend seam: the
 //!   per-interval plant contract (admit a lane, step all lanes, read per-lane
 //!   temperatures and accumulated energy) with the scalar
-//!   ([`engine::ScalarEngine`]) and structure-of-arrays
-//!   ([`engine::PanelEngine`]) implementations.
+//!   ([`engine::ScalarEngine`]), structure-of-arrays
+//!   ([`engine::PanelEngine`]) and mixed-precision
+//!   ([`engine::MixedPanelEngine`]) implementations.
 //! * [`experiment::ScenarioSweep`] — runs many independent experiment
 //!   configurations across `std::thread::scope` workers (deterministic,
 //!   input-order results); with [`experiment::ScenarioSweep::with_lanes`]
@@ -114,14 +115,16 @@
 //!   ([`thermal_model::BatchStepTransition`]), loading the 8×8 transition
 //!   matrices once for all lanes.
 //!
-//! Control decisions stay per-lane ([`experiment::run_lockstep`] drives one
-//! control loop per scenario against the shared batch plant), so batched and
-//! scalar runs agree: the integrator is bit-identical, and full trajectories
-//! match within 1e-9 °C (proven by `tests/equivalence.rs`). Batched stepping
+//! Control decisions stay per-lane (the executor drives one control loop per
+//! scenario against the shared batch plant), so batched and scalar runs
+//! agree: the integrator is bit-identical, and full trajectories match
+//! within 1e-9 °C (proven by `tests/equivalence.rs`). Batched stepping
 //! applies when scenarios share the control period and (mostly) the
 //! fan/ambient transition key; diverging lanes fall back to an equivalent
-//! strided apply. The `sweep_step` Criterion bench pins the batched engine at
-//! ≥ 2× the scalar per-scenario micro-step throughput at eight lanes.
+//! strided apply. The `sweep_step` bench asserts a floor on the batched
+//! engine's micro-step throughput over the scalar per-scenario engine at
+//! eight lanes; the floor and the last measurement are recorded in
+//! `BENCH_sweep_step.json`.
 //!
 //! The *decision* side is batched too: each interval the executor stages
 //! every lane's decision up to the thermal classification, then one fused
@@ -129,9 +132,9 @@
 //! ([`dtpm::BatchPredictor`]) classifies all DTPM proposals at once —
 //! bit-identical per lane to the scalar predictor, so only lanes actually
 //! predicted to violate pay the scalar actuation walk. The `sweep_decide`
-//! bench pins the batched two-phase decide at ≥ 1.5× decisions/s over the
-//! per-lane iterated path on a control-heavy sweep (measured 13.4×, see
-//! `BENCH_sweep_decide.json`).
+//! bench compares the batched two-phase decide with the per-lane iterated
+//! path on a control-heavy sweep; its floor and last measurement are in
+//! `BENCH_sweep_decide.json`.
 //!
 //! # The `PlantEngine` seam and the one executor
 //!
@@ -140,10 +143,12 @@
 //! interval it retires finished scenarios, admits queued ones into the freed
 //! lanes, lets every live lane decide, steps the engine once with per-lane
 //! inputs, and absorbs the per-lane results. [`Experiment::run`] is the
-//! executor over a one-lane [`engine::ScalarEngine`];
-//! [`experiment::run_lockstep`] is the executor over an
-//! [`engine::PanelEngine`] as wide as the configuration list. There is no
-//! scalar-vs-batched fork in the stepping logic, and a future device backend
+//! executor over a one-lane engine and [`ScenarioSweep`] over per-worker
+//! engines of its lane width. One function picks every engine from the lane
+//! count and [`engine::EnginePrecision`]: [`engine::ScalarEngine`] for one
+//! f64 lane, [`engine::PanelEngine`] for more, and
+//! [`engine::MixedPanelEngine`] under f32. There is no scalar-vs-batched
+//! fork in the stepping logic, and a future device backend
 //! (GPU panels for calibration-scale sweeps) only has to implement the trait
 //! — the per-step math it needs is already exposed by
 //! [`thermal_model::BatchStepTransition`] (`r`/`s_power`/`ambient_drive`).
@@ -157,10 +162,11 @@
 //! [`engine::PlantEngine::admit`], which resets lane state and re-anchors
 //! the lane's leakage models at the new scenario's initial temperature). A
 //! ragged mix of short and long scenarios therefore no longer serialises on
-//! the slowest member of a static lane-group; the `sweep_ragged` bench pins
-//! compaction at ≥ 1.3× over static tiling on a 1-long + 3-short tile mix
-//! (measured 2.15×, see `BENCH_sweep_ragged.json`), and `tests/compaction.rs` proves recycled lanes
-//! reproduce scalar trajectories to ≤ 1e-9 °C.
+//! the slowest member of a static lane-group; the `sweep_ragged` bench
+//! measures compaction against static tiling on a 1-long + 3-short tile mix
+//! (floor and last measurement in `BENCH_sweep_ragged.json`), and
+//! `tests/compaction.rs` proves recycled lanes reproduce scalar trajectories
+//! to ≤ 1e-9 °C.
 //!
 //! # Streaming results: observers, sinks, campaigns
 //!
@@ -190,8 +196,8 @@
 //! fraction chosen after the fact. **Stream summaries**
 //! ([`observer::TracePolicy::SummaryOnly`], the campaign default) for large
 //! grids: retained memory is O(cells) instead of O(cells × intervals) — the
-//! `sweep_campaign` bench measures ~19× less retention on a 200-cell grid
-//! at just 40 intervals per cell, and the gap grows linearly with run
+//! `sweep_campaign` bench measures the retention ratio on a 200-cell grid
+//! (`BENCH_sweep_campaign.json`), and the gap grows linearly with run
 //! length ([`observer::TracePolicy::Decimated`] sits in between with coarse
 //! trajectories). Scenario count is bounded by compute, not memory.
 //!
@@ -277,7 +283,7 @@ pub use engine::{
 };
 pub use error::SimError;
 pub use experiment::{
-    run_lockstep, CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
+    CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
     ScenarioSweep, SimulationResult,
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow, SensorChannel};

@@ -12,16 +12,12 @@
 //! Because the embedded fold replays cells in canonical index order and
 //! stores floats as exact bit patterns, resuming from any checkpoint
 //! reproduces the uninterrupted campaign's merged output bit-for-bit.
-//! Checkpoints of the retired v1 text format convert through
-//! [`CampaignCheckpoint::migrate_v1`].
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use super::merge::MergeSink;
-use super::v1;
-use crate::campaign::SweepSpec;
 use crate::distributed::codec::{self, malformed};
 use crate::error::SimError;
 use crate::experiment::{ResultSink, RunReport};
@@ -238,32 +234,9 @@ impl CampaignCheckpoint {
     /// # Errors
     ///
     /// Returns [`SimError::Corrupted`] on a checksum or type mismatch and
-    /// [`SimError::Io`] on structurally malformed input — including a
-    /// checkpoint of the retired v1 text format, which
-    /// [`CampaignCheckpoint::migrate_v1`] converts.
+    /// [`SimError::Io`] on structurally malformed input.
     pub fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, SimError> {
-        if v1::is_v1(bytes) {
-            return Err(SimError::Io(
-                "checkpoint is in the retired v1 text format; \
-                 convert it with CampaignCheckpoint::migrate_v1"
-                    .to_owned(),
-            ));
-        }
         codec::decode_checkpoint(bytes)
-    }
-
-    /// Converts a checkpoint written in the retired v1 text format: checks
-    /// that it was taken of `spec`'s grid, then binds it to the current
-    /// [`SweepSpec::fingerprint`]. Write the result back with
-    /// [`CampaignCheckpoint::write_atomic`] and resume as usual.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for a checkpoint of another
-    /// grid, [`SimError::Corrupted`] on a checksum mismatch, and
-    /// [`SimError::Io`] on malformed text.
-    pub fn migrate_v1(text: &str, spec: &SweepSpec) -> Result<CampaignCheckpoint, SimError> {
-        v1::migrate(text, spec)
     }
 
     /// Writes the checkpoint to `path` atomically: the serialised snapshot
@@ -463,12 +436,6 @@ mod tests {
         checkpoint.write_atomic(&path).expect("write");
         let loaded = CampaignCheckpoint::load(&path).expect("load");
         assert_eq!(loaded, checkpoint);
-
-        // A checkpoint read from the retired v1 text format lands on disk in
-        // the binary format and loads back unchanged.
-        let legacy = v1::parse(include_str!("../../tests/data/checkpoint-v1.txt")).expect("v1");
-        legacy.write_atomic(&path).expect("write");
-        assert_eq!(CampaignCheckpoint::load(&path).expect("load"), legacy);
         std::fs::remove_file(&path).ok();
     }
 
@@ -516,14 +483,10 @@ mod tests {
                 Err(SimError::Corrupted(_))
             ));
         }
-        // A legacy v1 text checkpoint is recognised, not misread as
-        // corruption: decoding points at the migration, which accepts it.
-        let legacy = include_str!("../../tests/data/checkpoint-v1.txt");
-        assert!(matches!(
-            CampaignCheckpoint::decode(legacy.as_bytes()),
-            Err(SimError::Io(msg)) if msg.contains("migrate_v1")
-        ));
-        assert!(v1::parse(legacy).is_ok());
+        // A checkpoint left over from the retired text format is rejected
+        // like any other non-binary input: an error, never a panic.
+        let legacy = "dtpm-campaign-checkpoint v1\nfingerprint 1b9529ef5c29d252\ncells 72\n";
+        assert!(CampaignCheckpoint::decode(legacy.as_bytes()).is_err());
     }
 
     #[test]

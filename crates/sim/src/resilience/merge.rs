@@ -6,11 +6,8 @@
 //! arriving per-cell statistics and folds them into its running
 //! [`CampaignAggregate`] strictly in cell-index order — cells are globally
 //! indexed by the grid ([`crate::SweepSpec::cell`]), so the fold order is a
-//! property of the campaign, not of scheduling, kill points, or shard
-//! arrival. Across shards, whole aggregates combine through the exactly
-//! commutative [`numeric::stats::Welford::merge`] in canonical range order
-//! ([`MergeSink::merge_all`]), giving the same bits for every shard
-//! arrival permutation.
+//! property of the campaign, not of scheduling, kill points, or which
+//! worker ran a cell.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -111,8 +108,7 @@ impl CellOutcome {
 
 /// Campaign-level merged statistics: counts, totals, and Welford
 /// accumulators over the per-cell summaries, maintained by [`MergeSink`] in
-/// canonical cell order. Two aggregates over disjoint index ranges combine
-/// exactly commutatively through [`CampaignAggregate::merge`].
+/// canonical cell order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignAggregate {
     /// Cells folded into this aggregate (successes and failures).
@@ -169,31 +165,6 @@ impl CampaignAggregate {
             CellOutcome::Failed(_) => self.failed_cells += 1,
         }
     }
-
-    /// Combines two aggregates over disjoint cell sets (Chan et al. merge on
-    /// every Welford accumulator, exact sums elsewhere). Exactly commutative
-    /// — [`Welford::merge`] canonicalises its operands and f64 addition is
-    /// commutative — so pairwise shard combination gives the same bits in
-    /// either order; [`MergeSink::merge_all`] additionally fixes the fold
-    /// order across *many* shards by sorting on range start.
-    #[must_use]
-    pub fn merge(&self, other: &CampaignAggregate) -> CampaignAggregate {
-        CampaignAggregate {
-            cells: self.cells + other.cells,
-            completed_runs: self.completed_runs + other.completed_runs,
-            failed_cells: self.failed_cells + other.failed_cells,
-            shutdowns: self.shutdowns + other.shutdowns,
-            total_intervals: self.total_intervals + other.total_intervals,
-            escalations: self.escalations + other.escalations,
-            sensor_faults: self.sensor_faults + other.sensor_faults,
-            total_energy_j: self.total_energy_j + other.total_energy_j,
-            energy_j: self.energy_j.merge(&other.energy_j),
-            mean_power_w: self.mean_power_w.merge(&other.mean_power_w),
-            execution_time_s: self.execution_time_s.merge(&other.execution_time_s),
-            peak_temp_c: self.peak_temp_c.merge(&other.peak_temp_c),
-            mean_temp_c: self.mean_temp_c.merge(&other.mean_temp_c),
-        }
-    }
 }
 
 /// A [`ResultSink`] that folds the per-cell reports of one contiguous
@@ -203,9 +174,8 @@ impl CampaignAggregate {
 /// cell lands, so the retained state stays proportional to the in-flight
 /// spread, not the campaign size.
 ///
-/// Usually one sink covers the whole grid; sinks over disjoint ranges
-/// combine through [`MergeSink::merge_all`]. The
-/// sink's full state round-trips bit-exactly through
+/// Usually one sink covers the whole grid. The sink's full state
+/// round-trips bit-exactly through
 /// [`crate::distributed::encode_sink`]/[`crate::distributed::decode_sink`]
 /// — the binary format also embedded in campaign checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,37 +281,6 @@ impl MergeSink {
             }
         }
         self.next += 1;
-    }
-
-    /// Combines any number of completed shard sinks into the campaign-level
-    /// aggregate, independent of the order the shards are handed over in:
-    /// sinks are sorted by range start and their aggregates folded pairwise
-    /// in that canonical order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if any sink is incomplete or two
-    /// sinks' ranges overlap.
-    pub fn merge_all(
-        shards: impl IntoIterator<Item = MergeSink>,
-    ) -> Result<CampaignAggregate, SimError> {
-        let mut shards: Vec<MergeSink> = shards.into_iter().collect();
-        shards.sort_by_key(|sink| (sink.start, sink.end));
-        let mut merged = CampaignAggregate::default();
-        let mut covered_to: Option<usize> = None;
-        for shard in &shards {
-            if !shard.is_complete() {
-                return Err(SimError::InvalidConfig(
-                    "cannot merge an incomplete shard sink",
-                ));
-            }
-            if covered_to.is_some_and(|end| shard.start < end) {
-                return Err(SimError::InvalidConfig("shard cell ranges overlap"));
-            }
-            covered_to = Some(shard.end);
-            merged = merged.merge(&shard.aggregate);
-        }
-        Ok(merged)
     }
 
     /// The sink's full state as the lowercase hex of its binary encoding
@@ -492,73 +431,6 @@ mod tests {
         sink.offer(10, CellOutcome::Completed(stats(0.0)));
         assert_eq!(sink.folded(), 3, "in-order arrival drains the buffer");
         assert!(!sink.is_complete());
-    }
-
-    #[test]
-    fn shard_merge_is_arrival_order_independent() {
-        let outcomes: Vec<CellOutcome> = (0..30)
-            .map(|k| {
-                if k % 13 == 7 {
-                    failure(k)
-                } else {
-                    CellOutcome::Completed(stats(k as f64))
-                }
-            })
-            .collect();
-        let shard = |range: Range<usize>| {
-            let mut sink = MergeSink::new(range.clone());
-            for k in range {
-                sink.offer(k, outcomes[k].clone());
-            }
-            sink
-        };
-        let (a, b, c) = (shard(0..9), shard(9..21), shard(21..30));
-        let orders: [[&MergeSink; 3]; 3] = [[&a, &b, &c], [&c, &a, &b], [&b, &c, &a]];
-        let merged: Vec<CampaignAggregate> = orders
-            .iter()
-            .map(|order| {
-                MergeSink::merge_all(order.iter().map(|s| (*s).clone())).expect("shards merge")
-            })
-            .collect();
-        assert_eq!(merged[0], merged[1]);
-        assert_eq!(merged[1], merged[2]);
-        assert_eq!(merged[0].cells, 30);
-        assert_eq!(merged[0].failed_cells, 2, "cells 7 and 20 fail");
-        // Counts and min/max agree exactly with a single whole-range fold;
-        // the distribution moments agree to numerical noise.
-        let whole = shard(0..30);
-        let reference = whole.aggregate();
-        assert_eq!(merged[0].completed_runs, reference.completed_runs);
-        assert_eq!(merged[0].total_intervals, reference.total_intervals);
-        assert_eq!(merged[0].peak_temp_c.min(), reference.peak_temp_c.min());
-        assert_eq!(merged[0].peak_temp_c.max(), reference.peak_temp_c.max());
-        assert!(
-            (merged[0].energy_j.variance() - reference.energy_j.variance()).abs()
-                <= 1e-9 * reference.energy_j.variance().max(1.0)
-        );
-    }
-
-    #[test]
-    fn merge_all_rejects_incomplete_and_overlapping_shards() {
-        let mut incomplete = MergeSink::new(0..2);
-        incomplete.offer(0, CellOutcome::Completed(stats(0.0)));
-        assert!(MergeSink::merge_all([incomplete]).is_err());
-        let full = |range: Range<usize>| {
-            let mut sink = MergeSink::new(range.clone());
-            for k in range {
-                sink.offer(k, CellOutcome::Completed(stats(k as f64)));
-            }
-            sink
-        };
-        assert!(MergeSink::merge_all([full(0..3), full(2..5)]).is_err());
-        assert!(
-            MergeSink::merge_all([full(0..3), full(5..8)]).is_ok(),
-            "gaps are fine"
-        );
-        assert_eq!(
-            MergeSink::merge_all(std::iter::empty()).expect("empty merge"),
-            CampaignAggregate::default()
-        );
     }
 
     #[test]

@@ -28,11 +28,8 @@
 //!   resumed campaign's merged output is bit-identical to an uninterrupted
 //!   run no matter where the kill landed.
 //! * **Merge** ([`merge`]): a [`MergeSink`] folds per-cell outcomes in
-//!   canonical index order whatever order they arrive in, and
-//!   [`MergeSink::merge_all`] combines sinks over disjoint cell ranges —
-//!   via the exactly-commutative [`numeric::stats::Welford::merge`], folded
-//!   in canonical range order — into aggregates independent of arrival
-//!   order.
+//!   canonical index order whatever order they arrive in, so its aggregate
+//!   is independent of arrival order.
 //!
 //! Determinism is the design invariant throughout: retries re-derive the
 //! identical cell (seeds are a pure function of the campaign seed and cell
@@ -45,7 +42,6 @@ use crate::error::SimError;
 
 pub mod checkpoint;
 pub mod merge;
-pub(crate) mod v1;
 
 pub use checkpoint::{CampaignCheckpoint, CellBitmap, CheckpointSink};
 pub use merge::{CampaignAggregate, CellFailure, CellOutcome, CellStats, MergeSink};

@@ -16,8 +16,8 @@
 //! trajectory (sensor quantisation alone is 0.1 °C).
 
 use platform_sim::{
-    run_lockstep, BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind,
-    LaneInput, NaivePhysicalPlant, PhysicalPlant, PlantPowerParams, ScenarioSweep,
+    BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, LaneInput,
+    NaivePhysicalPlant, PhysicalPlant, PlantPowerParams, ScenarioSweep,
 };
 use proptest::prelude::*;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, SocSpec};
@@ -285,7 +285,12 @@ fn lockstep_runner_matches_scalar_experiments() {
     })
     .collect();
 
-    let lockstep = run_lockstep(&configs, &calibration);
+    // One thread and one lane per configuration: every scenario is claimed
+    // into a single panel engine up front and the group steps in lockstep.
+    let lockstep = ScenarioSweep::new(configs.clone())
+        .with_threads(1)
+        .with_lanes(configs.len())
+        .run(&calibration);
     assert_eq!(lockstep.len(), configs.len());
     for (config, result) in configs.iter().zip(lockstep) {
         let result = result.expect("lockstep run must succeed");
@@ -315,27 +320,6 @@ fn lockstep_runner_matches_scalar_experiments() {
             sequential.mean_platform_power_w
         );
     }
-}
-
-#[test]
-fn lockstep_runner_falls_back_for_mixed_control_periods() {
-    let campaign = CalibrationCampaign {
-        prbs_duration_s: 120.0,
-        run_furnace: false,
-        ..CalibrationCampaign::default()
-    };
-    let calibration = campaign.run(5).unwrap();
-
-    let mut fast = ExperimentConfig::new(ExperimentKind::WithoutFan, BenchmarkId::Crc32);
-    fast.max_duration_s = 5.0;
-    let mut slow = fast.clone();
-    slow.control_period_s = 0.2;
-    let results = run_lockstep(&[fast.clone(), slow.clone()], &calibration);
-    assert_eq!(results.len(), 2);
-    let a = results[0].as_ref().expect("fast config runs");
-    let b = results[1].as_ref().expect("slow config runs");
-    assert_eq!(a.config, fast);
-    assert_eq!(b.config, slow);
 }
 
 fn sweep_calibration() -> &'static platform_sim::Calibration {

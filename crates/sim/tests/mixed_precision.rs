@@ -333,32 +333,3 @@ fn f32_closed_loop_runs_track_f64_across_experiment_kinds() {
         );
     }
 }
-
-#[test]
-fn shadow_precision_completes_and_matches_f32() {
-    // F32Shadow steps the f64 twin alongside for validation: the published
-    // run must be the f32 engine's (identical to plain F32), with the shadow
-    // only observing.
-    let mut config = ExperimentConfig::new(ExperimentKind::Reactive, BenchmarkId::Crc32);
-    config.max_duration_s = 20.0;
-    let f32_run = Experiment::new(
-        &config.clone().with_precision(EnginePrecision::F32),
-        calibration(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
-    let shadow_run = Experiment::new(
-        &config.with_precision(EnginePrecision::F32Shadow),
-        calibration(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
-    assert_eq!(f32_run.energy_j, shadow_run.energy_j);
-    assert_eq!(f32_run.execution_time_s, shadow_run.execution_time_s);
-    assert_eq!(
-        f32_run.mean_platform_power_w,
-        shadow_run.mean_platform_power_w
-    );
-}

@@ -1,5 +1,5 @@
-//! End-to-end campaign resilience: checkpoint/resume bit-identity, partial
-//! fold merge arrival-order independence, and cell-level fault containment.
+//! End-to-end campaign resilience: checkpoint/resume bit-identity and
+//! cell-level fault containment.
 //!
 //! The contracts under test:
 //!
@@ -7,8 +7,6 @@
 //!   its on-disk checkpoint folds to the **bit-identical** aggregate of the
 //!   uninterrupted run (scalar lanes, where the engine is exactly
 //!   deterministic).
-//! * A grid run as separate cell ranges and merged in any arrival order
-//!   yields one canonical aggregate.
 //! * A cell that panics or blows its deadline is quarantined as a structured
 //!   failure; sibling lanes of the same panel report summaries within the
 //!   batched-engine equivalence bar (≤ 1e-9) of solo runs.
@@ -168,62 +166,6 @@ proptest! {
         prop_assert_eq!(resumed.fold().encode(), reference.encode());
         std::fs::remove_file(&path).ok();
     }
-}
-
-#[test]
-fn shard_merge_is_independent_of_shard_arrival_order() {
-    // Three contiguous cell ranges, each run on its own into its own fold.
-    let spec = small_spec();
-    let sinks: Vec<MergeSink> = [0..2, 2..4, 4..6]
-        .into_iter()
-        .map(|range| {
-            let mut sink = MergeSink::new(range.clone());
-            spec.runner()
-                .with_threads(1)
-                .with_lanes(1)
-                .with_recording(TracePolicy::SummaryOnly)
-                .run_indices_into(&range.collect::<Vec<_>>(), calibration(), &mut sink);
-            sink
-        })
-        .collect();
-
-    let orders: [[usize; 3]; 3] = [[0, 1, 2], [2, 0, 1], [1, 2, 0]];
-    let merged: Vec<_> = orders
-        .iter()
-        .map(|order| {
-            MergeSink::merge_all(order.iter().map(|&i| sinks[i].clone()))
-                .expect("complete shards merge")
-        })
-        .collect();
-    assert_eq!(merged[0], merged[1], "arrival order must not matter");
-    assert_eq!(merged[0], merged[2], "arrival order must not matter");
-
-    // The sharded aggregate matches the whole-campaign fold: counts and
-    // extrema exactly, merged moments within the numerical bar.
-    let mut whole = MergeSink::new(0..spec.cells());
-    spec.runner()
-        .with_threads(1)
-        .with_lanes(1)
-        .with_recording(TracePolicy::SummaryOnly)
-        .run_into(calibration(), &mut whole);
-    let sequential = whole.aggregate();
-    let sharded = &merged[0];
-    assert_eq!(sharded.cells, sequential.cells);
-    assert_eq!(sharded.completed_runs, sequential.completed_runs);
-    assert_eq!(sharded.failed_cells, sequential.failed_cells);
-    assert_eq!(sharded.total_intervals, sequential.total_intervals);
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-    assert!(close(sharded.total_energy_j, sequential.total_energy_j));
-    assert_eq!(sharded.peak_temp_c.max(), sequential.peak_temp_c.max());
-    assert_eq!(sharded.mean_temp_c.min(), sequential.mean_temp_c.min());
-    assert!(close(
-        sharded.mean_temp_c.mean(),
-        sequential.mean_temp_c.mean()
-    ));
-    assert!(close(
-        sharded.mean_temp_c.variance(),
-        sequential.mean_temp_c.variance()
-    ));
 }
 
 #[test]
