@@ -8,12 +8,12 @@
 //! wall-clock cost must stay under 2 % of the sweep.
 //!
 //! Both arms run the same lockstep DTPM sweep through the real executor
-//! (one thread, one panel engine as wide as the sweep: batched plant +
-//! batched decide), differing only in the safety
-//! configuration: **disabled** (pre-robustness hot path) vs **armed** (the
-//! default ladder + health monitor). Passes are interleaved best-of-N so the
-//! two arms see the same thermal/cache conditions; the overhead ceiling is
-//! asserted in the full (non `--test`) run and the measured numbers land in
+//! (one thread, one panel engine as wide as the sweep: batched plant,
+//! per-lane decide), differing only in the safety configuration:
+//! **disabled** (pre-robustness hot path) vs **armed** (the default ladder +
+//! health monitor). Passes are interleaved best-of-N so the two arms see the
+//! same thermal/cache conditions; the overhead ceiling is asserted in the
+//! full (non `--test`) run and the measured numbers land in
 //! `BENCH_safety_overhead.json`.
 
 use std::time::{Duration, Instant};

@@ -1,23 +1,23 @@
-//! Wall-clock benchmark of the batched two-phase control decision.
+//! Wall-clock benchmark of batched against iterated DTPM classification, at
+//! the `dtpm` level.
 //!
-//! PRs 1–3 batched the plant integrator, so on a lockstep sweep the
-//! per-interval `decide` became the dominant scalar fraction (Amdahl): every
-//! lane used to iterate the discrete thermal model `horizon` times — two
-//! mat-vecs per step, per lane, per interval. The two-phase decide replaces
-//! that with one fused panel application of the precomputed horizon map
-//! `(Aₙ, Bₙ)` classifying **all** lanes at once; only lanes predicted to
-//! violate fall through to the scalar actuation walk.
+//! Iterating the discrete thermal model `horizon` times costs two mat-vecs
+//! per step, per lane, per interval. One application of the precomputed
+//! horizon map `(Aₙ, Bₙ)` replaces that loop; a [`BatchPredictor`] panel
+//! applies it to a whole lane group at once. This bench compares the two
+//! classifications through the `dtpm` API. The sweep executor itself does
+//! not batch: each lane decides through [`DtpmPolicy::decide`], one scalar
+//! horizon-map application, which is bit-identical per lane to the panel.
 //!
 //! The workload is control-heavy by construction — a long prediction horizon
-//! (32 steps, vs the paper's 10) over a sweep-wide lane group — i.e. the
-//! regime where the prediction pre-pass dominated. Both arms run the *full*
-//! decision (proposal power vector, classification, affirm-or-actuate
-//! resolution) on identical inputs:
+//! (32 steps, vs the paper's 10) over a sweep-wide lane group. Both arms run
+//! the *full* decision (proposal power vector, classification,
+//! affirm-or-actuate resolution) on identical inputs:
 //!
-//! * **per-lane scalar** — the pre-PR path: each lane classifies through
+//! * **per-lane iterated** — each lane classifies through
 //!   [`ThermalPredictor::predict_peak_iterated`], the `horizon`-length model
 //!   loop.
-//! * **batched two-phase** — every lane's proposal assembled into one
+//! * **batched** — every lane's proposal assembled into one
 //!   [`BatchPredictor`] panel, one prediction for the whole group.
 //!
 //! The acceptance bar is ≥ 1.5× decisions/s for the batched arm, asserted as
@@ -41,7 +41,7 @@ const HORIZON: usize = 32;
 /// Control period of the end-to-end sweep, seconds (10 ms: ten times the
 /// paper's rate, so decisions dominate the sweep).
 const CONTROL_PERIOD_S: f64 = 0.01;
-/// Acceptance floor: batched two-phase over per-lane scalar decisions/s.
+/// Acceptance floor: batched over per-lane iterated decisions/s.
 /// Re-baselined upward from 1.5 after the explicit SIMD panel kernels landed
 /// (measured 13.1x on the AVX2 reference host, up from 11.98x with
 /// autovectorized scalar kernels).
@@ -185,8 +185,8 @@ fn main() {
         );
     }
 
-    // Arm A — per-lane scalar (the pre-PR decide): iterated horizon loop
-    // per lane, then the affirm-or-actuate resolution.
+    // Arm A — per-lane iterated horizon loop, then the affirm-or-actuate
+    // resolution.
     let (scalar_wall, scalar_decisions) = best_of(passes, || {
         for _ in 0..intervals {
             for (policy, input) in policies.iter().zip(&inputs) {
@@ -207,8 +207,8 @@ fn main() {
         intervals * LANES
     });
 
-    // Arm B — batched two-phase: every lane's proposal classified by one
-    // fused panel prediction; only violating lanes walk the actuation list.
+    // Arm B — batched: every lane's proposal classified by one fused panel
+    // prediction; only violating lanes walk the actuation list.
     let (batched_wall, batched_decisions) = best_of(passes, || {
         for _ in 0..intervals {
             for (lane, (policy, input)) in policies.iter().zip(&inputs).enumerate() {
@@ -231,7 +231,7 @@ fn main() {
     });
 
     // End-to-end context: a control-heavy lockstep sweep through the real
-    // executor (batched plant + batched two-phase decide).
+    // executor (batched plant, per-lane decide).
     let sweep_configs: Vec<ExperimentConfig> = (0..LANES)
         .map(|i| {
             let mut config = ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::MatrixMult)
@@ -284,8 +284,8 @@ fn main() {
         // run is too short to measure meaningfully.
         assert!(
             speedup >= SPEEDUP_FLOOR,
-            "batched two-phase decide regressed to {speedup:.2}x over the \
-             per-lane scalar path (floor: {SPEEDUP_FLOOR}x)"
+            "batched classification regressed to {speedup:.2}x over the \
+             per-lane iterated path (floor: {SPEEDUP_FLOOR}x)"
         );
     }
 }

@@ -1,16 +1,15 @@
-//! Batched (panel) horizon prediction for sweep-scale control loops.
+//! Batched (panel) horizon prediction.
 //!
-//! A lockstep sweep advances K scenario lanes per instruction stream, but
-//! until this module existed every lane still ran its *prediction* — the
-//! per-interval violation pre-check — through a scalar horizon loop, making
-//! `decide` the sweep's serial tail. [`BatchPredictor`] applies one
-//! precomputed [`HorizonMap`] to all K lanes at once through the
-//! structure-of-arrays [`Panel`] kernels: the `(Aₙ, Bₙ)` matrices are loaded
-//! once per control interval for every lane, the inner loops run across
-//! lanes at unit stride, and the accumulation order matches the scalar
+//! [`BatchPredictor`] applies one precomputed [`HorizonMap`] to K lanes at
+//! once through the structure-of-arrays [`Panel`] kernels: the `(Aₙ, Bₙ)`
+//! matrices are loaded once for every lane, the inner loops run across lanes
+//! at unit stride, and the accumulation order matches the scalar
 //! [`ThermalPredictor::predict_with`] exactly — per-lane results are
 //! **bit-identical** to the scalar path, so batching can never flip a
-//! control decision.
+//! control decision. `platform_sim`'s executor does not use it: each lane
+//! decides through [`crate::DtpmPolicy::decide`], one scalar 4×4 map
+//! application that costs little next to the lane's plant step. The
+//! `sweep_decide` bench compares the two classifications.
 
 use std::sync::Arc;
 

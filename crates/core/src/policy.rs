@@ -225,11 +225,11 @@ impl DtpmPolicy {
         self.resolve(inputs, power_model, &proposed_powers, predicted_peak)
     }
 
-    /// Phase 1 of the two-phase decide: the power vector the predictor
-    /// should assume for the governors' proposal. A batched executor
-    /// assembles these across all lanes, classifies them with one panel
-    /// prediction, and only the violating lanes proceed to
-    /// [`DtpmPolicy::resolve`]'s actuation walk.
+    /// The first step of [`DtpmPolicy::decide`]: the power vector the
+    /// predictor should assume for the governors' proposal. A batched
+    /// classifier can assemble these across many policies, predict them with
+    /// one [`crate::BatchPredictor`] panel, and hand each peak to
+    /// [`DtpmPolicy::resolve`].
     ///
     /// # Errors
     ///
@@ -262,9 +262,9 @@ impl DtpmPolicy {
         self.predicted_powers(inputs, power_model, &inputs.proposed, hot_temp, 1.0)
     }
 
-    /// Phase 2 of the two-phase decide: resolves the decision given the
-    /// proposal's power vector (from [`DtpmPolicy::proposal_powers`]) and its
-    /// predicted peak temperature (scalar or batched — the two are
+    /// The last step of [`DtpmPolicy::decide`]: resolves the decision given
+    /// the proposal's power vector (from [`DtpmPolicy::proposal_powers`]) and
+    /// its predicted peak temperature (scalar or batched — the two are
     /// bit-identical). No violation predicted ⇒ the proposal is affirmed
     /// with no further model work; otherwise the power budget is solved from
     /// the precomputed horizon map and walked down the actuation priority

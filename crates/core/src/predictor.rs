@@ -1,6 +1,6 @@
 //! Thermal prediction from the identified state-space model.
 //!
-//! # One-shot horizon prediction and the two-phase decide
+//! # One-shot horizon prediction
 //!
 //! The policy predicts the hotspot temperatures one prediction interval
 //! (`horizon` control steps) ahead on **every** control interval, so the
@@ -15,23 +15,11 @@
 //! calibrated predictor into K per-lane policies computes `(Aₙ, Bₙ)` once
 //! for the whole sweep, not once per lane.
 //!
-//! At sweep scale the decision itself splits into two phases
-//! (`platform_sim`'s executor drives this):
-//!
-//! 1. **Batched classify** — every lane's proposed powers are assembled into
-//!    a [`crate::BatchPredictor`] panel and one fused panel application
-//!    predicts all lanes at once (the horizon matrices are loaded once per
-//!    interval for *all* lanes). Lanes whose predicted peak stays below the
-//!    constraint are affirmed right there — the steady-state common case
-//!    pays **zero** per-lane mat-vecs.
-//! 2. **Scalar actuate** — only the (rare) violating lanes fall through to
-//!    the full [`crate::DtpmPolicy`] actuation walk: power budget from the
-//!    same horizon map, frequency scan, core shutdown, migration.
-//!
-//! The scalar one-shot application accumulates in exactly the panel
-//! kernels' per-lane order, so batched and scalar classification are
-//! bit-identical — batching is purely a throughput optimisation and can
-//! never flip a decision.
+//! [`crate::DtpmPolicy::decide`] makes one such prediction per control
+//! interval, and `platform_sim`'s executor calls it once per lane. The
+//! scalar one-shot application accumulates in exactly the panel kernels'
+//! per-lane order, so it is bit-identical to a [`crate::BatchPredictor`]
+//! prediction of the same lane.
 
 use std::sync::{Arc, RwLock};
 

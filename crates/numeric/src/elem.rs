@@ -8,8 +8,7 @@
 //! register, NEON 2 f64 or 4 f32 per 128-bit register — and the rounding of
 //! each accumulate. `Elem` carries exactly that per-type knowledge: the
 //! scalar accumulate primitives ([`Elem::madd`] / [`Elem::madd2`], which
-//! fuse under the `fma` cargo feature exactly like their [`crate::simd`]
-//! `f64` twins) and the hooks that hand full [`crate::LANE_CHUNK`]-wide lane
+//! round exactly like their [`crate::simd`] `f64` twins) and the hooks that hand full [`crate::LANE_CHUNK`]-wide lane
 //! chunks to the concrete `#[target_feature]` kernels (generic functions
 //! cannot be `#[target_feature]`, so each impl forwards to monomorphic
 //! intrinsics code in [`crate::simd`]).
@@ -46,8 +45,7 @@ pub trait Elem:
     /// Promotes to `f64` (exact for both implementors).
     fn to_f64(self) -> f64;
 
-    /// The per-element accumulate step `acc + a·x`: plain multiply-then-add
-    /// by default, one fused multiply-add under the `fma` cargo feature —
+    /// The per-element accumulate step `acc + a·x`: plain multiply-then-add,
     /// rounding exactly like the vector arms' per-lane operation.
     fn madd(a: Self, x: Self, acc: Self) -> Self;
 

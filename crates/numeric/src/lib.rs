@@ -38,14 +38,10 @@
 //!   panics rather than silently degrading. Each kernel entry point also has
 //!   a `*_with` form taking an explicit [`PanelKernel`] so equivalence suites
 //!   and benchmarks can compare arms inside one process.
-//! * **Bit-identical by default**: every arm performs the same per-lane
-//!   sequence of IEEE-754 multiplies and adds, so in the default build a
-//!   lane's result is bit-for-bit independent of the arm that produced it —
-//!   the scalar-vs-batched equivalence suites double as the SIMD oracle.
-//! * **`fma` feature**: opts into fused multiply-add in *all* arms (scalar
-//!   code via [`f64::mul_add`]), which keeps the arms bit-identical to each
-//!   other but relaxes the contract against unfused reference expressions to
-//!   the documented ≤ 1e-12 °C simulation-level bound.
+//! * **Bit-identical arms**: every arm performs the same per-lane sequence
+//!   of IEEE-754 multiplies and adds, so a lane's result is bit-for-bit
+//!   independent of the arm that produced it — the scalar-vs-batched
+//!   equivalence suites double as the SIMD oracle.
 //!
 //! # Precision selection
 //!

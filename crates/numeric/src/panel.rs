@@ -342,7 +342,7 @@ pub fn mul_panel_into_elem_with<E: Elem>(
 /// followed by the `b`-term — the same order for every lane and arm, and
 /// identical to a scalar column-major (axpy) evaluation, which is what makes
 /// batched and scalar transition stepping agree to the last bit (see
-/// [`crate::simd`] for the `fma`-build contract).
+/// [`crate::simd`] for the dispatch contract).
 ///
 /// # Errors
 ///
@@ -973,11 +973,8 @@ mod tests {
 
     #[test]
     fn explicit_kernel_arms_agree_with_scalar() {
-        // The `_with` forms are the oracle hook for the dispatch arms: on the
-        // default build every available arm must match forced-scalar to the
-        // bit; under `fma` they still must match each other (all arms fuse
-        // identically), which this test covers by comparing vs Scalar, whose
-        // madd primitives fuse too.
+        // The `_with` forms are the oracle hook for the dispatch arms: every
+        // available arm must match forced-scalar to the bit.
         let n = 8;
         let a = test_matrix(n, 0.2);
         let b = test_matrix(n, 0.05);

@@ -22,23 +22,14 @@
 //! suites and benchmarks use to compare arms inside one process; a `*_with`
 //! call requesting an unavailable kernel safely degrades to scalar.
 //!
-//! # Bit-identical by default, fused on request
+//! # Bit-identical arms
 //!
-//! In the default build every arm performs, per lane, the *same sequence of
-//! IEEE-754 multiplies and adds* as the blocked scalar kernels (vector lanes
-//! are independent, so elementwise vector ops round exactly like their scalar
-//! counterparts). A lane's result is therefore bit-identical no matter which
-//! arm processed it — the existing scalar-vs-batched equivalence suites
-//! double as the SIMD oracle.
-//!
-//! The opt-in `fma` cargo feature switches the shared accumulate primitives
-//! ([`madd`], [`madd2`] and their vector twins) to fused multiply-add. All
-//! dispatch arms fuse *identically* (scalar code uses [`f64::mul_add`], which
-//! rounds exactly like the vector FMA), so arms remain bit-identical to each
-//! other; only the contract against the *unfused* reference expressions
-//! relaxes, to the documented ≤ 1e-12 °C simulation-level bound. Builds with
-//! `fma` should only run on hosts with FMA hardware — `f64::mul_add` without
-//! it falls back to a (slow, but correct) libm call.
+//! Every arm performs, per lane, the *same sequence of IEEE-754 multiplies
+//! and adds* as the blocked scalar kernels (vector lanes are independent, so
+//! elementwise vector ops round exactly like their scalar counterparts). A
+//! lane's result is therefore bit-identical no matter which arm processed it
+//! — the existing scalar-vs-batched equivalence suites double as the SIMD
+//! oracle.
 
 use std::sync::OnceLock;
 
@@ -53,9 +44,7 @@ pub const KERNEL_ENV: &str = "DTPM_PANEL_KERNEL";
 /// current host can actually run one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelKernel {
-    /// 256-bit AVX2 path on x86-64: 4 f64 per vector, fused multiply-add
-    /// when the `fma` feature is enabled (the host must then also support
-    /// FMA).
+    /// 256-bit AVX2 path on x86-64: 4 f64 per vector.
     Avx2Fma,
     /// 128-bit NEON path on aarch64: 2 f64 per vector.
     Neon,
@@ -84,8 +73,6 @@ impl PanelKernel {
                 #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx2")
-                        && (cfg!(not(feature = "fma"))
-                            || std::arch::is_x86_feature_detected!("fma"))
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -172,64 +159,35 @@ impl PanelKernel {
 
 /// The panel kernels' per-element accumulate step `acc + a·x`.
 ///
-/// Plain multiply-then-add by default; a single fused multiply-add under the
-/// `fma` feature. Scalar twins of the batched paths (the thermal transition
-/// applies, the horizon-map prediction) accumulate through this same
-/// primitive, which is what keeps them bit-identical to the panel kernels in
-/// *every* build.
+/// Plain multiply-then-add, never fused. Scalar twins of the batched paths
+/// (the thermal transition applies, the horizon-map prediction) accumulate
+/// through this same primitive, which is what keeps them bit-identical to
+/// the panel kernels.
 #[inline(always)]
 pub fn madd(a: f64, x: f64, acc: f64) -> f64 {
-    #[cfg(not(feature = "fma"))]
-    {
-        acc + a * x
-    }
-    #[cfg(feature = "fma")]
-    {
-        a.mul_add(x, acc)
-    }
+    acc + a * x
 }
 
 /// The panel kernels' fused two-term accumulate step `acc + a·x + b·y`
 /// (see [`madd`]): one expression per index, `a`-term before `b`-term.
 #[inline(always)]
 pub fn madd2(a: f64, x: f64, b: f64, y: f64, acc: f64) -> f64 {
-    #[cfg(not(feature = "fma"))]
-    {
-        acc + (a * x + b * y)
-    }
-    #[cfg(feature = "fma")]
-    {
-        a.mul_add(x, b.mul_add(y, acc))
-    }
+    acc + (a * x + b * y)
 }
 
-/// The `f32` twin of [`madd`]: `acc + a·x` in single precision, fused under
-/// the `fma` feature. The mixed-precision panel paths accumulate through this
-/// primitive so their scalar and vector arms round identically per lane.
+/// The `f32` twin of [`madd`]: `acc + a·x` in single precision. The
+/// mixed-precision panel paths accumulate through this primitive so their
+/// scalar and vector arms round identically per lane.
 #[inline(always)]
 pub fn madd_f32(a: f32, x: f32, acc: f32) -> f32 {
-    #[cfg(not(feature = "fma"))]
-    {
-        acc + a * x
-    }
-    #[cfg(feature = "fma")]
-    {
-        a.mul_add(x, acc)
-    }
+    acc + a * x
 }
 
 /// The `f32` twin of [`madd2`]: `acc + a·x + b·y` in single precision
 /// (`a`-term before `b`-term).
 #[inline(always)]
 pub fn madd2_f32(a: f32, x: f32, b: f32, y: f32, acc: f32) -> f32 {
-    #[cfg(not(feature = "fma"))]
-    {
-        acc + (a * x + b * y)
-    }
-    #[cfg(feature = "fma")]
-    {
-        a.mul_add(x, b.mul_add(y, acc))
-    }
+    acc + (a * x + b * y)
 }
 
 /// Elementwise fused span `out[k] = base[k] + coef[k] · cur[k]`, dispatched
@@ -302,68 +260,32 @@ pub fn fused_mul_add_span_elem_with<E: crate::Elem>(
 }
 
 /// AVX2 (x86-64) arm: 256-bit vectors, 4 f64 each, a [`crate::LANE_CHUNK`]
-/// of 8 lanes as a low/high vector pair. Fused multiply-add only under the
-/// `fma` feature, with the same operation order as the scalar [`madd`] /
-/// [`madd2`] primitives so every lane rounds identically.
+/// of 8 lanes as a low/high vector pair, with the same operation order as
+/// the scalar [`madd`] / [`madd2`] primitives so every lane rounds
+/// identically.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use core::arch::x86_64::{
-        __m256, __m256d, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_set1_pd, _mm256_set1_ps,
-        _mm256_storeu_pd, _mm256_storeu_ps,
+        __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+        _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_storeu_pd,
+        _mm256_storeu_ps,
     };
-    #[cfg(not(feature = "fma"))]
-    use core::arch::x86_64::{_mm256_add_pd, _mm256_add_ps, _mm256_mul_pd, _mm256_mul_ps};
-    #[cfg(feature = "fma")]
-    use core::arch::x86_64::{_mm256_fmadd_pd, _mm256_fmadd_ps};
 
     use crate::panel::LANE_CHUNK;
 
-    #[cfg(not(feature = "fma"))]
-    macro_rules! simd_fn {
-        ($(#[$meta:meta])* unsafe fn $($rest:tt)*) => {
-            $(#[$meta])*
-            #[target_feature(enable = "avx2")]
-            unsafe fn $($rest)*
-        };
-    }
-    #[cfg(feature = "fma")]
-    macro_rules! simd_fn {
-        ($(#[$meta:meta])* unsafe fn $($rest:tt)*) => {
-            $(#[$meta])*
-            #[target_feature(enable = "avx2", enable = "fma")]
-            unsafe fn $($rest)*
-        };
+    /// `acc + a·x` per lane, rounding exactly like [`crate::simd::madd`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn vmadd(a: __m256d, x: __m256d, acc: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_mul_pd(a, x))
     }
 
-    simd_fn! {
-        /// `acc + a·x` per lane, rounding exactly like [`crate::simd::madd`].
-        #[inline]
-        unsafe fn vmadd(a: __m256d, x: __m256d, acc: __m256d) -> __m256d {
-            #[cfg(not(feature = "fma"))]
-            {
-                _mm256_add_pd(acc, _mm256_mul_pd(a, x))
-            }
-            #[cfg(feature = "fma")]
-            {
-                _mm256_fmadd_pd(a, x, acc)
-            }
-        }
-    }
-
-    simd_fn! {
-        /// `acc + a·x + b·y` per lane, rounding exactly like
-        /// [`crate::simd::madd2`].
-        #[inline]
-        unsafe fn vmadd2(a: __m256d, x: __m256d, b: __m256d, y: __m256d, acc: __m256d) -> __m256d {
-            #[cfg(not(feature = "fma"))]
-            {
-                _mm256_add_pd(acc, _mm256_add_pd(_mm256_mul_pd(a, x), _mm256_mul_pd(b, y)))
-            }
-            #[cfg(feature = "fma")]
-            {
-                _mm256_fmadd_pd(a, x, _mm256_fmadd_pd(b, y, acc))
-            }
-        }
+    /// `acc + a·x + b·y` per lane, rounding exactly like
+    /// [`crate::simd::madd2`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn vmadd2(a: __m256d, x: __m256d, b: __m256d, y: __m256d, acc: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_add_pd(_mm256_mul_pd(a, x), _mm256_mul_pd(b, y)))
     }
 
     /// Rows handled per register-blocked pass: 8 vector accumulators (4 rows
@@ -376,12 +298,11 @@ pub(crate) mod avx2 {
     ///
     /// # Safety
     ///
-    /// AVX2 (and FMA under the `fma` feature) must be available. `a` must
+    /// AVX2 must be available. `a` must
     /// cover `m × n`, `x` `n × lanes`, `out` `m × lanes`, `bias` (if any)
     /// `m`; `full` must be a multiple of [`LANE_CHUNK`] and ≤ `lanes`.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn mul_chunks(
         a: &[f64],
         bias: Option<&[f64]>,
@@ -447,8 +368,7 @@ pub(crate) mod avx2 {
     ///
     /// As for [`mul_chunks`].
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn affine_chunks(
         a: &[f64],
         b: &[f64],
@@ -529,8 +449,7 @@ pub(crate) mod avx2 {
     ///
     /// As for [`affine_chunks`], with `bias` covering `m × lanes`.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn affine_panel_chunks(
         a: &[f64],
         b: &[f64],
@@ -605,10 +524,9 @@ pub(crate) mod avx2 {
     ///
     /// # Safety
     ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; the slices
+    /// AVX2 must be available; the slices
     /// must agree in length (checked by the dispatching caller).
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn fused_mul_add_span(
         base: &[f64],
         coef: &[f64],
@@ -635,36 +553,20 @@ pub(crate) mod avx2 {
     // ---- f32 arms: 8 single-precision lanes per 256-bit vector, so one ----
     // ---- vector covers a whole LANE_CHUNK — twice the f64 throughput.  ----
 
-    simd_fn! {
-        /// `acc + a·x` per f32 lane, rounding exactly like
-        /// [`crate::simd::madd_f32`].
-        #[inline]
-        unsafe fn vmadd_f32(a: __m256, x: __m256, acc: __m256) -> __m256 {
-            #[cfg(not(feature = "fma"))]
-            {
-                _mm256_add_ps(acc, _mm256_mul_ps(a, x))
-            }
-            #[cfg(feature = "fma")]
-            {
-                _mm256_fmadd_ps(a, x, acc)
-            }
-        }
+    /// `acc + a·x` per f32 lane, rounding exactly like
+    /// [`crate::simd::madd_f32`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn vmadd_f32(a: __m256, x: __m256, acc: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(a, x))
     }
 
-    simd_fn! {
-        /// `acc + a·x + b·y` per f32 lane, rounding exactly like
-        /// [`crate::simd::madd2_f32`].
-        #[inline]
-        unsafe fn vmadd2_f32(a: __m256, x: __m256, b: __m256, y: __m256, acc: __m256) -> __m256 {
-            #[cfg(not(feature = "fma"))]
-            {
-                _mm256_add_ps(acc, _mm256_add_ps(_mm256_mul_ps(a, x), _mm256_mul_ps(b, y)))
-            }
-            #[cfg(feature = "fma")]
-            {
-                _mm256_fmadd_ps(a, x, _mm256_fmadd_ps(b, y, acc))
-            }
-        }
+    /// `acc + a·x + b·y` per f32 lane, rounding exactly like
+    /// [`crate::simd::madd2_f32`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn vmadd2_f32(a: __m256, x: __m256, b: __m256, y: __m256, acc: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_add_ps(_mm256_mul_ps(a, x), _mm256_mul_ps(b, y)))
     }
 
     /// The f32 [`mul_chunks`]: one 8-lane vector per [`LANE_CHUNK`] chunk,
@@ -675,8 +577,7 @@ pub(crate) mod avx2 {
     ///
     /// As for [`mul_chunks`], with every slice in f32.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn mul_chunks_f32(
         a: &[f32],
         bias: Option<&[f32]>,
@@ -733,8 +634,7 @@ pub(crate) mod avx2 {
     ///
     /// As for [`affine_chunks`], with every slice in f32.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn affine_chunks_f32(
         a: &[f32],
         b: &[f32],
@@ -802,8 +702,7 @@ pub(crate) mod avx2 {
     ///
     /// As for [`affine_panel_chunks`], with every slice in f32.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn affine_panel_chunks_f32(
         a: &[f32],
         b: &[f32],
@@ -827,9 +726,10 @@ pub(crate) mod avx2 {
         let op = out.as_mut_ptr();
         let mut off = 0;
         // Two-chunk pass: each coefficient broadcast feeds both chunks'
-        // FMAs, halving the broadcast traffic that dominates this kernel at
-        // narrow panel widths (at 16 f32 lanes a row is just two vectors, so
-        // per-chunk broadcasting would re-load every `a`/`b` entry twice).
+        // multiply-adds, halving the broadcast traffic that dominates this
+        // kernel at narrow panel widths (at 16 f32 lanes a row is just two
+        // vectors, so per-chunk broadcasting would re-load every `a`/`b`
+        // entry twice).
         // Per-lane operation order is untouched — a lane still sees bias,
         // then the `a`-term before the `b`-term for each `j` in order.
         while off + 2 * LANE_CHUNK <= full {
@@ -920,10 +820,9 @@ pub(crate) mod avx2 {
     ///
     /// # Safety
     ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; the slices
+    /// AVX2 must be available; the slices
     /// must agree in length (checked by the dispatching caller).
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn fused_mul_add_span_f32(
         base: &[f32],
         coef: &[f32],
@@ -950,15 +849,13 @@ pub(crate) mod avx2 {
 
 /// NEON (aarch64) arm: 128-bit vectors, 2 f64 each, a [`crate::LANE_CHUNK`]
 /// of 8 lanes as four vectors. Operation order matches the scalar [`madd`] /
-/// [`madd2`] primitives in both the default and `fma` builds.
+/// [`madd2`] primitives.
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon {
     use core::arch::aarch64::{
         float32x4_t, float64x2_t, vaddq_f32, vaddq_f64, vdupq_n_f32, vdupq_n_f64, vld1q_f32,
         vld1q_f64, vmulq_f32, vmulq_f64, vst1q_f32, vst1q_f64,
     };
-    #[cfg(feature = "fma")]
-    use core::arch::aarch64::{vfmaq_f32, vfmaq_f64};
 
     use crate::panel::LANE_CHUNK;
 
@@ -972,14 +869,7 @@ pub(crate) mod neon {
     #[target_feature(enable = "neon")]
     #[inline]
     unsafe fn vmadd(a: float64x2_t, x: float64x2_t, acc: float64x2_t) -> float64x2_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f64(acc, vmulq_f64(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f64(acc, a, x)
-        }
+        vaddq_f64(acc, vmulq_f64(a, x))
     }
 
     /// `acc + a·x + b·y` per lane (see the scalar [`crate::simd::madd2`]).
@@ -992,14 +882,7 @@ pub(crate) mod neon {
         y: float64x2_t,
         acc: float64x2_t,
     ) -> float64x2_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f64(acc, vaddq_f64(vmulq_f64(a, x), vmulq_f64(b, y)))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f64(vfmaq_f64(acc, b, y), a, x)
-        }
+        vaddq_f64(acc, vaddq_f64(vmulq_f64(a, x), vmulq_f64(b, y)))
     }
 
     /// Single-matrix panel product over the full lane chunks `[0, full)`;
@@ -1252,14 +1135,7 @@ pub(crate) mod neon {
     #[target_feature(enable = "neon")]
     #[inline]
     unsafe fn vmadd_f32(a: float32x4_t, x: float32x4_t, acc: float32x4_t) -> float32x4_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f32(acc, vmulq_f32(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f32(acc, a, x)
-        }
+        vaddq_f32(acc, vmulq_f32(a, x))
     }
 
     /// `acc + a·x + b·y` per f32 lane (see [`crate::simd::madd2_f32`]).
@@ -1272,14 +1148,7 @@ pub(crate) mod neon {
         y: float32x4_t,
         acc: float32x4_t,
     ) -> float32x4_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f32(acc, vaddq_f32(vmulq_f32(a, x), vmulq_f32(b, y)))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f32(vfmaq_f32(acc, b, y), a, x)
-        }
+        vaddq_f32(acc, vaddq_f32(vmulq_f32(a, x), vmulq_f32(b, y)))
     }
 
     /// The f32 [`mul_chunks`]: two 4-lane vectors per chunk, two output rows

@@ -1,12 +1,8 @@
 //! Equivalence and invariant tests for the SIMD panel-kernel dispatch.
 //!
 //! The contract (see the `numeric::simd` docs): every dispatch arm produces
-//! bit-identical lanes — in the default build because all arms perform the
-//! same unfused per-lane operation sequence, and under the `fma` feature
-//! because all arms fuse identically. These tests therefore compare arms with
-//! `to_bits` equality in *both* builds; only comparisons against external
-//! (libm-based) references need feature-dependent bounds, and none of those
-//! live here.
+//! bit-identical lanes, because all arms perform the same per-lane operation
+//! sequence. These tests therefore compare arms with `to_bits` equality.
 
 use numeric::simd::{fused_mul_add_span_with, PanelKernel};
 use numeric::{affine_pair_apply_with, Matrix, Panel, LANE_CHUNK, PANEL_ALIGN};

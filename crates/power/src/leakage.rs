@@ -339,7 +339,7 @@ fn currents_span(
 /// requested and available) covers the full-vector prefix, the scalar
 /// [`leak_cell`] the tail. Every arm performs the same per-cell operation
 /// sequence, so a cell's current is bit-identical regardless of arm or
-/// position — see `numeric::simd` for the dispatch and `fma` contract.
+/// position — see `numeric::simd` for the dispatch contract.
 #[allow(clippy::too_many_arguments)]
 fn currents_span_with(
     kernel: PanelKernel,
@@ -407,7 +407,7 @@ fn leak_cell(c1: f64, c2: f64, igate: f64, a0: f64, e0: f64, temp_c: f64) -> f64
 /// form for instruction-level parallelism). The truncation error at
 /// `|d| = 0.05` is `0.05^8/8! ≈ 1e-15` relative — below one ulp of the full
 /// leakage expression. Accumulates through [`madd`] so the scalar and vector
-/// evaluations fuse identically under the `fma` feature.
+/// evaluations round identically.
 #[inline(always)]
 fn exp_delta(d: f64) -> f64 {
     let d2 = d * d;
@@ -428,22 +428,12 @@ mod leak_avx2 {
         _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd,
         _mm256_set1_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps,
     };
-    #[cfg(feature = "fma")]
-    use core::arch::x86_64::{_mm256_fmadd_pd, _mm256_fmadd_ps};
 
     /// `acc + a·x` per lane, rounding exactly like `numeric::simd::madd`.
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn vmadd(a: __m256d, x: __m256d, acc: __m256d) -> __m256d {
-        #[cfg(not(feature = "fma"))]
-        {
-            _mm256_add_pd(acc, _mm256_mul_pd(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            _mm256_fmadd_pd(a, x, acc)
-        }
+        _mm256_add_pd(acc, _mm256_mul_pd(a, x))
     }
 
     /// The vector body of `currents_span_with` over cells `[0, vec_len)`
@@ -451,11 +441,10 @@ mod leak_avx2 {
     ///
     /// # Safety
     ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; every slice
+    /// AVX2 must be available; every slice
     /// must cover at least `vec_len` cells.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn span(
         c1: &[f64],
         c2: &[f64],
@@ -468,8 +457,7 @@ mod leak_avx2 {
     ) {
         // One vector's worth of the per-cell pipeline; the caller interleaves
         // two of these per pass so the divide latency chains overlap.
-        #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-        #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+        #[target_feature(enable = "avx2")]
         #[inline]
         #[allow(clippy::too_many_arguments)]
         unsafe fn cell4(
@@ -525,18 +513,10 @@ mod leak_avx2 {
 
     /// `acc + a·x` per f32 lane, rounding exactly like
     /// `numeric::simd::madd_f32`.
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn vmadd_f32(a: __m256, x: __m256, acc: __m256) -> __m256 {
-        #[cfg(not(feature = "fma"))]
-        {
-            _mm256_add_ps(acc, _mm256_mul_ps(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            _mm256_fmadd_ps(a, x, acc)
-        }
+        _mm256_add_ps(acc, _mm256_mul_ps(a, x))
     }
 
     /// The f32 vector body of `currents_span_with_f32` over cells
@@ -545,11 +525,10 @@ mod leak_avx2 {
     ///
     /// # Safety
     ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; every slice
+    /// AVX2 must be available; every slice
     /// must cover at least `vec_len` cells.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn span_f32(
         c1: &[f32],
         c2: &[f32],
@@ -562,8 +541,7 @@ mod leak_avx2 {
     ) {
         // One vector's worth (8 cells) of the per-cell f32 pipeline,
         // operation order identical to `leak_cell_f32` per lane.
-        #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-        #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+        #[target_feature(enable = "avx2")]
         #[inline]
         #[allow(clippy::too_many_arguments)]
         unsafe fn cell8(
@@ -615,11 +593,10 @@ mod leak_avx2 {
     ///
     /// # Safety
     ///
-    /// AVX2 (and FMA under the `fma` feature) must be available; every slice
+    /// AVX2 must be available; every slice
     /// must cover at least `vec_len` cells.
     #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-    #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn span_gathered_f32(
         c1: &[f32],
         c2: &[f32],
@@ -633,8 +610,7 @@ mod leak_avx2 {
     ) {
         // One vector's worth (8 cells), identical to `span_f32`'s `cell8`
         // except the temperature load is the two-panel sum.
-        #[cfg_attr(not(feature = "fma"), target_feature(enable = "avx2"))]
-        #[cfg_attr(feature = "fma", target_feature(enable = "avx2", enable = "fma"))]
+        #[target_feature(enable = "avx2")]
         #[inline]
         #[allow(clippy::too_many_arguments)]
         unsafe fn cell8(
@@ -694,21 +670,12 @@ mod leak_neon {
         vdupq_n_f64, vld1q_f32, vld1q_f64, vmulq_f32, vmulq_f64, vst1q_f32, vst1q_f64, vsubq_f32,
         vsubq_f64,
     };
-    #[cfg(feature = "fma")]
-    use core::arch::aarch64::{vfmaq_f32, vfmaq_f64};
 
     /// `acc + a·x` per lane, rounding exactly like `numeric::simd::madd`.
     #[target_feature(enable = "neon")]
     #[inline]
     unsafe fn vmadd(a: float64x2_t, x: float64x2_t, acc: float64x2_t) -> float64x2_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f64(acc, vmulq_f64(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f64(acc, a, x)
-        }
+        vaddq_f64(acc, vmulq_f64(a, x))
     }
 
     /// The vector body of `currents_span_with` over cells `[0, vec_len)`
@@ -764,14 +731,7 @@ mod leak_neon {
     #[target_feature(enable = "neon")]
     #[inline]
     unsafe fn vmadd_f32(a: float32x4_t, x: float32x4_t, acc: float32x4_t) -> float32x4_t {
-        #[cfg(not(feature = "fma"))]
-        {
-            vaddq_f32(acc, vmulq_f32(a, x))
-        }
-        #[cfg(feature = "fma")]
-        {
-            vfmaq_f32(acc, a, x)
-        }
+        vaddq_f32(acc, vmulq_f32(a, x))
     }
 
     /// The f32 vector body of `currents_span_with_f32` over cells
@@ -1232,8 +1192,8 @@ fn leak_cell_f32(c1: f32, c2: f32, igate: f32, a0: f32, e0: f32, temp_c: f32) ->
 /// polynomial: the truncation error `0.1⁵/5! ≈ 8.3e-8` stays below f32
 /// epsilon even at the doubled f32 re-anchor horizon, so the extra terms of
 /// the f64 panel's degree-7 form would only burn latency. Accumulates
-/// through [`madd_f32`] so scalar and vector evaluations fuse identically
-/// under the `fma` feature.
+/// through [`madd_f32`] so scalar and vector evaluations round
+/// identically.
 #[inline(always)]
 fn exp_delta_f32(d: f32) -> f32 {
     let d2 = d * d;
@@ -1386,20 +1346,6 @@ impl LeakageModel {
 mod tests {
     use super::*;
 
-    /// In the default build the panel reproduces [`LeakageModel::current_a`]
-    /// bit for bit at the anchor. Under the `fma` feature the panel's final
-    /// accumulate fuses while `current_a` (libm form) does not, so the
-    /// contract relaxes to a few ulps.
-    fn assert_current_matches(got: f64, want: f64, ctx: &str) {
-        #[cfg(not(feature = "fma"))]
-        assert_eq!(got, want, "{ctx}");
-        #[cfg(feature = "fma")]
-        {
-            let ulps = (got.to_bits() as i64 - want.to_bits() as i64).abs();
-            assert!(ulps <= 4, "{ctx}: {got} vs {want} ({ulps} ulps)");
-        }
-    }
-
     #[test]
     fn currents_batch_is_bit_identical_to_scalar() {
         let model = LeakageModel::exynos5410_big();
@@ -1426,11 +1372,11 @@ mod tests {
         panel.anchor_row(1, &temps);
         panel.currents_row_into(0, &temps, &mut out);
         for (k, &t) in temps.iter().enumerate() {
-            assert_current_matches(out[k], big.current_a(t), &format!("big lane {k}"));
+            assert_eq!(out[k], big.current_a(t), "big lane {k}");
         }
         panel.currents_row_into(1, &temps, &mut out);
         for (k, &t) in temps.iter().enumerate() {
-            assert_current_matches(out[k], gpu.current_a(t), &format!("gpu lane {k}"));
+            assert_eq!(out[k], gpu.current_a(t), "gpu lane {k}");
         }
     }
 
@@ -1472,7 +1418,7 @@ mod tests {
         panel.currents_into(&temps, &mut out);
         for (k, &i) in out.iter().enumerate() {
             assert!(i.is_finite(), "cell {k} must be finite without anchoring");
-            assert_current_matches(i, model.current_a(52.0), &format!("cell {k}"));
+            assert_eq!(i, model.current_a(52.0), "cell {k}");
         }
     }
 
@@ -1493,7 +1439,7 @@ mod tests {
         panel.set_model(0, 1, &gpu, 61.0);
         panel.currents_row_into(0, &[48.3, 61.0, 48.3], &mut out);
         assert!(out.iter().all(|i| i.is_finite()));
-        assert_current_matches(out[1], gpu.current_a(61.0), "admitted lane is exact");
+        assert_eq!(out[1], gpu.current_a(61.0), "admitted lane is exact");
         // Neighbouring lanes keep tracking the old model within drift budget.
         let exact = big.current_a(48.3);
         for &lane in &[0usize, 2] {
@@ -1505,8 +1451,7 @@ mod tests {
     #[test]
     fn currents_kernel_arms_are_bit_identical() {
         // All dispatch arms perform the same per-cell operation sequence, so
-        // they must agree to the bit in both the default and `fma` builds —
-        // including at awkward span lengths that exercise the vector tail.
+        // they must agree to the bit — including at awkward span lengths that exercise the vector tail.
         let big = LeakageModel::exynos5410_big();
         let gpu = LeakageModel::exynos5410_gpu();
         for lanes in [1, 2, 3, 4, 5, 7, 8, 13] {

@@ -2,21 +2,16 @@
 //! cadences.
 //!
 //! Two layers of contract: (1) every dispatch arm is bit-identical to forced
-//! scalar in both the default and `fma` builds (all arms perform the same
-//! per-cell operation sequence); (2) against the libm-based
-//! `LeakageModel::current_a` reference, the anchored panel tracks within
-//! floating-point rounding across a whole re-anchor period — exactly the
-//! documented drift bound in the default build, a few ulps looser under
-//! `fma` where the panel fuses and libm does not.
+//! scalar (all arms perform the same per-cell operation sequence); (2)
+//! against the libm-based `LeakageModel::current_a` reference, the anchored
+//! panel tracks within floating-point rounding across a whole re-anchor
+//! period — exactly the documented drift bound.
 
 use numeric::simd::PanelKernel;
 use power_model::{LeakageModel, LeakagePanel, LeakageParams};
 use proptest::prelude::*;
 
-#[cfg(not(feature = "fma"))]
 const REL_BOUND: f64 = 5e-15;
-#[cfg(feature = "fma")]
-const REL_BOUND: f64 = 1e-14;
 
 fn models() -> [LeakageModel; 4] {
     [

@@ -12,16 +12,14 @@
 //!   identified thermal model and the run-time power model.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
-use dtpm::{BatchPredictor, DtpmConfig, DtpmInputs, DtpmPolicy};
+use dtpm::{DtpmConfig, DtpmInputs, DtpmPolicy};
 use governors::{
     CpufreqGovernor, FanController, GovernorInput, HotplugGovernor, OndemandGovernor,
     ReactiveThrottler,
 };
-use power_model::{DomainPower, PowerModel};
+use power_model::PowerModel;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec};
-use thermal_model::HorizonMap;
 use workload::{BenchmarkId, Demand, WorkloadState};
 
 use crate::calibrate::Calibration;
@@ -176,8 +174,8 @@ impl ExperimentConfig {
 
 /// What one retired run reports through the streaming pipeline: its always-
 /// streamed [`RunSummary`] plus whatever trajectory its observer retained
-/// (full under [`TracePolicy::Full`], coarse under
-/// [`TracePolicy::Decimated`], none under [`TracePolicy::SummaryOnly`]).
+/// (full under [`TracePolicy::Full`], none under
+/// [`TracePolicy::SummaryOnly`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The streamed per-run summary (O(1) in the run length).
@@ -188,8 +186,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Converts a trace-retaining report into the classic
-    /// [`SimulationResult`]. Under [`TracePolicy::Decimated`] the result's
-    /// trace is the retained coarse one.
+    /// [`SimulationResult`].
     ///
     /// # Panics
     ///
@@ -289,7 +286,7 @@ struct ControlLoop {
     steps_taken: usize,
 }
 
-/// One control interval's decisions, handed from [`ControlLoop::complete`]
+/// One control interval's decisions, handed from [`ControlLoop::decide`]
 /// to the plant step and back into [`ControlLoop::absorb`].
 #[derive(Debug, Clone)]
 struct IntervalDecision {
@@ -297,34 +294,6 @@ struct IntervalDecision {
     fan_level: FanLevel,
     predicted_peak_c: Option<f64>,
     intervened: bool,
-}
-
-/// A lane's control decision staged up to — but not including — the thermal
-/// classification of the governors' proposal ([`ControlLoop::stage`]).
-///
-/// Splitting here is what lets the executor classify *all* lanes' proposals
-/// with one batched panel prediction before any lane pays for the scalar
-/// actuation walk.
-#[derive(Debug)]
-enum Staged {
-    /// The decision needed no prediction (non-DTPM kinds): ready to step.
-    Ready(IntervalDecision),
-    /// A DTPM lane awaiting its proposal's predicted peak.
-    Classify(ClassifyRequest),
-}
-
-/// The prediction inputs a staged DTPM lane hands the (batched) classifier.
-#[derive(Debug)]
-struct ClassifyRequest {
-    demand: Demand,
-    proposal: PlatformState,
-    /// The power vector the proposal implies
-    /// ([`DtpmPolicy::proposal_powers`]).
-    proposed_powers: DomainPower,
-    /// Predicted peak at the horizon, filled in by the batched pre-pass;
-    /// `None` falls back to the (bit-identical) scalar prediction in
-    /// [`ControlLoop::complete`].
-    peak_c: Option<f64>,
 }
 
 impl ControlLoop {
@@ -492,12 +461,10 @@ impl ControlLoop {
         proposal
     }
 
-    /// Phase 1 of this interval's control decisions: workload demand,
-    /// governor proposal, and the configuration-specific thermal management
-    /// *up to* the thermal classification. Non-DTPM kinds complete outright
-    /// ([`Staged::Ready`]); a DTPM lane feeds the run-time power model,
-    /// assembles its proposal's power vector and returns a
-    /// [`Staged::Classify`] request for the (batched) predictor.
+    /// This interval's control decisions: workload demand, governor
+    /// proposal and the configuration-specific thermal management. A DTPM
+    /// lane feeds the run-time power model and lets [`DtpmPolicy::decide`]
+    /// predict the proposal's peak one horizon ahead and affirm or actuate.
     ///
     /// # Errors
     ///
@@ -505,7 +472,7 @@ impl ControlLoop {
     /// [`SimError::Sensor`] when an invalid reading reaches the decision
     /// boundary unscreened, or when the chain is unreliable and the degraded
     /// fallback is disabled.
-    fn stage(&mut self) -> Result<Staged, SimError> {
+    fn decide(&mut self) -> Result<IntervalDecision, SimError> {
         // Executor-fault injection for containment testing: fires (panics)
         // only when the run's config carries an armed chaos plan.
         if let Some(chaos) = &self.config.chaos {
@@ -542,12 +509,12 @@ impl ControlLoop {
             );
             let intervened = throttled != state.big_frequency;
             state.big_frequency = throttled;
-            return Ok(Staged::Ready(self.commit(demand, state, None, intervened)));
+            return Ok(self.commit(demand, state, None, intervened));
         }
 
         match self.config.kind {
             ExperimentKind::DefaultWithFan | ExperimentKind::WithoutFan => {
-                Ok(Staged::Ready(self.commit(demand, proposal, None, false)))
+                Ok(self.commit(demand, proposal, None, false))
             }
             ExperimentKind::Reactive => {
                 let mut state = proposal;
@@ -558,7 +525,7 @@ impl ControlLoop {
                 );
                 let intervened = throttled != state.big_frequency;
                 state.big_frequency = throttled;
-                Ok(Staged::Ready(self.commit(demand, state, None, intervened)))
+                Ok(self.commit(demand, state, None, intervened))
             }
             ExperimentKind::Dtpm => {
                 // Feed the run-time power model with the latest sensor data
@@ -586,63 +553,24 @@ impl ControlLoop {
                     .dtpm_policy
                     .as_ref()
                     .expect("DTPM configuration always constructs a policy");
-                let inputs = DtpmInputs {
-                    spec: &self.spec,
-                    proposed: proposal,
-                    core_temps_c: self.readings.core_temps_c,
-                    measured_power: self.readings.domain_power,
-                };
-                let proposed_powers = policy.proposal_powers(&inputs, &self.power_model)?;
-                Ok(Staged::Classify(ClassifyRequest {
+                let decision = policy.decide(
+                    &DtpmInputs {
+                        spec: &self.spec,
+                        proposed: proposal,
+                        core_temps_c: self.readings.core_temps_c,
+                        measured_power: self.readings.domain_power,
+                    },
+                    &self.power_model,
+                )?;
+                let intervened = decision.action != dtpm::DtpmAction::Affirmed;
+                Ok(self.commit(
                     demand,
-                    proposal: inputs.proposed,
-                    proposed_powers,
-                    peak_c: None,
-                }))
+                    decision.state,
+                    Some(decision.predicted_peak_c),
+                    intervened,
+                ))
             }
         }
-    }
-
-    /// Phase 2: resolves a staged decision. A classify request whose peak
-    /// the batched pre-pass already predicted goes straight to the policy's
-    /// affirm-or-actuate resolution; without one, the scalar horizon-map
-    /// prediction (bit-identical to the batched path) fills in first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform and DTPM errors.
-    fn complete(&mut self, staged: Staged) -> Result<IntervalDecision, SimError> {
-        let request = match staged {
-            Staged::Ready(decision) => return Ok(decision),
-            Staged::Classify(request) => request,
-        };
-        let policy = self
-            .dtpm_policy
-            .as_ref()
-            .expect("only DTPM lanes stage classify requests");
-        let peak_c = match request.peak_c {
-            Some(peak_c) => peak_c,
-            None => policy.predictor().predict_peak_with(
-                self.readings.core_temps_c,
-                &request.proposed_powers,
-                policy.horizon_map(),
-            )?,
-        };
-        let inputs = DtpmInputs {
-            spec: &self.spec,
-            proposed: request.proposal,
-            core_temps_c: self.readings.core_temps_c,
-            measured_power: self.readings.domain_power,
-        };
-        let decision =
-            policy.resolve(&inputs, &self.power_model, &request.proposed_powers, peak_c)?;
-        let intervened = decision.action != dtpm::DtpmAction::Affirmed;
-        Ok(self.commit(
-            request.demand,
-            decision.state,
-            Some(decision.predicted_peak_c),
-            intervened,
-        ))
     }
 
     /// The shared tail of a decision: fan control (only meaningful in the
@@ -666,29 +594,6 @@ impl ControlLoop {
             predicted_peak_c,
             intervened: intervened || enforced,
         }
-    }
-
-    /// Stages and completes this interval's decision in one call, with the
-    /// scalar (single-lane) classification — the path the executor's
-    /// mid-interval admissions use. Batched execution goes through
-    /// [`ControlLoop::stage`] / [`ControlLoop::complete`] instead; the two
-    /// are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform and DTPM errors.
-    fn decide(&mut self) -> Result<IntervalDecision, SimError> {
-        let staged = self.stage()?;
-        self.complete(staged)
-    }
-
-    /// The batched-classify identity of this lane: the policy's shared
-    /// horizon map and the ambient temperature its predictor is referenced
-    /// to. `None` for non-DTPM kinds.
-    fn classify_key(&self) -> Option<(&Arc<HorizonMap>, f64)> {
-        self.dtpm_policy
-            .as_ref()
-            .map(|policy| (policy.horizon_map(), policy.predictor().ambient_c()))
     }
 
     /// Folds one plant interval back into the loop: workload progress, energy
@@ -726,8 +631,7 @@ impl ControlLoop {
 
         // Stream the interval through the observers instead of accumulating:
         // the online stats always fold it in (O(1) state), the policy's
-        // tracer retains what its mode calls for (everything, every k-th
-        // record, or nothing).
+        // tracer retains what its mode calls for (everything or nothing).
         let record = TraceRecord {
             time_s: self.time_s,
             core_temps_c: self.readings.core_temps_c,
@@ -788,9 +692,7 @@ struct LaneSlot {
     /// `None` once the lane has retired its scenario (and no replacement was
     /// admitted from the work queue).
     control: Option<ControlLoop>,
-    /// This interval's staged decision, between stage and complete.
-    staged: Option<Staged>,
-    /// This interval's decision, between complete and absorb.
+    /// This interval's decision, between decide and absorb.
     decision: Option<IntervalDecision>,
     /// The plant inputs replayed while the lane idles, captured once when
     /// its scenario retires: the final platform state with idle demand and
@@ -808,102 +710,7 @@ impl LaneSlot {
             slot,
             frozen: frozen_inputs(&control),
             control: Some(control),
-            staged: None,
             decision: None,
-        }
-    }
-}
-
-/// The batched classification pre-pass of [`drive_engine`]'s decide phase.
-///
-/// Every staged DTPM lane wants the same thing classified — "does my
-/// proposal's power vector violate the constraint at the horizon?" — and in
-/// a sweep all lanes cloned from one calibration share one horizon map, so
-/// the pre-pass assembles their `(temperatures, proposed powers)` into a
-/// [`BatchPredictor`] panel and predicts **all lanes with one fused panel
-/// application**: the `(Aₙ, Bₙ)` matrices are loaded once per control
-/// interval for the whole batch instead of once per lane. Panel predictions
-/// are bit-identical per lane to the scalar path, so lanes left out of a
-/// batch (a rare mixed-horizon sweep, non-DTPM lanes) simply fall back to
-/// the scalar prediction in [`ControlLoop::complete`] with no behavioural
-/// difference.
-struct DecidePrepass {
-    batch: Option<BatchPredictor>,
-    /// Lane indices that joined the current interval's batch (reused across
-    /// intervals, so the pre-pass allocates nothing in steady state).
-    joined: Vec<usize>,
-}
-
-impl DecidePrepass {
-    fn new() -> Self {
-        DecidePrepass {
-            batch: None,
-            joined: Vec::new(),
-        }
-    }
-
-    /// Classifies the staged DTPM lanes in one panel prediction, writing
-    /// each member lane's predicted peak into its [`ClassifyRequest`].
-    fn classify(&mut self, lanes: &mut [LaneSlot]) {
-        // One pass loads every staged DTPM lane into the panel, anchoring
-        // the batch on the first such lane's (shared) map: lanes whose key
-        // matches the anchor join; the rest keep their scalar fallback.
-        self.joined.clear();
-        let mut anchor: Option<(Arc<HorizonMap>, f64)> = None;
-        for (index, lane) in lanes.iter().enumerate() {
-            if !matches!(&lane.staged, Some(Staged::Classify(_))) {
-                continue;
-            }
-            let Some((map, ambient_c)) = lane.control.as_ref().and_then(ControlLoop::classify_key)
-            else {
-                continue;
-            };
-            match &anchor {
-                Some((anchor_map, anchor_ambient)) => {
-                    if !Arc::ptr_eq(anchor_map, map) || *anchor_ambient != ambient_c {
-                        continue;
-                    }
-                }
-                None => {
-                    let width = lanes.len();
-                    let stale = self.batch.as_ref().is_none_or(|batch| {
-                        !Arc::ptr_eq(batch.map(), map)
-                            || batch.ambient_c() != ambient_c
-                            || batch.lanes() != width
-                    });
-                    if stale {
-                        // A non-hotspot-shaped map cannot be panelised; every
-                        // lane then keeps its scalar fallback (cannot happen
-                        // for policy-built maps).
-                        self.batch = BatchPredictor::new(Arc::clone(map), ambient_c, width).ok();
-                    }
-                    if self.batch.is_none() {
-                        return;
-                    }
-                    anchor = Some((Arc::clone(map), ambient_c));
-                }
-            }
-            let batch = self.batch.as_mut().expect("anchored batches exist");
-            let control = lane.control.as_ref().expect("staged lanes hold a control");
-            let Some(Staged::Classify(request)) = &lane.staged else {
-                unreachable!("membership was just checked");
-            };
-            batch.set_lane(
-                index,
-                control.readings.core_temps_c,
-                &request.proposed_powers,
-            );
-            self.joined.push(index);
-        }
-        let Some(batch) = self.batch.as_mut().filter(|_| !self.joined.is_empty()) else {
-            return;
-        };
-        batch.predict();
-        for &index in &self.joined {
-            let Some(Staged::Classify(request)) = &mut lanes[index].staged else {
-                unreachable!("joined lanes hold a classify request");
-            };
-            request.peak_c = Some(batch.peak_c(index));
         }
     }
 }
@@ -959,16 +766,14 @@ fn lane_input(lane: &LaneSlot) -> LaneInput<'_> {
 ///
 /// Per control interval the executor
 ///
-/// 1. **retires** lanes whose scenario is done (publishing the result),
-///    **admits** a replacement scenario from `next` into each freed lane
-///    (retire → compact → admit; the lane restarts at the new scenario's
-///    initial state via [`PlantEngine::admit`]), and resolves every live
-///    lane's control decision in two phases: each lane **stages** its
-///    decision up to the thermal classification, one batched panel
-///    prediction classifies every staged DTPM proposal at once
-///    ([`DecidePrepass`]), and each lane **completes** — affirmed lanes (the
-///    steady-state common case) finish with zero per-lane mat-vecs, only
-///    violating lanes walk the scalar actuation list,
+/// 1. walks the lanes once: each lane **retires** its scenario when it is
+///    done (publishing the result), **admits** a replacement from `next`
+///    into a freed lane (retire → compact → admit; the lane restarts at the
+///    new scenario's initial state via [`PlantEngine::admit`]), and
+///    **decides** its next interval ([`ControlLoop::decide`]; a DTPM lane
+///    predicts its proposal one horizon ahead through its own policy). A
+///    lane whose decision fails retires on the spot and admits the next
+///    queued scenario in its place,
 /// 2. advances the engine by one interval with per-lane inputs (idle lanes
 ///    replay their frozen inputs), and
 /// 3. absorbs the per-lane plant steps back into the control loops.
@@ -988,7 +793,7 @@ fn lane_input(lane: &LaneSlot) -> LaneInput<'_> {
 /// queue, so no result slot is ever left unfilled.
 ///
 /// **Cell-level fault containment.** Every per-lane control-loop call
-/// (stage, classify-complete, decide, absorb, finish) runs under
+/// (decide, absorb, finish) runs under
 /// `catch_unwind`: a panicking cell retires with a structured
 /// [`SimError::Panicked`] — its partially-mutated control loop is discarded
 /// whole — while sibling lanes continue untouched (lanes are strictly
@@ -1011,9 +816,9 @@ fn drive_engine<E, N, P>(
 {
     debug_assert_eq!(engine.lanes(), lanes.len(), "engine width matches lanes");
     let mut steps: Vec<Result<PlantStep, SimError>> = Vec::with_capacity(lanes.len());
-    let mut prepass = DecidePrepass::new();
     loop {
-        // Phase 1a: retire → admit → stage, per lane.
+        // Phase 1: retire → admit → decide, per lane.
+        let mut any_active = false;
         for (index, lane) in lanes.iter_mut().enumerate() {
             loop {
                 match lane.control.as_mut() {
@@ -1049,87 +854,34 @@ fn drive_engine<E, N, P>(
                         // Fall through to the admission arm.
                     }
                     Some(control) => {
-                        let staged = catch_unwind(AssertUnwindSafe(|| control.stage()))
+                        let decided = catch_unwind(AssertUnwindSafe(|| control.decide()))
                             .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
-                        match staged {
-                            Ok(staged) => lane.staged = Some(staged),
+                        match decided {
+                            Ok(decision) => {
+                                lane.decision = Some(decision);
+                                any_active = true;
+                                break;
+                            }
                             Err(e) => {
                                 lane.frozen = frozen_inputs(control);
                                 publish(lane.slot, Err(e));
                                 lane.control = None;
-                                // Retired on error: try to admit a
-                                // replacement scenario right away.
-                                continue;
+                                // Fall through to the admission arm.
                             }
                         }
-                        break;
                     }
                     None => match next() {
                         Some((slot, control)) => {
                             engine.admit(index, control.config.plant);
                             lane.slot = slot;
                             lane.control = Some(control);
-                            lane.staged = None;
-                            lane.decision = None;
                             // `frozen` still holds the previous occupant's
                             // retire snapshot; every retire path recaptures
                             // it before this lane can idle again.
-                            // Loop back so the fresh scenario stages now.
+                            // Loop back so the fresh scenario decides now.
                         }
                         None => break,
                     },
-                }
-            }
-        }
-
-        // Phase 1b: one batched panel prediction classifies every staged
-        // DTPM proposal (the horizon matrices are loaded once for all
-        // lanes); affirmed lanes will complete without any per-lane
-        // mat-vecs.
-        prepass.classify(lanes);
-
-        // Phase 1c: complete the staged decisions. A lane failing here is
-        // retired like a stage failure, and replacement scenarios admitted
-        // mid-interval decide through the (bit-identical) scalar path.
-        let mut any_active = false;
-        for (index, lane) in lanes.iter_mut().enumerate() {
-            let Some(staged) = lane.staged.take() else {
-                continue;
-            };
-            let control = lane.control.as_mut().expect("staged lanes hold a control");
-            let completed = catch_unwind(AssertUnwindSafe(|| control.complete(staged)))
-                .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
-            match completed {
-                Ok(decision) => {
-                    lane.decision = Some(decision);
-                    any_active = true;
-                    continue;
-                }
-                Err(e) => {
-                    lane.frozen = frozen_inputs(control);
-                    publish(lane.slot, Err(e));
-                    lane.control = None;
-                }
-            }
-            // Retired on error: admit and decide replacements until one
-            // survives its first decision or the queue runs dry.
-            while let Some((slot, control)) = next() {
-                engine.admit(index, control.config.plant);
-                lane.slot = slot;
-                let control = lane.control.insert(control);
-                let decided = catch_unwind(AssertUnwindSafe(|| control.decide()))
-                    .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
-                match decided {
-                    Ok(decision) => {
-                        lane.decision = Some(decision);
-                        any_active = true;
-                        break;
-                    }
-                    Err(e) => {
-                        lane.frozen = frozen_inputs(control);
-                        publish(lane.slot, Err(e));
-                        lane.control = None;
-                    }
                 }
             }
         }
@@ -1364,8 +1116,8 @@ impl ScenarioSweep {
         self
     }
 
-    /// Sets what each run retains per interval: full traces (the default),
-    /// decimated coarse traces, or streamed summaries only — the knob that
+    /// Sets what each run retains per interval: full traces (the default)
+    /// or streamed summaries only — the knob that
     /// decouples a campaign's memory footprint from its scenario count.
     /// [`TracePolicy::SummaryOnly`] requires streaming through
     /// [`ScenarioSweep::run_into`]; [`ScenarioSweep::run`] builds its
@@ -1426,8 +1178,7 @@ impl ScenarioSweep {
     /// sweep runs under its trace-retaining [`ScenarioSweep::with_recording`]
     /// policy into a [`CollectSink`] and the collected reports become
     /// [`SimulationResult`]s — under the default [`TracePolicy::Full`],
-    /// memory scales as scenarios × intervals (a
-    /// [`TracePolicy::Decimated`] sweep's results carry the coarse traces).
+    /// memory scales as scenarios × intervals.
     /// Campaigns that only need per-run summaries should stream through
     /// [`ScenarioSweep::run_into`] with [`TracePolicy::SummaryOnly`]
     /// instead, which retains O(1) per scenario.

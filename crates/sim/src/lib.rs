@@ -31,8 +31,8 @@
 //! * [`trace`], [`metrics`] — per-interval logging, CSV export and the
 //!   power/performance/stability summaries the figures are built from.
 //! * [`observer`] — the streaming result seam: every absorbed interval flows
-//!   through a [`observer::RunObserver`] (full-trace, decimated, or
-//!   summary-only retention) and every run produces an O(1)
+//!   through a [`observer::RunObserver`] (full-trace or summary-only
+//!   retention) and every run produces an O(1)
 //!   [`metrics::RunSummary`] from online accumulators.
 //! * [`campaign`] — declarative sweep campaigns: a
 //!   [`campaign::SweepSpec`] grid (kinds × benchmarks × ambients ×
@@ -64,8 +64,6 @@
 //!   `threads × lanes` total parallelism.
 //! * [`batch`] — the structure-of-arrays [`batch::BatchPlant`]: K plants
 //!   advanced in lockstep, one scenario per panel column.
-//! * [`naive`] — the checked-in naive baseline of the plant integrator, kept
-//!   for benchmarking and trajectory-equivalence tests.
 //! * [`resilience`] — the robustness layer for long campaigns: atomic
 //!   checkpoint/resume ([`resilience::CampaignCheckpoint`] /
 //!   [`resilience::CheckpointSink`]), the deterministic canonical-order
@@ -93,9 +91,9 @@
 //!   (`PlantPowerParams::memory_base_w`); no leakage model is evaluated for
 //!   the memory domain.
 //!
-//! The `plant_step` Criterion bench in the `bench` crate measures this engine
-//! against [`naive::NaivePhysicalPlant`] (acceptance bar: ≥ 5× micro-steps
-//! per second) and cross-checks that both produce the same trajectory.
+//! `tests/equivalence.rs` holds this engine to a naive copy of the original
+//! allocating loop, kept in the test tree, and the campaign benchmark's
+//! `engine.scalar-1.*` probe measures it end to end.
 //!
 //! # Batched scenario execution
 //!
@@ -126,15 +124,12 @@
 //! eight lanes; the floor and the last measurement are recorded in
 //! `BENCH_sweep_step.json`.
 //!
-//! The *decision* side is batched too: each interval the executor stages
-//! every lane's decision up to the thermal classification, then one fused
-//! panel application of the precomputed horizon map
-//! ([`dtpm::BatchPredictor`]) classifies all DTPM proposals at once —
-//! bit-identical per lane to the scalar predictor, so only lanes actually
-//! predicted to violate pay the scalar actuation walk. The `sweep_decide`
-//! bench compares the batched two-phase decide with the per-lane iterated
-//! path on a control-heavy sweep; its floor and last measurement are in
-//! `BENCH_sweep_decide.json`.
+//! The *decision* side stays per lane: each DTPM lane predicts its proposal
+//! one horizon ahead with a single application of the precomputed horizon
+//! map ([`dtpm::DtpmPolicy::decide`]), a 4×4 affine map that costs little
+//! next to the lane's plant step, so the executor does not batch it. The
+//! `sweep_decide` bench compares batched ([`dtpm::BatchPredictor`]) and
+//! iterated classification at the `dtpm` level (`BENCH_sweep_decide.json`).
 //!
 //! # The `PlantEngine` seam and the one executor
 //!
@@ -198,8 +193,7 @@
 //! grids: retained memory is O(cells) instead of O(cells × intervals) — the
 //! `sweep_campaign` bench measures the retention ratio on a 200-cell grid
 //! (`BENCH_sweep_campaign.json`), and the gap grows linearly with run
-//! length ([`observer::TracePolicy::Decimated`] sits in between with coarse
-//! trajectories). Scenario count is bounded by compute, not memory.
+//! length. Scenario count is bounded by compute, not memory.
 //!
 //! # Robustness: faults, the safety ladder, graceful degradation
 //!
@@ -264,7 +258,6 @@ pub mod experiment;
 pub mod faults;
 pub mod metrics;
 pub mod mixed;
-pub mod naive;
 pub mod observer;
 pub mod plant;
 pub mod resilience;
@@ -289,8 +282,7 @@ pub use experiment::{
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow, SensorChannel};
 pub use metrics::{BenchmarkComparison, RunSummary, StabilityReport};
 pub use mixed::MixedBatchPlant;
-pub use naive::NaivePhysicalPlant;
-pub use observer::{DecimatedTrace, OnlineRunStats, RunObserver, TracePolicy};
+pub use observer::{OnlineRunStats, RunObserver, TracePolicy};
 pub use plant::{PhysicalPlant, PlantPowerParams};
 pub use resilience::{
     CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,

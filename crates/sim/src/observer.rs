@@ -10,12 +10,10 @@
 //! interval through a [`RunObserver`], and what a run retains is whatever its
 //! observer chose to keep.
 //!
-//! Three observers cover the spectrum:
+//! Two observers cover the spectrum:
 //!
 //! * [`Trace`] itself implements [`RunObserver`] — full per-interval
 //!   retention, the classic [`crate::SimulationResult`] path.
-//! * [`DecimatedTrace`] keeps every k-th record (plus the final one), a
-//!   coarse trajectory for sinks that want plots without the memory bill.
 //! * [`OnlineRunStats`] retains nothing per-interval: it folds each record
 //!   into O(1) state (Welford mean/variance and running min/max via
 //!   [`numeric::Welford`], running power sum, intervention/residency
@@ -73,76 +71,6 @@ impl RunObserver for Trace {
 
     fn finish(&mut self) -> Option<Trace> {
         Some(std::mem::take(self))
-    }
-}
-
-/// A decimating trace observer: retains every `every`-th record plus the
-/// final one, so sinks that want coarse trajectories (plots, spot checks) pay
-/// `intervals / every` records instead of all of them.
-///
-/// The retained records keep their original `time_s`, so a decimated trace
-/// plots on the same axis as a full one; rate metrics
-/// ([`Trace::intervention_rate`] and friends) computed *on* the decimated
-/// trace are of course estimates over the kept sample.
-#[derive(Debug, Clone)]
-pub struct DecimatedTrace {
-    every: usize,
-    seen: usize,
-    kept: Trace,
-    last: Option<TraceRecord>,
-}
-
-impl DecimatedTrace {
-    /// Keeps every `every`-th record (clamped to at least 1 — every record).
-    pub fn new(every: usize) -> DecimatedTrace {
-        DecimatedTrace {
-            every: every.max(1),
-            seen: 0,
-            kept: Trace::new(),
-            last: None,
-        }
-    }
-
-    /// The decimation factor.
-    pub fn every(&self) -> usize {
-        self.every
-    }
-
-    /// Records observed so far (not the records kept).
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Consumes the observer into the retained coarse trace, appending the
-    /// final record if decimation would have dropped it.
-    pub fn into_trace(mut self) -> Trace {
-        self.take_trace()
-    }
-
-    fn take_trace(&mut self) -> Trace {
-        let mut kept = std::mem::take(&mut self.kept);
-        if let Some(last) = self.last.take() {
-            if self.seen > 0 && !(self.seen - 1).is_multiple_of(self.every) {
-                kept.push(last);
-            }
-        }
-        self.seen = 0;
-        kept
-    }
-}
-
-impl RunObserver for DecimatedTrace {
-    fn on_interval(&mut self, record: &TraceRecord) {
-        if self.seen.is_multiple_of(self.every) {
-            self.kept.push(*record);
-        } else {
-            self.last = Some(*record);
-        }
-        self.seen += 1;
-    }
-
-    fn finish(&mut self) -> Option<Trace> {
-        Some(self.take_trace())
     }
 }
 
@@ -275,9 +203,6 @@ pub enum TracePolicy {
     /// Retain the full per-interval trace (the [`crate::SimulationResult`]
     /// path). Memory per run is O(intervals).
     Full,
-    /// Retain every k-th record plus the final one ([`DecimatedTrace`]): a
-    /// coarse trajectory at `intervals / k` records.
-    Decimated(usize),
     /// Retain nothing per interval; the run reports only its streamed
     /// [`crate::metrics::RunSummary`]. Memory per run is O(1).
     SummaryOnly,
@@ -288,19 +213,7 @@ impl TracePolicy {
     pub fn observer(self) -> Box<dyn RunObserver> {
         match self {
             TracePolicy::Full => Box::new(Trace::new()),
-            TracePolicy::Decimated(every) => Box::new(DecimatedTrace::new(every)),
             TracePolicy::SummaryOnly => Box::new(DiscardTrace),
-        }
-    }
-
-    /// Whether this policy retains the *complete* per-interval trajectory.
-    /// (`Decimated(0)` clamps to keeping every record, like
-    /// [`DecimatedTrace::new`].)
-    pub fn retains_full_trace(self) -> bool {
-        match self {
-            TracePolicy::Full => true,
-            TracePolicy::Decimated(every) => every <= 1,
-            TracePolicy::SummaryOnly => false,
         }
     }
 }
@@ -346,29 +259,6 @@ mod tests {
         let kept = trace.finish().expect("full retention");
         assert_eq!(kept.len(), 37);
         assert_eq!(kept.records()[36], record(36));
-    }
-
-    #[test]
-    fn decimated_trace_keeps_every_kth_and_the_last() {
-        let mut decimated = DecimatedTrace::new(10);
-        replay(&mut decimated, 37);
-        assert_eq!(decimated.seen(), 37);
-        let kept = decimated.into_trace();
-        // Indices 0, 10, 20, 30 plus the final record (36).
-        assert_eq!(kept.len(), 5);
-        assert_eq!(kept.records()[0], record(0));
-        assert_eq!(kept.records()[3], record(30));
-        assert_eq!(kept.records()[4], record(36));
-
-        // When the last record is on the decimation grid it is not repeated.
-        let mut decimated = DecimatedTrace::new(10);
-        replay(&mut decimated, 31);
-        assert_eq!(decimated.into_trace().len(), 4);
-
-        // Factor 1 degenerates to full retention.
-        let mut decimated = DecimatedTrace::new(1);
-        replay(&mut decimated, 7);
-        assert_eq!(decimated.finish().expect("kept").len(), 7);
     }
 
     #[test]
@@ -431,19 +321,11 @@ mod tests {
     #[test]
     fn trace_policy_builds_the_matching_observer() {
         let mut full = TracePolicy::Full.observer();
-        let mut decimated = TracePolicy::Decimated(4).observer();
         let mut summary = TracePolicy::SummaryOnly.observer();
-        for observer in [&mut full, &mut decimated, &mut summary] {
+        for observer in [&mut full, &mut summary] {
             replay(observer.as_mut(), 9);
         }
         assert_eq!(full.finish().expect("full").len(), 9);
-        assert_eq!(decimated.finish().expect("coarse").len(), 3); // indices 0, 4, 8
         assert_eq!(summary.finish(), None);
-        assert!(TracePolicy::Full.retains_full_trace());
-        assert!(TracePolicy::Decimated(1).retains_full_trace());
-        // 0 clamps to keeping every record, so it is full retention too.
-        assert!(TracePolicy::Decimated(0).retains_full_trace());
-        assert!(!TracePolicy::Decimated(2).retains_full_trace());
-        assert!(!TracePolicy::SummaryOnly.retains_full_trace());
     }
 }

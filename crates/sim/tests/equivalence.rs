@@ -1,10 +1,11 @@
 //! Equivalence proofs for the optimized simulation hot paths.
 //!
 //! The zero-allocation engine ([`PhysicalPlant`]) must reproduce the
-//! trajectories of the checked-in naive baseline ([`NaivePhysicalPlant`],
-//! the original allocation-heavy loop), the structure-of-arrays batch engine
-//! ([`BatchPlant`]) must reproduce the scalar plant lane by lane, and the
-//! parallel scenario sweep must reproduce sequential execution exactly.
+//! trajectories of the naive baseline ([`NaivePhysicalPlant`] in
+//! `tests/naive`, the original allocation-heavy loop), the
+//! structure-of-arrays batch engine ([`BatchPlant`]) must reproduce the
+//! scalar plant lane by lane, and the parallel scenario sweep must reproduce
+//! sequential execution exactly.
 //!
 //! The plant comparisons allow for floating-point *reassociation* only: the
 //! optimized engines advance the linear thermal ODE with the precomputed
@@ -15,9 +16,12 @@
 //! below a nano-kelvin per the batched bars here — physically the same
 //! trajectory (sensor quantisation alone is 0.1 °C).
 
+mod naive;
+
+use naive::NaivePhysicalPlant;
 use platform_sim::{
     BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, LaneInput,
-    NaivePhysicalPlant, PhysicalPlant, PlantPowerParams, ScenarioSweep,
+    PhysicalPlant, PlantPowerParams, ScenarioSweep,
 };
 use proptest::prelude::*;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, SocSpec};

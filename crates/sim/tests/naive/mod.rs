@@ -1,10 +1,12 @@
-//! Checked-in naive baseline of the plant integrator.
+//! Naive baseline of the plant integrator, the reference the equivalence
+//! suite holds the optimized plant to.
 //!
 //! [`NaivePhysicalPlant`] reproduces, through the public APIs, the original
-//! allocation-heavy simulation loop that [`crate::PhysicalPlant`] replaced:
+//! allocation-heavy simulation loop that `platform_sim::PhysicalPlant`
+//! replaced:
 //!
 //! * the whole thermal network is cloned once per control interval to apply
-//!   the fan conductance ([`ThermalNetwork::with_extra_ambient_conductance`]),
+//!   the fan conductance (`ExynosThermalNetwork::network_with_fan_boost`),
 //! * every micro-step rebuilds the online-core list as a `Vec<usize>`,
 //!   re-reads the OPP tables, allocates a fresh node-power `Vec` and runs the
 //!   original collect-per-stage RK4 (eight intermediate `Vec`s per step, a
@@ -12,19 +14,13 @@
 //! * nothing state-dependent is hoisted out of the micro-step loop — the
 //!   original even evaluated the memory leakage model each micro-step only to
 //!   multiply the result by zero, which is preserved here.
-//!
-//! It exists for two jobs: the `plant_step` Criterion benchmark measures the
-//! optimized hot path *against* it (the ≥5× steps/sec acceptance bar), and
-//! the equivalence tests prove the optimized [`crate::PhysicalPlant`]
-//! produces identical trajectories. It is not used by any experiment.
 
+use platform_sim::plant::{PlantPowerParams, PlantStep};
+use platform_sim::SimError;
 use power_model::{DomainPower, LeakageModel, LeakageParams};
 use soc_model::{ClusterKind, FanLevel, PlatformState, SocSpec};
 use thermal_model::{ExynosThermalNetwork, ThermalNetwork};
 use workload::Demand;
-
-use crate::plant::{PlantPowerParams, PlantStep};
-use crate::SimError;
 
 /// The reference (slow) implementation of the physical plant.
 #[derive(Debug, Clone)]
@@ -98,7 +94,7 @@ fn scaled(params: LeakageParams, factor: f64) -> LeakageModel {
 
 impl NaivePhysicalPlant {
     /// Creates the baseline plant (same parameters as
-    /// [`crate::PhysicalPlant::new`]).
+    /// `PhysicalPlant::new`).
     pub fn new(spec: SocSpec, params: PlantPowerParams) -> Self {
         let thermal = ExynosThermalNetwork::odroid_xu_e();
         let node_count = thermal.network().node_count();
@@ -243,7 +239,7 @@ impl NaivePhysicalPlant {
     ///
     /// # Errors
     ///
-    /// Same error behaviour as [`crate::PhysicalPlant::step_interval`].
+    /// Same error behaviour as `PhysicalPlant::step_interval`.
     pub fn step_interval(
         &mut self,
         state: &PlatformState,

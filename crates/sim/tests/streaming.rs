@@ -307,10 +307,10 @@ fn streamed_campaign_matches_trace_retaining_sweep() {
     }
 }
 
-/// Decimated recording keeps a coarse trajectory whose summary still matches
-/// the full path, and multi-worker streaming covers every cell exactly once.
+/// Multi-worker streaming covers every cell exactly once, and each cell's
+/// retained trace and summary match the scalar reference run.
 #[test]
-fn decimated_and_parallel_streaming_cover_every_cell() {
+fn parallel_streaming_covers_every_cell() {
     let spec = SweepSpec::new(
         vec![ExperimentKind::WithoutFan, ExperimentKind::Dtpm],
         vec![BenchmarkId::Qsort],
@@ -322,33 +322,23 @@ fn decimated_and_parallel_streaming_cover_every_cell() {
     assert_eq!(spec.cells(), 8);
     let configs: Vec<ExperimentConfig> = spec.expand().collect();
 
-    // Parallel sweep through a decimating policy: every cell's report
-    // arrives exactly once (CollectSink asserts single writes), carries a
-    // coarse trace, and its summary matches the scalar reference run.
+    // Parallel sweep: every cell's report arrives exactly once (CollectSink
+    // asserts single writes), carries its full trace, and its summary
+    // matches the scalar reference run.
     let mut sink = CollectSink::new(spec.cells());
     ScenarioSweep::new(configs.clone())
         .with_threads(2)
         .with_lanes(2)
-        .with_recording(TracePolicy::Decimated(5))
+        .with_recording(TracePolicy::Full)
         .run_into(calibration(), &mut sink);
     for (index, report) in sink.into_reports().into_iter().enumerate() {
         let report = report.expect("cell succeeds");
         assert_eq!(report.summary.config, configs[index]);
-        let coarse = report.trace.as_ref().expect("decimated trace retained");
-        assert!(
-            coarse.len() < report.summary.intervals,
-            "cell {index}: decimation must retain fewer records \
-             ({} of {})",
-            coarse.len(),
-            report.summary.intervals
-        );
-        // ceil(n / 5) grid records plus at most one appended final record.
-        let expected = report.summary.intervals.div_ceil(5);
-        assert!(
-            coarse.len() == expected || coarse.len() == expected + 1,
-            "cell {index}: unexpected coarse length {} for {} intervals",
-            coarse.len(),
-            report.summary.intervals
+        let trace = report.trace.as_ref().expect("full trace retained");
+        assert_eq!(
+            trace.len(),
+            report.summary.intervals,
+            "cell {index}: one record per interval"
         );
         let reference = Experiment::new(&configs[index], calibration())
             .expect("reference builds")
@@ -374,23 +364,6 @@ fn summary_only_sweeps_reject_the_vec_api() {
         .run(calibration());
 }
 
-/// `run()` honours a decimating policy: the results carry coarse traces.
-#[test]
-fn decimated_sweeps_return_coarse_results() {
-    let configs = vec![config_for(1, 1, 5, 2.0)];
-    let results = ScenarioSweep::new(configs)
-        .with_recording(TracePolicy::Decimated(5))
-        .run(calibration());
-    let result = results[0].as_ref().expect("run succeeds");
-    let full = Experiment::new(&result.config, calibration())
-        .expect("reference builds")
-        .run()
-        .expect("reference runs");
-    assert!(result.trace.len() < full.trace.len());
-    assert_eq!(result.execution_time_s, full.execution_time_s);
-    assert_eq!(result.mean_platform_power_w, full.mean_platform_power_w);
-}
-
 /// `RunObserver` is usable as a plain streaming tee outside the executor —
 /// the seam future sinks (live plots, remote shipping) build on.
 #[test]
@@ -401,10 +374,9 @@ fn observers_compose_over_one_record_stream() {
         .run()
         .expect("experiment runs");
     let mut full = platform_sim::Trace::new();
-    let mut coarse = platform_sim::DecimatedTrace::new(7);
     let mut stats = OnlineRunStats::new();
     {
-        let observers: [&mut dyn RunObserver; 3] = [&mut full, &mut coarse, &mut stats];
+        let observers: [&mut dyn RunObserver; 2] = [&mut full, &mut stats];
         for observer in observers {
             for record in result.trace.records() {
                 observer.on_interval(record);
@@ -412,8 +384,6 @@ fn observers_compose_over_one_record_stream() {
         }
     }
     assert_eq!(full.finish().expect("full trace").len(), result.trace.len());
-    let coarse = coarse.into_trace();
-    assert!(!coarse.is_empty() && coarse.len() <= result.trace.len().div_ceil(7) + 1);
     assert_eq!(stats.intervals(), result.trace.len());
     assert_eq!(
         stats.mean_platform_power_w(),

@@ -410,7 +410,7 @@ impl HorizonMap {
                 let mut acc = 0.0;
                 for j in 0..n {
                     // One madd2 step per j, matching the panel kernel's
-                    // rounding exactly in both the default and fma builds.
+                    // rounding exactly.
                     acc =
                         numeric::simd::madd2(a[i * n + j], state[j], b[i * m + j], powers[j], acc);
                 }
