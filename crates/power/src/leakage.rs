@@ -116,7 +116,8 @@ pub fn currents_batch<const N: usize>(models: [&LeakageModel; N], temps_c: [f64;
 /// ```
 ///
 /// where the anchor `e^a0` is computed exactly (via `f64::exp`) every
-/// [`LeakagePanel::REANCHOR_STEPS`] micro-steps and the drift factor
+/// [`LeakagePanel::REANCHOR_STEPS`] micro-steps — per lane, on the lane's own
+/// cadence ([`LeakagePanel::anchor_lane`]) — and the drift factor
 /// `e^(a − a0)` by a degree-7 polynomial. Node temperatures move by at most a
 /// few hundredths of a kelvin per micro-step, so `|a − a0|` stays below ~0.05
 /// between re-anchors and the polynomial is accurate to < 1 ulp (≈ 2e-16
@@ -141,7 +142,7 @@ pub struct LeakagePanel {
 
 impl LeakagePanel {
     /// How many micro-steps an anchor stays valid before
-    /// `LeakagePanel::anchor` must refresh it. At the plant's worst-case
+    /// [`LeakagePanel::anchor_lane`] must refresh it. At the plant's worst-case
     /// drift (~0.06 K per 10 ms micro-step) the exponent moves ~2e-3 per
     /// step, so 16 steps keep `|a − a0| < 0.05` with a wide margin.
     pub const REANCHOR_STEPS: usize = 16;
@@ -241,16 +242,22 @@ impl LeakagePanel {
         }
     }
 
-    /// Re-anchors the whole panel at once; `temps_c` covers every cell in
-    /// row-major order (`rows × lanes`).
+    /// Re-anchors every row of lane `lane` (one `libm` exponential per row)
+    /// at its temperature in `temps_c`, which covers every cell in row-major
+    /// order (`rows × lanes`); the other lanes' anchors are untouched. This
+    /// is the batch plant's re-anchor call: each lane keeps its own cadence,
+    /// counted from its admission, so a lane's currents never depend on when
+    /// its batch mates were admitted.
     ///
     /// # Panics
     ///
-    /// Panics if `temps_c` does not cover every cell.
-    pub fn anchor_all(&mut self, temps_c: &[f64]) {
+    /// Panics if `lane` is out of bounds or `temps_c` does not cover every
+    /// cell.
+    pub fn anchor_lane(&mut self, lane: usize, temps_c: &[f64]) {
+        assert!(lane < self.lanes, "panel lane out of bounds");
         assert_eq!(temps_c.len(), self.rows * self.lanes, "anchor panel size");
-        for (k, &t) in temps_c.iter().enumerate() {
-            let a = self.c2[k] / celsius_to_kelvin(t);
+        for k in (lane..temps_c.len()).step_by(self.lanes) {
+            let a = self.c2[k] / celsius_to_kelvin(temps_c[k]);
             self.a0[k] = a;
             self.e0[k] = a.exp();
         }
@@ -1377,6 +1384,28 @@ mod tests {
         panel.currents_row_into(1, &temps, &mut out);
         for (k, &t) in temps.iter().enumerate() {
             assert_eq!(out[k], gpu.current_a(t), "gpu lane {k}");
+        }
+    }
+
+    #[test]
+    fn anchor_lane_refreshes_one_lane_only() {
+        // Anchoring lane 1 must give its cells the bits `anchor_row` gives
+        // them and leave lanes 0 and 2 on their construction anchor.
+        let model = LeakageModel::exynos5410_big();
+        let temps = [40.0, 55.5, 71.25, 43.0, 60.0, 88.5];
+        let mut per_lane = LeakagePanel::filled(2, 3, &model, 52.0);
+        per_lane.anchor_lane(1, &temps);
+        let mut per_row = LeakagePanel::filled(2, 3, &model, 52.0);
+        per_row.anchor_row(0, &temps[..3]);
+        per_row.anchor_row(1, &temps[3..]);
+        let untouched = LeakagePanel::filled(2, 3, &model, 52.0);
+        for row in 0..2 {
+            for lane in 0..3 {
+                let k = row * 3 + lane;
+                let expected = if lane == 1 { &per_row } else { &untouched };
+                assert_eq!(per_lane.a0[k].to_bits(), expected.a0[k].to_bits(), "a0 {k}");
+                assert_eq!(per_lane.e0[k].to_bits(), expected.e0[k].to_bits(), "e0 {k}");
+            }
         }
     }
 

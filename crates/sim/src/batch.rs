@@ -19,9 +19,17 @@
 //!
 //! Control decisions stay strictly per-lane: each lane carries its own
 //! platform state, demand, fan level and ambient. Only the integrator is
-//! batched — lanes whose fan level or ambient diverge fall back to a strided
-//! per-lane transition apply that is bit-identical to the panel path, so
-//! divergence affects speed, never results.
+//! batched. The transition cache is keyed by fan level alone; each lane's
+//! ambient enters as its own drive column of the bias kernel, so lanes at
+//! different ambients still advance in one blocked pass. Lanes whose fan
+//! levels diverge fall back to a strided per-lane transition apply that is
+//! bit-identical to the panel path, so divergence affects speed, never
+//! results.
+//!
+//! Every lane also re-anchors its leakage exponentials on its own cadence,
+//! counted from its admission. A lane's trajectory is therefore a function
+//! of its own inputs only: the same bits at any batch width, lane position,
+//! thread count, lease split or resume point.
 //!
 //! Trajectories match the scalar [`PhysicalPlant`](crate::PhysicalPlant) to well below 1e-9 °C over
 //! full runs (the integrator is bit-identical; the leakage linearisation and
@@ -44,12 +52,10 @@ use crate::SimError;
 /// four big cores, the little cluster (sensed at the case) and the GPU.
 const LEAK_ROWS: usize = 6;
 
-/// A cached batch transition together with the (fan boost, ambient) key it
-/// was built for.
+/// A cached batch transition together with the fan boost it was built for.
 #[derive(Debug, Clone)]
 struct TransitionEntry {
     fan_bits: u64,
-    ambient_bits: u64,
     transition: BatchStepTransition,
 }
 
@@ -94,11 +100,20 @@ pub struct BatchPlant {
     leak_temp_rows: [usize; LEAK_ROWS],
     /// Leakage row feeding each node's power assembly (`usize::MAX` = none).
     node_leak_row: Vec<usize>,
+    /// One transition per fan level seen; a handful per run.
     transitions: Vec<TransitionEntry>,
     lane_transition: Vec<usize>,
-    /// Micro-steps since the leakage anchors were last refreshed.
-    steps_since_anchor: usize,
-    /// Per-lane column scratch for the diverged-transition fallback.
+    /// Per-lane ambient drive columns, the bias of the transition apply;
+    /// `node_count × lanes`.
+    drive: Panel,
+    /// The (transition index, ambient bits) each lane's drive column was
+    /// computed for.
+    drive_keys: Vec<(usize, u64)>,
+    /// Per-lane micro-steps since the lane's leakage anchors were last
+    /// refreshed; admission anchors the lane and resets its count.
+    steps_since_anchor: Vec<usize>,
+    /// Per-lane column scratch for the drive and the diverged-transition
+    /// fallback.
     col_scratch: Vec<f64>,
 }
 
@@ -179,7 +194,9 @@ impl BatchPlant {
             node_leak_row,
             transitions: Vec::new(),
             lane_transition: vec![0; lanes],
-            steps_since_anchor: 0,
+            drive: Panel::zeros(node_count, lanes),
+            drive_keys: vec![(usize::MAX, 0); lanes],
+            steps_since_anchor: vec![0; lanes],
             col_scratch: vec![0.0; node_count],
             thermal,
         }
@@ -234,30 +251,19 @@ impl BatchPlant {
         ]
     }
 
-    /// Resets every node of `lane` to the given temperature (the leakage
-    /// anchors are refreshed on the next micro-step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn reset_lane_temps(&mut self, lane: usize, temp_c: f64) {
-        for node in 0..self.temps.rows() {
-            self.temps.set(node, lane, temp_c);
-        }
-        self.steps_since_anchor = 0;
-    }
-
     /// Re-initialises lane `lane` for a new scenario mid-batch: the lane's
     /// true power parameters become `params`, its leakage models are rebuilt
     /// from the new mismatch factor (anchored exactly at the new initial
     /// temperature, so the admitted lane never reads a stale or unanchored
     /// exponential), and every node restarts at `params.initial_temp_c`.
     ///
-    /// The other lanes are untouched — their temperatures, anchors and the
-    /// shared re-anchor cadence all stay exactly as they were, so recycling
-    /// a freed lane mid-sweep cannot perturb in-flight trajectories. This is
-    /// the retire→admit primitive behind the lane-compacting sweep
-    /// scheduler (see [`crate::ScenarioSweep`]).
+    /// The lane's re-anchor cadence restarts from admission, exactly as in
+    /// a fresh plant, so the admitted scenario's trajectory does not depend
+    /// on when it was admitted. The other lanes are untouched — their
+    /// temperatures, anchors and cadences stay exactly as they were, so
+    /// recycling a freed lane mid-sweep cannot perturb in-flight
+    /// trajectories. This is the retire→admit primitive behind the
+    /// lane-compacting sweep scheduler (see [`crate::ScenarioSweep`]).
     ///
     /// # Panics
     ///
@@ -275,31 +281,49 @@ impl BatchPlant {
         for node in 0..self.temps.rows() {
             self.temps.set(node, lane, params.initial_temp_c);
         }
+        self.steps_since_anchor[lane] = 0;
         self.params[lane] = params;
     }
 
-    /// Looks up (or builds and caches) the batch transition for one
-    /// (fan boost, ambient) key.
-    fn ensure_transition(&mut self, boost_w_per_k: f64, ambient_c: f64) -> Result<usize, SimError> {
-        let key = (boost_w_per_k.to_bits(), ambient_c.to_bits());
-        if let Some(found) = self
-            .transitions
-            .iter()
-            .position(|t| (t.fan_bits, t.ambient_bits) == key)
-        {
+    /// Looks up (or builds and caches) the batch transition for one fan
+    /// boost.
+    fn ensure_transition(&mut self, boost_w_per_k: f64) -> Result<usize, SimError> {
+        let fan_bits = boost_w_per_k.to_bits();
+        if let Some(found) = self.transitions.iter().position(|t| t.fan_bits == fan_bits) {
             return Ok(found);
         }
         let boost = self.thermal.fan_boost(boost_w_per_k);
-        let transition =
-            self.thermal
-                .network()
-                .batch_step_transition(boost, ambient_c, self.plant_dt_s)?;
+        let transition = self
+            .thermal
+            .network()
+            .batch_step_transition(boost, self.plant_dt_s)?;
         self.transitions.push(TransitionEntry {
-            fan_bits: key.0,
-            ambient_bits: key.1,
+            fan_bits,
             transition,
         });
         Ok(self.transitions.len() - 1)
+    }
+
+    /// Points lane `lane` at the transition of its fan boost and refreshes
+    /// its drive column when its (fan, ambient) pair changed.
+    fn select_transition(
+        &mut self,
+        lane: usize,
+        boost_w_per_k: f64,
+        ambient_c: f64,
+    ) -> Result<(), SimError> {
+        let index = self.ensure_transition(boost_w_per_k)?;
+        self.lane_transition[lane] = index;
+        let key = (index, ambient_c.to_bits());
+        if self.drive_keys[lane] != key {
+            let column = &mut self.col_scratch;
+            self.transitions[index]
+                .transition
+                .ambient_drive_into(ambient_c, column);
+            self.drive.set_column(lane, column);
+            self.drive_keys[lane] = key;
+        }
+        Ok(())
     }
 
     /// Writes lane `lane`'s per-node power linearisation `P = base + coef·I`
@@ -404,18 +428,7 @@ impl BatchPlant {
         }
         let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
 
-        // The transition cache is keyed by (fan level, ambient); both take a
-        // handful of values per sweep, but bound it anyway so a caller that
-        // churns keys over a long run cannot grow it without limit. Evicting
-        // is only safe *between* intervals: during lane setup below,
-        // `lane_transition` accumulates live indices into the cache, so a
-        // mid-loop clear would dangle them. Within one interval the cache
-        // grows by at most `lanes` entries.
-        if self.transitions.len() >= 32 {
-            self.transitions.clear();
-        }
-
-        // Per-lane interval setup: power linearisation + transition key.
+        // Per-lane interval setup: power linearisation, transition and drive.
         let mut lane_errors: Vec<Option<SimError>> = Vec::with_capacity(self.lanes);
         for (lane, input) in inputs.iter().enumerate() {
             let (online_buf, online_mask, online_count) =
@@ -448,8 +461,7 @@ impl BatchPlant {
                 }
             }
             let boost = self.spec.fan().conductance_boost_w_per_k(input.fan_level);
-            let index = self.ensure_transition(boost, input.ambient_c)?;
-            self.lane_transition[lane] = index;
+            self.select_transition(lane, boost, input.ambient_c)?;
         }
         let uniform = self
             .lane_transition
@@ -519,6 +531,7 @@ impl BatchPlant {
             aligned_leak_rows,
             transitions,
             lane_transition,
+            drive,
             steps_since_anchor,
             col_scratch,
             thermal,
@@ -531,10 +544,16 @@ impl BatchPlant {
         for (row, &temp_row) in leak_temp_rows.iter().enumerate() {
             leak_temps.row_mut(row).copy_from_slice(temps.row(temp_row));
         }
-        if *steps_since_anchor == 0 {
-            leak.anchor_all(leak_temps.as_slice());
+        // Each lane re-anchors every REANCHOR_STEPS micro-steps of its own,
+        // counted from admission (which anchored it at its initial
+        // temperature), never on a batch-wide clock.
+        for (lane, steps) in steps_since_anchor.iter_mut().enumerate() {
+            if *steps == LeakagePanel::REANCHOR_STEPS {
+                leak.anchor_lane(lane, leak_temps.as_slice());
+                *steps = 0;
+            }
+            *steps += 1;
         }
-        *steps_since_anchor = (*steps_since_anchor + 1) % LeakagePanel::REANCHOR_STEPS;
         leak.currents_into(leak_temps.as_slice(), currents.as_mut_slice());
 
         // Node power assembly: P = base + coef · I(src). On the aligned
@@ -593,14 +612,16 @@ impl BatchPlant {
         }
 
         // Advance the thermal panel: one blocked mat-mat when every lane
-        // shares the transition, the bit-identical strided fallback otherwise.
+        // shares the fan transition, the bit-identical strided fallback
+        // otherwise. Either way each lane's ambient arrives as its drive
+        // column.
         if uniform {
             let transition = &transitions[lane_transition[0]].transition;
-            transition.apply_panel(temps, powers, step_tmp);
+            transition.apply_panel(temps, powers, drive, step_tmp);
         } else {
             for lane in 0..lanes {
                 let transition = &transitions[lane_transition[lane]].transition;
-                transition.apply_lane(temps, powers, lane, col_scratch);
+                transition.apply_lane(temps, powers, drive, lane, col_scratch);
             }
         }
     }
@@ -749,11 +770,10 @@ mod tests {
 
     #[test]
     fn transition_cache_churn_stays_correct() {
-        // More distinct (fan, ambient) keys than the cache bound — both
-        // across intervals (one lane, ambient changing every interval) and
-        // within a single interval (many lanes, all-distinct ambients). The
-        // cache may evict between intervals but lane results must keep
-        // matching the scalar plant.
+        // Ambient churn through the drive columns — both across intervals
+        // (one lane, ambient changing every interval) and within a single
+        // interval (many lanes, all-distinct ambients sharing one fan
+        // transition). Lane results must keep matching the scalar plant.
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
         let d = demand();
@@ -841,45 +861,35 @@ mod tests {
     }
 
     #[test]
-    fn reset_lane_temps_resets_one_lane_only() {
-        let spec = SocSpec::odroid_xu_e();
-        let params = PlantPowerParams::default();
-        let mut batch = BatchPlant::new(spec, &[params, params]);
-        batch.reset_lane_temps(1, 70.0);
-        assert!(batch.node_temps_c(1).iter().all(|&t| t == 70.0));
-        assert!(batch
-            .node_temps_c(0)
-            .iter()
-            .all(|&t| t == params.initial_temp_c));
-        assert_eq!(batch.lanes(), 2);
-        assert_eq!(batch.core_temps_c(1), [70.0; 4]);
-    }
-
-    #[test]
     fn lane_admitted_mid_sweep_matches_a_fresh_scalar_run() {
-        // The retire→admit primitive: run a 2-lane batch for a while (so the
-        // shared re-anchor cadence is mid-stride), recycle lane 1 for a new
-        // scenario with different power parameters, and check that (a) the
-        // admitted lane's trajectory matches a fresh scalar plant of the new
-        // scenario to ≤ 1e-9 °C — in particular it never reads an unanchored
-        // leakage exponential (which would show up as NaN temperatures) —
-        // and (b) the surviving lane 0 stays on its original trajectory.
+        // The retire→admit primitive: run a 2-lane batch for a while (so
+        // lane 0's re-anchor cadence is mid-stride), recycle lane 1 for a
+        // new scenario with different power parameters at another ambient,
+        // and check that (a) the admitted lane's trajectory matches a fresh
+        // scalar plant of the new scenario to ≤ 1e-9 °C — in particular it
+        // never reads an unanchored leakage exponential (which would show up
+        // as NaN temperatures) — (b) it is bit-identical to the same
+        // scenario in a fresh one-lane batch, so admission time leaves no
+        // trace, and (c) the surviving lane 0 stays on its original
+        // trajectory.
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
         let mut batch = BatchPlant::new(spec.clone(), &[params, params]);
         let mut survivor = PhysicalPlant::new(spec.clone(), params);
         let state = PlatformState::default_for(&spec);
         let d = demand();
-        let input = |state| LaneInput {
+        let fresh_ambient_c = 31.0;
+        let input = |state, ambient_c| LaneInput {
             state,
             demand: &d,
             fan_level: FanLevel::Off,
-            ambient_c: 28.0,
+            ambient_c,
         };
-        // 7 intervals × 10 micro-steps: steps_since_anchor = 70 % 16 ≠ 0.
+        // 7 intervals × 10 micro-steps: lane 0 is 70 % 16 = 6 micro-steps
+        // past its last re-anchor when lane 1 is admitted.
         for _ in 0..7 {
             batch
-                .step_interval(&[input(&state), input(&state)], 0.1)
+                .step_interval(&[input(&state, 28.0), input(&state, 28.0)], 0.1)
                 .unwrap();
             survivor
                 .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
@@ -894,18 +904,27 @@ mod tests {
         batch.admit_lane(1, fresh_params);
         assert_eq!(batch.core_temps_c(1), [38.5; 4]);
         let mut fresh = PhysicalPlant::new(spec.clone(), fresh_params);
+        let mut alone = BatchPlant::new(spec.clone(), &[fresh_params]);
 
         let mut batch_nodes = vec![0.0; batch.node_count()];
         for i in 0..200 {
             let steps = batch
-                .step_interval(&[input(&state), input(&state)], 0.1)
+                .step_interval(&[input(&state, 28.0), input(&state, fresh_ambient_c)], 0.1)
                 .unwrap();
             let survivor_step = survivor
                 .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
                 .unwrap();
             let fresh_step = fresh
-                .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
+                .step_interval(&state, &d, FanLevel::Off, fresh_ambient_c, 0.1)
                 .unwrap();
+            let alone_steps = alone
+                .step_interval(&[input(&state, fresh_ambient_c)], 0.1)
+                .unwrap();
+            assert_eq!(
+                steps[1].as_ref().expect("lane step succeeds"),
+                alone_steps[0].as_ref().expect("lone step succeeds"),
+                "admitted lane departs from its one-lane batch at interval {i}"
+            );
             for (lane, scalar_step) in [(0usize, &survivor_step), (1, &fresh_step)] {
                 let batch_step = steps[lane].as_ref().expect("lane step succeeds");
                 assert!(
@@ -927,5 +946,12 @@ mod tests {
                 );
             }
         }
+        batch.node_temps_into(1, &mut batch_nodes);
+        let bits = |temps: &[f64]| temps.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&batch_nodes),
+            bits(&alone.node_temps_c(0)),
+            "admitted lane's node temperatures differ from its one-lane batch"
+        );
     }
 }

@@ -121,7 +121,7 @@ impl DtpmVariant {
 /// .with_replicates(4);
 /// assert_eq!(spec.cells(), 2 * 15 * 3 * 4);
 /// let mut sink = CollectSink::new(spec.cells());
-/// spec.runner().with_lanes(8).run_into(&calibration, &mut sink);
+/// spec.runner().run_into(&calibration, &mut sink);
 /// // Summaries only: no run retained its per-interval trace.
 /// assert!(sink
 ///     .into_reports()
@@ -343,7 +343,12 @@ impl SweepSpec {
         splitmix64(fnv1a(w.as_slice()))
     }
 
-    /// A runner for this campaign (streaming, summaries-only by default).
+    /// A runner for this campaign: streaming, summaries-only, one worker
+    /// per available CPU, each driving a panel engine of
+    /// [`numeric::LANE_CHUNK`] lanes (the width of the panel kernels' fast
+    /// path). A cell's result is the same bits at any width of two or more
+    /// lanes and any thread count; `with_lanes(1)` selects the scalar
+    /// engine instead.
     pub fn runner(&self) -> CampaignRunner<'_> {
         let parallelism = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -351,7 +356,7 @@ impl SweepSpec {
         CampaignRunner {
             spec: self,
             threads: parallelism.min(self.cells()).max(1),
-            lanes: 1,
+            lanes: numeric::LANE_CHUNK,
             recording: TracePolicy::SummaryOnly,
             resilience: ResiliencePolicy::default(),
         }
@@ -362,8 +367,12 @@ impl SweepSpec {
 /// a [`ResultSink`], expanding cells lazily as workers claim them.
 ///
 /// Built by [`SweepSpec::runner`]; defaults to one worker per available CPU,
-/// scalar lanes, and [`TracePolicy::SummaryOnly`] — the configuration whose
-/// retained memory is O(cells) regardless of run lengths.
+/// [`numeric::LANE_CHUNK`]-lane panel engines, and
+/// [`TracePolicy::SummaryOnly`] — the configuration whose retained memory is
+/// O(cells) regardless of run lengths. Every cell's result is the same bits
+/// at any panel width, thread count, lease split or resume point, so the
+/// merged aggregate of a default run is reproducible however the cells were
+/// scheduled.
 #[derive(Debug, Clone)]
 pub struct CampaignRunner<'a> {
     spec: &'a SweepSpec,
@@ -382,7 +391,9 @@ impl CampaignRunner<'_> {
     }
 
     /// Sets the batch width: every worker drives a panel engine of this many
-    /// lanes, refilling freed lanes from the shared cell queue.
+    /// lanes, refilling freed lanes from the shared cell queue. One lane is
+    /// the scalar engine, whose numerics differ from the panel engine's
+    /// within the ≤ 1e-9 °C equivalence bar.
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);

@@ -53,9 +53,11 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// A coordinator over `spec`'s grid with default knobs: single-threaded
-    /// workers, automatic lease sizing, a 30 s heartbeat deadline, and a
-    /// 300 s handshake deadline (workers re-derive their calibration during
-    /// the handshake).
+    /// workers driving [`numeric::LANE_CHUNK`]-lane panel engines (the
+    /// width [`SweepSpec::runner`] defaults to, so a default distributed
+    /// fold equals a default in-process fold bit for bit), automatic lease
+    /// sizing, a 30 s heartbeat deadline, and a 300 s handshake deadline
+    /// (workers re-derive their calibration during the handshake).
     pub fn new(spec: SweepSpec) -> Coordinator {
         Coordinator {
             spec,
@@ -65,7 +67,7 @@ impl Coordinator {
             lease_timeout: Duration::from_secs(30),
             ready_timeout: Duration::from_secs(300),
             worker_threads: 1,
-            worker_lanes: 1,
+            worker_lanes: numeric::LANE_CHUNK,
             resilience: ResiliencePolicy::default(),
         }
     }

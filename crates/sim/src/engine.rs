@@ -22,8 +22,9 @@
 //! lane count and precision. The seam is also where a device backend
 //! slots in: a GPU engine would keep temperature/power state in device
 //! buffers and consume the precomputed per-step math exposed by
-//! [`thermal_model::BatchStepTransition`] (`r` / `s_power` / `ambient_drive`
-//! views), while the executor and control loops stay untouched.
+//! [`thermal_model::BatchStepTransition`] (the `r` / `s_power` views and
+//! the per-lane drive column of `ambient_drive_into`), while the executor
+//! and control loops stay untouched.
 //!
 //! Lane recycling: [`PlantEngine::admit`] fully re-initialises a lane
 //! (temperatures to the scenario's initial value, per-lane power parameters

@@ -1058,8 +1058,10 @@ impl Experiment {
 /// short and long scenarios no longer serialises on the slowest member of a
 /// statically tiled lane-group — the batch stays dense until the queue runs
 /// dry. Results come back in input order; each scenario's trajectory is
-/// independent of which lane or worker it landed on (within the batched
-/// engine's ≤ 1e-9 °C equivalence bar — bit-identical for one-lane sweeps).
+/// independent of which lane or worker it landed on and of when it was
+/// admitted: bit-identical across every multi-lane width, and within the
+/// batched engine's ≤ 1e-9 °C equivalence bar of the one-lane (scalar)
+/// sweep.
 ///
 /// Scenarios must share a control period to step in lockstep; a sweep over
 /// mixed periods is partitioned into per-period groups that are processed

@@ -105,23 +105,29 @@
 //!
 //! * evaluates every lane's leakage in one unit-stride pass through a
 //!   [`power_model::LeakagePanel`] (anchored exponential: an exact `exp`
-//!   anchor refreshed every few micro-steps plus a short drift polynomial,
-//!   accurate to a few ulps),
+//!   anchor refreshed every few micro-steps of the lane's own, counted from
+//!   its admission, plus a short drift polynomial, accurate to a few ulps),
 //! * assembles node powers from a per-interval linearisation
 //!   `P = base + coef · I_leak`, and
 //! * advances the thermal panel through one blocked mat-mat
 //!   ([`thermal_model::BatchStepTransition`]), loading the 8×8 transition
-//!   matrices once for all lanes.
+//!   matrices once for all lanes; each lane's ambient enters as its own
+//!   drive column of the bias kernel, so the transition is keyed by fan
+//!   level alone.
 //!
 //! Control decisions stay per-lane (the executor drives one control loop per
 //! scenario against the shared batch plant), so batched and scalar runs
 //! agree: the integrator is bit-identical, and full trajectories match
-//! within 1e-9 °C (proven by `tests/equivalence.rs`). Batched stepping
-//! applies when scenarios share the control period and (mostly) the
-//! fan/ambient transition key; diverging lanes fall back to an equivalent
-//! strided apply. The `sweep_step` bench asserts a floor on the batched
-//! engine's micro-step throughput over the scalar per-scenario engine at
-//! eight lanes; the floor and the last measurement are recorded in
+//! within 1e-9 °C (proven by `tests/equivalence.rs`). On the batch engine a
+//! scenario's trajectory depends on its own inputs only — not on its lane,
+//! its batch mates, the thread it ran on or when it was admitted — so any
+//! panel width, thread count, lease split or resume gives the same bits
+//! (`tests/compaction.rs`, `tests/resilience.rs`). Batched stepping applies
+//! when scenarios share the control period and (mostly) the fan level;
+//! lanes at diverging fan levels fall back to an equivalent strided apply.
+//! The `sweep_step` bench asserts a floor on the batched engine's
+//! micro-step throughput over the scalar per-scenario engine at eight
+//! lanes; the floor and the last measurement are recorded in
 //! `BENCH_sweep_step.json`.
 //!
 //! The *decision* side stays per lane: each DTPM lane predicts its proposal
@@ -146,7 +152,8 @@
 //! fork in the stepping logic, and a future device backend
 //! (GPU panels for calibration-scale sweeps) only has to implement the trait
 //! — the per-step math it needs is already exposed by
-//! [`thermal_model::BatchStepTransition`] (`r`/`s_power`/`ambient_drive`).
+//! [`thermal_model::BatchStepTransition`] (`r`/`s_power` and the per-lane
+//! drive column of `ambient_drive_into`).
 //!
 //! # Lane-compacting sweeps
 //!
@@ -161,7 +168,10 @@
 //! measures compaction against static tiling on a 1-long + 3-short tile mix
 //! (floor and last measurement in `BENCH_sweep_ragged.json`), and
 //! `tests/compaction.rs` proves recycled lanes reproduce scalar trajectories
-//! to ≤ 1e-9 °C.
+//! to ≤ 1e-9 °C and the scenario's solo panel run to the bit.
+//! [`campaign::SweepSpec::runner`] and the distributed
+//! [`distributed::Coordinator`] default to panels of [`numeric::LANE_CHUNK`]
+//! lanes.
 //!
 //! # Streaming results: observers, sinks, campaigns
 //!

@@ -67,14 +67,15 @@ const LEAK_ROWS: usize = 6;
 const REBASELINE_INTERVALS: usize = 8;
 
 /// A cached transition together with the (fan boost, ambient) key it was
-/// built for: the exact f64 form (needed at every rebaseline to fold the f64
-/// baseline into the delta drive) and its demoted f32 twin the micro-step
-/// hot loop consumes.
+/// built for: the exact f64 form and its ambient drive (needed at every
+/// rebaseline to fold the f64 baseline into the delta drive) and its demoted
+/// f32 twin the micro-step hot loop consumes.
 #[derive(Debug, Clone)]
 struct TransitionEntry {
     fan_bits: u64,
     ambient_bits: u64,
     full: BatchStepTransition,
+    ambient_drive: Vec<f64>,
     demoted: BatchStepTransitionF32,
 }
 
@@ -350,15 +351,18 @@ impl MixedBatchPlant {
             return Ok(found);
         }
         let boost = self.thermal.fan_boost(boost_w_per_k);
-        let full =
-            self.thermal
-                .network()
-                .batch_step_transition(boost, ambient_c, self.plant_dt_s)?;
+        let full = self
+            .thermal
+            .network()
+            .batch_step_transition(boost, self.plant_dt_s)?;
+        let mut ambient_drive = vec![0.0; full.node_count()];
+        full.ambient_drive_into(ambient_c, &mut ambient_drive);
         let demoted = BatchStepTransitionF32::from_f64(&full);
         self.transitions.push(TransitionEntry {
             fan_bits: key.0,
             ambient_bits: key.1,
             full,
+            ambient_drive,
             demoted,
         });
         Ok(self.transitions.len() - 1)
@@ -629,9 +633,9 @@ impl MixedBatchPlant {
             // ambient drive `c` folded in, so the micro-step's bias panel
             // carries the whole constant term), then demote the drive and
             // the baseline in full-row passes.
-            let full = &transitions[lane_transition[0]].full;
-            let r = full.r().as_slice();
-            let amb = full.ambient_drive();
+            let entry = &transitions[lane_transition[0]];
+            let r = entry.full.r().as_slice();
+            let amb = &entry.ambient_drive;
             for node in 0..n {
                 let acc = &mut drive_scratch[..lanes];
                 for (a, &t) in acc.iter_mut().zip(&baseline[node * lanes..]) {
@@ -653,9 +657,9 @@ impl MixedBatchPlant {
             }
         } else {
             for lane in 0..lanes {
-                let full = &transitions[lane_transition[lane]].full;
-                let r = full.r().as_slice();
-                let amb = full.ambient_drive();
+                let entry = &transitions[lane_transition[lane]];
+                let r = entry.full.r().as_slice();
+                let amb = &entry.ambient_drive;
                 for node in 0..n {
                     let t0 = baseline[node * lanes + lane];
                     baseline_f32.set(node, lane, t0 as f32);

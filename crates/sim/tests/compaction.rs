@@ -7,7 +7,9 @@
 //! outcome lands in input order and matches the same scenario run alone
 //! through the scalar [`Experiment`] — to ≤ 1e-9 °C on the trajectory —
 //! regardless of thread count, lane width, scenario lengths, or which
-//! (possibly recycled) lane a scenario happened to land on.
+//! (possibly recycled) lane a scenario happened to land on. On the panel
+//! engine the match is exact: a scenario's result is bit-identical to the
+//! same scenario run alone through a panel engine.
 
 use platform_sim::{
     Calibration, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, FaultKind,
@@ -95,6 +97,18 @@ fn assert_matches_scalar(result: &SimulationResult, label: &str) {
     );
 }
 
+/// Runs `config` alone through the panel engine: a one-scenario sweep
+/// configured for two lanes (the engine is sized to the one claimed lane).
+fn solo_panel_run(config: &ExperimentConfig) -> SimulationResult {
+    ScenarioSweep::new(vec![config.clone()])
+        .with_threads(1)
+        .with_lanes(2)
+        .run(calibration())
+        .pop()
+        .expect("one result")
+        .expect("solo panel run succeeds")
+}
+
 proptest! {
     #[test]
     fn ragged_sweeps_match_scalar_runs_for_any_shape(
@@ -106,9 +120,14 @@ proptest! {
     ) {
         // Arbitrary differing lengths: every third scenario is long, the
         // rest short, so any count > lanes·threads forces lane recycling
-        // while long lanes are still in flight.
+        // while long lanes are still in flight. Ambients differ between
+        // neighbouring slots, so every lane group mixes them.
         let configs: Vec<ExperimentConfig> = (0..count)
-            .map(|i| ragged_config(i, if i % 3 == 0 { long_s } else { short_s }))
+            .map(|i| {
+                let mut config = ragged_config(i, if i % 3 == 0 { long_s } else { short_s });
+                config.ambient_c = [22.0, 26.0, 30.0, 34.0][i % 4];
+                config
+            })
             .collect();
         let results = ScenarioSweep::new(configs.clone())
             .with_threads(threads)
@@ -119,10 +138,14 @@ proptest! {
             let result = result.as_ref().expect("sweep run must succeed");
             // Seeds are unique per input slot, so config equality pins order.
             prop_assert_eq!(&result.config, config);
-            assert_matches_scalar(
-                result,
-                &format!("threads={threads} lanes={lanes} count={count} slot={i}"),
-            );
+            let label = format!("threads={threads} lanes={lanes} count={count} slot={i}");
+            assert_matches_scalar(result, &label);
+            if lanes >= 2 {
+                // Schedule independence: whatever lane, batch mates and
+                // admission time the scenario got, its result carries the
+                // same bits as the scenario run alone.
+                prop_assert_eq!(result, &solo_panel_run(config), "{}", label);
+            }
         }
     }
 }

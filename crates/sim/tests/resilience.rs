@@ -5,8 +5,9 @@
 //!
 //! * A campaign killed after any number of completed cells and resumed from
 //!   its on-disk checkpoint folds to the **bit-identical** aggregate of the
-//!   uninterrupted run (scalar lanes, where the engine is exactly
-//!   deterministic).
+//!   uninterrupted run — on scalar lanes, and at the runner's default panel
+//!   width on one or two threads, where resumed cells land in other lanes,
+//!   next to other cells, at other times than in the uninterrupted run.
 //! * A cell that panics or blows its deadline is quarantined as a structured
 //!   failure; sibling lanes of the same panel report summaries within the
 //!   batched-engine equivalence bar (≤ 1e-9) of solo runs.
@@ -102,69 +103,121 @@ impl ResultSink for PanickySink {
     }
 }
 
-/// Runs the small campaign once (single worker, scalar lanes — exactly
-/// deterministic) and returns its deliveries in arrival order.
+/// The small campaign with three replicates: 18 cells, more than one
+/// default-width lane group, so a one-thread run admits cells into recycled
+/// lanes mid-campaign. Hot (40 °C), 3 s cells and modelled sensors make the
+/// last bits of a cell's leakage power reach its summary, so a cell whose
+/// numerics depended on its admission time would change the fold.
+fn wide_spec() -> SweepSpec {
+    let mut spec = small_spec()
+        .with_replicates(3)
+        .with_ambients_c(vec![40.0])
+        .with_max_duration_s(3.0);
+    spec.ideal_sensors = false;
+    spec
+}
+
+/// Runs `spec` once on a single worker (`lanes: None` keeps the runner's
+/// default width) and returns its deliveries in arrival order.
+fn record_campaign(
+    spec: &SweepSpec,
+    lanes: Option<usize>,
+) -> Vec<(usize, Result<RunReport, SimError>)> {
+    let mut runner = spec
+        .runner()
+        .with_threads(1)
+        .with_recording(TracePolicy::SummaryOnly);
+    if let Some(lanes) = lanes {
+        runner = runner.with_lanes(lanes);
+    }
+    let mut sink = RecordingSink::default();
+    runner.run_into(calibration(), &mut sink);
+    assert_eq!(sink.events.len(), spec.cells(), "every cell delivers once");
+    sink.events
+}
+
+/// The small campaign's deliveries on scalar lanes.
 fn recorded_small_campaign() -> &'static [(usize, Result<RunReport, SimError>)] {
     static EVENTS: std::sync::OnceLock<Vec<(usize, Result<RunReport, SimError>)>> =
         std::sync::OnceLock::new();
-    EVENTS.get_or_init(|| {
-        let spec = small_spec();
-        let mut sink = RecordingSink::default();
-        spec.runner()
-            .with_threads(1)
-            .with_lanes(1)
-            .with_recording(TracePolicy::SummaryOnly)
-            .run_into(calibration(), &mut sink);
-        assert_eq!(sink.events.len(), spec.cells(), "every cell delivers once");
-        sink.events
-    })
+    EVENTS.get_or_init(|| record_campaign(&small_spec(), Some(1)))
+}
+
+/// The wide campaign's deliveries at the runner's default width.
+fn recorded_wide_campaign() -> &'static [(usize, Result<RunReport, SimError>)] {
+    static EVENTS: std::sync::OnceLock<Vec<(usize, Result<RunReport, SimError>)>> =
+        std::sync::OnceLock::new();
+    EVENTS.get_or_init(|| record_campaign(&wide_spec(), None))
+}
+
+/// Kill-and-resume bit-identity for one runner shape: replay the first `k`
+/// deliveries of the uninterrupted run into a checkpoint, round-trip it
+/// through disk, resume the campaign from it on `threads` workers (`lanes:
+/// None` keeps the default width), and compare the final fold against the
+/// uninterrupted fold **by wire encoding** — bit-exact, not just close.
+fn assert_resume_is_bit_identical(
+    spec: &SweepSpec,
+    events: &[(usize, Result<RunReport, SimError>)],
+    k: usize,
+    threads: usize,
+    lanes: Option<usize>,
+) {
+    let label = format!("k={k} threads={threads} lanes={lanes:?}");
+    assert!(k <= events.len(), "{label}");
+
+    // The uninterrupted reference fold.
+    let mut reference = MergeSink::new(0..spec.cells());
+    for (index, outcome) in events {
+        reference.accept(*index, outcome.clone());
+    }
+    assert!(reference.is_complete(), "{label}");
+
+    // Kill after k completed cells: only the first k deliveries made it
+    // into the checkpoint before the process died.
+    let mut checkpoint = CampaignCheckpoint::new(spec.fingerprint(), spec.cells());
+    for (index, outcome) in &events[..k] {
+        checkpoint.record(*index, outcome.clone());
+    }
+    let path = scratch_path("resume");
+    checkpoint.write_atomic(&path).expect("checkpoint write");
+
+    // Resume from what is on disk.
+    let loaded = CampaignCheckpoint::load(&path).expect("checkpoint load");
+    assert_eq!(loaded.completed(), k, "{label}");
+    let mut sink = CheckpointSink::resume(loaded.clone(), &path, 2, NullSink);
+    let mut runner = spec
+        .runner()
+        .with_threads(threads)
+        .with_recording(TracePolicy::SummaryOnly);
+    if let Some(lanes) = lanes {
+        runner = runner.with_lanes(lanes);
+    }
+    runner
+        .resume_from(&loaded, calibration(), &mut sink)
+        .expect("resume must accept its own checkpoint");
+    let (resumed, _, write) = sink.finish();
+    write.expect("final checkpoint write");
+
+    assert!(resumed.is_complete(), "{label}");
+    // Encoding equality is bit-exactness: every float is stored as its
+    // bit pattern.
+    assert_eq!(resumed.fold().encode(), reference.encode(), "{label}");
+    std::fs::remove_file(&path).ok();
 }
 
 proptest! {
-    /// Kill-and-resume bit-identity: replay the first `k` deliveries of the
-    /// uninterrupted run into a checkpoint, round-trip it through disk,
-    /// resume the campaign from it, and compare the final fold against the
-    /// uninterrupted fold **by wire encoding** — bit-exact, not just close.
     #[test]
     fn killed_campaign_resumes_to_the_bit_identical_aggregate(k in 0usize..7) {
-        let spec = small_spec();
-        let events = recorded_small_campaign();
-        prop_assert!(k <= events.len());
+        assert_resume_is_bit_identical(&small_spec(), recorded_small_campaign(), k, 1, Some(1));
 
-        // The uninterrupted reference fold.
-        let mut reference = MergeSink::new(0..spec.cells());
-        for (index, outcome) in events {
-            reference.accept(*index, outcome.clone());
+        // The default runner drives panel engines; the resumed cells run in
+        // other lanes, beside other cells and from other admission times
+        // than in the uninterrupted one-thread run.
+        let wide = wide_spec();
+        prop_assert_eq!(wide.runner().lanes(), numeric::LANE_CHUNK);
+        for threads in [1, 2] {
+            assert_resume_is_bit_identical(&wide, recorded_wide_campaign(), 3 * k, threads, None);
         }
-        prop_assert!(reference.is_complete());
-
-        // Kill after k completed cells: only the first k deliveries made it
-        // into the checkpoint before the process died.
-        let mut checkpoint = CampaignCheckpoint::new(spec.fingerprint(), spec.cells());
-        for (index, outcome) in &events[..k] {
-            checkpoint.record(*index, outcome.clone());
-        }
-        let path = scratch_path("resume");
-        checkpoint.write_atomic(&path).expect("checkpoint write");
-
-        // Resume from what is on disk.
-        let loaded = CampaignCheckpoint::load(&path).expect("checkpoint load");
-        prop_assert_eq!(loaded.completed(), k);
-        let mut sink = CheckpointSink::resume(loaded.clone(), &path, 2, NullSink);
-        spec.runner()
-            .with_threads(1)
-            .with_lanes(1)
-            .with_recording(TracePolicy::SummaryOnly)
-            .resume_from(&loaded, calibration(), &mut sink)
-            .expect("resume must accept its own checkpoint");
-        let (resumed, _, write) = sink.finish();
-        write.expect("final checkpoint write");
-
-        prop_assert!(resumed.is_complete());
-        // Encoding equality is bit-exactness: every float is stored as its
-        // bit pattern.
-        prop_assert_eq!(resumed.fold().encode(), reference.encode());
-        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -272,9 +272,10 @@ fn streamed_campaign_matches_trace_retaining_sweep() {
     assert_eq!(spec.cells(), 12, "3 kinds x 2 benchmarks x 2 ambients");
 
     // Trace-retaining arm: the classic Vec-collecting sweep over the same
-    // cells. A single worker makes lane placement deterministic, so the two
-    // arms see bit-identical trajectories and the summary comparison is
-    // exact rather than merely within the batched-engine equivalence bar.
+    // cells. Both arms run the panel engine, where a cell's trajectory does
+    // not depend on its lane, batch mates or thread, so the summary
+    // comparison is exact rather than merely within the batched-engine
+    // equivalence bar.
     let configs: Vec<ExperimentConfig> = spec.expand().collect();
     let retained = ScenarioSweep::new(configs.clone())
         .with_threads(1)

@@ -59,14 +59,16 @@
 //! instead of once per scenario as the scalar
 //! [`network::StepTransition::apply`] loop does.
 //!
-//! Batched stepping applies whenever the lanes share the transition key
-//! (fan boost, ambient, step size); lanes that diverge — different fan
-//! levels mid-sweep — are advanced by the strided
-//! [`network::BatchStepTransition::apply_lane`] fallback, which accumulates
-//! in the same per-lane order and is therefore bit-identical to the panel
-//! path (and to the scalar transition). Scalar stepping remains the right
-//! tool for a single trajectory; the panel pays for itself from a handful of
-//! lanes up.
+//! The batch transition is keyed by fan boost and step size only. Ambient is
+//! an affine input of the linear model, so each lane carries its own drive
+//! column ([`network::BatchStepTransition::ambient_drive_into`]) that seeds
+//! the lane's accumulator: lanes at different ambients share one blocked
+//! pass. Lanes whose fan levels diverge mid-sweep are advanced by the
+//! strided [`network::BatchStepTransition::apply_lane`] fallback, which
+//! accumulates in the same per-lane order and is therefore bit-identical to
+//! the panel path (and to the scalar transition). Scalar stepping remains
+//! the right tool for a single trajectory; the panel pays for itself from a
+//! handful of lanes up.
 //!
 //! # Example
 //!

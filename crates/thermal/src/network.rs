@@ -459,7 +459,14 @@ impl ThermalNetwork {
         ambient_c: f64,
         dt_s: f64,
     ) -> Result<StepTransition, ThermalError> {
-        let (r, s_power, ambient_drive) = self.transition_parts(fan_boost, ambient_c, dt_s)?;
+        let (r, s_power, ambient_conductance) = self.transition_parts(fan_boost, dt_s)?;
+        let mut ambient_drive = vec![0.0; self.node_count()];
+        ambient_drive_into(
+            s_power.as_slice(),
+            &ambient_conductance,
+            ambient_c,
+            &mut ambient_drive,
+        );
         Ok(StepTransition {
             n: self.node_count(),
             r_t: r.transpose().as_slice().to_vec(),
@@ -468,20 +475,27 @@ impl ThermalNetwork {
         })
     }
 
-    /// The affine one-micro-step RK4 map `T⁺ = R·T + S_p·p + c` shared by
-    /// [`ThermalNetwork::step_transition`] (scalar, transposed storage) and
-    /// [`ThermalNetwork::batch_step_transition`] (structure-of-arrays panel
-    /// form). Returns `(R, S_p, c)` with the matrices in row-major layout.
+    /// The fan-dependent part of the affine one-micro-step RK4 map
+    /// `T⁺ = R·T + S_p·p + c` shared by [`ThermalNetwork::step_transition`]
+    /// (scalar, transposed storage) and
+    /// [`ThermalNetwork::batch_step_transition`] (panel form). Returns
+    /// `(R, S_p, g)` with the matrices in row-major layout and `g` the
+    /// per-node conductance to ambient including the fan boost; the ambient
+    /// drive `c` follows from `S_p`, `g` and the ambient temperature through
+    /// [`ambient_drive_into`].
     fn transition_parts(
         &self,
         fan_boost: FanBoost,
-        ambient_c: f64,
         dt_s: f64,
     ) -> Result<(Matrix, Matrix, Vec<f64>), ThermalError> {
         if !(dt_s > 0.0) || !dt_s.is_finite() {
             return Err(ThermalError::InvalidParameter("step size must be positive"));
         }
         let n = self.node_count();
+        let mut ambient_conductance = self.ambient_conductances.clone();
+        if let Some(g) = ambient_conductance.get_mut(fan_boost.node) {
+            *g += fan_boost.conductance_w_per_k;
+        }
 
         // hA, with A_ij = ∂(dT_i/dt)/∂T_j.
         let mut ha = Matrix::zeros(n, n);
@@ -492,11 +506,7 @@ impl ThermalNetwork {
             ha[(b, b)] -= dt_s * g * self.inv_capacitances[b];
         }
         for i in 0..n {
-            let mut g_amb = self.ambient_conductances[i];
-            if i == fan_boost.node {
-                g_amb += fan_boost.conductance_w_per_k;
-            }
-            ha[(i, i)] -= dt_s * g_amb * self.inv_capacitances[i];
+            ha[(i, i)] -= dt_s * ambient_conductance[i] * self.inv_capacitances[i];
         }
 
         // K = I + (hA/2)·(I + (hA/3)·(I + hA/4)), Horner form of the RK4
@@ -522,32 +532,27 @@ impl ThermalNetwork {
             .expect("same shape");
         let s = k.scale(dt_s);
 
-        // Fold the drive u = inv_cap ⊙ (p + g_amb·T_amb) into the matrices:
-        // T⁺ = R·T + (S·diag(inv_cap))·p + S·(inv_cap ⊙ g_amb·T_amb).
-        let mut s_power = s.clone();
-        let mut ambient_drive = vec![0.0; n];
+        // Fold the power half of the drive u = inv_cap ⊙ (p + g·T_amb) into
+        // S: T⁺ = R·T + (S·diag(inv_cap))·p + S_p·(g·T_amb).
+        let mut s_power = s;
         for i in 0..n {
-            let mut c = 0.0;
             for j in 0..n {
-                let mut g_amb = self.ambient_conductances[j];
-                if j == fan_boost.node {
-                    g_amb += fan_boost.conductance_w_per_k;
-                }
-                c += s[(i, j)] * self.inv_capacitances[j] * g_amb * ambient_c;
-                s_power[(i, j)] = s[(i, j)] * self.inv_capacitances[j];
+                s_power[(i, j)] *= self.inv_capacitances[j];
             }
-            ambient_drive[i] = c;
         }
 
-        Ok((r, s_power, ambient_drive))
+        Ok((r, s_power, ambient_conductance))
     }
 
-    /// Precomputes the one-micro-step RK4 transition in its
-    /// structure-of-arrays batch form: the same affine map as
+    /// Precomputes the one-micro-step RK4 transition for one fan boost in
+    /// its structure-of-arrays batch form: the matrices of
     /// [`ThermalNetwork::step_transition`], stored row-major so
     /// [`BatchStepTransition::apply_panel`] can advance a whole temperature
     /// panel (one scenario per column) with the matrices loaded once per
-    /// micro-step for all lanes.
+    /// micro-step for all lanes. Ambient is not part of the key: each lane's
+    /// ambient enters as its own drive column
+    /// ([`BatchStepTransition::ambient_drive_into`]), so lanes at different
+    /// ambients share one transition.
     ///
     /// # Errors
     ///
@@ -556,15 +561,20 @@ impl ThermalNetwork {
     pub fn batch_step_transition(
         &self,
         fan_boost: FanBoost,
-        ambient_c: f64,
         dt_s: f64,
     ) -> Result<BatchStepTransition, ThermalError> {
-        let (r, s_power, ambient_drive) = self.transition_parts(fan_boost, ambient_c, dt_s)?;
+        let (r, s_power, ambient_conductance) = self.transition_parts(fan_boost, dt_s)?;
+        let n = self.node_count();
+        let to_panel = |m: &Matrix| {
+            let mut panel = Panel::zeros(n, n);
+            panel.as_mut_slice().copy_from_slice(m.as_slice());
+            panel
+        };
         Ok(BatchStepTransition {
-            n: self.node_count(),
-            r,
-            s_power,
-            ambient_drive,
+            n,
+            r: to_panel(&r),
+            s_power: to_panel(&s_power),
+            ambient_conductance,
         })
     }
 
@@ -604,6 +614,24 @@ impl ThermalNetwork {
     /// The thermal capacitance of each node (J/K).
     pub fn capacitances(&self) -> &[f64] {
         &self.capacitances
+    }
+}
+
+/// The constant ambient drive `c = S_p·(g·T_amb)` of one micro-step, written
+/// into `out` (one entry per node): `s_power` is the row-major `n × n`
+/// power-injection matrix, `g` the per-node conductance to ambient (fan boost
+/// included). Every element accumulates `Σ_j (S_p[i,j]·g[j])·T_amb` in `j`
+/// order from zero, so the scalar [`StepTransition`] and every lane of a
+/// [`BatchStepTransition`] at the same ambient carry the same drive bits.
+fn ambient_drive_into(s_power: &[f64], g: &[f64], ambient_c: f64, out: &mut [f64]) {
+    let n = out.len();
+    for (i, slot) in out.iter_mut().enumerate() {
+        let row = &s_power[i * n..(i + 1) * n];
+        let mut c = 0.0;
+        for (&s, &g) in row.iter().zip(g) {
+            c += s * g * ambient_c;
+        }
+        *slot = c;
     }
 }
 
@@ -657,28 +685,34 @@ impl StepTransition {
     }
 }
 
-/// The batched (structure-of-arrays) form of a [`StepTransition`]: the same
-/// precomputed affine RK4 micro-step, applied to a temperature [`Panel`] that
-/// holds one scenario per column
+/// The batched (structure-of-arrays) form of a [`StepTransition`] for one fan
+/// boost: the same precomputed affine RK4 micro-step, applied to a
+/// temperature [`Panel`] that holds one scenario per column
 /// (see [`ThermalNetwork::batch_step_transition`]).
 ///
+/// Ambient is an affine input of the linear model, so it is not baked into
+/// the transition: every lane brings its own drive column `c = S_p·(g·T_amb)`
+/// ([`BatchStepTransition::ambient_drive_into`]), and the apply paths seed
+/// each lane's accumulator from that column. Lanes at different ambients
+/// therefore share one transition and one blocked pass.
+///
 /// [`BatchStepTransition::apply_panel`] advances every lane in one blocked
-/// mat-mat pass (`numeric::affine_pair_apply`), so the two 8×8 matrices are
-/// streamed through the cache once per micro-step for *all* scenarios;
-/// [`BatchStepTransition::apply_lane`] advances a single column at stride and
-/// is used when lanes diverge (e.g. different fan levels) within a batch.
-/// Both paths accumulate each lane in the same order as
+/// mat-mat pass (`numeric::affine_panel_bias_apply_elem`), so the two 8×8
+/// matrices are streamed through the cache once per micro-step for *all*
+/// scenarios; [`BatchStepTransition::apply_lane`] advances a single column
+/// at stride and is used when lanes diverge (different fan levels) within a
+/// batch. Both paths accumulate each lane in the same order as
 /// [`StepTransition::apply`], so a batched lane's trajectory is bit-identical
-/// to the scalar transition given identical power inputs.
+/// to the scalar transition given identical power inputs and ambient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchStepTransition {
     n: usize,
     /// `R`, row-major `n × n`.
-    r: Matrix,
+    r: Panel,
     /// `S·diag(1/C)`, row-major `n × n` (applied to the raw power panel).
-    s_power: Matrix,
-    /// `S·(1/C ⊙ G_amb·T_amb)`, the constant ambient drive.
-    ambient_drive: Vec<f64>,
+    s_power: Panel,
+    /// Per-node conductance to ambient, fan boost included, W/K.
+    ambient_conductance: Vec<f64>,
 }
 
 impl BatchStepTransition {
@@ -687,56 +721,64 @@ impl BatchStepTransition {
         self.n
     }
 
-    /// The transition matrix `R` (row-major `n × n`).
+    /// The transition matrix `R` (row-major `n × n`, stored as a panel
+    /// whose lanes are the matrix columns).
     ///
     /// Together with [`BatchStepTransition::s_power`] and
-    /// [`BatchStepTransition::ambient_drive`] this exposes the complete
+    /// [`BatchStepTransition::ambient_drive_into`] this exposes the complete
     /// affine micro-step `T⁺ = R·T + S_p·p + c` as borrowed views, so an
     /// alternative `PlantEngine` backend (a GPU kernel over device buffers,
     /// a different SoA layout) can consume the precomputed per-step math
     /// without going through the CPU [`Panel`] apply paths.
-    pub fn r(&self) -> &Matrix {
+    pub fn r(&self) -> &Panel {
         &self.r
     }
 
     /// The power-injection matrix `S·diag(1/C)` (row-major `n × n`), applied
     /// to the raw per-node power vector (see [`BatchStepTransition::r`]).
-    pub fn s_power(&self) -> &Matrix {
+    pub fn s_power(&self) -> &Panel {
         &self.s_power
     }
 
-    /// The constant ambient drive `S·(1/C ⊙ G_amb·T_amb)` (length `n`, see
-    /// [`BatchStepTransition::r`]).
-    pub fn ambient_drive(&self) -> &[f64] {
-        &self.ambient_drive
+    /// Writes the constant ambient drive `c = S_p·(g·T_amb)` at `ambient_c`
+    /// into `out` (one entry per node) — a lane's drive column for the
+    /// apply paths, bit-identical to the drive of the scalar
+    /// [`StepTransition`] at the same fan boost and ambient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not cover all nodes.
+    pub fn ambient_drive_into(&self, ambient_c: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.n, "drive vector length");
+        ambient_drive_into(
+            self.s_power.as_slice(),
+            &self.ambient_conductance,
+            ambient_c,
+            out,
+        );
     }
 
     /// Advances every lane of `temps` by one micro-step with the per-lane
-    /// node power injections in `powers`, using `tmp` as scratch (its
-    /// contents are overwritten; after the call `temps` holds the new
-    /// temperatures). Allocation-free.
+    /// node power injections in `powers` and the per-lane ambient drive
+    /// columns in `drive` (`T⁺ = drive + R·T + S_p·p`), using `tmp` as
+    /// scratch (its contents are overwritten; after the call `temps` holds
+    /// the new temperatures). Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if the panels do not all have `node_count` rows and matching
     /// lane counts.
     #[inline]
-    pub fn apply_panel(&self, temps: &mut Panel, powers: &Panel, tmp: &mut Panel) {
-        numeric::affine_pair_apply(
-            &self.r,
-            &self.s_power,
-            &self.ambient_drive,
-            temps,
-            powers,
-            tmp,
-        )
-        .expect("panel shapes must cover all nodes");
+    pub fn apply_panel(&self, temps: &mut Panel, powers: &Panel, drive: &Panel, tmp: &mut Panel) {
+        numeric::affine_panel_bias_apply_elem(&self.r, &self.s_power, drive, temps, powers, tmp)
+            .expect("panel shapes must cover all nodes");
         std::mem::swap(temps, tmp);
     }
 
     /// Advances only lane `lane` of `temps` by one micro-step — the strided
     /// fallback for batches whose lanes need different transitions. The
-    /// per-lane accumulation order matches [`BatchStepTransition::apply_panel`]
+    /// accumulator starts from the lane's `drive` column and the per-lane
+    /// accumulation order matches [`BatchStepTransition::apply_panel`]
     /// exactly, so mixing the two paths never changes a trajectory.
     ///
     /// # Panics
@@ -744,16 +786,24 @@ impl BatchStepTransition {
     /// Panics if the panels do not have `node_count` rows, `lane` is out of
     /// range, or `col` does not cover all nodes.
     #[inline]
-    pub fn apply_lane(&self, temps: &mut Panel, powers: &Panel, lane: usize, col: &mut [f64]) {
+    pub fn apply_lane(
+        &self,
+        temps: &mut Panel,
+        powers: &Panel,
+        drive: &Panel,
+        lane: usize,
+        col: &mut [f64],
+    ) {
         let n = self.n;
         assert_eq!(temps.rows(), n, "temperature panel rows");
         assert_eq!(powers.rows(), n, "power panel rows");
+        assert_eq!(drive.rows(), n, "drive panel rows");
         assert_eq!(col.len(), n, "column scratch length");
         assert!(lane < temps.lanes(), "lane index out of bounds");
         let r = self.r.as_slice();
         let s = self.s_power.as_slice();
         for (i, slot) in col.iter_mut().enumerate() {
-            let mut acc = self.ambient_drive[i];
+            let mut acc = drive.get(i, lane);
             for j in 0..n {
                 acc = numeric::simd::madd2(
                     r[i * n + j],
@@ -776,13 +826,14 @@ impl BatchStepTransition {
 ///
 /// The transition matrices are always *computed* in f64 — the RK4
 /// discretisation involves matrix powers whose conditioning f32 would
-/// visibly degrade — and demoted element-wise once per control interval via
+/// visibly degrade — and demoted element-wise once via
 /// [`BatchStepTransitionF32::from_f64`]. The apply paths then run entirely
 /// at f32 width through the width-generic panel kernels
-/// ([`numeric::affine_pair_apply_elem`]), doubling the lanes advanced per
-/// vector relative to [`BatchStepTransition::apply_panel`]. Like the f64
-/// form, the panel and per-lane paths share one per-lane accumulation
-/// order, so mixing them never changes a trajectory.
+/// ([`numeric::affine_panel_bias_apply_elem`]), doubling the lanes advanced
+/// per vector relative to [`BatchStepTransition::apply_panel`]. Like the f64
+/// form, the constant term arrives as a per-lane bias panel and the panel
+/// and per-lane paths share one per-lane accumulation order, so mixing them
+/// never changes a trajectory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchStepTransitionF32 {
     n: usize,
@@ -790,8 +841,6 @@ pub struct BatchStepTransitionF32 {
     r: PanelF32,
     /// `S·diag(1/C)`, demoted, `n × n` row-major.
     s_power: PanelF32,
-    /// `S·(1/C ⊙ G_amb·T_amb)`, demoted.
-    ambient_drive: Vec<f32>,
 }
 
 impl BatchStepTransitionF32 {
@@ -802,16 +851,11 @@ impl BatchStepTransitionF32 {
         let mut s_power = PanelF32::zeros(n, n);
         for i in 0..n {
             for j in 0..n {
-                r.set(i, j, full.r[(i, j)] as f32);
-                s_power.set(i, j, full.s_power[(i, j)] as f32);
+                r.set(i, j, full.r.get(i, j) as f32);
+                s_power.set(i, j, full.s_power.get(i, j) as f32);
             }
         }
-        BatchStepTransitionF32 {
-            n,
-            r,
-            s_power,
-            ambient_drive: full.ambient_drive.iter().map(|&v| v as f32).collect(),
-        }
+        BatchStepTransitionF32 { n, r, s_power }
     }
 
     /// Number of nodes the transition covers.
@@ -819,34 +863,12 @@ impl BatchStepTransitionF32 {
         self.n
     }
 
-    /// Advances every lane of `temps` by one f32 micro-step (see
-    /// [`BatchStepTransition::apply_panel`]); `tmp` is overwritten scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not all have `node_count` rows and matching
-    /// lane counts.
-    #[inline]
-    pub fn apply_panel(&self, temps: &mut PanelF32, powers: &PanelF32, tmp: &mut PanelF32) {
-        numeric::affine_pair_apply_elem(
-            &self.r,
-            &self.s_power,
-            &self.ambient_drive,
-            temps,
-            powers,
-            tmp,
-        )
-        .expect("panel shapes must cover all nodes");
-        std::mem::swap(temps, tmp);
-    }
-
     /// Advances every lane of `temps` by one f32 micro-step with a caller
-    /// supplied per-lane bias panel *replacing* the transition's own ambient
-    /// drive: `T⁺ = bias + R·T + S_p·p`. This is the delta-form engine's hot
-    /// call — the bias carries the whole constant term `c + (R − I)·T0` per
-    /// lane, so the deviation advance needs no follow-up pass. `tmp` is
-    /// overwritten scratch. Per-lane accumulation order matches
-    /// [`BatchStepTransitionF32::apply_lane_bias`] exactly.
+    /// supplied per-lane bias panel: `T⁺ = bias + R·T + S_p·p`. This is the
+    /// delta-form engine's hot call — the bias carries the whole constant
+    /// term `c + (R − I)·T0` per lane, so the deviation advance needs no
+    /// follow-up pass. `tmp` is overwritten scratch. Per-lane accumulation
+    /// order matches [`BatchStepTransitionF32::apply_lane_bias`] exactly.
     ///
     /// # Panics
     ///
@@ -892,47 +914,6 @@ impl BatchStepTransitionF32 {
         let s = self.s_power.as_slice();
         for (i, slot) in col.iter_mut().enumerate() {
             let mut acc = bias.get(i, lane);
-            for j in 0..n {
-                acc = numeric::simd::madd2_f32(
-                    r[i * n + j],
-                    temps.get(j, lane),
-                    s[i * n + j],
-                    powers.get(j, lane),
-                    acc,
-                );
-            }
-            *slot = acc;
-        }
-        for (i, &v) in col.iter().enumerate() {
-            temps.set(i, lane, v);
-        }
-    }
-
-    /// Advances only lane `lane` of `temps` — the strided fallback for
-    /// batches whose lanes need different transitions, accumulation order
-    /// identical to [`BatchStepTransitionF32::apply_panel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not have `node_count` rows, `lane` is out of
-    /// range, or `col` does not cover all nodes.
-    #[inline]
-    pub fn apply_lane(
-        &self,
-        temps: &mut PanelF32,
-        powers: &PanelF32,
-        lane: usize,
-        col: &mut [f32],
-    ) {
-        let n = self.n;
-        assert_eq!(temps.rows(), n, "temperature panel rows");
-        assert_eq!(powers.rows(), n, "power panel rows");
-        assert_eq!(col.len(), n, "column scratch length");
-        assert!(lane < temps.lanes(), "lane index out of bounds");
-        let r = self.r.as_slice();
-        let s = self.s_power.as_slice();
-        for (i, slot) in col.iter_mut().enumerate() {
-            let mut acc = self.ambient_drive[i];
             for j in 0..n {
                 acc = numeric::simd::madd2_f32(
                     r[i * n + j],
@@ -1340,23 +1321,134 @@ mod tests {
         }
     }
 
+    /// The Odroid fan's conductance boosts, W/K: `0.28 ×` the speed
+    /// fraction of each level (off, base, half, full), as the plant
+    /// computes them.
+    fn fan_boosts() -> [f64; 4] {
+        [0.0, 0.12, 0.5, 1.0].map(|fraction| 0.28 * fraction)
+    }
+
+    /// The ambients of the paper grid, °C.
+    const AMBIENTS: [f64; 4] = [22.0, 26.0, 30.0, 34.0];
+
+    /// `(R, S_p, c)` exactly as the transition was built when ambient was
+    /// part of its key: one combined loop that accumulates the ambient drive
+    /// `c_i = Σ_j S[i,j]·(1/C_j)·g_j·T_amb` next to `S_p = S·diag(1/C)`. The
+    /// fan-keyed transition and its shared drive function must reproduce
+    /// these bits.
+    fn reference_parts(
+        network: &ThermalNetwork,
+        fan_boost: FanBoost,
+        ambient_c: f64,
+        dt_s: f64,
+    ) -> (Matrix, Matrix, Vec<f64>) {
+        let n = network.node_count();
+        let g_amb = |i: usize| {
+            let mut g = network.ambient_conductances[i];
+            if i == fan_boost.node {
+                g += fan_boost.conductance_w_per_k;
+            }
+            g
+        };
+        let mut ha = Matrix::zeros(n, n);
+        for &(a, b, g) in &network.couplings {
+            ha[(a, b)] += dt_s * g * network.inv_capacitances[a];
+            ha[(a, a)] -= dt_s * g * network.inv_capacitances[a];
+            ha[(b, a)] += dt_s * g * network.inv_capacitances[b];
+            ha[(b, b)] -= dt_s * g * network.inv_capacitances[b];
+        }
+        for i in 0..n {
+            ha[(i, i)] -= dt_s * g_amb(i) * network.inv_capacitances[i];
+        }
+        let identity = Matrix::identity(n);
+        let inner = identity.add(&ha.scale(0.25)).unwrap();
+        let middle = identity
+            .add(&ha.scale(1.0 / 3.0).mul(&inner).unwrap())
+            .unwrap();
+        let k = identity.add(&ha.scale(0.5).mul(&middle).unwrap()).unwrap();
+        let r = identity.add(&ha.mul(&k).unwrap()).unwrap();
+        let s = k.scale(dt_s);
+        let mut s_power = s.clone();
+        let mut drive = vec![0.0; n];
+        for i in 0..n {
+            let mut c = 0.0;
+            for j in 0..n {
+                c += s[(i, j)] * network.inv_capacitances[j] * g_amb(j) * ambient_c;
+                s_power[(i, j)] = s[(i, j)] * network.inv_capacitances[j];
+            }
+            drive[i] = c;
+        }
+        (r, s_power, drive)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn batch_transition_lanes_match_scalar_transition_bitwise() {
-        // Every lane of the panel apply (and the strided per-lane fallback)
-        // must reproduce the scalar StepTransition exactly: the accumulation
-        // order is the same by construction.
+    fn fan_keyed_transition_reproduces_the_reference_parts_bitwise() {
         let plant = ExynosThermalNetwork::odroid_xu_e();
         let network = plant.network();
-        let boost = plant.fan_boost(0.04);
-        let scalar = network.step_transition(boost, 28.0, 0.01).unwrap();
-        let batch = network.batch_step_transition(boost, 28.0, 0.01).unwrap();
-        assert_eq!(batch.node_count(), 8);
+        let n = network.node_count();
+        let mut drive = vec![0.0; n];
+        for boost_w_per_k in fan_boosts() {
+            let boost = plant.fan_boost(boost_w_per_k);
+            let batch = network.batch_step_transition(boost, 0.01).unwrap();
+            for ambient_c in AMBIENTS {
+                let (r, s_power, reference) = reference_parts(network, boost, ambient_c, 0.01);
+                let label = format!("boost {boost_w_per_k} W/K, ambient {ambient_c} °C");
+                assert_eq!(bits(batch.r().as_slice()), bits(r.as_slice()), "R, {label}");
+                assert_eq!(
+                    bits(batch.s_power().as_slice()),
+                    bits(s_power.as_slice()),
+                    "S_p, {label}"
+                );
+                batch.ambient_drive_into(ambient_c, &mut drive);
+                assert_eq!(bits(&drive), bits(&reference), "batch drive, {label}");
+                let scalar = network.step_transition(boost, ambient_c, 0.01).unwrap();
+                assert_eq!(
+                    bits(&scalar.ambient_drive),
+                    bits(&reference),
+                    "scalar drive, {label}"
+                );
+                assert_eq!(
+                    bits(&scalar.r_t),
+                    bits(r.transpose().as_slice()),
+                    "Rᵀ, {label}"
+                );
+                assert_eq!(
+                    bits(&scalar.s_power_t),
+                    bits(s_power.transpose().as_slice()),
+                    "S_pᵀ, {label}"
+                );
+            }
+        }
+    }
 
-        for lanes in [1, 3, 8, 11] {
-            let n = network.node_count();
+    #[test]
+    fn batch_transition_lanes_match_scalar_transition_bitwise() {
+        // A mixed-ambient panel — lane l at AMBIENTS[l % 4], each lane's
+        // ambient riding in as its drive column — advanced through the bias
+        // kernel (active arm and the scalar arm), the strided per-lane
+        // fallback, and the scalar StepTransition of the lane's own ambient:
+        // all four must agree to the bit at every width up to and past two
+        // LANE_CHUNKs.
+        let plant = ExynosThermalNetwork::odroid_xu_e();
+        let network = plant.network();
+        let n = network.node_count();
+        let boost = plant.fan_boost(0.04);
+        let batch = network.batch_step_transition(boost, 0.01).unwrap();
+        assert_eq!(batch.node_count(), n);
+        let scalars: Vec<StepTransition> = AMBIENTS
+            .iter()
+            .map(|&ambient_c| network.step_transition(boost, ambient_c, 0.01).unwrap())
+            .collect();
+
+        for lanes in 1..=2 * numeric::LANE_CHUNK + 1 {
             let mut temps = Panel::zeros(n, lanes);
             let mut powers = Panel::zeros(n, lanes);
-            let mut tmp = Panel::zeros(n, lanes);
+            let mut drive = Panel::zeros(n, lanes);
+            let mut column = vec![0.0; n];
             let mut scalar_temps: Vec<Vec<f64>> = Vec::new();
             let mut scalar_powers: Vec<Vec<f64>> = Vec::new();
             for lane in 0..lanes {
@@ -1367,28 +1459,49 @@ mod tests {
                     plant.power_vector(&[0.8, 0.9, 0.7, 0.6], 0.05, 0.3 + lane as f64 * 0.02, 0.4);
                 temps.set_column(lane, &t);
                 powers.set_column(lane, &p);
+                batch.ambient_drive_into(AMBIENTS[lane % AMBIENTS.len()], &mut column);
+                drive.set_column(lane, &column);
                 scalar_temps.push(t);
                 scalar_powers.push(p);
             }
-            let mut scratch = vec![0.0; n];
-            for step in 0..200 {
-                if step % 2 == 0 {
-                    batch.apply_panel(&mut temps, &powers, &mut tmp);
-                } else {
-                    for lane in 0..lanes {
-                        batch.apply_lane(&mut temps, &powers, lane, &mut scratch);
-                    }
+            let mut strided = temps.clone();
+            let mut scalar_arm = temps.clone();
+            let mut tmp = Panel::zeros(n, lanes);
+            for _ in 0..100 {
+                batch.apply_panel(&mut temps, &powers, &drive, &mut tmp);
+                numeric::affine_panel_bias_apply_elem_with(
+                    numeric::PanelKernel::Scalar,
+                    batch.r(),
+                    batch.s_power(),
+                    &drive,
+                    &scalar_arm,
+                    &powers,
+                    &mut tmp,
+                )
+                .unwrap();
+                std::mem::swap(&mut scalar_arm, &mut tmp);
+                for lane in 0..lanes {
+                    batch.apply_lane(&mut strided, &powers, &drive, lane, &mut column);
                 }
-                for (lane_temps, lane_powers) in scalar_temps.iter_mut().zip(&scalar_powers) {
-                    scalar.apply(lane_temps, lane_powers, &mut scratch);
+                for (lane, (lane_temps, lane_powers)) in
+                    scalar_temps.iter_mut().zip(&scalar_powers).enumerate()
+                {
+                    scalars[lane % AMBIENTS.len()].apply(lane_temps, lane_powers, &mut column);
                 }
             }
             for (lane, lane_temps) in scalar_temps.iter().enumerate() {
                 for (i, expected) in lane_temps.iter().enumerate() {
+                    let label = format!("lanes={lanes} lane={lane} node={i}");
+                    assert_eq!(temps.get(i, lane).to_bits(), expected.to_bits(), "{label}");
                     assert_eq!(
-                        temps.get(i, lane).to_bits(),
+                        scalar_arm.get(i, lane).to_bits(),
                         expected.to_bits(),
-                        "lanes={lanes} lane={lane} node={i}"
+                        "scalar arm, {label}"
+                    );
+                    assert_eq!(
+                        strided.get(i, lane).to_bits(),
+                        expected.to_bits(),
+                        "strided, {label}"
                     );
                 }
             }
@@ -1405,7 +1518,7 @@ mod tests {
         let plant = ExynosThermalNetwork::odroid_xu_e();
         let network = plant.network();
         let boost = plant.fan_boost(0.04);
-        let batch = network.batch_step_transition(boost, 28.0, 0.01).unwrap();
+        let batch = network.batch_step_transition(boost, 0.01).unwrap();
         let demoted = BatchStepTransitionF32::from_f64(&batch);
         assert_eq!(demoted.node_count(), batch.node_count());
 
@@ -1413,17 +1526,23 @@ mod tests {
         let lanes = 5;
         let mut temps64 = Panel::zeros(n, lanes);
         let mut powers64 = Panel::zeros(n, lanes);
+        let mut drive64 = Panel::zeros(n, lanes);
         let mut tmp64 = Panel::zeros(n, lanes);
         let mut temps32 = PanelF32::zeros(n, lanes);
         let mut powers32 = PanelF32::zeros(n, lanes);
+        let mut drive32 = PanelF32::zeros(n, lanes);
         let mut tmp32 = PanelF32::zeros(n, lanes);
         let mut lane32 = temps32.clone();
+        let mut column = vec![0.0; n];
         for lane in 0..lanes {
-            for i in 0..n {
+            batch.ambient_drive_into(AMBIENTS[lane % AMBIENTS.len()], &mut column);
+            drive64.set_column(lane, &column);
+            for (i, &c) in column.iter().enumerate() {
                 let t = 45.0 + (lane * n + i) as f64 * 0.31;
                 temps64.set(i, lane, t);
                 temps32.set(i, lane, t as f32);
                 lane32.set(i, lane, t as f32);
+                drive32.set(i, lane, c as f32);
             }
             let p = plant.power_vector(&[0.8, 0.9, 0.7, 0.6], 0.05, 0.3 + lane as f64 * 0.02, 0.4);
             powers64.set_column(lane, &p);
@@ -1433,10 +1552,10 @@ mod tests {
         }
         let mut scratch = vec![0.0f32; n];
         for _ in 0..200 {
-            batch.apply_panel(&mut temps64, &powers64, &mut tmp64);
-            demoted.apply_panel(&mut temps32, &powers32, &mut tmp32);
+            batch.apply_panel(&mut temps64, &powers64, &drive64, &mut tmp64);
+            demoted.apply_panel_bias(&mut temps32, &powers32, &drive32, &mut tmp32);
             for lane in 0..lanes {
-                demoted.apply_lane(&mut lane32, &powers32, lane, &mut scratch);
+                demoted.apply_lane_bias(&mut lane32, &powers32, &drive32, lane, &mut scratch);
             }
         }
         for lane in 0..lanes {
@@ -1457,7 +1576,7 @@ mod tests {
         let plant = ExynosThermalNetwork::odroid_xu_e();
         assert!(plant
             .network()
-            .batch_step_transition(FanBoost::NONE, 28.0, -1.0)
+            .batch_step_transition(FanBoost::NONE, -1.0)
             .is_err());
     }
 

@@ -60,9 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut sink = SummarySink::default();
-    spec.runner()
-        .with_lanes(8)
-        .run_into(&calibration, &mut sink);
+    spec.runner().run_into(&calibration, &mut sink);
     for (index, error) in &sink.failures {
         eprintln!("cell {index} failed: {error}");
     }
