@@ -1,15 +1,16 @@
 //! Criterion microbenchmark for the SIMD panel-kernel dispatch arms.
 //!
-//! Times the three hot loop shapes the batched engines spend their cycles in
-//! — the single-matrix panel product, the fused affine-pair step and the
-//! anchored leakage span — once through the auto-detected vector arm and once
-//! through forced scalar, at 8 lanes (one chunk, the per-interval shape) and
-//! 32 lanes (the compacted-sweep shape), and at both element widths (the f64
-//! default and the mixed-precision engine's f32 panels). The headline number
-//! is the vector-over-scalar speedup on the 8-lane f64 affine-pair kernel:
-//! on an AVX2 host the acceptance floor is ≥ 1.5×, asserted in the full
-//! (non `--test`) run. Every cell also records its f32-over-f64 ratio so the
-//! per-op width win is tracked alongside the dispatch win.
+//! Times the kernel shapes the batched code runs — the per-lane-bias affine
+//! step every engine's thermal transition applies, the f64 broadcast-bias
+//! affine pair of the batched predictor, and the anchored leakage span —
+//! once through the auto-detected vector arm and once through forced scalar,
+//! at 8 lanes (one chunk, the per-interval shape) and 32 lanes (the
+//! compacted-sweep shape). The bias step and the leakage span also run at
+//! f32 width (the mixed-precision engine's panels), and those cells record
+//! their f32-over-f64 ratio so the per-op width win is tracked alongside the
+//! dispatch win. The headline number is the vector-over-scalar speedup on
+//! the 8-lane f64 affine-pair kernel: on an AVX2 host the acceptance floor
+//! is ≥ 1.5×, asserted in the full (non `--test`) run.
 //!
 //! The measured numbers are also written to `BENCH_panel_kernels.json` at the
 //! workspace root so sweeps of the bench can be tracked over time.
@@ -20,8 +21,7 @@ use std::time::Instant;
 
 use numeric::simd::PanelKernel;
 use numeric::{
-    affine_pair_apply_elem_with, affine_pair_apply_with, mul_panel_into_elem_with, Matrix, Panel,
-    PanelF32,
+    affine_pair_apply_with, affine_panel_bias_apply_elem_with, Elem, Matrix, Panel, PanelT,
 };
 use power_model::{LeakageModel, LeakagePanel, LeakagePanelF32};
 
@@ -43,23 +43,40 @@ fn test_matrix(seed: f64) -> Matrix {
     m
 }
 
-fn test_panel(rows: usize, lanes: usize, scale: f64) -> Panel {
-    let mut p = Panel::zeros(rows, lanes);
-    for i in 0..rows {
-        for l in 0..lanes {
-            p.set(i, l, 40.0 + scale * (i * lanes + l) as f64);
+/// [`test_matrix`] as a panel at width `E` — the form the bias kernel takes.
+fn matrix_panel<E: Elem>(seed: f64) -> PanelT<E> {
+    let m = test_matrix(seed);
+    let mut p = PanelT::zeros(N, N);
+    for i in 0..N {
+        for j in 0..N {
+            p.set(i, j, E::from_f64(m[(i, j)]));
         }
     }
     p
 }
 
-/// A named kernel-shaped operation on the fixture, timed per dispatch arm.
-type KernelOp = (&'static str, fn(&mut KernelFixture, PanelKernel));
+fn test_panel<E: Elem>(rows: usize, lanes: usize, scale: f64) -> PanelT<E> {
+    let mut p = PanelT::zeros(rows, lanes);
+    for i in 0..rows {
+        for l in 0..lanes {
+            p.set(i, l, E::from_f64(40.0 + scale * (i * lanes + l) as f64));
+        }
+    }
+    p
+}
 
+/// A kernel-shaped operation on a fixture, timed per dispatch arm.
+type Op<F> = fn(&mut F, PanelKernel);
+
+/// The f64 fixture: the affine pair's matrices and broadcast bias, the bias
+/// kernel's matrix panels and per-lane drive, and a leakage panel.
 struct KernelFixture {
     a: Matrix,
     b: Matrix,
     bias: Vec<f64>,
+    a_panel: Panel,
+    b_panel: Panel,
+    drive: Panel,
     x: Panel,
     y: Panel,
     out: Panel,
@@ -75,6 +92,9 @@ impl KernelFixture {
             a: test_matrix(0.2),
             b: test_matrix(0.05),
             bias: (0..N).map(|i| 0.01 * i as f64).collect(),
+            a_panel: matrix_panel(0.2),
+            b_panel: matrix_panel(0.05),
+            drive: test_panel(N, lanes, 0.003),
             x: test_panel(N, lanes, 0.037),
             y: test_panel(N, lanes, 0.011),
             out: Panel::zeros(N, lanes),
@@ -82,13 +102,6 @@ impl KernelFixture {
             temps: (0..cells).map(|k| 52.0 + 0.002 * k as f64).collect(),
             currents: vec![0.0; cells],
         }
-    }
-
-    fn mul_panel(&mut self, kernel: PanelKernel) {
-        self.a
-            .mul_panel_into_with(kernel, black_box(&self.x), &mut self.out)
-            .unwrap();
-        black_box(&self.out);
     }
 
     fn affine_pair(&mut self, kernel: PanelKernel) {
@@ -105,74 +118,12 @@ impl KernelFixture {
         black_box(&self.out);
     }
 
-    fn leakage_span(&mut self, kernel: PanelKernel) {
-        self.leak
-            .currents_into_with(kernel, black_box(&self.temps), &mut self.currents);
-        black_box(&self.currents[0]);
-    }
-}
-
-/// The same three op shapes at f32 width (the mixed-precision engine's
-/// panels): matrices live in `PanelF32` form for the width-generic kernels.
-type KernelOp32 = (&'static str, fn(&mut KernelFixture32, PanelKernel));
-
-struct KernelFixture32 {
-    a: PanelF32,
-    b: PanelF32,
-    bias: Vec<f32>,
-    x: PanelF32,
-    y: PanelF32,
-    out: PanelF32,
-    leak: LeakagePanelF32,
-    temps: Vec<f32>,
-    currents: Vec<f32>,
-}
-
-impl KernelFixture32 {
-    fn new(lanes: usize) -> Self {
-        let demote = |m: &Matrix| {
-            let mut p = PanelF32::zeros(N, N);
-            for i in 0..N {
-                for j in 0..N {
-                    p.set(i, j, m[(i, j)] as f32);
-                }
-            }
-            p
-        };
-        let demote_panel = |p64: &Panel| {
-            let mut p = PanelF32::zeros(p64.rows(), p64.lanes());
-            for i in 0..p64.rows() {
-                for l in 0..p64.lanes() {
-                    p.set(i, l, p64.get(i, l) as f32);
-                }
-            }
-            p
-        };
-        let cells = LEAK_ROWS * lanes;
-        KernelFixture32 {
-            a: demote(&test_matrix(0.2)),
-            b: demote(&test_matrix(0.05)),
-            bias: (0..N).map(|i| 0.01 * i as f32).collect(),
-            x: demote_panel(&test_panel(N, lanes, 0.037)),
-            y: demote_panel(&test_panel(N, lanes, 0.011)),
-            out: PanelF32::zeros(N, lanes),
-            leak: LeakagePanelF32::filled(LEAK_ROWS, lanes, &LeakageModel::exynos5410_big(), 52.0),
-            temps: (0..cells).map(|k| 52.0 + 0.002 * k as f32).collect(),
-            currents: vec![0.0; cells],
-        }
-    }
-
-    fn mul_panel(&mut self, kernel: PanelKernel) {
-        mul_panel_into_elem_with(kernel, &self.a, black_box(&self.x), &mut self.out).unwrap();
-        black_box(&self.out);
-    }
-
-    fn affine_pair(&mut self, kernel: PanelKernel) {
-        affine_pair_apply_elem_with(
+    fn affine_panel_bias(&mut self, kernel: PanelKernel) {
+        affine_panel_bias_apply_elem_with(
             kernel,
-            &self.a,
-            &self.b,
-            &self.bias,
+            &self.a_panel,
+            &self.b_panel,
+            black_box(&self.drive),
             black_box(&self.x),
             black_box(&self.y),
             &mut self.out,
@@ -188,39 +139,97 @@ impl KernelFixture32 {
     }
 }
 
+/// The f32 fixture (the mixed-precision engine's panels): the bias kernel
+/// and the leakage span at half width.
+struct KernelFixture32 {
+    a: PanelT<f32>,
+    b: PanelT<f32>,
+    drive: PanelT<f32>,
+    x: PanelT<f32>,
+    y: PanelT<f32>,
+    out: PanelT<f32>,
+    leak: LeakagePanelF32,
+    temps: Vec<f32>,
+    currents: Vec<f32>,
+}
+
+impl KernelFixture32 {
+    fn new(lanes: usize) -> Self {
+        let cells = LEAK_ROWS * lanes;
+        KernelFixture32 {
+            a: matrix_panel(0.2),
+            b: matrix_panel(0.05),
+            drive: test_panel(N, lanes, 0.003),
+            x: test_panel(N, lanes, 0.037),
+            y: test_panel(N, lanes, 0.011),
+            out: PanelT::zeros(N, lanes),
+            leak: LeakagePanelF32::filled(LEAK_ROWS, lanes, &LeakageModel::exynos5410_big(), 52.0),
+            temps: (0..cells).map(|k| 52.0 + 0.002 * k as f32).collect(),
+            currents: vec![0.0; cells],
+        }
+    }
+
+    fn affine_panel_bias(&mut self, kernel: PanelKernel) {
+        affine_panel_bias_apply_elem_with(
+            kernel,
+            &self.a,
+            &self.b,
+            black_box(&self.drive),
+            black_box(&self.x),
+            black_box(&self.y),
+            &mut self.out,
+        )
+        .unwrap();
+        black_box(&self.out);
+    }
+
+    fn leakage_span(&mut self, kernel: PanelKernel) {
+        self.leak
+            .currents_into_with(kernel, black_box(&self.temps), &mut self.currents);
+        black_box(&self.currents[0]);
+    }
+}
+
+/// A timed op: its name, the f64 form and, where the engines run one, the
+/// f32 form.
+type KernelOp = (&'static str, Op<KernelFixture>, Option<Op<KernelFixture32>>);
+
+/// Every timed op.
+fn ops() -> [KernelOp; 3] {
+    [
+        ("affine_pair", KernelFixture::affine_pair, None),
+        (
+            "affine_panel_bias",
+            KernelFixture::affine_panel_bias,
+            Some(KernelFixture32::affine_panel_bias),
+        ),
+        (
+            "leakage_span",
+            KernelFixture::leakage_span,
+            Some(KernelFixture32::leakage_span),
+        ),
+    ]
+}
+
 fn bench_panel_kernels(c: &mut Criterion) {
+    let active = PanelKernel::active();
     for lanes in [8usize, 32] {
         let mut group = c.benchmark_group(&format!("panel_kernels/{lanes}_lanes"));
-        let active = PanelKernel::active();
         let mut fx = KernelFixture::new(lanes);
-        group.bench_function(&format!("mul_panel/{}", active.name()), |bench| {
-            bench.iter(|| fx.mul_panel(active))
-        });
-        group.bench_function("mul_panel/scalar", |bench| {
-            bench.iter(|| fx.mul_panel(PanelKernel::Scalar))
-        });
-        group.bench_function(&format!("affine_pair/{}", active.name()), |bench| {
-            bench.iter(|| fx.affine_pair(active))
-        });
-        group.bench_function("affine_pair/scalar", |bench| {
-            bench.iter(|| fx.affine_pair(PanelKernel::Scalar))
-        });
-        group.bench_function(&format!("leakage_span/{}", active.name()), |bench| {
-            bench.iter(|| fx.leakage_span(active))
-        });
-        group.bench_function("leakage_span/scalar", |bench| {
-            bench.iter(|| fx.leakage_span(PanelKernel::Scalar))
-        });
         let mut fx32 = KernelFixture32::new(lanes);
-        group.bench_function(&format!("mul_panel_f32/{}", active.name()), |bench| {
-            bench.iter(|| fx32.mul_panel(active))
-        });
-        group.bench_function(&format!("affine_pair_f32/{}", active.name()), |bench| {
-            bench.iter(|| fx32.affine_pair(active))
-        });
-        group.bench_function(&format!("leakage_span_f32/{}", active.name()), |bench| {
-            bench.iter(|| fx32.leakage_span(active))
-        });
+        for (name, op, op32) in ops() {
+            group.bench_function(&format!("{name}/{}", active.name()), |bench| {
+                bench.iter(|| op(&mut fx, active))
+            });
+            group.bench_function(&format!("{name}/scalar"), |bench| {
+                bench.iter(|| op(&mut fx, PanelKernel::Scalar))
+            });
+            if let Some(op32) = op32 {
+                group.bench_function(&format!("{name}_f32/{}", active.name()), |bench| {
+                    bench.iter(|| op32(&mut fx32, active))
+                });
+            }
+        }
         group.finish();
     }
 
@@ -253,39 +262,14 @@ fn report_speedups() {
     for lanes in [8usize, 32] {
         let mut fx = KernelFixture::new(lanes);
         let mut fx32 = KernelFixture32::new(lanes);
-        let ops: [(KernelOp, KernelOp32); 3] = [
-            (
-                ("mul_panel", KernelFixture::mul_panel),
-                ("mul_panel", KernelFixture32::mul_panel),
-            ),
-            (
-                ("affine_pair", KernelFixture::affine_pair),
-                ("affine_pair", KernelFixture32::affine_pair),
-            ),
-            (
-                ("leakage_span", KernelFixture::leakage_span),
-                ("leakage_span", KernelFixture32::leakage_span),
-            ),
-        ];
-        for ((name, op), (_, op32)) in ops {
+        for (name, op, op32) in ops() {
             let wide_ns = time_op(passes, iters, || op(&mut fx, active));
             let scalar_ns = time_op(passes, iters, || op(&mut fx, PanelKernel::Scalar));
             let speedup = scalar_ns / wide_ns;
-            let wide32_ns = time_op(passes, iters, || op32(&mut fx32, active));
-            let scalar32_ns = time_op(passes, iters, || op32(&mut fx32, PanelKernel::Scalar));
-            let speedup32 = scalar32_ns / wide32_ns;
-            let f32_vs_f64 = wide_ns / wide32_ns;
             println!(
-                "panel_kernels/{name}/{lanes}_lanes      {:>8.1} ns ({}) vs {:>8.1} ns (scalar)  {speedup:>6.2}x",
-                wide_ns,
+                "{:<44} {wide_ns:>8.1} ns ({}) vs {scalar_ns:>8.1} ns (scalar)  {speedup:>6.2}x",
+                format!("panel_kernels/{name}/{lanes}_lanes"),
                 active.name(),
-                scalar_ns,
-            );
-            println!(
-                "panel_kernels/{name}_f32/{lanes}_lanes  {:>8.1} ns ({}) vs {:>8.1} ns (scalar)  {speedup32:>6.2}x  [f32 vs f64: {f32_vs_f64:.2}x]",
-                wide32_ns,
-                active.name(),
-                scalar32_ns,
             );
             if name == "affine_pair" && lanes == 8 {
                 affine8_speedup = Some(speedup);
@@ -296,6 +280,18 @@ fn report_speedups() {
                  \"speedup\": {speedup:.3} }}",
                 active.name()
             ));
+            let Some(op32) = op32 else {
+                continue;
+            };
+            let wide32_ns = time_op(passes, iters, || op32(&mut fx32, active));
+            let scalar32_ns = time_op(passes, iters, || op32(&mut fx32, PanelKernel::Scalar));
+            let speedup32 = scalar32_ns / wide32_ns;
+            let f32_vs_f64 = wide_ns / wide32_ns;
+            println!(
+                "{:<44} {wide32_ns:>8.1} ns ({}) vs {scalar32_ns:>8.1} ns (scalar)  {speedup32:>6.2}x  [f32 vs f64: {f32_vs_f64:.2}x]",
+                format!("panel_kernels/{name}_f32/{lanes}_lanes"),
+                active.name(),
+            );
             rows.push(format!(
                 "    {{ \"op\": \"{name}\", \"elem\": \"f32\", \"lanes\": {lanes}, \
                  \"{}_ns_per_call\": {wide32_ns:.1}, \"scalar_ns_per_call\": {scalar32_ns:.1}, \

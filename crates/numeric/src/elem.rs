@@ -2,13 +2,13 @@
 //! type (`f64` or `f32`) that [`crate::PanelT`] and the SIMD dispatch arms
 //! operate on.
 //!
-//! The batched hot loops (matrix–panel products, affine-pair transition
-//! steps, elementwise fused spans) are shape-identical at both widths; what
-//! differs is the vector geometry — AVX2 carries 4 f64 or 8 f32 per 256-bit
-//! register, NEON 2 f64 or 4 f32 per 128-bit register — and the rounding of
-//! each accumulate. `Elem` carries exactly that per-type knowledge: the
-//! scalar accumulate primitives ([`Elem::madd`] / [`Elem::madd2`], which
-//! round exactly like their [`crate::simd`] `f64` twins) and the hooks that hand full [`crate::LANE_CHUNK`]-wide lane
+//! The batched hot loops (the per-lane-bias affine step, elementwise fused
+//! spans) are shape-identical at both widths; what differs is the vector
+//! geometry — AVX2 carries 4 f64 or 8 f32 per 256-bit register — and the
+//! rounding of each accumulate. `Elem` carries exactly that per-type
+//! knowledge: the scalar accumulate primitives ([`Elem::madd`] /
+//! [`Elem::madd2`], which round exactly like their [`crate::simd`] `f64`
+//! twins) and the hooks that hand full [`crate::LANE_CHUNK`]-wide lane
 //! chunks to the concrete `#[target_feature]` kernels (generic functions
 //! cannot be `#[target_feature]`, so each impl forwards to monomorphic
 //! intrinsics code in [`crate::simd`]).
@@ -53,51 +53,15 @@ pub trait Elem:
     /// `b`-term, like [`Elem::madd`]).
     fn madd2(a: Self, x: Self, b: Self, y: Self, acc: Self) -> Self;
 
-    /// Hands the full lane chunks `[0, full)` of a matrix–panel product
-    /// `out = bias ⊗ 1ᵀ + a·x` to this type's vector kernel, returning how
-    /// many lanes were handled (`full`, or 0 when `kernel` has no vector arm
-    /// for this host/type — the caller then runs the blocked scalar path).
-    ///
-    /// `a` covers `m × n` row-major, `x` `n × lanes`, `out` `m × lanes`,
-    /// `bias` (if any) `m`; `full` is a multiple of [`crate::LANE_CHUNK`]
-    /// and ≤ `lanes`. Callers must pre-validate those extents.
-    #[allow(clippy::too_many_arguments)]
-    fn mul_chunks(
-        kernel: PanelKernel,
-        a: &[Self],
-        bias: Option<&[Self]>,
-        x: &[Self],
-        out: &mut [Self],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) -> usize;
-
-    /// Hands the full lane chunks `[0, full)` of an affine-pair step
-    /// `out = bias ⊗ 1ᵀ + a·x + b·y` to this type's vector kernel (layout
-    /// contract as in [`Elem::mul_chunks`], with `b` covering `m × n` and
-    /// `y` `n × lanes`); returns lanes handled.
-    #[allow(clippy::too_many_arguments)]
-    fn affine_chunks(
-        kernel: PanelKernel,
-        a: &[Self],
-        b: &[Self],
-        bias: Option<&[Self]>,
-        x: &[Self],
-        y: &[Self],
-        out: &mut [Self],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) -> usize;
-
     /// Hands the full lane chunks `[0, full)` of an affine-pair step with a
     /// per-lane bias *panel*, `out = bias + a·x + b·y`, to this type's
-    /// vector kernel (layout contract as in [`Elem::affine_chunks`], except
-    /// `bias` covers `m × lanes` — the same layout as `out`); returns lanes
-    /// handled.
+    /// vector kernel, returning how many lanes were handled (`full`, or 0
+    /// when `kernel` has no vector arm on this host — the caller then runs
+    /// the blocked scalar path).
+    ///
+    /// `a` and `b` cover `m × n` row-major, `x` and `y` `n × lanes`, `bias`
+    /// and `out` `m × lanes`; `full` is a multiple of [`crate::LANE_CHUNK`]
+    /// and ≤ `lanes`. Callers must pre-validate those extents.
     #[allow(clippy::too_many_arguments)]
     fn affine_panel_chunks(
         kernel: PanelKernel,
@@ -151,73 +115,6 @@ impl Elem for f64 {
     }
 
     #[allow(unused_variables)]
-    fn mul_chunks(
-        kernel: PanelKernel,
-        a: &[Self],
-        bias: Option<&[Self]>,
-        x: &[Self],
-        out: &mut [Self],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) -> usize {
-        if full == 0 || !kernel.is_available() {
-            return 0;
-        }
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: availability checked above; extents pre-validated by
-            // the caller per the trait contract.
-            PanelKernel::Avx2Fma => unsafe {
-                crate::simd::avx2::mul_chunks(a, bias, x, out, m, n, lanes, full);
-                full
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::mul_chunks(a, bias, x, out, m, n, lanes, full);
-                full
-            },
-            _ => 0,
-        }
-    }
-
-    #[allow(unused_variables)]
-    fn affine_chunks(
-        kernel: PanelKernel,
-        a: &[Self],
-        b: &[Self],
-        bias: Option<&[Self]>,
-        x: &[Self],
-        y: &[Self],
-        out: &mut [Self],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) -> usize {
-        if full == 0 || !kernel.is_available() {
-            return 0;
-        }
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: availability checked above; extents pre-validated.
-            PanelKernel::Avx2Fma => unsafe {
-                crate::simd::avx2::affine_chunks(a, b, bias, x, y, out, m, n, lanes, full);
-                full
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::affine_chunks(a, b, bias, x, y, out, m, n, lanes, full);
-                full
-            },
-            _ => 0,
-        }
-    }
-
-    #[allow(unused_variables)]
     fn affine_panel_chunks(
         kernel: PanelKernel,
         a: &[Self],
@@ -241,12 +138,6 @@ impl Elem for f64 {
                 crate::simd::avx2::affine_panel_chunks(a, b, bias, x, y, out, m, n, lanes, full);
                 full
             },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::affine_panel_chunks(a, b, bias, x, y, out, m, n, lanes, full);
-                full
-            },
             _ => 0,
         }
     }
@@ -267,12 +158,6 @@ impl Elem for f64 {
             // SAFETY: availability checked above; lengths pre-validated.
             PanelKernel::Avx2Fma => unsafe {
                 crate::simd::avx2::fused_mul_add_span(base, coef, cur, out);
-                true
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::fused_mul_add_span(base, coef, cur, out);
                 true
             },
             _ => false,
@@ -305,72 +190,6 @@ impl Elem for f32 {
     }
 
     #[allow(unused_variables)]
-    fn mul_chunks(
-        kernel: PanelKernel,
-        a: &[Self],
-        bias: Option<&[Self]>,
-        x: &[Self],
-        out: &mut [Self],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) -> usize {
-        if full == 0 || !kernel.is_available() {
-            return 0;
-        }
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: availability checked above; extents pre-validated.
-            PanelKernel::Avx2Fma => unsafe {
-                crate::simd::avx2::mul_chunks_f32(a, bias, x, out, m, n, lanes, full);
-                full
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::mul_chunks_f32(a, bias, x, out, m, n, lanes, full);
-                full
-            },
-            _ => 0,
-        }
-    }
-
-    #[allow(unused_variables)]
-    fn affine_chunks(
-        kernel: PanelKernel,
-        a: &[Self],
-        b: &[Self],
-        bias: Option<&[Self]>,
-        x: &[Self],
-        y: &[Self],
-        out: &mut [Self],
-        m: usize,
-        n: usize,
-        lanes: usize,
-        full: usize,
-    ) -> usize {
-        if full == 0 || !kernel.is_available() {
-            return 0;
-        }
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: availability checked above; extents pre-validated.
-            PanelKernel::Avx2Fma => unsafe {
-                crate::simd::avx2::affine_chunks_f32(a, b, bias, x, y, out, m, n, lanes, full);
-                full
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::affine_chunks_f32(a, b, bias, x, y, out, m, n, lanes, full);
-                full
-            },
-            _ => 0,
-        }
-    }
-
-    #[allow(unused_variables)]
     fn affine_panel_chunks(
         kernel: PanelKernel,
         a: &[Self],
@@ -396,14 +215,6 @@ impl Elem for f32 {
                 );
                 full
             },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::affine_panel_chunks_f32(
-                    a, b, bias, x, y, out, m, n, lanes, full,
-                );
-                full
-            },
             _ => 0,
         }
     }
@@ -424,12 +235,6 @@ impl Elem for f32 {
             // SAFETY: availability checked above; lengths pre-validated.
             PanelKernel::Avx2Fma => unsafe {
                 crate::simd::avx2::fused_mul_add_span_f32(base, coef, cur, out);
-                true
-            },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: as above.
-            PanelKernel::Neon => unsafe {
-                crate::simd::neon::fused_mul_add_span_f32(base, coef, cur, out);
                 true
             },
             _ => false,
@@ -476,10 +281,23 @@ mod tests {
     #[test]
     fn scalar_kernel_hooks_decline_the_work() {
         let a = [1.0f64; 4];
-        let x = [1.0f64; 8];
+        let bias = [0.0f64; 8];
+        let x = [1.0f64; 32];
         let mut out = [0.0f64; 8];
         assert_eq!(
-            f64::mul_chunks(PanelKernel::Scalar, &a, None, &x, &mut out, 1, 4, 8, 8),
+            f64::affine_panel_chunks(
+                PanelKernel::Scalar,
+                &a,
+                &a,
+                &bias,
+                &x,
+                &x,
+                &mut out,
+                1,
+                4,
+                8,
+                8
+            ),
             0
         );
         let mut out32 = [0.0f32; 8];

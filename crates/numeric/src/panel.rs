@@ -9,30 +9,43 @@
 //! Panel storage is allocated at [`crate::PANEL_ALIGN`]-byte boundaries (see
 //! [`crate::aligned`]) so those wide loads never straddle cache lines.
 //!
-//! The panel kernels ([`Matrix::mul_panel_into`], [`affine_pair_apply`])
-//! process lanes in fixed-width chunks of [`LANE_CHUNK`] through the SIMD arm
-//! selected by [`PanelKernel::active`] (see [`crate::simd`] for the dispatch
-//! and equivalence contract), falling back to register-blocked scalar code for
+//! The panel kernels ([`affine_panel_bias_apply_elem`], the batched engines'
+//! transition step, and the f64 [`affine_pair_apply`]) process lanes in
+//! fixed-width chunks of [`LANE_CHUNK`] through the SIMD arm selected by
+//! [`PanelKernel::active`] (see [`crate::simd`] for the dispatch and
+//! equivalence contract), falling back to register-blocked scalar code for
 //! the remainder lanes and on hosts without a vector unit. Every arm
-//! accumulates each lane in the same per-lane order (`j = 0..n`, `A`-term
-//! before `B`-term), so a lane's result is bit-identical no matter which arm
-//! processed it or how many lanes surround it.
+//! accumulates each lane in the same per-lane order (bias, then for
+//! `j = 0..n` the `A`-term before the `B`-term), so a lane's result is
+//! bit-identical no matter which arm processed it or how many lanes surround
+//! it.
 //!
 //! # Example
 //!
 //! ```
-//! use numeric::{Matrix, Panel};
+//! use numeric::{affine_panel_bias_apply_elem, Panel};
 //!
 //! # fn main() -> Result<(), numeric::NumericError> {
-//! // Two scenarios advanced by the same 2×2 map in one pass.
-//! let a = Matrix::from_rows(&[&[0.5, 0.0], &[0.0, 2.0]])?;
+//! // Two scenarios advanced by the same affine map `out = c + A·x + B·p` in
+//! // one pass. The 2×2 matrices are panels too (rows × columns), and each
+//! // scenario brings its own bias column `c`.
+//! let mut a = Panel::zeros(2, 2);
+//! a.set(0, 0, 0.5);
+//! a.set(1, 1, 2.0);
+//! let mut b = Panel::zeros(2, 2);
+//! b.set(0, 0, 1.0);
+//! b.set(1, 1, 1.0);
 //! let mut x = Panel::zeros(2, 2);
 //! x.set_column(0, &[1.0, 1.0]);
 //! x.set_column(1, &[4.0, 4.0]);
+//! let mut p = Panel::zeros(2, 2);
+//! p.set_column(1, &[0.25, 0.25]);
+//! let mut c = Panel::zeros(2, 2);
+//! c.set_column(0, &[10.0, 10.0]);
 //! let mut out = Panel::zeros(2, 2);
-//! a.mul_panel_into(&x, &mut out)?;
-//! assert_eq!(out.column(0), vec![0.5, 2.0]);
-//! assert_eq!(out.column(1), vec![2.0, 8.0]);
+//! affine_panel_bias_apply_elem(&a, &b, &c, &x, &p, &mut out)?;
+//! assert_eq!(out.column(0), vec![10.5, 12.0]);
+//! assert_eq!(out.column(1), vec![2.25, 8.25]);
 //! # Ok(())
 //! # }
 //! ```
@@ -210,129 +223,11 @@ impl Matrix {
         assert!(i < self.rows(), "row index out of bounds");
         &self.as_slice()[i * self.cols()..(i + 1) * self.cols()]
     }
-
-    /// Matrix–panel product `out = self · x`: advances every scenario column
-    /// of `x` through the same linear map in one pass, loading each matrix
-    /// entry once for all lanes.
-    ///
-    /// Full chunks of [`LANE_CHUNK`] lanes go through the SIMD arm selected
-    /// by [`PanelKernel::active`]; remainder lanes take the blocked scalar
-    /// path. Every lane accumulates in the same order regardless of arm, so
-    /// results are bit-identical across chunk boundaries, lane counts and
-    /// (in the default build) dispatch arms — see [`crate::simd`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `self.cols() != x.rows()`
-    /// or `out` is not `self.rows() × x.lanes()`.
-    pub fn mul_panel_into(&self, x: &Panel, out: &mut Panel) -> Result<(), NumericError> {
-        self.mul_panel_into_with(PanelKernel::active(), x, out)
-    }
-
-    /// [`Matrix::mul_panel_into`] through an explicit [`PanelKernel`] arm
-    /// (testing/benching form; an unavailable kernel degrades to scalar).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Matrix::mul_panel_into`].
-    pub fn mul_panel_into_with(
-        &self,
-        kernel: PanelKernel,
-        x: &Panel,
-        out: &mut Panel,
-    ) -> Result<(), NumericError> {
-        if self.cols() != x.rows() {
-            return Err(NumericError::DimensionMismatch {
-                operation: "matrix-panel multiplication",
-                left: (self.rows(), self.cols()),
-                right: (x.rows(), x.lanes()),
-            });
-        }
-        if out.rows != self.rows() || out.lanes != x.lanes {
-            return Err(NumericError::DimensionMismatch {
-                operation: "matrix-panel output",
-                left: (self.rows(), x.lanes),
-                right: (out.rows, out.lanes),
-            });
-        }
-        let (m, n, lanes) = (self.rows(), self.cols(), x.lanes);
-        fused_panel_kernel::<f64>(
-            kernel,
-            self.as_slice(),
-            None,
-            None,
-            x.as_slice(),
-            None,
-            &mut out.data,
-            m,
-            n,
-            lanes,
-        );
-        Ok(())
-    }
 }
 
-/// Width-generic matrix–panel product `out = a · x`, where the `m × n`
-/// "matrix" is itself a [`PanelT`] (`rows() = m`, `lanes() = n`, row-major —
-/// the exact [`Matrix`] layout at either precision). This is the f32-capable
-/// twin of [`Matrix::mul_panel_into`], dispatched through
-/// [`PanelKernel::active`].
-///
-/// # Errors
-///
-/// Returns [`NumericError::DimensionMismatch`] if `a.lanes() != x.rows()` or
-/// `out` is not `a.rows() × x.lanes()`.
-pub fn mul_panel_into_elem<E: Elem>(
-    a: &PanelT<E>,
-    x: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    mul_panel_into_elem_with(PanelKernel::active(), a, x, out)
-}
-
-/// [`mul_panel_into_elem`] through an explicit [`PanelKernel`] arm
-/// (testing/benching form; an unavailable kernel degrades to scalar).
-///
-/// # Errors
-///
-/// As for [`mul_panel_into_elem`].
-pub fn mul_panel_into_elem_with<E: Elem>(
-    kernel: PanelKernel,
-    a: &PanelT<E>,
-    x: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    if a.lanes != x.rows {
-        return Err(NumericError::DimensionMismatch {
-            operation: "matrix-panel multiplication",
-            left: (a.rows, a.lanes),
-            right: (x.rows, x.lanes),
-        });
-    }
-    if out.rows != a.rows || out.lanes != x.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "matrix-panel output",
-            left: (a.rows, x.lanes),
-            right: (out.rows, out.lanes),
-        });
-    }
-    let (m, n, lanes) = (a.rows, a.lanes, x.lanes);
-    fused_panel_kernel::<E>(
-        kernel,
-        a.as_slice(),
-        None,
-        None,
-        x.as_slice(),
-        None,
-        &mut out.data,
-        m,
-        n,
-        lanes,
-    );
-    Ok(())
-}
-
-/// Fused affine panel step `out = bias ⊗ 1ᵀ + a·x + b·y`.
+/// Fused affine panel step `out = bias ⊗ 1ᵀ + a·x + b·y` in f64, with one
+/// bias value per row broadcast to every lane — the shape the batched DTPM
+/// predictor advances its scenarios with.
 ///
 /// This is the batched form of one affine transition applied to `x.lanes()`
 /// scenarios at once: both matrices are streamed through the cache a single
@@ -397,105 +292,66 @@ pub fn affine_pair_apply_with(
         });
     }
     let (m, n, lanes) = (a.rows(), a.cols(), x.lanes);
-    fused_panel_kernel::<f64>(
-        kernel,
-        a.as_slice(),
-        Some(b.as_slice()),
-        Some(bias),
-        x.as_slice(),
-        Some(y.as_slice()),
-        &mut out.data,
-        m,
-        n,
-        lanes,
-    );
-    Ok(())
-}
+    let (a, b, x, y) = (a.as_slice(), b.as_slice(), x.as_slice(), y.as_slice());
+    let out = &mut out.data;
+    let handled = match kernel {
+        #[cfg(target_arch = "x86_64")]
+        PanelKernel::Avx2Fma if kernel.is_available() => {
+            let full = lanes - lanes % LANE_CHUNK;
+            // SAFETY: AVX2 availability was just checked, and the shape
+            // checks above guarantee the extents `affine_chunks` requires.
+            unsafe { crate::simd::avx2::affine_chunks(a, b, bias, x, y, out, m, n, lanes, full) };
+            full
+        }
+        _ => 0,
+    };
+    if handled == lanes {
+        return Ok(());
+    }
 
-/// Width-generic fused affine panel step `out = bias ⊗ 1ᵀ + a·x + b·y`,
-/// where the `m × n` matrices are [`PanelT`]s (`rows() = m`, `lanes() = n`,
-/// row-major). This is the f32-capable twin of [`affine_pair_apply`] — the
-/// batched thermal transition's hot loop — with the same per-lane
-/// accumulation-order contract, dispatched through [`PanelKernel::active`].
-///
-/// # Errors
-///
-/// Returns [`NumericError::DimensionMismatch`] under the same conditions as
-/// [`affine_pair_apply`].
-pub fn affine_pair_apply_elem<E: Elem>(
-    a: &PanelT<E>,
-    b: &PanelT<E>,
-    bias: &[E],
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    affine_pair_apply_elem_with(PanelKernel::active(), a, b, bias, x, y, out)
-}
-
-/// [`affine_pair_apply_elem`] through an explicit [`PanelKernel`] arm
-/// (testing/benching form; an unavailable kernel degrades to scalar).
-///
-/// # Errors
-///
-/// As for [`affine_pair_apply_elem`].
-#[allow(clippy::too_many_arguments)]
-pub fn affine_pair_apply_elem_with<E: Elem>(
-    kernel: PanelKernel,
-    a: &PanelT<E>,
-    b: &PanelT<E>,
-    bias: &[E],
-    x: &PanelT<E>,
-    y: &PanelT<E>,
-    out: &mut PanelT<E>,
-) -> Result<(), NumericError> {
-    if a.rows != b.rows || a.lanes != b.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "affine panel pair",
-            left: (a.rows, a.lanes),
-            right: (b.rows, b.lanes),
-        });
+    // Scalar arm and remainder: rows outer so each row's bias is read once
+    // (not once per lane chunk), two output rows per pass so each loaded
+    // input row is applied twice. Full chunks call the width-generic helper
+    // with the literal `LANE_CHUNK` so constant propagation recovers the
+    // fixed-trip-count inner loops the autovectorizer needs.
+    let mut i = 0;
+    while i + 2 <= m {
+        let biases = [bias[i], bias[i + 1]];
+        let mut off = handled;
+        while off + LANE_CHUNK <= lanes {
+            scalar_rows::<2>(a, b, biases, x, y, out, i, n, lanes, off, LANE_CHUNK);
+            off += LANE_CHUNK;
+        }
+        if off < lanes {
+            scalar_rows::<2>(a, b, biases, x, y, out, i, n, lanes, off, lanes - off);
+        }
+        i += 2;
     }
-    if a.lanes != x.rows || x.rows != y.rows || x.lanes != y.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "affine panel inputs",
-            left: (a.lanes, x.lanes),
-            right: (y.rows, y.lanes),
-        });
+    if i < m {
+        let biases = [bias[i]];
+        let mut off = handled;
+        while off + LANE_CHUNK <= lanes {
+            scalar_rows::<1>(a, b, biases, x, y, out, i, n, lanes, off, LANE_CHUNK);
+            off += LANE_CHUNK;
+        }
+        if off < lanes {
+            scalar_rows::<1>(a, b, biases, x, y, out, i, n, lanes, off, lanes - off);
+        }
     }
-    if bias.len() != a.rows || out.rows != a.rows || out.lanes != x.lanes {
-        return Err(NumericError::DimensionMismatch {
-            operation: "affine panel output",
-            left: (a.rows, x.lanes),
-            right: (out.rows, out.lanes),
-        });
-    }
-    let (m, n, lanes) = (a.rows, a.lanes, x.lanes);
-    fused_panel_kernel::<E>(
-        kernel,
-        a.as_slice(),
-        Some(b.as_slice()),
-        Some(bias),
-        x.as_slice(),
-        Some(y.as_slice()),
-        &mut out.data,
-        m,
-        n,
-        lanes,
-    );
     Ok(())
 }
 
 /// Width-generic fused affine panel step with a per-lane bias *panel*:
-/// `out = bias + a·x + b·y`, where `bias` is `m × lanes` (the same layout as
-/// `out`) instead of a per-row broadcast vector. This is the transition-apply
-/// shape used by the mixed-precision delta-form engine: the constant per-lane
-/// drive `c + (R − I)·T0` rides in through the accumulator initialisation (a
-/// plain vector load), so it costs no separate read-modify-write pass over
-/// the deviation panel. Accumulation order per output element is the bias
-/// element, then for `j = 0..n` the `a`-term followed by the `b`-term — the
-/// same contract as [`affine_pair_apply_elem`], upheld identically by every
-/// arm.
+/// `out = bias + a·x + b·y`, where the `m × n` matrices are [`PanelT`]s
+/// (`rows() = m`, `lanes() = n`, row-major) and `bias` is `m × lanes` (the
+/// same layout as `out`). This is the batched engines' transition step at
+/// both widths: each lane's constant drive (its ambient, or the f32
+/// engine's `c + (R − I)·T0`) rides in through the accumulator
+/// initialisation (a plain vector load), so it costs no separate
+/// read-modify-write pass over the output panel. Accumulation order per
+/// output element is the bias element, then for `j = 0..n` the `a`-term
+/// followed by the `b`-term — the same contract as [`affine_pair_apply`],
+/// upheld identically by every arm.
 ///
 /// # Errors
 ///
@@ -551,11 +407,6 @@ pub fn affine_panel_bias_apply_elem_with<E: Elem>(
         });
     }
     let (m, n, lanes) = (a.rows, a.lanes, x.lanes);
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        PanelKernel::Scalar
-    };
     let (a_data, b_data, bias_data) = (a.as_slice(), b.as_slice(), bias.as_slice());
     let (x_data, y_data) = (x.as_slice(), y.as_slice());
     let out = &mut out.data;
@@ -567,9 +418,9 @@ pub fn affine_panel_bias_apply_elem_with<E: Elem>(
         return Ok(());
     }
 
-    // Scalar arm and remainder: same row blocking as [`fused_panel_kernel`],
-    // with the accumulators seeded from the bias panel row instead of a
-    // broadcast.
+    // Scalar arm and remainder: same row blocking as
+    // [`affine_pair_apply_with`], with the accumulators seeded from the bias
+    // panel row instead of a broadcast.
     let mut i = 0;
     while i + 2 <= m {
         let mut off = handled;
@@ -623,162 +474,39 @@ pub fn affine_panel_bias_apply_elem_with<E: Elem>(
     Ok(())
 }
 
-/// Shared dispatching kernel behind [`Matrix::mul_panel_into`],
-/// [`affine_pair_apply`] and their width-generic `_elem` twins, operating on
-/// raw row-major slices so one monomorphisation per element type serves both
-/// the [`Matrix`]-fronted f64 API and the panel-as-matrix f32 API. `b_data` /
-/// `y_data` are `None` for the single-matrix product; a `None` bias means all
-/// zeros (no allocation). Dimensions are assumed pre-validated: `a` (and `b`)
-/// cover `m × n`, `x` (and `y`) `n × lanes`, `out` `m × lanes`.
-///
-/// The requested arm (degraded to scalar if unavailable on this host, routed
-/// through the [`Elem`] chunk hooks) handles the full [`LANE_CHUNK`]-wide
-/// chunks `[0, full)`; the remainder lanes always take [`scalar_rows`]. Both
-/// produce bit-identical lanes — see [`crate::simd`].
-#[allow(clippy::too_many_arguments)]
-fn fused_panel_kernel<E: Elem>(
-    kernel: PanelKernel,
-    a_data: &[E],
-    b_data: Option<&[E]>,
-    bias: Option<&[E]>,
-    x_data: &[E],
-    y_data: Option<&[E]>,
-    out: &mut [E],
-    m: usize,
-    n: usize,
-    lanes: usize,
-) {
-    let full = lanes - lanes % LANE_CHUNK;
-
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        PanelKernel::Scalar
-    };
-    let handled = match (b_data, y_data) {
-        (Some(bd), Some(yd)) => {
-            E::affine_chunks(kernel, a_data, bd, bias, x_data, yd, out, m, n, lanes, full)
-        }
-        _ => E::mul_chunks(kernel, a_data, bias, x_data, out, m, n, lanes, full),
-    };
-    if handled == lanes {
-        return;
-    }
-
-    // Scalar arm and remainder: rows outer so each row's bias is read once
-    // (not once per lane chunk), two output rows per pass so each loaded
-    // input row is applied twice. Full chunks call the width-generic helper
-    // with the literal `LANE_CHUNK` so constant propagation recovers the
-    // fixed-trip-count inner loops the autovectorizer needs.
-    let mut i = 0;
-    while i + 2 <= m {
-        let biases = [bias_at(bias, i), bias_at(bias, i + 1)];
-        let mut off = handled;
-        while off + LANE_CHUNK <= lanes {
-            scalar_rows::<E, 2>(
-                a_data, b_data, biases, x_data, y_data, out, i, n, lanes, off, LANE_CHUNK,
-            );
-            off += LANE_CHUNK;
-        }
-        if off < lanes {
-            scalar_rows::<E, 2>(
-                a_data,
-                b_data,
-                biases,
-                x_data,
-                y_data,
-                out,
-                i,
-                n,
-                lanes,
-                off,
-                lanes - off,
-            );
-        }
-        i += 2;
-    }
-    if i < m {
-        let biases = [bias_at(bias, i)];
-        let mut off = handled;
-        while off + LANE_CHUNK <= lanes {
-            scalar_rows::<E, 1>(
-                a_data, b_data, biases, x_data, y_data, out, i, n, lanes, off, LANE_CHUNK,
-            );
-            off += LANE_CHUNK;
-        }
-        if off < lanes {
-            scalar_rows::<E, 1>(
-                a_data,
-                b_data,
-                biases,
-                x_data,
-                y_data,
-                out,
-                i,
-                n,
-                lanes,
-                off,
-                lanes - off,
-            );
-        }
-    }
-}
-
-#[inline(always)]
-fn bias_at<E: Elem>(bias: Option<&[E]>, i: usize) -> E {
-    bias.map_or(E::ZERO, |b| b[i])
-}
-
-/// Width- and precision-generic scalar body of the panel kernels:
-/// accumulates `R` output rows starting at `i` over lanes
-/// `[off, off + width)` (`width <=` [`LANE_CHUNK`]). The single helper serves
-/// the blocked full-chunk pass, the odd-row tail and the remainder lanes, so
-/// all of them share one accumulation order by construction — per lane,
-/// `bias`, then for each `j` the `a`-term before the `b`-term, through the
-/// [`Elem::madd`] / [`Elem::madd2`] primitives (identical to
-/// [`crate::simd::madd`] / [`crate::simd::madd2`] and their f32 twins).
+/// The scalar body of [`affine_pair_apply_with`]: accumulates `R` output
+/// rows starting at `i` over lanes `[off, off + width)` (`width <=`
+/// [`LANE_CHUNK`]). The single helper serves the blocked full-chunk pass, the
+/// odd-row tail and the remainder lanes, so all of them share one
+/// accumulation order by construction — per lane, `bias`, then for each `j`
+/// the `a`-term before the `b`-term, through [`crate::simd::madd2`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn scalar_rows<E: Elem, const R: usize>(
-    a_data: &[E],
-    b_data: Option<&[E]>,
-    biases: [E; R],
-    x_data: &[E],
-    y_data: Option<&[E]>,
-    out: &mut [E],
+fn scalar_rows<const R: usize>(
+    a_data: &[f64],
+    b_data: &[f64],
+    biases: [f64; R],
+    x_data: &[f64],
+    y_data: &[f64],
+    out: &mut [f64],
     i: usize,
     n: usize,
     lanes: usize,
     off: usize,
     width: usize,
 ) {
-    let mut acc = [[E::ZERO; LANE_CHUNK]; R];
+    let mut acc = [[0.0; LANE_CHUNK]; R];
     for (r, row) in acc.iter_mut().enumerate() {
         *row = [biases[r]; LANE_CHUNK];
     }
-    match (b_data, y_data) {
-        (Some(bd), Some(yd)) => {
-            for j in 0..n {
-                let x_row = &x_data[j * lanes + off..j * lanes + off + width];
-                let y_row = &yd[j * lanes + off..j * lanes + off + width];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let a0 = a_data[(i + r) * n + j];
-                    let b0 = bd[(i + r) * n + j];
-                    for q in 0..width {
-                        row[q] = E::madd2(a0, x_row[q], b0, y_row[q], row[q]);
-                    }
-                }
-            }
-        }
-        _ => {
-            for j in 0..n {
-                let x_row = &x_data[j * lanes + off..j * lanes + off + width];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let a0 = a_data[(i + r) * n + j];
-                    for q in 0..width {
-                        row[q] = E::madd(a0, x_row[q], row[q]);
-                    }
-                }
+    for j in 0..n {
+        let x_row = &x_data[j * lanes + off..j * lanes + off + width];
+        let y_row = &y_data[j * lanes + off..j * lanes + off + width];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a0 = a_data[(i + r) * n + j];
+            let b0 = b_data[(i + r) * n + j];
+            for q in 0..width {
+                row[q] = crate::simd::madd2(a0, x_row[q], b0, y_row[q], row[q]);
             }
         }
     }
@@ -787,10 +515,10 @@ fn scalar_rows<E: Elem, const R: usize>(
     }
 }
 
-/// The [`scalar_rows`] twin for [`affine_panel_bias_apply_elem`]: identical
-/// blocking and accumulation order, except the accumulators are seeded from
-/// the `m × lanes` bias panel row (one element per lane) instead of a
-/// per-row broadcast.
+/// The [`scalar_rows`] twin for [`affine_panel_bias_apply_elem`], at either
+/// width: identical blocking and accumulation order (through [`Elem::madd2`]),
+/// except the accumulators are seeded from the `m × lanes` bias panel row
+/// (one element per lane) instead of a per-row broadcast.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn scalar_rows_bias_panel<E: Elem, const R: usize>(
@@ -830,7 +558,6 @@ fn scalar_rows_bias_panel<E: Elem, const R: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vector;
 
     fn test_matrix(n: usize, seed: f64) -> Matrix {
         let mut m = Matrix::zeros(n, n);
@@ -840,6 +567,108 @@ mod tests {
             }
         }
         m
+    }
+
+    /// An `m × n` matrix panel at width `E` with [`test_matrix`]'s fill.
+    fn test_matrix_panel<E: Elem>(m: usize, n: usize, seed: f64) -> PanelT<E> {
+        let mut p = PanelT::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let v = ((i * n + j) as f64).sin() * seed + if i == j { 0.9 } else { 0.0 };
+                p.set(i, j, E::from_f64(v));
+            }
+        }
+        p
+    }
+
+    /// The bias kernel's operands `[a, b, bias, x, y]` for an `m × n` map
+    /// over `lanes` scenarios, every lane's columns distinct.
+    fn bias_fixture<E: Elem>(m: usize, n: usize, lanes: usize) -> [PanelT<E>; 5] {
+        let mut bias = PanelT::zeros(m, lanes);
+        let mut x = PanelT::zeros(n, lanes);
+        let mut y = PanelT::zeros(n, lanes);
+        for lane in 0..lanes {
+            for i in 0..m {
+                bias.set(i, lane, E::from_f64(0.01 * (i + lane) as f64 - 0.3));
+            }
+            for j in 0..n {
+                x.set(j, lane, E::from_f64(50.0 + (lane + j) as f64 * 0.37));
+                y.set(j, lane, E::from_f64(0.5 + (lane * j) as f64 * 0.011));
+            }
+        }
+        [
+            test_matrix_panel(m, n, 0.2),
+            test_matrix_panel(m, n, 0.05),
+            bias,
+            x,
+            y,
+        ]
+    }
+
+    /// Runs the bias kernel on `operands` through `kernel`.
+    fn run_bias<E: Elem>(kernel: PanelKernel, operands: &[PanelT<E>; 5]) -> PanelT<E> {
+        let [a, b, bias, x, y] = operands;
+        let mut out = PanelT::zeros(a.rows(), x.lanes());
+        affine_panel_bias_apply_elem_with(kernel, a, b, bias, x, y, &mut out).unwrap();
+        out
+    }
+
+    /// A lane's result must be bit-identical whether it sits in a full
+    /// chunk (vector arm), in the scalar remainder, or alone.
+    fn assert_lanes_independent<E: Elem>() {
+        let m = 8;
+        let single = bias_fixture::<E>(m, 8, 1);
+        let alone = run_bias(PanelKernel::active(), &single);
+        for lanes in [11, 17] {
+            let wide: [PanelT<E>; 5] = std::array::from_fn(|k| {
+                if k < 2 {
+                    return single[k].clone();
+                }
+                let mut p = PanelT::zeros(single[k].rows(), lanes);
+                for lane in 0..lanes {
+                    p.set_column(lane, &single[k].column(0));
+                }
+                p
+            });
+            let out = run_bias(PanelKernel::active(), &wide);
+            for lane in 0..lanes {
+                for i in 0..m {
+                    assert_eq!(
+                        out.get(i, lane).to_f64().to_bits(),
+                        alone.get(i, 0).to_f64().to_bits(),
+                        "{} lanes={lanes} lane={lane} row={i}",
+                        E::NAME
+                    );
+                }
+            }
+        }
+    }
+
+    /// Holds each of the bias kernel's three shape checks to its own error.
+    fn assert_bias_kernel_rejects_shapes<E: Elem>() {
+        let z = |rows, lanes| PanelT::<E>::zeros(rows, lanes);
+        // A 3×4 map over 2 lanes; each case breaks one check through the
+        // shapes of `b`, `bias`, `y` and `out`.
+        let cases = [
+            ((3, 3), (3, 2), (4, 2), (3, 2), "affine panel pair"),
+            ((3, 4), (3, 2), (4, 3), (3, 2), "affine panel inputs"),
+            ((3, 4), (3, 3), (4, 2), (3, 2), "affine panel bias/output"),
+            ((3, 4), (3, 2), (4, 2), (2, 2), "affine panel bias/output"),
+        ];
+        let (a, x) = (z(3, 4), z(4, 2));
+        for (b, bias, y, out, expected) in cases {
+            let (b, bias, y, mut out) =
+                (z(b.0, b.1), z(bias.0, bias.1), z(y.0, y.1), z(out.0, out.1));
+            let result = affine_panel_bias_apply_elem(&a, &b, &bias, &x, &y, &mut out);
+            assert!(
+                matches!(
+                    result,
+                    Err(NumericError::DimensionMismatch { operation, .. }) if operation == expected
+                ),
+                "{expected}: {result:?}"
+            );
+        }
+        assert!(affine_panel_bias_apply_elem(&a, &a, &z(3, 2), &x, &x, &mut z(3, 2)).is_ok());
     }
 
     #[test]
@@ -884,25 +713,25 @@ mod tests {
     }
 
     #[test]
-    fn mul_panel_matches_per_column_mat_vec() {
-        // Cover the blocked path, the remainder path and the odd-row tail.
+    fn bias_panel_matches_per_column_reference() {
+        // Cover the blocked path, the remainder path, the odd-row tail and
+        // non-square maps against a plain per-lane loop in the documented
+        // order: bias, then for each `j` the `a`-term plus the `b`-term.
         for lanes in [1, 3, 7, 8, 9, 16, 19] {
-            for n in [3, 4, 8] {
-                let a = test_matrix(n, 0.7);
-                let mut x = Panel::zeros(n, lanes);
+            for (m, n) in [(3, 3), (4, 8), (8, 8), (5, 2)] {
+                let operands = bias_fixture::<f64>(m, n, lanes);
+                let out = run_bias(PanelKernel::active(), &operands);
+                let [a, b, bias, x, y] = &operands;
                 for lane in 0..lanes {
-                    let col: Vec<f64> = (0..n).map(|i| (lane * n + i) as f64 * 0.1 + 1.0).collect();
-                    x.set_column(lane, &col);
-                }
-                let mut out = Panel::zeros(n, lanes);
-                a.mul_panel_into(&x, &mut out).unwrap();
-                for lane in 0..lanes {
-                    let v = Vector::from_slice(&x.column(lane));
-                    let expect = a.mul_vector(&v).unwrap();
-                    for i in 0..n {
-                        assert!(
-                            (out.get(i, lane) - expect[i]).abs() < 1e-12,
-                            "n={n} lanes={lanes} lane={lane} row={i}"
+                    for i in 0..m {
+                        let mut acc = bias.get(i, lane);
+                        for j in 0..n {
+                            acc += a.get(i, j) * x.get(j, lane) + b.get(i, j) * y.get(j, lane);
+                        }
+                        assert_eq!(
+                            out.get(i, lane).to_bits(),
+                            acc.to_bits(),
+                            "m={m} n={n} lanes={lanes} lane={lane} row={i}"
                         );
                     }
                 }
@@ -911,31 +740,8 @@ mod tests {
     }
 
     #[test]
-    fn mul_panel_lane_results_do_not_depend_on_neighbours() {
-        // A lane's result must be bit-identical whether it sits in a full
-        // chunk of 8 (SIMD arm) or in the scalar remainder.
-        let n = 8;
-        let a = test_matrix(n, 0.4);
-        let col: Vec<f64> = (0..n).map(|i| 40.0 + i as f64 * 1.3).collect();
-        let mut wide = Panel::zeros(n, 11);
-        for lane in 0..11 {
-            wide.set_column(lane, &col);
-        }
-        let mut out_wide = Panel::zeros(n, 11);
-        a.mul_panel_into(&wide, &mut out_wide).unwrap();
-        let mut narrow = Panel::zeros(n, 1);
-        narrow.set_column(0, &col);
-        let mut out_narrow = Panel::zeros(n, 1);
-        a.mul_panel_into(&narrow, &mut out_narrow).unwrap();
-        for lane in 0..11 {
-            for i in 0..n {
-                assert_eq!(
-                    out_wide.get(i, lane).to_bits(),
-                    out_narrow.get(i, 0).to_bits(),
-                    "lane {lane} row {i}"
-                );
-            }
-        }
+    fn bias_panel_lane_results_do_not_depend_on_neighbours() {
+        assert_lanes_independent::<f64>();
     }
 
     #[test]
@@ -973,8 +779,9 @@ mod tests {
 
     #[test]
     fn explicit_kernel_arms_agree_with_scalar() {
-        // The `_with` forms are the oracle hook for the dispatch arms: every
-        // available arm must match forced-scalar to the bit.
+        // The `_with` forms are the oracle hook for the dispatch arms: the
+        // vector arm must match forced-scalar to the bit (on a host without
+        // AVX2 the request degrades to scalar and the check is trivial).
         let n = 8;
         let a = test_matrix(n, 0.2);
         let b = test_matrix(n, 0.05);
@@ -991,33 +798,17 @@ mod tests {
             let mut scalar_out = Panel::zeros(n, lanes);
             affine_pair_apply_with(PanelKernel::Scalar, &a, &b, &bias, &x, &y, &mut scalar_out)
                 .unwrap();
-            let mut scalar_mul = Panel::zeros(n, lanes);
-            a.mul_panel_into_with(PanelKernel::Scalar, &x, &mut scalar_mul)
-                .unwrap();
-            for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-                if !kernel.is_available() {
-                    continue;
-                }
-                let mut out = Panel::zeros(n, lanes);
-                affine_pair_apply_with(kernel, &a, &b, &bias, &x, &y, &mut out).unwrap();
-                assert_eq!(out, scalar_out, "affine {kernel:?} lanes={lanes}");
-                let mut mul = Panel::zeros(n, lanes);
-                a.mul_panel_into_with(kernel, &x, &mut mul).unwrap();
-                assert_eq!(mul, scalar_mul, "mul {kernel:?} lanes={lanes}");
-            }
-        }
-    }
+            let mut out = Panel::zeros(n, lanes);
+            affine_pair_apply_with(PanelKernel::Avx2Fma, &a, &b, &bias, &x, &y, &mut out).unwrap();
+            assert_eq!(out, scalar_out, "affine pair lanes={lanes}");
 
-    /// An n×n f32 "matrix" panel mirroring [`test_matrix`]'s values.
-    fn test_matrix_f32(n: usize, seed: f64) -> PanelF32 {
-        let m = test_matrix(n, seed);
-        let mut p = PanelF32::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                p.set(i, j, m[(i, j)] as f32);
-            }
+            let operands = bias_fixture::<f64>(n, n, lanes);
+            assert_eq!(
+                run_bias(PanelKernel::Avx2Fma, &operands),
+                run_bias(PanelKernel::Scalar, &operands),
+                "bias panel lanes={lanes}"
+            );
         }
-        p
     }
 
     #[test]
@@ -1033,31 +824,18 @@ mod tests {
     }
 
     #[test]
-    fn f32_mul_panel_matches_the_f64_kernel_within_precision() {
+    fn f32_bias_panel_matches_the_f64_kernel_within_precision() {
         for lanes in [1, 3, 7, 8, 9, 16, 19] {
-            for n in [3, 4, 8] {
-                let a64 = test_matrix(n, 0.7);
-                let a32 = test_matrix_f32(n, 0.7);
-                let mut x64 = Panel::zeros(n, lanes);
-                let mut x32 = PanelF32::zeros(n, lanes);
+            for (m, n) in [(3, 3), (4, 8), (8, 8)] {
+                let out64 = run_bias(PanelKernel::active(), &bias_fixture::<f64>(m, n, lanes));
+                let out32 = run_bias(PanelKernel::active(), &bias_fixture::<f32>(m, n, lanes));
                 for lane in 0..lanes {
-                    for i in 0..n {
-                        let v = (lane * n + i) as f64 * 0.1 + 1.0;
-                        x64.set(i, lane, v);
-                        x32.set(i, lane, v as f32);
-                    }
-                }
-                let mut out64 = Panel::zeros(n, lanes);
-                a64.mul_panel_into(&x64, &mut out64).unwrap();
-                let mut out32 = PanelF32::zeros(n, lanes);
-                mul_panel_into_elem(&a32, &x32, &mut out32).unwrap();
-                for lane in 0..lanes {
-                    for i in 0..n {
+                    for i in 0..m {
                         let want = out64.get(i, lane);
                         let got = f64::from(out32.get(i, lane));
                         assert!(
                             (got - want).abs() <= 1e-4 * want.abs().max(1.0),
-                            "n={n} lanes={lanes} lane={lane} row={i}: {got} vs {want}"
+                            "m={m} n={n} lanes={lanes} lane={lane} row={i}: {got} vs {want}"
                         );
                     }
                 }
@@ -1067,95 +845,32 @@ mod tests {
 
     #[test]
     fn f32_explicit_kernel_arms_agree_with_f32_scalar_to_the_bit() {
-        let n = 8;
-        let a = test_matrix_f32(n, 0.2);
-        let b = test_matrix_f32(n, 0.05);
-        let bias: Vec<f32> = (0..n).map(|i| 0.01 * i as f32).collect();
-        for lanes in [8, 11, 24] {
-            let mut x = PanelF32::zeros(n, lanes);
-            let mut y = PanelF32::zeros(n, lanes);
-            for lane in 0..lanes {
-                for i in 0..n {
-                    x.set(i, lane, 50.0 + (lane + i) as f32 * 0.37);
-                    y.set(i, lane, 0.5 + (lane * i) as f32 * 0.011);
-                }
-            }
-            let mut scalar_out = PanelF32::zeros(n, lanes);
-            affine_pair_apply_elem_with(
-                PanelKernel::Scalar,
-                &a,
-                &b,
-                &bias,
-                &x,
-                &y,
-                &mut scalar_out,
-            )
-            .unwrap();
-            let mut scalar_mul = PanelF32::zeros(n, lanes);
-            mul_panel_into_elem_with(PanelKernel::Scalar, &a, &x, &mut scalar_mul).unwrap();
-            for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-                if !kernel.is_available() {
-                    continue;
-                }
-                let mut out = PanelF32::zeros(n, lanes);
-                affine_pair_apply_elem_with(kernel, &a, &b, &bias, &x, &y, &mut out).unwrap();
-                assert_eq!(out, scalar_out, "affine {kernel:?} lanes={lanes}");
-                let mut mul = PanelF32::zeros(n, lanes);
-                mul_panel_into_elem_with(kernel, &a, &x, &mut mul).unwrap();
-                assert_eq!(mul, scalar_mul, "mul {kernel:?} lanes={lanes}");
-            }
+        // 16 and 24 lanes reach the f32 vector arm's two-chunk pass.
+        for lanes in [8, 11, 16, 24, 35] {
+            let operands = bias_fixture::<f32>(8, 8, lanes);
+            assert_eq!(
+                run_bias(PanelKernel::Avx2Fma, &operands),
+                run_bias(PanelKernel::Scalar, &operands),
+                "bias panel lanes={lanes}"
+            );
         }
     }
 
     #[test]
     fn f32_lane_results_do_not_depend_on_neighbours() {
-        let n = 8;
-        let a = test_matrix_f32(n, 0.4);
-        let col: Vec<f32> = (0..n).map(|i| 40.0 + i as f32 * 1.3).collect();
-        let mut wide = PanelF32::zeros(n, 11);
-        for lane in 0..11 {
-            wide.set_column(lane, &col);
-        }
-        let mut out_wide = PanelF32::zeros(n, 11);
-        mul_panel_into_elem(&a, &wide, &mut out_wide).unwrap();
-        let mut narrow = PanelF32::zeros(n, 1);
-        narrow.set_column(0, &col);
-        let mut out_narrow = PanelF32::zeros(n, 1);
-        mul_panel_into_elem(&a, &narrow, &mut out_narrow).unwrap();
-        for lane in 0..11 {
-            for i in 0..n {
-                assert_eq!(
-                    out_wide.get(i, lane).to_bits(),
-                    out_narrow.get(i, 0).to_bits(),
-                    "lane {lane} row {i}"
-                );
-            }
-        }
+        assert_lanes_independent::<f32>();
     }
 
     #[test]
     fn f32_kernels_reject_mismatched_shapes() {
-        let a = PanelF32::zeros(3, 3);
-        let x = PanelF32::zeros(4, 2);
-        let mut out = PanelF32::zeros(3, 2);
-        assert!(mul_panel_into_elem(&a, &x, &mut out).is_err());
-        let x = PanelF32::zeros(3, 2);
-        let y = PanelF32::zeros(3, 2);
-        assert!(affine_pair_apply_elem(&a, &a, &[0.0; 2], &x, &y, &mut out).is_err());
-        let b = PanelF32::zeros(3, 2);
-        assert!(affine_pair_apply_elem(&a, &b, &[0.0; 3], &x, &y, &mut out).is_err());
+        assert_bias_kernel_rejects_shapes::<f32>();
     }
 
     #[test]
     fn kernels_reject_mismatched_shapes() {
         let a = Matrix::zeros(3, 3);
-        let x = Panel::zeros(4, 2);
-        let mut out = Panel::zeros(3, 2);
-        assert!(a.mul_panel_into(&x, &mut out).is_err());
         let x = Panel::zeros(3, 2);
-        let mut bad_out = Panel::zeros(3, 4);
-        assert!(a.mul_panel_into(&x, &mut bad_out).is_err());
-
+        let mut out = Panel::zeros(3, 2);
         let b = Matrix::zeros(3, 2);
         let y = Panel::zeros(3, 2);
         assert!(affine_pair_apply(&a, &b, &[0.0; 3], &x, &y, &mut out).is_err());
@@ -1163,5 +878,9 @@ mod tests {
         assert!(affine_pair_apply(&a, &b, &[0.0; 2], &x, &y, &mut out).is_err());
         let y_bad = Panel::zeros(3, 3);
         assert!(affine_pair_apply(&a, &b, &[0.0; 3], &x, &y_bad, &mut out).is_err());
+        let mut bad_out = Panel::zeros(3, 4);
+        assert!(affine_pair_apply(&a, &b, &[0.0; 3], &x, &y, &mut bad_out).is_err());
+
+        assert_bias_kernel_rejects_shapes::<f64>();
     }
 }

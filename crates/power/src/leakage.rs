@@ -222,26 +222,6 @@ impl LeakagePanel {
         self.e0[k] = a.exp();
     }
 
-    /// Re-anchors row `row` at the given temperatures (°C, one per lane)
-    /// using the exact `libm` exponential.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds or `temps_c.len() != self.lanes()`.
-    pub fn anchor_row(&mut self, row: usize, temps_c: &[f64]) {
-        assert!(row < self.rows, "panel row out of bounds");
-        assert_eq!(temps_c.len(), self.lanes, "anchor temperature row length");
-        let lanes = self.lanes;
-        let c2 = &self.c2[row * lanes..(row + 1) * lanes];
-        let a0 = &mut self.a0[row * lanes..(row + 1) * lanes];
-        let e0 = &mut self.e0[row * lanes..(row + 1) * lanes];
-        for k in 0..lanes {
-            let a = c2[k] / celsius_to_kelvin(temps_c[k]);
-            a0[k] = a;
-            e0[k] = a.exp();
-        }
-    }
-
     /// Re-anchors every row of lane `lane` (one `libm` exponential per row)
     /// at its temperature in `temps_c`, which covers every cell in row-major
     /// order (`rows × lanes`); the other lanes' anchors are untouched. This
@@ -261,32 +241,6 @@ impl LeakagePanel {
             self.a0[k] = a;
             self.e0[k] = a.exp();
         }
-    }
-
-    /// Evaluates row `row`'s leakage currents at the given temperatures
-    /// (°C, one per lane) into `out`, using the anchored exponential.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds or the slices do not cover every
-    /// lane. The caller must have anchored the row (within
-    /// [`LeakagePanel::REANCHOR_STEPS`] micro-steps) first.
-    #[inline]
-    pub fn currents_row_into(&self, row: usize, temps_c: &[f64], out: &mut [f64]) {
-        assert!(row < self.rows, "panel row out of bounds");
-        assert_eq!(temps_c.len(), self.lanes, "temperature row length");
-        assert_eq!(out.len(), self.lanes, "output row length");
-        let lanes = self.lanes;
-        let offset = row * lanes;
-        currents_span(
-            &self.c1[offset..offset + lanes],
-            &self.c2[offset..offset + lanes],
-            &self.igate[offset..offset + lanes],
-            &self.a0[offset..offset + lanes],
-            &self.e0[offset..offset + lanes],
-            temps_c,
-            out,
-        );
     }
 
     /// Evaluates the whole panel's leakage currents in one unit-stride pass:
@@ -328,25 +282,12 @@ impl LeakagePanel {
 }
 
 /// The anchored leakage-current evaluation over one contiguous span (see
-/// [`LeakagePanel`]); all slices have equal length.
-#[inline(always)]
-fn currents_span(
-    c1: &[f64],
-    c2: &[f64],
-    igate: &[f64],
-    a0: &[f64],
-    e0: &[f64],
-    temps_c: &[f64],
-    out: &mut [f64],
-) {
-    currents_span_with(PanelKernel::active(), c1, c2, igate, a0, e0, temps_c, out);
-}
-
-/// [`currents_span`] through an explicit kernel arm: the vector arm (if
-/// requested and available) covers the full-vector prefix, the scalar
-/// [`leak_cell`] the tail. Every arm performs the same per-cell operation
-/// sequence, so a cell's current is bit-identical regardless of arm or
-/// position — see `numeric::simd` for the dispatch contract.
+/// [`LeakagePanel`]; all slices have equal length) through an explicit
+/// kernel arm: the vector arm (if requested and available) covers the
+/// full-vector prefix, the scalar [`leak_cell`] the tail. Both arms perform
+/// the same per-cell operation sequence, so a cell's current is
+/// bit-identical regardless of arm or position — see `numeric::simd` for the
+/// dispatch contract.
 #[allow(clippy::too_many_arguments)]
 fn currents_span_with(
     kernel: PanelKernel,
@@ -380,15 +321,6 @@ fn currents_span_with(
                 // SAFETY: availability was just checked; all slices cover
                 // `len >= vec_len` cells.
                 unsafe { leak_avx2::span(c1, c2, igate, a0, e0, temps_c, out, vec_len) };
-            }
-            k = vec_len;
-        }
-        #[cfg(target_arch = "aarch64")]
-        PanelKernel::Neon => {
-            let vec_len = len - len % 2;
-            if vec_len > 0 {
-                // SAFETY: as above.
-                unsafe { leak_neon::span(c1, c2, igate, a0, e0, temps_c, out, vec_len) };
             }
             k = vec_len;
         }
@@ -668,171 +600,6 @@ mod leak_avx2 {
     }
 }
 
-/// NEON arm of the leakage span: 2 cells per vector, operation order
-/// identical to [`leak_cell`] per lane.
-#[cfg(target_arch = "aarch64")]
-mod leak_neon {
-    use core::arch::aarch64::{
-        float32x4_t, float64x2_t, vaddq_f32, vaddq_f64, vdivq_f32, vdivq_f64, vdupq_n_f32,
-        vdupq_n_f64, vld1q_f32, vld1q_f64, vmulq_f32, vmulq_f64, vst1q_f32, vst1q_f64, vsubq_f32,
-        vsubq_f64,
-    };
-
-    /// `acc + a·x` per lane, rounding exactly like `numeric::simd::madd`.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn vmadd(a: float64x2_t, x: float64x2_t, acc: float64x2_t) -> float64x2_t {
-        vaddq_f64(acc, vmulq_f64(a, x))
-    }
-
-    /// The vector body of `currents_span_with` over cells `[0, vec_len)`
-    /// (`vec_len` a multiple of 2).
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; every slice must cover at least `vec_len`
-    /// cells.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn span(
-        c1: &[f64],
-        c2: &[f64],
-        igate: &[f64],
-        a0: &[f64],
-        e0: &[f64],
-        temps_c: &[f64],
-        out: &mut [f64],
-        vec_len: usize,
-    ) {
-        let kelvin = vdupq_n_f64(273.15);
-        let one = vdupq_n_f64(1.0);
-        let c3 = vdupq_n_f64(1.0 / 6.0);
-        let half = vdupq_n_f64(0.5);
-        let c5 = vdupq_n_f64(1.0 / 120.0);
-        let c4 = vdupq_n_f64(1.0 / 24.0);
-        let c7 = vdupq_n_f64(1.0 / 5040.0);
-        let c6 = vdupq_n_f64(1.0 / 720.0);
-        let mut k = 0;
-        while k < vec_len {
-            let t = vaddq_f64(vld1q_f64(temps_c.as_ptr().add(k)), kelvin);
-            let d = vsubq_f64(
-                vdivq_f64(vld1q_f64(c2.as_ptr().add(k)), t),
-                vld1q_f64(a0.as_ptr().add(k)),
-            );
-            let d2 = vmulq_f64(d, d);
-            let p01 = vaddq_f64(one, d);
-            let p23 = vmadd(d, c3, half);
-            let p45 = vmadd(d, c5, c4);
-            let p67 = vmadd(d, c7, c6);
-            let expd = vmadd(vmulq_f64(d2, d2), vmadd(d2, p67, p45), vmadd(d2, p23, p01));
-            let e = vmulq_f64(vld1q_f64(e0.as_ptr().add(k)), expd);
-            let pre = vmulq_f64(vmulq_f64(vld1q_f64(c1.as_ptr().add(k)), t), t);
-            let i = vmadd(pre, e, vld1q_f64(igate.as_ptr().add(k)));
-            vst1q_f64(out.as_mut_ptr().add(k), i);
-            k += 2;
-        }
-    }
-
-    /// `acc + a·x` per f32 lane, rounding exactly like
-    /// `numeric::simd::madd_f32`.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn vmadd_f32(a: float32x4_t, x: float32x4_t, acc: float32x4_t) -> float32x4_t {
-        vaddq_f32(acc, vmulq_f32(a, x))
-    }
-
-    /// The f32 vector body of `currents_span_with_f32` over cells
-    /// `[0, vec_len)` (`vec_len` a multiple of 4): 4 cells per vector,
-    /// operation order identical to `leak_cell_f32` per lane.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; every slice must cover at least `vec_len`
-    /// cells.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn span_f32(
-        c1: &[f32],
-        c2: &[f32],
-        igate: &[f32],
-        a0: &[f32],
-        e0: &[f32],
-        temps_c: &[f32],
-        out: &mut [f32],
-        vec_len: usize,
-    ) {
-        let kelvin = vdupq_n_f32(273.15);
-        let one = vdupq_n_f32(1.0);
-        let c3 = vdupq_n_f32(1.0 / 6.0);
-        let half = vdupq_n_f32(0.5);
-        let c4 = vdupq_n_f32(1.0 / 24.0);
-        let mut k = 0;
-        while k < vec_len {
-            let t = vaddq_f32(vld1q_f32(temps_c.as_ptr().add(k)), kelvin);
-            let d = vsubq_f32(
-                vdivq_f32(vld1q_f32(c2.as_ptr().add(k)), t),
-                vld1q_f32(a0.as_ptr().add(k)),
-            );
-            let d2 = vmulq_f32(d, d);
-            let p01 = vaddq_f32(one, d);
-            let p23 = vmadd_f32(d, c3, half);
-            let expd = vmadd_f32(d2, vmadd_f32(d2, c4, p23), p01);
-            let e = vmulq_f32(vld1q_f32(e0.as_ptr().add(k)), expd);
-            let pre = vmulq_f32(vmulq_f32(vld1q_f32(c1.as_ptr().add(k)), t), t);
-            let i = vmadd_f32(pre, e, vld1q_f32(igate.as_ptr().add(k)));
-            vst1q_f32(out.as_mut_ptr().add(k), i);
-            k += 4;
-        }
-    }
-
-    /// Gathered f32 row span over cells `[0, vec_len)` (`vec_len` a multiple
-    /// of 4): the temperature is reconstructed on the fly as `t0 + dx` — the
-    /// same single f32 add a separate gather pass would perform — before the
-    /// per-cell pipeline of [`span_f32`].
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available; every slice must cover at least `vec_len`
-    /// cells.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn span_gathered_f32(
-        c1: &[f32],
-        c2: &[f32],
-        igate: &[f32],
-        a0: &[f32],
-        e0: &[f32],
-        t0: &[f32],
-        dx: &[f32],
-        out: &mut [f32],
-        vec_len: usize,
-    ) {
-        let kelvin = vdupq_n_f32(273.15);
-        let one = vdupq_n_f32(1.0);
-        let c3 = vdupq_n_f32(1.0 / 6.0);
-        let half = vdupq_n_f32(0.5);
-        let c4 = vdupq_n_f32(1.0 / 24.0);
-        let mut k = 0;
-        while k < vec_len {
-            let temp = vaddq_f32(vld1q_f32(t0.as_ptr().add(k)), vld1q_f32(dx.as_ptr().add(k)));
-            let t = vaddq_f32(temp, kelvin);
-            let d = vsubq_f32(
-                vdivq_f32(vld1q_f32(c2.as_ptr().add(k)), t),
-                vld1q_f32(a0.as_ptr().add(k)),
-            );
-            let d2 = vmulq_f32(d, d);
-            let p01 = vaddq_f32(one, d);
-            let p23 = vmadd_f32(d, c3, half);
-            let expd = vmadd_f32(d2, vmadd_f32(d2, c4, p23), p01);
-            let e = vmulq_f32(vld1q_f32(e0.as_ptr().add(k)), expd);
-            let pre = vmulq_f32(vmulq_f32(vld1q_f32(c1.as_ptr().add(k)), t), t);
-            let i = vmadd_f32(pre, e, vld1q_f32(igate.as_ptr().add(k)));
-            vst1q_f32(out.as_mut_ptr().add(k), i);
-            k += 4;
-        }
-    }
-}
-
 /// Single-precision variant of [`LeakagePanel`] for the mixed-precision
 /// batch engine: f32 storage and f32 inter-anchor spans, with the anchor
 /// itself — the one numerically delicate step — still computed in f64.
@@ -851,9 +618,9 @@ mod leak_neon {
 /// well inside the mixed-precision engine's ≤ 1e-3 °C trajectory budget.
 ///
 /// The AVX2 arm evaluates 8 cells per vector (twice the f64 arm's 4) and
-/// the NEON arm 4; every arm performs the same per-cell f32 operation
-/// sequence as the scalar reference, so arms are bit-identical to each
-/// other exactly like the f64 panel's.
+/// performs the same per-cell f32 operation sequence as the scalar
+/// reference, so the arms are bit-identical to each other exactly like the
+/// f64 panel's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeakagePanelF32 {
     rows: usize,
@@ -1108,17 +875,6 @@ impl LeakagePanelF32 {
                     }
                     k = vec_len;
                 }
-                #[cfg(target_arch = "aarch64")]
-                PanelKernel::Neon => {
-                    let vec_len = lanes - lanes % 4;
-                    if vec_len > 0 {
-                        // SAFETY: as above.
-                        unsafe {
-                            leak_neon::span_gathered_f32(c1, c2, igate, a0, e0, tr, xr, or, vec_len)
-                        };
-                    }
-                    k = vec_len;
-                }
                 _ => {}
             }
             while k < lanes {
@@ -1131,7 +887,7 @@ impl LeakagePanelF32 {
 
 /// f32 twin of [`currents_span_with`]: the vector arm (if requested and
 /// available) covers the full-vector prefix at f32 width — 8 cells per AVX2
-/// vector, 4 per NEON vector — and the scalar [`leak_cell_f32`] the tail.
+/// vector — and the scalar [`leak_cell_f32`] the tail.
 #[allow(clippy::too_many_arguments)]
 fn currents_span_with_f32(
     kernel: PanelKernel,
@@ -1165,15 +921,6 @@ fn currents_span_with_f32(
                 // SAFETY: availability was just checked; all slices cover
                 // `len >= vec_len` cells.
                 unsafe { leak_avx2::span_f32(c1, c2, igate, a0, e0, temps_c, out, vec_len) };
-            }
-            k = vec_len;
-        }
-        #[cfg(target_arch = "aarch64")]
-        PanelKernel::Neon => {
-            let vec_len = len - len % 4;
-            if vec_len > 0 {
-                // SAFETY: as above.
-                unsafe { leak_neon::span_f32(c1, c2, igate, a0, e0, temps_c, out, vec_len) };
             }
             k = vec_len;
         }
@@ -1373,36 +1120,35 @@ mod tests {
         for lane in 0..3 {
             panel.set_model(1, lane, &gpu, 52.0);
         }
-        let temps = [41.5, 63.25, 80.0];
-        let mut out = [0.0; 3];
-        panel.anchor_row(0, &temps);
-        panel.anchor_row(1, &temps);
-        panel.currents_row_into(0, &temps, &mut out);
-        for (k, &t) in temps.iter().enumerate() {
-            assert_eq!(out[k], big.current_a(t), "big lane {k}");
+        let temps = [41.5, 63.25, 80.0, 41.5, 63.25, 80.0];
+        let mut out = [0.0; 6];
+        for lane in 0..3 {
+            panel.anchor_lane(lane, &temps);
         }
-        panel.currents_row_into(1, &temps, &mut out);
-        for (k, &t) in temps.iter().enumerate() {
-            assert_eq!(out[k], gpu.current_a(t), "gpu lane {k}");
+        panel.currents_into(&temps, &mut out);
+        for (k, &t) in temps[..3].iter().enumerate() {
+            assert_eq!(out[k], big.current_a(t), "big lane {k}");
+            assert_eq!(out[3 + k], gpu.current_a(t), "gpu lane {k}");
         }
     }
 
     #[test]
     fn anchor_lane_refreshes_one_lane_only() {
-        // Anchoring lane 1 must give its cells the bits `anchor_row` gives
-        // them and leave lanes 0 and 2 on their construction anchor.
+        // Anchoring lane 1 must give its cells the bits a fresh admission at
+        // their temperatures gives them, and leave lanes 0 and 2 on their
+        // construction anchor.
         let model = LeakageModel::exynos5410_big();
         let temps = [40.0, 55.5, 71.25, 43.0, 60.0, 88.5];
         let mut per_lane = LeakagePanel::filled(2, 3, &model, 52.0);
         per_lane.anchor_lane(1, &temps);
-        let mut per_row = LeakagePanel::filled(2, 3, &model, 52.0);
-        per_row.anchor_row(0, &temps[..3]);
-        per_row.anchor_row(1, &temps[3..]);
+        let mut admitted = LeakagePanel::filled(2, 3, &model, 52.0);
+        admitted.set_model(0, 1, &model, temps[1]);
+        admitted.set_model(1, 1, &model, temps[4]);
         let untouched = LeakagePanel::filled(2, 3, &model, 52.0);
         for row in 0..2 {
             for lane in 0..3 {
                 let k = row * 3 + lane;
-                let expected = if lane == 1 { &per_row } else { &untouched };
+                let expected = if lane == 1 { &admitted } else { &untouched };
                 assert_eq!(per_lane.a0[k].to_bits(), expected.a0[k].to_bits(), "a0 {k}");
                 assert_eq!(per_lane.e0[k].to_bits(), expected.e0[k].to_bits(), "e0 {k}");
             }
@@ -1417,12 +1163,14 @@ mod tests {
         let model = LeakageModel::exynos5410_big();
         let mut panel = LeakagePanel::filled(1, 4, &model, 45.0);
         let anchor = [45.0, 55.0, 70.0, 85.0];
-        panel.anchor_row(0, &anchor);
+        for lane in 0..4 {
+            panel.anchor_lane(lane, &anchor);
+        }
         let mut out = [0.0; 4];
         for step in 0..=LeakagePanel::REANCHOR_STEPS {
             // Worst-case plant drift: ~0.06 K per micro-step.
             let temps: [f64; 4] = std::array::from_fn(|k| anchor[k] + 0.06 * step as f64);
-            panel.currents_row_into(0, &temps, &mut out);
+            panel.currents_into(&temps, &mut out);
             for (k, &t) in temps.iter().enumerate() {
                 let exact = model.current_a(t);
                 let rel = ((out[k] - exact) / exact).abs();
@@ -1462,11 +1210,11 @@ mod tests {
         let mut panel = LeakagePanel::filled(1, 3, &big, 48.0);
         let mut out = [0.0; 3];
         // Drift the running lanes away from the anchor, as a sweep would.
-        panel.currents_row_into(0, &[48.3, 48.3, 48.3], &mut out);
+        panel.currents_into(&[48.3, 48.3, 48.3], &mut out);
 
         // Admit a new scenario into lane 1 at a different temperature.
         panel.set_model(0, 1, &gpu, 61.0);
-        panel.currents_row_into(0, &[48.3, 61.0, 48.3], &mut out);
+        panel.currents_into(&[48.3, 61.0, 48.3], &mut out);
         assert!(out.iter().all(|i| i.is_finite()));
         assert_eq!(out[1], gpu.current_a(61.0), "admitted lane is exact");
         // Neighbouring lanes keep tracking the old model within drift budget.
@@ -1492,19 +1240,10 @@ mod tests {
             let temps: Vec<f64> = (0..cells).map(|k| 48.0 + (k as f64) * 0.013).collect();
             let mut scalar = vec![0.0; cells];
             panel.currents_into_with(PanelKernel::Scalar, &temps, &mut scalar);
-            for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-                if !kernel.is_available() {
-                    continue;
-                }
-                let mut wide = vec![0.0; cells];
-                panel.currents_into_with(kernel, &temps, &mut wide);
-                for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
-                    assert_eq!(
-                        s.to_bits(),
-                        w.to_bits(),
-                        "kernel {kernel:?} lanes {lanes} cell {k}"
-                    );
-                }
+            let mut wide = vec![0.0; cells];
+            panel.currents_into_with(PanelKernel::Avx2Fma, &temps, &mut wide);
+            for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
+                assert_eq!(s.to_bits(), w.to_bits(), "lanes {lanes} cell {k}");
             }
         }
     }
@@ -1561,9 +1300,9 @@ mod tests {
 
     #[test]
     fn f32_currents_kernel_arms_are_bit_identical() {
-        // Like the f64 arms, every f32 arm performs the same per-cell f32
+        // Like the f64 arms, both f32 arms perform the same per-cell f32
         // operation sequence — including at lengths exercising the 8-wide
-        // AVX2 / 4-wide NEON tails.
+        // AVX2 tail.
         let big = LeakageModel::exynos5410_big();
         let gpu = LeakageModel::exynos5410_gpu();
         for lanes in [1, 3, 4, 7, 8, 9, 16, 21] {
@@ -1575,19 +1314,10 @@ mod tests {
             let temps: Vec<f32> = (0..cells).map(|k| 48.0 + (k as f32) * 0.013).collect();
             let mut scalar = vec![0.0f32; cells];
             panel.currents_into_with(PanelKernel::Scalar, &temps, &mut scalar);
-            for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-                if !kernel.is_available() {
-                    continue;
-                }
-                let mut wide = vec![0.0f32; cells];
-                panel.currents_into_with(kernel, &temps, &mut wide);
-                for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
-                    assert_eq!(
-                        s.to_bits(),
-                        w.to_bits(),
-                        "kernel {kernel:?} lanes {lanes} cell {k}"
-                    );
-                }
+            let mut wide = vec![0.0f32; cells];
+            panel.currents_into_with(PanelKernel::Avx2Fma, &temps, &mut wide);
+            for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
+                assert_eq!(s.to_bits(), w.to_bits(), "lanes {lanes} cell {k}");
             }
         }
     }
@@ -1598,11 +1328,15 @@ mod tests {
         let panel = LeakagePanel::filled(2, 2, &model, 52.0);
         assert_eq!(panel.rows(), 2);
         assert_eq!(panel.lanes(), 2);
-        let result = std::panic::catch_unwind(|| {
-            let mut out = [0.0; 2];
-            panel.currents_row_into(5, &[40.0, 40.0], &mut out);
+        let lane_out_of_bounds = std::panic::catch_unwind(|| {
+            panel.clone().anchor_lane(5, &[40.0; 4]);
         });
-        assert!(result.is_err(), "out-of-bounds row must panic");
+        assert!(lane_out_of_bounds.is_err(), "out-of-bounds lane must panic");
+        let short_temps = std::panic::catch_unwind(|| {
+            let mut out = [0.0; 4];
+            panel.currents_into(&[40.0, 40.0], &mut out);
+        });
+        assert!(short_temps.is_err(), "a short temperature panel must panic");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the SIMD-dispatched leakage span across re-anchor
 //! cadences.
 //!
-//! Two layers of contract: (1) every dispatch arm is bit-identical to forced
-//! scalar (all arms perform the same per-cell operation sequence); (2)
+//! Two layers of contract: (1) the AVX2 arm is bit-identical to forced
+//! scalar (both perform the same per-cell operation sequence); (2)
 //! against the libm-based `LeakageModel::current_a` reference, the anchored
 //! panel tracks within floating-point rounding across a whole re-anchor
 //! period — exactly the documented drift bound.
@@ -41,13 +41,15 @@ proptest! {
         let mut steps_since_anchor = 0;
         for _step in 0..periods * cadence {
             if steps_since_anchor == cadence {
-                panel.anchor_row(0, &temps);
+                for lane in 0..lanes {
+                    panel.anchor_lane(lane, &temps);
+                }
                 steps_since_anchor = 0;
             }
             for (l, t) in temps.iter_mut().enumerate() {
                 *t += drift * (1.0 + l as f64 * 0.03);
             }
-            panel.currents_row_into(0, &temps, &mut out);
+            panel.currents_into(&temps, &mut out);
             for (l, &got) in out.iter().enumerate() {
                 let exact = model.current_a(temps[l]);
                 let rel = ((got - exact) / exact).abs();
@@ -88,20 +90,10 @@ proptest! {
             .collect();
         let mut scalar = vec![0.0; cells];
         panel.currents_into_with(PanelKernel::Scalar, &temps, &mut scalar);
-        for kernel in [PanelKernel::Avx2Fma, PanelKernel::Neon] {
-            if !kernel.is_available() {
-                continue;
-            }
-            let mut wide = vec![0.0; cells];
-            panel.currents_into_with(kernel, &temps, &mut wide);
-            for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
-                prop_assert_eq!(
-                    s.to_bits(),
-                    w.to_bits(),
-                    "kernel {:?} cell {} ({} vs {})",
-                    kernel, k, s, w
-                );
-            }
+        let mut wide = vec![0.0; cells];
+        panel.currents_into_with(PanelKernel::Avx2Fma, &temps, &mut wide);
+        for (k, (s, w)) in scalar.iter().zip(&wide).enumerate() {
+            prop_assert_eq!(s.to_bits(), w.to_bits(), "cell {} ({} vs {})", k, s, w);
         }
     }
 }

@@ -49,7 +49,9 @@ use crate::plant::{
 use crate::SimError;
 
 /// Number of leakage-current rows the batch evaluates per micro-step: the
-/// four big cores, the little cluster (sensed at the case) and the GPU.
+/// four big cores, the little cluster (sensed at the case) and the GPU. They
+/// power node rows `0..LEAK_ROWS`; the constant-power nodes (memory, case)
+/// follow (see [`BatchPlant::new`]).
 const LEAK_ROWS: usize = 6;
 
 /// A cached batch transition together with the fan boost it was built for.
@@ -86,9 +88,6 @@ pub struct BatchPlant {
     /// Per-micro-step gather of the leakage-relevant node temperatures;
     /// `LEAK_ROWS × lanes`, so the whole leakage pass runs at unit stride.
     leak_temps: Panel,
-    /// Whether node rows `0..LEAK_ROWS` line up with the leakage rows (true
-    /// for the Odroid topology), enabling the fused assembly span.
-    aligned_leak_rows: bool,
     /// Per-domain power accumulators (big, little, gpu, memory); `4 × lanes`.
     accum: Panel,
     /// Per-lane big-cluster uncore power that lands in no node injection:
@@ -98,8 +97,6 @@ pub struct BatchPlant {
     uncore_orphan_w: Vec<f64>,
     /// Temperature-panel row feeding each leakage row.
     leak_temp_rows: [usize; LEAK_ROWS],
-    /// Leakage row feeding each node's power assembly (`usize::MAX` = none).
-    node_leak_row: Vec<usize>,
     /// One transition per fan level seen; a handful per run.
     transitions: Vec<TransitionEntry>,
     lane_transition: Vec<usize>,
@@ -151,7 +148,24 @@ impl BatchPlant {
             leak.set_model(5, lane, &gpu, p.initial_temp_c);
         }
 
+        // Node row `r < LEAK_ROWS` is powered by leakage row `r`, and the
+        // constant-power rows close the panel, so the micro-step assembles
+        // every leakage-driven power in one fused span.
         let core_nodes = thermal.big_core_nodes();
+        let layout = [
+            core_nodes[0],
+            core_nodes[1],
+            core_nodes[2],
+            core_nodes[3],
+            thermal.little_node(),
+            thermal.gpu_node(),
+            thermal.memory_node(),
+            thermal.case_node(),
+        ];
+        assert!(
+            layout.iter().map(|node| node.0).eq(0..node_count),
+            "the batch plant needs the leakage-driven nodes first, in leakage-row order"
+        );
         let leak_temp_rows = [
             core_nodes[0].0,
             core_nodes[1].0,
@@ -160,19 +174,6 @@ impl BatchPlant {
             thermal.case_node().0,
             thermal.gpu_node().0,
         ];
-        let mut node_leak_row = vec![usize::MAX; node_count];
-        for (row, core) in core_nodes.iter().enumerate() {
-            node_leak_row[core.0] = row;
-        }
-        node_leak_row[thermal.little_node().0] = 4;
-        node_leak_row[thermal.gpu_node().0] = 5;
-        let aligned_leak_rows = node_leak_row.iter().enumerate().all(|(node, &row)| {
-            if node < LEAK_ROWS {
-                row == node
-            } else {
-                row == usize::MAX
-            }
-        });
 
         BatchPlant {
             spec,
@@ -187,11 +188,9 @@ impl BatchPlant {
             leak,
             currents: Panel::zeros(LEAK_ROWS, lanes),
             leak_temps: Panel::zeros(LEAK_ROWS, lanes),
-            aligned_leak_rows,
             accum: Panel::zeros(4, lanes),
             uncore_orphan_w: vec![0.0; lanes],
             leak_temp_rows,
-            node_leak_row,
             transitions: Vec::new(),
             lane_transition: vec![0; lanes],
             drive: Panel::zeros(node_count, lanes),
@@ -500,16 +499,13 @@ impl BatchPlant {
         Ok(())
     }
 
-    /// Fills the power rows of nodes without a leakage source (memory, case)
-    /// once per interval — they are constant between control decisions, so
-    /// the per-micro-step assembly only touches leakage-driven rows.
+    /// Fills the power rows of nodes without a leakage source (memory, case:
+    /// the rows after `LEAK_ROWS`) once per interval — they are constant
+    /// between control decisions, so the per-micro-step assembly only
+    /// touches leakage-driven rows.
     fn prefill_constant_power_rows(&mut self) {
-        for node in 0..self.powers.rows() {
-            if self.node_leak_row[node] == usize::MAX {
-                let BatchPlant { powers, base, .. } = self;
-                powers.row_mut(node).copy_from_slice(base.row(node));
-            }
-        }
+        let span = LEAK_ROWS * self.lanes;
+        self.powers.as_mut_slice()[span..].copy_from_slice(&self.base.as_slice()[span..]);
     }
 
     /// One batched micro-step: leakage currents, node-power assembly, domain
@@ -527,8 +523,6 @@ impl BatchPlant {
             leak_temps,
             accum,
             leak_temp_rows,
-            node_leak_row,
-            aligned_leak_rows,
             transitions,
             lane_transition,
             drive,
@@ -556,31 +550,17 @@ impl BatchPlant {
         }
         leak.currents_into(leak_temps.as_slice(), currents.as_mut_slice());
 
-        // Node power assembly: P = base + coef · I(src). On the aligned
-        // (Odroid) layout the six leakage-driven node rows coincide with the
-        // six current rows, so the whole assembly is one fused span; the
-        // constant rows were prefilled at interval setup.
-        if *aligned_leak_rows {
-            let span = LEAK_ROWS * lanes;
-            numeric::simd::fused_mul_add_span(
-                &base.as_slice()[..span],
-                &coef.as_slice()[..span],
-                &currents.as_slice()[..span],
-                &mut powers.as_mut_slice()[..span],
-            );
-        } else {
-            for (node, &src) in node_leak_row.iter().enumerate() {
-                if src == usize::MAX {
-                    continue;
-                }
-                numeric::simd::fused_mul_add_span(
-                    base.row(node),
-                    coef.row(node),
-                    currents.row(src),
-                    powers.row_mut(node),
-                );
-            }
-        }
+        // Node power assembly: P = base + coef · I. The six leakage-driven
+        // node rows coincide with the six current rows, so the whole
+        // assembly is one fused span; the constant rows were prefilled at
+        // interval setup.
+        let span = LEAK_ROWS * lanes;
+        numeric::simd::fused_mul_add_span(
+            &base.as_slice()[..span],
+            &coef.as_slice()[..span],
+            currents.as_slice(),
+            &mut powers.as_mut_slice()[..span],
+        );
 
         // Per-domain power accumulation (big = the four core nodes, little,
         // gpu, memory — the per-domain totals are exactly the node sums).

@@ -5,8 +5,8 @@
 //! layout and the same per-interval control contract, but every panel the
 //! micro-step hot loops stream — temperatures, node powers, the
 //! `P = base + coef·I` linearisation and the leakage currents — is stored at
-//! f32 width, so each AVX2 vector carries 8 lanes instead of 4 (NEON: 4
-//! instead of 2) and the per-micro-step memory traffic halves.
+//! f32 width, so each AVX2 vector carries 8 lanes instead of 4 and the
+//! per-micro-step memory traffic halves.
 //!
 //! Precision is split, not sacrificed, along the lines the error analysis
 //! actually cares about:
@@ -749,7 +749,7 @@ impl MixedBatchPlant {
         // Node power assembly: P = base + coef · I(src), at f32 width.
         if *aligned_leak_rows {
             let span = LEAK_ROWS * lanes;
-            numeric::simd::fused_mul_add_span_elem(
+            numeric::simd::fused_mul_add_span(
                 &base.as_slice()[..span],
                 &coef.as_slice()[..span],
                 &currents.as_slice()[..span],
@@ -760,7 +760,7 @@ impl MixedBatchPlant {
                 if src == usize::MAX {
                     continue;
                 }
-                numeric::simd::fused_mul_add_span_elem(
+                numeric::simd::fused_mul_add_span(
                     base.row(node),
                     coef.row(node),
                     currents.row(src),
