@@ -3,7 +3,6 @@
 
 use std::fmt::Write as _;
 
-use numeric::Vector;
 use platform_sim::{CalibrationCampaign, PhysicalPlant, PlantPowerParams, SensorSuite, SimError};
 use power_model::{FurnaceDataset, PowerModel};
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
@@ -324,10 +323,7 @@ fn benchmark_identification_log(
         workload.advance(step.work_done);
         let reading = sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
         dataset
-            .push(
-                Vector::from_slice(&reading.core_temps_c),
-                Vector::from_slice(&reading.domain_power.to_vec()),
-            )
+            .push_row(&reading.core_temps_c, &reading.domain_power.as_array())
             .map_err(|e| SimError::Identification(e.to_string()))?;
         time += 0.1;
         if workload.is_complete() {

@@ -4,7 +4,8 @@
 //! least-squares problem per output row (see `sysid`): given a regressor
 //! matrix `Φ` (one row per time step, columns = previous temperatures and
 //! power inputs) and a target vector `y` (next-step temperature of one
-//! hotspot), find `θ` minimising `‖Φθ − y‖²`.
+//! hotspot), find `θ` minimising `‖Φθ − y‖²`. Every row shares `Φ`, so
+//! [`ridge_lstsq_multi`] solves them together from one Gram matrix `ΦᵀΦ`.
 //!
 //! The problems here are small and well-conditioned (a handful of regressors,
 //! thousands of samples), so the normal equations with optional ridge
@@ -47,17 +48,43 @@ pub fn lstsq(phi: &Matrix, y: &Vector) -> Result<Vector, NumericError> {
 /// an excitation signal leaves some input almost constant (e.g. the memory
 /// power channel while only the big cluster is excited).
 ///
+/// This is the one-target case of [`ridge_lstsq_multi`].
+///
 /// # Errors
 ///
 /// Same conditions as [`lstsq`]; additionally returns
 /// [`NumericError::InvalidArgument`] for a negative or non-finite `lambda`.
 pub fn ridge_lstsq(phi: &Matrix, y: &Vector, lambda: f64) -> Result<Vector, NumericError> {
+    let mut thetas = ridge_lstsq_multi(phi, std::slice::from_ref(y), lambda)?;
+    Ok(thetas.pop().expect("one target has one solution"))
+}
+
+/// Solves `min ‖Φθⱼ − yⱼ‖² + λ‖θⱼ‖²` for every target `yⱼ` against the same
+/// regressors, returning one `θⱼ` per target in order.
+///
+/// The Gram matrix `ΦᵀΦ + λI` is formed once, straight from the rows of `Φ`:
+/// each entry accumulates `Φ[k,i]·Φ[k,j]` over `k` in increasing order and
+/// skips the terms whose `Φ[k,i]` is exactly zero, as [`Matrix::mul`] does
+/// for `Φᵀ·Φ`. Each `Φᵀyⱼ` entry is one `.sum()` over `k`, as in
+/// [`Matrix::mul_vector`], and each target gets its own [`Matrix::solve`].
+/// Every `θⱼ` therefore has the bits [`Matrix::transpose`],
+/// [`Matrix::mul`], [`Matrix::mul_vector`] and [`Matrix::solve`] give it,
+/// but `Φ` is read once instead of once per target.
+///
+/// # Errors
+///
+/// Same conditions as [`ridge_lstsq`], for every target.
+pub fn ridge_lstsq_multi(
+    phi: &Matrix,
+    targets: &[Vector],
+    lambda: f64,
+) -> Result<Vec<Vector>, NumericError> {
     if !(lambda >= 0.0) || !lambda.is_finite() {
         return Err(NumericError::InvalidArgument(
             "ridge parameter must be finite and non-negative",
         ));
     }
-    if phi.rows() != y.len() {
+    if let Some(y) = targets.iter().find(|y| y.len() != phi.rows()) {
         return Err(NumericError::DimensionMismatch {
             operation: "least squares",
             left: (phi.rows(), phi.cols()),
@@ -71,15 +98,34 @@ pub fn ridge_lstsq(phi: &Matrix, y: &Vector, lambda: f64) -> Result<Vector, Nume
         });
     }
 
-    let phi_t = phi.transpose();
-    let mut gram = phi_t.mul(phi)?;
-    if lambda > 0.0 {
-        for i in 0..gram.rows() {
-            gram[(i, i)] += lambda;
+    let n = phi.cols();
+    let mut gram = vec![0.0; n * n];
+    for row in phi.as_slice().chunks_exact(n) {
+        for (&phi_ki, gram_row) in row.iter().zip(gram.chunks_exact_mut(n)) {
+            if phi_ki == 0.0 {
+                continue;
+            }
+            for (g, &phi_kj) in gram_row.iter_mut().zip(row) {
+                *g += phi_ki * phi_kj;
+            }
         }
     }
-    let rhs = phi_t.mul_vector(y)?;
-    gram.solve(&rhs)
+    if lambda > 0.0 {
+        for i in 0..n {
+            gram[i * n + i] += lambda;
+        }
+    }
+    let gram = Matrix::from_vec(n, n, gram)?;
+    targets
+        .iter()
+        .map(|y| {
+            let rhs = Vector::from_iter((0..n).map(|i| {
+                let column = phi.as_slice()[i..].iter().step_by(n);
+                column.zip(y.iter()).map(|(p, t)| p * t).sum::<f64>()
+            }));
+            gram.solve(&rhs)
+        })
+        .collect()
 }
 
 /// Residual vector `Φθ − y` of a least-squares fit.
@@ -186,6 +232,31 @@ mod tests {
         let y = Vector::from_slice(&[1.0, 1.0]);
         assert!(ridge_lstsq(&phi, &y, -1.0).is_err());
         assert!(ridge_lstsq(&phi, &y, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn multi_target_solve_checks_every_target() {
+        let phi = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
+        let y = Vector::from_slice(&[1.0, 2.0, 3.0]);
+        let short = Vector::from_slice(&[1.0, 2.0]);
+        assert!(matches!(
+            ridge_lstsq_multi(&phi, &[y.clone(), short], 0.0),
+            Err(NumericError::DimensionMismatch { right: (2, 1), .. })
+        ));
+        assert!(ridge_lstsq_multi(&phi, std::slice::from_ref(&y), f64::INFINITY).is_err());
+        let wide = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]).unwrap();
+        assert!(matches!(
+            ridge_lstsq_multi(&wide, &[Vector::from_slice(&[1.0])], 0.0),
+            Err(NumericError::InsufficientData { .. })
+        ));
+        assert_eq!(
+            ridge_lstsq_multi(&phi, &[], 0.0).unwrap(),
+            Vec::<Vector>::new()
+        );
+        let thetas = ridge_lstsq_multi(&phi, &[y.clone(), y.scale(2.0)], 0.0).unwrap();
+        assert_eq!(thetas.len(), 2);
+        assert_eq!(thetas[0], ridge_lstsq(&phi, &y, 0.0).unwrap());
+        assert_eq!(thetas[1], ridge_lstsq(&phi, &y.scale(2.0), 0.0).unwrap());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests for the numerical substrate.
 
-use numeric::{lstsq, ridge_lstsq, stats, Matrix, Summary, Table1d, Vector};
+use numeric::{
+    lstsq, ridge_lstsq, ridge_lstsq_multi, stats, Matrix, NumericError, Summary, Table1d, Vector,
+};
 use proptest::prelude::*;
 
 fn small_f64() -> impl Strategy<Value = f64> {
@@ -16,7 +18,63 @@ fn vector(n: usize) -> impl Strategy<Value = Vector> {
     prop::collection::vec(small_f64(), n).prop_map(Vector::from)
 }
 
+/// Ridge least squares spelled out with the matrix operations: `Φᵀ`, then
+/// `Φᵀ·Φ + λI` and `Φᵀ·y`, then one LU solve. The multi-target solve must
+/// match it bit for bit.
+fn reference_ridge_lstsq(phi: &Matrix, y: &Vector, lambda: f64) -> Result<Vector, NumericError> {
+    let phi_t = phi.transpose();
+    let mut gram = phi_t.mul(phi)?;
+    if lambda > 0.0 {
+        for i in 0..gram.rows() {
+            gram[(i, i)] += lambda;
+        }
+    }
+    let rhs = phi_t.mul_vector(y)?;
+    gram.solve(&rhs)
+}
+
+/// A value that is exactly zero about a third of the time.
+fn sparse_f64() -> impl Strategy<Value = f64> {
+    (-3.0..3.0f64).prop_map(|v| if v.abs() < 1.0 { 0.0 } else { v * 7.3 })
+}
+
 proptest! {
+    #[test]
+    fn multi_target_solve_matches_the_matrix_operations_bit_for_bit(
+        cols in 1..9usize,
+        extra_rows in 0..40usize,
+        cells in prop::collection::vec(sparse_f64(), 9 * 48),
+        target_cells in prop::collection::vec(sparse_f64(), 4 * 48),
+        targets in 1..5usize,
+        lambda_pick in 0..3usize,
+    ) {
+        let rows = cols + extra_rows;
+        let phi = Matrix::from_vec(rows, cols, cells[..rows * cols].to_vec()).unwrap();
+        let ys: Vec<Vector> = target_cells
+            .chunks_exact(48)
+            .take(targets)
+            .map(|c| Vector::from_slice(&c[..rows]))
+            .collect();
+        let lambda = [0.0, 1e-9, 0.5][lambda_pick];
+        let thetas = ridge_lstsq_multi(&phi, &ys, lambda);
+        let references: Vec<_> = ys
+            .iter()
+            .map(|y| reference_ridge_lstsq(&phi, y, lambda))
+            .collect();
+        match thetas {
+            Ok(thetas) => {
+                prop_assert_eq!(thetas.len(), ys.len());
+                for (theta, reference) in thetas.iter().zip(&references) {
+                    let reference = reference.as_ref().expect("the reference solves too");
+                    let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(theta), bits(reference));
+                }
+            }
+            // A singular Gram matrix fails for every target alike.
+            Err(err) => prop_assert_eq!(references[0].as_ref().unwrap_err(), &err),
+        }
+    }
+
     #[test]
     fn transpose_is_involution(m in square_matrix(4)) {
         prop_assert_eq!(m.transpose().transpose(), m);

@@ -5,12 +5,20 @@
 //! the thermal state-space model is identified from PRBS excitation of each
 //! power source. [`CalibrationCampaign::run`] performs both campaigns against
 //! the simulated plant and returns the [`Calibration`] every experiment uses.
+//!
+//! The campaign is nine independent experiments: five furnace setpoints and
+//! one PRBS experiment per power domain. Each runs its own scalar
+//! [`PhysicalPlant`] with its own sensor seed, so they run as tasks on
+//! scoped threads. Their results are assembled in a fixed order, so a
+//! [`Calibration`]'s bits do not depend on the thread count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use dtpm::ThermalPredictor;
 use governors::{CpufreqGovernor, UserspaceGovernor};
-use numeric::Vector;
-use power_model::{ActivityEstimator, DomainPowerModel, LeakageModel, PowerModel};
-use soc_model::{ClusterKind, Frequency, PlatformState, PowerDomain, SocSpec};
+use power_model::{ActivityEstimator, DomainPowerModel, FurnaceDataset, LeakageModel, PowerModel};
+use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use sysid::{
     identify, n_step_prediction, IdentificationDataset, IdentificationOptions, PrbsConfig,
     PrbsSignal, PredictionErrorReport,
@@ -20,6 +28,10 @@ use workload::Demand;
 use crate::plant::{PhysicalPlant, PlantPowerParams};
 use crate::sensors::SensorSuite;
 use crate::SimError;
+
+/// The most control intervals one experiment may run. The default recipe
+/// needs 3,200 per furnace setpoint and 7,000 per PRBS experiment.
+const MAX_EXPERIMENT_INTERVALS: f64 = 1e6;
 
 /// The characterised models used by the experiments.
 #[derive(Debug, Clone)]
@@ -73,31 +85,119 @@ impl Default for CalibrationCampaign {
     }
 }
 
+/// The control intervals of each experiment, computed once from the recipe.
+#[derive(Debug, Clone, Copy)]
+struct IntervalCounts {
+    /// Furnace intervals before logging starts.
+    settle: usize,
+    /// Furnace intervals that are logged.
+    sample: usize,
+    /// Intervals of each PRBS experiment.
+    prbs: usize,
+}
+
+/// The pinned characterisation workload of the furnace sweep (Section
+/// 4.1.1): one barely-active stream at a fixed frequency and voltage,
+/// everything else quiet.
+#[derive(Debug)]
+struct FurnaceLoad {
+    state: PlatformState,
+    demand: Demand,
+    volts: Voltage,
+    /// The load's constant dynamic power, known from αCV²f (the paper's
+    /// assumption); the same at every setpoint.
+    dynamic_w: f64,
+}
+
 impl CalibrationCampaign {
     /// Runs the furnace sweep and the PRBS identification experiments.
     ///
+    /// The nine experiments run as tasks on `available_parallelism()`
+    /// scoped threads (at most nine); the calling thread is one of them.
+    /// Workers claim the four PRBS experiments, the longest, first. The
+    /// results are assembled in a fixed order: the furnace setpoints by
+    /// temperature, then the PRBS logs by power domain. The first error in
+    /// that order is returned, and the [`Calibration`]'s bits do not depend
+    /// on the thread count.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the campaign parameters are invalid, the furnace
-    /// fit fails, or no stable thermal model can be identified.
+    /// Returns an error if the campaign parameters are invalid (non-finite,
+    /// non-positive, or an experiment longer than 10⁶ control intervals), the
+    /// furnace fit fails, or no stable thermal model can be identified.
     pub fn run(&self, seed: u64) -> Result<Calibration, SimError> {
-        if !(self.control_period_s > 0.0) || !(self.prbs_duration_s > self.control_period_s) {
-            return Err(SimError::InvalidConfig(
-                "calibration timing parameters must be positive",
-            ));
-        }
-        if !(self.train_fraction > 0.0 && self.train_fraction < 1.0) {
-            return Err(SimError::InvalidConfig(
-                "train fraction must be strictly between 0 and 1",
-            ));
-        }
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        self.run_on(seed, threads)
+    }
 
+    /// [`CalibrationCampaign::run`] on `threads` threads.
+    pub(crate) fn run_on(&self, seed: u64, threads: usize) -> Result<Calibration, SimError> {
+        let counts = self.interval_counts()?;
         let spec = SocSpec::odroid_xu_e().with_ambient_c(self.ambient_c);
-        let power_model = self.build_power_model(&spec, seed)?;
-        let dataset = self.run_identification_experiments(&spec, seed)?;
+        let furnace = if self.run_furnace {
+            Some(self.furnace_load(&spec)?)
+        } else {
+            None
+        };
 
+        let logs: Vec<OnceLock<Result<IdentificationDataset, SimError>>> =
+            PowerDomain::ALL.iter().map(|_| OnceLock::new()).collect();
+        let setpoints: &[f64] = if furnace.is_some() {
+            &FurnaceDataset::PAPER_SWEEP_C
+        } else {
+            &[]
+        };
+        let samples: Vec<OnceLock<Result<(f64, f64), SimError>>> =
+            setpoints.iter().map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        // Each task index is claimed once, so its slot is still empty.
+        let worker = || loop {
+            let task = next.fetch_add(1, Ordering::Relaxed);
+            if let Some(slot) = logs.get(task) {
+                let _ = slot.set(self.prbs_experiment(&spec, task, counts.prbs, seed));
+            } else if let (Some(slot), Some(load)) = (samples.get(task - logs.len()), &furnace) {
+                let i = task - logs.len();
+                let sensor_seed = seed.wrapping_add(i as u64);
+                let _ =
+                    slot.set(self.furnace_setpoint(&spec, load, setpoints[i], sensor_seed, counts));
+            } else {
+                break;
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads.min(logs.len() + samples.len()) {
+                scope.spawn(worker);
+            }
+            worker();
+        });
+
+        let mut power_model = PowerModel::exynos5410_defaults();
+        if let Some(load) = furnace {
+            let samples = samples
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("every setpoint ran"))
+                .collect::<Result<Vec<_>, _>>()?;
+            let fitted = LeakageModel::fit_from_furnace(&samples, load.volts, load.dynamic_w)?;
+            *power_model.domain_mut(PowerDomain::BigCpu) = DomainPowerModel::new(
+                PowerDomain::BigCpu,
+                fitted,
+                ActivityEstimator::for_cpu_cluster(),
+            );
+        }
+        let mut logs = logs
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every PRBS experiment ran"));
+        let mut dataset = logs.next().expect("one PRBS experiment per power domain")?;
+        for log in logs {
+            dataset.concatenate(&log?)?;
+        }
+
+        // Calibration sets the process's peak memory, so each log is freed
+        // as soon as it has been consumed.
         let (train, test) = dataset.split(self.train_fraction)?;
+        drop(dataset);
         let model = identify_with_retries(&train)?;
+        drop(train);
         let horizon = (1.0 / self.control_period_s).round() as usize;
         let validation = n_step_prediction(&model, &test, horizon)?;
         let predictor = ThermalPredictor::new(model, self.ambient_c)?;
@@ -109,16 +209,59 @@ impl CalibrationCampaign {
         })
     }
 
-    /// Builds the run-time power model, running the furnace characterisation
-    /// of the big cluster's leakage when enabled.
-    fn build_power_model(&self, spec: &SocSpec, seed: u64) -> Result<PowerModel, SimError> {
-        let mut model = PowerModel::exynos5410_defaults();
-        if !self.run_furnace {
-            return Ok(model);
+    /// Checks the recipe and computes how many control intervals each
+    /// experiment runs, before any buffer is sized.
+    fn interval_counts(&self) -> Result<IntervalCounts, SimError> {
+        if !(self.ambient_c.is_finite()
+            && self.control_period_s.is_finite()
+            && self.prbs_duration_s.is_finite())
+        {
+            return Err(SimError::InvalidConfig(
+                "calibration ambient, period and duration must be finite",
+            ));
         }
+        if !(self.control_period_s > 0.0) || !(self.prbs_duration_s > self.control_period_s) {
+            return Err(SimError::InvalidConfig(
+                "calibration timing parameters must be positive",
+            ));
+        }
+        if !(self.train_fraction > 0.0 && self.train_fraction < 1.0) {
+            return Err(SimError::InvalidConfig(
+                "train fraction must be strictly between 0 and 1",
+            ));
+        }
+        // Let the die settle above the furnace ambient, then log samples.
+        let settle = (120.0 / self.control_period_s).trunc();
+        let sample = (200.0 / self.control_period_s).trunc();
+        let prbs = (self.prbs_duration_s / self.control_period_s).round();
+        let furnace = if self.run_furnace {
+            settle + sample
+        } else {
+            0.0
+        };
+        if !(furnace <= MAX_EXPERIMENT_INTERVALS && prbs <= MAX_EXPERIMENT_INTERVALS) {
+            return Err(SimError::InvalidConfig(
+                "a calibration experiment would run more than 10^6 control intervals",
+            ));
+        }
+        Ok(IntervalCounts {
+            settle: settle as usize,
+            sample: sample as usize,
+            prbs: prbs as usize,
+        })
+    }
 
-        // Light characterisation workload pinned to a fixed frequency/voltage:
-        // one barely-active stream, everything else quiet (Section 4.1.1).
+    /// The sensor chain of one experiment.
+    fn sensors(&self, seed: u64) -> SensorSuite {
+        if self.ideal_sensors {
+            SensorSuite::ideal(seed)
+        } else {
+            SensorSuite::odroid_defaults(seed)
+        }
+    }
+
+    /// The furnace sweep's characterisation load on the big cluster.
+    fn furnace_load(&self, spec: &SocSpec) -> Result<FurnaceLoad, SimError> {
         let freq = Frequency::from_mhz(1600);
         let volts = spec.big_opps().voltage_for(freq)?;
         let mut state = PlatformState::default_for(spec);
@@ -130,117 +273,95 @@ impl CalibrationCampaign {
             memory_intensity: 0.1,
             frequency_scalability: 1.0,
         };
-
-        let mut samples = Vec::new();
-        let mut dynamic_w = 0.0;
-        for (i, &setpoint) in power_model::FurnaceDataset::PAPER_SWEEP_C
-            .iter()
-            .enumerate()
-        {
-            let furnace_spec = spec.clone().with_ambient_c(setpoint);
-            let mut plant = PhysicalPlant::new(furnace_spec, self.plant);
-            // Soak the board at the furnace setpoint.
-            plant.reset_temps(setpoint);
-            let mut sensors = if self.ideal_sensors {
-                SensorSuite::ideal(seed.wrapping_add(i as u64))
-            } else {
-                SensorSuite::odroid_defaults(seed.wrapping_add(i as u64))
-            };
-            // Let the die settle above the furnace ambient, then log samples.
-            let mut temp_sum = 0.0;
-            let mut power_sum = 0.0;
-            let mut count = 0usize;
-            let settle_steps = (120.0 / self.control_period_s) as usize;
-            let sample_steps = (200.0 / self.control_period_s) as usize;
-            for step_idx in 0..(settle_steps + sample_steps) {
-                let step = plant.step_interval(
-                    &state,
-                    &demand,
-                    soc_model::FanLevel::Off,
-                    setpoint,
-                    self.control_period_s,
-                )?;
-                if step_idx >= settle_steps {
-                    let reading = sensors.sample(
-                        step.core_temps_c,
-                        &step.domain_power,
-                        step.platform_power_w,
-                    );
-                    temp_sum += reading.max_core_temp_c();
-                    power_sum += reading.domain_power.big_w;
-                    count += 1;
-                }
-            }
-            samples.push((temp_sum / count as f64, power_sum / count as f64));
-            // The constant dynamic power of the pinned characterisation
-            // workload is known from αCV²f (the paper's assumption); it is the
-            // same at every setpoint, so compute it once.
-            if i == 0 {
-                dynamic_w = plant.true_dynamic_power_w(&state, &demand)?;
-            }
-        }
-
-        let fitted = LeakageModel::fit_from_furnace(&samples, volts, dynamic_w)?;
-        *model.domain_mut(PowerDomain::BigCpu) = DomainPowerModel::new(
-            PowerDomain::BigCpu,
-            fitted,
-            ActivityEstimator::for_cpu_cluster(),
-        );
-        Ok(model)
+        let dynamic_w =
+            PhysicalPlant::new(spec.clone(), self.plant).true_dynamic_power_w(&state, &demand)?;
+        Ok(FurnaceLoad {
+            state,
+            demand,
+            volts,
+            dynamic_w,
+        })
     }
 
-    /// Runs one PRBS excitation experiment per power source and concatenates
-    /// the logs into a single identification dataset (Section 4.2.1).
-    fn run_identification_experiments(
+    /// One furnace setpoint: soaks the board at `setpoint_c`, runs the load,
+    /// and returns the mean logged maximum core temperature and big-cluster
+    /// power.
+    fn furnace_setpoint(
         &self,
         spec: &SocSpec,
+        load: &FurnaceLoad,
+        setpoint_c: f64,
+        sensor_seed: u64,
+        counts: IntervalCounts,
+    ) -> Result<(f64, f64), SimError> {
+        let mut plant = PhysicalPlant::new(spec.clone().with_ambient_c(setpoint_c), self.plant);
+        plant.reset_temps(setpoint_c);
+        let mut sensors = self.sensors(sensor_seed);
+        let mut temp_sum = 0.0;
+        let mut power_sum = 0.0;
+        for step_idx in 0..(counts.settle + counts.sample) {
+            let step = plant.step_interval(
+                &load.state,
+                &load.demand,
+                FanLevel::Off,
+                setpoint_c,
+                self.control_period_s,
+            )?;
+            if step_idx >= counts.settle {
+                let reading =
+                    sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
+                temp_sum += reading.max_core_temp_c();
+                power_sum += reading.domain_power.big_w;
+            }
+        }
+        let count = counts.sample as f64;
+        Ok((temp_sum / count, power_sum / count))
+    }
+
+    /// One PRBS excitation experiment of the power source
+    /// `PowerDomain::ALL[experiment_index]`, logged at the control-interval
+    /// rate (Section 4.2.1).
+    fn prbs_experiment(
+        &self,
+        spec: &SocSpec,
+        experiment_index: usize,
+        steps: usize,
         seed: u64,
     ) -> Result<IdentificationDataset, SimError> {
-        let mut dataset = IdentificationDataset::new(
+        let target = PowerDomain::ALL[experiment_index];
+        let prbs = PrbsSignal::generate(
+            PrbsConfig {
+                register_bits: 11,
+                hold_intervals: self.prbs_hold_intervals,
+                low: 0.0,
+                high: 1.0,
+                seed: 0x23 + experiment_index as u32 * 97,
+            },
+            steps,
+        )?;
+        let mut plant = PhysicalPlant::new(spec.clone(), self.plant);
+        let mut sensors = self.sensors(seed.wrapping_add(1000 + experiment_index as u64));
+        let mut governor = UserspaceGovernor::new(spec.big_opps().lowest().frequency);
+        let mut log = IdentificationDataset::new(
             4,
             PowerDomain::COUNT,
             self.control_period_s,
             self.ambient_c,
         )?;
-        let steps = (self.prbs_duration_s / self.control_period_s).round() as usize;
-
-        for (experiment_index, target) in PowerDomain::ALL.into_iter().enumerate() {
-            let prbs = PrbsSignal::generate(
-                PrbsConfig {
-                    register_bits: 11,
-                    hold_intervals: self.prbs_hold_intervals,
-                    low: 0.0,
-                    high: 1.0,
-                    seed: 0x23 + experiment_index as u32 * 97,
-                },
-                steps,
+        for &bit in prbs.values() {
+            let (state, demand) = self.excitation_point(spec, target, bit, &mut governor);
+            let step = plant.step_interval(
+                &state,
+                &demand,
+                FanLevel::Off,
+                self.ambient_c,
+                self.control_period_s,
             )?;
-            let mut plant = PhysicalPlant::new(spec.clone(), self.plant);
-            let mut sensors = if self.ideal_sensors {
-                SensorSuite::ideal(seed.wrapping_add(1000 + experiment_index as u64))
-            } else {
-                SensorSuite::odroid_defaults(seed.wrapping_add(1000 + experiment_index as u64))
-            };
-            let mut governor = UserspaceGovernor::new(spec.big_opps().lowest().frequency);
-
-            for &bit in prbs.values() {
-                let (state, demand) = self.excitation_point(spec, target, bit, &mut governor);
-                let step = plant.step_interval(
-                    &state,
-                    &demand,
-                    soc_model::FanLevel::Off,
-                    self.ambient_c,
-                    self.control_period_s,
-                )?;
-                let reading =
-                    sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
-                dataset.push(
-                    Vector::from_slice(&reading.core_temps_c),
-                    Vector::from_slice(&reading.domain_power.to_vec()),
-                )?;
-            }
+            let reading =
+                sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
+            log.push_row(&reading.core_temps_c, &reading.domain_power.as_array())?;
         }
-        Ok(dataset)
+        Ok(log)
     }
 
     /// The platform state and workload demand used to excite one power source
@@ -402,6 +523,143 @@ mod tests {
             hot > 1.8 * cool,
             "fitted leakage not temperature sensitive: {cool} -> {hot}"
         );
+    }
+
+    /// The pinned recipe: furnace on, noisy sensors, 240 s PRBS experiments.
+    fn pinned_recipe() -> CalibrationCampaign {
+        CalibrationCampaign {
+            prbs_duration_s: 240.0,
+            ..CalibrationCampaign::default()
+        }
+    }
+
+    /// `f64::to_bits` of the big cluster's fitted leakage parameters
+    /// (`c1`, `c2`, `igate_a`) of `pinned_recipe().run(1)`.
+    const PINNED_LEAKAGE: [u64; 3] = [0x3f864b1afdc22fdf, 0xc0a7e2114e0898cd, 0x3f78c17487e63a74];
+
+    /// `f64::to_bits` of the identified `As`, row-major.
+    #[rustfmt::skip]
+    const PINNED_A: [u64; 16] = [
+        0x3fd29fed5ead24b8, 0x3fce7e53567eba8b, 0x3fcd9a61dfb72b01, 0x3fce29fd9d814d61,
+        0x3fd0717a19e51018, 0x3fd1e5b2fb8bdb5b, 0x3fcda87145012dfb, 0x3fcd3df3c9540007,
+        0x3fd24b6e9fe32906, 0x3fced6a37c3276b9, 0x3fcee6c13f7a4523, 0x3fcd3de6473ab78b,
+        0x3fd0cf11c00434c8, 0x3fd12a95fe580df5, 0x3fcc1162122d47a7, 0x3fcf9304b4ab5f8f,
+    ];
+
+    /// `f64::to_bits` of the identified `Bs`, row-major.
+    #[rustfmt::skip]
+    const PINNED_B: [u64; 16] = [
+        0x3f894c5a5fdf052a, 0xbfb979be9d4abf17, 0x3fb99392f8f7bdac, 0x3fcd5737448677d6,
+        0x3f9b8f1711c7adb4, 0x3faef716de223d16, 0xbfb2edd485f813a7, 0x3fc34c171e659d5b,
+        0x3f85caa6e868346c, 0xbfb696ad31bc23d0, 0x3fb01fe2bfc91765, 0x3fc8c6d11dd31a66,
+        0x3f9aa757ada5aadf, 0x3fb19c630b39b9ca, 0xbfb41d14075538eb, 0x3fc14cd8a9f4c3cd,
+    ];
+
+    /// `f64::to_bits` of the validation report's `horizon_s`,
+    /// `mean_abs_error_c`, `mean_percent_error`, `max_abs_error_c` and
+    /// `max_percent_error`.
+    const PINNED_VALIDATION: [u64; 5] = [
+        0x3ff0000000000000,
+        0x3fd57b950baf8985,
+        0x3fe7e0608cce5ffa,
+        0x40229a69762bf548,
+        0x4031c8f9a0746d2f,
+    ];
+
+    #[test]
+    fn pinned_recipe_keeps_its_bits_on_one_and_four_threads() {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 4] {
+            let calibration = pinned_recipe().run_on(1, threads).unwrap();
+            let leak = calibration
+                .power_model
+                .domain(PowerDomain::BigCpu)
+                .leakage()
+                .params();
+            assert_eq!(
+                bits(&[leak.c1, leak.c2, leak.igate_a]),
+                PINNED_LEAKAGE,
+                "leakage fit on {threads} threads"
+            );
+            let model = calibration.predictor.model();
+            assert_eq!(
+                bits(model.a().as_slice()),
+                PINNED_A,
+                "As on {threads} threads"
+            );
+            assert_eq!(
+                bits(model.b().as_slice()),
+                PINNED_B,
+                "Bs on {threads} threads"
+            );
+            let v = calibration.validation;
+            assert_eq!((v.horizon_steps, v.samples), (10, 11_480));
+            assert_eq!(
+                bits(&[
+                    v.horizon_s,
+                    v.mean_abs_error_c,
+                    v.mean_percent_error,
+                    v.max_abs_error_c,
+                    v.max_percent_error,
+                ]),
+                PINNED_VALIDATION,
+                "validation on {threads} threads"
+            );
+        }
+    }
+
+    /// Asserts `recipe` fails as an invalid configuration within a second.
+    fn assert_rejected_promptly(recipe: CalibrationCampaign) {
+        let start = std::time::Instant::now();
+        let result = recipe.run(1);
+        assert!(
+            matches!(result, Err(SimError::InvalidConfig(_))),
+            "{recipe:?} gave {result:?}"
+        );
+        assert!(start.elapsed().as_secs_f64() < 1.0, "{recipe:?} was slow");
+    }
+
+    #[test]
+    fn a_picosecond_period_is_rejected_promptly() {
+        // The furnace sweep alone would run 3.2e14 intervals.
+        assert_rejected_promptly(CalibrationCampaign {
+            control_period_s: 1e-12,
+            ..CalibrationCampaign::default()
+        });
+    }
+
+    #[test]
+    fn an_astronomical_prbs_duration_is_rejected_promptly() {
+        // Sizing the PRBS signal for it would overflow a buffer's capacity.
+        assert_rejected_promptly(CalibrationCampaign {
+            prbs_duration_s: 1e300,
+            ..CalibrationCampaign::default()
+        });
+    }
+
+    #[test]
+    fn a_nan_ambient_is_rejected() {
+        // It used to calibrate "successfully", with a NaN validation error.
+        assert_rejected_promptly(CalibrationCampaign {
+            ambient_c: f64::NAN,
+            ..CalibrationCampaign::default()
+        });
+    }
+
+    #[test]
+    fn infinite_timing_parameters_are_rejected() {
+        for recipe in [
+            CalibrationCampaign {
+                control_period_s: f64::INFINITY,
+                ..CalibrationCampaign::default()
+            },
+            CalibrationCampaign {
+                prbs_duration_s: f64::INFINITY,
+                ..CalibrationCampaign::default()
+            },
+        ] {
+            assert_rejected_promptly(recipe);
+        }
     }
 
     #[test]

@@ -16,9 +16,12 @@ use std::sync::mpsc;
 
 /// Hard cap on a single frame's payload size (64 MiB). Campaign payloads
 /// are far smaller — a lease is tens of bytes, a lease result a few KiB —
-/// so anything near the cap indicates corruption, and the cap bounds what
-/// a corrupt length prefix can allocate.
+/// so anything near the cap indicates corruption. [`read_frame`] rejects a
+/// prefix past the cap before reading any payload.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// The starting size of [`read_frame`]'s payload buffer (64 KiB).
+const FRAME_READ_START: usize = 64 << 10;
 
 /// Writes one length-prefixed frame (`u32` little-endian length, then the
 /// payload) and flushes, so a frame is visible to the peer as soon as the
@@ -44,7 +47,9 @@ pub fn write_frame(writer: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean
 /// end-of-stream (the peer closed between frames); end-of-stream *inside*
 /// a frame is an `UnexpectedEof` error — a torn frame is never silently
-/// shortened.
+/// shortened. The payload buffer starts at no more than 64 KiB and grows
+/// as bytes arrive, so a length prefix alone cannot make it allocate the
+/// whole frame.
 ///
 /// # Errors
 ///
@@ -74,8 +79,14 @@ pub fn read_frame(reader: &mut dyn Read) -> io::Result<Option<Vec<u8>>> {
             "frame length prefix exceeds the size cap",
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_READ_START));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame payload torn by end of stream",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -371,6 +382,23 @@ mod tests {
         assert_eq!(read_frame(&mut b_rx).expect("eof"), None);
     }
 
+    /// Serves `bytes`, then end of stream, recording the largest buffer a
+    /// read was handed.
+    struct LargestRead {
+        bytes: Vec<u8>,
+        largest: usize,
+    }
+
+    impl Read for LargestRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes.drain(..n);
+            Ok(n)
+        }
+    }
+
     #[test]
     fn torn_and_oversized_frames_are_rejected() {
         // A torn length prefix.
@@ -385,6 +413,17 @@ mod tests {
             read_frame(&mut torn).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+        // A prefix at the cap followed by end of stream is a torn frame, and
+        // the reader is never handed more than the starting buffer.
+        let mut at_cap = LargestRead {
+            bytes: (MAX_FRAME_LEN as u32).to_le_bytes().to_vec(),
+            largest: 0,
+        };
+        assert_eq!(
+            read_frame(&mut at_cap).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        assert!(at_cap.largest <= FRAME_READ_START, "{}", at_cap.largest);
         // A prefix past the cap never allocates.
         let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         let mut huge: &[u8] = &huge;

@@ -26,7 +26,8 @@
 //!   the simulation engine that runs a benchmark under one of them.
 //! * [`calibrate`] — the characterisation campaign: the furnace sweep for the
 //!   leakage model and the per-domain PRBS experiments for system
-//!   identification, producing the [`dtpm::ThermalPredictor`] the DTPM
+//!   identification, run as parallel tasks whose results do not depend on
+//!   the thread count, producing the [`dtpm::ThermalPredictor`] the DTPM
 //!   configuration uses.
 //! * [`trace`], [`metrics`] — per-interval logging, CSV export and the
 //!   power/performance/stability summaries the figures are built from.

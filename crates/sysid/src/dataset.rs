@@ -10,14 +10,21 @@ use crate::SysIdError;
 /// Temperatures are stored as measured (absolute °C); the identification and
 /// validation routines work on temperatures *relative to the ambient*, which
 /// the dataset computes via [`IdentificationDataset::relative_temps`].
+///
+/// # Layout
+///
+/// Samples are stored row-major in two flat buffers: sample `k`'s
+/// temperatures are `temps()[k * state_count()..(k + 1) * state_count()]`
+/// and its powers are `powers()[k * input_count()..(k + 1) * input_count()]`,
+/// so `temps().chunks_exact(state_count())` walks the samples in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdentificationDataset {
     state_count: usize,
     input_count: usize,
     sample_period_s: f64,
     ambient_c: f64,
-    temps: Vec<Vector>,
-    powers: Vec<Vector>,
+    temps: Vec<f64>,
+    powers: Vec<f64>,
 }
 
 impl IdentificationDataset {
@@ -60,6 +67,17 @@ impl IdentificationDataset {
     /// Returns [`SysIdError::DimensionMismatch`] if the vectors do not match
     /// the dataset dimensions.
     pub fn push(&mut self, temps_c: Vector, powers_w: Vector) -> Result<(), SysIdError> {
+        self.push_row(temps_c.as_slice(), powers_w.as_slice())
+    }
+
+    /// Appends one synchronous sample from slices, like
+    /// [`IdentificationDataset::push`] without building vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SysIdError::DimensionMismatch`] if the slices do not match
+    /// the dataset dimensions.
+    pub fn push_row(&mut self, temps_c: &[f64], powers_w: &[f64]) -> Result<(), SysIdError> {
         if temps_c.len() != self.state_count {
             return Err(SysIdError::DimensionMismatch {
                 what: "temperature sample",
@@ -74,8 +92,8 @@ impl IdentificationDataset {
                 actual: powers_w.len(),
             });
         }
-        self.temps.push(temps_c);
-        self.powers.push(powers_w);
+        self.temps.extend_from_slice(temps_c);
+        self.powers.extend_from_slice(powers_w);
         Ok(())
     }
 
@@ -108,14 +126,14 @@ impl IdentificationDataset {
                 "cannot concatenate datasets with different sample periods",
             ));
         }
-        self.temps.extend(other.temps.iter().cloned());
-        self.powers.extend(other.powers.iter().cloned());
+        self.temps.extend_from_slice(&other.temps);
+        self.powers.extend_from_slice(&other.powers);
         Ok(())
     }
 
     /// Number of logged samples.
     pub fn len(&self) -> usize {
-        self.temps.len()
+        self.temps.len() / self.state_count
     }
 
     /// Returns `true` if nothing has been logged yet.
@@ -143,23 +161,23 @@ impl IdentificationDataset {
         self.ambient_c
     }
 
-    /// The logged absolute temperature samples.
-    pub fn temps(&self) -> &[Vector] {
+    /// The logged absolute temperatures, row-major (one row of
+    /// [`state_count`](Self::state_count) values per sample).
+    pub fn temps(&self) -> &[f64] {
         &self.temps
     }
 
-    /// The logged power samples.
-    pub fn powers(&self) -> &[Vector] {
+    /// The logged powers, row-major (one row of
+    /// [`input_count`](Self::input_count) values per sample).
+    pub fn powers(&self) -> &[f64] {
         &self.powers
     }
 
     /// Temperatures relative to the ambient (`T − T_amb`), the quantity the
-    /// linear model is fitted on.
-    pub fn relative_temps(&self) -> Vec<Vector> {
-        self.temps
-            .iter()
-            .map(|t| Vector::from_iter(t.iter().map(|x| x - self.ambient_c)))
-            .collect()
+    /// linear model is fitted on, in the row-major layout of
+    /// [`temps`](Self::temps).
+    pub fn relative_temps(&self) -> Vec<f64> {
+        self.temps.iter().map(|t| t - self.ambient_c).collect()
     }
 
     /// Splits the dataset into an identification part (the first
@@ -186,20 +204,17 @@ impl IdentificationDataset {
                 provided: self.len(),
             });
         }
-        let mut train = IdentificationDataset::new(
-            self.state_count,
-            self.input_count,
-            self.sample_period_s,
-            self.ambient_c,
-        )?;
-        let mut test = train.clone();
-        for k in 0..cut {
-            train.push(self.temps[k].clone(), self.powers[k].clone())?;
-        }
-        for k in cut..self.len() {
-            test.push(self.temps[k].clone(), self.powers[k].clone())?;
-        }
-        Ok((train, test))
+        let (train_temps, test_temps) = self.temps.split_at(cut * self.state_count);
+        let (train_powers, test_powers) = self.powers.split_at(cut * self.input_count);
+        let part = |temps: &[f64], powers: &[f64]| IdentificationDataset {
+            temps: temps.to_vec(),
+            powers: powers.to_vec(),
+            ..*self
+        };
+        Ok((
+            part(train_temps, train_powers),
+            part(test_temps, test_powers),
+        ))
     }
 }
 
@@ -232,17 +247,20 @@ mod tests {
         let mut ds = IdentificationDataset::new(2, 2, 0.1, 25.0).unwrap();
         assert!(ds.push(Vector::zeros(3), Vector::zeros(2)).is_err());
         assert!(ds.push(Vector::zeros(2), Vector::zeros(1)).is_err());
+        assert!(ds.push_row(&[0.0; 2], &[0.0; 3]).is_err());
         assert!(ds.push(Vector::zeros(2), Vector::zeros(2)).is_ok());
-        assert_eq!(ds.len(), 1);
+        assert!(ds.push_row(&[1.0, 2.0], &[3.0, 4.0]).is_ok());
+        assert_eq!(ds.len(), 2);
         assert!(!ds.is_empty());
+        assert_eq!(ds.temps(), [0.0, 0.0, 1.0, 2.0]);
+        assert_eq!(ds.powers(), [0.0, 0.0, 3.0, 4.0]);
     }
 
     #[test]
     fn relative_temps_subtract_ambient() {
         let ds = sample_dataset(3);
         let rel = ds.relative_temps();
-        assert_eq!(rel[0].as_slice(), &[5.0, 6.0]);
-        assert_eq!(rel[2].as_slice(), &[7.0, 8.0]);
+        assert_eq!(rel, [5.0, 6.0, 6.0, 7.0, 7.0, 8.0]);
     }
 
     #[test]
@@ -251,6 +269,8 @@ mod tests {
         let b = sample_dataset(7);
         a.concatenate(&b).unwrap();
         assert_eq!(a.len(), 12);
+        assert_eq!(&a.temps()[10..], b.temps());
+        assert_eq!(&a.powers()[15..], b.powers());
 
         let mismatched = IdentificationDataset::new(3, 3, 0.1, 25.0).unwrap();
         assert!(a.concatenate(&mismatched).is_err());
@@ -264,8 +284,11 @@ mod tests {
         let (train, test) = ds.split(0.7).unwrap();
         assert_eq!(train.len(), 7);
         assert_eq!(test.len(), 3);
-        assert_eq!(train.temps()[0].as_slice(), ds.temps()[0].as_slice());
-        assert_eq!(test.temps()[0].as_slice(), ds.temps()[7].as_slice());
+        assert_eq!(train.temps(), &ds.temps()[..14]);
+        assert_eq!(test.temps(), &ds.temps()[14..]);
+        assert_eq!(train.powers(), &ds.powers()[..21]);
+        assert_eq!(test.powers(), &ds.powers()[21..]);
+        assert_eq!(test.ambient_c(), ds.ambient_c());
         assert!(ds.split(0.0).is_err());
         assert!(ds.split(1.0).is_err());
     }

@@ -4,9 +4,11 @@
 //! regression target is `T_i[k+1]` and the regressors are all hotspot
 //! temperatures `T[k]` followed by all domain powers `P[k]` (temperatures
 //! relative to ambient). This is exactly the ARX structure the paper fits
-//! with MATLAB's System Identification Toolbox.
+//! with MATLAB's System Identification Toolbox. The rows share the
+//! regressors, so one multi-target ridge solve fits them all from one Gram
+//! matrix.
 
-use numeric::{ridge_lstsq, Matrix, Vector};
+use numeric::{ridge_lstsq_multi, Matrix, Vector};
 use thermal_model::DiscreteThermalModel;
 
 use crate::{IdentificationDataset, SysIdError};
@@ -63,33 +65,33 @@ pub fn identify(
 
     // Build the shared regressor matrix Φ: one row per transition k -> k+1.
     let rows = n_samples - 1;
-    let mut phi = Matrix::zeros(rows, n_regressors);
-    for k in 0..rows {
-        for s in 0..n_states {
-            phi[(k, s)] = temps[k][s];
-        }
-        for u in 0..n_inputs {
-            phi[(k, n_states + u)] = powers[k][u];
-        }
+    let mut phi = Vec::with_capacity(rows * n_regressors);
+    for (t, p) in temps
+        .chunks_exact(n_states)
+        .zip(powers.chunks_exact(n_inputs))
+        .take(rows)
+    {
+        phi.extend_from_slice(t);
+        phi.extend_from_slice(p);
     }
+    let phi = Matrix::from_vec(rows, n_regressors, phi)?;
+    let targets: Vec<Vector> = (0..n_states)
+        .map(|i| Vector::from_iter(temps[n_states + i..].iter().step_by(n_states).copied()))
+        .collect();
+    let thetas = ridge_lstsq_multi(&phi, &targets, options.ridge_lambda)?;
 
     let mut a = Matrix::zeros(n_states, n_states);
     let mut b = Matrix::zeros(n_states, n_inputs);
-    for i in 0..n_states {
-        let target = Vector::from_iter((0..rows).map(|k| temps[k + 1][i]));
-        let theta = ridge_lstsq(&phi, &target, options.ridge_lambda)?;
-        for s in 0..n_states {
-            a[(i, s)] = theta[s];
-        }
-        for u in 0..n_inputs {
-            b[(i, u)] = theta[n_states + u];
-        }
+    for (i, theta) in thetas.iter().enumerate() {
+        a.set_row(i, &theta.as_slice()[..n_states]);
+        b.set_row(i, &theta.as_slice()[n_states..]);
     }
 
     let model = DiscreteThermalModel::new(a, b, dataset.sample_period_s())?;
     if options.require_stable {
         let rho = model.spectral_radius()?;
-        if rho >= 1.0 {
+        // A NaN radius (a non-finite fit) is no more stable than rho >= 1.
+        if !(rho < 1.0) {
             return Err(SysIdError::UnstableModel {
                 spectral_radius: rho,
             });
@@ -174,11 +176,16 @@ mod tests {
         let model = identify(&train, &IdentificationOptions::default()).unwrap();
         // Free-run the identified model over the validation segment.
         let rel = test.relative_temps();
-        let mut state = rel[0].clone();
+        let mut state = Vector::from_slice(&rel[..4]);
         let mut worst = 0.0f64;
-        for k in 0..test.len() - 1 {
-            state = model.step(&state, &test.powers()[k]).unwrap();
-            worst = worst.max((state[0] - rel[k + 1][0]).abs());
+        for (k, p) in test
+            .powers()
+            .chunks_exact(4)
+            .enumerate()
+            .take(test.len() - 1)
+        {
+            state = model.step(&state, &Vector::from_slice(p)).unwrap();
+            worst = worst.max((state[0] - rel[(k + 1) * 4]).abs());
         }
         assert!(worst < 0.05, "free-run error {worst}");
     }
@@ -223,6 +230,21 @@ mod tests {
             assert!((model.b()[(i, 0)] - truth.b()[(i, 0)]).abs() < 1e-3);
             assert!((model.b()[(i, 1)] - truth.b()[(i, 1)]).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn a_non_finite_fit_is_not_stable() {
+        // One NaN reading poisons the normal equations. The fit comes out
+        // NaN, and so does its spectral radius, which `rho >= 1.0` let
+        // through as stable.
+        let truth = example_truth();
+        let mut ds = simulate_dataset(&truth, 200, 25.0);
+        ds.push_row(&[f64::NAN, 25.0, 25.0, 25.0], &[1.0; 4])
+            .unwrap();
+        assert!(matches!(
+            identify(&ds, &IdentificationOptions::default()),
+            Err(SysIdError::UnstableModel { spectral_radius }) if spectral_radius.is_nan()
+        ));
     }
 
     #[test]

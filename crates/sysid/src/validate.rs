@@ -11,7 +11,7 @@
 //!   a 1 s horizon (< 3 %) and its growth with the horizon (Figure 4.10,
 //!   Figure 6.2).
 
-use numeric::stats;
+use numeric::{stats, Vector};
 use thermal_model::DiscreteThermalModel;
 
 use crate::{IdentificationDataset, SysIdError};
@@ -80,23 +80,34 @@ pub fn validate_free_run(
         });
     }
     let measured = dataset.relative_temps();
-    let powers = dataset.powers();
     let n_states = dataset.state_count();
 
-    let mut simulated = Vec::with_capacity(dataset.len());
-    let mut state = measured[0].clone();
-    simulated.push(state.clone());
-    for power in powers.iter().take(dataset.len() - 1) {
-        state = model.step(&state, power)?;
-        simulated.push(state.clone());
+    let mut simulated = Vec::with_capacity(measured.len());
+    let mut state = Vector::from_slice(&measured[..n_states]);
+    let mut next = Vector::zeros(n_states);
+    let mut power = Vector::zeros(dataset.input_count());
+    simulated.extend_from_slice(state.as_slice());
+    for p in dataset
+        .powers()
+        .chunks_exact(power.len())
+        .take(dataset.len() - 1)
+    {
+        power.as_mut_slice().copy_from_slice(p);
+        model.step_into(&state, &power, &mut next)?;
+        std::mem::swap(&mut state, &mut next);
+        simulated.extend_from_slice(state.as_slice());
     }
 
     let mut rmse_per_state_c = Vec::with_capacity(n_states);
     let mut fit_percent_per_state = Vec::with_capacity(n_states);
     let mut max_abs = 0.0f64;
+    let mut sim = Vec::with_capacity(dataset.len());
+    let mut meas = Vec::with_capacity(dataset.len());
     for s in 0..n_states {
-        let sim: Vec<f64> = simulated.iter().map(|v| v[s]).collect();
-        let meas: Vec<f64> = measured.iter().map(|v| v[s]).collect();
+        sim.clear();
+        sim.extend(simulated[s..].iter().step_by(n_states));
+        meas.clear();
+        meas.extend(measured[s..].iter().step_by(n_states));
         rmse_per_state_c.push(stats::rmse(&sim, &meas));
         fit_percent_per_state.push(stats::fit_percentage(&sim, &meas));
         max_abs = max_abs.max(stats::max_absolute_error(&sim, &meas));
@@ -144,18 +155,29 @@ pub fn n_step_prediction(
     let powers = dataset.powers();
     let ambient = dataset.ambient_c();
     let n_states = dataset.state_count();
+    let n_inputs = dataset.input_count();
 
-    let mut abs_errors = Vec::new();
-    let mut pct_errors = Vec::new();
+    let points = (dataset.len() - horizon_steps) * n_states;
+    let mut abs_errors = Vec::with_capacity(points);
+    let mut pct_errors = Vec::with_capacity(points);
+    let mut state = Vector::zeros(n_states);
+    let mut next = Vector::zeros(n_states);
+    let mut power = Vector::zeros(n_inputs);
     for k in 0..dataset.len() - horizon_steps {
-        let mut state = measured_rel[k].clone();
-        for j in 0..horizon_steps {
-            state = model.step(&state, &powers[k + j])?;
+        state
+            .as_mut_slice()
+            .copy_from_slice(&measured_rel[k * n_states..(k + 1) * n_states]);
+        for j in k..k + horizon_steps {
+            power
+                .as_mut_slice()
+                .copy_from_slice(&powers[j * n_inputs..(j + 1) * n_inputs]);
+            model.step_into(&state, &power, &mut next)?;
+            std::mem::swap(&mut state, &mut next);
         }
-        let truth = &measured_rel[k + horizon_steps];
-        for s in 0..n_states {
-            let predicted_c = state[s] + ambient;
-            let measured_c = truth[s] + ambient;
+        let truth = &measured_rel[(k + horizon_steps) * n_states..][..n_states];
+        for (&predicted_rel, &truth_rel) in state.iter().zip(truth) {
+            let predicted_c = predicted_rel + ambient;
+            let measured_c = truth_rel + ambient;
             let err = (predicted_c - measured_c).abs();
             abs_errors.push(err);
             if measured_c.abs() > f64::EPSILON {
@@ -267,6 +289,163 @@ mod tests {
         let e50 = n_step_prediction(&wrong, &ds, 50).unwrap();
         assert!(e1.mean_abs_error_c < e10.mean_abs_error_c);
         assert!(e10.mean_abs_error_c < e50.mean_abs_error_c);
+    }
+
+    /// The dataset as one `Vector` per sample: (relative temps, powers).
+    fn sample_vectors(dataset: &IdentificationDataset) -> (Vec<Vector>, Vec<Vector>) {
+        let rel = dataset.relative_temps();
+        let rows = |flat: &[f64], width| flat.chunks_exact(width).map(Vector::from_slice).collect();
+        (
+            rows(&rel, dataset.state_count()),
+            rows(dataset.powers(), dataset.input_count()),
+        )
+    }
+
+    /// The free-run loop over per-sample vectors, one allocating `step` per
+    /// sample: the reference `validate_free_run` must match bit for bit.
+    fn reference_free_run(
+        model: &DiscreteThermalModel,
+        dataset: &IdentificationDataset,
+    ) -> ValidationReport {
+        let (measured, powers) = sample_vectors(dataset);
+        let mut simulated = Vec::with_capacity(dataset.len());
+        let mut state = measured[0].clone();
+        simulated.push(state.clone());
+        for power in powers.iter().take(dataset.len() - 1) {
+            state = model.step(&state, power).unwrap();
+            simulated.push(state.clone());
+        }
+        let mut rmse_per_state_c = Vec::new();
+        let mut fit_percent_per_state = Vec::new();
+        let mut max_abs = 0.0f64;
+        for s in 0..dataset.state_count() {
+            let sim: Vec<f64> = simulated.iter().map(|v| v[s]).collect();
+            let meas: Vec<f64> = measured.iter().map(|v| v[s]).collect();
+            rmse_per_state_c.push(stats::rmse(&sim, &meas));
+            fit_percent_per_state.push(stats::fit_percentage(&sim, &meas));
+            max_abs = max_abs.max(stats::max_absolute_error(&sim, &meas));
+        }
+        ValidationReport {
+            rmse_per_state_c,
+            max_abs_error_c: max_abs,
+            fit_percent_per_state,
+            samples: dataset.len(),
+        }
+    }
+
+    /// The n-step loop over per-sample vectors, cloning each starting state
+    /// and allocating every `step`: the reference `n_step_prediction` must
+    /// match bit for bit.
+    fn reference_n_step(
+        model: &DiscreteThermalModel,
+        dataset: &IdentificationDataset,
+        horizon: usize,
+    ) -> PredictionErrorReport {
+        let (measured_rel, powers) = sample_vectors(dataset);
+        let ambient = dataset.ambient_c();
+        let mut abs_errors = Vec::new();
+        let mut pct_errors = Vec::new();
+        for k in 0..dataset.len() - horizon {
+            let mut state = measured_rel[k].clone();
+            for power in &powers[k..k + horizon] {
+                state = model.step(&state, power).unwrap();
+            }
+            let truth = &measured_rel[k + horizon];
+            for s in 0..dataset.state_count() {
+                let predicted_c = state[s] + ambient;
+                let measured_c = truth[s] + ambient;
+                let err = (predicted_c - measured_c).abs();
+                abs_errors.push(err);
+                if measured_c.abs() > f64::EPSILON {
+                    pct_errors.push(100.0 * err / measured_c.abs());
+                }
+            }
+        }
+        PredictionErrorReport {
+            horizon_steps: horizon,
+            horizon_s: horizon as f64 * dataset.sample_period_s(),
+            mean_abs_error_c: stats::mean(&abs_errors),
+            mean_percent_error: stats::mean(&pct_errors),
+            max_abs_error_c: abs_errors.iter().copied().fold(0.0, f64::max),
+            max_percent_error: pct_errors.iter().copied().fold(0.0, f64::max),
+            samples: abs_errors.len(),
+        }
+    }
+
+    /// A noisy log of `truth` (deterministic pseudo-noise on every reading)
+    /// and a model that is wrong in every entry, so every error is non-zero.
+    fn noisy_log_and_wrong_model() -> (IdentificationDataset, DiscreteThermalModel) {
+        let truth = truth_model();
+        let mut ds = IdentificationDataset::new(2, 2, 0.1, 25.0).unwrap();
+        let mut t = Vector::from_slice(&[20.0, 18.0]);
+        let mut noise = 0x9e37_79b9_u64;
+        let mut jitter = || {
+            noise = noise
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((noise >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.2
+        };
+        for k in 0..300 {
+            let p = Vector::from_slice(&[
+                if (k / 12) % 2 == 0 { 0.4 } else { 2.2 },
+                if (k / 20) % 2 == 0 { 0.1 } else { 0.9 },
+            ]);
+            let temps = [t[0] + 25.0 + jitter(), t[1] + 25.0 + jitter()];
+            ds.push_row(&temps, &[p[0] + jitter(), p[1]]).unwrap();
+            t = truth.step(&t, &p).unwrap();
+        }
+        let wrong = DiscreteThermalModel::new(
+            Matrix::from_rows(&[&[0.931, 0.027], &[0.013, 0.95]]).unwrap(),
+            Matrix::from_rows(&[&[0.21, 0.047], &[0.171, 0.066]]).unwrap(),
+            0.1,
+        )
+        .unwrap();
+        (ds, wrong)
+    }
+
+    #[test]
+    fn free_run_matches_the_per_sample_loop_bit_for_bit() {
+        let (ds, model) = noisy_log_and_wrong_model();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let report = validate_free_run(&model, &ds).unwrap();
+        let reference = reference_free_run(&model, &ds);
+        assert_eq!(
+            bits(&report.rmse_per_state_c),
+            bits(&reference.rmse_per_state_c)
+        );
+        assert_eq!(
+            bits(&report.fit_percent_per_state),
+            bits(&reference.fit_percent_per_state)
+        );
+        assert_eq!(
+            report.max_abs_error_c.to_bits(),
+            reference.max_abs_error_c.to_bits()
+        );
+        assert_eq!(report.samples, reference.samples);
+    }
+
+    #[test]
+    fn n_step_prediction_matches_the_per_sample_loop_bit_for_bit() {
+        let (ds, model) = noisy_log_and_wrong_model();
+        for horizon in [1, 7, 10, 50, 299] {
+            let report = n_step_prediction(&model, &ds, horizon).unwrap();
+            let reference = reference_n_step(&model, &ds, horizon);
+            let fields = |r: &PredictionErrorReport| {
+                (
+                    r.horizon_steps,
+                    r.samples,
+                    [
+                        r.horizon_s,
+                        r.mean_abs_error_c,
+                        r.mean_percent_error,
+                        r.max_abs_error_c,
+                        r.max_percent_error,
+                    ]
+                    .map(f64::to_bits),
+                )
+            };
+            assert_eq!(fields(&report), fields(&reference), "horizon {horizon}");
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //!
 //! Run with `cargo run --release --example thermal_identification`.
 
-use numeric::Vector;
 use platform_sim::{PhysicalPlant, PlantPowerParams, SensorSuite};
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use sysid::{
@@ -67,10 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             control_period_s,
         )?;
         let reading = sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
-        dataset.push(
-            Vector::from_slice(&reading.core_temps_c),
-            Vector::from_slice(&reading.domain_power.to_vec()),
-        )?;
+        dataset.push_row(&reading.core_temps_c, &reading.domain_power.as_array())?;
     }
 
     // 3. Identify the model on the first 70% and validate on the rest.

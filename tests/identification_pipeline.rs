@@ -54,7 +54,6 @@ fn furnace_characterisation_recovers_temperature_dependent_leakage() {
 
 #[test]
 fn prediction_error_grows_moderately_with_horizon_like_figure_4_10() {
-    use numeric::Vector;
     use platform_sim::{PhysicalPlant, PlantPowerParams, SensorSuite};
     use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, SocSpec};
     use sysid::IdentificationDataset;
@@ -88,10 +87,7 @@ fn prediction_error_grows_moderately_with_horizon_like_figure_4_10() {
             .expect("plant step");
         let reading = sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
         dataset
-            .push(
-                Vector::from_slice(&reading.core_temps_c),
-                Vector::from_slice(&reading.domain_power.to_vec()),
-            )
+            .push_row(&reading.core_temps_c, &reading.domain_power.as_array())
             .expect("push");
     }
 
