@@ -1,6 +1,6 @@
-//! Wall-clock benchmarks for distributed campaign execution.
+//! Microbench of distributed campaign execution.
 //!
-//! Two acceptance bars, both asserted on the full (non `--test`) run:
+//! Two claims, each a paired ratio:
 //!
 //! * **Straggler-proofing** (floor ≥ [`SPEEDUP_FLOOR`]): micro-shard
 //!   leasing versus a static split when one of two workers is a
@@ -27,11 +27,12 @@
 //! in-process run (compared by encoding, where every float is a bit
 //! pattern) — the tax and the speed-up are both pure wall clock. Worker
 //! calibration re-derivation happens during the untimed handshake, exactly
-//! as a long campaign would amortise it. Measured numbers land in
+//! as a long campaign would amortise it. Results land in
 //! `BENCH_distributed_campaign.json`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use bench::microbench::{Bound, Microbench, Timer};
 use platform_sim::distributed::{
     serve, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
 };
@@ -64,6 +65,8 @@ const OVERHEAD_THREADS: usize = 2;
 const OVERHEAD_LEASE_CELLS: usize = 12;
 /// Retry budget covering the injected panicking cell.
 const MAX_RETRIES: u32 = 2;
+/// Pairs timed per ratio in a full run.
+const PAIRS: usize = 11;
 /// Acceptance floor: static-split wall over leased wall with a straggler.
 const SPEEDUP_FLOOR: f64 = 1.3;
 /// Acceptance ceiling: distributed wall over in-process wall, equal threads.
@@ -134,9 +137,9 @@ const CALIBRATION_SEED: u64 = 41;
 /// worker and no re-leasing. Worker 0 takes the first half and stalls; a
 /// statically assigned shard has nowhere else to go, so the campaign eats
 /// the whole delay.
-fn run_static_split(spec: &SweepSpec, chaos: WorkerChaos) -> (Duration, MergeSink) {
+fn run_static_split(spec: &SweepSpec, chaos: WorkerChaos, timer: &mut Timer) -> MergeSink {
     let half = spec.cells().div_ceil(WORKERS);
-    run_leased(spec, WORKERS, 1, half, NO_RELEASE, chaos)
+    run_leased(spec, WORKERS, 1, half, NO_RELEASE, chaos, timer)
 }
 
 /// Leased execution over in-process worker threads speaking the real
@@ -150,7 +153,8 @@ fn run_leased(
     lease_cells: usize,
     lease_timeout: Duration,
     chaos: WorkerChaos,
-) -> (Duration, MergeSink) {
+    timer: &mut Timer,
+) -> MergeSink {
     let mut transports: Vec<Box<dyn Transport>> = Vec::new();
     let mut serving = Vec::new();
     for which in 0..workers {
@@ -172,27 +176,26 @@ fn run_leased(
         .with_resilience(resilience())
         .connect(transports)
         .expect("handshake must succeed");
-    let start = Instant::now();
-    let report = pool.run().expect("campaign must complete");
-    let wall = start.elapsed();
+    let report = timer.time(|| pool.run().expect("campaign must complete"));
     for worker in serving {
         worker
             .join()
             .expect("worker thread must not panic")
             .expect("worker must exit cleanly");
     }
-    (wall, report.into_fold())
+    report.into_fold()
 }
 
 /// Plain in-process run at the overhead arm's thread count.
-fn run_in_process(spec: &SweepSpec, calibration: &Calibration) -> (Duration, MergeSink) {
+fn run_in_process(spec: &SweepSpec, calibration: &Calibration, timer: &mut Timer) -> MergeSink {
     let mut sink = MergeSink::new(0..spec.cells());
-    let start = Instant::now();
-    spec.runner()
-        .with_threads(OVERHEAD_THREADS)
-        .with_resilience(resilience())
-        .run_into(calibration, &mut sink);
-    (start.elapsed(), sink)
+    timer.time(|| {
+        spec.runner()
+            .with_threads(OVERHEAD_THREADS)
+            .with_resilience(resilience())
+            .run_into(calibration, &mut sink)
+    });
+    sink
 }
 
 /// The injected chaos panics are caught and retried by the resilience
@@ -214,7 +217,8 @@ fn silence_chaos_panics() {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
+    let mut bench = Microbench::from_args("distributed_campaign", PAIRS);
+    let test_mode = bench.test_mode();
     silence_chaos_panics();
     let spec = campaign(test_mode);
     let cells = spec.cells();
@@ -233,142 +237,80 @@ fn main() {
         stall_for: stall,
         ..WorkerChaos::default()
     };
+    bench.config("cells", cells);
+    bench.config(
+        "max_duration_s",
+        if test_mode { 1.0 } else { FULL_DURATION_S },
+    );
+    bench.config("workers", WORKERS);
+    bench.config("lease_cells", LEASE_CELLS);
+    bench.config("straggler_stall_ms", stall.as_secs_f64() * 1e3);
+    bench.config("lease_timeout_ms", timeout.as_secs_f64() * 1e3);
+    bench.config("overhead_threads", OVERHEAD_THREADS);
+    bench.config("overhead_lease_cells", OVERHEAD_LEASE_CELLS);
 
     let calibration = calibration_campaign()
         .run(CALIBRATION_SEED)
         .expect("calibration campaign must succeed");
 
-    // Straggler arm: interleaved best-of-two per scheduler.
-    let (static_a, static_fold) = run_static_split(&spec, straggler);
-    let (leased_a, leased_fold) = run_leased(&spec, WORKERS, 1, LEASE_CELLS, timeout, straggler);
-    let (leased_b, _) = run_leased(&spec, WORKERS, 1, LEASE_CELLS, timeout, straggler);
-    let (static_b, _) = run_static_split(&spec, straggler);
-    let static_wall = static_a.min(static_b);
-    let leased_wall = leased_a.min(leased_b);
+    let mut static_fold = None;
+    let mut leased_fold = None;
+    bench.paired(
+        "lease_speedup",
+        Some(Bound::Floor(SPEEDUP_FLOOR)),
+        ["static_split", "leased"],
+        |t| static_fold = Some(run_static_split(&spec, straggler, t)),
+        |t| {
+            leased_fold = Some(run_leased(
+                &spec,
+                WORKERS,
+                1,
+                LEASE_CELLS,
+                timeout,
+                straggler,
+                t,
+            ))
+        },
+    );
 
     // Overhead arm: one healthy worker at OVERHEAD_THREADS vs in-process at
     // the same thread count.
-    let healthy = WorkerChaos::default();
-    let long = Duration::from_secs(120);
-    let (inproc_a, inproc_fold) = run_in_process(&spec, &calibration);
-    let (dist_a, dist_fold) = run_leased(
-        &spec,
-        1,
-        OVERHEAD_THREADS,
-        OVERHEAD_LEASE_CELLS,
-        long,
-        healthy,
+    let mut dist_fold = None;
+    let mut inproc_fold = None;
+    bench.paired(
+        "dispatch_overhead",
+        Some(Bound::Ceiling(OVERHEAD_CEILING)),
+        ["distributed", "in_process"],
+        |t| {
+            dist_fold = Some(run_leased(
+                &spec,
+                1,
+                OVERHEAD_THREADS,
+                OVERHEAD_LEASE_CELLS,
+                Duration::from_secs(120),
+                WorkerChaos::default(),
+                t,
+            ))
+        },
+        |t| inproc_fold = Some(run_in_process(&spec, &calibration, t)),
     );
-    let (dist_b, _) = run_leased(
-        &spec,
-        1,
-        OVERHEAD_THREADS,
-        OVERHEAD_LEASE_CELLS,
-        long,
-        healthy,
-    );
-    let (inproc_b, _) = run_in_process(&spec, &calibration);
-    let inproc_wall = inproc_a.min(inproc_b);
-    let dist_wall = dist_a.min(dist_b);
 
     // Every coordinator arm folds in canonical order and must reproduce
     // the in-process bits exactly (every float compared as a bit pattern
     // via the encoding) — stalls, re-leases and deduped duplicates
     // included.
+    let inproc_fold = inproc_fold.expect("the in-process arm ran");
     assert!(inproc_fold.is_complete());
     assert_eq!(inproc_fold.aggregate().cells, cells);
     let reference = inproc_fold.encode();
     for (arm, fold) in [
-        ("static", &static_fold),
-        ("leased", &leased_fold),
-        ("distributed", &dist_fold),
+        ("static", static_fold),
+        ("leased", leased_fold),
+        ("distributed", dist_fold),
     ] {
+        let fold = fold.expect("every arm ran");
         assert!(fold.is_complete(), "{arm} fold incomplete");
         assert_eq!(fold.encode(), reference, "{arm} fold diverged");
     }
-
-    let static_ms = static_wall.as_secs_f64() * 1e3;
-    let leased_ms = leased_wall.as_secs_f64() * 1e3;
-    let speedup = static_ms / leased_ms;
-    let inproc_ms = inproc_wall.as_secs_f64() * 1e3;
-    let dist_ms = dist_wall.as_secs_f64() * 1e3;
-    let overhead = dist_ms / inproc_ms;
-
-    println!("distributed_campaign/cells              {cells:>14}");
-    println!("distributed_campaign/workers            {WORKERS:>14}");
-    println!("distributed_campaign/lease_cells        {LEASE_CELLS:>14}");
-    println!(
-        "distributed_campaign/straggler_stall    {:>14.0} ms",
-        stall.as_secs_f64() * 1e3
-    );
-    println!(
-        "distributed_campaign/lease_timeout      {:>14.0} ms",
-        timeout.as_secs_f64() * 1e3
-    );
-    println!("distributed_campaign/static_split_wall  {static_ms:>14.2} ms");
-    println!("distributed_campaign/leased_wall        {leased_ms:>14.2} ms");
-    println!(
-        "distributed_campaign/lease_speedup      {speedup:>14.3}x \
-         (acceptance floor: >= {SPEEDUP_FLOOR}x)"
-    );
-    println!("distributed_campaign/in_process_wall    {inproc_ms:>14.2} ms");
-    println!("distributed_campaign/distributed_wall   {dist_ms:>14.2} ms");
-    println!(
-        "distributed_campaign/dispatch_overhead  {overhead:>14.3}x \
-         (acceptance ceiling: <= {OVERHEAD_CEILING}x)"
-    );
-
-    if !test_mode {
-        write_bench_json(
-            cells, static_ms, leased_ms, speedup, inproc_ms, dist_ms, overhead,
-        );
-        assert!(
-            speedup >= SPEEDUP_FLOOR,
-            "lease speedup fell to {speedup:.3}x (floor: {SPEEDUP_FLOOR}x)"
-        );
-        assert!(
-            overhead <= OVERHEAD_CEILING,
-            "dispatch overhead regressed to {overhead:.3}x \
-             (ceiling: {OVERHEAD_CEILING}x)"
-        );
-    }
-}
-
-/// Records the measured numbers for tracking
-/// (`BENCH_distributed_campaign.json`).
-fn write_bench_json(
-    cells: usize,
-    static_ms: f64,
-    leased_ms: f64,
-    speedup: f64,
-    inproc_ms: f64,
-    dist_ms: f64,
-    overhead: f64,
-) {
-    let stall_ms = STRAGGLER_STALL.as_secs_f64() * 1e3;
-    let timeout_ms = LEASE_TIMEOUT.as_secs_f64() * 1e3;
-    let json = format!(
-        "{{\n  \"bench\": \"distributed_campaign\",\n  \"cells\": {cells},\n  \
-         \"workers\": {WORKERS},\n  \
-         \"lease_cells\": {LEASE_CELLS},\n  \
-         \"max_duration_s\": {FULL_DURATION_S},\n  \
-         \"straggler_stall_ms\": {stall_ms:.0},\n  \
-         \"lease_timeout_ms\": {timeout_ms:.0},\n  \
-         \"static_split_wall_ms\": {static_ms:.2},\n  \
-         \"leased_wall_ms\": {leased_ms:.2},\n  \
-         \"lease_speedup\": {speedup:.3},\n  \
-         \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
-         \"overhead_threads\": {OVERHEAD_THREADS},\n  \
-         \"in_process_wall_ms\": {inproc_ms:.2},\n  \
-         \"distributed_wall_ms\": {dist_ms:.2},\n  \
-         \"dispatch_overhead\": {overhead:.3},\n  \
-         \"overhead_ceiling\": {OVERHEAD_CEILING}\n}}\n"
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_distributed_campaign.json"
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
+    bench.finish();
 }

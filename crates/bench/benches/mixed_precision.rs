@@ -1,32 +1,28 @@
-//! Criterion benchmark for the mixed-precision (f32 panel) batched plant.
+//! Microbench of the mixed-precision (f32 panel) batched plant.
 //!
-//! Measures `MixedBatchPlant::step_interval` against the f64
-//! `BatchPlant` on the `sweep_step` shape at sixteen lanes — twice the f64
-//! bench's width, where the halved element width pays the most: each AVX2
-//! vector carries 8 scenario lanes instead of 4 and the panel working set
-//! halves. Besides the per-case criterion numbers it prints total integrator
-//! micro-steps per second for both engines and the f32-over-f64 speedup; the
-//! repo's acceptance bar is ≥ 1.4× at sixteen lanes, asserted as a floor in
-//! the full (non `--test`) run. Correctness is cross-checked in the same
-//! run: after the shared simulated horizon every lane's trajectory must stay
-//! within the documented 1e-3 °C budget of its f64 twin.
-//!
-//! The measured numbers are also written to `BENCH_mixed_precision.json` at
-//! the workspace root so sweeps of the bench can be tracked over time.
+//! Times `MixedBatchPlant::step_interval` against the f64 `BatchPlant` on
+//! the `sweep_step` shape at sixteen lanes — twice the f64 bench's width,
+//! where the halved element width pays the most: each AVX2 vector carries 8
+//! scenario lanes instead of 4 and the panel working set halves. The claim
+//! is the f32-over-f64 speed-up at sixteen lanes, at least
+//! [`SPEEDUP_FLOOR`]. After the timed pairs every lane's trajectory must stay
+//! within the documented [`DIVERGENCE_BUDGET_C`] of its f64 twin. Results
+//! land in `BENCH_mixed_precision.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
+use bench::microbench::{Bound, Microbench};
 use platform_sim::{BatchPlant, LaneInput, MixedBatchPlant, PlantPowerParams};
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
 const CONTROL_PERIOD_S: f64 = 0.1;
-/// Micro-steps per control interval (the plant integrates at dt = 10 ms).
-const MICRO_STEPS_PER_INTERVAL: f64 = 10.0;
 /// Scenarios advanced per instruction stream.
 const LANES: usize = 16;
+/// Control intervals per timed sample in a full run.
+const INTERVALS: usize = 2_000;
+/// Pairs timed in a full run.
+const PAIRS: usize = 21;
 /// Acceptance floor for the f32 engine over the f64 panel path at sixteen
 /// lanes.
 const SPEEDUP_FLOOR: f64 = 1.4;
@@ -43,97 +39,60 @@ fn busy_demand() -> Demand {
     }
 }
 
-fn bench_mixed_precision(c: &mut Criterion) {
+/// Every lane's plant input for one interval: the same busy demand.
+fn lane_inputs<'a>(state: &'a PlatformState, demand: &'a Demand) -> [LaneInput<'a>; LANES] {
+    std::array::from_fn(|_| LaneInput {
+        state: black_box(state),
+        demand: black_box(demand),
+        fan_level: FanLevel::Off,
+        ambient_c: 28.0,
+    })
+}
+
+fn main() {
+    let mut bench = Microbench::from_args("mixed_precision", PAIRS);
+    let intervals = if bench.test_mode() { 20 } else { INTERVALS };
+    bench.config("lanes", LANES);
+    bench.config("intervals_per_sample", intervals);
+    bench.config("control_period_s", CONTROL_PERIOD_S);
+    bench.config("divergence_budget_degc", DIVERGENCE_BUDGET_C);
+
     let spec = SocSpec::odroid_xu_e();
     let demand = busy_demand();
     let state = PlatformState::default_for(&spec);
     let params = [PlantPowerParams::default(); LANES];
-
-    let mut group = c.benchmark_group("mixed_precision/16_scenarios_100ms");
-    let mut mixed = MixedBatchPlant::new(spec.clone(), &params);
-    group.bench_function("f32_panel", |b| {
-        b.iter(|| {
-            let inputs: [LaneInput<'_>; LANES] = std::array::from_fn(|_| LaneInput {
-                state: black_box(&state),
-                demand: black_box(&demand),
-                fan_level: FanLevel::Off,
-                ambient_c: 28.0,
-            });
-            black_box(mixed.step_interval(&inputs, CONTROL_PERIOD_S).unwrap())
-        })
-    });
     let mut full = BatchPlant::new(spec.clone(), &params);
-    group.bench_function("f64_panel", |b| {
-        b.iter(|| {
-            let inputs: [LaneInput<'_>; LANES] = std::array::from_fn(|_| LaneInput {
-                state: black_box(&state),
-                demand: black_box(&demand),
-                fan_level: FanLevel::Off,
-                ambient_c: 28.0,
-            });
-            black_box(full.step_interval(&inputs, CONTROL_PERIOD_S).unwrap())
-        })
-    });
-    group.finish();
-
-    report_steps_per_second(&spec, &state, &demand);
-}
-
-/// Times both engines over the same simulated horizon and prints lane
-/// micro-steps/sec plus the speedup factor; asserts the acceptance floor and
-/// the trajectory budget.
-fn report_steps_per_second(spec: &SocSpec, state: &PlatformState, demand: &Demand) {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let intervals: usize = if test_mode { 20 } else { 2_000 };
-    let passes: usize = if test_mode { 1 } else { 8 };
-    let params = [PlantPowerParams::default(); LANES];
-
-    // Best-of-N wall-clock per engine with the passes interleaved, exactly
-    // like the sweep_step bench: the minimum is the least-interference
-    // estimate and alternation keeps frequency drift off one engine.
     let mut mixed = MixedBatchPlant::new(spec.clone(), &params);
-    let mut full = BatchPlant::new(spec.clone(), &params);
-    let mut mixed_elapsed = std::time::Duration::MAX;
-    let mut full_elapsed = std::time::Duration::MAX;
-    for _ in 0..passes {
-        let start = Instant::now();
-        for _ in 0..intervals {
-            let inputs: [LaneInput<'_>; LANES] = std::array::from_fn(|_| LaneInput {
-                state,
-                demand,
-                fan_level: FanLevel::Off,
-                ambient_c: 28.0,
-            });
-            black_box(mixed.step_interval(&inputs, CONTROL_PERIOD_S).unwrap());
-        }
-        mixed_elapsed = mixed_elapsed.min(start.elapsed());
-
-        let start = Instant::now();
-        for _ in 0..intervals {
-            let inputs: [LaneInput<'_>; LANES] = std::array::from_fn(|_| LaneInput {
-                state,
-                demand,
-                fan_level: FanLevel::Off,
-                ambient_c: 28.0,
-            });
-            black_box(full.step_interval(&inputs, CONTROL_PERIOD_S).unwrap());
-        }
-        full_elapsed = full_elapsed.min(start.elapsed());
-    }
-
-    let micro_steps = (intervals * LANES) as f64 * MICRO_STEPS_PER_INTERVAL;
-    let mixed_sps = micro_steps / mixed_elapsed.as_secs_f64();
-    let full_sps = micro_steps / full_elapsed.as_secs_f64();
-    let speedup = mixed_sps / full_sps;
-    println!("mixed_precision/lane_steps_per_sec/f32   {mixed_sps:>14.0} steps/s ({LANES} lanes)");
-    println!("mixed_precision/lane_steps_per_sec/f64   {full_sps:>14.0} steps/s");
-    println!(
-        "mixed_precision/speedup_vs_f64           {speedup:>14.2}x (acceptance floor: >= {SPEEDUP_FLOOR}x)"
+    bench.paired(
+        "speedup_vs_f64",
+        Some(Bound::Floor(SPEEDUP_FLOOR)),
+        ["f64_panel", "f32_panel"],
+        |t| {
+            t.time(|| {
+                for _ in 0..intervals {
+                    black_box(
+                        full.step_interval(&lane_inputs(&state, &demand), CONTROL_PERIOD_S)
+                            .unwrap(),
+                    );
+                }
+            })
+        },
+        |t| {
+            t.time(|| {
+                for _ in 0..intervals {
+                    black_box(
+                        mixed
+                            .step_interval(&lane_inputs(&state, &demand), CONTROL_PERIOD_S)
+                            .unwrap(),
+                    );
+                }
+            })
+        },
     );
 
-    // Correctness cross-check on the very trajectories just timed: both
-    // engines advanced the same scenarios over `passes × intervals` control
-    // intervals, so every lane must sit inside the documented budget.
+    // Correctness on the very trajectories just timed: both engines
+    // advanced the same scenarios over the same horizon, so every lane must
+    // sit inside the documented budget.
     let mut worst = 0.0f64;
     let mut f64_temps = vec![0.0; full.node_count()];
     let mut f32_temps = vec![0.0; mixed.node_count()];
@@ -144,43 +103,10 @@ fn report_steps_per_second(spec: &SocSpec, state: &PlatformState, demand: &Deman
             worst = worst.max((a - b).abs());
         }
     }
-    println!("mixed_precision/max_lane_divergence_degc {worst:>14.2e}");
     assert!(
         worst < DIVERGENCE_BUDGET_C,
         "f32 and f64 trajectories diverged: {worst} degC (budget {DIVERGENCE_BUDGET_C})"
     );
-
-    if !test_mode {
-        write_bench_json(mixed_sps, full_sps, speedup, worst);
-        // Regression guard: asserted only on the full run — the --test smoke
-        // run is too short to measure meaningfully.
-        assert!(
-            speedup >= SPEEDUP_FLOOR,
-            "f32 engine regressed to {speedup:.2}x over the f64 panel path \
-             (floor: {SPEEDUP_FLOOR}x)"
-        );
-    }
+    bench.value("max_lane_divergence_degc", worst, None);
+    bench.finish();
 }
-
-/// Records the measured numbers for tracking (`BENCH_mixed_precision.json`).
-fn write_bench_json(mixed_sps: f64, full_sps: f64, speedup: f64, divergence_c: f64) {
-    let json = format!(
-        "{{\n  \"bench\": \"mixed_precision\",\n  \"lanes\": {LANES},\n  \
-         \"f32_lane_steps_per_sec\": {mixed_sps:.0},\n  \
-         \"f64_lane_steps_per_sec\": {full_sps:.0},\n  \
-         \"speedup_vs_f64\": {speedup:.3},\n  \
-         \"max_lane_divergence_degc\": {divergence_c:.3e},\n  \
-         \"divergence_budget_degc\": {DIVERGENCE_BUDGET_C:.0e},\n  \
-         \"floor\": {SPEEDUP_FLOOR}\n}}\n"
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_mixed_precision.json"
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_mixed_precision);
-criterion_main!(benches);

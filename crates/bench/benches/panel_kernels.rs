@@ -1,24 +1,18 @@
-//! Criterion microbenchmark for the SIMD panel-kernel dispatch arms.
+//! Dispatch-arm microbench of the SIMD panel kernels.
 //!
 //! Times the kernel shapes the batched code runs — the per-lane-bias affine
 //! step every engine's thermal transition applies, the f64 broadcast-bias
 //! affine pair of the batched predictor, and the anchored leakage span —
-//! once through the auto-detected vector arm and once through forced scalar,
-//! at 8 lanes (one chunk, the per-interval shape) and 32 lanes (the
-//! compacted-sweep shape). The bias step and the leakage span also run at
-//! f32 width (the mixed-precision engine's panels), and those cells record
-//! their f32-over-f64 ratio so the per-op width win is tracked alongside the
-//! dispatch win. The headline number is the vector-over-scalar speedup on
-//! the 8-lane f64 affine-pair kernel: on an AVX2 host the acceptance floor
-//! is ≥ 1.5×, asserted in the full (non `--test`) run.
-//!
-//! The measured numbers are also written to `BENCH_panel_kernels.json` at the
-//! workspace root so sweeps of the bench can be tracked over time.
+//! through forced scalar against the active arm, at 8 lanes (one chunk, the
+//! per-interval shape) and 32 lanes (the compacted-sweep shape). The bias
+//! step and the leakage span also run at f32 width (the mixed-precision
+//! engine's panels). The claim is the vector-over-scalar speed-up of the
+//! 8-lane f64 affine pair: at least [`SPEEDUP_FLOOR`] on an AVX2 host. Every
+//! other cell is recorded without a bound, in `BENCH_panel_kernels.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
+use bench::microbench::{Bound, Microbench};
 use numeric::simd::PanelKernel;
 use numeric::{
     affine_pair_apply_with, affine_panel_bias_apply_elem_with, Elem, Matrix, Panel, PanelT,
@@ -32,6 +26,10 @@ const LEAK_ROWS: usize = 6;
 /// Acceptance floor for the vector arm on the 8-lane affine-pair kernel
 /// (only asserted when an AVX2 host provides a vector arm to measure).
 const SPEEDUP_FLOOR: f64 = 1.5;
+/// Kernel calls per timed sample in a full run.
+const CALLS: usize = 50_000;
+/// Pairs per timed cell in a full run.
+const PAIRS: usize = 21;
 
 fn test_matrix(seed: f64) -> Matrix {
     let mut m = Matrix::zeros(N, N);
@@ -211,132 +209,73 @@ fn ops() -> [KernelOp; 3] {
     ]
 }
 
-fn bench_panel_kernels(c: &mut Criterion) {
+/// Times `calls` calls of `op` through forced scalar against the active
+/// arm, each arm on its own fixture.
+fn speedup<F>(
+    bench: &mut Microbench,
+    name: &str,
+    bound: Option<Bound>,
+    calls: usize,
+    fixture: impl Fn() -> F,
+    op: Op<F>,
+) {
     let active = PanelKernel::active();
+    let (mut scalar, mut vector) = (fixture(), fixture());
+    bench.paired(
+        name,
+        bound,
+        ["scalar", "active"],
+        |t| {
+            t.time(|| {
+                for _ in 0..calls {
+                    op(&mut scalar, PanelKernel::Scalar);
+                }
+            })
+        },
+        |t| {
+            t.time(|| {
+                for _ in 0..calls {
+                    op(&mut vector, active);
+                }
+            })
+        },
+    );
+}
+
+fn main() {
+    let mut bench = Microbench::from_args("panel_kernels", PAIRS);
+    let calls = if bench.test_mode() { 200 } else { CALLS };
+    let active = PanelKernel::active();
+    bench.config("active_kernel", active.name());
+    bench.config("calls_per_sample", calls);
     for lanes in [8usize, 32] {
-        let mut group = c.benchmark_group(&format!("panel_kernels/{lanes}_lanes"));
-        let mut fx = KernelFixture::new(lanes);
-        let mut fx32 = KernelFixture32::new(lanes);
         for (name, op, op32) in ops() {
-            group.bench_function(&format!("{name}/{}", active.name()), |bench| {
-                bench.iter(|| op(&mut fx, active))
-            });
-            group.bench_function(&format!("{name}/scalar"), |bench| {
-                bench.iter(|| op(&mut fx, PanelKernel::Scalar))
-            });
+            // The floor is a property of the AVX2 arm; on hosts without one
+            // the active kernel IS the scalar path and there is nothing to
+            // assert.
+            let bound = (name == "affine_pair" && lanes == 8 && active == PanelKernel::Avx2Fma)
+                .then_some(Bound::Floor(SPEEDUP_FLOOR));
+            let cell = format!("{name}_{lanes}_lane_speedup");
+            speedup(
+                &mut bench,
+                &cell,
+                bound,
+                calls,
+                || KernelFixture::new(lanes),
+                op,
+            );
             if let Some(op32) = op32 {
-                group.bench_function(&format!("{name}_f32/{}", active.name()), |bench| {
-                    bench.iter(|| op32(&mut fx32, active))
-                });
+                let cell = format!("{name}_f32_{lanes}_lane_speedup");
+                speedup(
+                    &mut bench,
+                    &cell,
+                    None,
+                    calls,
+                    || KernelFixture32::new(lanes),
+                    op32,
+                );
             }
         }
-        group.finish();
     }
-
-    report_speedups();
+    bench.finish();
 }
-
-/// Best-of-N nanoseconds per kernel call.
-fn time_op(passes: usize, iters: usize, mut op: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..passes {
-        let start = Instant::now();
-        for _ in 0..iters {
-            op();
-        }
-        best = best.min(start.elapsed().as_secs_f64() * 1e9 / iters as f64);
-    }
-    best
-}
-
-/// Times every (op, lanes, arm) cell, prints the speedup table, asserts the
-/// acceptance floor and records `BENCH_panel_kernels.json`.
-fn report_speedups() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let passes = if test_mode { 1 } else { 5 };
-    let iters = if test_mode { 200 } else { 200_000 };
-    let active = PanelKernel::active();
-
-    let mut rows = Vec::new();
-    let mut affine8_speedup = None;
-    for lanes in [8usize, 32] {
-        let mut fx = KernelFixture::new(lanes);
-        let mut fx32 = KernelFixture32::new(lanes);
-        for (name, op, op32) in ops() {
-            let wide_ns = time_op(passes, iters, || op(&mut fx, active));
-            let scalar_ns = time_op(passes, iters, || op(&mut fx, PanelKernel::Scalar));
-            let speedup = scalar_ns / wide_ns;
-            println!(
-                "{:<44} {wide_ns:>8.1} ns ({}) vs {scalar_ns:>8.1} ns (scalar)  {speedup:>6.2}x",
-                format!("panel_kernels/{name}/{lanes}_lanes"),
-                active.name(),
-            );
-            if name == "affine_pair" && lanes == 8 {
-                affine8_speedup = Some(speedup);
-            }
-            rows.push(format!(
-                "    {{ \"op\": \"{name}\", \"elem\": \"f64\", \"lanes\": {lanes}, \
-                 \"{}_ns_per_call\": {wide_ns:.1}, \"scalar_ns_per_call\": {scalar_ns:.1}, \
-                 \"speedup\": {speedup:.3} }}",
-                active.name()
-            ));
-            let Some(op32) = op32 else {
-                continue;
-            };
-            let wide32_ns = time_op(passes, iters, || op32(&mut fx32, active));
-            let scalar32_ns = time_op(passes, iters, || op32(&mut fx32, PanelKernel::Scalar));
-            let speedup32 = scalar32_ns / wide32_ns;
-            let f32_vs_f64 = wide_ns / wide32_ns;
-            println!(
-                "{:<44} {wide32_ns:>8.1} ns ({}) vs {scalar32_ns:>8.1} ns (scalar)  {speedup32:>6.2}x  [f32 vs f64: {f32_vs_f64:.2}x]",
-                format!("panel_kernels/{name}_f32/{lanes}_lanes"),
-                active.name(),
-            );
-            rows.push(format!(
-                "    {{ \"op\": \"{name}\", \"elem\": \"f32\", \"lanes\": {lanes}, \
-                 \"{}_ns_per_call\": {wide32_ns:.1}, \"scalar_ns_per_call\": {scalar32_ns:.1}, \
-                 \"speedup\": {speedup32:.3}, \"f32_vs_f64_speedup\": {f32_vs_f64:.3} }}",
-                active.name()
-            ));
-        }
-    }
-    let affine8 = affine8_speedup.expect("affine_pair at 8 lanes was measured");
-    println!(
-        "panel_kernels/affine_pair_8_lane_speedup  {affine8:>6.2}x \
-         (acceptance floor on AVX2 hosts: >= {SPEEDUP_FLOOR}x)"
-    );
-
-    if !test_mode {
-        write_bench_json(active, affine8, &rows);
-        // The floor is a property of the AVX2 arm; on hosts without one the
-        // active kernel IS the scalar path and there is nothing to assert.
-        if active == PanelKernel::Avx2Fma {
-            assert!(
-                affine8 >= SPEEDUP_FLOOR,
-                "AVX2 affine-pair kernel regressed to {affine8:.2}x over blocked scalar \
-                 at 8 lanes (floor: {SPEEDUP_FLOOR}x)"
-            );
-        }
-    }
-}
-
-/// Records the measured numbers for tracking (`BENCH_panel_kernels.json`).
-fn write_bench_json(active: PanelKernel, affine8: f64, rows: &[String]) {
-    let json = format!(
-        "{{\n  \"bench\": \"panel_kernels\",\n  \"active_kernel\": \"{}\",\n  \
-         \"affine_pair_8_lane_speedup\": {affine8:.3},\n  \
-         \"floor\": {SPEEDUP_FLOOR},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        active.name(),
-        rows.join(",\n")
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_panel_kernels.json"
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_panel_kernels);
-criterion_main!(benches);

@@ -11,13 +11,12 @@
 //! (one thread, one panel engine as wide as the sweep: batched plant,
 //! per-lane decide), differing only in the safety configuration:
 //! **disabled** (pre-robustness hot path) vs **armed** (the default ladder +
-//! health monitor). Passes are interleaved best-of-N so the two arms see the
-//! same thermal/cache conditions; the overhead ceiling is asserted in the
-//! full (non `--test`) run and the measured numbers land in
-//! `BENCH_safety_overhead.json`.
+//! health monitor). The claim is the armed-over-disabled wall-clock ratio,
+//! at most 1 + [`OVERHEAD_CEILING_PCT`] / 100, from many short alternating
+//! pairs; the trajectories are cross-checked bit-identical first. Results
+//! land in `BENCH_safety_overhead.json`.
 
-use std::time::{Duration, Instant};
-
+use bench::microbench::{Bound, Microbench};
 use platform_sim::{
     CalibrationCampaign, ExperimentConfig, ExperimentKind, SafetyConfig, ScenarioSweep,
 };
@@ -29,6 +28,11 @@ const LANES: usize = 8;
 /// sweep spans thousands of intervals and timer noise stays well below the
 /// overhead being measured).
 const CONTROL_PERIOD_S: f64 = 0.01;
+/// Simulated seconds per sweep in a full run.
+const DURATION_S: f64 = 8.0;
+/// Pairs timed in a full run: each sweep takes milliseconds, and the
+/// ceiling is far below the spread of a single pair.
+const PAIRS: usize = 61;
 /// Acceptance ceiling: armed-over-disabled wall-clock overhead, percent.
 const OVERHEAD_CEILING_PCT: f64 = 2.0;
 
@@ -50,9 +54,11 @@ fn sweep(safety: SafetyConfig, duration_s: f64) -> ScenarioSweep {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let duration_s = if test_mode { 0.5 } else { 8.0 };
-    let passes = if test_mode { 1 } else { 7 };
+    let mut bench = Microbench::from_args("safety_overhead", PAIRS);
+    let duration_s = if bench.test_mode() { 0.5 } else { DURATION_S };
+    bench.config("lanes", LANES);
+    bench.config("control_period_s", CONTROL_PERIOD_S);
+    bench.config("max_duration_s", duration_s);
 
     let calibration = CalibrationCampaign {
         prbs_duration_s: 120.0,
@@ -81,63 +87,18 @@ fn main() {
         );
         intervals += armed.trace.len();
     }
+    bench.config("intervals", intervals);
 
-    // Interleaved best-of-N: the arms alternate within each pass so neither
-    // systematically benefits from warm-up or frequency drift.
-    let mut disabled_best = Duration::MAX;
-    let mut armed_best = Duration::MAX;
-    for _ in 0..passes {
-        let start = Instant::now();
-        std::hint::black_box(disabled.run(&calibration));
-        disabled_best = disabled_best.min(start.elapsed());
-
-        let start = Instant::now();
-        std::hint::black_box(armed.run(&calibration));
-        armed_best = armed_best.min(start.elapsed());
-    }
-
-    let disabled_ms = disabled_best.as_secs_f64() * 1e3;
-    let armed_ms = armed_best.as_secs_f64() * 1e3;
-    let overhead_pct = (armed_ms / disabled_ms - 1.0) * 100.0;
-    let intervals_per_s = intervals as f64 / armed_best.as_secs_f64();
-    println!(
-        "safety_overhead/disabled_sweep           {disabled_ms:>14.2} ms \
-         ({LANES} lanes, {intervals} intervals)"
+    bench.paired(
+        "overhead",
+        Some(Bound::Ceiling(1.0 + OVERHEAD_CEILING_PCT / 100.0)),
+        ["armed", "disabled"],
+        |t| {
+            std::hint::black_box(t.time(|| armed.run(&calibration)));
+        },
+        |t| {
+            std::hint::black_box(t.time(|| disabled.run(&calibration)));
+        },
     );
-    println!("safety_overhead/armed_sweep              {armed_ms:>14.2} ms");
-    println!(
-        "safety_overhead/overhead                 {overhead_pct:>14.2} % \
-         (acceptance ceiling: < {OVERHEAD_CEILING_PCT} %)"
-    );
-    println!("safety_overhead/armed_intervals_per_s    {intervals_per_s:>14.0}");
-
-    if !test_mode {
-        write_bench_json(disabled_ms, armed_ms, overhead_pct, intervals_per_s);
-        // Regression guard: asserted only on the full run — the --test smoke
-        // run is too short to measure meaningfully.
-        assert!(
-            overhead_pct <= OVERHEAD_CEILING_PCT,
-            "armed safety stack costs {overhead_pct:.2} % on the fault-free \
-             hot path (ceiling: {OVERHEAD_CEILING_PCT} %)"
-        );
-    }
-}
-
-/// Records the measured numbers for tracking (`BENCH_safety_overhead.json`).
-fn write_bench_json(disabled_ms: f64, armed_ms: f64, overhead_pct: f64, intervals_per_s: f64) {
-    let json = format!(
-        "{{\n  \"bench\": \"safety_overhead\",\n  \"lanes\": {LANES},\n  \
-         \"disabled_sweep_ms\": {disabled_ms:.2},\n  \
-         \"armed_sweep_ms\": {armed_ms:.2},\n  \
-         \"overhead_pct\": {overhead_pct:.3},\n  \
-         \"ceiling_pct\": {OVERHEAD_CEILING_PCT},\n  \
-         \"armed_intervals_per_s\": {intervals_per_s:.0}\n}}\n"
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_safety_overhead.json"
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
+    bench.finish();
 }

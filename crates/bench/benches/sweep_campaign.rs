@@ -1,4 +1,4 @@
-//! Memory and wall-clock benchmark for streaming sweep campaigns.
+//! Memory and wall-clock microbench for streaming sweep campaigns.
 //!
 //! A ~200-cell grid (kinds × benchmarks × ambients × DTPM variants ×
 //! replicates) is run twice through the same lane-compacting scheduler:
@@ -9,20 +9,20 @@
 //!   cells × intervals.
 //! * **streaming-summaries** — the campaign default
 //!   ([`TracePolicy::SummaryOnly`]): every run streams through the online
-//!   accumulators and retains one O(1) [`RunSummary`], so retained memory is
+//!   accumulators and retains one O(1) `RunSummary`, so retained memory is
 //!   O(cells) regardless of run length.
 //!
-//! The acceptance bar is structural, not a race: the streaming sink's
-//! retained result bytes must stay exactly O(cells) — zero per-interval
-//! records retained — while the collect arm's retention grows with the
-//! per-run interval count, and the per-cell summaries of the two arms must
-//! agree. The measured numbers land in `BENCH_sweep_campaign.json`.
+//! The claim is structural, not a race: the streaming sink's retained
+//! result bytes stay exactly O(cells) — zero per-interval records retained
+//! — while the collect arm's retention grows with the per-run interval
+//! count, and the per-cell summaries of the two arms agree. The retention
+//! ratio must reach [`RETENTION_FLOOR`]; the arms' wall clocks are recorded
+//! alongside, without a bound. Results land in `BENCH_sweep_campaign.json`.
 
-use std::time::{Duration, Instant};
-
+use bench::microbench::{Bound, Microbench, Timer};
 use platform_sim::{
     Calibration, CalibrationCampaign, CollectSink, DtpmVariant, ExperimentKind, RunReport,
-    RunSummary, SimError, SweepSpec, TracePolicy,
+    SimError, SweepSpec, TracePolicy,
 };
 use workload::BenchmarkId;
 
@@ -30,6 +30,8 @@ use workload::BenchmarkId;
 const LANES: usize = 8;
 /// Simulated duration cap per cell in the full run, seconds.
 const FULL_DURATION_S: f64 = 4.0;
+/// Pairs timed in a full run.
+const PAIRS: usize = 11;
 /// Acceptance floor: collect-arm retained bytes over streaming-arm retained
 /// bytes. With 40 retained intervals per cell the measured ratio sits far
 /// above this; the floor only guards against per-interval retention
@@ -37,8 +39,9 @@ const FULL_DURATION_S: f64 = 4.0;
 const RETENTION_FLOOR: f64 = 4.0;
 
 /// The campaign grid: 2 kinds × 5 benchmarks × 2 ambients × 2 DTPM variants
-/// × 5 replicates = 200 cells (8 cells in `--test` mode).
-fn campaign(test_mode: bool) -> SweepSpec {
+/// × 5 replicates = 200 cells (8 cells in `--test` mode), and its cap on
+/// simulated seconds per cell.
+fn campaign(test_mode: bool) -> (SweepSpec, f64) {
     let (benchmarks, ambients, variants, replicates) = if test_mode {
         (
             vec![BenchmarkId::Crc32],
@@ -66,7 +69,8 @@ fn campaign(test_mode: bool) -> SweepSpec {
             5,
         )
     };
-    SweepSpec::new(
+    let duration_s = if test_mode { 1.0 } else { FULL_DURATION_S };
+    let spec = SweepSpec::new(
         vec![ExperimentKind::Reactive, ExperimentKind::Dtpm],
         benchmarks,
     )
@@ -74,8 +78,9 @@ fn campaign(test_mode: bool) -> SweepSpec {
     .with_dtpm_variants(variants)
     .with_replicates(replicates)
     .with_campaign_seed(0x5EED_CA4D)
-    .with_max_duration_s(if test_mode { 1.0 } else { FULL_DURATION_S })
-    .with_ideal_sensors(true)
+    .with_max_duration_s(duration_s)
+    .with_ideal_sensors(true);
+    (spec, duration_s)
 }
 
 /// Bytes a collected report pins in memory beyond its own struct: the heap
@@ -89,7 +94,6 @@ fn retained_trace_bytes(report: &RunReport) -> usize {
 }
 
 struct ArmOutcome {
-    wall: Duration,
     reports: Vec<Result<RunReport, SimError>>,
     /// Total retained result bytes: per-report struct plus retained trace
     /// heap.
@@ -98,15 +102,22 @@ struct ArmOutcome {
     retained_records: usize,
 }
 
-fn run_arm(spec: &SweepSpec, calibration: &Calibration, recording: TracePolicy) -> ArmOutcome {
+/// Runs the grid into a [`CollectSink`] under `recording`, timing the
+/// campaign alone.
+fn run_arm(
+    spec: &SweepSpec,
+    calibration: &Calibration,
+    recording: TracePolicy,
+    timer: &mut Timer,
+) -> ArmOutcome {
     let mut sink = CollectSink::new(spec.cells());
-    let start = Instant::now();
-    spec.runner()
-        .with_threads(1)
-        .with_lanes(LANES)
-        .with_recording(recording)
-        .run_into(calibration, &mut sink);
-    let wall = start.elapsed();
+    timer.time(|| {
+        spec.runner()
+            .with_threads(1)
+            .with_lanes(LANES)
+            .with_recording(recording)
+            .run_into(calibration, &mut sink)
+    });
     let reports = sink.into_reports();
     let retained_records: usize = reports
         .iter()
@@ -122,7 +133,6 @@ fn run_arm(spec: &SweepSpec, calibration: &Calibration, recording: TracePolicy) 
             .map(|r| r.as_ref().map(retained_trace_bytes).unwrap_or(0))
             .sum::<usize>();
     ArmOutcome {
-        wall,
         reports,
         retained_bytes,
         retained_records,
@@ -130,9 +140,12 @@ fn run_arm(spec: &SweepSpec, calibration: &Calibration, recording: TracePolicy) 
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let spec = campaign(test_mode);
+    let mut bench = Microbench::from_args("sweep_campaign", PAIRS);
+    let (spec, duration_s) = campaign(bench.test_mode());
     let cells = spec.cells();
+    bench.config("cells", cells);
+    bench.config("lanes", LANES);
+    bench.config("max_duration_s", duration_s);
 
     let calibration = CalibrationCampaign {
         prbs_duration_s: 120.0,
@@ -142,12 +155,20 @@ fn main() {
     .run(41)
     .expect("calibration campaign must succeed");
 
-    let collect = run_arm(&spec, &calibration, TracePolicy::Full);
-    let streaming = run_arm(&spec, &calibration, TracePolicy::SummaryOnly);
+    let mut collect = None;
+    let mut streaming = None;
+    bench.paired(
+        "collect_over_streaming_wall",
+        None,
+        ["collect", "streaming"],
+        |t| collect = Some(run_arm(&spec, &calibration, TracePolicy::Full, t)),
+        |t| streaming = Some(run_arm(&spec, &calibration, TracePolicy::SummaryOnly, t)),
+    );
+    let collect = collect.expect("the collect arm ran");
+    let streaming = streaming.expect("the streaming arm ran");
 
-    // Cross-check the arms while we have them side by side: streaming must
-    // be invisible in the summaries. A single worker makes lane placement
-    // deterministic, so the comparison is exact.
+    // Streaming must be invisible in the summaries. A single worker makes
+    // lane placement deterministic, so the comparison is exact.
     assert_eq!(collect.reports.len(), cells);
     assert_eq!(streaming.reports.len(), cells);
     for (index, (collected, streamed)) in collect.reports.iter().zip(&streaming.reports).enumerate()
@@ -162,11 +183,12 @@ fn main() {
             streamed.trace.is_none(),
             "cell {index}: streaming arm retained a trace"
         );
+        assert!(streamed.summary.mean_platform_power_w.is_finite());
     }
 
-    // The structural acceptance bar: the streaming sink retains zero
-    // per-interval records — its result bytes are exactly O(cells) — while
-    // the collect arm's retention carries every interval of every cell.
+    // The structural bar: the streaming sink retains zero per-interval
+    // records — its result bytes are exactly O(cells) — while the collect
+    // arm's retention carries every interval of every cell.
     assert_eq!(
         streaming.retained_records, 0,
         "streaming arm must retain no per-interval records"
@@ -186,82 +208,25 @@ fn main() {
         "collect arm retains every interval"
     );
 
-    let ratio = collect.retained_bytes as f64 / streaming.retained_bytes as f64;
-    let collect_ms = collect.wall.as_secs_f64() * 1e3;
-    let streaming_ms = streaming.wall.as_secs_f64() * 1e3;
-    println!(
-        "sweep_campaign/cells                     {cells:>14} \
-         ({} intervals retained by the collect arm)",
-        collect.retained_records
+    bench.value(
+        "collect_retained_records",
+        collect.retained_records as f64,
+        None,
     );
-    println!(
-        "sweep_campaign/collect_retained_bytes    {:>14}",
-        collect.retained_bytes
+    bench.value(
+        "collect_retained_bytes",
+        collect.retained_bytes as f64,
+        None,
     );
-    println!(
-        "sweep_campaign/streaming_retained_bytes  {:>14}",
-        streaming.retained_bytes
+    bench.value(
+        "streaming_retained_bytes",
+        streaming.retained_bytes as f64,
+        None,
     );
-    println!(
-        "sweep_campaign/retention_ratio           {ratio:>14.2}x \
-         (acceptance floor: >= {RETENTION_FLOOR}x)"
+    bench.value(
+        "retention_ratio",
+        collect.retained_bytes as f64 / streaming.retained_bytes as f64,
+        Some(Bound::Floor(RETENTION_FLOOR)),
     );
-    println!("sweep_campaign/collect_wall              {collect_ms:>14.2} ms");
-    println!("sweep_campaign/streaming_wall            {streaming_ms:>14.2} ms");
-
-    if !test_mode {
-        write_bench_json(
-            cells,
-            collect.retained_bytes,
-            streaming.retained_bytes,
-            ratio,
-            collect_ms,
-            streaming_ms,
-        );
-        assert!(
-            ratio >= RETENTION_FLOOR,
-            "streaming retention regressed to {ratio:.2}x below the collect \
-             arm (floor: {RETENTION_FLOOR}x)"
-        );
-    }
-    // Keep the summaries alive past the measurement so the retained-bytes
-    // accounting reflects live data.
-    let mean_power: f64 = streaming
-        .reports
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .map(|r| r.summary.mean_platform_power_w)
-        .sum::<f64>()
-        / cells as f64;
-    assert!(mean_power.is_finite());
-    let _ = std::mem::size_of::<RunSummary>();
-}
-
-/// Records the measured numbers for tracking (`BENCH_sweep_campaign.json`).
-fn write_bench_json(
-    cells: usize,
-    collect_bytes: usize,
-    streaming_bytes: usize,
-    ratio: f64,
-    collect_ms: f64,
-    streaming_ms: f64,
-) {
-    let json = format!(
-        "{{\n  \"bench\": \"sweep_campaign\",\n  \"cells\": {cells},\n  \
-         \"lanes\": {LANES},\n  \
-         \"max_duration_s\": {FULL_DURATION_S},\n  \
-         \"collect_retained_bytes\": {collect_bytes},\n  \
-         \"streaming_retained_bytes\": {streaming_bytes},\n  \
-         \"retention_ratio\": {ratio:.3},\n  \
-         \"collect_wall_ms\": {collect_ms:.2},\n  \
-         \"streaming_wall_ms\": {streaming_ms:.2},\n  \
-         \"floor\": {RETENTION_FLOOR}\n}}\n"
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_sweep_campaign.json"
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
+    bench.finish();
 }

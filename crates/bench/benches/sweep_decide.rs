@@ -1,5 +1,5 @@
-//! Wall-clock benchmark of batched against iterated DTPM classification, at
-//! the `dtpm` level.
+//! Microbench of batched against iterated DTPM classification, at the
+//! `dtpm` level.
 //!
 //! Iterating the discrete thermal model `horizon` times costs two mat-vecs
 //! per step, per lane, per interval. One application of the precomputed
@@ -20,27 +20,25 @@
 //! * **batched** — every lane's proposal assembled into one
 //!   [`BatchPredictor`] panel, one prediction for the whole group.
 //!
-//! The acceptance bar is ≥ 1.5× decisions/s for the batched arm, asserted as
-//! a floor in the full (non `--test`) run; measured numbers land in
-//! `BENCH_sweep_decide.json` together with an end-to-end control-heavy
-//! lockstep sweep (one thread, one `LANES`-wide engine) for context.
+//! The claim is the batched arm's speed-up in decisions/s, at least
+//! [`SPEEDUP_FLOOR`]; both arms' decisions are cross-checked first. Results
+//! land in `BENCH_sweep_decide.json`.
 
-use std::time::{Duration, Instant};
-
+use bench::microbench::{Bound, Microbench};
 use dtpm::{BatchPredictor, DtpmAction, DtpmConfig, DtpmInputs, DtpmPolicy};
-use platform_sim::{CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep};
+use platform_sim::CalibrationCampaign;
 use power_model::{DomainPower, PowerModel};
 use soc_model::{Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
-use workload::BenchmarkId;
 
 /// Scenario lanes advanced per instruction stream (the sweep batch width).
 const LANES: usize = 8;
 /// Prediction horizon in control intervals: control-heavy (the paper's
 /// configuration uses 10).
 const HORIZON: usize = 32;
-/// Control period of the end-to-end sweep, seconds (10 ms: ten times the
-/// paper's rate, so decisions dominate the sweep).
-const CONTROL_PERIOD_S: f64 = 0.01;
+/// Decision intervals per timed sample in a full run.
+const INTERVALS: usize = 20_000;
+/// Pairs timed in a full run.
+const PAIRS: usize = 11;
 /// Acceptance floor: batched over per-lane iterated decisions/s.
 /// Re-baselined upward from 1.5 after the explicit SIMD panel kernels landed
 /// (measured 13.1x on the AVX2 reference host, up from 11.98x with
@@ -91,25 +89,12 @@ fn lane_power(lane: usize) -> DomainPower {
     DomainPower::new(3.4 + 0.05 * lane as f64, 0.04, 0.15, 0.4)
 }
 
-/// Best-of-N wall clock for a closure returning a decision count.
-fn best_of<F: FnMut() -> usize>(passes: usize, mut run: F) -> (Duration, usize) {
-    let mut best = Duration::MAX;
-    let mut decisions = 0;
-    for _ in 0..passes {
-        let start = Instant::now();
-        decisions = run();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    (best, decisions)
-}
-
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let intervals = if test_mode { 200 } else { 20_000 };
-    let passes = if test_mode { 1 } else { 5 };
+    let mut bench = Microbench::from_args("sweep_decide", PAIRS);
+    let intervals = if bench.test_mode() { 200 } else { INTERVALS };
+    bench.config("lanes", LANES);
+    bench.config("horizon", HORIZON);
+    bench.config("intervals_per_sample", intervals);
 
     let calibration = CalibrationCampaign {
         prbs_duration_s: 120.0,
@@ -186,132 +171,58 @@ fn main() {
     }
 
     // Arm A — per-lane iterated horizon loop, then the affirm-or-actuate
-    // resolution.
-    let (scalar_wall, scalar_decisions) = best_of(passes, || {
-        for _ in 0..intervals {
-            for (policy, input) in policies.iter().zip(&inputs) {
-                let powers = policy
-                    .proposal_powers(input, &power_model)
-                    .expect("proposal powers");
-                let peak = policy
-                    .predictor()
-                    .predict_peak_iterated(input.core_temps_c, &powers, HORIZON)
-                    .expect("iterated prediction");
-                std::hint::black_box(
-                    policy
-                        .resolve(input, &power_model, &powers, peak)
-                        .expect("decision resolves"),
-                );
-            }
-        }
-        intervals * LANES
-    });
-
-    // Arm B — batched: every lane's proposal classified by one fused panel
-    // prediction; only violating lanes walk the actuation list.
-    let (batched_wall, batched_decisions) = best_of(passes, || {
-        for _ in 0..intervals {
-            for (lane, (policy, input)) in policies.iter().zip(&inputs).enumerate() {
-                let powers = policy
-                    .proposal_powers(input, &power_model)
-                    .expect("proposal powers");
-                batch.set_lane(lane, input.core_temps_c, &powers);
-                lane_powers[lane] = powers;
-            }
-            batch.predict();
-            for (lane, (policy, input)) in policies.iter().zip(&inputs).enumerate() {
-                std::hint::black_box(
-                    policy
-                        .resolve(input, &power_model, &lane_powers[lane], batch.peak_c(lane))
-                        .expect("decision resolves"),
-                );
-            }
-        }
-        intervals * LANES
-    });
-
-    // End-to-end context: a control-heavy lockstep sweep through the real
-    // executor (batched plant, per-lane decide).
-    let sweep_configs: Vec<ExperimentConfig> = (0..LANES)
-        .map(|i| {
-            let mut config = ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::MatrixMult)
-                .with_seed(1200 + i as u64);
-            config.control_period_s = CONTROL_PERIOD_S;
-            config.max_duration_s = if test_mode { 0.5 } else { 8.0 };
-            config.dtpm = dtpm_config;
-            config
-        })
-        .collect();
-    let sweep = ScenarioSweep::new(sweep_configs)
-        .with_threads(1)
-        .with_lanes(LANES);
-    let sweep_start = Instant::now();
-    let sweep_results = sweep.run(&calibration);
-    let sweep_wall = sweep_start.elapsed();
-    let sweep_decisions: usize = sweep_results
-        .iter()
-        .map(|r| r.as_ref().expect("sweep scenario succeeds").trace.len())
-        .sum();
-
-    let scalar_per_s = scalar_decisions as f64 / scalar_wall.as_secs_f64();
-    let batched_per_s = batched_decisions as f64 / batched_wall.as_secs_f64();
-    let speedup = batched_per_s / scalar_per_s;
-    let sweep_per_s = sweep_decisions as f64 / sweep_wall.as_secs_f64();
-    println!(
-        "sweep_decide/scalar_decisions_per_s      {scalar_per_s:>14.0} \
-         ({LANES} lanes, horizon {HORIZON})"
+    // resolution. Arm B — batched: every lane's proposal classified by one
+    // fused panel prediction; only violating lanes walk the actuation list.
+    bench.paired(
+        "speedup_vs_scalar",
+        Some(Bound::Floor(SPEEDUP_FLOOR)),
+        ["per_lane_iterated", "batched"],
+        |t| {
+            t.time(|| {
+                for _ in 0..intervals {
+                    for (policy, input) in policies.iter().zip(&inputs) {
+                        let powers = policy
+                            .proposal_powers(input, &power_model)
+                            .expect("proposal powers");
+                        let peak = policy
+                            .predictor()
+                            .predict_peak_iterated(input.core_temps_c, &powers, HORIZON)
+                            .expect("iterated prediction");
+                        std::hint::black_box(
+                            policy
+                                .resolve(input, &power_model, &powers, peak)
+                                .expect("decision resolves"),
+                        );
+                    }
+                }
+            })
+        },
+        |t| {
+            t.time(|| {
+                for _ in 0..intervals {
+                    for (lane, (policy, input)) in policies.iter().zip(&inputs).enumerate() {
+                        let powers = policy
+                            .proposal_powers(input, &power_model)
+                            .expect("proposal powers");
+                        batch.set_lane(lane, input.core_temps_c, &powers);
+                        lane_powers[lane] = powers;
+                    }
+                    batch.predict();
+                    for (lane, (policy, input)) in policies.iter().zip(&inputs).enumerate() {
+                        std::hint::black_box(
+                            policy
+                                .resolve(
+                                    input,
+                                    &power_model,
+                                    &lane_powers[lane],
+                                    batch.peak_c(lane),
+                                )
+                                .expect("decision resolves"),
+                        );
+                    }
+                }
+            })
+        },
     );
-    println!("sweep_decide/batched_decisions_per_s     {batched_per_s:>14.0}");
-    println!(
-        "sweep_decide/speedup_vs_scalar           {speedup:>14.2}x \
-         (acceptance floor: >= {SPEEDUP_FLOOR}x)"
-    );
-    println!(
-        "sweep_decide/e2e_lockstep_sweep          {:>14.2} ms \
-         ({sweep_decisions} decisions, {sweep_per_s:.0}/s)",
-        sweep_wall.as_secs_f64() * 1e3
-    );
-
-    if !test_mode {
-        write_bench_json(
-            scalar_per_s,
-            batched_per_s,
-            speedup,
-            &sweep_wall,
-            sweep_per_s,
-        );
-        // Regression guard: asserted only on the full run — the --test smoke
-        // run is too short to measure meaningfully.
-        assert!(
-            speedup >= SPEEDUP_FLOOR,
-            "batched classification regressed to {speedup:.2}x over the \
-             per-lane iterated path (floor: {SPEEDUP_FLOOR}x)"
-        );
-    }
-}
-
-/// Records the measured numbers for tracking (`BENCH_sweep_decide.json`).
-fn write_bench_json(
-    scalar_per_s: f64,
-    batched_per_s: f64,
-    speedup: f64,
-    sweep_wall: &Duration,
-    sweep_per_s: f64,
-) {
-    let sweep_ms = sweep_wall.as_secs_f64() * 1e3;
-    let json = format!(
-        "{{\n  \"bench\": \"sweep_decide\",\n  \"lanes\": {LANES},\n  \
-         \"horizon\": {HORIZON},\n  \
-         \"control_period_s\": {CONTROL_PERIOD_S},\n  \
-         \"scalar_decisions_per_s\": {scalar_per_s:.0},\n  \
-         \"batched_decisions_per_s\": {batched_per_s:.0},\n  \
-         \"speedup_vs_scalar\": {speedup:.3},\n  \
-         \"floor\": {SPEEDUP_FLOOR},\n  \
-         \"e2e_lockstep_wall_ms\": {sweep_ms:.2},\n  \
-         \"e2e_decisions_per_s\": {sweep_per_s:.0}\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep_decide.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
+    bench.finish();
 }

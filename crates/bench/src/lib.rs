@@ -5,12 +5,14 @@
 //! rows/series the paper plots, so the *shape* of every result can be checked
 //! against the original (absolute values differ: the substrate is a simulated
 //! plant, not the authors' board). The [`run_experiment`] entry point is used
-//! by the `experiments` binary (`cargo run -p bench --bin experiments`) and by
-//! the Criterion benchmarks.
+//! by the `experiments` binary (`cargo run -p bench --bin experiments`).
+//! [`microbench`] is the recorder every claim bench in `benches/` runs
+//! through.
 
 #![warn(missing_docs)]
 
 pub mod control;
+pub mod microbench;
 pub mod modeling;
 pub mod summary;
 
@@ -23,8 +25,8 @@ use platform_sim::{Calibration, CalibrationCampaign, SimError};
 pub struct ExperimentContext {
     /// The characterised power model and identified thermal predictor.
     pub calibration: Calibration,
-    /// Whether to run shortened experiments (used by the test suite and the
-    /// Criterion benches to keep wall-clock time reasonable).
+    /// Whether to run shortened experiments (used by the test suite to keep
+    /// wall-clock time reasonable).
     pub quick: bool,
 }
 

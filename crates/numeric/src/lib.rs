@@ -57,12 +57,12 @@
 //!   (state-space discretisation, leakage anchoring via `libm` exp,
 //!   least-squares fits) always stays in f64 and is demoted once per control
 //!   interval, so f32 only ever integrates short inter-anchor spans.
-//! * **Measured error** (16-lane paper-scale sweep shape, f32 vs f64 oracle;
-//!   see `BENCH_mixed_precision.json` and the `mixed_precision` proptests):
-//!   worst-case trajectory divergence stays below the 1e-3 °C budget with
-//!   over two orders of headroom (~4e-6 °C measured), per-lane energy
-//!   totals agree within 0.01 %, and
-//!   `SafetyLadder` rung transitions agree exactly on every tested run.
+//! * **Error bounds** (16-lane paper-scale sweep shape, f32 vs f64 oracle;
+//!   the `mixed_precision` proptests and bench): worst-case trajectory
+//!   divergence stays within the 1e-3 °C budget (the bench records the
+//!   measured worst case in `BENCH_mixed_precision.json`), per-lane energy
+//!   totals agree within 0.01 %, and `SafetyLadder` rung transitions agree
+//!   exactly on every tested run.
 //! * **Speed.** End to end the f32 engine is slower than the f64 one on
 //!   the campaign benchmark's paper grid (its `arm.lanes-*.f32` rows), so
 //!   campaigns default to f64.

@@ -265,13 +265,27 @@ impl SweepSpec {
 
     /// Number of grid cells: the product of every axis length (zero if any
     /// axis is empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the product overflows `usize` (a decoded spec never does:
+    /// the decoder rejects such a grid).
     pub fn cells(&self) -> usize {
-        self.kinds.len()
-            * self.benchmarks.len()
-            * self.ambients_c.len()
-            * self.dtpm_variants.len()
-            * self.fault_plans.len()
-            * self.replicates
+        self.checked_cells()
+            .expect("grid cell count overflows usize")
+    }
+
+    /// [`SweepSpec::cells`], or `None` when the product overflows `usize`.
+    pub(crate) fn checked_cells(&self) -> Option<usize> {
+        [
+            self.kinds.len(),
+            self.benchmarks.len(),
+            self.ambients_c.len(),
+            self.dtpm_variants.len(),
+            self.fault_plans.len(),
+        ]
+        .into_iter()
+        .try_fold(self.replicates, usize::checked_mul)
     }
 
     /// Returns `true` if the grid has no cells.

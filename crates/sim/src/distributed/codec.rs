@@ -427,7 +427,7 @@ pub(crate) fn take_spec(r: &mut ByteReader<'_>) -> Result<SweepSpec, SimError> {
         let index = r.take_usize().map_err(codec_error)?;
         chaos_cells.push((index, take_chaos(r)?));
     }
-    Ok(SweepSpec {
+    let spec = SweepSpec {
         kinds,
         benchmarks,
         ambients_c,
@@ -442,7 +442,11 @@ pub(crate) fn take_spec(r: &mut ByteReader<'_>) -> Result<SweepSpec, SimError> {
         ideal_sensors,
         precision,
         chaos_cells,
-    })
+    };
+    if spec.checked_cells().is_none() {
+        return Err(malformed("grid cell count overflows usize"));
+    }
+    Ok(spec)
 }
 
 /// Encodes the calibration-campaign parameters a worker re-derives its
@@ -881,7 +885,7 @@ fn render_sink(out: &mut String, sink: &MergeSink) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::experiment::ExperimentKind;
 
@@ -942,8 +946,8 @@ mod tests {
         assert_eq!(encode_spec(&decoded), blob);
     }
 
-    #[test]
-    fn sink_blobs_round_trip_mid_flight_state() {
+    /// A fold with folded, failed and pending cells.
+    fn mid_flight_sink() -> MergeSink {
         let mut sink = MergeSink::new(3..40);
         for k in [3, 4, 5, 9, 12, 11, 30] {
             let outcome = if k == 9 {
@@ -956,16 +960,36 @@ mod tests {
             };
             sink.offer(k, outcome);
         }
+        sink
+    }
+
+    /// `body` (magic and payload) sealed with its CRC32, so a mutation of
+    /// the body reaches the structural decoder.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut blob = body.to_vec();
+        blob.extend_from_slice(&crc32(body).to_le_bytes());
+        blob
+    }
+
+    #[test]
+    fn sink_blobs_round_trip_mid_flight_state() {
+        let sink = mid_flight_sink();
         let blob = encode_sink(&sink);
         assert_eq!(decode_sink(&blob).expect("round trip"), sink);
     }
 
-    #[test]
-    fn checkpoint_blobs_round_trip_and_match_the_text_format() {
+    /// A 70-cell checkpoint with four failed cells, two bitmap words apart.
+    fn checkpoint() -> CampaignCheckpoint {
         let mut checkpoint = CampaignCheckpoint::new(0xF00D, 70);
         for k in [0, 2, 64, 69] {
             checkpoint.record(k, Err(SimError::Panicked(format!("boom {k}"))));
         }
+        checkpoint
+    }
+
+    #[test]
+    fn checkpoint_blobs_round_trip_and_match_the_text_format() {
+        let checkpoint = checkpoint();
         let blob = encode_checkpoint(&checkpoint);
         let decoded = decode_checkpoint(&blob).expect("round trip");
         assert_eq!(decoded, checkpoint);
@@ -1018,12 +1042,69 @@ mod tests {
         };
         assert_eq!((f64_blob[at], blob[at]), (0, 1));
         blob[at] = 2;
-        blob.truncate(blob.len() - 4);
-        let crc = crc32(&blob);
-        blob.extend_from_slice(&crc.to_le_bytes());
+        let blob = sealed(&blob[..blob.len() - 4]);
         match decode_spec(&blob) {
             Err(SimError::Io(message)) => assert!(message.contains("precision"), "{message}"),
             other => panic!("tag 2 must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_grid_whose_cell_count_overflows_is_malformed() {
+        let blob = encode_spec(
+            &SweepSpec::new(
+                vec![ExperimentKind::WithoutFan, ExperimentKind::Dtpm],
+                vec![BenchmarkId::Crc32],
+            )
+            .with_replicates(usize::MAX),
+        );
+        match decode_spec(&blob) {
+            Err(SimError::Io(message)) => assert!(message.contains("overflows"), "{message}"),
+            other => panic!("an overflowing grid must be rejected, got {other:?}"),
+        }
+        assert!(inspect(&blob).is_err());
+    }
+
+    #[test]
+    fn mutated_and_truncated_blobs_never_panic_the_decoders() {
+        let blobs = [
+            ("spec", encode_spec(&spec())),
+            ("sink", encode_sink(&mid_flight_sink())),
+            ("checkpoint", encode_checkpoint(&checkpoint())),
+        ];
+        for (what, blob) in blobs {
+            let body = &blob[..blob.len() - 4];
+            let decode_all = |bytes: &[u8]| {
+                let _ = decode_spec(bytes);
+                let _ = decode_sink(bytes);
+                let _ = decode_checkpoint(bytes);
+                let _ = inspect(bytes);
+            };
+            for_each_mutation(body, |mutation, bytes| {
+                let bytes = sealed(bytes);
+                let outcome = std::panic::catch_unwind(|| decode_all(&bytes));
+                assert!(
+                    outcome.is_ok(),
+                    "{what} blob, {mutation}: a decoder panicked"
+                );
+            });
+        }
+    }
+
+    /// Calls `check` with every single-byte mutation of `bytes` (set to 0x00,
+    /// 0xff or 0x7f, or bit 0 or bit 7 flipped) and every strict prefix of
+    /// it, each with a description.
+    pub(crate) fn for_each_mutation(bytes: &[u8], mut check: impl FnMut(String, &[u8])) {
+        let mut mutated = bytes.to_vec();
+        for at in 0..bytes.len() {
+            for byte in [0x00, 0xff, 0x7f, bytes[at] ^ 0x01, bytes[at] ^ 0x80] {
+                mutated[at] = byte;
+                check(format!("byte {at} set to {byte:#04x}"), &mutated);
+            }
+            mutated[at] = bytes[at];
+        }
+        for len in 0..bytes.len() {
+            check(format!("truncated to {len} bytes"), &bytes[..len]);
         }
     }
 

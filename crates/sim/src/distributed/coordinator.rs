@@ -47,7 +47,6 @@ pub struct Coordinator {
     lease_timeout: Duration,
     ready_timeout: Duration,
     worker_threads: usize,
-    worker_lanes: usize,
     resilience: ResiliencePolicy,
 }
 
@@ -67,7 +66,6 @@ impl Coordinator {
             lease_timeout: Duration::from_secs(30),
             ready_timeout: Duration::from_secs(300),
             worker_threads: 1,
-            worker_lanes: numeric::LANE_CHUNK,
             resilience: ResiliencePolicy::default(),
         }
     }
@@ -115,13 +113,6 @@ impl Coordinator {
         self
     }
 
-    /// SIMD batch lanes each worker runs with.
-    #[must_use]
-    pub fn with_worker_lanes(mut self, lanes: usize) -> Self {
-        self.worker_lanes = lanes.max(1);
-        self
-    }
-
     /// The cell-level containment policy every worker applies.
     #[must_use]
     pub fn with_resilience(mut self, resilience: ResiliencePolicy) -> Self {
@@ -151,7 +142,7 @@ impl Coordinator {
             calibration: self.calibration,
             calibration_seed: self.calibration_seed,
             threads: self.worker_threads,
-            lanes: self.worker_lanes,
+            lanes: numeric::LANE_CHUNK,
             resilience: self.resilience,
         };
         let hello = ToWorker::Hello(Box::new(setup)).encode();

@@ -182,8 +182,8 @@ mod tests {
     use crate::resilience::{CellFailure, CellStats};
     use workload::BenchmarkId;
 
-    #[test]
-    fn messages_round_trip() {
+    /// One message of every kind, Hello and LeaseDone fully populated.
+    fn sample_messages() -> (Vec<ToWorker>, Vec<ToCoordinator>) {
         let setup = WorkerSetup {
             spec: SweepSpec::new(
                 vec![ExperimentKind::Dtpm],
@@ -201,17 +201,6 @@ mod tests {
             lanes: 4,
             resilience: ResiliencePolicy::default().with_max_retries(1),
         };
-        for message in [
-            ToWorker::Hello(Box::new(setup)),
-            ToWorker::Lease {
-                lease: 9,
-                start: 1,
-                end: 3,
-            },
-            ToWorker::Shutdown,
-        ] {
-            assert_eq!(ToWorker::decode(&message.encode()).expect("ok"), message);
-        }
         let outcomes = vec![
             (
                 0,
@@ -237,18 +226,56 @@ mod tests {
                 }),
             ),
         ];
-        for message in [
-            ToCoordinator::Ready,
-            ToCoordinator::Heartbeat {
-                lease: 9,
-                completed: 2,
-            },
-            ToCoordinator::LeaseDone { lease: 9, outcomes },
-        ] {
+        (
+            vec![
+                ToWorker::Hello(Box::new(setup)),
+                ToWorker::Lease {
+                    lease: 9,
+                    start: 1,
+                    end: 3,
+                },
+                ToWorker::Shutdown,
+            ],
+            vec![
+                ToCoordinator::Ready,
+                ToCoordinator::Heartbeat {
+                    lease: 9,
+                    completed: 2,
+                },
+                ToCoordinator::LeaseDone { lease: 9, outcomes },
+            ],
+        )
+    }
+
+    #[test]
+    fn messages_round_trip() {
+        let (to_worker, to_coordinator) = sample_messages();
+        for message in to_worker {
+            assert_eq!(ToWorker::decode(&message.encode()).expect("ok"), message);
+        }
+        for message in to_coordinator {
             assert_eq!(
                 ToCoordinator::decode(&message.encode()).expect("ok"),
                 message
             );
+        }
+    }
+
+    #[test]
+    fn mutated_and_truncated_frames_never_panic_the_decoders() {
+        let (to_worker, to_coordinator) = sample_messages();
+        let frames = to_worker
+            .iter()
+            .map(ToWorker::encode)
+            .chain(to_coordinator.iter().map(ToCoordinator::encode));
+        for frame in frames {
+            codec::tests::for_each_mutation(&frame, |mutation, bytes| {
+                let outcome = std::panic::catch_unwind(|| {
+                    let _ = ToWorker::decode(bytes);
+                    let _ = ToCoordinator::decode(bytes);
+                });
+                assert!(outcome.is_ok(), "frame {mutation}: a decoder panicked");
+            });
         }
     }
 

@@ -265,9 +265,6 @@ struct ControlLoop {
     ladder: SafetyLadder,
     /// Every robustness event of the run, in firing order.
     incidents: IncidentLog,
-    /// Incidents already streamed through the tracer's
-    /// [`RunObserver::on_incident`] hook.
-    published_incidents: usize,
     /// Set when the ladder's terminal rung fires: the run retires at the
     /// end of the interval (always after ≥ 1 absorbed interval, so a
     /// retiring run's statistics are never empty).
@@ -276,14 +273,22 @@ struct ControlLoop {
     /// trace policy (they cost a handful of flops per interval and make the
     /// [`RunSummary`] unconditional).
     stats: OnlineRunStats,
-    /// The policy-selected trace-retention observer; every absorbed interval
-    /// streams through it.
-    tracer: Box<dyn RunObserver>,
+    /// The per-interval trace under [`TracePolicy::Full`]; `None` under
+    /// [`TracePolicy::SummaryOnly`].
+    trace: Option<Trace>,
     time_s: f64,
     energy_j: f64,
     completed: bool,
     max_steps: usize,
     steps_taken: usize,
+}
+
+/// The trace a run under `recording` starts with.
+fn retained_trace(recording: TracePolicy) -> Option<Trace> {
+    match recording {
+        TracePolicy::Full => Some(Trace::new()),
+        TracePolicy::SummaryOnly => None,
+    }
 }
 
 /// One control interval's decisions, handed from [`ControlLoop::decide`]
@@ -309,6 +314,16 @@ impl ControlLoop {
             return Err(SimError::InvalidConfig(
                 "maximum duration must exceed the control period",
             ));
+        }
+        // A NaN or infinite ambient or plant parameter would run to `Ok`
+        // with NaN energy and fold silently into a campaign's aggregate.
+        if !config.ambient_c.is_finite() {
+            return Err(SimError::InvalidConfig(
+                "ambient temperature must be finite",
+            ));
+        }
+        if !config.plant.is_finite() {
+            return Err(SimError::InvalidConfig("plant parameters must be finite"));
         }
         // The fault-plan gate: every run path (scalar experiments, sweeps
         // and campaigns) builds its control loops here, so a malformed
@@ -397,10 +412,9 @@ impl ControlLoop {
             health,
             ladder,
             incidents,
-            published_incidents: 0,
             shutdown: false,
             stats: OnlineRunStats::new(),
-            tracer: recording.observer(),
+            trace: retained_trace(recording),
             time_s: 0.0,
             energy_j: 0.0,
             completed: false,
@@ -629,9 +643,8 @@ impl ControlLoop {
             self.shutdown = true;
         }
 
-        // Stream the interval through the observers instead of accumulating:
-        // the online stats always fold it in (O(1) state), the policy's
-        // tracer retains what its mode calls for (everything or nothing).
+        // Stream the interval instead of accumulating: the online stats
+        // always fold it in (O(1) state); a retained trace keeps it too.
         let record = TraceRecord {
             time_s: self.time_s,
             core_temps_c: self.readings.core_temps_c,
@@ -647,13 +660,9 @@ impl ControlLoop {
             dtpm_intervened: decision.intervened,
         };
         self.stats.on_interval(&record);
-        self.tracer.on_interval(&record);
-        // Stream incidents recorded since the last interval (including any
-        // from the bootstrap sample) through the tracer's incident hook.
-        for incident in &self.incidents.as_slice()[self.published_incidents..] {
-            self.tracer.on_incident(incident);
+        if let Some(trace) = &mut self.trace {
+            trace.push(record);
         }
-        self.published_incidents = self.incidents.len();
 
         self.steps_taken += 1;
         if self.workload.is_complete() {
@@ -663,8 +672,7 @@ impl ControlLoop {
 
     /// Consumes the loop and produces the run's report: the streamed summary
     /// plus whatever trace the policy retained.
-    fn finish(mut self) -> RunReport {
-        let trace = self.tracer.finish();
+    fn finish(self) -> RunReport {
         RunReport {
             summary: RunSummary {
                 config: self.config,
@@ -678,7 +686,7 @@ impl ControlLoop {
                 little_cluster_residency: self.stats.little_cluster_residency(),
                 incidents: self.incidents,
             },
-            trace,
+            trace: self.trace,
         }
     }
 }
@@ -996,7 +1004,7 @@ impl Experiment {
     /// trace.
     #[must_use]
     pub fn with_recording(mut self, recording: TracePolicy) -> Self {
-        self.control.tracer = recording.observer();
+        self.control.trace = retained_trace(recording);
         self
     }
 

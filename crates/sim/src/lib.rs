@@ -31,10 +31,10 @@
 //!   configuration uses.
 //! * [`trace`], [`metrics`] — per-interval logging, CSV export and the
 //!   power/performance/stability summaries the figures are built from.
-//! * [`observer`] — the streaming result seam: every absorbed interval flows
-//!   through a [`observer::RunObserver`] (full-trace or summary-only
-//!   retention) and every run produces an O(1)
-//!   [`metrics::RunSummary`] from online accumulators.
+//! * [`observer`] — the streaming result seam: every absorbed interval
+//!   folds into online accumulators through a [`observer::RunObserver`], so
+//!   every run produces an O(1) [`metrics::RunSummary`]; a full trace is
+//!   retained only on request.
 //! * [`campaign`] — declarative sweep campaigns: a
 //!   [`campaign::SweepSpec`] grid (kinds × benchmarks × ambients ×
 //!   replicates × DTPM variants) expanded lazily with deterministic per-cell
@@ -178,10 +178,11 @@
 //!
 //! The result path is stream-then-aggregate, not accumulate-then-analyse.
 //! Per absorbed control interval the control loop builds one [`TraceRecord`]
-//! and hands it to two observers: an always-on [`observer::OnlineRunStats`]
-//! (Welford mean/variance and running min/max via [`numeric::Welford`],
-//! running power sum, intervention/residency counters — O(1) state) and the
-//! [`observer::TracePolicy`]-selected trace-retention observer. When the run
+//! and folds it into an always-on [`observer::OnlineRunStats`] (Welford
+//! mean/variance and running min/max via [`numeric::Welford`], running
+//! power sum, intervention/residency counters — O(1) state); under
+//! [`observer::TracePolicy::Full`] it also keeps the record in the run's
+//! [`Trace`]. When the run
 //! retires it reports a [`RunReport`]: the streamed [`RunSummary`] — every
 //! input of the paper's figures ([`StabilityReport`], mean power, energy,
 //! execution time) — plus whatever trajectory the policy retained. Summaries
@@ -231,13 +232,14 @@
 //!   de-escalation) and enforces each rung after the policy commits;
 //!   shutdown retires the run.
 //!
-//! Every transition lands in the run's [`safety::IncidentLog`], streamed
-//! through [`observer::RunObserver::on_incident`] and carried by the
-//! [`RunSummary`]. The ladder thresholds sit above every fault-free
+//! Every transition lands in the run's [`safety::IncidentLog`], carried by
+//! the [`RunSummary`]. The ladder thresholds sit above every fault-free
 //! trajectory, screening passes valid readings through bit-unchanged, and
 //! none of it draws from the RNG — so healthy runs are **bit-identical**
-//! with the stack armed or disabled (`tests/faults.rs`), at wall-clock
-//! overhead under 2 % (`safety_overhead` bench).
+//! with the stack armed or disabled (`tests/faults.rs`). The
+//! `safety_overhead` bench holds the armed stack's wall-clock cost to a 2 %
+//! ceiling; `BENCH_safety_overhead.json` records its paired median and
+//! verdict.
 //!
 //! # Example
 //!

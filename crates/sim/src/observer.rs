@@ -23,37 +23,28 @@
 //!   the Welford-vs-two-pass variance rounding (≤ 1e-9; mean power, min and
 //!   max are bit-identical).
 //!
-//! Which observer a run uses is selected by [`TracePolicy`] (a knob on
-//! [`crate::Experiment`], [`crate::ScenarioSweep`] and the campaign runner);
-//! the control loop *always* maintains an [`OnlineRunStats`] besides — it
-//! costs a handful of flops per interval against the plant's thousands — so
-//! every run produces a [`crate::metrics::RunSummary`] whether or not it
-//! retained a trace.
+//! The control loop *always* maintains an [`OnlineRunStats`] — it costs a
+//! handful of flops per interval against the plant's thousands — so every
+//! run produces a [`crate::metrics::RunSummary`]; [`TracePolicy`] (a knob
+//! on [`crate::Experiment`], [`crate::ScenarioSweep`] and the campaign
+//! runner) decides whether it retains a [`Trace`] besides.
 
 use crate::metrics::StabilityReport;
-use crate::safety::Incident;
 use crate::trace::{Trace, TraceRecord};
 
 /// Per-run streaming observation: one callback per absorbed control interval,
 /// one at retirement.
 ///
-/// Driven by the control-loop executor ([`crate::Experiment`], the lockstep
-/// runner and every sweep/campaign path — they all share one executor): after
-/// a lane absorbs an interval, its observer sees the interval's
-/// [`TraceRecord`]; when the lane retires its scenario, [`RunObserver::finish`]
-/// hands back whatever trajectory the observer retained.
+/// The control-loop executor ([`crate::Experiment`], the lockstep runner and
+/// every sweep/campaign path — they all share one executor) folds every
+/// absorbed interval's [`TraceRecord`] into the run's [`OnlineRunStats`]
+/// through this seam, and pushes it onto the run's [`Trace`] when it retains
+/// one. Both implement it, so one record stream can feed either or both;
+/// [`RunObserver::finish`] hands back whatever trajectory an observer
+/// retained.
 pub trait RunObserver: std::fmt::Debug + Send {
     /// Called once per absorbed control interval, in time order.
     fn on_interval(&mut self, record: &TraceRecord);
-
-    /// Called once per robustness event (sensor fault/recovery, safety-ladder
-    /// transition, policy demotion/promotion, shutdown), in firing order,
-    /// interleaved with the interval stream. The default ignores them — the
-    /// full [`crate::safety::IncidentLog`] always rides on the run's
-    /// [`crate::metrics::RunSummary`] regardless; this hook is for observers
-    /// that want to *react* while the run is still in flight (live telemetry,
-    /// early alerts).
-    fn on_incident(&mut self, _incident: &Incident) {}
 
     /// Called once when the run retires (benchmark complete, duration cap, or
     /// error); hands back the retained trajectory, if any. The observer is
@@ -187,14 +178,6 @@ impl RunObserver for OnlineRunStats {
     }
 }
 
-/// A trace-retaining observer that retains nothing: the summary-only mode.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiscardTrace;
-
-impl RunObserver for DiscardTrace {
-    fn on_interval(&mut self, _record: &TraceRecord) {}
-}
-
 /// What a run retains per interval — the memory/fidelity knob of every
 /// execution path ([`crate::Experiment`], [`crate::ScenarioSweep`], the
 /// campaign runner).
@@ -206,16 +189,6 @@ pub enum TracePolicy {
     /// Retain nothing per interval; the run reports only its streamed
     /// [`crate::metrics::RunSummary`]. Memory per run is O(1).
     SummaryOnly,
-}
-
-impl TracePolicy {
-    /// The trace-retention observer implementing this policy.
-    pub fn observer(self) -> Box<dyn RunObserver> {
-        match self {
-            TracePolicy::Full => Box::new(Trace::new()),
-            TracePolicy::SummaryOnly => Box::new(DiscardTrace),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -316,16 +289,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_stability_window_panics() {
         OnlineRunStats::new().stability();
-    }
-
-    #[test]
-    fn trace_policy_builds_the_matching_observer() {
-        let mut full = TracePolicy::Full.observer();
-        let mut summary = TracePolicy::SummaryOnly.observer();
-        for observer in [&mut full, &mut summary] {
-            replay(observer.as_mut(), 9);
-        }
-        assert_eq!(full.finish().expect("full").len(), 9);
-        assert_eq!(summary.finish(), None);
     }
 }

@@ -44,6 +44,41 @@ pub struct PlantPowerParams {
     pub initial_temp_c: f64,
 }
 
+impl PlantPowerParams {
+    /// Whether every parameter is a finite number.
+    pub fn is_finite(&self) -> bool {
+        // Destructured in full, so a new field cannot escape the check.
+        let PlantPowerParams {
+            big_core_ceff_f,
+            big_uncore_ceff_f,
+            little_core_ceff_f,
+            little_uncore_ceff_f,
+            gpu_ceff_f,
+            memory_base_w,
+            memory_active_w,
+            board_base_w,
+            leakage_mismatch,
+            gated_leakage_fraction,
+            initial_temp_c,
+        } = *self;
+        [
+            big_core_ceff_f,
+            big_uncore_ceff_f,
+            little_core_ceff_f,
+            little_uncore_ceff_f,
+            gpu_ceff_f,
+            memory_base_w,
+            memory_active_w,
+            board_base_w,
+            leakage_mismatch,
+            gated_leakage_fraction,
+            initial_temp_c,
+        ]
+        .iter()
+        .all(|v| v.is_finite())
+    }
+}
+
 impl Default for PlantPowerParams {
     fn default() -> Self {
         PlantPowerParams {

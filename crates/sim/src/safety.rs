@@ -26,8 +26,7 @@
 //!
 //! Every transition — detected fault, recovery, escalation, de-escalation,
 //! demotion, shutdown — is recorded in an [`IncidentLog`] that rides on
-//! [`crate::RunSummary`] and streams through
-//! [`crate::RunObserver::on_incident`]. The log is a pure function of the
+//! [`crate::RunSummary`]. The log is a pure function of the
 //! screened readings sequence, so identical seeds and fault plans replay
 //! bit-identical logs regardless of lane or thread assignment.
 

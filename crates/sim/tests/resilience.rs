@@ -445,3 +445,33 @@ fn malformed_fault_plans_are_rejected_at_the_experiment_gate() {
     let err = Experiment::new(&config, calibration()).expect_err("NaN offset must be rejected");
     assert!(matches!(err, SimError::FaultPlan(_)), "got {err:?}");
 }
+
+#[test]
+fn non_finite_ambients_and_plant_parameters_are_rejected_at_the_experiment_gate() {
+    let base = ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::Basicmath);
+    let mut nan_ambient = base.clone();
+    nan_ambient.ambient_c = f64::NAN;
+    let mut infinite_ambient = base.clone();
+    infinite_ambient.ambient_c = f64::INFINITY;
+    let mut nan_start = base;
+    nan_start.plant.initial_temp_c = f64::NAN;
+    for config in [nan_ambient, infinite_ambient, nan_start] {
+        let err = Experiment::new(&config, calibration()).expect_err("non-finite input");
+        assert!(
+            matches!(err, SimError::InvalidConfig(msg) if msg.contains("finite")),
+            "got {err:?}"
+        );
+    }
+
+    // In a campaign the NaN-ambient cell is one contained failure, not a NaN
+    // folded into the aggregate.
+    let mut spec = SweepSpec::new(vec![ExperimentKind::Dtpm], vec![BenchmarkId::Basicmath])
+        .with_ambients_c(vec![28.0, f64::NAN]);
+    spec.max_duration_s = 5.0;
+    let mut sink = MergeSink::new(0..spec.cells());
+    spec.runner().run_into(calibration(), &mut sink);
+    let aggregate = sink.aggregate();
+    assert_eq!(aggregate.failed_cells, 1);
+    assert!(aggregate.total_energy_j.is_finite() && aggregate.total_energy_j > 0.0);
+    assert!(aggregate.energy_j.mean().is_finite());
+}

@@ -1201,19 +1201,69 @@ mod tests {
 
     #[test]
     fn steady_state_matches_long_integration() {
+        // Under constant power every step form must settle on the
+        // conductance solution G·T = P + G_amb·T_amb, at every fan level of
+        // the Odroid fan model. An RK4 step of a linear system has that
+        // solution as its fixed point whatever the step size, so 100 ms
+        // steps reach it in a tenth of the plant's 10 ms micro-steps; 6000 s
+        // is ~40 time constants of the slowest (fan-off) mode.
+        const DT_S: f64 = 0.1;
+        const STEPS: usize = 60_000;
+        const TOLERANCE_C: f64 = 1e-8;
+        const LANES: usize = 2;
         let plant = ExynosThermalNetwork::odroid_xu_e();
         let network = plant.network();
+        let n = network.node_count();
         let powers = plant.power_vector(&[0.6, 0.7, 0.5, 0.6], 0.05, 0.3, 0.4);
-        let ss = network.steady_state(&powers, 28.0).unwrap();
-        let mut temps = uniform_start(network, 28.0);
-        for _ in 0..1_000_000 {
-            temps = network.step(&temps, &powers, 28.0, 0.01).unwrap();
-        }
-        for (a, b) in temps.iter().zip(&ss) {
-            assert!(
-                (a - b).abs() < 0.3,
-                "integration {temps:?} vs steady {ss:?}"
-            );
+        let fan = soc_model::FanModel::odroid_xu_e();
+        for level in soc_model::FanLevel::ALL {
+            let boost_w_per_k = fan.conductance_boost_w_per_k(level);
+            let boost = plant.fan_boost(boost_w_per_k);
+            let ss = plant
+                .network_with_fan_boost(boost_w_per_k)
+                .steady_state(&powers, 28.0)
+                .unwrap();
+
+            let mut staged = uniform_start(network, 28.0);
+            let mut scratch = RkScratch::new(n);
+            let transition = network.step_transition(boost, 28.0, DT_S).unwrap();
+            let mut scalar = uniform_start(network, 28.0);
+            let mut tmp = vec![0.0; n];
+            let batch = network.batch_step_transition(boost, DT_S).unwrap();
+            let mut panel = Panel::zeros(n, LANES);
+            let mut power_panel = Panel::zeros(n, LANES);
+            let mut drive = Panel::zeros(n, LANES);
+            let mut column = vec![0.0; n];
+            batch.ambient_drive_into(28.0, &mut column);
+            for lane in 0..LANES {
+                panel.set_column(lane, &uniform_start(network, 28.0));
+                power_panel.set_column(lane, &powers);
+                drive.set_column(lane, &column);
+            }
+            let mut tmp_panel = Panel::zeros(n, LANES);
+            for _ in 0..STEPS {
+                network
+                    .step_into(&mut staged, &powers, 28.0, DT_S, boost, &mut scratch)
+                    .unwrap();
+                transition.apply(&mut scalar, &powers, &mut tmp);
+                batch.apply_panel(&mut panel, &power_panel, &drive, &mut tmp_panel);
+            }
+
+            let mut forms = vec![("staged RK4", staged), ("StepTransition", scalar)];
+            for lane in 0..LANES {
+                forms.push((
+                    "BatchStepTransition",
+                    (0..n).map(|i| panel.get(i, lane)).collect(),
+                ));
+            }
+            for (form, temps) in forms {
+                for (node, (t, s)) in temps.iter().zip(&ss).enumerate() {
+                    assert!(
+                        (t - s).abs() < TOLERANCE_C,
+                        "{form} at fan {level:?}: node {node} settled at {t}, steady state {s}"
+                    );
+                }
+            }
         }
     }
 
