@@ -25,10 +25,10 @@
 //!
 //! Every coordinator arm must fold the **bit-identical** aggregate of the
 //! in-process run (compared by encoding, where every float is a bit
-//! pattern) — the tax and the speed-up are both pure wall clock. Worker
-//! calibration re-derivation happens during the untimed handshake, exactly
-//! as a long campaign would amortise it. Results land in
-//! `BENCH_distributed_campaign.json`.
+//! pattern) — the tax and the speed-up are both pure wall clock. The
+//! coordinator's one calibration and the Hello that ships it happen during
+//! the untimed handshake, exactly as a long campaign would amortise them.
+//! Results land in `BENCH_distributed_campaign.json`.
 
 use std::time::Duration;
 
@@ -121,8 +121,9 @@ fn resilience() -> ResiliencePolicy {
     ResiliencePolicy::default().with_max_retries(MAX_RETRIES)
 }
 
-/// The calibration recipe both sides share: the coordinator ships it to
-/// workers, the in-process arms run it directly.
+/// The calibration recipe both sides share: the coordinator runs it once
+/// and ships the models to its workers, the in-process arms run it
+/// directly.
 fn calibration_campaign() -> CalibrationCampaign {
     CalibrationCampaign {
         prbs_duration_s: 120.0,
@@ -144,8 +145,8 @@ fn run_static_split(spec: &SweepSpec, chaos: WorkerChaos, timer: &mut Timer) -> 
 
 /// Leased execution over in-process worker threads speaking the real
 /// binary protocol over memory pipes; worker 0 gets `chaos` (the straggler
-/// arm stalls it). The handshake (including worker calibration) is
-/// untimed; the timer covers leasing through completion.
+/// arm stalls it). The handshake (including the coordinator's
+/// calibration) is untimed; the timer covers leasing through completion.
 fn run_leased(
     spec: &SweepSpec,
     workers: usize,

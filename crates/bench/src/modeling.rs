@@ -234,7 +234,7 @@ pub fn fig4_8(context: &ExperimentContext) -> Result<String, SimError> {
 pub fn fig4_9(context: &ExperimentContext) -> Result<String, SimError> {
     let (dataset, _) = benchmark_identification_log(BenchmarkId::Blowfish, context.quick)?;
     let model = context.calibration.predictor.model();
-    let report = n_step_prediction(model, &dataset, 10)
+    let report = n_step_prediction(model, dataset.rows(..), 10)
         .map_err(|e| SimError::Identification(e.to_string()))?;
     let mut out = String::from(
         "Figure 4.9 — thermal model validation for Blowfish (1 s prediction interval)\n",
@@ -254,7 +254,7 @@ pub fn fig4_10(context: &ExperimentContext) -> Result<String, SimError> {
     let mut out =
         String::from("Figure 4.10 — average temperature prediction error vs horizon (Templerun)\n");
     for horizon in [5usize, 10, 20, 30, 40, 50] {
-        let report = n_step_prediction(model, &dataset, horizon)
+        let report = n_step_prediction(model, dataset.rows(..), horizon)
             .map_err(|e| SimError::Identification(e.to_string()))?;
         let _ = writeln!(
             out,
@@ -276,7 +276,7 @@ pub fn fig6_2(context: &ExperimentContext) -> Result<String, SimError> {
     let mut count = 0.0;
     for benchmark in BenchmarkId::PAPER_SET {
         let (dataset, _) = benchmark_identification_log(benchmark, context.quick)?;
-        let report = n_step_prediction(model, &dataset, 10)
+        let report = n_step_prediction(model, dataset.rows(..), 10)
             .map_err(|e| SimError::Identification(e.to_string()))?;
         let _ = writeln!(
             out,

@@ -109,7 +109,7 @@ pub use elem::Elem;
 pub use error::NumericError;
 pub use fit::{levenberg_marquardt, FitOptions, FitReport};
 pub use interp::{interp1, Table1d};
-pub use lstsq::{lstsq, ridge_lstsq, ridge_lstsq_multi};
+pub use lstsq::{lstsq, ridge_lstsq, NormalEquations};
 pub use matrix::{Matrix, Vector};
 pub use panel::{
     affine_pair_apply, affine_pair_apply_with, affine_panel_bias_apply_elem,

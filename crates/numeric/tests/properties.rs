@@ -1,7 +1,7 @@
 //! Property-based tests for the numerical substrate.
 
 use numeric::{
-    lstsq, ridge_lstsq, ridge_lstsq_multi, stats, Matrix, NumericError, Summary, Table1d, Vector,
+    lstsq, ridge_lstsq, stats, Matrix, NormalEquations, NumericError, Summary, Table1d, Vector,
 };
 use proptest::prelude::*;
 
@@ -19,8 +19,8 @@ fn vector(n: usize) -> impl Strategy<Value = Vector> {
 }
 
 /// Ridge least squares spelled out with the matrix operations: `Φᵀ`, then
-/// `Φᵀ·Φ + λI` and `Φᵀ·y`, then one LU solve. The multi-target solve must
-/// match it bit for bit.
+/// `Φᵀ·Φ + λI` and `Φᵀ·y`, then one LU solve. The normal equations
+/// accumulated row by row must match it bit for bit.
 fn reference_ridge_lstsq(phi: &Matrix, y: &Vector, lambda: f64) -> Result<Vector, NumericError> {
     let phi_t = phi.transpose();
     let mut gram = phi_t.mul(phi)?;
@@ -56,7 +56,12 @@ proptest! {
             .map(|c| Vector::from_slice(&c[..rows]))
             .collect();
         let lambda = [0.0, 1e-9, 0.5][lambda_pick];
-        let thetas = ridge_lstsq_multi(&phi, &ys, lambda);
+        let mut normal = NormalEquations::new(cols, ys.len());
+        for (k, row) in phi.as_slice().chunks_exact(cols).enumerate() {
+            let targets: Vec<f64> = ys.iter().map(|y| y[k]).collect();
+            normal.add_row(row, &targets);
+        }
+        let thetas = normal.solve(lambda);
         let references: Vec<_> = ys
             .iter()
             .map(|y| reference_ridge_lstsq(&phi, y, lambda))

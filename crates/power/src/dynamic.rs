@@ -102,6 +102,24 @@ impl ActivityEstimator {
         }
     }
 
+    /// Rebuilds an estimator from the three values [`alpha_c`],
+    /// [`smoothing`] and [`sample_count`] report, so a decoder can restore
+    /// one exactly.
+    ///
+    /// [`alpha_c`]: ActivityEstimator::alpha_c
+    /// [`smoothing`]: ActivityEstimator::smoothing
+    /// [`sample_count`]: ActivityEstimator::sample_count
+    ///
+    /// # Panics
+    ///
+    /// As [`ActivityEstimator::new`].
+    pub fn from_parts(alpha_c_f: f64, smoothing: f64, samples: u64) -> Self {
+        ActivityEstimator {
+            samples,
+            ..ActivityEstimator::new(alpha_c_f, smoothing)
+        }
+    }
+
     /// Default estimator used for CPU clusters: starts from a light-workload
     /// capacitance and follows changes quickly (the kernel runs this every
     /// 100 ms, so a smoothing factor of 0.5 settles within a few hundred ms).
@@ -117,6 +135,11 @@ impl ActivityEstimator {
     /// The current `αC` estimate in farads.
     pub fn alpha_c(&self) -> f64 {
         self.alpha_c_f
+    }
+
+    /// The EWMA smoothing factor, in `(0, 1]`.
+    pub fn smoothing(&self) -> f64 {
+        self.smoothing
     }
 
     /// Number of observations folded into the estimate so far.
@@ -212,6 +235,8 @@ mod tests {
         }
         assert!((est.alpha_c() - 0.25e-9).abs() / 0.25e-9 < 1e-6);
         assert_eq!(est.sample_count(), 20);
+        let restored = ActivityEstimator::from_parts(est.alpha_c(), est.smoothing(), 20);
+        assert_eq!(restored, est);
     }
 
     #[test]

@@ -9,19 +9,24 @@
 //! The campaign is nine independent experiments: five furnace setpoints and
 //! one PRBS experiment per power domain. Each runs its own scalar
 //! [`PhysicalPlant`] with its own sensor seed, so they run as tasks on
-//! scoped threads. Their results are assembled in a fixed order, so a
-//! [`Calibration`]'s bits do not depend on the thread count.
+//! scoped threads. The four PRBS experiments log into disjoint row blocks
+//! of one preallocated, row-major log, which identification and validation
+//! then read in place: the train/test split is a row index, and the fit
+//! accumulates its normal equations row by row. No copy of the log is ever
+//! made, so the log itself is most of the campaign's peak heap. The results
+//! are assembled in a fixed order, so a [`Calibration`]'s bits do not depend
+//! on the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use dtpm::ThermalPredictor;
 use governors::{CpufreqGovernor, UserspaceGovernor};
 use power_model::{ActivityEstimator, DomainPowerModel, FurnaceDataset, LeakageModel, PowerModel};
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use sysid::{
-    identify, n_step_prediction, IdentificationDataset, IdentificationOptions, PrbsConfig,
-    PrbsSignal, PredictionErrorReport,
+    identify, n_step_prediction, BlockWriter, DatasetRows, IdentificationDataset,
+    IdentificationOptions, PrbsConfig, PrbsSignal, PredictionErrorReport,
 };
 use workload::Demand;
 
@@ -34,7 +39,7 @@ use crate::SimError;
 const MAX_EXPERIMENT_INTERVALS: f64 = 1e6;
 
 /// The characterised models used by the experiments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Run-time power model (leakage from the furnace fit + fresh activity
     /// estimators).
@@ -132,6 +137,19 @@ impl CalibrationCampaign {
 
     /// [`CalibrationCampaign::run`] on `threads` threads.
     pub(crate) fn run_on(&self, seed: u64, threads: usize) -> Result<Calibration, SimError> {
+        let (power_model, log) = self.characterise(seed, threads)?;
+        self.identify_and_validate(power_model, &log)
+    }
+
+    /// Runs the nine experiments on `threads` threads and returns the power
+    /// model (with the furnace fit, if the recipe runs the furnace) and the
+    /// PRBS log: one block of rows per power domain, in
+    /// [`PowerDomain::ALL`] order.
+    fn characterise(
+        &self,
+        seed: u64,
+        threads: usize,
+    ) -> Result<(PowerModel, IdentificationDataset), SimError> {
         let counts = self.interval_counts()?;
         let spec = SocSpec::odroid_xu_e().with_ambient_c(self.ambient_c);
         let furnace = if self.run_furnace {
@@ -140,8 +158,19 @@ impl CalibrationCampaign {
             None
         };
 
-        let logs: Vec<OnceLock<Result<IdentificationDataset, SimError>>> =
-            PowerDomain::ALL.iter().map(|_| OnceLock::new()).collect();
+        let mut log = IdentificationDataset::new(
+            4,
+            PowerDomain::COUNT,
+            self.control_period_s,
+            self.ambient_c,
+        )?;
+        let blocks: Vec<Mutex<BlockWriter<'_>>> = log
+            .append_blocks(PowerDomain::COUNT, counts.prbs)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let logged: Vec<OnceLock<Result<(), SimError>>> =
+            blocks.iter().map(|_| OnceLock::new()).collect();
         let setpoints: &[f64] = if furnace.is_some() {
             &FurnaceDataset::PAPER_SWEEP_C
         } else {
@@ -150,13 +179,15 @@ impl CalibrationCampaign {
         let samples: Vec<OnceLock<Result<(f64, f64), SimError>>> =
             setpoints.iter().map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
-        // Each task index is claimed once, so its slot is still empty.
+        // Each task index is claimed once, so its block is unlocked and its
+        // slot still empty.
         let worker = || loop {
             let task = next.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = logs.get(task) {
-                let _ = slot.set(self.prbs_experiment(&spec, task, counts.prbs, seed));
-            } else if let (Some(slot), Some(load)) = (samples.get(task - logs.len()), &furnace) {
-                let i = task - logs.len();
+            if let Some(block) = blocks.get(task) {
+                let mut block = block.lock().expect("a PRBS block is claimed once");
+                let _ = logged[task].set(self.prbs_experiment(&spec, task, seed, &mut block));
+            } else if let (Some(slot), Some(load)) = (samples.get(task - blocks.len()), &furnace) {
+                let i = task - blocks.len();
                 let sensor_seed = seed.wrapping_add(i as u64);
                 let _ =
                     slot.set(self.furnace_setpoint(&spec, load, setpoints[i], sensor_seed, counts));
@@ -165,11 +196,12 @@ impl CalibrationCampaign {
             }
         };
         std::thread::scope(|scope| {
-            for _ in 1..threads.min(logs.len() + samples.len()) {
+            for _ in 1..threads.min(blocks.len() + samples.len()) {
                 scope.spawn(worker);
             }
             worker();
         });
+        drop(blocks);
 
         let mut power_model = PowerModel::exynos5410_defaults();
         if let Some(load) = furnace {
@@ -184,29 +216,34 @@ impl CalibrationCampaign {
                 ActivityEstimator::for_cpu_cluster(),
             );
         }
-        let mut logs = logs
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every PRBS experiment ran"));
-        let mut dataset = logs.next().expect("one PRBS experiment per power domain")?;
-        for log in logs {
-            dataset.concatenate(&log?)?;
+        for result in logged {
+            result.into_inner().expect("every PRBS experiment ran")?;
         }
+        Ok((power_model, log))
+    }
 
-        // Calibration sets the process's peak memory, so each log is freed
-        // as soon as it has been consumed.
-        let (train, test) = dataset.split(self.train_fraction)?;
-        drop(dataset);
-        let model = identify_with_retries(&train)?;
-        drop(train);
+    /// Identifies the thermal model on the first `train_fraction` of the
+    /// PRBS log's rows and validates it at the 1 s horizon on the rest.
+    fn identify_and_validate(
+        &self,
+        power_model: PowerModel,
+        log: &IdentificationDataset,
+    ) -> Result<Calibration, SimError> {
+        let held_out = self.held_out_start(log.len());
+        let model = identify_with_retries(log.rows(..held_out))?;
         let horizon = (1.0 / self.control_period_s).round() as usize;
-        let validation = n_step_prediction(&model, &test, horizon)?;
+        let validation = n_step_prediction(&model, log.rows(held_out..), horizon)?;
         let predictor = ThermalPredictor::new(model, self.ambient_c)?;
-
         Ok(Calibration {
             power_model,
             predictor,
             validation,
         })
+    }
+
+    /// The first held-out row of a PRBS log of `rows` rows.
+    fn held_out_start(&self, rows: usize) -> usize {
+        (rows as f64 * self.train_fraction).round() as usize
     }
 
     /// Checks the recipe and computes how many control intervals each
@@ -320,14 +357,14 @@ impl CalibrationCampaign {
 
     /// One PRBS excitation experiment of the power source
     /// `PowerDomain::ALL[experiment_index]`, logged at the control-interval
-    /// rate (Section 4.2.1).
+    /// rate (Section 4.2.1) into every row of `log`.
     fn prbs_experiment(
         &self,
         spec: &SocSpec,
         experiment_index: usize,
-        steps: usize,
         seed: u64,
-    ) -> Result<IdentificationDataset, SimError> {
+        log: &mut BlockWriter<'_>,
+    ) -> Result<(), SimError> {
         let target = PowerDomain::ALL[experiment_index];
         let prbs = PrbsSignal::generate(
             PrbsConfig {
@@ -337,17 +374,11 @@ impl CalibrationCampaign {
                 high: 1.0,
                 seed: 0x23 + experiment_index as u32 * 97,
             },
-            steps,
+            log.remaining(),
         )?;
         let mut plant = PhysicalPlant::new(spec.clone(), self.plant);
         let mut sensors = self.sensors(seed.wrapping_add(1000 + experiment_index as u64));
         let mut governor = UserspaceGovernor::new(spec.big_opps().lowest().frequency);
-        let mut log = IdentificationDataset::new(
-            4,
-            PowerDomain::COUNT,
-            self.control_period_s,
-            self.ambient_c,
-        )?;
         for &bit in prbs.values() {
             let (state, demand) = self.excitation_point(spec, target, bit, &mut governor);
             let step = plant.step_interval(
@@ -361,7 +392,7 @@ impl CalibrationCampaign {
                 sensors.sample(step.core_temps_c, &step.domain_power, step.platform_power_w);
             log.push_row(&reading.core_temps_c, &reading.domain_power.as_array())?;
         }
-        Ok(log)
+        Ok(())
     }
 
     /// The platform state and workload demand used to excite one power source
@@ -436,7 +467,7 @@ impl CalibrationCampaign {
 /// regularisation if the unregularised fit is unstable (which can happen when
 /// sensor noise makes the nearly-collinear core temperatures look independent).
 fn identify_with_retries(
-    train: &IdentificationDataset,
+    train: DatasetRows<'_>,
 ) -> Result<thermal_model::DiscreteThermalModel, SimError> {
     let mut last_err = None;
     for lambda in [1e-9, 1e-4, 1e-2, 1.0, 100.0] {
@@ -476,7 +507,7 @@ impl PhysicalPlant {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A quick campaign used by the tests (shorter PRBS, ideal sensors).
@@ -526,7 +557,7 @@ mod tests {
     }
 
     /// The pinned recipe: furnace on, noisy sensors, 240 s PRBS experiments.
-    fn pinned_recipe() -> CalibrationCampaign {
+    pub(crate) fn pinned_recipe() -> CalibrationCampaign {
         CalibrationCampaign {
             prbs_duration_s: 240.0,
             ..CalibrationCampaign::default()
@@ -604,6 +635,41 @@ mod tests {
                 ]),
                 PINNED_VALIDATION,
                 "validation on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn the_validation_max_comes_from_windows_across_an_experiment_boundary() {
+        // The held-out rows start inside the GPU experiment's block and run
+        // on through the memory experiment's. The ten 1 s windows that
+        // straddle that boundary predict one experiment's temperatures from
+        // the other's powers; they hold the pinned max. On either side of
+        // the boundary, every window is accurate.
+        let recipe = pinned_recipe();
+        let (power_model, log) = recipe.characterise(1, 4).unwrap();
+        let calibration = recipe.identify_and_validate(power_model, &log).unwrap();
+        let max = calibration.validation.max_percent_error;
+        assert_eq!(max.to_bits(), PINNED_VALIDATION[4], "{max}");
+        let block = log.len() / PowerDomain::COUNT;
+        let held_out = recipe.held_out_start(log.len());
+        let memory = PowerDomain::ALL
+            .iter()
+            .position(|&d| d == PowerDomain::Memory)
+            .unwrap();
+        let boundary = memory * block;
+        assert_eq!((held_out, boundary, log.len()), (6720, 7200, 9600));
+        assert!((boundary - block..boundary).contains(&held_out));
+        let model = calibration.predictor.model();
+        for (what, rows) in [
+            ("before", log.rows(held_out..boundary)),
+            ("after", log.rows(boundary..)),
+        ] {
+            let side = n_step_prediction(model, rows, 10).unwrap();
+            assert!(
+                side.max_percent_error < 4.0,
+                "held-out rows {what} the boundary: max {:.2}%",
+                side.max_percent_error
             );
         }
     }

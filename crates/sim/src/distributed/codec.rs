@@ -1,8 +1,8 @@
 //! The crate's one binary format: compact little-endian encodings of the
-//! grid, result and checkpoint value types, built on [`numeric::codec`]'s
-//! primitives. It is the wire format of distributed campaigns, the on-disk
-//! format of checkpoints, and the canonical bytes behind
-//! [`SweepSpec::fingerprint`].
+//! grid, calibration, result and checkpoint value types, built on
+//! [`numeric::codec`]'s primitives. It is the wire format of distributed
+//! campaigns, the on-disk format of checkpoints, and the canonical bytes
+//! behind [`SweepSpec::fingerprint`].
 //!
 //! Two usage tiers share the field encoders below:
 //!
@@ -29,13 +29,17 @@
 
 use std::collections::BTreeMap;
 
-use dtpm::DtpmConfig;
+use dtpm::{DtpmConfig, ThermalPredictor};
 use numeric::codec::{crc32, ByteReader, ByteWriter, CodecError};
 use numeric::stats::Welford;
+use numeric::Matrix;
+use power_model::{ActivityEstimator, DomainPowerModel, LeakageModel, LeakageParams, PowerModel};
 use soc_model::PowerDomain;
+use sysid::PredictionErrorReport;
+use thermal_model::DiscreteThermalModel;
 use workload::BenchmarkId;
 
-use crate::calibrate::CalibrationCampaign;
+use crate::calibrate::Calibration;
 use crate::campaign::{DtpmVariant, SweepSpec};
 use crate::engine::EnginePrecision;
 use crate::error::SimError;
@@ -449,33 +453,153 @@ pub(crate) fn take_spec(r: &mut ByteReader<'_>) -> Result<SweepSpec, SimError> {
     Ok(spec)
 }
 
-/// Encodes the calibration-campaign parameters a worker re-derives its
-/// [`crate::Calibration`] from.
-pub(crate) fn put_calibration_campaign(w: &mut ByteWriter, campaign: &CalibrationCampaign) {
-    w.put_f64(campaign.ambient_c);
-    w.put_f64(campaign.control_period_s);
-    w.put_f64(campaign.prbs_duration_s);
-    w.put_usize(campaign.prbs_hold_intervals);
-    w.put_bool(campaign.run_furnace);
-    w.put_f64(campaign.train_fraction);
-    put_plant(w, &campaign.plant);
-    w.put_bool(campaign.ideal_sensors);
+/// The hotspots of a [`ThermalPredictor`]'s model: its `As` is 4×4, and its
+/// `Bs` maps the four power domains onto them.
+const HOTSPOTS: usize = 4;
+
+/// Reads one `f64` that must be finite.
+fn take_finite(r: &mut ByteReader<'_>, what: &str) -> Result<f64, SimError> {
+    let x = r.take_f64().map_err(codec_error)?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(malformed(format_args!("{what} is not finite: {x}")))
+    }
 }
 
-/// Decodes a [`CalibrationCampaign`] written by
-/// [`put_calibration_campaign`].
-pub(crate) fn take_calibration_campaign(
+fn put_matrix(w: &mut ByteWriter, m: &Matrix) {
+    w.put_usize(m.rows());
+    w.put_usize(m.cols());
+    for &x in m.as_slice() {
+        w.put_f64(x);
+    }
+}
+
+/// Reads a matrix written by [`put_matrix`] that must be `rows × cols`
+/// with finite entries; the shape is checked before any entry is read.
+fn take_matrix(
     r: &mut ByteReader<'_>,
-) -> Result<CalibrationCampaign, SimError> {
-    Ok(CalibrationCampaign {
-        ambient_c: r.take_f64().map_err(codec_error)?,
-        control_period_s: r.take_f64().map_err(codec_error)?,
-        prbs_duration_s: r.take_f64().map_err(codec_error)?,
-        prbs_hold_intervals: r.take_usize().map_err(codec_error)?,
-        run_furnace: r.take_bool().map_err(codec_error)?,
-        train_fraction: r.take_f64().map_err(codec_error)?,
-        plant: take_plant(r)?,
-        ideal_sensors: r.take_bool().map_err(codec_error)?,
+    what: &str,
+    (rows, cols): (usize, usize),
+) -> Result<Matrix, SimError> {
+    let shape = (
+        r.take_usize().map_err(codec_error)?,
+        r.take_usize().map_err(codec_error)?,
+    );
+    if shape != (rows, cols) {
+        return Err(malformed(format_args!(
+            "{what} is {}×{}, not {rows}×{cols}",
+            shape.0, shape.1
+        )));
+    }
+    let mut entries = Vec::with_capacity(rows * cols);
+    for _ in 0..rows * cols {
+        entries.push(take_finite(r, what)?);
+    }
+    Matrix::from_vec(rows, cols, entries).map_err(malformed)
+}
+
+/// Encodes every field of a [`Calibration`]: the four domain power models
+/// in [`PowerDomain::ALL`] order (leakage `c1`, `c2` and `I_gate`, then the
+/// activity estimator's αC, smoothing and sample count), the predictor's
+/// `As`, `Bs`, sample period and ambient, and the validation report.
+pub(crate) fn put_calibration(w: &mut ByteWriter, calibration: &Calibration) {
+    let Calibration {
+        power_model,
+        predictor,
+        validation,
+    } = calibration;
+    for domain in PowerDomain::ALL {
+        let model = power_model.domain(domain);
+        let LeakageParams { c1, c2, igate_a } = model.leakage().params();
+        for x in [c1, c2, igate_a] {
+            w.put_f64(x);
+        }
+        let activity = model.activity();
+        w.put_f64(activity.alpha_c());
+        w.put_f64(activity.smoothing());
+        w.put_u64(activity.sample_count());
+    }
+    let model = predictor.model();
+    put_matrix(w, model.a());
+    put_matrix(w, model.b());
+    w.put_f64(model.sample_period_s());
+    w.put_f64(predictor.ambient_c());
+    let PredictionErrorReport {
+        horizon_steps,
+        horizon_s,
+        mean_abs_error_c,
+        mean_percent_error,
+        max_abs_error_c,
+        max_percent_error,
+        samples,
+    } = *validation;
+    w.put_usize(horizon_steps);
+    for x in [
+        horizon_s,
+        mean_abs_error_c,
+        mean_percent_error,
+        max_abs_error_c,
+        max_percent_error,
+    ] {
+        w.put_f64(x);
+    }
+    w.put_usize(samples);
+}
+
+/// Decodes a [`Calibration`] written by [`put_calibration`], bit-exactly.
+/// Every value a constructor would reject or panic on is checked first, so
+/// malformed bytes give the malformed-payload error: a non-finite leakage
+/// parameter, model entry or ambient, an `As` or `Bs` that is not 4×4, a
+/// sample period that is not positive, an estimator smoothing outside
+/// `(0, 1]`, or an αC that is negative or not finite.
+pub(crate) fn take_calibration(r: &mut ByteReader<'_>) -> Result<Calibration, SimError> {
+    let mut domains = Vec::with_capacity(PowerDomain::COUNT);
+    for domain in PowerDomain::ALL {
+        let leakage = LeakageParams {
+            c1: take_finite(r, "leakage c1")?,
+            c2: take_finite(r, "leakage c2")?,
+            igate_a: take_finite(r, "leakage I_gate")?,
+        };
+        let alpha_c = take_finite(r, "activity estimate")?;
+        let smoothing = r.take_f64().map_err(codec_error)?;
+        let samples = r.take_u64().map_err(codec_error)?;
+        // `ActivityEstimator` asserts on these.
+        if alpha_c < 0.0 {
+            return Err(malformed(format_args!(
+                "{domain} activity estimate {alpha_c} is negative"
+            )));
+        }
+        if !(smoothing > 0.0 && smoothing <= 1.0) {
+            return Err(malformed(format_args!(
+                "{domain} estimator smoothing {smoothing} is outside (0, 1]"
+            )));
+        }
+        domains.push(DomainPowerModel::new(
+            domain,
+            LeakageModel::new(leakage),
+            ActivityEstimator::from_parts(alpha_c, smoothing, samples),
+        ));
+    }
+    let a = take_matrix(r, "As", (HOTSPOTS, HOTSPOTS))?;
+    let b = take_matrix(r, "Bs", (HOTSPOTS, PowerDomain::COUNT))?;
+    let sample_period_s = r.take_f64().map_err(codec_error)?;
+    let ambient_c = take_finite(r, "predictor ambient")?;
+    let model = DiscreteThermalModel::new(a, b, sample_period_s).map_err(malformed)?;
+    let predictor = ThermalPredictor::new(model, ambient_c).map_err(malformed)?;
+    let validation = PredictionErrorReport {
+        horizon_steps: r.take_usize().map_err(codec_error)?,
+        horizon_s: r.take_f64().map_err(codec_error)?,
+        mean_abs_error_c: r.take_f64().map_err(codec_error)?,
+        mean_percent_error: r.take_f64().map_err(codec_error)?,
+        max_abs_error_c: r.take_f64().map_err(codec_error)?,
+        max_percent_error: r.take_f64().map_err(codec_error)?,
+        samples: r.take_usize().map_err(codec_error)?,
+    };
+    Ok(Calibration {
+        power_model: PowerModel::new(domains),
+        predictor,
+        validation,
     })
 }
 
@@ -887,7 +1011,9 @@ fn render_sink(out: &mut String, sink: &MergeSink) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::calibrate::CalibrationCampaign;
     use crate::experiment::ExperimentKind;
+    use std::sync::OnceLock;
 
     fn spec() -> SweepSpec {
         SweepSpec::new(
@@ -1089,6 +1215,161 @@ pub(crate) mod tests {
                 );
             });
         }
+    }
+
+    /// A real calibration from a short ideal-sensor recipe, computed once
+    /// and shared by the codec and protocol tests.
+    pub(crate) fn calibration() -> &'static Calibration {
+        static CALIBRATION: OnceLock<Calibration> = OnceLock::new();
+        CALIBRATION.get_or_init(|| {
+            CalibrationCampaign {
+                prbs_duration_s: 60.0,
+                run_furnace: false,
+                ideal_sensors: true,
+                ..CalibrationCampaign::default()
+            }
+            .run(5)
+            .expect("the short recipe calibrates")
+        })
+    }
+
+    fn encode_calibration(calibration: &Calibration) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_calibration(&mut w, calibration);
+        w.into_bytes()
+    }
+
+    fn decode_calibration(bytes: &[u8]) -> Result<Calibration, SimError> {
+        let mut r = ByteReader::new(bytes);
+        let calibration = take_calibration(&mut r)?;
+        r.finish().map_err(codec_error)?;
+        Ok(calibration)
+    }
+
+    /// Every number a calibration holds, as bit patterns.
+    fn calibration_bits(calibration: &Calibration) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for domain in PowerDomain::ALL {
+            let model = calibration.power_model.domain(domain);
+            let LeakageParams { c1, c2, igate_a } = model.leakage().params();
+            let activity = model.activity();
+            bits.extend(
+                [c1, c2, igate_a, activity.alpha_c(), activity.smoothing()].map(f64::to_bits),
+            );
+            bits.push(activity.sample_count());
+        }
+        let model = calibration.predictor.model();
+        let entries = model.a().as_slice().iter().chain(model.b().as_slice());
+        bits.extend(entries.map(|x| x.to_bits()));
+        bits.extend([model.sample_period_s(), calibration.predictor.ambient_c()].map(f64::to_bits));
+        let v = calibration.validation;
+        bits.extend([v.horizon_steps, v.samples].map(|n| n as u64));
+        bits.extend(
+            [
+                v.horizon_s,
+                v.mean_abs_error_c,
+                v.mean_percent_error,
+                v.max_abs_error_c,
+                v.max_percent_error,
+            ]
+            .map(f64::to_bits),
+        );
+        bits
+    }
+
+    #[test]
+    fn calibrations_round_trip_bit_exactly() {
+        let calibration = crate::calibrate::tests::pinned_recipe().run(1).unwrap();
+        let bytes = encode_calibration(&calibration);
+        let decoded = decode_calibration(&bytes).expect("round trip");
+        assert_eq!(calibration_bits(&decoded), calibration_bits(&calibration));
+        assert_eq!(decoded, calibration);
+        assert_eq!(encode_calibration(&decoded), bytes);
+    }
+
+    /// Where the bits of `value` sit in `bytes`, which hold them once.
+    fn position_of(bytes: &[u8], value: f64) -> usize {
+        let pattern = value.to_le_bytes();
+        let hits: Vec<usize> = (0..bytes.len().saturating_sub(7))
+            .filter(|&at| bytes[at..at + 8] == pattern)
+            .collect();
+        let [at] = hits[..] else {
+            panic!("{value} is encoded at {hits:?}, not once");
+        };
+        at
+    }
+
+    #[test]
+    fn malformed_calibrations_are_errors_not_panics() {
+        // Distinctive memory-domain values, so they can be found on the wire.
+        let mut calibration = calibration().clone();
+        let leakage = LeakageParams {
+            c1: 0.000_875,
+            c2: -3_150.5,
+            igate_a: 0.010_25,
+        };
+        *calibration.power_model.domain_mut(PowerDomain::Memory) = DomainPowerModel::new(
+            PowerDomain::Memory,
+            LeakageModel::new(leakage),
+            ActivityEstimator::new(0.375e-9, 0.625),
+        );
+        let bytes = encode_calibration(&calibration);
+        assert_eq!(
+            decode_calibration(&bytes).expect("well formed"),
+            calibration
+        );
+        let check = |at: usize, word: [u8; 8], what: &str| {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&word);
+            match decode_calibration(&bad) {
+                Err(SimError::Io(message)) => assert!(
+                    message.starts_with("malformed payload:") && message.contains(what),
+                    "{what}: {message}"
+                ),
+                other => panic!("{what}: expected the malformed-payload error, got {other:?}"),
+            }
+        };
+        let model = calibration.predictor.model();
+        let a = position_of(&bytes, model.a()[(0, 0)]);
+        let b = position_of(&bytes, model.b()[(0, 0)]);
+        check(a - 16, 3u64.to_le_bytes(), "As is 3×4");
+        check(a - 8, 5u64.to_le_bytes(), "As is 4×5");
+        check(b - 16, 1u64.to_le_bytes(), "Bs is 1×4");
+        check(b - 8, u64::MAX.to_le_bytes(), "not 4×4");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let word = bad.to_le_bytes();
+            check(a + 8 * 5, word, "As is not finite");
+            check(b + 8 * 15, word, "Bs is not finite");
+            check(position_of(&bytes, leakage.c1), word, "leakage c1");
+            check(position_of(&bytes, leakage.c2), word, "leakage c2");
+            check(position_of(&bytes, leakage.igate_a), word, "leakage I_gate");
+            check(position_of(&bytes, 0.375e-9), word, "activity estimate");
+            check(
+                position_of(&bytes, model.sample_period_s()),
+                word,
+                "sample period",
+            );
+            check(
+                position_of(&bytes, calibration.predictor.ambient_c()),
+                word,
+                "ambient",
+            );
+        }
+        for bad in [0.0f64, -0.0, -0.1] {
+            check(
+                position_of(&bytes, model.sample_period_s()),
+                bad.to_le_bytes(),
+                "sample period",
+            );
+        }
+        for bad in [0.0f64, -0.5, 1.0 + f64::EPSILON, f64::NAN] {
+            check(position_of(&bytes, 0.625), bad.to_le_bytes(), "smoothing");
+        }
+        check(
+            position_of(&bytes, 0.375e-9),
+            (-1e-9f64).to_le_bytes(),
+            "negative",
+        );
     }
 
     /// Calls `check` with every single-byte mutation of `bytes` (set to 0x00,

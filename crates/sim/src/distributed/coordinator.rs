@@ -51,12 +51,13 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// A coordinator over `spec`'s grid with default knobs: single-threaded
-    /// workers driving [`numeric::LANE_CHUNK`]-lane panel engines (the
-    /// width [`SweepSpec::runner`] defaults to, so a default distributed
-    /// fold equals a default in-process fold bit for bit), automatic lease
-    /// sizing, a 30 s heartbeat deadline, and a 300 s handshake deadline
-    /// (workers re-derive their calibration during the handshake).
+    /// A coordinator over `spec`'s grid with default knobs: the default
+    /// calibration recipe with seed 1, single-threaded workers driving
+    /// [`numeric::LANE_CHUNK`]-lane panel engines (the width
+    /// [`SweepSpec::runner`] defaults to, so a default distributed fold
+    /// equals a default in-process fold bit for bit), automatic lease
+    /// sizing, and a 30 s deadline for both the heartbeat and the
+    /// handshake.
     pub fn new(spec: SweepSpec) -> Coordinator {
         Coordinator {
             spec,
@@ -64,15 +65,16 @@ impl Coordinator {
             calibration_seed: 1,
             lease_cells: None,
             lease_timeout: Duration::from_secs(30),
-            ready_timeout: Duration::from_secs(300),
+            ready_timeout: Duration::from_secs(30),
             worker_threads: 1,
             resilience: ResiliencePolicy::default(),
         }
     }
 
-    /// The calibration recipe and seed every worker re-derives its model
-    /// from. Must match the calibration an in-process comparison run uses,
-    /// or the cells (and therefore the aggregate) legitimately differ.
+    /// The calibration recipe and seed. [`Coordinator::connect`] runs the
+    /// recipe once and ships the resulting models to every worker. Must
+    /// match the calibration an in-process comparison run uses, or the
+    /// cells (and therefore the aggregate) legitimately differ.
     #[must_use]
     pub fn with_calibration(mut self, calibration: CalibrationCampaign, seed: u64) -> Self {
         self.calibration = calibration;
@@ -99,7 +101,8 @@ impl Coordinator {
     }
 
     /// The handshake deadline: how long a worker may take to answer Hello
-    /// with Ready (it derives its calibration in between).
+    /// with Ready (it only decodes the Hello in between). The deadline
+    /// starts once the coordinator has calibrated and written every Hello.
     #[must_use]
     pub fn with_ready_timeout(mut self, ready_timeout: Duration) -> Self {
         self.ready_timeout = ready_timeout;
@@ -120,14 +123,17 @@ impl Coordinator {
         self
     }
 
-    /// Opens a session on every transport: ships Hello (grid, calibration
-    /// recipe, execution knobs) to all workers, then waits for each Ready.
-    /// Hellos go out before any Ready is awaited, so workers derive their
-    /// calibrations concurrently.
+    /// Opens a session on every transport: runs the calibration recipe
+    /// once, ships Hello (grid, the calibration's exact bits, execution
+    /// knobs) to all workers, then waits for each Ready. The campaign's
+    /// setup therefore costs one calibration whatever the worker count, and
+    /// every worker runs its cells with the coordinator's model bits.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an empty pool and
+    /// Returns [`SimError::InvalidConfig`] for an empty pool, the
+    /// calibration's own error (an invalid recipe is
+    /// [`SimError::InvalidConfig`]) before any Hello is written, and
     /// [`SimError::Io`] if any worker fails the handshake — a partial pool
     /// at startup is a configuration problem, unlike a worker lost
     /// mid-campaign (which the lease loop absorbs).
@@ -139,8 +145,7 @@ impl Coordinator {
         }
         let setup = WorkerSetup {
             spec: self.spec.clone(),
-            calibration: self.calibration,
-            calibration_seed: self.calibration_seed,
+            calibration: self.calibration.run(self.calibration_seed)?,
             threads: self.worker_threads,
             lanes: numeric::LANE_CHUNK,
             resilience: self.resilience,

@@ -12,8 +12,9 @@
 //! ```text
 //!  Coordinator (this process)                Worker process (×N)
 //!  ───────────────────────────              ─────────────────────
-//!  SweepSpec + lease queue    ── Hello ──►  re-derive Calibration
-//!  one driver thread / worker ◄─ Ready ──   from shipped seed
+//!  calibrate once
+//!  SweepSpec + lease queue    ── Hello ──►  decode SweepSpec and
+//!  one driver thread / worker ◄─ Ready ──   Calibration bits
 //!         │
 //!         ├─────────────────── Lease ────►  run_indices_into(...)
 //!         │                 ◄─ Heartbeat ─  (one per retired cell)
@@ -46,16 +47,21 @@
 //!   matter which worker ran which cell, how leases interleaved, or how
 //!   many re-leases a straggler caused (proven by the chaos proptests in
 //!   `tests/distributed.rs`).
-//! * **One binary format** ([`codec`]): grids, per-cell outcomes, folds
-//!   and checkpoints travel as compact little-endian binary (floats as
-//!   exact bit patterns) with CRC32-sealed standalone blobs — the same
-//!   bytes on the wire, on disk, and under [`crate::SweepSpec::fingerprint`].
-//!   [`inspect`] (`dtpm-worker inspect FILE`) renders a blob for humans.
+//! * **One binary format** ([`codec`]): grids, calibrations, per-cell
+//!   outcomes, folds and checkpoints travel as compact little-endian binary
+//!   (floats as exact bit patterns) with CRC32-sealed standalone blobs —
+//!   the same bytes on the wire, on disk, and under
+//!   [`crate::SweepSpec::fingerprint`]. [`inspect`] (`dtpm-worker inspect
+//!   FILE`) renders a blob for humans.
 //!
-//! Calibration is *not* serialised: workers re-derive it from the shipped
-//! [`crate::CalibrationCampaign`] parameters and seed, which is both small
-//! and exactly reproducible (the characterisation pipeline is
-//! deterministic).
+//! The calibration is characterised once per campaign, as the paper
+//! characterises the platform once: [`Coordinator::connect`] runs the
+//! [`crate::CalibrationCampaign`] recipe and ships the resulting
+//! [`crate::Calibration`] inside Hello as exact bits (about 0.5 KB per
+//! worker). Setup therefore costs one calibration whatever the worker
+//! count, and no worker depends on its host's libm rounding `exp`, `ln`
+//! and `cos` the way the coordinator's does. A Hello whose calibration does
+//! not decode is a protocol error, never a panic.
 //!
 //! # Lease sizing
 //!

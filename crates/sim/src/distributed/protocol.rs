@@ -11,7 +11,7 @@
 
 use numeric::codec::{ByteReader, ByteWriter};
 
-use crate::calibrate::CalibrationCampaign;
+use crate::calibrate::Calibration;
 use crate::campaign::SweepSpec;
 use crate::error::SimError;
 use crate::resilience::{CellOutcome, ResiliencePolicy};
@@ -19,17 +19,14 @@ use crate::resilience::{CellOutcome, ResiliencePolicy};
 use super::codec;
 
 /// Everything a worker needs to execute leases against a grid: the shared
-/// sweep, the calibration recipe it re-derives locally, and the execution
+/// sweep, the coordinator's calibration as exact bits, and the execution
 /// knobs the coordinator pins so every worker runs cells identically.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WorkerSetup {
     /// The campaign grid every lease indexes into.
     pub spec: SweepSpec,
-    /// The calibration campaign the worker re-runs locally (cheaper to
-    /// recompute than to serialise, and exactly reproducible).
-    pub calibration: CalibrationCampaign,
-    /// Seed for the calibration campaign's PRBS excitation.
-    pub calibration_seed: u64,
+    /// The models every cell runs with, calibrated once by the coordinator.
+    pub calibration: Calibration,
     /// Worker-local shard threads per lease.
     pub threads: usize,
     /// SIMD batch lanes per thread.
@@ -41,8 +38,9 @@ pub(crate) struct WorkerSetup {
 /// A coordinator-to-worker message.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ToWorker {
-    /// Opens the session: ships the grid and execution knobs. The worker
-    /// answers [`ToCoordinator::Ready`] once its calibration is derived.
+    /// Opens the session: ships the grid, the calibration and the execution
+    /// knobs. The worker answers [`ToCoordinator::Ready`] once it has
+    /// decoded them.
     Hello(Box<WorkerSetup>),
     /// Leases cells `[start, end)` of the grid to this worker under an
     /// opaque lease id (echoed in every heartbeat and completion).
@@ -58,7 +56,7 @@ pub(crate) enum ToWorker {
 /// A worker-to-coordinator message.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ToCoordinator {
-    /// The worker derived its calibration and accepts leases.
+    /// The worker decoded its Hello and accepts leases.
     Ready,
     /// Liveness: `completed` cells of lease `lease` have retired so far.
     /// Sent once per retired cell (modulo the sink's delivery batching).
@@ -83,8 +81,7 @@ impl ToWorker {
             ToWorker::Hello(setup) => {
                 w.put_u8(0);
                 codec::put_spec(&mut w, &setup.spec);
-                codec::put_calibration_campaign(&mut w, &setup.calibration);
-                w.put_u64(setup.calibration_seed);
+                codec::put_calibration(&mut w, &setup.calibration);
                 w.put_usize(setup.threads);
                 w.put_usize(setup.lanes);
                 codec::put_resilience(&mut w, &setup.resilience);
@@ -106,8 +103,7 @@ impl ToWorker {
         let message = match r.take_u8().map_err(codec::codec_error)? {
             0 => ToWorker::Hello(Box::new(WorkerSetup {
                 spec: codec::take_spec(&mut r)?,
-                calibration: codec::take_calibration_campaign(&mut r)?,
-                calibration_seed: r.take_u64().map_err(codec::codec_error)?,
+                calibration: codec::take_calibration(&mut r)?,
                 threads: r.take_usize().map_err(codec::codec_error)?,
                 lanes: r.take_usize().map_err(codec::codec_error)?,
                 resilience: codec::take_resilience(&mut r)?,
@@ -191,12 +187,7 @@ mod tests {
             )
             .with_replicates(2)
             .with_campaign_seed(7),
-            calibration: CalibrationCampaign {
-                prbs_duration_s: 120.0,
-                run_furnace: false,
-                ..Default::default()
-            },
-            calibration_seed: 37,
+            calibration: codec::tests::calibration().clone(),
             threads: 2,
             lanes: 4,
             resilience: ResiliencePolicy::default().with_max_retries(1),

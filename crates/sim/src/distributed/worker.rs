@@ -1,8 +1,9 @@
-//! The worker side of distributed campaigns: a serve loop that re-derives
-//! its calibration from the shipped recipe, executes leased cell ranges
-//! with the ordinary in-process machinery
+//! The worker side of distributed campaigns: a serve loop that decodes the
+//! grid and the coordinator's calibration from Hello, executes leased cell
+//! ranges with the ordinary in-process machinery
 //! ([`crate::CampaignRunner::run_indices_into`]), and streams per-cell
-//! outcomes back over the transport.
+//! outcomes back over the transport. A worker never calibrates: every
+//! worker runs its cells with the coordinator's model bits.
 //!
 //! The loop is deliberately stateless between leases: every cell's seed and
 //! configuration derive from the shared [`crate::SweepSpec`], so a worker
@@ -126,8 +127,8 @@ impl ResultSink for LeaseSink<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Io`] on transport or protocol failures and
-/// propagates calibration errors from the shipped recipe.
+/// Returns [`SimError::Io`] on transport or protocol failures, including a
+/// Hello whose calibration does not decode.
 pub fn serve(transport: Box<dyn Transport>) -> Result<(), SimError> {
     serve_with(transport, WorkerOptions::default())
 }
@@ -149,10 +150,6 @@ pub fn serve_with(transport: Box<dyn Transport>, options: WorkerOptions) -> Resu
             )))
         }
     };
-    // Re-derive the calibration locally: the recipe is tiny on the wire and
-    // the characterisation pipeline is deterministic, so every worker holds
-    // the same model bits the coordinator would.
-    let calibration = setup.calibration.run(setup.calibration_seed)?;
     write_frame(&mut writer, &ToCoordinator::Ready.encode())?;
 
     let mut chaos = ChaosState::new(options.chaos);
@@ -177,7 +174,7 @@ pub fn serve_with(transport: Box<dyn Transport>, options: WorkerOptions) -> Resu
                     .with_threads(setup.threads)
                     .with_lanes(setup.lanes)
                     .with_resilience(setup.resilience)
-                    .run_indices_into(&indices, &calibration, &mut sink);
+                    .run_indices_into(&indices, &setup.calibration, &mut sink);
                 let LeaseSink {
                     outcomes, io_error, ..
                 } = sink;

@@ -28,7 +28,9 @@
 //!   leakage model and the per-domain PRBS experiments for system
 //!   identification, run as parallel tasks whose results do not depend on
 //!   the thread count, producing the [`dtpm::ThermalPredictor`] the DTPM
-//!   configuration uses.
+//!   configuration uses. The PRBS experiments write one flat, preallocated
+//!   log that identification and validation read in place. A distributed
+//!   campaign calibrates once, in the coordinator, and ships the result.
 //! * [`trace`], [`metrics`] — per-interval logging, CSV export and the
 //!   power/performance/stability summaries the figures are built from.
 //! * [`observer`] — the streaming result seam: every absorbed interval

@@ -16,20 +16,21 @@
 //!   change delivered bits: multi-threaded and single-threaded folds agree.
 
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use platform_sim::distributed::{
-    serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
+    read_frame, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
 };
 use platform_sim::{
     Calibration, CalibrationCampaign, CellOutcome, CellStats, Coordinator, DistributedReport,
-    ExperimentKind, MergeSink, SweepSpec,
+    ExperimentKind, MergeSink, SimError, SweepSpec,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
 
-/// The calibration recipe shared by the in-process reference and (via the
-/// wire) every worker: cheap but real, like the resilience tests use.
+/// The calibration recipe of the in-process reference and of the
+/// coordinator, which runs it once and ships the models to every worker:
+/// cheap but real, like the resilience tests use.
 fn calibration_campaign() -> CalibrationCampaign {
     CalibrationCampaign {
         prbs_duration_s: 120.0,
@@ -135,6 +136,57 @@ fn single_worker_pool_matches_too() {
     let report = run_distributed(vec![WorkerOptions::default()], 32, Duration::from_secs(20));
     assert_eq!(report.fold().encode(), reference_fold().encode());
     assert_eq!(report.stats().leases, 1);
+}
+
+#[test]
+fn an_invalid_recipe_fails_connect_before_any_hello_is_written() {
+    let recipe = CalibrationCampaign {
+        control_period_s: 0.0,
+        ..calibration_campaign()
+    };
+    let expected = recipe.run(CALIBRATION_SEED).unwrap_err();
+    assert!(matches!(expected, SimError::InvalidConfig(_)), "{expected}");
+    let (coordinator_end, worker_end) = MemoryTransport::pair();
+    let result = Coordinator::new(small_spec())
+        .with_calibration(recipe, CALIBRATION_SEED)
+        .connect(vec![Box::new(coordinator_end)]);
+    assert_eq!(result.unwrap_err(), expected);
+    // The coordinator hung up without writing a frame.
+    let (_writer, mut reader) = Box::new(worker_end).split().expect("memory halves");
+    assert!(read_frame(&mut reader).expect("clean end").is_none());
+}
+
+#[test]
+fn a_worker_that_never_answers_hello_fails_connect_at_the_deadline() {
+    let (coordinator_end, worker_end) = MemoryTransport::pair();
+    let silent = thread::spawn(move || {
+        let (_writer, mut reader) = Box::new(worker_end).split().expect("memory halves");
+        let hello = read_frame(&mut reader).expect("a frame");
+        // Hold the transport open, unanswered, until the coordinator gives up.
+        let after = read_frame(&mut reader).expect("a clean end");
+        (hello.is_some(), after.is_none())
+    });
+    let deadline = Duration::from_millis(300);
+    let start = Instant::now();
+    let result = Coordinator::new(small_spec())
+        .with_calibration(calibration_campaign(), CALIBRATION_SEED)
+        .with_ready_timeout(deadline)
+        .connect(vec![Box::new(coordinator_end)]);
+    let elapsed = start.elapsed();
+    match result {
+        Err(SimError::Io(message)) => assert!(
+            message.contains("timed out") && message.contains("not ready: memory:a"),
+            "{message}"
+        ),
+        other => panic!("expected a handshake timeout, got {other:?}"),
+    }
+    // The configured deadline, plus the coordinator's own calibration, not
+    // the 30 s default.
+    assert!(
+        elapsed >= deadline && elapsed < Duration::from_secs(10),
+        "{elapsed:?}"
+    );
+    assert_eq!(silent.join().expect("the silent worker"), (true, true));
 }
 
 proptest! {

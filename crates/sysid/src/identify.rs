@@ -5,13 +5,13 @@
 //! temperatures `T[k]` followed by all domain powers `P[k]` (temperatures
 //! relative to ambient). This is exactly the ARX structure the paper fits
 //! with MATLAB's System Identification Toolbox. The rows share the
-//! regressors, so one multi-target ridge solve fits them all from one Gram
-//! matrix.
+//! regressors, so one set of [`NormalEquations`], accumulated transition by
+//! transition straight from the log, fits them all.
 
-use numeric::{ridge_lstsq_multi, Matrix, Vector};
+use numeric::{Matrix, NormalEquations};
 use thermal_model::DiscreteThermalModel;
 
-use crate::{IdentificationDataset, SysIdError};
+use crate::{DatasetRows, SysIdError};
 
 /// Options controlling the identification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,24 +35,28 @@ impl Default for IdentificationOptions {
     }
 }
 
-/// Identifies a [`DiscreteThermalModel`] from a logged dataset.
+/// Identifies a [`DiscreteThermalModel`] from a range of logged samples.
+///
+/// The regressors and targets of every transition `k → k+1` are read from
+/// the log in place, relative to the ambient, and added to the normal
+/// equations one transition at a time.
 ///
 /// # Errors
 ///
-/// * [`SysIdError::InsufficientData`] if the dataset has fewer samples than
+/// * [`SysIdError::InsufficientData`] if the range has fewer samples than
 ///   regressors (plus one).
 /// * [`SysIdError::Numeric`] if the least-squares problem is singular even
 ///   with regularisation.
 /// * [`SysIdError::UnstableModel`] if the fit is unstable and
 ///   [`IdentificationOptions::require_stable`] is set.
 pub fn identify(
-    dataset: &IdentificationDataset,
+    data: DatasetRows<'_>,
     options: &IdentificationOptions,
 ) -> Result<DiscreteThermalModel, SysIdError> {
-    let n_states = dataset.state_count();
-    let n_inputs = dataset.input_count();
+    let n_states = data.state_count();
+    let n_inputs = data.input_count();
     let n_regressors = n_states + n_inputs;
-    let n_samples = dataset.len();
+    let n_samples = data.len();
     if n_samples < n_regressors + 1 {
         return Err(SysIdError::InsufficientData {
             required: n_regressors + 1,
@@ -60,25 +64,22 @@ pub fn identify(
         });
     }
 
-    let temps = dataset.relative_temps();
-    let powers = dataset.powers();
-
-    // Build the shared regressor matrix Φ: one row per transition k -> k+1.
-    let rows = n_samples - 1;
-    let mut phi = Vec::with_capacity(rows * n_regressors);
-    for (t, p) in temps
-        .chunks_exact(n_states)
-        .zip(powers.chunks_exact(n_inputs))
-        .take(rows)
-    {
-        phi.extend_from_slice(t);
-        phi.extend_from_slice(p);
+    let ambient = data.ambient_c();
+    let mut normal = NormalEquations::new(n_regressors, n_states);
+    let mut regressors = vec![0.0; n_regressors];
+    let mut targets = vec![0.0; n_states];
+    for k in 0..n_samples - 1 {
+        let (temps, powers) = data.sample(k);
+        for (x, t) in regressors.iter_mut().zip(temps) {
+            *x = t - ambient;
+        }
+        regressors[n_states..].copy_from_slice(powers);
+        for (y, t) in targets.iter_mut().zip(data.sample(k + 1).0) {
+            *y = t - ambient;
+        }
+        normal.add_row(&regressors, &targets);
     }
-    let phi = Matrix::from_vec(rows, n_regressors, phi)?;
-    let targets: Vec<Vector> = (0..n_states)
-        .map(|i| Vector::from_iter(temps[n_states + i..].iter().step_by(n_states).copied()))
-        .collect();
-    let thetas = ridge_lstsq_multi(&phi, &targets, options.ridge_lambda)?;
+    let thetas = normal.solve(options.ridge_lambda)?;
 
     let mut a = Matrix::zeros(n_states, n_states);
     let mut b = Matrix::zeros(n_states, n_inputs);
@@ -87,7 +88,7 @@ pub fn identify(
         b.set_row(i, &theta.as_slice()[n_states..]);
     }
 
-    let model = DiscreteThermalModel::new(a, b, dataset.sample_period_s())?;
+    let model = DiscreteThermalModel::new(a, b, data.sample_period_s())?;
     if options.require_stable {
         let rho = model.spectral_radius()?;
         // A NaN radius (a non-finite fit) is no more stable than rho >= 1.
@@ -103,7 +104,8 @@ pub fn identify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numeric::Matrix;
+    use crate::IdentificationDataset;
+    use numeric::Vector;
 
     /// Generates a dataset by simulating a known discrete model under a
     /// square-wave excitation on each input in turn.
@@ -160,7 +162,7 @@ mod tests {
     fn recovers_exact_model_from_noise_free_data() {
         let truth = example_truth();
         let ds = simulate_dataset(&truth, 800, 25.0);
-        let model = identify(&ds, &IdentificationOptions::default()).unwrap();
+        let model = identify(ds.rows(..), &IdentificationOptions::default()).unwrap();
         let a_err = model.a().sub(truth.a()).unwrap().max_abs();
         let b_err = model.b().sub(truth.b()).unwrap().max_abs();
         assert!(a_err < 1e-6, "A error {a_err}");
@@ -172,8 +174,8 @@ mod tests {
     fn identified_model_predicts_held_out_data() {
         let truth = example_truth();
         let ds = simulate_dataset(&truth, 1200, 25.0);
-        let (train, test) = ds.split(0.6).unwrap();
-        let model = identify(&train, &IdentificationOptions::default()).unwrap();
+        let (train, test) = (ds.rows(..720), ds.rows(720..));
+        let model = identify(train, &IdentificationOptions::default()).unwrap();
         // Free-run the identified model over the validation segment.
         let rel = test.relative_temps();
         let mut state = Vector::from_slice(&rel[..4]);
@@ -195,7 +197,7 @@ mod tests {
         let truth = example_truth();
         let ds = simulate_dataset(&truth, 6, 25.0);
         assert!(matches!(
-            identify(&ds, &IdentificationOptions::default()),
+            identify(ds.rows(..), &IdentificationOptions::default()),
             Err(SysIdError::InsufficientData { .. })
         ));
     }
@@ -224,7 +226,7 @@ mod tests {
             ridge_lambda: 1e-6,
             require_stable: true,
         };
-        let model = identify(&ds, &options).unwrap();
+        let model = identify(ds.rows(..), &options).unwrap();
         // The excited columns must still be accurate.
         for i in 0..4 {
             assert!((model.b()[(i, 0)] - truth.b()[(i, 0)]).abs() < 1e-3);
@@ -242,7 +244,7 @@ mod tests {
         ds.push_row(&[f64::NAN, 25.0, 25.0, 25.0], &[1.0; 4])
             .unwrap();
         assert!(matches!(
-            identify(&ds, &IdentificationOptions::default()),
+            identify(ds.rows(..), &IdentificationOptions::default()),
             Err(SysIdError::UnstableModel { spectral_radius }) if spectral_radius.is_nan()
         ));
     }
@@ -263,14 +265,14 @@ mod tests {
             t = truth.step(&t, &p).unwrap();
         }
         assert!(matches!(
-            identify(&ds, &IdentificationOptions::default()),
+            identify(ds.rows(..), &IdentificationOptions::default()),
             Err(SysIdError::UnstableModel { .. })
         ));
         let relaxed = IdentificationOptions {
             require_stable: false,
             ..IdentificationOptions::default()
         };
-        let model = identify(&ds, &relaxed).unwrap();
+        let model = identify(ds.rows(..), &relaxed).unwrap();
         assert!((model.a()[(0, 0)] - 1.02).abs() < 1e-6);
     }
 }

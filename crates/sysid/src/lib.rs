@@ -38,7 +38,7 @@
 //!     dataset.push(Vector::from_slice(&[t[0] + 25.0]), p.clone())?;
 //!     t = truth.step(&t, &p).unwrap();
 //! }
-//! let model = identify(&dataset, &IdentificationOptions::default())?;
+//! let model = identify(dataset.rows(..), &IdentificationOptions::default())?;
 //! assert!((model.a()[(0, 0)] - 0.9).abs() < 1e-6);
 //! # Ok(())
 //! # }
@@ -53,7 +53,7 @@ pub mod identify;
 pub mod prbs;
 pub mod validate;
 
-pub use dataset::IdentificationDataset;
+pub use dataset::{BlockWriter, DatasetRows, IdentificationDataset};
 pub use error::SysIdError;
 pub use identify::{identify, IdentificationOptions};
 pub use prbs::{PrbsConfig, PrbsSignal};

@@ -14,7 +14,7 @@
 use numeric::{stats, Vector};
 use thermal_model::DiscreteThermalModel;
 
-use crate::{IdentificationDataset, SysIdError};
+use crate::{DatasetRows, SysIdError};
 
 /// Free-run validation metrics (per the hottest-tracked hotspot and averaged).
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +61,8 @@ pub struct PredictionErrorReport {
     pub samples: usize,
 }
 
-/// Free-runs the identified model over the dataset and reports fit metrics.
+/// Free-runs the identified model over a range of samples and reports fit
+/// metrics.
 ///
 /// # Errors
 ///
@@ -70,7 +71,7 @@ pub struct PredictionErrorReport {
 /// samples.
 pub fn validate_free_run(
     model: &DiscreteThermalModel,
-    dataset: &IdentificationDataset,
+    dataset: DatasetRows<'_>,
 ) -> Result<ValidationReport, SysIdError> {
     check_compat(model, dataset)?;
     if dataset.len() < 2 {
@@ -120,22 +121,27 @@ pub fn validate_free_run(
     })
 }
 
-/// Evaluates the n-step-ahead prediction error of the model over the dataset.
+/// Evaluates the n-step-ahead prediction error of the model over a range of
+/// samples.
 ///
 /// At every sample `k` the model predicts `T[k+horizon]` starting from the
 /// *measured* `T[k]`, applying the recorded powers `P[k..k+horizon]`. Errors
 /// are evaluated on absolute temperatures in °C (relative-to-ambient
 /// temperatures are shifted back), matching how the paper quotes percentages.
 ///
+/// The samples are read in place and the errors are summed as they are
+/// found, in the order [`stats::mean`] would sum them once collected, so no
+/// buffer grows with the range.
+///
 /// # Errors
 ///
 /// Returns [`SysIdError::InvalidConfig`] for a zero horizon,
 /// [`SysIdError::DimensionMismatch`] for incompatible dimensions, or
-/// [`SysIdError::InsufficientData`] if the dataset is shorter than the horizon
+/// [`SysIdError::InsufficientData`] if the range is shorter than the horizon
 /// plus one.
 pub fn n_step_prediction(
     model: &DiscreteThermalModel,
-    dataset: &IdentificationDataset,
+    dataset: DatasetRows<'_>,
     horizon_steps: usize,
 ) -> Result<PredictionErrorReport, SysIdError> {
     if horizon_steps == 0 {
@@ -151,57 +157,85 @@ pub fn n_step_prediction(
         });
     }
 
-    let measured_rel = dataset.relative_temps();
-    let powers = dataset.powers();
     let ambient = dataset.ambient_c();
     let n_states = dataset.state_count();
     let n_inputs = dataset.input_count();
-
-    let points = (dataset.len() - horizon_steps) * n_states;
-    let mut abs_errors = Vec::with_capacity(points);
-    let mut pct_errors = Vec::with_capacity(points);
+    let mut abs_errors = ErrorSum::default();
+    let mut pct_errors = ErrorSum::default();
     let mut state = Vector::zeros(n_states);
     let mut next = Vector::zeros(n_states);
     let mut power = Vector::zeros(n_inputs);
     for k in 0..dataset.len() - horizon_steps {
-        state
-            .as_mut_slice()
-            .copy_from_slice(&measured_rel[k * n_states..(k + 1) * n_states]);
+        for (s, t) in state.as_mut_slice().iter_mut().zip(dataset.sample(k).0) {
+            *s = t - ambient;
+        }
         for j in k..k + horizon_steps {
-            power
-                .as_mut_slice()
-                .copy_from_slice(&powers[j * n_inputs..(j + 1) * n_inputs]);
+            power.as_mut_slice().copy_from_slice(dataset.sample(j).1);
             model.step_into(&state, &power, &mut next)?;
             std::mem::swap(&mut state, &mut next);
         }
-        let truth = &measured_rel[(k + horizon_steps) * n_states..][..n_states];
-        for (&predicted_rel, &truth_rel) in state.iter().zip(truth) {
+        let truth = dataset.sample(k + horizon_steps).0;
+        for (&predicted_rel, &truth_c) in state.iter().zip(truth) {
             let predicted_c = predicted_rel + ambient;
-            let measured_c = truth_rel + ambient;
+            // The measurement as the model sees it: relative, shifted back.
+            let measured_c = (truth_c - ambient) + ambient;
             let err = (predicted_c - measured_c).abs();
-            abs_errors.push(err);
+            abs_errors.add(err);
             if measured_c.abs() > f64::EPSILON {
-                pct_errors.push(100.0 * err / measured_c.abs());
+                pct_errors.add(100.0 * err / measured_c.abs());
             }
         }
     }
 
-    let samples = abs_errors.len();
     Ok(PredictionErrorReport {
         horizon_steps,
         horizon_s: horizon_steps as f64 * dataset.sample_period_s(),
-        mean_abs_error_c: stats::mean(&abs_errors),
-        mean_percent_error: stats::mean(&pct_errors),
-        max_abs_error_c: abs_errors.iter().copied().fold(0.0, f64::max),
-        max_percent_error: pct_errors.iter().copied().fold(0.0, f64::max),
-        samples,
+        mean_abs_error_c: abs_errors.mean(),
+        mean_percent_error: pct_errors.mean(),
+        max_abs_error_c: abs_errors.max,
+        max_percent_error: pct_errors.max,
+        samples: abs_errors.count,
     })
 }
 
-fn check_compat(
-    model: &DiscreteThermalModel,
-    dataset: &IdentificationDataset,
-) -> Result<(), SysIdError> {
+/// The count, sum and maximum of a stream of errors. The sum starts where
+/// `Iterator::sum::<f64>` starts and adds in arrival order, so
+/// [`ErrorSum::mean`] has the bits of [`stats::mean`] over the collected
+/// errors; the maximum folds from zero with `f64::max`.
+#[derive(Debug)]
+struct ErrorSum {
+    count: usize,
+    sum: f64,
+    max: f64,
+}
+
+impl Default for ErrorSum {
+    fn default() -> Self {
+        ErrorSum {
+            count: 0,
+            sum: std::iter::empty::<f64>().sum(),
+            max: 0.0,
+        }
+    }
+}
+
+impl ErrorSum {
+    fn add(&mut self, error: f64) {
+        self.count += 1;
+        self.sum += error;
+        self.max = self.max.max(error);
+    }
+
+    fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+}
+
+fn check_compat(model: &DiscreteThermalModel, dataset: DatasetRows<'_>) -> Result<(), SysIdError> {
     if model.state_count() != dataset.state_count() {
         return Err(SysIdError::DimensionMismatch {
             what: "model state count",
@@ -223,6 +257,7 @@ fn check_compat(
 mod tests {
     use super::*;
     use crate::identify::{identify, IdentificationOptions};
+    use crate::IdentificationDataset;
     use numeric::{Matrix, Vector};
 
     fn truth_model() -> DiscreteThermalModel {
@@ -250,12 +285,12 @@ mod tests {
     fn perfect_model_validates_perfectly() {
         let truth = truth_model();
         let ds = make_dataset(&truth, 400);
-        let report = validate_free_run(&truth, &ds).unwrap();
+        let report = validate_free_run(&truth, ds.rows(..)).unwrap();
         assert!(report.mean_rmse_c() < 1e-9);
         assert!(report.max_abs_error_c < 1e-9);
         assert!(report.mean_fit_percent() > 99.9);
 
-        let pred = n_step_prediction(&truth, &ds, 10).unwrap();
+        let pred = n_step_prediction(&truth, ds.rows(..), 10).unwrap();
         assert!(pred.mean_abs_error_c < 1e-9);
         assert!(pred.mean_percent_error < 1e-9);
         assert!((pred.horizon_s - 1.0).abs() < 1e-12);
@@ -265,11 +300,11 @@ mod tests {
     fn identified_model_keeps_errors_small() {
         let truth = truth_model();
         let ds = make_dataset(&truth, 800);
-        let (train, test) = ds.split(0.5).unwrap();
-        let model = identify(&train, &IdentificationOptions::default()).unwrap();
-        let report = validate_free_run(&model, &test).unwrap();
+        let (train, test) = (ds.rows(..400), ds.rows(400..));
+        let model = identify(train, &IdentificationOptions::default()).unwrap();
+        let report = validate_free_run(&model, test).unwrap();
         assert!(report.mean_rmse_c() < 0.05, "rmse {}", report.mean_rmse_c());
-        let pred = n_step_prediction(&model, &test, 10).unwrap();
+        let pred = n_step_prediction(&model, test, 10).unwrap();
         assert!(pred.mean_percent_error < 1.0);
     }
 
@@ -284,16 +319,16 @@ mod tests {
             truth.sample_period_s(),
         )
         .unwrap();
-        let e1 = n_step_prediction(&wrong, &ds, 1).unwrap();
-        let e10 = n_step_prediction(&wrong, &ds, 10).unwrap();
-        let e50 = n_step_prediction(&wrong, &ds, 50).unwrap();
+        let e1 = n_step_prediction(&wrong, ds.rows(..), 1).unwrap();
+        let e10 = n_step_prediction(&wrong, ds.rows(..), 10).unwrap();
+        let e50 = n_step_prediction(&wrong, ds.rows(..), 50).unwrap();
         assert!(e1.mean_abs_error_c < e10.mean_abs_error_c);
         assert!(e10.mean_abs_error_c < e50.mean_abs_error_c);
     }
 
     /// The dataset as one `Vector` per sample: (relative temps, powers).
     fn sample_vectors(dataset: &IdentificationDataset) -> (Vec<Vector>, Vec<Vector>) {
-        let rel = dataset.relative_temps();
+        let rel = dataset.rows(..).relative_temps();
         let rows = |flat: &[f64], width| flat.chunks_exact(width).map(Vector::from_slice).collect();
         (
             rows(&rel, dataset.state_count()),
@@ -407,7 +442,7 @@ mod tests {
     fn free_run_matches_the_per_sample_loop_bit_for_bit() {
         let (ds, model) = noisy_log_and_wrong_model();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let report = validate_free_run(&model, &ds).unwrap();
+        let report = validate_free_run(&model, ds.rows(..)).unwrap();
         let reference = reference_free_run(&model, &ds);
         assert_eq!(
             bits(&report.rmse_per_state_c),
@@ -428,7 +463,7 @@ mod tests {
     fn n_step_prediction_matches_the_per_sample_loop_bit_for_bit() {
         let (ds, model) = noisy_log_and_wrong_model();
         for horizon in [1, 7, 10, 50, 299] {
-            let report = n_step_prediction(&model, &ds, horizon).unwrap();
+            let report = n_step_prediction(&model, ds.rows(..), horizon).unwrap();
             let reference = reference_n_step(&model, &ds, horizon);
             let fields = |r: &PredictionErrorReport| {
                 (
@@ -455,11 +490,11 @@ mod tests {
         let other =
             DiscreteThermalModel::new(Matrix::identity(3).scale(0.9), Matrix::zeros(3, 2), 0.1)
                 .unwrap();
-        assert!(validate_free_run(&other, &ds).is_err());
-        assert!(n_step_prediction(&truth, &ds, 0).is_err());
-        assert!(n_step_prediction(&truth, &ds, 40).is_err());
+        assert!(validate_free_run(&other, ds.rows(..)).is_err());
+        assert!(n_step_prediction(&truth, ds.rows(..), 0).is_err());
+        assert!(n_step_prediction(&truth, ds.rows(..), 40).is_err());
 
         let tiny = make_dataset(&truth, 1);
-        assert!(validate_free_run(&truth, &tiny).is_err());
+        assert!(validate_free_run(&truth, tiny.rows(..)).is_err());
     }
 }

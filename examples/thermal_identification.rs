@@ -70,8 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Identify the model on the first 70% and validate on the rest.
-    let (train, test) = dataset.split(0.7)?;
-    let model = identify(&train, &IdentificationOptions::default())?;
+    let cut = (dataset.len() as f64 * 0.7).round() as usize;
+    let (train, test) = (dataset.rows(..cut), dataset.rows(cut..));
+    let model = identify(train, &IdentificationOptions::default())?;
     println!(
         "\nIdentified model (sample period {:.1} s):",
         model.sample_period_s()
@@ -80,14 +81,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  Bs =\n{}", model.b());
     println!("  stable: {}", model.is_stable());
 
-    let free_run = validate_free_run(&model, &test)?;
+    let free_run = validate_free_run(&model, test)?;
     println!(
         "\nFree-run validation: mean RMSE {:.2} degC, fit {:.1}%",
         free_run.mean_rmse_c(),
         free_run.mean_fit_percent()
     );
     for horizon in [10usize, 30, 50] {
-        let report = n_step_prediction(&model, &test, horizon)?;
+        let report = n_step_prediction(&model, test, horizon)?;
         println!(
             "  {:>4.1} s ahead: mean error {:.2}% ({:.2} degC), max {:.2} degC",
             report.horizon_s,

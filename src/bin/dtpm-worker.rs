@@ -1,8 +1,9 @@
 //! `dtpm-worker`: the worker-process end of a distributed campaign.
 //!
 //! A thin argument parser around [`platform_sim::distributed::serve`]: the
-//! coordinator ships the grid and calibration recipe over the transport, so
-//! the binary itself takes only wiring and (for tests) chaos flags. The
+//! coordinator ships the grid and its calibration, as exact bits, over the
+//! transport, so the binary itself takes only wiring and (for tests) chaos
+//! flags; it never calibrates. The
 //! `inspect` subcommand prints a checkpoint, merge-sink or sweep-spec file
 //! as text ([`platform_sim::distributed::inspect`]).
 //!

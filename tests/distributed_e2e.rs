@@ -2,8 +2,8 @@
 //! the coordinator in this test process, workers as spawned OS processes,
 //! over both transport wirings (child stdio and localhost TCP).
 //!
-//! Verifies the full stack — binary spawn, Hello/Ready handshake with
-//! worker-side calibration re-derivation, micro-shard leasing, per-cell
+//! Verifies the full stack — binary spawn, the Hello/Ready handshake that
+//! ships the coordinator's calibration, micro-shard leasing, per-cell
 //! outcome transport, subprocess death recovery — and that the merged
 //! aggregate is bit-identical to the in-process run of the same grid. Also
 //! covers the binary's `inspect` subcommand on a checkpoint file.
@@ -66,7 +66,6 @@ fn coordinator() -> Coordinator {
         .with_calibration(calibration_campaign(), CALIBRATION_SEED)
         .with_lease_cells(2)
         .with_lease_timeout(Duration::from_secs(60))
-        .with_ready_timeout(Duration::from_secs(300))
 }
 
 #[test]

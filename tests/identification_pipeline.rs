@@ -96,7 +96,7 @@ fn prediction_error_grows_moderately_with_horizon_like_figure_4_10() {
     let errors: Vec<f64> = [5usize, 10, 20, 50]
         .iter()
         .map(|&h| {
-            n_step_prediction(model, &dataset, h)
+            n_step_prediction(model, dataset.rows(..), h)
                 .expect("prediction")
                 .mean_percent_error
         })
