@@ -33,9 +33,7 @@
 use std::time::Duration;
 
 use bench::microbench::{Bound, Microbench, Timer};
-use platform_sim::distributed::{
-    serve, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
-};
+use platform_sim::distributed::{serve, serve_with, MemoryTransport, Transport, WorkerChaos};
 use platform_sim::{
     Calibration, CalibrationCampaign, ChaosPlan, Coordinator, DtpmVariant, ExperimentKind,
     MergeSink, ResiliencePolicy, SweepSpec,
@@ -163,7 +161,7 @@ fn run_leased(
         transports.push(Box::new(coordinator_end));
         serving.push(std::thread::spawn(move || {
             if which == 0 {
-                serve_with(Box::new(worker_end), WorkerOptions { chaos })
+                serve_with(Box::new(worker_end), chaos)
             } else {
                 serve(Box::new(worker_end))
             }

@@ -3,9 +3,9 @@
 
 use std::fmt::Write as _;
 
-use platform_sim::{CalibrationCampaign, PhysicalPlant, PlantPowerParams, SensorSuite, SimError};
+use platform_sim::{PhysicalPlant, PlantPowerParams, SensorSuite, SimError};
 use power_model::{FurnaceDataset, PowerModel};
-use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
+use soc_model::{FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use sysid::{n_step_prediction, IdentificationDataset, PrbsConfig, PrbsSignal};
 use workload::{BenchmarkId, WorkloadState};
 
@@ -349,41 +349,3 @@ fn train_activity(model: &mut PowerModel, dynamic_w: f64) {
         model.observe(PowerDomain::BigCpu, dynamic_w + leak, 55.0, v, f);
     }
 }
-
-/// Convenience used by the binary: the calibration campaign itself, exposed so
-/// `--only calibration` can re-run and report it.
-pub fn calibration_report(quick: bool) -> Result<String, SimError> {
-    let campaign = if quick {
-        CalibrationCampaign {
-            prbs_duration_s: 300.0,
-            run_furnace: false,
-            ..CalibrationCampaign::default()
-        }
-    } else {
-        CalibrationCampaign::default()
-    };
-    let calibration = campaign.run(42)?;
-    let mut out = String::from("Characterisation campaign summary\n");
-    let _ = writeln!(
-        out,
-        "  identified model: stable={}  1 s prediction error {:.2}% (max {:.2}%)",
-        calibration.predictor.model().is_stable(),
-        calibration.validation.mean_percent_error,
-        calibration.validation.max_percent_error
-    );
-    let _ = writeln!(
-        out,
-        "  A matrix spectral radius {:.4}",
-        calibration
-            .predictor
-            .model()
-            .spectral_radius()
-            .map_err(|e| SimError::Thermal(e.to_string()))?
-    );
-    Ok(out)
-}
-
-/// Keeps `ClusterKind` referenced so the import list stays tidy even when only
-/// some experiments are compiled in.
-#[doc(hidden)]
-pub fn _unused(_: ClusterKind) {}

@@ -30,6 +30,14 @@
 //!   through the compacting sweep scheduler into a
 //!   [`crate::experiment::ResultSink`], summaries-only by default: retained
 //!   memory is O(cells), never O(cells × intervals).
+//!
+//! The whole grid, a subset ([`CampaignRunner::run_indices_into`], which
+//! [`CampaignRunner::resume_from`] uses) and a distributed worker's lease
+//! are three claim cursors over one campaign body: each hands cell indices
+//! to the sweep loop, which materialises a cell only when it admits it.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dtpm::DtpmConfig;
 use numeric::codec::ByteWriter;
@@ -459,30 +467,36 @@ impl CampaignRunner<'_> {
     where
         S: ResultSink + Send + ?Sized,
     {
-        let spec = self.spec;
-        // Every cell shares the campaign's control period and precision:
-        // one lockstep group over the whole grid.
-        let groups = [(spec.control_period_s, spec.precision, spec.cells())];
-        let provider = |_group: usize, index: usize| -> (usize, ExperimentConfig) {
-            (index, spec.cell(index))
+        self.run_range_into(0..self.spec.cells(), calibration, sink);
+    }
+
+    /// Runs the grid cells of `cells`, claimed in order from one cursor —
+    /// [`CampaignRunner::run_into`] over the whole grid, and a worker's
+    /// lease.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the cell is claimed) if the range reaches past the grid.
+    pub(crate) fn run_range_into<S>(
+        &self,
+        cells: Range<usize>,
+        calibration: &Calibration,
+        sink: &mut S,
+    ) where
+        S: ResultSink + Send + ?Sized,
+    {
+        let next = AtomicUsize::new(cells.start);
+        let claim = || {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            (index < cells.end).then_some(index)
         };
-        let sink = std::sync::Mutex::new(sink);
-        sweep_stream(
-            self.threads,
-            self.lanes,
-            &groups,
-            self.recording,
-            &provider,
-            calibration,
-            &self.resilience,
-            &sink,
-        );
+        self.run_claimed(cells.len(), &claim, calibration, sink);
     }
 
     /// Runs an arbitrary subset of the grid — `indices` are global cell
     /// indices — pushing each report into `sink` tagged with its *global*
     /// index, so sinks see the same addressing as a whole-grid run. The
-    /// subset primitive behind worker leases and checkpoint resume.
+    /// subset primitive behind checkpoint resume.
     ///
     /// # Panics
     ///
@@ -491,22 +505,36 @@ impl CampaignRunner<'_> {
     where
         S: ResultSink + Send + ?Sized,
     {
+        let next = AtomicUsize::new(0);
+        let claim = || indices.get(next.fetch_add(1, Ordering::Relaxed)).copied();
+        self.run_claimed(indices.len(), &claim, calibration, sink);
+    }
+
+    /// The one campaign body: `count` cells handed out by `claim`, streamed
+    /// through the compacting sweep on at most `count` workers. Every cell
+    /// shares the campaign's control period and precision, so the whole
+    /// grid is one lockstep group.
+    fn run_claimed<S>(
+        &self,
+        count: usize,
+        claim: &(dyn Fn() -> Option<usize> + Sync),
+        calibration: &Calibration,
+        sink: &mut S,
+    ) where
+        S: ResultSink + Send + ?Sized,
+    {
         let spec = self.spec;
-        let groups = [(spec.control_period_s, spec.precision, indices.len())];
-        let provider = |_group: usize, k: usize| -> (usize, ExperimentConfig) {
-            let index = indices[k];
-            (index, spec.cell(index))
-        };
-        let sink = std::sync::Mutex::new(sink);
         sweep_stream(
-            self.threads.min(indices.len()).max(1),
+            self.threads.min(count),
             self.lanes,
-            &groups,
+            spec.control_period_s,
+            spec.precision,
+            claim,
+            &|index| spec.cell(index),
             self.recording,
-            &provider,
             calibration,
             &self.resilience,
-            &sink,
+            &std::sync::Mutex::new(sink),
         );
     }
 
@@ -540,10 +568,7 @@ impl CampaignRunner<'_> {
                 "checkpoint cell count does not match this campaign's grid",
             ));
         }
-        let remaining = checkpoint.remaining();
-        if !remaining.is_empty() {
-            self.run_indices_into(&remaining, calibration, sink);
-        }
+        self.run_indices_into(&checkpoint.remaining(), calibration, sink);
         Ok(())
     }
 }

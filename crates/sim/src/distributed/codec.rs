@@ -47,8 +47,8 @@ use crate::experiment::ExperimentKind;
 use crate::faults::{FaultKind, FaultPlan, FaultWindow, SensorChannel};
 use crate::plant::PlantPowerParams;
 use crate::resilience::{
-    CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,
-    ChaosPlan, MergeSink, ResiliencePolicy,
+    CampaignAggregate, CampaignCheckpoint, CellFailure, CellOutcome, CellStats, ChaosPlan,
+    MergeSink, ResiliencePolicy,
 };
 
 /// Converts a primitive-codec failure into the crate error type.
@@ -782,31 +782,17 @@ pub(crate) fn take_sink(r: &mut ByteReader<'_>) -> Result<MergeSink, SimError> {
     MergeSink::from_parts(start, end, next, aggregate, pending, failures)
 }
 
-/// Encodes a [`CampaignCheckpoint`] (fingerprint, bitmap, fold).
+/// Encodes a [`CampaignCheckpoint`] (fingerprint, fold).
 pub(crate) fn put_checkpoint(w: &mut ByteWriter, checkpoint: &CampaignCheckpoint) {
     w.put_u64(checkpoint.fingerprint());
-    let bitmap = checkpoint.bitmap();
-    w.put_usize(bitmap.len());
-    for &word in bitmap.words() {
-        w.put_u64(word);
-    }
     put_sink(w, checkpoint.fold());
 }
 
-/// Decodes a [`CampaignCheckpoint`] written by [`put_checkpoint`],
-/// re-validating the bitmap/fold consistency through the checked
-/// constructors.
+/// Decodes a [`CampaignCheckpoint`] written by [`put_checkpoint`] through
+/// the checked constructors.
 pub(crate) fn take_checkpoint(r: &mut ByteReader<'_>) -> Result<CampaignCheckpoint, SimError> {
     let fingerprint = r.take_u64().map_err(codec_error)?;
-    let cells = r.take_usize().map_err(codec_error)?;
-    let word_count = cells.div_ceil(64);
-    let mut words = Vec::with_capacity(word_count.min(1 << 20));
-    for _ in 0..word_count {
-        words.push(r.take_u64().map_err(codec_error)?);
-    }
-    let bitmap = CellBitmap::from_words(words, cells)?;
-    let fold = take_sink(r)?;
-    CampaignCheckpoint::from_parts(fingerprint, bitmap, fold)
+    CampaignCheckpoint::from_parts(fingerprint, take_sink(r)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -816,8 +802,9 @@ pub(crate) fn take_checkpoint(r: &mut ByteReader<'_>) -> Result<CampaignCheckpoi
 const SPEC_MAGIC: u32 = u32::from_le_bytes(*b"DSP1");
 /// Type magic of a standalone merge-sink blob.
 const SINK_MAGIC: u32 = u32::from_le_bytes(*b"DSK1");
-/// Type magic of a standalone checkpoint blob.
-const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"DCP1");
+/// Type magic of a standalone checkpoint blob (`DCP1` was the retired
+/// layout with a completion bitmap ahead of the fold).
+const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"DCP2");
 
 /// Seals a payload as a standalone blob: magic, payload, CRC32 over both.
 fn seal_blob(magic: u32, fill: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
@@ -1104,7 +1091,8 @@ pub(crate) mod tests {
         assert_eq!(decode_sink(&blob).expect("round trip"), sink);
     }
 
-    /// A 70-cell checkpoint with four failed cells, two bitmap words apart.
+    /// A 70-cell checkpoint with four failed cells, three of them pending
+    /// behind the unreported cell 1.
     fn checkpoint() -> CampaignCheckpoint {
         let mut checkpoint = CampaignCheckpoint::new(0xF00D, 70);
         for k in [0, 2, 64, 69] {

@@ -147,7 +147,6 @@ impl Coordinator {
             spec: self.spec.clone(),
             calibration: self.calibration.run(self.calibration_seed)?,
             threads: self.worker_threads,
-            lanes: numeric::LANE_CHUNK,
             resilience: self.resilience,
         };
         let hello = ToWorker::Hello(Box::new(setup)).encode();
@@ -518,7 +517,7 @@ impl WorkerPool {
         lease_timeout: Duration,
     ) {
         match message {
-            ToCoordinator::Heartbeat { lease, .. } => {
+            ToCoordinator::Heartbeat { lease } => {
                 if let Some(state) = worker.lease.as_mut() {
                     if state.id == lease {
                         state.deadline = Instant::now() + lease_timeout;

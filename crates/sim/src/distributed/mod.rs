@@ -16,7 +16,8 @@
 //!  SweepSpec + lease queue    ── Hello ──►  decode SweepSpec and
 //!  one driver thread / worker ◄─ Ready ──   Calibration bits
 //!         │
-//!         ├─────────────────── Lease ────►  run_indices_into(...)
+//!         ├─────────────────── Lease ────►  check the range, then claim
+//!         │                                 its cells in the sweep loop
 //!         │                 ◄─ Heartbeat ─  (one per retired cell)
 //!   fold dedup ◄──────────── LeaseDone ──   per-cell outcomes
 //!         │
@@ -38,7 +39,10 @@
 //!   worker misses its
 //!   heartbeat deadline or dies is put back on the queue and re-leased; a
 //!   worker that merely stalled and finishes late is folded through
-//!   **cell-index dedup**, so a twice-landed shard counts once.
+//!   **cell-index dedup**, so a twice-landed shard counts once. A worker
+//!   runs each lease through the in-process runner's one sweep loop,
+//!   claiming the range's cells in order, and rejects a lease that reaches
+//!   past the grid before any of its cells runs.
 //! * **One canonical fold.** Workers return *per-cell* outcomes, and the
 //!   coordinator offers them to a single
 //!   [`MergeSink`](crate::resilience::MergeSink) over the whole grid
@@ -89,4 +93,4 @@ pub use transport::{
     read_frame, write_frame, ChildTransport, MemoryTransport, StdioTransport, TcpTransport,
     Transport, MAX_FRAME_LEN,
 };
-pub use worker::{serve, serve_with, WorkerChaos, WorkerOptions};
+pub use worker::{serve, serve_with, WorkerChaos};

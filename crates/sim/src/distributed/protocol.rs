@@ -29,8 +29,6 @@ pub(crate) struct WorkerSetup {
     pub calibration: Calibration,
     /// Worker-local shard threads per lease.
     pub threads: usize,
-    /// SIMD batch lanes per thread.
-    pub lanes: usize,
     /// Cell-level containment policy, identical on every worker.
     pub resilience: ResiliencePolicy,
 }
@@ -58,9 +56,9 @@ pub(crate) enum ToWorker {
 pub(crate) enum ToCoordinator {
     /// The worker decoded its Hello and accepts leases.
     Ready,
-    /// Liveness: `completed` cells of lease `lease` have retired so far.
-    /// Sent once per retired cell (modulo the sink's delivery batching).
-    Heartbeat { lease: u64, completed: usize },
+    /// Liveness: one more cell of lease `lease` has retired. Sent once per
+    /// retired cell (modulo the sink's delivery batching).
+    Heartbeat { lease: u64 },
     /// Lease `lease` finished; every owned cell's terminal outcome, keyed
     /// by grid index so the coordinator can dedup re-leased ranges.
     LeaseDone {
@@ -83,7 +81,6 @@ impl ToWorker {
                 codec::put_spec(&mut w, &setup.spec);
                 codec::put_calibration(&mut w, &setup.calibration);
                 w.put_usize(setup.threads);
-                w.put_usize(setup.lanes);
                 codec::put_resilience(&mut w, &setup.resilience);
             }
             ToWorker::Lease { lease, start, end } => {
@@ -105,7 +102,6 @@ impl ToWorker {
                 spec: codec::take_spec(&mut r)?,
                 calibration: codec::take_calibration(&mut r)?,
                 threads: r.take_usize().map_err(codec::codec_error)?,
-                lanes: r.take_usize().map_err(codec::codec_error)?,
                 resilience: codec::take_resilience(&mut r)?,
             })),
             1 => ToWorker::Lease {
@@ -127,10 +123,9 @@ impl ToCoordinator {
         let mut w = ByteWriter::new();
         match self {
             ToCoordinator::Ready => w.put_u8(0),
-            ToCoordinator::Heartbeat { lease, completed } => {
+            ToCoordinator::Heartbeat { lease } => {
                 w.put_u8(1);
                 w.put_u64(*lease);
-                w.put_usize(*completed);
             }
             ToCoordinator::LeaseDone { lease, outcomes } => {
                 w.put_u8(2);
@@ -152,7 +147,6 @@ impl ToCoordinator {
             0 => ToCoordinator::Ready,
             1 => ToCoordinator::Heartbeat {
                 lease: r.take_u64().map_err(codec::codec_error)?,
-                completed: r.take_usize().map_err(codec::codec_error)?,
             },
             2 => {
                 let lease = r.take_u64().map_err(codec::codec_error)?;
@@ -189,7 +183,6 @@ mod tests {
             .with_campaign_seed(7),
             calibration: codec::tests::calibration().clone(),
             threads: 2,
-            lanes: 4,
             resilience: ResiliencePolicy::default().with_max_retries(1),
         };
         let outcomes = vec![
@@ -229,10 +222,7 @@ mod tests {
             ],
             vec![
                 ToCoordinator::Ready,
-                ToCoordinator::Heartbeat {
-                    lease: 9,
-                    completed: 2,
-                },
+                ToCoordinator::Heartbeat { lease: 9 },
                 ToCoordinator::LeaseDone { lease: 9, outcomes },
             ],
         )

@@ -1,9 +1,11 @@
 //! The worker side of distributed campaigns: a serve loop that decodes the
-//! grid and the coordinator's calibration from Hello, executes leased cell
-//! ranges with the ordinary in-process machinery
-//! ([`crate::CampaignRunner::run_indices_into`]), and streams per-cell
-//! outcomes back over the transport. A worker never calibrates: every
-//! worker runs its cells with the coordinator's model bits.
+//! grid and the coordinator's calibration from Hello, executes each leased
+//! cell range with the ordinary in-process machinery (the campaign runner's
+//! one sweep body, claiming the range's cells in order, at the runner's
+//! default panel width), and streams per-cell outcomes back over the
+//! transport. A lease that reaches past the grid is a protocol error,
+//! rejected before any cell runs. A worker never calibrates: every worker
+//! runs its cells with the coordinator's model bits.
 //!
 //! The loop is deliberately stateless between leases: every cell's seed and
 //! configuration derive from the shared [`crate::SweepSpec`], so a worker
@@ -41,13 +43,6 @@ pub struct WorkerChaos {
     pub stall_after_cells: Option<usize>,
     /// How long the one-shot stall sleeps.
     pub stall_for: Duration,
-}
-
-/// Options for [`serve_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerOptions {
-    /// Worker-level fault injection; default is none.
-    pub chaos: WorkerChaos,
 }
 
 /// Lifetime chaos bookkeeping: cells retired across all leases.
@@ -106,15 +101,12 @@ struct LeaseSink<'a> {
 
 impl ResultSink for LeaseSink<'_> {
     fn accept(&mut self, index: usize, outcome: Result<RunReport, SimError>) {
-        let outcome = CellOutcome::from_run(index, outcome);
         if self.chaos.on_retire() || self.io_error.is_some() {
             return;
         }
-        self.outcomes.push((index, outcome));
-        let heartbeat = ToCoordinator::Heartbeat {
-            lease: self.lease,
-            completed: self.outcomes.len(),
-        };
+        self.outcomes
+            .push((index, CellOutcome::from_run(index, &outcome)));
+        let heartbeat = ToCoordinator::Heartbeat { lease: self.lease };
         if let Err(e) = write_frame(self.writer, &heartbeat.encode()) {
             self.io_error = Some(e);
         }
@@ -130,15 +122,17 @@ impl ResultSink for LeaseSink<'_> {
 /// Returns [`SimError::Io`] on transport or protocol failures, including a
 /// Hello whose calibration does not decode.
 pub fn serve(transport: Box<dyn Transport>) -> Result<(), SimError> {
-    serve_with(transport, WorkerOptions::default())
+    serve_with(transport, WorkerChaos::default())
 }
 
-/// [`serve`] with options (chaos injection for tests and benches).
+/// [`serve`] with worker-level chaos injection (for tests and benches).
 ///
 /// # Errors
 ///
-/// As [`serve`].
-pub fn serve_with(transport: Box<dyn Transport>, options: WorkerOptions) -> Result<(), SimError> {
+/// As [`serve`], plus [`SimError::Io`] naming the lease when a lease
+/// reaches past the grid or ends before it starts — rejected before any of
+/// its cells runs.
+pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(), SimError> {
     let (mut writer, mut reader) = transport.split()?;
     let frame = read_frame(&mut reader)?
         .ok_or_else(|| SimError::Io("transport closed before Hello".to_owned()))?;
@@ -152,7 +146,7 @@ pub fn serve_with(transport: Box<dyn Transport>, options: WorkerOptions) -> Resu
     };
     write_frame(&mut writer, &ToCoordinator::Ready.encode())?;
 
-    let mut chaos = ChaosState::new(options.chaos);
+    let mut chaos = ChaosState::new(chaos);
     loop {
         let Some(frame) = read_frame(&mut reader)? else {
             // Coordinator hung up; nothing left to do.
@@ -160,21 +154,25 @@ pub fn serve_with(transport: Box<dyn Transport>, options: WorkerOptions) -> Resu
         };
         match ToWorker::decode(&frame)? {
             ToWorker::Lease { lease, start, end } => {
-                let indices: Vec<usize> = (start..end).collect();
+                let cells = setup.spec.cells();
+                if start > end || end > cells {
+                    return Err(SimError::Io(format!(
+                        "lease {lease} names cells {start}..{end}, outside the grid's {cells} cells"
+                    )));
+                }
                 let mut sink = LeaseSink {
                     lease,
                     writer: writer.as_mut(),
                     chaos: &mut chaos,
-                    outcomes: Vec::with_capacity(indices.len()),
+                    outcomes: Vec::with_capacity(end - start),
                     io_error: None,
                 };
                 setup
                     .spec
                     .runner()
                     .with_threads(setup.threads)
-                    .with_lanes(setup.lanes)
                     .with_resilience(setup.resilience)
-                    .run_indices_into(&indices, &setup.calibration, &mut sink);
+                    .run_range_into(start..end, &setup.calibration, &mut sink);
                 let LeaseSink {
                     outcomes, io_error, ..
                 } = sink;
@@ -199,5 +197,79 @@ pub fn serve_with(transport: Box<dyn Transport>, options: WorkerOptions) -> Resu
                 return Err(SimError::Io("unexpected mid-session Hello".to_owned()))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::SweepSpec;
+    use crate::distributed::codec;
+    use crate::distributed::transport::MemoryTransport;
+    use crate::experiment::ExperimentKind;
+    use crate::resilience::ResiliencePolicy;
+    use workload::BenchmarkId;
+
+    /// Serves one Hello and one lease over a memory transport; returns what
+    /// `serve_with` returned and every frame the worker wrote after Ready.
+    fn serve_one_lease(
+        spec: &SweepSpec,
+        start: usize,
+        end: usize,
+    ) -> (Result<(), SimError>, Vec<ToCoordinator>) {
+        let (coordinator_end, worker_end) = MemoryTransport::pair();
+        let (mut writer, mut reader) = Box::new(coordinator_end).split().expect("memory halves");
+        let setup = WorkerSetup {
+            spec: spec.clone(),
+            calibration: codec::tests::calibration().clone(),
+            threads: 1,
+            resilience: ResiliencePolicy::default(),
+        };
+        write_frame(&mut writer, &ToWorker::Hello(Box::new(setup)).encode()).expect("hello");
+        let lease = ToWorker::Lease {
+            lease: 3,
+            start,
+            end,
+        };
+        write_frame(&mut writer, &lease.encode()).expect("lease");
+        write_frame(&mut writer, &ToWorker::Shutdown.encode()).expect("shutdown");
+        let served =
+            thread::spawn(move || serve_with(Box::new(worker_end), WorkerChaos::default()))
+                .join()
+                .expect("the worker must not panic");
+        let ready = read_frame(&mut reader).expect("a frame").expect("Ready");
+        assert_eq!(ToCoordinator::decode(&ready), Ok(ToCoordinator::Ready));
+        let mut frames = Vec::new();
+        while let Some(frame) = read_frame(&mut reader).expect("a clean end") {
+            frames.push(ToCoordinator::decode(&frame).expect("a worker message"));
+        }
+        (served, frames)
+    }
+
+    #[test]
+    fn leases_outside_the_grid_are_rejected_before_any_cell_runs() {
+        let spec = SweepSpec::new(vec![ExperimentKind::Dtpm], vec![BenchmarkId::Crc32])
+            .with_max_duration_s(1.0);
+        let cells = spec.cells();
+        for (start, end) in [(0, cells + 1), (1, 0), (0, usize::MAX)] {
+            let (served, frames) = serve_one_lease(&spec, start, end);
+            match served {
+                Err(SimError::Io(message)) => assert!(
+                    message.contains("lease 3") && message.contains(&format!("{start}..{end}")),
+                    "{message}"
+                ),
+                other => panic!("lease {start}..{end} must be rejected, got {other:?}"),
+            }
+            assert!(frames.is_empty(), "lease {start}..{end}: {frames:?}");
+        }
+        // The whole grid is a lease the worker runs.
+        let (served, frames) = serve_one_lease(&spec, 0, cells);
+        served.expect("an in-grid lease is served");
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        assert_eq!(frames[0], ToCoordinator::Heartbeat { lease: 3 });
+        assert!(matches!(
+            &frames[1],
+            ToCoordinator::LeaseDone { lease: 3, outcomes } if outcomes.len() == cells
+        ));
     }
 }

@@ -12,6 +12,7 @@
 //!   identified thermal model and the run-time power model.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dtpm::{DtpmConfig, DtpmInputs, DtpmPolicy};
 use governors::{
@@ -692,11 +693,14 @@ impl ControlLoop {
 }
 
 /// One engine lane's bookkeeping inside [`drive_engine`]: which result slot
-/// it reports to, its control loop while a scenario is in flight, and the
-/// frozen plant inputs replayed while the lane idles.
+/// it reports to and on which attempt, its control loop while a scenario is
+/// in flight, and the frozen plant inputs replayed while the lane idles.
 struct LaneSlot {
     /// Index into the caller's configuration (and result) order.
     slot: usize,
+    /// Which execution of the slot this is: 0 on first admission, one more
+    /// on every retry.
+    attempt: u32,
     /// `None` once the lane has retired its scenario (and no replacement was
     /// admitted from the work queue).
     control: Option<ControlLoop>,
@@ -713,9 +717,10 @@ struct LaneSlot {
 
 impl LaneSlot {
     /// A lane holding a freshly admitted control loop.
-    fn holding(slot: usize, control: ControlLoop) -> Self {
+    fn holding(slot: usize, attempt: u32, control: ControlLoop) -> Self {
         LaneSlot {
             slot,
+            attempt,
             frozen: frozen_inputs(&control),
             control: Some(control),
             decision: None,
@@ -794,11 +799,15 @@ fn lane_input(lane: &LaneSlot) -> LaneInput<'_> {
 /// list is plain lockstep).
 ///
 /// Every lane's result is reported through `publish` exactly once, keyed by
-/// the slot index handed out by `next` (or pre-assigned in `lanes`);
-/// individual lane failures never abort the other lanes. An engine-level
-/// error (malformed call, lost device) is unattributable to one lane and is
-/// reported on every unfinished lane *and* every scenario remaining in the
-/// queue, so no result slot is ever left unfilled.
+/// the slot index and attempt handed out by `next` (or pre-assigned in
+/// `lanes`); individual lane failures never abort the other lanes. Every
+/// `publish` is followed by a call to `next` before this function returns:
+/// a lane that retires in phase 1 admits in place, and a lane that retires
+/// in phase 3 admits at the next interval's phase 1 — so a caller whose
+/// `publish` queues a retry for its own `next` never strands it. An
+/// engine-level error (malformed call, lost device) is unattributable to
+/// one lane and is reported on every unfinished lane *and* every scenario
+/// remaining in the queue, so no result slot is ever left unfilled.
 ///
 /// **Cell-level fault containment.** Every per-lane control-loop call
 /// (decide, absorb, finish) runs under
@@ -819,8 +828,8 @@ fn drive_engine<E, N, P>(
     publish: &mut P,
 ) where
     E: PlantEngine + ?Sized,
-    N: FnMut() -> Option<(usize, ControlLoop)>,
-    P: FnMut(usize, Result<RunReport, SimError>),
+    N: FnMut() -> Option<(usize, u32, ControlLoop)>,
+    P: FnMut(usize, u32, Result<RunReport, SimError>),
 {
     debug_assert_eq!(engine.lanes(), lanes.len(), "engine width matches lanes");
     let mut steps: Vec<Result<PlantStep, SimError>> = Vec::with_capacity(lanes.len());
@@ -844,7 +853,7 @@ fn drive_engine<E, N, P>(
                         );
                         let report = catch_unwind(AssertUnwindSafe(move || control.finish()))
                             .map_err(|payload| panic_error(payload.as_ref()));
-                        publish(lane.slot, report);
+                        publish(lane.slot, lane.attempt, report);
                         // Fall through to the admission arm.
                     }
                     Some(control) if policy.exceeds_deadline(control.steps_taken) => {
@@ -854,6 +863,7 @@ fn drive_engine<E, N, P>(
                         lane.frozen = frozen_inputs(control);
                         publish(
                             lane.slot,
+                            lane.attempt,
                             Err(SimError::Deadline {
                                 intervals: control.steps_taken,
                             }),
@@ -872,16 +882,17 @@ fn drive_engine<E, N, P>(
                             }
                             Err(e) => {
                                 lane.frozen = frozen_inputs(control);
-                                publish(lane.slot, Err(e));
+                                publish(lane.slot, lane.attempt, Err(e));
                                 lane.control = None;
                                 // Fall through to the admission arm.
                             }
                         }
                     }
                     None => match next() {
-                        Some((slot, control)) => {
+                        Some((slot, attempt, control)) => {
                             engine.admit(index, control.config.plant);
                             lane.slot = slot;
+                            lane.attempt = attempt;
                             lane.control = Some(control);
                             // `frozen` still holds the previous occupant's
                             // retire snapshot; every retire path recaptures
@@ -918,11 +929,11 @@ fn drive_engine<E, N, P>(
             // result slot is filled.
             for lane in lanes.iter_mut() {
                 if lane.control.take().is_some() {
-                    publish(lane.slot, Err(e.clone()));
+                    publish(lane.slot, lane.attempt, Err(e.clone()));
                 }
             }
-            while let Some((slot, _control)) = next() {
-                publish(slot, Err(e.clone()));
+            while let Some((slot, attempt, _control)) = next() {
+                publish(slot, attempt, Err(e.clone()));
             }
             break;
         }
@@ -941,13 +952,13 @@ fn drive_engine<E, N, P>(
                         catch_unwind(AssertUnwindSafe(|| control.absorb(&decision, &step)))
                     {
                         lane.frozen = frozen_inputs(control);
-                        publish(lane.slot, Err(panic_error(payload.as_ref())));
+                        publish(lane.slot, lane.attempt, Err(panic_error(payload.as_ref())));
                         lane.control = None;
                     }
                 }
                 Err(e) => {
                     lane.frozen = frozen_inputs(control);
-                    publish(lane.slot, Err(e));
+                    publish(lane.slot, lane.attempt, Err(e));
                     lane.control = None;
                 }
             }
@@ -1038,7 +1049,7 @@ impl Experiment {
             1,
             control.config.precision,
         );
-        let mut lanes = [LaneSlot::holding(0, control)];
+        let mut lanes = [LaneSlot::holding(0, 0, control)];
         let mut out = None;
         drive_engine(
             engine.as_mut(),
@@ -1046,7 +1057,7 @@ impl Experiment {
             &mut lanes,
             &ResiliencePolicy::default(),
             &mut || None,
-            &mut |_, result| out = Some(result),
+            &mut |_, _, result| out = Some(result),
         );
         out.expect("a single-lane run publishes exactly one result")
     }
@@ -1205,7 +1216,7 @@ impl ScenarioSweep {
              stream a TracePolicy::SummaryOnly sweep through run_into instead"
         );
         let mut sink = CollectSink::new(self.configs.len());
-        self.run_groups(calibration, self.recording, &mut sink);
+        self.run_into(calibration, &mut sink);
         sink.into_reports()
             .into_iter()
             .map(|report| report.map(RunReport::into_simulation_result))
@@ -1228,59 +1239,34 @@ impl ScenarioSweep {
     where
         S: ResultSink + Send + ?Sized,
     {
-        self.run_groups(calibration, self.recording, sink);
-    }
-
-    /// Shared body of [`ScenarioSweep::run`] / [`ScenarioSweep::run_into`]:
-    /// partition into shared-period groups and stream each group through the
-    /// lane-compacting scheduler.
-    fn run_groups<S>(&self, calibration: &Calibration, recording: TracePolicy, sink: &mut S)
-    where
-        S: ResultSink + Send + ?Sized,
-    {
-        if self.configs.is_empty() {
-            return;
-        }
-        // Lockstep needs a shared control period and one engine per group
-        // needs a shared precision: partition the scenario indices into
-        // per-(period, precision) groups (almost always exactly one). One
-        // worker pool sweeps the groups in order, draining each group's
-        // shared queue before flowing into the next, so a sweep over many
-        // distinct periods still keeps the whole pool busy — workers that
-        // find a group's queue already drained skip ahead immediately.
+        // Lockstep needs a shared control period and one engine needs a
+        // shared precision: partition the scenario indices into
+        // per-(period, precision) groups (almost always exactly one) and
+        // sweep the groups one after another, each with the full pool.
         let mut groups: Vec<((u64, EnginePrecision), Vec<usize>)> = Vec::new();
         for (index, config) in self.configs.iter().enumerate() {
-            let bits = (config.control_period_s.to_bits(), config.precision);
-            match groups.iter_mut().find(|(key, _)| *key == bits) {
-                Some((_, group)) => group.push(index),
-                None => groups.push((bits, vec![index])),
+            let key = (config.control_period_s.to_bits(), config.precision);
+            match groups.iter_mut().find(|(group, _)| *group == key) {
+                Some((_, slots)) => slots.push(index),
+                None => groups.push((key, vec![index])),
             }
         }
-        let group_meta: Vec<(f64, EnginePrecision, usize)> = groups
-            .iter()
-            .map(|((_, precision), group)| {
-                (
-                    self.configs[group[0]].control_period_s,
-                    *precision,
-                    group.len(),
-                )
-            })
-            .collect();
-        let provider = |group: usize, k: usize| -> (usize, ExperimentConfig) {
-            let slot = groups[group].1[k];
-            (slot, self.configs[slot].clone())
-        };
         let sink = std::sync::Mutex::new(sink);
-        sweep_stream(
-            self.threads,
-            self.lanes,
-            &group_meta,
-            recording,
-            &provider,
-            calibration,
-            &self.resilience,
-            &sink,
-        );
+        for ((period_bits, precision), slots) in &groups {
+            let next = AtomicUsize::new(0);
+            sweep_stream(
+                self.threads.min(slots.len()),
+                self.lanes,
+                f64::from_bits(*period_bits),
+                *precision,
+                &|| slots.get(next.fetch_add(1, Ordering::Relaxed)).copied(),
+                &|slot| self.configs[slot].clone(),
+                self.recording,
+                calibration,
+                &self.resilience,
+                &sink,
+            );
+        }
     }
 }
 
@@ -1341,18 +1327,15 @@ impl ResultSink for () {
     fn accept(&mut self, _index: usize, _outcome: Result<RunReport, SimError>) {}
 }
 
-/// The shared streaming sweep body: `threads` workers sweep the
-/// shared-period `groups` (each a `(control period, engine precision,
-/// scenario count)` triple) in order, pulling within-group indices from one
-/// atomic cursor per group
-/// and materialising each scenario through `provider(group, k)` lazily —
-/// nothing about a scenario exists before a worker claims it. Scenarios are
-/// driven through lane-compacting engines of `lanes` lanes and every report
-/// is pushed into the shared sink as its lane retires. A worker that finds
-/// a group's queue already drained flows into the next group immediately,
-/// so a multi-period sweep never idles the pool on one group's ragged tail.
-/// Both [`ScenarioSweep`] (providers indexed into its config list) and the
-/// campaign runner (a single group over the grid-cell expansion) are
+/// The one streaming sweep body every sweep, campaign, resume and worker
+/// lease runs through: `threads` workers (at least one) drive
+/// lane-compacting engines of `lanes` lanes at one control period and
+/// engine precision. A worker takes result slots from `claim` and builds
+/// each slot's configuration through `cell` only when it admits the slot —
+/// nothing about a scenario exists before a worker claims it — and every
+/// report is pushed into the shared sink as its lane retires.
+/// [`ScenarioSweep`] (one call per lockstep group, claiming from the
+/// group's slot list) and the campaign runner (claiming grid cells) are the
 /// instantiations.
 ///
 /// The sink is delivered to behind poison-recovering locking with the
@@ -1362,48 +1345,25 @@ impl ResultSink for () {
 /// stderr and the sweep carries on. `policy` arms the executor's per-cell
 /// containment (see [`drive_engine`]) and, with a non-zero retry budget,
 /// bounded deterministic retry: a cell that failed retryably
-/// ([`ResiliencePolicy::is_retryable`]) is re-admitted from scratch — its
-/// configuration re-derived identically, no RNG state involved — up to
-/// `max_retries` times before its final error is delivered (poison-cell
-/// quarantine).
+/// ([`ResiliencePolicy::is_retryable`]) runs again on the worker that saw it
+/// fail — its configuration rebuilt from its slot through `cell`, no RNG
+/// state involved — up to `max_retries` times before its final error is
+/// delivered (poison-cell quarantine).
 #[allow(clippy::too_many_arguments)] // one call-site-shared body, not an API
-pub(crate) fn sweep_stream<F, S>(
+pub(crate) fn sweep_stream<S>(
     threads: usize,
     lanes: usize,
-    groups: &[(f64, EnginePrecision, usize)],
+    period_s: f64,
+    precision: EnginePrecision,
+    claim: &(dyn Fn() -> Option<usize> + Sync),
+    cell: &(dyn Fn(usize) -> ExperimentConfig + Sync),
     recording: TracePolicy,
-    provider: &F,
     calibration: &Calibration,
     policy: &ResiliencePolicy,
     sink: &std::sync::Mutex<&mut S>,
 ) where
-    F: Fn(usize, usize) -> (usize, ExperimentConfig) + Sync,
     S: ResultSink + Send + ?Sized,
 {
-    /// A retryably-failed scenario awaiting re-admission: its result slot,
-    /// the configuration to re-derive it from, and which attempt the next
-    /// execution will be.
-    struct RetryEntry {
-        slot: usize,
-        config: ExperimentConfig,
-        attempt: u32,
-    }
-
-    let total: usize = groups.iter().map(|(_, _, count)| count).sum();
-    if total == 0 {
-        return;
-    }
-    let cursors: Vec<std::sync::atomic::AtomicUsize> = groups
-        .iter()
-        .map(|_| std::sync::atomic::AtomicUsize::new(0))
-        .collect();
-    // Per-group retry queues (retries must re-run inside their own lockstep
-    // group: the engine's period and precision are group properties). Empty
-    // and untouched when the policy's retry budget is zero.
-    let retries: Vec<std::sync::Mutex<Vec<RetryEntry>>> = groups
-        .iter()
-        .map(|_| std::sync::Mutex::new(Vec::new()))
-        .collect();
     /// Retired results a worker buffers before taking the sink lock:
     /// batching amortises the mutex handoff across deliveries, so a wide
     /// pool of fast cells no longer serialises on the sink. Small enough
@@ -1464,140 +1424,76 @@ pub(crate) fn sweep_stream<F, S>(
                 flush();
             }
         };
-        // Scenarios this worker currently has in flight, by result slot —
-        // the configs a retry re-derives cells from. Only maintained when
-        // retry is armed, so the default policy costs nothing.
-        let in_flight = std::cell::RefCell::new(std::collections::HashMap::<
-            usize,
-            (ExperimentConfig, u32),
-        >::new());
-        for (group, (&(period_s, precision, count), cursor)) in
-            groups.iter().zip(&cursors).enumerate()
-        {
-            // Keep draining this group while retry work reappears: any
-            // worker that enqueues a retry re-checks its own queue after
-            // its engine drains, so no entry is ever orphaned.
-            loop {
-                // Pulls the next admissible scenario — retries first, then
-                // the group's shared cursor — publishing construction
-                // failures in place.
-                let mut next = || loop {
-                    if policy.max_retries > 0 {
-                        let entry = retries[group]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop();
-                        if let Some(RetryEntry {
-                            slot,
-                            mut config,
-                            attempt,
-                        }) = entry
-                        {
-                            if let Some(chaos) = config.chaos.as_mut() {
-                                chaos.attempt = attempt;
-                            }
-                            match ControlLoop::new(&config, calibration, recording) {
-                                Ok(control) => {
-                                    in_flight.borrow_mut().insert(slot, (config, attempt));
-                                    return Some((slot, control));
-                                }
-                                Err(e) => {
-                                    deliver(slot, Err(e));
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= count {
-                        return None;
-                    }
-                    let (slot, config) = provider(group, k);
-                    match ControlLoop::new(&config, calibration, recording) {
-                        Ok(control) => {
-                            if policy.max_retries > 0 {
-                                in_flight.borrow_mut().insert(slot, (config, 0));
-                            }
-                            return Some((slot, control));
-                        }
-                        Err(e) => deliver(slot, Err(e)),
-                    }
-                };
-                // Routes a retired result: retryable failures with budget
-                // left go back on the group's retry queue (the cell is
-                // re-derived from its config — deterministic, seed-stable);
-                // everything else is final and delivered.
-                let mut publish = |slot: usize, result: Result<RunReport, SimError>| {
-                    if policy.max_retries > 0 {
-                        let entry = in_flight.borrow_mut().remove(&slot);
-                        if let Err(error) = &result {
-                            if let Some((config, attempt)) = entry {
-                                if ResiliencePolicy::is_retryable(error)
-                                    && attempt < policy.max_retries
-                                {
-                                    retries[group]
-                                        .lock()
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                        .push(RetryEntry {
-                                            slot,
-                                            config,
-                                            attempt: attempt + 1,
-                                        });
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    deliver(slot, result);
-                };
-
-                // Claim the initial lane-group; the engine is sized to what
-                // the queue could actually provide, so a near-empty queue
-                // never creates idle-from-birth lanes, and a drained queue
-                // lets the worker flow straight into the next group.
-                let mut claimed = Vec::with_capacity(lanes);
-                while claimed.len() < lanes {
-                    match next() {
-                        Some(admitted) => claimed.push(admitted),
-                        None => break,
-                    }
-                }
-                if claimed.is_empty() {
-                    break;
-                }
-                let spec = SocSpec::odroid_xu_e();
-                let params: Vec<PlantPowerParams> = claimed
-                    .iter()
-                    .map(|(_, control)| control.config.plant)
-                    .collect();
-                let mut lane_slots: Vec<LaneSlot> = claimed
-                    .into_iter()
-                    .map(|(slot, control)| LaneSlot::holding(slot, control))
-                    .collect();
-                let mut engine = engine_for(spec, &params, lanes, precision);
-                drive_engine(
-                    engine.as_mut(),
-                    period_s,
-                    &mut lane_slots,
-                    policy,
-                    &mut next,
-                    &mut publish,
-                );
-                if policy.max_retries == 0 {
-                    break;
+        // The retries this worker owes, as (slot, attempt). A cell that
+        // failed retryably here runs again here, so no lane, map or peer
+        // has to hold its configuration; empty when the budget is zero.
+        let retries = std::cell::RefCell::new(Vec::<(usize, u32)>::new());
+        // Admits the next scenario — this worker's retries first, then a
+        // newly claimed slot — publishing construction failures in place.
+        let mut next = || loop {
+            let retry = retries.borrow_mut().pop();
+            let (slot, attempt) = match retry {
+                Some(retry) => retry,
+                None => (claim()?, 0),
+            };
+            let mut config = cell(slot);
+            // A retry stamps its attempt; a first admission runs the plan
+            // as declared.
+            if let Some(chaos) = config.chaos.as_mut().filter(|_| attempt > 0) {
+                chaos.attempt = attempt;
+            }
+            match ControlLoop::new(&config, calibration, recording) {
+                Ok(control) => return Some((slot, attempt, control)),
+                Err(e) => deliver(slot, Err(e)),
+            }
+        };
+        // Routes a retired result: a retryable failure with budget left
+        // goes back on this worker's retry list (`drive_engine` calls
+        // `next` after every publish, so it runs before the engine drains);
+        // everything else is final and delivered.
+        let mut publish = |slot: usize, attempt: u32, result: Result<RunReport, SimError>| {
+            if let Err(error) = &result {
+                if attempt < policy.max_retries && ResiliencePolicy::is_retryable(error) {
+                    retries.borrow_mut().push((slot, attempt + 1));
+                    return;
                 }
             }
+            deliver(slot, result);
+        };
+
+        // Claim the initial lane-group; the engine is sized to what the
+        // queue could actually provide, so a near-empty queue never creates
+        // idle-from-birth lanes.
+        let claimed: Vec<(usize, u32, ControlLoop)> =
+            std::iter::from_fn(&mut next).take(lanes).collect();
+        if !claimed.is_empty() {
+            let params: Vec<PlantPowerParams> = claimed
+                .iter()
+                .map(|(_, _, control)| control.config.plant)
+                .collect();
+            let mut lane_slots: Vec<LaneSlot> = claimed
+                .into_iter()
+                .map(|(slot, attempt, control)| LaneSlot::holding(slot, attempt, control))
+                .collect();
+            let mut engine = engine_for(SocSpec::odroid_xu_e(), &params, lanes, precision);
+            drive_engine(
+                engine.as_mut(),
+                period_s,
+                &mut lane_slots,
+                policy,
+                &mut next,
+                &mut publish,
+            );
         }
         // Everything this worker retired reaches the sink before the worker
         // (and therefore the sweep) returns.
         flush();
     };
-    let pool = threads.min(total).max(1);
-    if pool == 1 {
+    if threads <= 1 {
         worker();
     } else {
         std::thread::scope(|scope| {
-            for _ in 0..pool {
+            for _ in 0..threads {
                 scope.spawn(worker);
             }
         });

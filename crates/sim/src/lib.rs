@@ -68,7 +68,8 @@
 //! * [`batch`] — the structure-of-arrays [`batch::BatchPlant`]: K plants
 //!   advanced in lockstep, one scenario per panel column.
 //! * [`resilience`] — the robustness layer for long campaigns: atomic
-//!   checkpoint/resume ([`resilience::CampaignCheckpoint`] /
+//!   checkpoint/resume ([`resilience::CampaignCheckpoint`], the grid
+//!   fingerprint plus its fold, maintained by
 //!   [`resilience::CheckpointSink`]), the deterministic canonical-order
 //!   fold ([`resilience::MergeSink`]) and the
 //!   cell-level fault-containment policy ([`resilience::ResiliencePolicy`]:
@@ -147,8 +148,12 @@
 //! interval it retires finished scenarios, admits queued ones into the freed
 //! lanes, lets every live lane decide, steps the engine once with per-lane
 //! inputs, and absorbs the per-lane results. [`Experiment::run`] is the
-//! executor over a one-lane engine and [`ScenarioSweep`] over per-worker
-//! engines of its lane width. One function picks every engine from the lane
+//! executor over a one-lane engine, and the one sweep loop behind
+//! [`ScenarioSweep`], [`CampaignRunner`], checkpoint resume and worker
+//! leases runs it over per-worker engines of the sweep's lane width. Each
+//! lane carries its result slot and attempt number, and the executor hands
+//! every retired result to its caller before it admits the lane's next
+//! scenario. One function picks every engine from the lane
 //! count and [`engine::EnginePrecision`]: [`engine::ScalarEngine`] for one
 //! f64 lane, [`engine::PanelEngine`] for more, and
 //! [`engine::MixedPanelEngine`] under f32. There is no scalar-vs-batched
@@ -160,10 +165,13 @@
 //!
 //! # Lane-compacting sweeps
 //!
-//! [`experiment::ScenarioSweep`] feeds the same executor from a shared
-//! atomic scenario queue: each worker owns an engine of
+//! Every sweep, campaign, resume and worker lease runs through one sweep
+//! loop fed by two closures: `claim` hands out the next result slot from a
+//! shared cursor (the sweep's slot list, the grid, a checkpoint's missing
+//! cells or a lease's range), and `cell` builds a slot's configuration only
+//! when a worker admits it. Each worker owns an engine of
 //! [`experiment::ScenarioSweep::with_lanes`] lanes and refills every freed
-//! lane from the queue (retire → compact → admit via
+//! lane from the cursor (retire → compact → admit via
 //! [`engine::PlantEngine::admit`], which resets lane state and re-anchors
 //! the lane's leakage models at the new scenario's initial temperature). A
 //! ragged mix of short and long scenarios therefore no longer serialises on
@@ -171,8 +179,13 @@
 //! measures compaction against static tiling on a 1-long + 3-short tile mix
 //! (floor and last measurement in `BENCH_sweep_ragged.json`), and
 //! `tests/compaction.rs` proves recycled lanes reproduce scalar trajectories
-//! to ≤ 1e-9 °C and the scenario's solo panel run to the bit.
-//! [`campaign::SweepSpec::runner`] and the distributed
+//! to ≤ 1e-9 °C and the scenario's solo panel run to the bit. A cell that
+//! fails retryably runs again on the worker that saw it fail, its
+//! configuration rebuilt from its slot; since a cell's bits depend on
+//! nothing but its own inputs, a healed retry folds to the bits of a cell
+//! that never faulted. A [`ScenarioSweep`] that mixes control periods or
+//! engine precisions runs one such loop per group, one group after
+//! another. [`campaign::SweepSpec::runner`] and the distributed
 //! [`distributed::Coordinator`] default to panels of [`numeric::LANE_CHUNK`]
 //! lanes.
 //!
@@ -300,8 +313,8 @@ pub use mixed::MixedBatchPlant;
 pub use observer::{OnlineRunStats, RunObserver, TracePolicy};
 pub use plant::{PhysicalPlant, PlantPowerParams};
 pub use resilience::{
-    CampaignAggregate, CampaignCheckpoint, CellBitmap, CellFailure, CellOutcome, CellStats,
-    ChaosPlan, CheckpointSink, MergeSink, ResiliencePolicy,
+    CampaignAggregate, CampaignCheckpoint, CellFailure, CellOutcome, CellStats, ChaosPlan,
+    CheckpointSink, MergeSink, ResiliencePolicy,
 };
 pub use safety::{
     FaultObservation, HealthConfig, Incident, IncidentKind, IncidentLog, LadderConfig,

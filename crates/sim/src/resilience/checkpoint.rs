@@ -2,10 +2,11 @@
 //! campaign's progress, and the [`CheckpointSink`] that maintains them as
 //! results stream in.
 //!
-//! A [`CampaignCheckpoint`] is small and closed-form — a completed-cell
-//! bitmap plus the canonical-order merge fold ([`MergeSink`]) over the
-//! completed cells — so it costs O(cells/8) bytes no matter how much trace
-//! data the campaign produced. Snapshots go to disk in the crate's one
+//! A [`CampaignCheckpoint`] is small and closed-form — the grid
+//! fingerprint plus the canonical-order merge fold ([`MergeSink`]) over the
+//! completed cells, which also knows which cells have reported — so it
+//! costs O(in-flight spread) bytes no matter how much trace data the
+//! campaign produced. Snapshots go to disk in the crate's one
 //! binary format ([`crate::distributed::codec`], CRC32-sealed) through the
 //! classic temp-file + `sync` + rename dance, so a kill at any instant
 //! leaves either the previous checkpoint or the new one, never a torn file.
@@ -17,112 +18,19 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use super::merge::MergeSink;
+use super::merge::{CellOutcome, MergeSink};
 use crate::distributed::codec::{self, malformed};
 use crate::error::SimError;
 use crate::experiment::{ResultSink, RunReport};
 
-/// A fixed-size bitmap over campaign cell indices: which cells have reported
-/// a terminal outcome (success or quarantined failure).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellBitmap {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl CellBitmap {
-    /// An all-clear bitmap over `len` cells.
-    pub fn new(len: usize) -> CellBitmap {
-        CellBitmap {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// The number of cells the bitmap covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the bitmap covers zero cells.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Marks a cell complete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn set(&mut self, index: usize) {
-        assert!(
-            index < self.len,
-            "cell {index} outside bitmap of {}",
-            self.len
-        );
-        self.words[index / 64] |= 1u64 << (index % 64);
-    }
-
-    /// Whether a cell is marked complete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn get(&self, index: usize) -> bool {
-        assert!(
-            index < self.len,
-            "cell {index} outside bitmap of {}",
-            self.len
-        );
-        self.words[index / 64] & (1u64 << (index % 64)) != 0
-    }
-
-    /// The number of cells marked complete.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The indices of cells *not* marked complete, in ascending order.
-    pub fn missing(&self) -> Vec<usize> {
-        (0..self.len).filter(|&k| !self.get(k)).collect()
-    }
-
-    /// The raw 64-bit words backing the bitmap. Crate-internal, for the
-    /// codec.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Reassembles a bitmap from its raw words, validating the word count
-    /// and that no bit is set past the cell count. Every decoder funnels
-    /// through here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Io`] on any violated invariant.
-    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Result<CellBitmap, SimError> {
-        if words.len() != len.div_ceil(64) {
-            return Err(malformed("bitmap word count disagrees with cells"));
-        }
-        if !len.is_multiple_of(64) {
-            if let Some(last) = words.last() {
-                if last >> (len % 64) != 0 {
-                    return Err(malformed("bitmap has bits past the cell count"));
-                }
-            }
-        }
-        Ok(CellBitmap { words, len })
-    }
-}
-
-/// A durable snapshot of a campaign's progress: which cells have reported
-/// (bitmap) and the canonical-order merge fold over their outcomes. Bound to
-/// its grid by the [`crate::SweepSpec`] fingerprint, so a checkpoint cannot
-/// silently resume a different campaign.
+/// A durable snapshot of a campaign's progress: the canonical-order merge
+/// fold over the outcomes recorded so far, which also answers which cells
+/// have reported. Bound to its grid by the [`crate::SweepSpec`]
+/// fingerprint, so a checkpoint cannot silently resume a different
+/// campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     fingerprint: u64,
-    bitmap: CellBitmap,
     fold: MergeSink,
 }
 
@@ -132,7 +40,6 @@ impl CampaignCheckpoint {
     pub fn new(fingerprint: u64, cells: usize) -> CampaignCheckpoint {
         CampaignCheckpoint {
             fingerprint,
-            bitmap: CellBitmap::new(cells),
             fold: MergeSink::new(0..cells),
         }
     }
@@ -144,17 +51,17 @@ impl CampaignCheckpoint {
 
     /// The number of cells in the campaign grid.
     pub fn cells(&self) -> usize {
-        self.bitmap.len()
+        self.fold.range().end
     }
 
     /// The number of cells with a recorded terminal outcome.
     pub fn completed(&self) -> usize {
-        self.bitmap.count_ones()
+        self.fold.completed_cells()
     }
 
     /// Whether the given cell already has a recorded outcome.
     pub fn is_cell_complete(&self, index: usize) -> bool {
-        self.bitmap.get(index)
+        self.fold.is_cell_complete(index)
     }
 
     /// Whether every cell has reported.
@@ -162,19 +69,17 @@ impl CampaignCheckpoint {
         self.fold.is_complete()
     }
 
-    /// The indices still to run, in ascending order.
+    /// The indices still to run, in ascending order: the fold's unfolded
+    /// range minus the cells it holds pending.
     pub fn remaining(&self) -> Vec<usize> {
-        self.bitmap.missing()
+        (self.fold.next_index()..self.cells())
+            .filter(|&index| !self.fold.is_cell_complete(index))
+            .collect()
     }
 
     /// The canonical-order merge fold over the recorded outcomes.
     pub fn fold(&self) -> &MergeSink {
         &self.fold
-    }
-
-    /// The completion bitmap. Crate-internal, for the codec.
-    pub(crate) fn bitmap(&self) -> &CellBitmap {
-        &self.bitmap
     }
 
     /// Consumes the checkpoint, returning its merge fold (the campaign's
@@ -191,34 +96,23 @@ impl CampaignCheckpoint {
     /// contract delivers each cell exactly once; resume skips completed
     /// cells).
     pub fn record(&mut self, index: usize, outcome: Result<RunReport, SimError>) {
-        self.bitmap.set(index);
         self.fold.accept(index, outcome);
     }
 
-    /// Reassembles a checkpoint from its raw parts, validating the
-    /// cross-field invariants: the fold covers exactly the bitmap's cells
-    /// and the two completion counts agree. Every decoder funnels through
-    /// here.
+    /// Reassembles a checkpoint from its raw parts, validating that the
+    /// fold covers a grid from cell 0. Every decoder funnels through here.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Io`] on any violated invariant.
+    /// Returns [`SimError::Io`] if the fold starts past cell 0.
     pub(crate) fn from_parts(
         fingerprint: u64,
-        bitmap: CellBitmap,
         fold: MergeSink,
     ) -> Result<CampaignCheckpoint, SimError> {
-        if fold.range() != (0..bitmap.len()) {
-            return Err(malformed("fold range disagrees with cell count"));
+        if fold.range().start != 0 {
+            return Err(malformed("checkpoint fold does not start at cell 0"));
         }
-        if fold.completed_cells() != bitmap.count_ones() {
-            return Err(malformed("fold completion count disagrees with bitmap"));
-        }
-        Ok(CampaignCheckpoint {
-            fingerprint,
-            bitmap,
-            fold,
-        })
+        Ok(CampaignCheckpoint { fingerprint, fold })
     }
 
     /// Serialises the checkpoint in the on-disk format: the CRC32-sealed
@@ -375,7 +269,9 @@ impl<S: ResultSink> CheckpointSink<S> {
 
 impl<S: ResultSink> ResultSink for CheckpointSink<S> {
     fn accept(&mut self, index: usize, outcome: Result<RunReport, SimError>) {
-        self.checkpoint.record(index, outcome.clone());
+        self.checkpoint
+            .fold
+            .offer(index, CellOutcome::from_run(index, &outcome));
         self.inner.accept(index, outcome);
         self.since_write += 1;
         if self.since_write >= self.every {
@@ -394,27 +290,6 @@ mod tests {
 
     fn failed(index: usize) -> Result<RunReport, SimError> {
         Err(SimError::Panicked(format!("boom {index}")))
-    }
-
-    #[test]
-    fn bitmap_tracks_cells_across_word_boundaries() {
-        let mut bitmap = CellBitmap::new(130);
-        assert_eq!(bitmap.len(), 130);
-        assert!(!bitmap.is_empty());
-        for k in [0, 63, 64, 65, 127, 128, 129] {
-            assert!(!bitmap.get(k));
-            bitmap.set(k);
-            assert!(bitmap.get(k));
-        }
-        assert_eq!(bitmap.count_ones(), 7);
-        assert_eq!(bitmap.missing().len(), 123);
-        assert!(CellBitmap::new(0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside bitmap")]
-    fn bitmap_rejects_out_of_range_cells() {
-        CellBitmap::new(10).set(10);
     }
 
     #[test]
@@ -444,21 +319,35 @@ mod tests {
         assert!(CampaignCheckpoint::decode(b"not a checkpoint").is_err());
         let good = CampaignCheckpoint::new(7, 3).encode();
         assert!(CampaignCheckpoint::decode(&good[..good.len() / 2]).is_err());
-        // A correctly sealed blob whose bitmap covers 130 cells but whose
-        // fold covers 3: the checksum passes, the consistency check fails.
-        let mut w = numeric::codec::ByteWriter::new();
-        w.put_u32(u32::from_le_bytes(*b"DCP1"));
-        w.put_u64(7);
-        w.put_usize(130);
-        for _ in 0..3 {
-            w.put_u64(0);
-        }
-        codec::put_sink(&mut w, &MergeSink::new(0..3));
-        let crc = numeric::codec::crc32(w.as_slice());
-        w.put_u32(crc);
+        let sealed = |magic: &[u8; 4], fill: &dyn Fn(&mut numeric::codec::ByteWriter)| {
+            let mut w = numeric::codec::ByteWriter::new();
+            w.put_u32(u32::from_le_bytes(*magic));
+            fill(&mut w);
+            let crc = numeric::codec::crc32(w.as_slice());
+            w.put_u32(crc);
+            w.into_bytes()
+        };
+        // A correctly sealed blob whose fold starts at cell 3: the checksum
+        // passes, the consistency check fails.
+        let offset = sealed(b"DCP2", &|w| {
+            w.put_u64(7);
+            codec::put_sink(w, &MergeSink::new(3..6));
+        });
         assert!(matches!(
-            CampaignCheckpoint::decode(w.as_slice()),
-            Err(SimError::Io(_))
+            CampaignCheckpoint::decode(&offset),
+            Err(SimError::Io(message)) if message.contains("cell 0")
+        ));
+        // A checkpoint in the retired bitmap format (fingerprint, cell
+        // count, bitmap words, fold) fails on its magic, not on its layout.
+        let retired = sealed(b"DCP1", &|w| {
+            w.put_u64(7);
+            w.put_usize(3);
+            w.put_u64(0);
+            codec::put_sink(w, &MergeSink::new(0..3));
+        });
+        assert!(matches!(
+            CampaignCheckpoint::decode(&retired),
+            Err(SimError::Corrupted(message)) if message.contains("magic")
         ));
     }
 

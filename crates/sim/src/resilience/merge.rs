@@ -95,7 +95,7 @@ impl CellOutcome {
     /// every sink that feeds a merge fold (in-process or over a distributed
     /// transport) funnels through here, so the folded bits cannot depend on
     /// where the cell ran.
-    pub(crate) fn from_run(index: usize, outcome: Result<RunReport, SimError>) -> CellOutcome {
+    pub(crate) fn from_run(index: usize, outcome: &Result<RunReport, SimError>) -> CellOutcome {
         match outcome {
             Ok(report) => CellOutcome::Completed(CellStats::from(&report.summary)),
             Err(error) => CellOutcome::Failed(CellFailure {
@@ -357,8 +357,7 @@ impl MergeSink {
 
 impl ResultSink for MergeSink {
     fn accept(&mut self, index: usize, outcome: Result<RunReport, SimError>) {
-        let outcome = CellOutcome::from_run(index, outcome);
-        self.offer(index, outcome);
+        self.offer(index, CellOutcome::from_run(index, &outcome));
     }
 }
 

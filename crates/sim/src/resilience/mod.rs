@@ -14,16 +14,20 @@
 //!   [`crate::SimError::Panicked`] instead of unwinding the worker (and the
 //!   result sink recovers from mutex poisoning rather than deadlocking
 //!   siblings). A [`ResiliencePolicy`] adds bounded deterministic retry —
-//!   the cell is re-admitted from scratch with its seed-stable
-//!   configuration, no RNG state involved — and poison-cell quarantine when
+//!   the cell runs again from scratch on the worker that saw it fail, its
+//!   seed-stable configuration rebuilt from its index, no RNG state
+//!   involved — and poison-cell quarantine when
 //!   the retry budget is spent, plus a cooperative per-cell deadline
 //!   (interval-count watchdog) that cancels runaway cells cleanly with
 //!   [`crate::SimError::Deadline`].
 //! * **Checkpoint/resume** ([`checkpoint`]): a [`CheckpointSink`] wraps any
 //!   [`crate::ResultSink`] and atomically (temp file + rename) persists a
-//!   [`CampaignCheckpoint`] — completed-cell bitmap plus merged
-//!   summary/Welford partials and incident counts — every N completed
-//!   cells. [`crate::CampaignRunner::resume_from`] skips completed cells;
+//!   [`CampaignCheckpoint`] — the grid fingerprint plus the merge fold
+//!   (summary/Welford partials, incident counts, and the outcomes of cells
+//!   that arrived ahead of the fold cursor) — every N completed cells. The
+//!   fold alone says which cells have reported, and the sink projects each
+//!   report once, by reference, before forwarding it unchanged.
+//!   [`crate::CampaignRunner::resume_from`] skips completed cells;
 //!   because the merge folds per-cell stats in canonical index order, the
 //!   resumed campaign's merged output is bit-identical to an uninterrupted
 //!   run no matter where the kill landed.
@@ -43,7 +47,7 @@ use crate::error::SimError;
 pub mod checkpoint;
 pub mod merge;
 
-pub use checkpoint::{CampaignCheckpoint, CellBitmap, CheckpointSink};
+pub use checkpoint::{CampaignCheckpoint, CheckpointSink};
 pub use merge::{CampaignAggregate, CellFailure, CellOutcome, CellStats, MergeSink};
 
 /// Containment policy for a sweep or campaign: how many times a transiently

@@ -18,9 +18,7 @@
 use std::thread;
 use std::time::{Duration, Instant};
 
-use platform_sim::distributed::{
-    read_frame, serve_with, MemoryTransport, Transport, WorkerChaos, WorkerOptions,
-};
+use platform_sim::distributed::{read_frame, serve_with, MemoryTransport, Transport, WorkerChaos};
 use platform_sim::{
     Calibration, CalibrationCampaign, CellOutcome, CellStats, Coordinator, DistributedReport,
     ExperimentKind, MergeSink, SimError, SweepSpec,
@@ -79,19 +77,19 @@ fn reference_fold() -> &'static MergeSink {
 }
 
 /// Runs `small_spec` through the coordinator with one in-process worker
-/// thread per options entry, over memory transports.
+/// thread per chaos entry, over memory transports.
 fn run_distributed(
-    worker_options: Vec<WorkerOptions>,
+    worker_chaos: Vec<WorkerChaos>,
     lease_cells: usize,
     lease_timeout: Duration,
 ) -> DistributedReport {
     let mut transports: Vec<Box<dyn Transport>> = Vec::new();
     let mut workers = Vec::new();
-    for options in worker_options {
+    for chaos in worker_chaos {
         let (coordinator_end, worker_end) = MemoryTransport::pair();
         transports.push(Box::new(coordinator_end));
         workers.push(thread::spawn(move || {
-            serve_with(Box::new(worker_end), options)
+            serve_with(Box::new(worker_end), chaos)
         }));
     }
     let report = Coordinator::new(small_spec())
@@ -116,7 +114,7 @@ fn run_distributed(
 #[test]
 fn distributed_run_matches_in_process_bit_for_bit() {
     let report = run_distributed(
-        vec![WorkerOptions::default(), WorkerOptions::default()],
+        vec![WorkerChaos::default(), WorkerChaos::default()],
         2,
         Duration::from_secs(20),
     );
@@ -133,7 +131,7 @@ fn distributed_run_matches_in_process_bit_for_bit() {
 
 #[test]
 fn single_worker_pool_matches_too() {
-    let report = run_distributed(vec![WorkerOptions::default()], 32, Duration::from_secs(20));
+    let report = run_distributed(vec![WorkerChaos::default()], 32, Duration::from_secs(20));
     assert_eq!(report.fold().encode(), reference_fold().encode());
     assert_eq!(report.stats().leases, 1);
 }
@@ -221,7 +219,7 @@ proptest! {
             Duration::from_secs(20)
         };
         let report = run_distributed(
-            vec![WorkerOptions { chaos }, WorkerOptions::default()],
+            vec![chaos, WorkerChaos::default()],
             lease_cells,
             lease_timeout,
         );

@@ -11,6 +11,9 @@
 //! * A cell that panics or blows its deadline is quarantined as a structured
 //!   failure; sibling lanes of the same panel report summaries within the
 //!   batched-engine equivalence bar (≤ 1e-9) of solo runs.
+//! * A cell that panics and heals on retry — re-run on the worker that saw
+//!   it fail, in whatever panel lane is free — folds to the bits of a
+//!   campaign in which it never faulted, on one or two threads.
 //! * A panicking result sink cannot poison the sweep: every other slot is
 //!   still delivered.
 
@@ -406,6 +409,53 @@ fn a_transient_panic_is_retried_deterministically_and_heals() {
         .run()
         .expect("clean run");
     assert_summaries_close(&healed.summary, &RunSummary::of(&reference), "healed retry");
+}
+
+/// 36 cells at the runner's default panel width (2 kinds × 3 benchmarks ×
+/// 2 ambients × 3 replicates, 2 s cells, modelled sensors): more cells
+/// than one panel, so retried cells re-enter recycled lanes mid-campaign.
+fn panel_spec() -> SweepSpec {
+    let mut spec = small_spec()
+        .with_ambients_c(vec![28.0, 40.0])
+        .with_replicates(3)
+        .with_max_duration_s(2.0);
+    spec.ideal_sensors = false;
+    spec
+}
+
+/// Folds `spec` on the default runner with `threads` workers and a retry
+/// budget of `retries`.
+fn panel_fold(spec: &SweepSpec, threads: usize, retries: u32) -> MergeSink {
+    let mut fold = MergeSink::new(0..spec.cells());
+    spec.runner()
+        .with_threads(threads)
+        .with_resilience(ResiliencePolicy::default().with_max_retries(retries))
+        .run_into(calibration(), &mut fold);
+    assert!(fold.is_complete());
+    fold
+}
+
+#[test]
+fn healed_retries_at_panel_width_fold_to_the_bits_of_a_clean_run() {
+    let clean = panel_spec();
+    assert_eq!(clean.cells(), 36);
+    assert_eq!(clean.runner().lanes(), 8);
+    let chaotic = panel_spec()
+        .with_cell_chaos(5, ChaosPlan::panic_at(4).healing_after(1))
+        .with_cell_chaos(17, ChaosPlan::panic_at(0).healing_after(2))
+        .with_cell_chaos(30, ChaosPlan::panic_at(11).healing_after(1));
+    let reference = panel_fold(&clean, 1, 0).encode();
+    for threads in [1, 2] {
+        assert_eq!(
+            panel_fold(&chaotic, threads, 2).encode(),
+            reference,
+            "threads={threads}: a healed retry must fold like a cell that never faulted"
+        );
+    }
+    // One retry heals cells 5 and 30; cell 17 needs two and is quarantined.
+    let short_budget = panel_fold(&chaotic, 2, 1);
+    assert_eq!(short_budget.aggregate().failed_cells, 1);
+    assert_eq!(short_budget.failures()[0].index, 17);
 }
 
 #[test]

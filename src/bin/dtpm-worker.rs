@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use platform_sim::distributed::{
-    inspect, serve_with, StdioTransport, TcpTransport, Transport, WorkerChaos, WorkerOptions,
+    inspect, serve_with, StdioTransport, TcpTransport, Transport, WorkerChaos,
 };
 
 /// Parsed command line.
@@ -115,8 +115,7 @@ fn main() -> ExitCode {
         },
         None => Box::new(StdioTransport::new()),
     };
-    let options = WorkerOptions { chaos: args.chaos };
-    match serve_with(transport, options) {
+    match serve_with(transport, args.chaos) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("dtpm-worker: {e}");
