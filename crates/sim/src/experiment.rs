@@ -10,6 +10,18 @@
 //!   the fan control by cutting the frequency 18 %/25 % past 63/68 °C.
 //! * **Proposed DTPM** — fan removed; the predictive DTPM algorithm using the
 //!   identified thermal model and the run-time power model.
+//!
+//! The simulation engine is split along one seam. The `control` submodule
+//! holds the per-run control loop: sensors, workload, governors and policy,
+//! everything but the plant. The `executor` submodule holds the one
+//! executor, which drives a control loop per engine lane against any
+//! [`crate::engine::PlantEngine`] and picks that engine. The `sweep`
+//! submodule holds [`ScenarioSweep`], the [`ResultSink`] seam and the one
+//! sweep loop: workers claim result slots from a shared cursor, build each
+//! slot's configuration only when they admit it, and re-run a retryable
+//! failure on the worker that saw it. [`Experiment`] is the executor over
+//! one lane; sweeps, campaigns, resumes and worker leases all run through
+//! the sweep loop.
 
 mod control;
 mod executor;

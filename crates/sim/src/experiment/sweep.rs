@@ -390,9 +390,7 @@ pub(crate) fn sweep_stream<S>(
                 None => (claim()?, 0),
             };
             let mut config = cell(slot);
-            // A retry stamps its attempt; a first admission runs the plan
-            // as declared.
-            if let Some(chaos) = config.chaos.as_mut().filter(|_| attempt > 0) {
+            if let Some(chaos) = config.chaos.as_mut() {
                 chaos.attempt = attempt;
             }
             match ControlLoop::new(&config, calibration, recording) {
