@@ -2,13 +2,13 @@
 //! campaign's progress, and the [`CheckpointSink`] that maintains them as
 //! results stream in.
 //!
-//! A [`CampaignCheckpoint`] is small and closed-form — the grid
-//! fingerprint plus the canonical-order merge fold ([`MergeSink`]) over the
-//! completed cells, which also knows which cells have reported — so it
-//! costs O(in-flight spread) bytes no matter how much trace data the
-//! campaign produced. Snapshots go to disk in the crate's one
-//! binary format ([`crate::distributed::codec`], CRC32-sealed) through the
-//! classic temp-file + `sync` + rename dance, so a kill at any instant
+//! A [`CampaignCheckpoint`] is small and closed-form — the grid fingerprint
+//! plus the canonical-order merge fold ([`MergeSink`]) over the completed
+//! cells, which also knows which cells have reported — so its size tracks
+//! how far arrivals run ahead of the fold, not the grid size or how much
+//! trace data the campaign produced. Snapshots go to disk in the crate's
+//! one binary format ([`crate::distributed::codec`], CRC32-sealed) through
+//! the classic temp-file + `sync` + rename dance, so a kill at any instant
 //! leaves either the previous checkpoint or the new one, never a torn file.
 //! Because the embedded fold replays cells in canonical index order and
 //! stores floats as exact bit patterns, resuming from any checkpoint
@@ -293,6 +293,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside the sink range")]
+    fn checkpoint_rejects_out_of_range_cells() {
+        CampaignCheckpoint::new(1, 10).record(10, failed(10));
+    }
+
+    #[test]
     fn checkpoint_round_trips_bit_exactly_through_text_and_disk() {
         let mut checkpoint = CampaignCheckpoint::new(0xDEAD_BEEF_F00D_CAFE, 70);
         for k in [0, 1, 2, 5, 64, 69] {
@@ -302,7 +308,10 @@ mod tests {
         assert!(checkpoint.is_cell_complete(64));
         assert!(!checkpoint.is_cell_complete(63));
         assert!(!checkpoint.is_complete());
-        assert_eq!(checkpoint.remaining().len(), 64);
+        // Cells 0..=2 are folded, 5, 64 and 69 wait in the fold's pending
+        // map: everything else remains.
+        let remaining: Vec<usize> = (3..5).chain(6..64).chain(65..69).collect();
+        assert_eq!(checkpoint.remaining(), remaining);
 
         let decoded = CampaignCheckpoint::decode(&checkpoint.encode()).expect("decode");
         assert_eq!(decoded, checkpoint);
