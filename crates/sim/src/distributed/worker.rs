@@ -157,7 +157,7 @@ pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(
                 let cells = setup.spec.cells();
                 if start > end || end > cells {
                     return Err(SimError::Io(format!(
-                        "lease {lease} names cells {start}..{end}, outside the grid's {cells} cells"
+                        "lease {lease} names cells {start}..{end}, not a range within the grid's {cells} cells"
                     )));
                 }
                 let mut sink = LeaseSink {
