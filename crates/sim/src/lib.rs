@@ -144,24 +144,23 @@
 //! # The `PlantEngine` seam and the one executor
 //!
 //! Both execution paths above are instantiations of a single generic
-//! control-loop executor over the [`engine::PlantEngine`] trait: per control
-//! interval it retires finished scenarios, admits queued ones into the freed
-//! lanes, lets every live lane decide, steps the engine once with per-lane
-//! inputs, and absorbs the per-lane results. [`Experiment::run`] is the
-//! executor over a one-lane engine, and the one sweep loop behind
+//! control-loop executor over the [`engine::PlantEngine`] trait: per
+//! control interval it retires finished scenarios, admits queued ones into
+//! the freed lanes, lets every live lane decide, steps the engine once with
+//! per-lane inputs, and absorbs the per-lane results. [`Experiment::run`]
+//! is the executor over a one-lane engine, and the one sweep loop behind
 //! [`ScenarioSweep`], [`CampaignRunner`], checkpoint resume and worker
 //! leases runs it over per-worker engines of the sweep's lane width. Each
 //! lane carries its result slot and attempt number, and the executor hands
 //! every retired result to its caller before it admits the lane's next
-//! scenario. One function picks every engine from the lane
-//! count and [`engine::EnginePrecision`]: [`engine::ScalarEngine`] for one
-//! f64 lane, [`engine::PanelEngine`] for more, and
-//! [`engine::MixedPanelEngine`] under f32. There is no scalar-vs-batched
-//! fork in the stepping logic, and a future device backend
-//! (GPU panels for calibration-scale sweeps) only has to implement the trait
-//! — the per-step math it needs is already exposed by
-//! [`thermal_model::BatchStepTransition`] (`r`/`s_power` and the per-lane
-//! drive column of `ambient_drive_into`).
+//! scenario. One function picks every engine from the lane count and
+//! [`engine::EnginePrecision`]: [`engine::ScalarEngine`] for one f64 lane,
+//! [`engine::PanelEngine`] for more, and [`engine::MixedPanelEngine`] under
+//! f32. There is no scalar-vs-batched fork in the stepping logic, and a
+//! future device backend (GPU panels for calibration-scale sweeps) only has
+//! to implement the trait — the per-step math it needs is already exposed
+//! by [`thermal_model::BatchStepTransition`] (`r`/`s_power` and the
+//! per-lane drive column of `ambient_drive_into`).
 //!
 //! # Lane-compacting sweeps
 //!

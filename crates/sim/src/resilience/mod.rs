@@ -16,10 +16,9 @@
 //!   siblings). A [`ResiliencePolicy`] adds bounded deterministic retry —
 //!   the cell runs again from scratch on the worker that saw it fail, its
 //!   seed-stable configuration rebuilt from its index, no RNG state
-//!   involved — and poison-cell quarantine when
-//!   the retry budget is spent, plus a cooperative per-cell deadline
-//!   (interval-count watchdog) that cancels runaway cells cleanly with
-//!   [`crate::SimError::Deadline`].
+//!   involved — and poison-cell quarantine when the retry budget is spent,
+//!   plus a cooperative per-cell deadline (interval-count watchdog) that
+//!   cancels runaway cells cleanly with [`crate::SimError::Deadline`].
 //! * **Checkpoint/resume** ([`checkpoint`]): a [`CheckpointSink`] wraps any
 //!   [`crate::ResultSink`] and atomically (temp file + rename) persists a
 //!   [`CampaignCheckpoint`] — the grid fingerprint plus the merge fold
