@@ -8,64 +8,13 @@ use soc_model::SocSpec;
 
 use super::control::ControlLoop;
 use super::executor::{drive_engine, engine_for, panic_error, LaneSlot};
-use super::{ExperimentConfig, RunReport, SimulationResult};
+use super::{ExperimentConfig, RunReport, ScenarioSweep, SimulationResult};
 use crate::calibrate::Calibration;
 use crate::engine::EnginePrecision;
 use crate::observer::TracePolicy;
 use crate::plant::PlantPowerParams;
 use crate::resilience::ResiliencePolicy;
 use crate::SimError;
-
-/// Runs many independent experiment configurations across worker threads
-/// with a lane-compacting scheduler.
-///
-/// Every configuration is a self-contained closed-loop simulation (own plant,
-/// sensors, workload and seed), so a sweep is embarrassingly parallel: the
-/// runner shares one [`Calibration`] across `std::thread::scope` workers that
-/// pull scenarios from a shared atomic work queue. With
-/// [`ScenarioSweep::with_lanes`] each worker drives a [`PanelEngine`](crate::engine::PanelEngine) of that
-/// width and *recycles* its lanes: when a scenario finishes, the lane is
-/// retired, re-initialised and refilled with the next queued scenario
-/// (retire → compact → admit via [`PlantEngine::admit`](crate::engine::PlantEngine::admit)), so a ragged mix of
-/// short and long scenarios no longer serialises on the slowest member of a
-/// statically tiled lane-group — the batch stays dense until the queue runs
-/// dry. Results come back in input order; each scenario's trajectory is
-/// independent of which lane or worker it landed on and of when it was
-/// admitted: bit-identical across every multi-lane width, and within the
-/// batched engine's ≤ 1e-9 °C equivalence bar of the one-lane (scalar)
-/// sweep.
-///
-/// Scenarios must share a control period to step in lockstep; a sweep over
-/// mixed periods is partitioned into per-period groups that are processed
-/// one after another, each with the full worker pool.
-///
-/// # Example
-///
-/// ```no_run
-/// use platform_sim::{CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep};
-/// use workload::BenchmarkId;
-///
-/// # fn main() -> Result<(), platform_sim::SimError> {
-/// let calibration = CalibrationCampaign::default().run(7)?;
-/// let configs: Vec<ExperimentConfig> = (0..16)
-///     .map(|seed| {
-///         ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::Templerun)
-///             .with_seed(seed)
-///     })
-///     .collect();
-/// let results = ScenarioSweep::new(configs).run(&calibration);
-/// assert_eq!(results.len(), 16);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioSweep {
-    configs: Vec<ExperimentConfig>,
-    threads: usize,
-    lanes: usize,
-    recording: TracePolicy,
-    resilience: ResiliencePolicy,
-}
 
 impl ScenarioSweep {
     /// Creates a sweep over the given configurations using one worker per
