@@ -13,13 +13,14 @@
 //!   and on top of that worker 0 stalls for [`STRAGGLER_STALL`] before its
 //!   first delivery. Under a static split the stalled worker's whole half
 //!   convoys behind the stall; under leasing the coordinator re-leases the
-//!   silent worker's micro-shard after [`LEASE_TIMEOUT`] and the healthy
+//!   unreported cells of the silent worker's micro-shard after
+//!   [`LEASE_TIMEOUT`] and the healthy
 //!   worker absorbs it, so the damage is bounded by the timeout instead of
 //!   the stall. Stalls sleep rather than burn CPU, so the gap measures the
 //!   scheduling difference honestly on any core count.
 //! * **Dispatch overhead** (ceiling ≤ [`OVERHEAD_CEILING`]): coordinator +
-//!   one healthy local worker (binary frames over an in-process pipe,
-//!   per-cell outcome transport, heartbeats) versus the plain in-process
+//!   one healthy local worker (binary frames over an in-process pipe, one
+//!   outcome frame per cell) versus the plain in-process
 //!   [`platform_sim::CampaignRunner`] at the same thread count on the same
 //!   grid.
 //!
@@ -49,8 +50,8 @@ const WORKERS: usize = 2;
 const LEASE_CELLS: usize = 2;
 /// How long the straggling worker goes silent.
 const STRAGGLER_STALL: Duration = Duration::from_millis(400);
-/// Missed-heartbeat deadline in the straggler arm: the bound leasing puts
-/// on the stall's damage.
+/// Lease deadline in the straggler arm (a lease that sends no cell frame
+/// this long is released): the bound leasing puts on the stall's damage.
 const LEASE_TIMEOUT: Duration = Duration::from_millis(100);
 /// The static split's lease deadline: longer than any run, so nothing is
 /// ever re-leased.
@@ -58,7 +59,7 @@ const NO_RELEASE: Duration = Duration::from_secs(3600);
 /// Threads per side in the overhead arm.
 const OVERHEAD_THREADS: usize = 2;
 /// Lease size in the overhead arm: half the grid per lease, so the tax
-/// measured is the frame/heartbeat/outcome transport, not scheduler
+/// measured is the per-cell frame transport, not scheduler
 /// round-trip latency (arm (a) covers micro-shard scheduling).
 const OVERHEAD_LEASE_CELLS: usize = 12;
 /// Retry budget covering the injected panicking cell.

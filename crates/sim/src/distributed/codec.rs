@@ -1205,20 +1205,21 @@ pub(crate) mod tests {
         }
     }
 
-    /// A real calibration from a short ideal-sensor recipe, computed once
-    /// and shared by the codec and protocol tests.
+    /// A short ideal-sensor calibration recipe, cheap enough for unit tests.
+    pub(crate) fn recipe() -> CalibrationCampaign {
+        CalibrationCampaign {
+            prbs_duration_s: 60.0,
+            run_furnace: false,
+            ideal_sensors: true,
+            ..CalibrationCampaign::default()
+        }
+    }
+
+    /// A real calibration from [`recipe`], computed once and shared by the
+    /// codec, protocol and worker tests.
     pub(crate) fn calibration() -> &'static Calibration {
         static CALIBRATION: OnceLock<Calibration> = OnceLock::new();
-        CALIBRATION.get_or_init(|| {
-            CalibrationCampaign {
-                prbs_duration_s: 60.0,
-                run_furnace: false,
-                ideal_sensors: true,
-                ..CalibrationCampaign::default()
-            }
-            .run(5)
-            .expect("the short recipe calibrates")
-        })
+        CALIBRATION.get_or_init(|| recipe().run(5).expect("the short recipe calibrates"))
     }
 
     fn encode_calibration(calibration: &Calibration) -> Vec<u8> {

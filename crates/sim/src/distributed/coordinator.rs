@@ -5,24 +5,27 @@
 //!
 //! # Leasing protocol
 //!
-//! The remaining-cell queue starts as the grid chopped into micro-shards of
-//! [`Coordinator::with_lease_cells`] cells. Each idle worker is handed the
-//! next range; a worker that retires cells heartbeats per cell, pushing its
-//! deadline forward. A lease whose deadline passes is **released**: its
-//! range goes back on the front of the queue (another worker picks it up
-//! next) and the worker enters *suspect* state — one more silent deadline
-//! window and it is abandoned for good. A suspect worker that was merely
-//! stalled and completes late is welcomed back: its outcomes fold through
+//! The fold is the only record of which cells are done. Each idle worker is
+//! leased the first run of at most [`Coordinator::with_lease_cells`] cells,
+//! from the fold's cursor, that the fold has not seen and no unreleased
+//! lease holds. A worker sends each cell's outcome as the cell retires, and every
+//! such frame pushes its lease's deadline forward. A lease whose deadline
+//! passes is **released**: it turns *suspect* and holds no cells, so a peer
+//! can be leased the ones it has not reported, and one more silent deadline
+//! window abandons the worker for good. A suspect worker that was merely
+//! stalled and reports late is welcomed back: its outcomes fold through
 //! cell-level dedup (cells another worker already delivered count once) and
-//! it returns to the rotation.
+//! it returns to the rotation. A cell that nobody has reported and nobody
+//! holds can always be leased, so a lost worker or a lease that ends with
+//! cells unreported costs a re-run, never a hang.
 //!
 //! Because every cell's outcome is deterministic and the fold is the
 //! canonical in-order [`MergeSink`], none of this machinery can change the
 //! answer — only who computes it and when. `tests/distributed.rs` proves
 //! the aggregate stays bit-identical under injected deaths and stalls.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::Write;
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -30,7 +33,7 @@ use std::time::{Duration, Instant};
 use crate::calibrate::CalibrationCampaign;
 use crate::campaign::SweepSpec;
 use crate::error::SimError;
-use crate::resilience::{CampaignAggregate, CellOutcome, MergeSink, ResiliencePolicy};
+use crate::resilience::{CampaignAggregate, MergeSink, ResiliencePolicy};
 
 use super::protocol::{ToCoordinator, ToWorker, WorkerSetup};
 use super::transport::{read_frame, write_frame, Transport};
@@ -56,7 +59,7 @@ impl Coordinator {
     /// [`numeric::LANE_CHUNK`]-lane panel engines (the width
     /// [`SweepSpec::runner`] defaults to, so a default distributed fold
     /// equals a default in-process fold bit for bit), automatic lease
-    /// sizing, and a 30 s deadline for both the heartbeat and the
+    /// sizing, and a 30 s deadline for both a lease's silence and the
     /// handshake.
     pub fn new(spec: SweepSpec) -> Coordinator {
         Coordinator {
@@ -90,10 +93,10 @@ impl Coordinator {
         self
     }
 
-    /// The heartbeat deadline: a lease silent this long is released and
-    /// re-queued. Workers heartbeat per retired cell (batched with sink
-    /// delivery), so set this to comfortably more than a few cells' wall
-    /// time.
+    /// The lease deadline: a lease that sends no cell for this long is
+    /// released, and its unreported cells are leased again. Workers send
+    /// each cell as it retires (batched with sink delivery), so set this to
+    /// comfortably more than a few cells' wall time.
     #[must_use]
     pub fn with_lease_timeout(mut self, lease_timeout: Duration) -> Self {
         self.lease_timeout = lease_timeout;
@@ -253,10 +256,9 @@ fn spawn_pump(
 #[derive(Debug)]
 struct LeaseState {
     id: u64,
-    start: usize,
-    end: usize,
+    cells: Range<usize>,
     deadline: Instant,
-    /// Missed one deadline already: released (range re-queued), one more
+    /// Missed one deadline already: released (it holds no cells), one more
     /// silent window and the worker is abandoned.
     suspect: bool,
 }
@@ -269,14 +271,27 @@ struct WorkerState {
     lease: Option<LeaseState>,
 }
 
+impl WorkerState {
+    /// Gives the worker up and drops its lease, counting the lease as
+    /// released unless its deadline already did.
+    fn lose(&mut self, stats: &mut LeaseStats) {
+        self.alive = false;
+        stats.lost_workers += 1;
+        if self.lease.take().is_some_and(|lease| !lease.suspect) {
+            stats.releases += 1;
+        }
+    }
+}
+
 /// Telemetry from one distributed run: how the leases played out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeaseStats {
     /// Workers in the pool at connect time.
     pub workers: usize,
-    /// Leases issued (including re-issues of released ranges).
+    /// Leases issued (including re-leases of unreported cells).
     pub leases: usize,
-    /// Leases released on a missed deadline and re-queued.
+    /// Leases handed back before their completion, on a missed deadline or
+    /// a lost worker; each lease counts once.
     pub releases: usize,
     /// Cells that arrived more than once (late stragglers overlapping a
     /// re-lease) and were deduplicated — folded exactly once.
@@ -361,15 +376,7 @@ impl WorkerPool {
     pub fn run(mut self) -> Result<DistributedReport, SimError> {
         let cells = self.spec.cells();
         let lease_size = self.lease_size(cells.max(1));
-        let mut queue: VecDeque<(usize, usize)> = (0..cells)
-            .step_by(lease_size)
-            .map(|start| (start, (start + lease_size).min(cells)))
-            .collect();
         let mut fold = MergeSink::new(0..cells);
-        // Ranges released on a missed deadline, by lease id: a late
-        // completion of one is still folded (dedup'd) and, if the range is
-        // still queued, the redundant re-run is cancelled.
-        let mut released: HashMap<u64, (usize, usize)> = HashMap::new();
         let mut stats = LeaseStats {
             workers: self.workers.len(),
             ..LeaseStats::default()
@@ -378,40 +385,36 @@ impl WorkerPool {
         let lease_timeout = self.lease_timeout;
 
         while !fold.is_complete() {
-            // Hand ranges to every idle live worker.
-            for worker in self
-                .workers
-                .iter_mut()
-                .filter(|w| w.alive && w.lease.is_none())
-            {
-                let Some((start, end)) = queue.pop_front() else {
+            // Lease every idle live worker the first cells nobody holds.
+            for id in 0..self.workers.len() {
+                if !self.workers[id].alive || self.workers[id].lease.is_some() {
+                    continue;
+                }
+                let Some(range) = unleased(&fold, &self.workers, lease_size) else {
                     break;
                 };
-                let id = next_lease;
-                next_lease += 1;
+                let worker = &mut self.workers[id];
                 let message = ToWorker::Lease {
-                    lease: id,
-                    start,
-                    end,
+                    lease: next_lease,
+                    start: range.start,
+                    end: range.end,
                 };
                 if let Err(e) = write_frame(&mut worker.writer, &message.encode()) {
                     eprintln!(
                         "dtpm distributed: worker {} lost on lease write: {e}",
                         worker.label
                     );
-                    worker.alive = false;
-                    stats.lost_workers += 1;
-                    queue.push_front((start, end));
+                    worker.lose(&mut stats);
                     continue;
                 }
                 stats.leases += 1;
                 worker.lease = Some(LeaseState {
-                    id,
-                    start,
-                    end,
+                    id: next_lease,
+                    cells: range,
                     deadline: Instant::now() + lease_timeout,
                     suspect: false,
                 });
+                next_lease += 1;
             }
 
             if !self.workers.iter().any(|w| w.alive) {
@@ -436,8 +439,6 @@ impl WorkerPool {
                         &mut self.workers[id],
                         message,
                         &mut fold,
-                        &mut queue,
-                        &mut released,
                         &mut stats,
                         lease_timeout,
                     );
@@ -448,15 +449,7 @@ impl WorkerPool {
                         if let Event::Failed(e) = &event {
                             eprintln!("dtpm distributed: worker {} failed: {e}", worker.label);
                         }
-                        worker.alive = false;
-                        stats.lost_workers += 1;
-                        if let Some(lease) = worker.lease.take() {
-                            stats.releases += 1;
-                            // A suspect lease's range was already re-queued.
-                            if !lease.suspect {
-                                queue.push_front((lease.start, lease.end));
-                            }
-                        }
+                        worker.lose(&mut stats);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -470,22 +463,18 @@ impl WorkerPool {
                         }
                         if lease.suspect {
                             // Second silent window: abandon the worker. Its
-                            // range is already back in the queue.
+                            // cells were free for a peer since the first.
                             eprintln!(
                                 "dtpm distributed: worker {} abandoned after repeated silence",
                                 worker.label
                             );
-                            worker.lease = None;
-                            worker.alive = false;
-                            stats.lost_workers += 1;
+                            worker.lose(&mut stats);
                         } else {
-                            // First miss: release the range for a peer, keep
-                            // listening for a late completion.
+                            // First miss: free the cells for a peer, keep
+                            // listening for late ones.
                             stats.releases += 1;
                             lease.suspect = true;
                             lease.deadline = now + lease_timeout;
-                            queue.push_front((lease.start, lease.end));
-                            released.insert(lease.id, (lease.start, lease.end));
                         }
                     }
                 }
@@ -511,60 +500,210 @@ impl WorkerPool {
         worker: &mut WorkerState,
         message: ToCoordinator,
         fold: &mut MergeSink,
-        queue: &mut VecDeque<(usize, usize)>,
-        released: &mut HashMap<u64, (usize, usize)>,
         stats: &mut LeaseStats,
         lease_timeout: Duration,
     ) {
         match message {
-            ToCoordinator::Heartbeat { lease } => {
-                if let Some(state) = worker.lease.as_mut() {
-                    if state.id == lease {
-                        state.deadline = Instant::now() + lease_timeout;
-                        // A released range stays released — the peer re-run
-                        // is already paid for — but the worker is clearly
-                        // alive, so keep extending its window instead of
-                        // abandoning it.
-                    }
+            ToCoordinator::Cell {
+                lease,
+                index,
+                outcome,
+            } => {
+                // A released lease stays released — its cells may already be
+                // re-leased — but the worker is clearly alive, so keep
+                // extending its window instead of abandoning it.
+                if let Some(state) = worker.lease.as_mut().filter(|state| state.id == lease) {
+                    state.deadline = Instant::now() + lease_timeout;
+                }
+                // Dedup: a cell that already landed (from a re-lease) counts
+                // once, and the duplicate is telemetry.
+                if fold.is_cell_complete(index) {
+                    stats.duplicate_cells += 1;
+                } else if fold.range().contains(&index) {
+                    fold.offer(index, outcome);
                 }
             }
-            ToCoordinator::LeaseDone { lease, outcomes } => {
-                let current = worker.lease.as_ref().is_some_and(|state| state.id == lease);
-                if current {
-                    worker.lease = None;
-                }
-                // Late completion of a released lease: cancel the redundant
-                // re-run if its range is still queued.
-                if let Some(range) = released.remove(&lease) {
-                    if let Some(at) = queue.iter().position(|&r| r == range) {
-                        queue.remove(at);
-                    }
-                }
-                for (index, outcome) in outcomes {
-                    Self::fold_outcome(fold, index, outcome, stats);
-                }
+            ToCoordinator::LeaseDone { lease } => {
+                worker.lease.take_if(|state| state.id == lease);
             }
             ToCoordinator::Ready => {
                 // Spurious after the handshake; ignore.
             }
         }
     }
+}
 
-    /// Folds one cell outcome with dedup: a cell that already landed (via a
-    /// re-leased range) counts once, and the duplicate is telemetry.
-    fn fold_outcome(
-        fold: &mut MergeSink,
-        index: usize,
-        outcome: CellOutcome,
-        stats: &mut LeaseStats,
-    ) {
-        if !fold.range().contains(&index) {
-            return;
+/// The first run of at most `lease_size` cells, from the fold's cursor, that
+/// the fold has not seen and no unreleased lease holds.
+fn unleased(fold: &MergeSink, workers: &[WorkerState], lease_size: usize) -> Option<Range<usize>> {
+    let held = |index: usize| {
+        workers
+            .iter()
+            .filter_map(|w| w.lease.as_ref())
+            .any(|lease| !lease.suspect && lease.cells.contains(&index))
+    };
+    let mut free = fold.unreported().filter(|&index| !held(index));
+    let start = free.next()?;
+    let mut end = start + 1;
+    while end - start < lease_size && free.next() == Some(end) {
+        end += 1;
+    }
+    Some(start..end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distributed::codec;
+    use crate::distributed::transport::MemoryTransport;
+    use crate::experiment::ExperimentKind;
+    use crate::resilience::{CellFailure, CellOutcome};
+    use workload::BenchmarkId;
+
+    /// A grid of `cells` short cells. The scripted workers never run them.
+    fn spec(cells: usize) -> SweepSpec {
+        SweepSpec::new(vec![ExperimentKind::Dtpm], vec![BenchmarkId::Crc32])
+            .with_replicates(cells)
+            .with_max_duration_s(1.0)
+    }
+
+    /// A worker scripted over `transport`: it answers Hello with Ready and
+    /// hands each lease to `on_lease`, which returns whether to keep
+    /// serving. Returns each lease's `(start, end)` once it stops serving,
+    /// is shut down, or the coordinator hangs up; it has dropped the
+    /// transport by then.
+    fn scripted_worker(
+        transport: MemoryTransport,
+        mut on_lease: impl FnMut(&mut dyn Write, u64, Range<usize>) -> bool + Send + 'static,
+    ) -> thread::JoinHandle<Vec<(usize, usize)>> {
+        thread::spawn(move || {
+            let (mut writer, mut reader) = Box::new(transport).split().expect("memory halves");
+            let mut leases = Vec::new();
+            while let Some(frame) = read_frame(&mut reader).expect("a frame") {
+                match ToWorker::decode(&frame).expect("a coordinator message") {
+                    ToWorker::Hello(_) => send(writer.as_mut(), &ToCoordinator::Ready),
+                    ToWorker::Lease { lease, start, end } => {
+                        leases.push((start, end));
+                        if !on_lease(writer.as_mut(), lease, start..end) {
+                            break;
+                        }
+                    }
+                    ToWorker::Shutdown => break,
+                }
+            }
+            leases
+        })
+    }
+
+    fn send(writer: &mut dyn Write, message: &ToCoordinator) {
+        write_frame(writer, &message.encode()).expect("the coordinator is listening");
+    }
+
+    /// The Cell frame of a scripted worker: any outcome folds.
+    fn cell(lease: u64, index: usize) -> ToCoordinator {
+        ToCoordinator::Cell {
+            lease,
+            index,
+            outcome: CellOutcome::Failed(CellFailure {
+                index,
+                error: "scripted".to_owned(),
+            }),
         }
-        if fold.is_cell_complete(index) {
-            stats.duplicate_cells += 1;
-            return;
-        }
-        fold.offer(index, outcome);
+    }
+
+    /// Connects `coordinator` (calibrating with the cheap test recipe) to
+    /// the scripted workers behind `transports`.
+    fn connect(coordinator: Coordinator, transports: Vec<MemoryTransport>) -> WorkerPool {
+        coordinator
+            .with_calibration(codec::tests::recipe(), 5)
+            .connect(
+                transports
+                    .into_iter()
+                    .map(|t| Box::new(t) as Box<dyn Transport>)
+                    .collect(),
+            )
+            .expect("the scripted workers answer Hello")
+    }
+
+    /// Runs `pool` on a thread of its own, so a coordinator that hangs
+    /// fails the waiting test instead of hanging it.
+    fn spawn_run(pool: WorkerPool) -> Receiver<Result<DistributedReport, SimError>> {
+        let (done, report) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = done.send(pool.run());
+        });
+        report
+    }
+
+    #[test]
+    fn a_lease_done_that_omits_cells_gets_them_leased_again() {
+        let (coordinator_end, worker_end) = MemoryTransport::pair();
+        // Reports only the first cell of every lease, then calls it done.
+        let worker = scripted_worker(worker_end, |writer, lease, cells| {
+            send(writer, &cell(lease, cells.start));
+            send(writer, &ToCoordinator::LeaseDone { lease });
+            true
+        });
+        let pool = connect(
+            Coordinator::new(spec(3))
+                .with_lease_cells(3)
+                .with_lease_timeout(Duration::from_secs(30)),
+            vec![coordinator_end],
+        );
+        let report = spawn_run(pool)
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the coordinator must not wait on cells nobody holds")
+            .expect("the campaign completes");
+        assert!(report.fold().is_complete());
+        assert_eq!(
+            worker.join().expect("the scripted worker"),
+            [(0, 3), (1, 3), (2, 3)]
+        );
+        assert_eq!(report.stats().releases, 0);
+    }
+
+    #[test]
+    fn a_released_lease_whose_worker_hangs_up_counts_one_release() {
+        let (a_end, a_worker) = MemoryTransport::pair();
+        let (b_end, b_worker) = MemoryTransport::pair();
+        // A takes the only cell, stays silent through its 1 s deadline and
+        // hangs up at 1.5 s, before a second deadline could abandon it.
+        let a = scripted_worker(a_worker, |_, _, _| {
+            thread::sleep(Duration::from_millis(1500));
+            false
+        });
+        // B is leased the released cell and reports it once A is gone. The
+        // pause lets A's hang-up reach the coordinator first: the two
+        // workers' frames arrive on different threads.
+        let (gone, a_gone) = mpsc::channel::<()>();
+        let b = scripted_worker(b_worker, move |writer, lease, cells| {
+            a_gone.recv().expect("A hangs up");
+            thread::sleep(Duration::from_millis(100));
+            for index in cells {
+                send(writer, &cell(lease, index));
+            }
+            send(writer, &ToCoordinator::LeaseDone { lease });
+            true
+        });
+        let pool = connect(
+            Coordinator::new(spec(1)).with_lease_timeout(Duration::from_secs(1)),
+            vec![a_end, b_end],
+        );
+        let report = spawn_run(pool);
+        assert_eq!(a.join().expect("worker A"), [(0, 1)]);
+        gone.send(()).expect("B waits for A");
+        let report = report
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the campaign must finish")
+            .expect("the campaign completes");
+        assert_eq!(b.join().expect("worker B"), [(0, 1)]);
+        assert!(report.fold().is_complete());
+        let stats = report.stats();
+        assert_eq!(
+            (stats.leases, stats.releases, stats.lost_workers),
+            (2, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.duplicate_cells, 0);
     }
 }

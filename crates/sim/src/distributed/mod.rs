@@ -13,13 +13,13 @@
 //!  Coordinator (this process)                Worker process (×N)
 //!  ───────────────────────────              ─────────────────────
 //!  calibrate once
-//!  SweepSpec + lease queue    ── Hello ──►  decode SweepSpec and
-//!  one driver thread / worker ◄─ Ready ──   Calibration bits
+//!  SweepSpec + the fold       ── Hello ──►  decode SweepSpec and
+//!  one pump thread / worker   ◄─ Ready ──   Calibration bits
 //!         │
 //!         ├─────────────────── Lease ────►  check the range, then claim
 //!         │                                 its cells in the sweep loop
-//!         │                 ◄─ Heartbeat ─  (one per retired cell)
-//!   fold dedup ◄──────────── LeaseDone ──   per-cell outcomes
+//!   fold dedup ◄─────────────── Cell ────   one outcome per retired cell
+//!         │                 ◄─ LeaseDone ─  lease id only
 //!         │
 //!         └───────────────── Shutdown ───►  exit
 //! ```
@@ -30,16 +30,17 @@
 //!   in-process byte pipe ([`MemoryTransport`]) for tests and benches. All
 //!   three carry the same length-prefixed binary frames
 //!   ([`write_frame`]/[`read_frame`]).
-//! * **Micro-shard leasing, not static splits.** The coordinator leases
-//!   small index ranges from the remaining-cell queue as workers report in,
-//!   so a slow worker naturally takes fewer cells — the shard-level
-//!   analogue of the lane-compacting scheduler, and the fix for a static
-//!   split's convoy on ragged grids (a static split is the special case of
-//!   one `cells / workers` lease each, never re-leased). A lease whose
-//!   worker misses its
-//!   heartbeat deadline or dies is put back on the queue and re-leased; a
-//!   worker that merely stalled and finishes late is folded through
-//!   **cell-index dedup**, so a twice-landed shard counts once. A worker
+//! * **Micro-shard leasing, not static splits.** As workers go idle, the
+//!   coordinator leases each the next small index range that the fold has
+//!   not seen and no other lease holds, so a slow worker naturally takes
+//!   fewer cells — the shard-level analogue of the lane-compacting
+//!   scheduler, and the fix for a static split's convoy on ragged grids (a
+//!   static split is the special case of one `cells / workers` lease each,
+//!   never re-leased). Workers send each cell's outcome as it retires, and
+//!   that frame is the liveness signal. When a lease's worker misses its
+//!   deadline or dies, the cells the lease never reported are leased again;
+//!   a worker that merely stalled and reports late is folded through
+//!   **cell-index dedup**, so a twice-landed cell counts once. A worker
 //!   runs each lease through the in-process runner's one sweep loop,
 //!   claiming the range's cells in order, and rejects a lease that reaches
 //!   past the grid before any of its cells runs.
@@ -73,10 +74,10 @@
 //! targets ~8 leases per worker so the tail is fine-grained without
 //! drowning the wire in round trips. Shrink it toward 1 when cell runtimes
 //! are wildly ragged (faster straggler recovery, more frames); grow it when
-//! cells are uniform and tiny (fewer round trips). The heartbeat deadline
+//! cells are uniform and tiny (fewer round trips). The lease deadline
 //! ([`Coordinator::with_lease_timeout`]) must comfortably exceed the wall
-//! time of a few cells — workers heartbeat per retired cell (batched with
-//! the result sink's delivery, so allow a handful of cells of slack).
+//! time of a few cells — workers send a frame per retired cell (batched
+//! with the result sink's delivery, so allow a handful of cells of slack).
 
 pub mod codec;
 pub mod coordinator;

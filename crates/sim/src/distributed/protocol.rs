@@ -7,7 +7,7 @@
 //! reserved for payloads that touch disk. A structurally malformed message
 //! is a protocol error ([`crate::SimError::Io`]) and tears down the
 //! connection; the coordinator treats that like any other worker death and
-//! re-leases the outstanding range.
+//! re-leases the cells the worker had not reported.
 
 use numeric::codec::{ByteReader, ByteWriter};
 
@@ -41,7 +41,7 @@ pub(crate) enum ToWorker {
     /// decoded them.
     Hello(Box<WorkerSetup>),
     /// Leases cells `[start, end)` of the grid to this worker under an
-    /// opaque lease id (echoed in every heartbeat and completion).
+    /// opaque lease id (echoed in every cell frame and in the completion).
     Lease {
         lease: u64,
         start: usize,
@@ -56,15 +56,17 @@ pub(crate) enum ToWorker {
 pub(crate) enum ToCoordinator {
     /// The worker decoded its Hello and accepts leases.
     Ready,
-    /// Liveness: one more cell of lease `lease` has retired. Sent once per
-    /// retired cell (modulo the sink's delivery batching).
-    Heartbeat { lease: u64 },
-    /// Lease `lease` finished; every owned cell's terminal outcome, keyed
-    /// by grid index so the coordinator can dedup re-leased ranges.
-    LeaseDone {
+    /// Cell `index` of lease `lease` retired with `outcome`. Sent once per
+    /// retired cell (modulo the sink's delivery batching), so it is also the
+    /// worker's liveness signal. The grid index lets the coordinator dedup
+    /// cells that a re-lease ran twice.
+    Cell {
         lease: u64,
-        outcomes: Vec<(usize, CellOutcome)>,
+        index: usize,
+        outcome: CellOutcome,
     },
+    /// Lease `lease` finished: the worker sends no more cells for it.
+    LeaseDone { lease: u64 },
 }
 
 fn malformed(what: &str) -> SimError {
@@ -123,18 +125,19 @@ impl ToCoordinator {
         let mut w = ByteWriter::new();
         match self {
             ToCoordinator::Ready => w.put_u8(0),
-            ToCoordinator::Heartbeat { lease } => {
+            ToCoordinator::Cell {
+                lease,
+                index,
+                outcome,
+            } => {
                 w.put_u8(1);
                 w.put_u64(*lease);
+                w.put_usize(*index);
+                codec::put_outcome(&mut w, outcome);
             }
-            ToCoordinator::LeaseDone { lease, outcomes } => {
+            ToCoordinator::LeaseDone { lease } => {
                 w.put_u8(2);
                 w.put_u64(*lease);
-                w.put_usize(outcomes.len());
-                for (index, outcome) in outcomes {
-                    w.put_usize(*index);
-                    codec::put_outcome(&mut w, outcome);
-                }
             }
         }
         w.into_bytes()
@@ -145,19 +148,14 @@ impl ToCoordinator {
         let mut r = ByteReader::new(bytes);
         let message = match r.take_u8().map_err(codec::codec_error)? {
             0 => ToCoordinator::Ready,
-            1 => ToCoordinator::Heartbeat {
+            1 => ToCoordinator::Cell {
+                lease: r.take_u64().map_err(codec::codec_error)?,
+                index: r.take_usize().map_err(codec::codec_error)?,
+                outcome: codec::take_outcome(&mut r)?,
+            },
+            2 => ToCoordinator::LeaseDone {
                 lease: r.take_u64().map_err(codec::codec_error)?,
             },
-            2 => {
-                let lease = r.take_u64().map_err(codec::codec_error)?;
-                let count = r.take_usize().map_err(codec::codec_error)?;
-                let mut outcomes = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let index = r.take_usize().map_err(codec::codec_error)?;
-                    outcomes.push((index, codec::take_outcome(&mut r)?));
-                }
-                ToCoordinator::LeaseDone { lease, outcomes }
-            }
             _ => return Err(malformed("unknown worker message tag")),
         };
         r.finish().map_err(codec::codec_error)?;
@@ -172,7 +170,8 @@ mod tests {
     use crate::resilience::{CellFailure, CellStats};
     use workload::BenchmarkId;
 
-    /// One message of every kind, Hello and LeaseDone fully populated.
+    /// One message of every kind, Hello fully populated and a Cell with
+    /// each kind of outcome.
     fn sample_messages() -> (Vec<ToWorker>, Vec<ToCoordinator>) {
         let setup = WorkerSetup {
             spec: SweepSpec::new(
@@ -185,31 +184,23 @@ mod tests {
             threads: 2,
             resilience: ResiliencePolicy::default().with_max_retries(1),
         };
-        let outcomes = vec![
-            (
-                0,
-                CellOutcome::Completed(CellStats {
-                    completed: true,
-                    execution_time_s: 4.0,
-                    intervals: 40,
-                    energy_j: 16.0,
-                    mean_platform_power_w: 4.0,
-                    mean_temp_c: 51.0,
-                    peak_temp_c: 58.0,
-                    intervention_rate: 0.0,
-                    escalations: 0,
-                    sensor_faults: 0,
-                    shut_down: false,
-                }),
-            ),
-            (
-                1,
-                CellOutcome::Failed(CellFailure {
-                    index: 1,
-                    error: "cell panicked (contained): chaos".to_owned(),
-                }),
-            ),
-        ];
+        let completed = CellOutcome::Completed(CellStats {
+            completed: true,
+            execution_time_s: 4.0,
+            intervals: 40,
+            energy_j: 16.0,
+            mean_platform_power_w: 4.0,
+            mean_temp_c: 51.0,
+            peak_temp_c: 58.0,
+            intervention_rate: 0.0,
+            escalations: 0,
+            sensor_faults: 0,
+            shut_down: false,
+        });
+        let failed = CellOutcome::Failed(CellFailure {
+            index: 2,
+            error: "cell panicked (contained): chaos".to_owned(),
+        });
         (
             vec![
                 ToWorker::Hello(Box::new(setup)),
@@ -222,8 +213,17 @@ mod tests {
             ],
             vec![
                 ToCoordinator::Ready,
-                ToCoordinator::Heartbeat { lease: 9 },
-                ToCoordinator::LeaseDone { lease: 9, outcomes },
+                ToCoordinator::Cell {
+                    lease: 9,
+                    index: 1,
+                    outcome: completed,
+                },
+                ToCoordinator::Cell {
+                    lease: 9,
+                    index: 2,
+                    outcome: failed,
+                },
+                ToCoordinator::LeaseDone { lease: 9 },
             ],
         )
     }

@@ -2,16 +2,18 @@
 //! grid and the coordinator's calibration from Hello, executes each leased
 //! cell range with the ordinary in-process machinery (the campaign runner's
 //! one sweep body, claiming the range's cells in order, at the runner's
-//! default panel width), and streams per-cell outcomes back over the
-//! transport. A lease that reaches past the grid is a protocol error,
-//! rejected before any cell runs. A worker never calibrates: every worker
-//! runs its cells with the coordinator's model bits.
+//! default panel width), and sends each cell's outcome back over the
+//! transport as the cell retires. A lease that reaches past the grid is a
+//! protocol error, rejected before any cell runs. A worker never
+//! calibrates: every worker runs its cells with the coordinator's model
+//! bits.
 //!
 //! The loop is deliberately stateless between leases: every cell's seed and
 //! configuration derive from the shared [`crate::SweepSpec`], so a worker
-//! that dies mid-lease loses nothing the coordinator cannot re-lease to a
-//! peer — and because the per-cell bits are transport-independent, the
-//! re-run produces the identical outcome.
+//! that dies mid-lease loses nothing: the cells it already sent are folded,
+//! and the coordinator leases the rest to a peer — and because the per-cell
+//! bits are transport-independent, the re-run produces the identical
+//! outcome.
 //!
 //! [`WorkerChaos`] exists for the chaos tests and the straggler bench: it
 //! makes a worker die or stall after a configurable number of retired
@@ -86,16 +88,15 @@ impl ChaosState {
     }
 }
 
-/// The [`ResultSink`] a worker drives one lease through: collects per-cell
-/// outcomes for the final [`ToCoordinator::LeaseDone`] and emits a
-/// heartbeat per retired cell so the coordinator can tell a slow lease from
-/// a dead worker. Heartbeats ride the sink's delivery batching (up to a
-/// handful of cells per flush) — lease timeouts must allow for that slack.
+/// The [`ResultSink`] a worker drives one lease through: sends each retired
+/// cell's outcome in its own [`ToCoordinator::Cell`] frame, which is also
+/// how the coordinator tells a slow lease from a dead worker. Cell frames
+/// ride the sink's delivery batching (up to a handful of cells per flush) —
+/// lease timeouts must allow for that slack.
 struct LeaseSink<'a> {
     lease: u64,
     writer: &'a mut (dyn Write + Send),
     chaos: &'a mut ChaosState,
-    outcomes: Vec<(usize, CellOutcome)>,
     io_error: Option<std::io::Error>,
 }
 
@@ -104,10 +105,12 @@ impl ResultSink for LeaseSink<'_> {
         if self.chaos.on_retire() || self.io_error.is_some() {
             return;
         }
-        self.outcomes
-            .push((index, CellOutcome::from_run(index, &outcome)));
-        let heartbeat = ToCoordinator::Heartbeat { lease: self.lease };
-        if let Err(e) = write_frame(self.writer, &heartbeat.encode()) {
+        let cell = ToCoordinator::Cell {
+            lease: self.lease,
+            index,
+            outcome: CellOutcome::from_run(index, &outcome),
+        };
+        if let Err(e) = write_frame(self.writer, &cell.encode()) {
             self.io_error = Some(e);
         }
     }
@@ -164,7 +167,6 @@ pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(
                     lease,
                     writer: writer.as_mut(),
                     chaos: &mut chaos,
-                    outcomes: Vec::with_capacity(end - start),
                     io_error: None,
                 };
                 setup
@@ -173,9 +175,7 @@ pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(
                     .with_threads(setup.threads)
                     .with_resilience(setup.resilience)
                     .run_range_into(start..end, &setup.calibration, &mut sink);
-                let LeaseSink {
-                    outcomes, io_error, ..
-                } = sink;
+                let io_error = sink.io_error;
                 if chaos.dead {
                     // Injected death: vanish without a goodbye — dropping
                     // the transport is what the coordinator sees.
@@ -187,7 +187,7 @@ pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(
                     // error on this side: the session is simply over.
                     return Ok(());
                 }
-                let done = ToCoordinator::LeaseDone { lease, outcomes };
+                let done = ToCoordinator::LeaseDone { lease };
                 if write_frame(&mut writer, &done.encode()).is_err() {
                     return Ok(());
                 }
@@ -262,14 +262,22 @@ mod tests {
             }
             assert!(frames.is_empty(), "lease {start}..{end}: {frames:?}");
         }
-        // The whole grid is a lease the worker runs.
+        // The whole grid is a lease the worker runs: one Cell frame per
+        // cell, then LeaseDone.
         let (served, frames) = serve_one_lease(&spec, 0, cells);
         served.expect("an in-grid lease is served");
-        assert_eq!(frames.len(), 2, "{frames:?}");
-        assert_eq!(frames[0], ToCoordinator::Heartbeat { lease: 3 });
-        assert!(matches!(
-            &frames[1],
-            ToCoordinator::LeaseDone { lease: 3, outcomes } if outcomes.len() == cells
-        ));
+        assert_eq!(frames.len(), cells + 1, "{frames:?}");
+        let mut indices: Vec<usize> = frames[..cells]
+            .iter()
+            .map(|frame| match frame {
+                ToCoordinator::Cell {
+                    lease: 3, index, ..
+                } => *index,
+                other => panic!("expected a Cell of lease 3, got {other:?}"),
+            })
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..cells).collect::<Vec<_>>());
+        assert_eq!(frames[cells], ToCoordinator::LeaseDone { lease: 3 });
     }
 }

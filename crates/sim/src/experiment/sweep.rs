@@ -269,7 +269,7 @@ pub(crate) fn sweep_stream<S>(
     /// Retired results a worker buffers before taking the sink lock:
     /// batching amortises the mutex handoff across deliveries, so a wide
     /// pool of fast cells no longer serialises on the sink. Small enough
-    /// that sink-side effects (checkpoint cadence, worker heartbeats) lag
+    /// that sink-side effects (checkpoint cadence, worker cell frames) lag
     /// completion by at most a few cells.
     const SINK_BATCH: usize = 8;
     let worker = || {

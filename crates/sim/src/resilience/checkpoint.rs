@@ -72,9 +72,7 @@ impl CampaignCheckpoint {
     /// The indices still to run, in ascending order: the fold's unfolded
     /// range minus the cells it holds pending.
     pub fn remaining(&self) -> Vec<usize> {
-        (self.fold.next_index()..self.cells())
-            .filter(|&index| !self.fold.is_cell_complete(index))
-            .collect()
+        self.fold.unreported().collect()
     }
 
     /// The canonical-order merge fold over the recorded outcomes.

@@ -303,6 +303,12 @@ impl MergeSink {
         self.next
     }
 
+    /// The cells that have not reported, in ascending order: the unfolded
+    /// range minus the pending cells.
+    pub(crate) fn unreported(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.next..self.end).filter(|index| !self.pending.contains_key(index))
+    }
+
     /// The buffered out-of-order arrivals, keyed by cell index.
     /// Crate-internal, for the codec.
     pub(crate) fn pending_outcomes(&self) -> &BTreeMap<usize, CellOutcome> {

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Chaos flags (lease-recovery tests): `--die-after N` drops the transport
-//! after delivering N cells; `--stall-after N --stall-ms M` sleeps M ms
+//! after delivering N cells (the coordinator folds those N and leases the
+//! rest of the lease again); `--stall-after N --stall-ms M` sleeps M ms
 //! once, before delivering cell N+1.
 
 use std::process::ExitCode;

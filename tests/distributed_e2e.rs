@@ -3,8 +3,9 @@
 //! over both transport wirings (child stdio and localhost TCP).
 //!
 //! Verifies the full stack — binary spawn, the Hello/Ready handshake that
-//! ships the coordinator's calibration, micro-shard leasing, per-cell
-//! outcome transport, subprocess death recovery — and that the merged
+//! ships the coordinator's calibration, micro-shard leasing, one outcome
+//! frame per retired cell, subprocess death recovery (the cells a dead
+//! worker sent fold, the rest are leased again) — and that the merged
 //! aggregate is bit-identical to the in-process run of the same grid. Also
 //! covers the binary's `inspect` subcommand on a checkpoint file.
 
@@ -91,7 +92,7 @@ fn two_subprocess_workers_over_stdio_match_in_process_bits() {
 #[test]
 fn dying_subprocess_worker_is_recovered_bit_identically() {
     // One worker dies (process exit, no goodbye) after delivering a single
-    // cell; the healthy one absorbs the re-leased ranges.
+    // cell; that cell folds, and the healthy worker is leased the rest.
     let chaotic = ChildTransport::spawn(Command::new(WORKER_BIN).args(["--die-after", "1"]))
         .expect("worker binary must spawn");
     let healthy =
