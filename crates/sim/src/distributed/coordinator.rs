@@ -8,16 +8,16 @@
 //! The fold is the only record of which cells are done. Each idle worker is
 //! leased the first run of at most [`Coordinator::with_lease_cells`] cells,
 //! from the fold's cursor, that the fold has not seen and no unreleased
-//! lease holds. A worker sends each cell's outcome as the cell retires, and every
-//! such frame pushes its lease's deadline forward. A lease whose deadline
-//! passes is **released**: it turns *suspect* and holds no cells, so a peer
-//! can be leased the ones it has not reported, and one more silent deadline
-//! window abandons the worker for good. A suspect worker that was merely
-//! stalled and reports late is welcomed back: its outcomes fold through
-//! cell-level dedup (cells another worker already delivered count once) and
-//! it returns to the rotation. A cell that nobody has reported and nobody
-//! holds can always be leased, so a lost worker or a lease that ends with
-//! cells unreported costs a re-run, never a hang.
+//! lease holds. A worker sends each cell's outcome as the cell retires, and
+//! every such frame pushes its lease's deadline forward. A lease whose
+//! deadline passes is **released**: it turns *suspect* and holds no cells,
+//! so a peer can be leased the ones it has not reported, and one more
+//! silent deadline window abandons the worker for good. A suspect worker
+//! that was merely stalled and reports late is welcomed back: its outcomes
+//! fold through cell-level dedup (cells another worker already delivered
+//! count once) and it returns to the rotation. A cell that nobody has
+//! reported and nobody holds can always be leased, so a lost worker or a
+//! lease that ends with cells unreported costs a re-run, never a hang.
 //!
 //! Because every cell's outcome is deterministic and the fold is the
 //! canonical in-order [`MergeSink`], none of this machinery can change the
