@@ -1,6 +1,6 @@
 //! Microbench of the mixed-precision (f32 panel) batched plant.
 //!
-//! Times `MixedBatchPlant::step_interval` against the f64 `BatchPlant` on
+//! Times `MixedPanelEngine::step_interval` against the f64 `PanelEngine` on
 //! the `sweep_step` shape at sixteen lanes — twice the f64 bench's width,
 //! where the halved element width pays the most: each AVX2 vector carries 8
 //! scenario lanes instead of 4 and the panel working set halves. The claim
@@ -12,7 +12,7 @@
 use std::hint::black_box;
 
 use bench::microbench::{Bound, Microbench};
-use platform_sim::{BatchPlant, LaneInput, MixedBatchPlant, PlantPowerParams};
+use platform_sim::{LaneInput, MixedPanelEngine, PanelEngine, PlantEngine, PlantPowerParams};
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
@@ -61,8 +61,10 @@ fn main() {
     let demand = busy_demand();
     let state = PlatformState::default_for(&spec);
     let params = [PlantPowerParams::default(); LANES];
-    let mut full = BatchPlant::new(spec.clone(), &params);
-    let mut mixed = MixedBatchPlant::new(spec.clone(), &params);
+    let mut full = PanelEngine::new(spec.clone(), &params);
+    let mut mixed = MixedPanelEngine::new(spec.clone(), &params);
+    let mut full_steps = Vec::with_capacity(LANES);
+    let mut mixed_steps = Vec::with_capacity(LANES);
     bench.paired(
         "speedup_vs_f64",
         Some(Bound::Floor(SPEEDUP_FLOOR)),
@@ -70,21 +72,27 @@ fn main() {
         |t| {
             t.time(|| {
                 for _ in 0..intervals {
-                    black_box(
-                        full.step_interval(&lane_inputs(&state, &demand), CONTROL_PERIOD_S)
-                            .unwrap(),
-                    );
+                    full.step_interval(
+                        &lane_inputs(&state, &demand),
+                        CONTROL_PERIOD_S,
+                        &mut full_steps,
+                    )
+                    .unwrap();
+                    black_box(&full_steps);
                 }
             })
         },
         |t| {
             t.time(|| {
                 for _ in 0..intervals {
-                    black_box(
-                        mixed
-                            .step_interval(&lane_inputs(&state, &demand), CONTROL_PERIOD_S)
-                            .unwrap(),
-                    );
+                    mixed
+                        .step_interval(
+                            &lane_inputs(&state, &demand),
+                            CONTROL_PERIOD_S,
+                            &mut mixed_steps,
+                        )
+                        .unwrap();
+                    black_box(&mixed_steps);
                 }
             })
         },

@@ -1,6 +1,6 @@
 //! Microbench of the structure-of-arrays batched plant engine.
 //!
-//! Times `BatchPlant::step_interval` advancing eight scenarios per
+//! Times `PanelEngine::step_interval` advancing eight scenarios per
 //! instruction stream against the per-scenario scalar loop (eight
 //! independent `PhysicalPlant`s stepped back to back — what `ScenarioSweep`
 //! does per worker thread without lanes), over the same simulated horizon.
@@ -12,7 +12,7 @@
 use std::hint::black_box;
 
 use bench::microbench::{Bound, Microbench};
-use platform_sim::{BatchPlant, LaneInput, PhysicalPlant, PlantPowerParams};
+use platform_sim::{LaneInput, PanelEngine, PhysicalPlant, PlantEngine, PlantPowerParams};
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
@@ -50,7 +50,8 @@ fn main() {
     let demand = busy_demand();
     let state = PlatformState::default_for(&spec);
     let params = [PlantPowerParams::default(); LANES];
-    let mut batched = BatchPlant::new(spec.clone(), &params);
+    let mut batched = PanelEngine::new(spec.clone(), &params);
+    let mut steps = Vec::with_capacity(LANES);
     let mut scalars: Vec<PhysicalPlant> = params
         .iter()
         .map(|p| PhysicalPlant::new(spec.clone(), *p))
@@ -87,7 +88,10 @@ fn main() {
                         fan_level: FanLevel::Off,
                         ambient_c: 28.0,
                     });
-                    black_box(batched.step_interval(&inputs, CONTROL_PERIOD_S).unwrap());
+                    batched
+                        .step_interval(&inputs, CONTROL_PERIOD_S, &mut steps)
+                        .unwrap();
+                    black_box(&steps);
                 }
             })
         },

@@ -1,7 +1,7 @@
-//! Structure-of-arrays batched plant: advance N scenarios per instruction
-//! stream.
+//! Structure-of-arrays batched plant engine: advance N scenarios per
+//! instruction stream.
 //!
-//! [`BatchPlant`] steps K independent physical plants in lockstep, one
+//! [`PanelEngine`] steps K independent physical plants in lockstep, one
 //! scenario per column of a [`numeric::Panel`]:
 //!
 //! * the temperature and node-power state live in `8 × K` panels (row = node,
@@ -19,12 +19,14 @@
 //!
 //! Control decisions stay strictly per-lane: each lane carries its own
 //! platform state, demand, fan level and ambient. Only the integrator is
-//! batched. The transition cache is keyed by fan level alone; each lane's
+//! batched. The transition cache is keyed by fan level alone, so it holds at
+//! most one transition per [`FanLevel`](soc_model::FanLevel); each lane's
 //! ambient enters as its own drive column of the bias kernel, so lanes at
-//! different ambients still advance in one blocked pass. Lanes whose fan
-//! levels diverge fall back to a strided per-lane transition apply that is
-//! bit-identical to the panel path, so divergence affects speed, never
-//! results.
+//! different ambients still advance in one blocked pass. When lanes sit at
+//! different fan levels, each transition in use advances the whole panel and
+//! every lane keeps the pass of its own transition. The bias kernel's result
+//! for a lane does not depend on the other lanes, so divergence costs one
+//! panel pass per transition in use and never changes a bit.
 //!
 //! Every lane also re-anchors its leakage exponentials on its own cadence,
 //! counted from its admission. A lane's trajectory is therefore a function
@@ -41,7 +43,7 @@ use power_model::{DomainPower, LeakagePanel, LeakageParams};
 use soc_model::SocSpec;
 use thermal_model::{BatchStepTransition, ExynosThermalNetwork};
 
-use crate::engine::LaneInput;
+use crate::engine::{LaneInput, PlantEngine};
 use crate::plant::{
     compute_interval_ops, online_cores, scaled, throughput_units_per_s, IntervalOps,
     PlantPowerParams, PlantStep,
@@ -51,7 +53,7 @@ use crate::SimError;
 /// Number of leakage-current rows the batch evaluates per micro-step: the
 /// four big cores, the little cluster (sensed at the case) and the GPU. They
 /// power node rows `0..LEAK_ROWS`; the constant-power nodes (memory, case)
-/// follow (see [`BatchPlant::new`]).
+/// follow (see [`PanelEngine::new`]).
 const LEAK_ROWS: usize = 6;
 
 /// A cached batch transition together with the fan boost it was built for.
@@ -66,7 +68,7 @@ struct TransitionEntry {
 /// SoC spec; power parameters (and therefore leakage models and initial
 /// temperatures) are per-lane.
 #[derive(Debug, Clone)]
-pub struct BatchPlant {
+pub struct PanelEngine {
     spec: SocSpec,
     thermal: ExynosThermalNetwork,
     lanes: usize,
@@ -76,8 +78,11 @@ pub struct BatchPlant {
     temps: Panel,
     /// Node power injections, W; `node_count × lanes`.
     powers: Panel,
-    /// Integrator scratch; `node_count × lanes`.
+    /// Integrator output; `node_count × lanes`.
     step_tmp: Panel,
+    /// Output of the passes of the transitions other than lane 0's, when
+    /// lanes sit at different fan levels; `node_count × lanes`.
+    pass_tmp: Panel,
     /// Per-interval power linearisation `P = base + coef · I`; both
     /// `node_count × lanes`.
     base: Panel,
@@ -97,9 +102,12 @@ pub struct BatchPlant {
     uncore_orphan_w: Vec<f64>,
     /// Temperature-panel row feeding each leakage row.
     leak_temp_rows: [usize; LEAK_ROWS],
-    /// One transition per fan level seen; a handful per run.
+    /// One transition per fan level seen; at most four.
     transitions: Vec<TransitionEntry>,
     lane_transition: Vec<usize>,
+    /// The transitions other than lane 0's that some lane uses this
+    /// interval; empty when every lane shares lane 0's.
+    other_transitions: Vec<usize>,
     /// Per-lane ambient drive columns, the bias of the transition apply;
     /// `node_count × lanes`.
     drive: Panel,
@@ -109,14 +117,13 @@ pub struct BatchPlant {
     /// Per-lane micro-steps since the lane's leakage anchors were last
     /// refreshed; admission anchors the lane and resets its count.
     steps_since_anchor: Vec<usize>,
-    /// Per-lane column scratch for the drive and the diverged-transition
-    /// fallback.
+    /// Per-lane column scratch for the drive.
     col_scratch: Vec<f64>,
 }
 
-impl BatchPlant {
-    /// Creates a batch of `params.len()` lanes, each starting at its
-    /// configured initial temperature.
+impl PanelEngine {
+    /// Creates a batch of `params.len()` lanes, each admitted with its
+    /// parameters (see [`PlantEngine::admit`]).
     ///
     /// # Panics
     ///
@@ -126,27 +133,6 @@ impl BatchPlant {
         let thermal = ExynosThermalNetwork::odroid_xu_e();
         let node_count = thermal.node_count();
         let lanes = params.len();
-
-        let mut temps = Panel::zeros(node_count, lanes);
-        let mut leak = LeakagePanel::filled(
-            LEAK_ROWS,
-            lanes,
-            &scaled(LeakageParams::exynos5410_big(), params[0].leakage_mismatch),
-            params[0].initial_temp_c,
-        );
-        for (lane, p) in params.iter().enumerate() {
-            for node in 0..node_count {
-                temps.set(node, lane, p.initial_temp_c);
-            }
-            let big = scaled(LeakageParams::exynos5410_big(), p.leakage_mismatch);
-            let little = scaled(LeakageParams::exynos5410_little(), p.leakage_mismatch);
-            let gpu = scaled(LeakageParams::exynos5410_gpu(), p.leakage_mismatch);
-            for row in 0..4 {
-                leak.set_model(row, lane, &big, p.initial_temp_c);
-            }
-            leak.set_model(4, lane, &little, p.initial_temp_c);
-            leak.set_model(5, lane, &gpu, p.initial_temp_c);
-        }
 
         // Node row `r < LEAK_ROWS` is powered by leakage row `r`, and the
         // constant-power rows close the panel, so the micro-step assembles
@@ -175,17 +161,25 @@ impl BatchPlant {
             thermal.gpu_node().0,
         ];
 
-        BatchPlant {
+        // Every lane's temperatures and leakage models are written by
+        // `admit` below; the fill only sizes the panels.
+        let mut engine = PanelEngine {
             spec,
             lanes,
             plant_dt_s: 0.01,
             params: params.to_vec(),
-            temps,
+            temps: Panel::zeros(node_count, lanes),
             powers: Panel::zeros(node_count, lanes),
             step_tmp: Panel::zeros(node_count, lanes),
+            pass_tmp: Panel::zeros(node_count, lanes),
             base: Panel::zeros(node_count, lanes),
             coef: Panel::zeros(node_count, lanes),
-            leak,
+            leak: LeakagePanel::filled(
+                LEAK_ROWS,
+                lanes,
+                &scaled(LeakageParams::exynos5410_big(), params[0].leakage_mismatch),
+                params[0].initial_temp_c,
+            ),
             currents: Panel::zeros(LEAK_ROWS, lanes),
             leak_temps: Panel::zeros(LEAK_ROWS, lanes),
             accum: Panel::zeros(4, lanes),
@@ -193,95 +187,17 @@ impl BatchPlant {
             leak_temp_rows,
             transitions: Vec::new(),
             lane_transition: vec![0; lanes],
+            other_transitions: Vec::new(),
             drive: Panel::zeros(node_count, lanes),
             drive_keys: vec![(usize::MAX, 0); lanes],
             steps_since_anchor: vec![0; lanes],
             col_scratch: vec![0.0; node_count],
             thermal,
+        };
+        for (lane, p) in params.iter().enumerate() {
+            engine.admit(lane, *p);
         }
-    }
-
-    /// Number of scenario lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of thermal nodes per lane.
-    pub fn node_count(&self) -> usize {
-        self.temps.rows()
-    }
-
-    /// Writes lane `lane`'s current true temperature of every thermal node
-    /// (°C) into `out` — the allocation-free accessor the control-loop
-    /// executor and the equivalence harnesses use for their per-lane reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `out` does not cover
-    /// [`BatchPlant::node_count`] nodes.
-    pub fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        self.temps.column_into(lane, out);
-    }
-
-    /// Lane `lane`'s current true temperature of every thermal node, °C
-    /// (allocating convenience wrapper over [`BatchPlant::node_temps_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn node_temps_c(&self, lane: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.node_count()];
-        self.node_temps_into(lane, &mut out);
-        out
-    }
-
-    /// Lane `lane`'s current true hotspot (big-core) temperatures, °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        let cores = self.thermal.big_core_nodes();
-        [
-            self.temps.get(cores[0].0, lane),
-            self.temps.get(cores[1].0, lane),
-            self.temps.get(cores[2].0, lane),
-            self.temps.get(cores[3].0, lane),
-        ]
-    }
-
-    /// Re-initialises lane `lane` for a new scenario mid-batch: the lane's
-    /// true power parameters become `params`, its leakage models are rebuilt
-    /// from the new mismatch factor (anchored exactly at the new initial
-    /// temperature, so the admitted lane never reads a stale or unanchored
-    /// exponential), and every node restarts at `params.initial_temp_c`.
-    ///
-    /// The lane's re-anchor cadence restarts from admission, exactly as in
-    /// a fresh plant, so the admitted scenario's trajectory does not depend
-    /// on when it was admitted. The other lanes are untouched — their
-    /// temperatures, anchors and cadences stay exactly as they were, so
-    /// recycling a freed lane mid-sweep cannot perturb in-flight
-    /// trajectories. This is the retire→admit primitive behind the
-    /// lane-compacting sweep scheduler (see [`crate::ScenarioSweep`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn admit_lane(&mut self, lane: usize, params: PlantPowerParams) {
-        assert!(lane < self.lanes, "lane index out of bounds");
-        let big = scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch);
-        let little = scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch);
-        let gpu = scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch);
-        for row in 0..4 {
-            self.leak.set_model(row, lane, &big, params.initial_temp_c);
-        }
-        self.leak.set_model(4, lane, &little, params.initial_temp_c);
-        self.leak.set_model(5, lane, &gpu, params.initial_temp_c);
-        for node in 0..self.temps.rows() {
-            self.temps.set(node, lane, params.initial_temp_c);
-        }
-        self.steps_since_anchor[lane] = 0;
-        self.params[lane] = params;
+        engine
     }
 
     /// Looks up (or builds and caches) the batch transition for one fan
@@ -378,127 +294,6 @@ impl BatchPlant {
         }
     }
 
-    /// Advances every lane by one control interval with per-lane platform
-    /// state, demand, fan level and ambient held constant. Returns one
-    /// [`PlantStep`] result per lane, in lane order (allocating convenience
-    /// wrapper over [`BatchPlant::step_interval_into`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`BatchPlant::step_interval_into`].
-    pub fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-    ) -> Result<Vec<Result<PlantStep, SimError>>, SimError> {
-        let mut steps = Vec::with_capacity(self.lanes);
-        self.step_interval_into(inputs, interval_s, &mut steps)?;
-        Ok(steps)
-    }
-
-    /// Advances every lane by one control interval with per-lane platform
-    /// state, demand, fan level and ambient held constant, replacing the
-    /// contents of `steps` with one [`PlantStep`] result per lane, in lane
-    /// order.
-    ///
-    /// A lane whose interval setup fails (e.g. an unsupported frequency)
-    /// reports its error without disturbing the other lanes; its power
-    /// injection is zero for the interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns a batch-level error only for malformed calls: a lane-input
-    /// count that does not match [`BatchPlant::lanes`] or a non-positive
-    /// interval. `steps` is left empty in that case.
-    pub fn step_interval_into(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        steps.clear();
-        if inputs.len() != self.lanes {
-            return Err(SimError::InvalidConfig(
-                "lane input count must match the batch width",
-            ));
-        }
-        if !(interval_s > 0.0) {
-            return Err(SimError::InvalidConfig("control interval must be positive"));
-        }
-        let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
-
-        // Per-lane interval setup: power linearisation, transition and drive.
-        let mut lane_errors: Vec<Option<SimError>> = Vec::with_capacity(self.lanes);
-        for (lane, input) in inputs.iter().enumerate() {
-            let (online_buf, online_mask, online_count) =
-                online_cores(input.state, input.state.active_cluster);
-            let ops = compute_interval_ops(
-                &self.spec,
-                &self.params[lane],
-                input.state,
-                input.demand,
-                &online_buf[..online_count],
-            );
-            match ops {
-                Ok(ops) => {
-                    self.fill_lane_linearisation(lane, &ops, &online_mask);
-                    // With zero online cores there is no node to carry the
-                    // powered cluster's uncore share, but the scalar plant
-                    // still bills it to the big domain — keep the averages
-                    // equivalent.
-                    self.uncore_orphan_w[lane] = if ops.active_is_big && online_count == 0 {
-                        ops.uncore
-                    } else {
-                        0.0
-                    };
-                    lane_errors.push(None);
-                }
-                Err(e) => {
-                    self.zero_lane(lane);
-                    self.uncore_orphan_w[lane] = 0.0;
-                    lane_errors.push(Some(e));
-                }
-            }
-            let boost = self.spec.fan().conductance_boost_w_per_k(input.fan_level);
-            self.select_transition(lane, boost, input.ambient_c)?;
-        }
-        let uniform = self
-            .lane_transition
-            .iter()
-            .all(|&i| i == self.lane_transition[0]);
-        self.prefill_constant_power_rows();
-
-        self.accum.fill(0.0);
-        for _ in 0..micro_steps {
-            self.micro_step(uniform);
-        }
-
-        let scale = 1.0 / micro_steps as f64;
-        steps.extend(inputs.iter().enumerate().map(|(lane, input)| {
-            if let Some(e) = lane_errors[lane].take() {
-                return Err(e);
-            }
-            let domain_power = DomainPower::new(
-                self.accum.get(0, lane) * scale + self.uncore_orphan_w[lane],
-                self.accum.get(1, lane) * scale,
-                self.accum.get(2, lane) * scale,
-                self.accum.get(3, lane) * scale,
-            );
-            let fan_power = self.spec.fan().power_w(input.fan_level);
-            let platform_power_w =
-                domain_power.total() + self.params[lane].board_base_w + fan_power;
-            let work_done =
-                throughput_units_per_s(&self.spec, input.state, input.demand) * interval_s;
-            Ok(PlantStep {
-                domain_power,
-                core_temps_c: self.core_temps_c(lane),
-                platform_power_w,
-                work_done,
-            })
-        }));
-        Ok(())
-    }
-
     /// Fills the power rows of nodes without a leakage source (memory, case:
     /// the rows after `LEAK_ROWS`) once per interval — they are constant
     /// between control decisions, so the per-micro-step assembly only
@@ -510,12 +305,13 @@ impl BatchPlant {
 
     /// One batched micro-step: leakage currents, node-power assembly, domain
     /// accumulation and the panel transition. Allocation-free.
-    fn micro_step(&mut self, uniform: bool) {
+    fn micro_step(&mut self) {
         let lanes = self.lanes;
-        let BatchPlant {
+        let PanelEngine {
             temps,
             powers,
             step_tmp,
+            pass_tmp,
             base,
             coef,
             leak,
@@ -525,9 +321,9 @@ impl BatchPlant {
             leak_temp_rows,
             transitions,
             lane_transition,
+            other_transitions,
             drive,
             steps_since_anchor,
-            col_scratch,
             thermal,
             ..
         } = self;
@@ -591,19 +387,169 @@ impl BatchPlant {
             }
         }
 
-        // Advance the thermal panel: one blocked mat-mat when every lane
-        // shares the fan transition, the bit-identical strided fallback
-        // otherwise. Either way each lane's ambient arrives as its drive
-        // column.
-        if uniform {
-            let transition = &transitions[lane_transition[0]].transition;
-            transition.apply_panel(temps, powers, drive, step_tmp);
-        } else {
-            for lane in 0..lanes {
-                let transition = &transitions[lane_transition[lane]].transition;
-                transition.apply_lane(temps, powers, drive, lane, col_scratch);
+        // Advance the thermal panel: lane 0's transition runs over every
+        // lane. Each other transition in use runs over the whole panel too,
+        // and only its own lanes' columns are kept: a lane's drive column
+        // was computed for its own transition, and the bias kernel's result
+        // for a lane does not depend on the other lanes, so every lane gets
+        // the bits of a panel that holds it alone.
+        transitions[lane_transition[0]]
+            .transition
+            .apply_into(temps, powers, drive, step_tmp);
+        for &index in other_transitions.iter() {
+            transitions[index]
+                .transition
+                .apply_into(temps, powers, drive, pass_tmp);
+            for lane in (1..lanes).filter(|&lane| lane_transition[lane] == index) {
+                let kept = pass_tmp.as_slice().iter().skip(lane).step_by(lanes);
+                let out = step_tmp.as_mut_slice().iter_mut().skip(lane).step_by(lanes);
+                for (out, &kept) in out.zip(kept) {
+                    *out = kept;
+                }
             }
         }
+        std::mem::swap(temps, step_tmp);
+    }
+}
+
+impl PlantEngine for PanelEngine {
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn node_count(&self) -> usize {
+        self.temps.rows()
+    }
+
+    /// Rebuilds the lane's leakage models from the new mismatch factor,
+    /// anchored at the new initial temperature, so the admitted lane never
+    /// reads a stale or unanchored exponential. Its re-anchor cadence
+    /// restarts from admission, so the admitted scenario's trajectory does
+    /// not depend on when it was admitted, and the other lanes'
+    /// temperatures, anchors and cadences stay as they were.
+    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
+        assert!(lane < self.lanes, "lane index out of bounds");
+        let big = scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch);
+        let little = scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch);
+        let gpu = scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch);
+        for row in 0..4 {
+            self.leak.set_model(row, lane, &big, params.initial_temp_c);
+        }
+        self.leak.set_model(4, lane, &little, params.initial_temp_c);
+        self.leak.set_model(5, lane, &gpu, params.initial_temp_c);
+        for node in 0..self.temps.rows() {
+            self.temps.set(node, lane, params.initial_temp_c);
+        }
+        self.steps_since_anchor[lane] = 0;
+        self.params[lane] = params;
+    }
+
+    /// A lane whose interval setup fails (e.g. an unsupported frequency)
+    /// has zero power injection for the interval.
+    fn step_interval(
+        &mut self,
+        inputs: &[LaneInput<'_>],
+        interval_s: f64,
+        steps: &mut Vec<Result<PlantStep, SimError>>,
+    ) -> Result<(), SimError> {
+        steps.clear();
+        if inputs.len() != self.lanes {
+            return Err(SimError::InvalidConfig(
+                "lane input count must match the batch width",
+            ));
+        }
+        if !(interval_s > 0.0) {
+            return Err(SimError::InvalidConfig("control interval must be positive"));
+        }
+        let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
+
+        // Per-lane interval setup: power linearisation, transition and drive.
+        let mut lane_errors: Vec<Option<SimError>> = Vec::with_capacity(self.lanes);
+        for (lane, input) in inputs.iter().enumerate() {
+            let (online_buf, online_mask, online_count) =
+                online_cores(input.state, input.state.active_cluster);
+            let ops = compute_interval_ops(
+                &self.spec,
+                &self.params[lane],
+                input.state,
+                input.demand,
+                &online_buf[..online_count],
+            );
+            match ops {
+                Ok(ops) => {
+                    self.fill_lane_linearisation(lane, &ops, &online_mask);
+                    // With zero online cores there is no node to carry the
+                    // powered cluster's uncore share, but the scalar plant
+                    // still bills it to the big domain — keep the averages
+                    // equivalent.
+                    self.uncore_orphan_w[lane] = if ops.active_is_big && online_count == 0 {
+                        ops.uncore
+                    } else {
+                        0.0
+                    };
+                    lane_errors.push(None);
+                }
+                Err(e) => {
+                    self.zero_lane(lane);
+                    self.uncore_orphan_w[lane] = 0.0;
+                    lane_errors.push(Some(e));
+                }
+            }
+            let boost = self.spec.fan().conductance_boost_w_per_k(input.fan_level);
+            self.select_transition(lane, boost, input.ambient_c)?;
+        }
+        let first = self.lane_transition[0];
+        self.other_transitions.clear();
+        for &index in &self.lane_transition[1..] {
+            if index != first && !self.other_transitions.contains(&index) {
+                self.other_transitions.push(index);
+            }
+        }
+        self.prefill_constant_power_rows();
+
+        self.accum.fill(0.0);
+        for _ in 0..micro_steps {
+            self.micro_step();
+        }
+
+        let scale = 1.0 / micro_steps as f64;
+        steps.extend(inputs.iter().enumerate().map(|(lane, input)| {
+            if let Some(e) = lane_errors[lane].take() {
+                return Err(e);
+            }
+            let domain_power = DomainPower::new(
+                self.accum.get(0, lane) * scale + self.uncore_orphan_w[lane],
+                self.accum.get(1, lane) * scale,
+                self.accum.get(2, lane) * scale,
+                self.accum.get(3, lane) * scale,
+            );
+            let fan_power = self.spec.fan().power_w(input.fan_level);
+            let platform_power_w =
+                domain_power.total() + self.params[lane].board_base_w + fan_power;
+            let work_done =
+                throughput_units_per_s(&self.spec, input.state, input.demand) * interval_s;
+            Ok(PlantStep {
+                domain_power,
+                core_temps_c: self.core_temps_c(lane),
+                platform_power_w,
+                work_done,
+            })
+        }));
+        Ok(())
+    }
+
+    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
+        let cores = self.thermal.big_core_nodes();
+        [
+            self.temps.get(cores[0].0, lane),
+            self.temps.get(cores[1].0, lane),
+            self.temps.get(cores[2].0, lane),
+            self.temps.get(cores[3].0, lane),
+        ]
+    }
+
+    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
+        self.temps.column_into(lane, out);
     }
 }
 
@@ -624,30 +570,54 @@ mod tests {
         }
     }
 
+    /// Lane `lane`'s node temperatures, °C.
+    fn node_temps(engine: &PanelEngine, lane: usize) -> Vec<f64> {
+        let mut out = vec![0.0; engine.node_count()];
+        engine.node_temps_into(lane, &mut out);
+        out
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every number a successful step reports, as bits.
+    fn step_bits(step: &Result<PlantStep, SimError>) -> Vec<u64> {
+        let step = step.as_ref().expect("lane step succeeds");
+        let power = step.domain_power;
+        let mut values = vec![
+            power.big_w,
+            power.little_w,
+            power.gpu_w,
+            power.memory_w,
+            step.platform_power_w,
+            step.work_done,
+        ];
+        values.extend(step.core_temps_c);
+        bits(&values)
+    }
+
     #[test]
     fn single_lane_batch_tracks_scalar_plant() {
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
         let mut scalar = PhysicalPlant::new(spec.clone(), params);
-        let mut batch = BatchPlant::new(spec.clone(), &[params]);
+        let mut batch = PanelEngine::new(spec.clone(), &[params]);
         let state = PlatformState::default_for(&spec);
         let d = demand();
+        let input = [LaneInput {
+            state: &state,
+            demand: &d,
+            fan_level: FanLevel::Off,
+            ambient_c: 28.0,
+        }];
+        let mut steps = Vec::new();
         for _ in 0..600 {
             let scalar_step = scalar
                 .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
                 .unwrap();
-            let batch_steps = batch
-                .step_interval(
-                    &[LaneInput {
-                        state: &state,
-                        demand: &d,
-                        fan_level: FanLevel::Off,
-                        ambient_c: 28.0,
-                    }],
-                    0.1,
-                )
-                .unwrap();
-            let batch_step = batch_steps[0].as_ref().unwrap();
+            batch.step_interval(&input, 0.1, &mut steps).unwrap();
+            let batch_step = steps[0].as_ref().unwrap();
             assert_eq!(batch_step.work_done, scalar_step.work_done);
             assert!(
                 (batch_step.platform_power_w - scalar_step.platform_power_w).abs() < 1e-9,
@@ -656,45 +626,84 @@ mod tests {
                 scalar_step.platform_power_w
             );
         }
-        for (a, b) in batch
-            .node_temps_c(0)
-            .iter()
-            .zip(scalar.node_temps_c().iter())
-        {
+        for (a, b) in node_temps(&batch, 0).iter().zip(scalar.node_temps_c()) {
             assert!((a - b).abs() < 1e-9, "trajectories diverged: {a} vs {b}");
         }
     }
 
     #[test]
-    fn mixed_fan_levels_fall_back_to_per_lane_transitions() {
+    fn lanes_at_different_fan_levels_keep_their_solo_bits() {
+        // Nine lanes (one SIMD chunk plus the scalar tail), each at its own
+        // ambient and on its own fan schedule, against one-lane engines fed
+        // the same inputs. The schedule runs through uniform intervals, lane
+        // 0 alone at its level, four and then three levels live at once and
+        // lanes switching level; every lane must keep its solo bits. Lanes 1
+        // and 5 share parameters and ambient; the final hold keeps lane 1 at
+        // `Full` and lane 5 at `Off`.
+        const LANES: usize = 9;
+        const HOLD: usize = 60;
+        const LEVELS: [FanLevel; 4] = [
+            FanLevel::Off,
+            FanLevel::Base,
+            FanLevel::Half,
+            FanLevel::Full,
+        ];
+        let fan = |lane: usize, interval: usize| match interval {
+            0..10 => FanLevel::Off,
+            10..20 if lane == 0 => FanLevel::Full,
+            10..20 => FanLevel::Half,
+            20..40 => LEVELS[(lane / 2 + interval / 5) % 4],
+            40..50 => LEVELS[lane % 3],
+            50..HOLD => FanLevel::Base,
+            _ if lane == 1 => FanLevel::Full,
+            _ if lane == 5 => FanLevel::Off,
+            _ => LEVELS[(lane + interval / 40) % 4],
+        };
+        let ambient = |lane: usize| [22.0, 26.0, 30.0, 34.0][lane % 4];
         let spec = SocSpec::odroid_xu_e();
-        let params = PlantPowerParams::default();
-        let mut batch = BatchPlant::new(spec.clone(), &[params, params]);
+        let params: Vec<PlantPowerParams> = (0..LANES)
+            .map(|lane| PlantPowerParams {
+                leakage_mismatch: 0.98 + 0.01 * (lane % 4) as f64,
+                initial_temp_c: 40.0 + (lane % 4) as f64,
+                ..PlantPowerParams::default()
+            })
+            .collect();
         let state = PlatformState::default_for(&spec);
         let d = demand();
-        for _ in 0..300 {
-            let steps = batch
-                .step_interval(
-                    &[
-                        LaneInput {
-                            state: &state,
-                            demand: &d,
-                            fan_level: FanLevel::Off,
-                            ambient_c: 28.0,
-                        },
-                        LaneInput {
-                            state: &state,
-                            demand: &d,
-                            fan_level: FanLevel::Full,
-                            ambient_c: 28.0,
-                        },
-                    ],
-                    0.1,
-                )
-                .unwrap();
-            assert!(steps.iter().all(Result::is_ok));
+        let mut batch = PanelEngine::new(spec.clone(), &params);
+        let mut solos: Vec<PanelEngine> = params
+            .iter()
+            .map(|p| PanelEngine::new(spec.clone(), &[*p]))
+            .collect();
+        let (mut steps, mut solo_steps) = (Vec::new(), Vec::new());
+        for interval in 0..HOLD + 300 {
+            let inputs: Vec<LaneInput<'_>> = (0..LANES)
+                .map(|lane| LaneInput {
+                    state: &state,
+                    demand: &d,
+                    fan_level: fan(lane, interval),
+                    ambient_c: ambient(lane),
+                })
+                .collect();
+            batch.step_interval(&inputs, 0.1, &mut steps).unwrap();
+            for (lane, solo) in solos.iter_mut().enumerate() {
+                solo.step_interval(&inputs[lane..=lane], 0.1, &mut solo_steps)
+                    .unwrap();
+                assert_eq!(
+                    step_bits(&steps[lane]),
+                    step_bits(&solo_steps[0]),
+                    "lane {lane} interval {interval}"
+                );
+            }
         }
-        let hot = batch.core_temps_c(0)[0];
+        for (lane, solo) in solos.iter().enumerate() {
+            assert_eq!(
+                bits(&node_temps(&batch, lane)),
+                bits(&node_temps(solo, 0)),
+                "lane {lane} node temperatures"
+            );
+        }
+        let hot = batch.core_temps_c(5)[0];
         let cooled = batch.core_temps_c(1)[0];
         assert!(
             cooled < hot - 5.0,
@@ -710,28 +719,25 @@ mod tests {
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
         let mut scalar = PhysicalPlant::new(spec.clone(), params);
-        let mut batch = BatchPlant::new(spec.clone(), &[params]);
+        let mut batch = PanelEngine::new(spec.clone(), &[params]);
         let mut state = PlatformState::default_for(&spec);
         for core in 0..4 {
             state.set_core_online(soc_model::ClusterKind::Big, core, false);
         }
         let d = demand();
+        let input = [LaneInput {
+            state: &state,
+            demand: &d,
+            fan_level: FanLevel::Off,
+            ambient_c: 28.0,
+        }];
+        let mut steps = Vec::new();
         for _ in 0..50 {
             let scalar_step = scalar
                 .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
                 .unwrap();
-            let batch_steps = batch
-                .step_interval(
-                    &[LaneInput {
-                        state: &state,
-                        demand: &d,
-                        fan_level: FanLevel::Off,
-                        ambient_c: 28.0,
-                    }],
-                    0.1,
-                )
-                .unwrap();
-            let batch_step = batch_steps[0].as_ref().unwrap();
+            batch.step_interval(&input, 0.1, &mut steps).unwrap();
+            let batch_step = steps[0].as_ref().unwrap();
             assert!(
                 (batch_step.domain_power.big_w - scalar_step.domain_power.big_w).abs() < 1e-9,
                 "big power diverged with zero online cores: {} vs {}",
@@ -739,11 +745,7 @@ mod tests {
                 scalar_step.domain_power.big_w
             );
         }
-        for (a, b) in batch
-            .node_temps_c(0)
-            .iter()
-            .zip(scalar.node_temps_c().iter())
-        {
+        for (a, b) in node_temps(&batch, 0).iter().zip(scalar.node_temps_c()) {
             assert!((a - b).abs() < 1e-9, "trajectories diverged: {a} vs {b}");
         }
     }
@@ -759,37 +761,30 @@ mod tests {
         let d = demand();
 
         let mut scalar = PhysicalPlant::new(spec.clone(), params);
-        let mut batch = BatchPlant::new(spec.clone(), &[params]);
+        let mut batch = PanelEngine::new(spec.clone(), &[params]);
         let state = PlatformState::default_for(&spec);
+        let mut steps = Vec::new();
         for i in 0..80 {
             let ambient = 20.0 + 0.25 * i as f64;
             scalar
                 .step_interval(&state, &d, FanLevel::Off, ambient, 0.1)
                 .unwrap();
-            let steps = batch
-                .step_interval(
-                    &[LaneInput {
-                        state: &state,
-                        demand: &d,
-                        fan_level: FanLevel::Off,
-                        ambient_c: ambient,
-                    }],
-                    0.1,
-                )
-                .unwrap();
+            let input = [LaneInput {
+                state: &state,
+                demand: &d,
+                fan_level: FanLevel::Off,
+                ambient_c: ambient,
+            }];
+            batch.step_interval(&input, 0.1, &mut steps).unwrap();
             assert!(steps[0].is_ok());
         }
-        for (a, b) in batch
-            .node_temps_c(0)
-            .iter()
-            .zip(scalar.node_temps_c().iter())
-        {
+        for (a, b) in node_temps(&batch, 0).iter().zip(scalar.node_temps_c()) {
             assert!((a - b).abs() < 1e-9, "churned lane diverged: {a} vs {b}");
         }
 
         let lanes = 40;
         let wide_params = vec![params; lanes];
-        let mut wide = BatchPlant::new(spec.clone(), &wide_params);
+        let mut wide = PanelEngine::new(spec.clone(), &wide_params);
         let ambients: Vec<f64> = (0..lanes).map(|l| 20.0 + 0.5 * l as f64).collect();
         for _ in 0..5 {
             let inputs: Vec<LaneInput<'_>> = ambients
@@ -801,7 +796,7 @@ mod tests {
                     ambient_c,
                 })
                 .collect();
-            let steps = wide.step_interval(&inputs, 0.1).unwrap();
+            wide.step_interval(&inputs, 0.1, &mut steps).unwrap();
             assert!(steps.iter().all(Result::is_ok));
         }
         for (lane, &ambient) in ambients.iter().enumerate() {
@@ -810,11 +805,7 @@ mod tests {
                 twin.step_interval(&state, &d, FanLevel::Off, ambient, 0.1)
                     .unwrap();
             }
-            for (a, b) in wide
-                .node_temps_c(lane)
-                .iter()
-                .zip(twin.node_temps_c().iter())
-            {
+            for (a, b) in node_temps(&wide, lane).iter().zip(twin.node_temps_c()) {
                 assert!(
                     (a - b).abs() < 1e-9,
                     "wide-batch lane {lane} diverged: {a} vs {b}"
@@ -827,7 +818,7 @@ mod tests {
     fn batch_rejects_malformed_calls() {
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
-        let mut batch = BatchPlant::new(spec.clone(), &[params]);
+        let mut batch = PanelEngine::new(spec.clone(), &[params]);
         let state = PlatformState::default_for(&spec);
         let d = demand();
         let input = LaneInput {
@@ -836,8 +827,11 @@ mod tests {
             fan_level: FanLevel::Off,
             ambient_c: 28.0,
         };
-        assert!(batch.step_interval(&[input, input], 0.1).is_err());
-        assert!(batch.step_interval(&[input], 0.0).is_err());
+        let mut steps = Vec::new();
+        assert!(batch
+            .step_interval(&[input, input], 0.1, &mut steps)
+            .is_err());
+        assert!(batch.step_interval(&[input], 0.0, &mut steps).is_err());
     }
 
     #[test]
@@ -854,7 +848,7 @@ mod tests {
         // trajectory.
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
-        let mut batch = BatchPlant::new(spec.clone(), &[params, params]);
+        let mut batch = PanelEngine::new(spec.clone(), &[params, params]);
         let mut survivor = PhysicalPlant::new(spec.clone(), params);
         let state = PlatformState::default_for(&spec);
         let d = demand();
@@ -865,11 +859,12 @@ mod tests {
             fan_level: FanLevel::Off,
             ambient_c,
         };
+        let mut steps = Vec::new();
         // 7 intervals × 10 micro-steps: lane 0 is 70 % 16 = 6 micro-steps
         // past its last re-anchor when lane 1 is admitted.
         for _ in 0..7 {
             batch
-                .step_interval(&[input(&state, 28.0), input(&state, 28.0)], 0.1)
+                .step_interval(&[input(&state, 28.0), input(&state, 28.0)], 0.1, &mut steps)
                 .unwrap();
             survivor
                 .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
@@ -881,15 +876,19 @@ mod tests {
             initial_temp_c: 38.5,
             ..PlantPowerParams::default()
         };
-        batch.admit_lane(1, fresh_params);
+        batch.admit(1, fresh_params);
         assert_eq!(batch.core_temps_c(1), [38.5; 4]);
         let mut fresh = PhysicalPlant::new(spec.clone(), fresh_params);
-        let mut alone = BatchPlant::new(spec.clone(), &[fresh_params]);
+        let mut alone = PanelEngine::new(spec.clone(), &[fresh_params]);
 
-        let mut batch_nodes = vec![0.0; batch.node_count()];
+        let mut alone_steps = Vec::new();
         for i in 0..200 {
-            let steps = batch
-                .step_interval(&[input(&state, 28.0), input(&state, fresh_ambient_c)], 0.1)
+            batch
+                .step_interval(
+                    &[input(&state, 28.0), input(&state, fresh_ambient_c)],
+                    0.1,
+                    &mut steps,
+                )
                 .unwrap();
             let survivor_step = survivor
                 .step_interval(&state, &d, FanLevel::Off, 28.0, 0.1)
@@ -897,8 +896,8 @@ mod tests {
             let fresh_step = fresh
                 .step_interval(&state, &d, FanLevel::Off, fresh_ambient_c, 0.1)
                 .unwrap();
-            let alone_steps = alone
-                .step_interval(&[input(&state, fresh_ambient_c)], 0.1)
+            alone
+                .step_interval(&[input(&state, fresh_ambient_c)], 0.1, &mut alone_steps)
                 .unwrap();
             assert_eq!(
                 steps[1].as_ref().expect("lane step succeeds"),
@@ -918,19 +917,16 @@ mod tests {
             }
         }
         for (lane, scalar) in [(0usize, &survivor), (1, &fresh)] {
-            batch.node_temps_into(lane, &mut batch_nodes);
-            for (a, b) in batch_nodes.iter().zip(scalar.node_temps_c()) {
+            for (a, b) in node_temps(&batch, lane).iter().zip(scalar.node_temps_c()) {
                 assert!(
                     (a - b).abs() < 1e-9,
                     "recycled-batch lane {lane} diverged: {a} vs {b}"
                 );
             }
         }
-        batch.node_temps_into(1, &mut batch_nodes);
-        let bits = |temps: &[f64]| temps.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            bits(&batch_nodes),
-            bits(&alone.node_temps_c(0)),
+            bits(&node_temps(&batch, 1)),
+            bits(&node_temps(&alone, 0)),
             "admitted lane's node temperatures differ from its one-lane batch"
         );
     }

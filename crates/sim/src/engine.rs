@@ -1,52 +1,48 @@
-//! The pluggable plant-engine backend seam.
+//! The plant-engine seam.
 //!
 //! Everything the closed-loop executor needs from "the silicon" is the small
 //! per-interval contract captured by [`PlantEngine`]: re-initialise a lane
 //! for a new scenario ([`PlantEngine::admit`]), advance every lane by one
 //! control interval with per-lane inputs held constant
-//! ([`PlantEngine::step_interval`]), and read back per-lane temperatures and
-//! accumulated energy. Three backends implement it:
+//! ([`PlantEngine::step_interval`]), and read back per-lane temperatures.
+//! Three engines implement it:
 //!
 //! * [`ScalarEngine`] — one independent [`PhysicalPlant`] per lane, stepped
 //!   back to back. The single-lane instantiation *is* the classic scalar
 //!   simulation path ([`crate::Experiment::run`]).
-//! * [`PanelEngine`] — the structure-of-arrays [`BatchPlant`]: all lanes
-//!   advanced per instruction stream, one scenario per panel column.
-//! * [`MixedPanelEngine`] — the same panel layout at f32 width with f64
-//!   anchoring ([`MixedBatchPlant`]), selected by [`EnginePrecision::F32`].
+//! * [`PanelEngine`](crate::PanelEngine) — the structure-of-arrays engine of
+//!   [`crate::batch`]: all lanes advanced per instruction stream, one
+//!   scenario per panel column.
+//! * [`MixedPanelEngine`](crate::MixedPanelEngine) — the same panel layout
+//!   at f32 width with f64 anchoring ([`crate::mixed`]), selected by
+//!   [`EnginePrecision::F32`].
 //!
 //! Because all three speak the same contract, the control-loop executor in
 //! [`crate::experiment`] is written once, generically, and a many-lane sweep
 //! is just a wider instantiation of the same code that runs a single scalar
 //! experiment; which engine a run gets is decided in one place, from its
-//! lane count and precision. The seam is also where a device backend
-//! slots in: a GPU engine would keep temperature/power state in device
-//! buffers and consume the precomputed per-step math exposed by
-//! [`thermal_model::BatchStepTransition`] (the `r` / `s_power` views and
-//! the per-lane drive column of `ambient_drive_into`), while the executor
-//! and control loops stay untouched.
+//! lane count and precision. A run's energy is integrated by its control
+//! loop from the platform power of the [`PlantStep`]s it absorbs.
 //!
 //! Lane recycling: [`PlantEngine::admit`] fully re-initialises a lane
 //! (temperatures to the scenario's initial value, per-lane power parameters
-//! and leakage models, energy accumulator to zero), so a sweep scheduler can
-//! retire a finished scenario and admit a queued one into the freed lane
-//! mid-flight — the basis of the lane-compacting scheduler in
-//! [`crate::ScenarioSweep`].
+//! and leakage models), so a sweep scheduler can retire a finished scenario
+//! and admit a queued one into the freed lane mid-flight — the basis of the
+//! lane-compacting scheduler in [`crate::ScenarioSweep`].
 
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
 
-use crate::batch::BatchPlant;
-use crate::mixed::MixedBatchPlant;
 use crate::plant::{PhysicalPlant, PlantPowerParams, PlantStep};
 use crate::SimError;
 
 /// Element precision of the plant engine a run steps its scenarios with.
 ///
 /// The default, [`EnginePrecision::F64`], selects the existing engines
-/// ([`ScalarEngine`] for single-lane runs, [`PanelEngine`] for batches) and
-/// leaves every trajectory bit-identical to previous releases.
-/// [`EnginePrecision::F32`] selects the [`MixedPanelEngine`] — f32 panel
+/// ([`ScalarEngine`] for single-lane runs, [`PanelEngine`](crate::PanelEngine)
+/// for batches) and leaves every trajectory bit-identical to previous
+/// releases. [`EnginePrecision::F32`] selects the
+/// [`MixedPanelEngine`](crate::MixedPanelEngine) — f32 panel
 /// state with f64 anchoring, roughly doubling SIMD width on the hot loops
 /// within a validated ≤ 1e-3 °C trajectory budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -89,9 +85,9 @@ pub trait PlantEngine {
     fn node_count(&self) -> usize;
 
     /// Re-initialises lane `lane` for a new scenario: every node temperature
-    /// to `params.initial_temp_c`, the lane's true power parameters (and the
-    /// leakage models derived from them) to `params`, and the lane's energy
-    /// accumulator to zero.
+    /// to `params.initial_temp_c` and the lane's true power parameters (and
+    /// the leakage models derived from them) to `params`. The other lanes are
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -131,31 +127,16 @@ pub trait PlantEngine {
     /// Panics if `lane` is out of range or `out` does not cover
     /// [`PlantEngine::node_count`] nodes.
     fn node_temps_into(&self, lane: usize, out: &mut [f64]);
-
-    /// True platform energy lane `lane` has accumulated since it was last
-    /// admitted, in joules: the per-interval platform power integrated over
-    /// *every* interval the engine stepped the lane. That includes intervals
-    /// a finished scenario's lane idles on frozen inputs while its batch
-    /// mates keep running — so this is the lane's integrated energy, not
-    /// necessarily one scenario's. Read it when the scenario completes (the
-    /// closed-loop executor's per-result energy bookkeeping does exactly
-    /// that, via the control loop) if per-scenario energy is what you need.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    fn energy_j(&self, lane: usize) -> f64;
 }
 
 /// The scalar backend: one independent [`PhysicalPlant`] per lane, stepped
 /// back to back per interval. One lane of this engine is exactly the classic
 /// per-scenario simulation; K lanes are the unbatched comparator for the
-/// structure-of-arrays [`PanelEngine`].
+/// structure-of-arrays [`PanelEngine`](crate::PanelEngine).
 #[derive(Debug, Clone)]
 pub struct ScalarEngine {
     spec: SocSpec,
     plants: Vec<PhysicalPlant>,
-    energy_j: Vec<f64>,
 }
 
 impl ScalarEngine {
@@ -171,11 +152,7 @@ impl ScalarEngine {
             .iter()
             .map(|p| PhysicalPlant::new(spec.clone(), *p))
             .collect();
-        ScalarEngine {
-            spec,
-            plants,
-            energy_j: vec![0.0; params.len()],
-        }
+        ScalarEngine { spec, plants }
     }
 }
 
@@ -190,7 +167,6 @@ impl PlantEngine for ScalarEngine {
 
     fn admit(&mut self, lane: usize, params: PlantPowerParams) {
         self.plants[lane] = PhysicalPlant::new(self.spec.clone(), params);
-        self.energy_j[lane] = 0.0;
     }
 
     fn step_interval(
@@ -208,18 +184,14 @@ impl PlantEngine for ScalarEngine {
         if !(interval_s > 0.0) {
             return Err(SimError::InvalidConfig("control interval must be positive"));
         }
-        for (lane, (plant, input)) in self.plants.iter_mut().zip(inputs).enumerate() {
-            let step = plant.step_interval(
+        for (plant, input) in self.plants.iter_mut().zip(inputs) {
+            steps.push(plant.step_interval(
                 input.state,
                 input.demand,
                 input.fan_level,
                 input.ambient_c,
                 interval_s,
-            );
-            if let Ok(step) = &step {
-                self.energy_j[lane] += step.platform_power_w * interval_s;
-            }
-            steps.push(step);
+            ));
         }
         Ok(())
     }
@@ -231,149 +203,12 @@ impl PlantEngine for ScalarEngine {
     fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
         out.copy_from_slice(self.plants[lane].node_temps_c());
     }
-
-    fn energy_j(&self, lane: usize) -> f64 {
-        self.energy_j[lane]
-    }
-}
-
-/// The structure-of-arrays backend: a [`BatchPlant`] advancing every lane
-/// per instruction stream (see the [`crate::batch`] module docs for the
-/// panel layout and its equivalence bars).
-#[derive(Debug, Clone)]
-pub struct PanelEngine {
-    plant: BatchPlant,
-    energy_j: Vec<f64>,
-}
-
-impl PanelEngine {
-    /// Creates a batch of `params.len()` lanes, each starting at its
-    /// configured initial temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn new(spec: SocSpec, params: &[PlantPowerParams]) -> Self {
-        PanelEngine {
-            plant: BatchPlant::new(spec, params),
-            energy_j: vec![0.0; params.len()],
-        }
-    }
-}
-
-impl PlantEngine for PanelEngine {
-    fn lanes(&self) -> usize {
-        self.plant.lanes()
-    }
-
-    fn node_count(&self) -> usize {
-        self.plant.node_count()
-    }
-
-    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
-        self.plant.admit_lane(lane, params);
-        self.energy_j[lane] = 0.0;
-    }
-
-    fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        steps.clear();
-        self.plant.step_interval_into(inputs, interval_s, steps)?;
-        for (lane, step) in steps.iter().enumerate() {
-            if let Ok(step) = step {
-                self.energy_j[lane] += step.platform_power_w * interval_s;
-            }
-        }
-        Ok(())
-    }
-
-    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        self.plant.core_temps_c(lane)
-    }
-
-    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        self.plant.node_temps_into(lane, out);
-    }
-
-    fn energy_j(&self, lane: usize) -> f64 {
-        self.energy_j[lane]
-    }
-}
-
-/// The mixed-precision backend: a [`MixedBatchPlant`] advancing every lane
-/// at f32 panel width with f64 anchoring (see the [`crate::mixed`] module
-/// docs for the precision split and its budgets).
-#[derive(Debug, Clone)]
-pub struct MixedPanelEngine {
-    plant: MixedBatchPlant,
-    energy_j: Vec<f64>,
-}
-
-impl MixedPanelEngine {
-    /// Creates a batch of `params.len()` f32 lanes, each starting at its
-    /// configured initial temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn new(spec: SocSpec, params: &[PlantPowerParams]) -> Self {
-        MixedPanelEngine {
-            plant: MixedBatchPlant::new(spec, params),
-            energy_j: vec![0.0; params.len()],
-        }
-    }
-}
-
-impl PlantEngine for MixedPanelEngine {
-    fn lanes(&self) -> usize {
-        self.plant.lanes()
-    }
-
-    fn node_count(&self) -> usize {
-        self.plant.node_count()
-    }
-
-    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
-        self.plant.admit_lane(lane, params);
-        self.energy_j[lane] = 0.0;
-    }
-
-    fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        steps.clear();
-        self.plant.step_interval_into(inputs, interval_s, steps)?;
-        for (lane, step) in steps.iter().enumerate() {
-            if let Ok(step) = step {
-                self.energy_j[lane] += step.platform_power_w * interval_s;
-            }
-        }
-        Ok(())
-    }
-
-    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        self.plant.core_temps_c(lane)
-    }
-
-    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        self.plant.node_temps_into(lane, out);
-    }
-
-    fn energy_j(&self, lane: usize) -> f64 {
-        self.energy_j[lane]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MixedPanelEngine, PanelEngine};
 
     fn demand() -> Demand {
         Demand {
@@ -385,52 +220,62 @@ mod tests {
         }
     }
 
-    fn engines() -> (ScalarEngine, PanelEngine, SocSpec) {
-        let spec = SocSpec::odroid_xu_e();
-        let params = [
+    fn params() -> [PlantPowerParams; 2] {
+        [
             PlantPowerParams::default(),
             PlantPowerParams {
                 leakage_mismatch: 1.02,
                 initial_temp_c: 47.0,
                 ..PlantPowerParams::default()
             },
-        ];
+        ]
+    }
+
+    fn engines() -> (ScalarEngine, PanelEngine, SocSpec) {
+        let spec = SocSpec::odroid_xu_e();
         (
-            ScalarEngine::new(spec.clone(), &params),
-            PanelEngine::new(spec.clone(), &params),
+            ScalarEngine::new(spec.clone(), &params()),
+            PanelEngine::new(spec.clone(), &params()),
             spec,
         )
     }
 
-    fn step_both(
-        scalar: &mut ScalarEngine,
-        panel: &mut PanelEngine,
+    /// Steps both engines `intervals` times with every lane at the same
+    /// inputs, returning each engine's per-lane energy, J: platform power
+    /// times the period, summed over the steps.
+    fn step_both<'e>(
+        a: &'e mut dyn PlantEngine,
+        b: &'e mut dyn PlantEngine,
         spec: &SocSpec,
         intervals: usize,
-    ) {
+    ) -> [Vec<f64>; 2] {
         let state = PlatformState::default_for(spec);
         let d = demand();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let inputs: Vec<LaneInput<'_>> = (0..a.lanes())
+            .map(|_| LaneInput {
+                state: &state,
+                demand: &d,
+                fan_level: FanLevel::Off,
+                ambient_c: 28.0,
+            })
+            .collect();
+        let mut energy = [vec![0.0; a.lanes()], vec![0.0; b.lanes()]];
+        let mut steps = Vec::new();
         for _ in 0..intervals {
-            let inputs: Vec<LaneInput<'_>> = (0..scalar.lanes())
-                .map(|_| LaneInput {
-                    state: &state,
-                    demand: &d,
-                    fan_level: FanLevel::Off,
-                    ambient_c: 28.0,
-                })
-                .collect();
-            scalar.step_interval(&inputs, 0.1, &mut a).unwrap();
-            panel.step_interval(&inputs, 0.1, &mut b).unwrap();
-            assert!(a.iter().chain(&b).all(Result::is_ok));
+            for (engine, energy) in [&mut *a, &mut *b].into_iter().zip(&mut energy) {
+                engine.step_interval(&inputs, 0.1, &mut steps).unwrap();
+                for (lane, step) in steps.iter().enumerate() {
+                    energy[lane] += step.as_ref().unwrap().platform_power_w * 0.1;
+                }
+            }
         }
+        energy
     }
 
     #[test]
     fn scalar_and_panel_engines_agree_through_the_trait() {
         let (mut scalar, mut panel, spec) = engines();
-        step_both(&mut scalar, &mut panel, &spec, 200);
+        let [scalar_energy, panel_energy] = step_both(&mut scalar, &mut panel, &spec, 200);
         assert_eq!(scalar.lanes(), panel.lanes());
         assert_eq!(scalar.node_count(), panel.node_count());
         let mut a = vec![0.0; scalar.node_count()];
@@ -448,7 +293,7 @@ mod tests {
             {
                 assert!((x - y).abs() < 1e-9, "lane {lane} cores: {x} vs {y}");
             }
-            let (ea, eb) = (scalar.energy_j(lane), panel.energy_j(lane));
+            let (ea, eb) = (scalar_energy[lane], panel_energy[lane]);
             assert!(ea > 0.0, "energy must accumulate");
             assert!(
                 (ea - eb).abs() <= 1e-6 * ea,
@@ -470,46 +315,20 @@ mod tests {
         panel.admit(1, fresh);
         for engine in [&scalar as &dyn PlantEngine, &panel as &dyn PlantEngine] {
             assert_eq!(engine.core_temps_c(1), [33.0; 4]);
-            assert_eq!(engine.energy_j(1), 0.0, "admit resets the accumulator");
             let mut nodes = vec![0.0; engine.node_count()];
             engine.node_temps_into(1, &mut nodes);
             assert!(nodes.iter().all(|&t| t == 33.0));
         }
         assert_eq!(panel.core_temps_c(0), untouched_before);
-        assert!(scalar.energy_j(0) > 0.0);
     }
 
     #[test]
     fn mixed_engine_tracks_the_panel_engine_within_budget() {
         let (_scalar, mut panel, spec) = engines();
-        let params = [
-            PlantPowerParams::default(),
-            PlantPowerParams {
-                leakage_mismatch: 1.02,
-                initial_temp_c: 47.0,
-                ..PlantPowerParams::default()
-            },
-        ];
-        let mut mixed = MixedPanelEngine::new(spec.clone(), &params);
+        let mut mixed = MixedPanelEngine::new(spec.clone(), &params());
         assert_eq!(mixed.lanes(), panel.lanes());
         assert_eq!(mixed.node_count(), panel.node_count());
-        let state = PlatformState::default_for(&spec);
-        let d = demand();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for _ in 0..200 {
-            let inputs: Vec<LaneInput<'_>> = (0..panel.lanes())
-                .map(|_| LaneInput {
-                    state: &state,
-                    demand: &d,
-                    fan_level: FanLevel::Off,
-                    ambient_c: 28.0,
-                })
-                .collect();
-            panel.step_interval(&inputs, 0.1, &mut a).unwrap();
-            mixed.step_interval(&inputs, 0.1, &mut b).unwrap();
-            assert!(a.iter().chain(&b).all(Result::is_ok));
-        }
+        let [panel_energy, mixed_energy] = step_both(&mut panel, &mut mixed, &spec, 200);
         let mut x = vec![0.0; panel.node_count()];
         let mut y = vec![0.0; mixed.node_count()];
         for lane in 0..panel.lanes() {
@@ -518,7 +337,7 @@ mod tests {
             for (p, m) in x.iter().zip(&y) {
                 assert!((p - m).abs() < 1e-3, "lane {lane}: {p} vs {m}");
             }
-            let (ep, em) = (panel.energy_j(lane), mixed.energy_j(lane));
+            let (ep, em) = (panel_energy[lane], mixed_energy[lane]);
             assert!(
                 (ep - em).abs() <= 1e-3 * ep,
                 "lane {lane} energy: {ep} vs {em}"

@@ -328,7 +328,7 @@ impl Experiment {
 /// sensors, workload and seed), so a sweep is embarrassingly parallel: the
 /// runner shares one [`Calibration`] across `std::thread::scope` workers that
 /// pull scenarios from a shared atomic work queue. With
-/// [`ScenarioSweep::with_lanes`] each worker drives a [`PanelEngine`](crate::engine::PanelEngine) of that
+/// [`ScenarioSweep::with_lanes`] each worker drives a [`PanelEngine`](crate::PanelEngine) of that
 /// width and *recycles* its lanes: when a scenario finishes, the lane is
 /// retired, re-initialised and refilled with the next queued scenario
 /// (retire → compact → admit via [`PlantEngine::admit`](crate::engine::PlantEngine::admit)), so a ragged mix of

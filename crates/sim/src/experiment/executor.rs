@@ -8,12 +8,10 @@ use workload::Demand;
 
 use super::control::{ControlLoop, IntervalDecision};
 use super::RunReport;
-use crate::engine::{
-    EnginePrecision, LaneInput, MixedPanelEngine, PanelEngine, PlantEngine, ScalarEngine,
-};
+use crate::engine::{EnginePrecision, LaneInput, PlantEngine, ScalarEngine};
 use crate::plant::{PlantPowerParams, PlantStep};
 use crate::resilience::ResiliencePolicy;
-use crate::SimError;
+use crate::{MixedPanelEngine, PanelEngine, SimError};
 
 /// One engine lane's bookkeeping inside [`drive_engine`]: which result slot
 /// it reports to and on which attempt, its control loop while a scenario is
@@ -166,15 +164,6 @@ pub(super) fn drive_engine<E, N, P>(
                     Some(control) if control.is_done() => {
                         lane.frozen = frozen_inputs(control);
                         let control = lane.control.take().expect("control is present");
-                        // The engine's per-lane accumulated energy is the
-                        // same integral the control loop publishes; hold the
-                        // two accountants to each other at retirement
-                        // (before any idle intervals accrue on the lane).
-                        debug_assert!(
-                            (engine.energy_j(index) - control.energy_j).abs()
-                                <= 1e-9 * control.energy_j.abs().max(1.0),
-                            "engine and control-loop energy bookkeeping diverged"
-                        );
                         let report = catch_unwind(AssertUnwindSafe(move || control.finish()))
                             .map_err(|payload| panic_error(payload.as_ref()));
                         publish(lane.slot, lane.attempt, report);

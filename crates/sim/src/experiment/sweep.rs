@@ -50,11 +50,11 @@ impl ScenarioSweep {
         self
     }
 
-    /// Sets the batch width: every worker drives a [`PanelEngine`](crate::engine::PanelEngine) of this
-    /// many lanes through the structure-of-arrays
-    /// [`crate::batch::BatchPlant`], refilling freed lanes from the shared
-    /// scenario queue, so total parallelism is `threads × lanes`. One lane
-    /// (the default) is the scalar per-scenario engine.
+    /// Sets the batch width: every worker drives a structure-of-arrays
+    /// [`PanelEngine`](crate::PanelEngine) of this many lanes, refilling
+    /// freed lanes from the shared scenario queue, so total parallelism is
+    /// `threads × lanes`. One lane (the default) is the scalar per-scenario
+    /// engine.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self

@@ -305,7 +305,7 @@ impl FaultInjector {
             // window), so a window opening mid-run has samples to serve.
             if let FaultKind::Delayed { intervals } = window.kind {
                 state.history.push_back(value);
-                while state.history.len() > intervals + 1 {
+                while state.history.len() > intervals.saturating_add(1) {
                     state.history.pop_front();
                 }
             }
@@ -468,12 +468,24 @@ mod tests {
 
     #[test]
     fn delayed_channel_reports_old_samples() {
-        let plan = FaultPlan::new(4).with_window(FaultWindow {
-            channel: SensorChannel::CoreTemp(1),
-            kind: FaultKind::Delayed { intervals: 3 },
-            start_s: 0.5,
-            end_s: f64::INFINITY,
-        });
+        // Core 2's delay is longer than any run: it serves the oldest sample,
+        // as a delay longer than the elapsed run does.
+        let plan = FaultPlan::new(4)
+            .with_window(FaultWindow {
+                channel: SensorChannel::CoreTemp(1),
+                kind: FaultKind::Delayed { intervals: 3 },
+                start_s: 0.5,
+                end_s: f64::INFINITY,
+            })
+            .with_window(FaultWindow {
+                channel: SensorChannel::CoreTemp(2),
+                kind: FaultKind::Delayed {
+                    intervals: usize::MAX,
+                },
+                start_s: 0.0,
+                end_s: f64::INFINITY,
+            });
+        assert!(plan.validate().is_ok());
         let mut injector = FaultInjector::new(plan);
         // History accumulates before the window opens.
         for k in 0..5 {
@@ -483,13 +495,16 @@ mod tests {
                 40.0 + k as f64,
                 "pre-window pass-through"
             );
+            assert_eq!(out.core_temps_c[2], 40.0, "interval-0 sample");
         }
         // At t=0.5 (k=5) the window is active: report the sample from 3
         // intervals ago (k=2).
         let out = injector.apply(5, 0.5, reading([45.0; 4], 6.0));
         assert_eq!(out.core_temps_c[1], 42.0);
+        assert_eq!(out.core_temps_c[2], 40.0);
         let out = injector.apply(6, 0.6, reading([46.0; 4], 6.0));
         assert_eq!(out.core_temps_c[1], 43.0);
+        assert_eq!(out.core_temps_c[2], 40.0);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! * [`trace`], [`metrics`] — per-interval logging, CSV export and the
 //!   power/performance/stability summaries the figures are built from.
 //! * [`observer`] — the streaming result seam: every absorbed interval
-//!   folds into online accumulators through a [`observer::RunObserver`], so
-//!   every run produces an O(1) [`metrics::RunSummary`]; a full trace is
-//!   retained only on request.
+//!   folds into an [`observer::OnlineRunStats`], so every run produces an
+//!   O(1) [`metrics::RunSummary`]; a full trace is retained only on
+//!   request.
 //! * [`campaign`] — declarative sweep campaigns: a
 //!   [`campaign::SweepSpec`] grid (kinds × benchmarks × ambients ×
 //!   replicates × DTPM variants) expanded lazily with deterministic per-cell
@@ -53,20 +53,19 @@
 //!   [`safety::SensorHealth`] monitor (plausibility screening, last-known-
 //!   good substitution, policy demotion/promotion), and the structured
 //!   [`safety::IncidentLog`] both record into.
-//! * [`engine`] — the pluggable [`engine::PlantEngine`] backend seam: the
-//!   per-interval plant contract (admit a lane, step all lanes, read per-lane
-//!   temperatures and accumulated energy) with the scalar
-//!   ([`engine::ScalarEngine`]), structure-of-arrays
-//!   ([`engine::PanelEngine`]) and mixed-precision
-//!   ([`engine::MixedPanelEngine`]) implementations.
+//! * [`engine`] — the [`engine::PlantEngine`] seam: the per-interval plant
+//!   contract (admit a lane, step all lanes, read per-lane temperatures)
+//!   and the scalar [`engine::ScalarEngine`].
 //! * [`experiment::ScenarioSweep`] — runs many independent experiment
 //!   configurations across `std::thread::scope` workers (deterministic,
 //!   input-order results); with [`experiment::ScenarioSweep::with_lanes`]
 //!   each worker drives a batched engine whose lanes are *recycled* from a
 //!   shared scenario queue (the lane-compacting scheduler), for
 //!   `threads × lanes` total parallelism.
-//! * [`batch`] — the structure-of-arrays [`batch::BatchPlant`]: K plants
+//! * [`batch`] — the structure-of-arrays [`batch::PanelEngine`]: K plants
 //!   advanced in lockstep, one scenario per panel column.
+//! * [`mixed`] — [`mixed::MixedPanelEngine`], the same panel layout at f32
+//!   width with f64 anchoring.
 //! * [`resilience`] — the robustness layer for long campaigns: atomic
 //!   checkpoint/resume ([`resilience::CampaignCheckpoint`], the grid
 //!   fingerprint plus its fold, maintained by
@@ -101,7 +100,7 @@
 //!
 //! # Batched scenario execution
 //!
-//! On top of the scalar engine, [`batch::BatchPlant`] advances K scenarios
+//! On top of the scalar engine, [`batch::PanelEngine`] advances K scenarios
 //! per instruction stream with a structure-of-arrays state: node temperatures
 //! and power injections live in `8 × K` panels, **one scenario per column**,
 //! so each per-node row is contiguous across scenarios. Per micro-step the
@@ -127,12 +126,12 @@
 //! its batch mates, the thread it ran on or when it was admitted — so any
 //! panel width, thread count, lease split or resume gives the same bits
 //! (`tests/compaction.rs`, `tests/resilience.rs`). Batched stepping applies
-//! when scenarios share the control period and (mostly) the fan level;
-//! lanes at diverging fan levels fall back to an equivalent strided apply.
-//! The `sweep_step` bench asserts a floor on the batched engine's
-//! micro-step throughput over the scalar per-scenario engine at eight
-//! lanes; the floor and the last measurement are recorded in
-//! `BENCH_sweep_step.json`.
+//! when scenarios share the control period. Lanes at different fan levels
+//! cost one panel pass per fan transition in use, each lane keeping its own
+//! transition's pass, with the same bits. The `sweep_step` bench asserts a
+//! floor on the batched engine's micro-step throughput over the scalar
+//! per-scenario engine at eight lanes; the floor and the last measurement
+//! are recorded in `BENCH_sweep_step.json`.
 //!
 //! The *decision* side stays per lane: each DTPM lane predicts its proposal
 //! one horizon ahead with a single application of the precomputed horizon
@@ -155,12 +154,8 @@
 //! every retired result to its caller before it admits the lane's next
 //! scenario. One function picks every engine from the lane count and
 //! [`engine::EnginePrecision`]: [`engine::ScalarEngine`] for one f64 lane,
-//! [`engine::PanelEngine`] for more, and [`engine::MixedPanelEngine`] under
-//! f32. There is no scalar-vs-batched fork in the stepping logic, and a
-//! future device backend (GPU panels for calibration-scale sweeps) only has
-//! to implement the trait — the per-step math it needs is already exposed
-//! by [`thermal_model::BatchStepTransition`] (`r`/`s_power` and the
-//! per-lane drive column of `ambient_drive_into`).
+//! [`PanelEngine`] for more, and [`MixedPanelEngine`] under f32. There is
+//! no scalar-vs-batched fork in the stepping logic.
 //!
 //! # Lane-compacting sweeps
 //!
@@ -292,15 +287,13 @@ pub mod safety;
 pub mod sensors;
 pub mod trace;
 
-pub use batch::BatchPlant;
+pub use batch::PanelEngine;
 pub use calibrate::{Calibration, CalibrationCampaign};
 pub use campaign::{splitmix64, CampaignRunner, DtpmVariant, SweepSpec};
 pub use distributed::{
     Coordinator, DistributedReport, LeaseStats, MemoryTransport, Transport, WorkerPool,
 };
-pub use engine::{
-    EnginePrecision, LaneInput, MixedPanelEngine, PanelEngine, PlantEngine, ScalarEngine,
-};
+pub use engine::{EnginePrecision, LaneInput, PlantEngine, ScalarEngine};
 pub use error::SimError;
 pub use experiment::{
     CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
@@ -308,7 +301,7 @@ pub use experiment::{
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow, SensorChannel};
 pub use metrics::{BenchmarkComparison, RunSummary, StabilityReport};
-pub use mixed::MixedBatchPlant;
+pub use mixed::MixedPanelEngine;
 pub use observer::{OnlineRunStats, RunObserver, TracePolicy};
 pub use plant::{PhysicalPlant, PlantPowerParams};
 pub use resilience::{

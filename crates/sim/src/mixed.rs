@@ -1,7 +1,7 @@
 //! Mixed-precision batched plant: f32 panel state with f64 anchoring.
 //!
-//! [`MixedBatchPlant`] is the single-precision twin of
-//! [`BatchPlant`](crate::batch::BatchPlant): the same structure-of-arrays
+//! [`MixedPanelEngine`] is the single-precision twin of
+//! [`PanelEngine`](crate::PanelEngine): the same structure-of-arrays
 //! layout and the same per-interval control contract, but every panel the
 //! micro-step hot loops stream — temperatures, node powers, the
 //! `P = base + coef·I` linearisation and the leakage currents — is stored at
@@ -45,7 +45,7 @@ use soc_model::{PlatformState, SocSpec};
 use thermal_model::{BatchStepTransition, BatchStepTransitionF32, ExynosThermalNetwork};
 use workload::Demand;
 
-use crate::engine::LaneInput;
+use crate::engine::{LaneInput, PlantEngine};
 use crate::plant::{
     compute_interval_ops, online_cores, scaled, throughput_units_per_s, IntervalOps,
     PlantPowerParams, PlantStep,
@@ -53,7 +53,7 @@ use crate::plant::{
 use crate::SimError;
 
 /// Number of leakage-current rows the batch evaluates per micro-step (see
-/// [`crate::batch::BatchPlant`]).
+/// [`crate::PanelEngine`]).
 const LEAK_ROWS: usize = 6;
 
 /// Control intervals a baseline (and its `c + (R − I)·T0` drive) stays valid
@@ -80,11 +80,10 @@ struct TransitionEntry {
 }
 
 /// K physical plants advanced in lockstep at f32 panel width with f64
-/// anchoring (see the module docs). The public surface mirrors
-/// [`crate::batch::BatchPlant`] so [`crate::MixedPanelEngine`] can drive it
-/// through the same [`crate::PlantEngine`] seam.
+/// anchoring (see the module docs), behind the same [`PlantEngine`] seam as
+/// the f64 [`PanelEngine`](crate::PanelEngine).
 #[derive(Debug, Clone)]
-pub struct MixedBatchPlant {
+pub struct MixedPanelEngine {
     spec: SocSpec,
     thermal: ExynosThermalNetwork,
     lanes: usize,
@@ -129,7 +128,7 @@ pub struct MixedBatchPlant {
     /// kept in f64 — reductions never run at f32.
     accum: Panel,
     /// Per-lane big-cluster uncore power that lands in no node injection
-    /// (see [`crate::batch::BatchPlant`]).
+    /// (see [`crate::PanelEngine`]).
     uncore_orphan_w: Vec<f64>,
     /// Temperature-panel row feeding each leakage row.
     leak_temp_rows: [usize; LEAK_ROWS],
@@ -162,7 +161,7 @@ pub struct MixedBatchPlant {
     col_scratch: Vec<f32>,
 }
 
-impl MixedBatchPlant {
+impl MixedPanelEngine {
     /// Creates a batch of `params.len()` lanes, each starting at its
     /// configured initial temperature.
     ///
@@ -226,7 +225,7 @@ impl MixedBatchPlant {
         node_domain[thermal.gpu_node().0] = 2;
         node_domain[thermal.memory_node().0] = 3;
 
-        MixedBatchPlant {
+        MixedPanelEngine {
             spec,
             lanes,
             plant_dt_s: 0.01,
@@ -261,16 +260,6 @@ impl MixedBatchPlant {
         }
     }
 
-    /// Number of scenario lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of thermal nodes per lane.
-    pub fn node_count(&self) -> usize {
-        self.delta.rows()
-    }
-
     /// Lane `lane`'s current true temperature of node `node`, °C: the f64
     /// baseline plus the f32 deviation accumulated since the last
     /// rebaseline. This sum is exactly what the next rebaseline folds into
@@ -278,65 +267,6 @@ impl MixedBatchPlant {
     #[inline]
     fn node_temp(&self, node: usize, lane: usize) -> f64 {
         self.baseline[node * self.lanes + lane] + f64::from(self.delta.get(node, lane))
-    }
-
-    /// Writes lane `lane`'s current true temperature of every thermal node
-    /// (°C) into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `out` does not cover
-    /// [`MixedBatchPlant::node_count`] nodes.
-    pub fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.delta.rows(), "node output length");
-        for (node, slot) in out.iter_mut().enumerate() {
-            *slot = self.node_temp(node, lane);
-        }
-    }
-
-    /// Lane `lane`'s current true hotspot (big-core) temperatures, °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn core_temps_c(&self, lane: usize) -> [f64; 4] {
-        let cores = self.thermal.big_core_nodes();
-        [
-            self.node_temp(cores[0].0, lane),
-            self.node_temp(cores[1].0, lane),
-            self.node_temp(cores[2].0, lane),
-            self.node_temp(cores[3].0, lane),
-        ]
-    }
-
-    /// Re-initialises lane `lane` for a new scenario mid-batch (see
-    /// [`crate::batch::BatchPlant::admit_lane`]): new power parameters,
-    /// freshly anchored leakage models, every node at the new initial
-    /// temperature; all other lanes untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn admit_lane(&mut self, lane: usize, params: PlantPowerParams) {
-        assert!(lane < self.lanes, "lane index out of bounds");
-        let big = scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch);
-        let little = scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch);
-        let gpu = scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch);
-        for row in 0..4 {
-            self.leak.set_model(row, lane, &big, params.initial_temp_c);
-        }
-        self.leak.set_model(4, lane, &little, params.initial_temp_c);
-        self.leak.set_model(5, lane, &gpu, params.initial_temp_c);
-        for node in 0..self.delta.rows() {
-            self.baseline[node * self.lanes + lane] = params.initial_temp_c;
-            self.delta.set(node, lane, 0.0);
-        }
-        // The lane's drive no longer matches its baseline: force a
-        // rebaseline on the next interval. The setup cache keys on
-        // `(state, demand)` with `params` fixed, so admission invalidates it.
-        self.drive_keys[lane] = (u64::MAX, u64::MAX);
-        self.setup_cache[lane] = None;
-        self.params[lane] = params;
     }
 
     /// Looks up (or builds in f64, demotes and caches) the transition for
@@ -421,182 +351,6 @@ impl MixedBatchPlant {
         }
     }
 
-    /// Advances every lane by one control interval (allocating convenience
-    /// wrapper over [`MixedBatchPlant::step_interval_into`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`MixedBatchPlant::step_interval_into`].
-    pub fn step_interval(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-    ) -> Result<Vec<Result<PlantStep, SimError>>, SimError> {
-        let mut steps = Vec::with_capacity(self.lanes);
-        self.step_interval_into(inputs, interval_s, &mut steps)?;
-        Ok(steps)
-    }
-
-    /// Advances every lane by one control interval with per-lane inputs held
-    /// constant, replacing `steps` with one [`PlantStep`] result per lane —
-    /// the same contract as
-    /// [`crate::batch::BatchPlant::step_interval_into`], at f32 panel width.
-    ///
-    /// # Errors
-    ///
-    /// Returns a batch-level error only for malformed calls: a lane-input
-    /// count that does not match [`MixedBatchPlant::lanes`] or a
-    /// non-positive interval. `steps` is left empty in that case.
-    pub fn step_interval_into(
-        &mut self,
-        inputs: &[LaneInput<'_>],
-        interval_s: f64,
-        steps: &mut Vec<Result<PlantStep, SimError>>,
-    ) -> Result<(), SimError> {
-        steps.clear();
-        if inputs.len() != self.lanes {
-            return Err(SimError::InvalidConfig(
-                "lane input count must match the batch width",
-            ));
-        }
-        if !(interval_s > 0.0) {
-            return Err(SimError::InvalidConfig("control interval must be positive"));
-        }
-        let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
-
-        // Bounded exactly like the f64 batch: eviction is only safe between
-        // intervals, while `lane_transition` holds no live indices.
-        if self.transitions.len() >= 32 {
-            self.transitions.clear();
-        }
-
-        // Per-lane interval setup in f64: power linearisation + transition
-        // key (demoted on store). The linearisation, uncore orphan and
-        // throughput are pure functions of `(spec, params, state, demand)`,
-        // so a lane whose inputs repeat the previous computation keeps the
-        // stored coefficients untouched — in sweep steady state this skips
-        // the whole f64 setup per lane.
-        let mut lane_errors: Vec<Option<SimError>> = Vec::with_capacity(self.lanes);
-        for (lane, input) in inputs.iter().enumerate() {
-            let cached = self.setup_cache[lane]
-                .as_ref()
-                .is_some_and(|(s, d)| s == input.state && d == input.demand);
-            if cached {
-                lane_errors.push(None);
-            } else {
-                let (online_buf, online_mask, online_count) =
-                    online_cores(input.state, input.state.active_cluster);
-                let ops = compute_interval_ops(
-                    &self.spec,
-                    &self.params[lane],
-                    input.state,
-                    input.demand,
-                    &online_buf[..online_count],
-                );
-                match ops {
-                    Ok(ops) => {
-                        self.fill_lane_linearisation(lane, &ops, &online_mask);
-                        self.uncore_orphan_w[lane] = if ops.active_is_big && online_count == 0 {
-                            ops.uncore
-                        } else {
-                            0.0
-                        };
-                        self.throughput_cache[lane] =
-                            throughput_units_per_s(&self.spec, input.state, input.demand);
-                        self.setup_cache[lane] = Some((input.state.clone(), *input.demand));
-                        lane_errors.push(None);
-                    }
-                    Err(e) => {
-                        self.zero_lane(lane);
-                        self.uncore_orphan_w[lane] = 0.0;
-                        self.setup_cache[lane] = None;
-                        lane_errors.push(Some(e));
-                    }
-                }
-            }
-            let boost = self.spec.fan().conductance_boost_w_per_k(input.fan_level);
-            let index = self.ensure_transition(boost, input.ambient_c)?;
-            self.lane_transition[lane] = index;
-        }
-        let uniform = self
-            .lane_transition
-            .iter()
-            .all(|&i| i == self.lane_transition[0]);
-        self.prefill_constant_power_rows();
-
-        // Rebaseline when any lane's transition key changed (fan / ambient /
-        // admission) or the amortisation horizon ran out: fold the f32
-        // deviations back into the f64 baseline, demote the new `T0` for the
-        // leakage reads and recompute the constant delta drive `(R − I)·T0`
-        // from each lane's *undemoted* transition — all in f64, so the
-        // micro-step rounding only ever touches increment-sized values.
-        let keys_current =
-            self.lane_transition
-                .iter()
-                .zip(&self.drive_keys)
-                .all(|(&index, &key)| {
-                    let t = &self.transitions[index];
-                    (t.fan_bits, t.ambient_bits) == key
-                });
-        if !keys_current || self.intervals_since_rebaseline >= REBASELINE_INTERVALS {
-            self.rebaseline(uniform);
-        }
-        self.intervals_since_rebaseline += 1;
-
-        self.accum.fill(0.0);
-        for _ in 0..micro_steps {
-            self.micro_step(uniform);
-        }
-
-        // Constant-power rows (no leakage source) hold the same injection
-        // for the whole interval, so their contribution to the per-domain
-        // sums is `micro_steps × P` — added once here instead of every
-        // micro-step.
-        {
-            let MixedBatchPlant {
-                powers,
-                accum,
-                node_domain,
-                node_leak_row,
-                ..
-            } = &mut *self;
-            let k = micro_steps as f64;
-            for (node, &dom) in node_domain.iter().enumerate() {
-                if dom == usize::MAX || node_leak_row[node] != usize::MAX {
-                    continue;
-                }
-                let p = powers.row(node);
-                for (a, &v) in accum.row_mut(dom).iter_mut().zip(p) {
-                    *a += k * f64::from(v);
-                }
-            }
-        }
-
-        let scale = 1.0 / micro_steps as f64;
-        steps.extend(inputs.iter().enumerate().map(|(lane, input)| {
-            if let Some(e) = lane_errors[lane].take() {
-                return Err(e);
-            }
-            let domain_power = DomainPower::new(
-                self.accum.get(0, lane) * scale + self.uncore_orphan_w[lane],
-                self.accum.get(1, lane) * scale,
-                self.accum.get(2, lane) * scale,
-                self.accum.get(3, lane) * scale,
-            );
-            let fan_power = self.spec.fan().power_w(input.fan_level);
-            let platform_power_w =
-                domain_power.total() + self.params[lane].board_base_w + fan_power;
-            let work_done = self.throughput_cache[lane] * interval_s;
-            Ok(PlantStep {
-                domain_power,
-                core_temps_c: self.core_temps_c(lane),
-                platform_power_w,
-                work_done,
-            })
-        }));
-        Ok(())
-    }
-
     /// Folds the accumulated f32 deviation into the f64 baseline, demotes
     /// the new baseline for the leakage reads and recomputes each lane's
     /// `c + (R − I)·T0` delta drive in exact f64. Runs at most once every
@@ -617,7 +371,7 @@ impl MixedBatchPlant {
             }
         }
 
-        let MixedBatchPlant {
+        let MixedPanelEngine {
             baseline,
             baseline_f32,
             drive,
@@ -684,7 +438,7 @@ impl MixedBatchPlant {
     fn prefill_constant_power_rows(&mut self) {
         for node in 0..self.powers.rows() {
             if self.node_leak_row[node] == usize::MAX {
-                let MixedBatchPlant { powers, base, .. } = self;
+                let MixedPanelEngine { powers, base, .. } = self;
                 powers.row_mut(node).copy_from_slice(base.row(node));
             }
         }
@@ -694,7 +448,7 @@ impl MixedBatchPlant {
     /// f64 domain accumulation and the panel transition. Allocation-free.
     fn micro_step(&mut self, uniform: bool) {
         let lanes = self.lanes;
-        let MixedBatchPlant {
+        let MixedPanelEngine {
             baseline_f32,
             delta,
             drive,
@@ -802,10 +556,213 @@ impl MixedBatchPlant {
     }
 }
 
+impl PlantEngine for MixedPanelEngine {
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn node_count(&self) -> usize {
+        self.delta.rows()
+    }
+
+    /// New power parameters, freshly anchored leakage models, every node at
+    /// the new initial temperature; all other lanes untouched.
+    fn admit(&mut self, lane: usize, params: PlantPowerParams) {
+        assert!(lane < self.lanes, "lane index out of bounds");
+        let big = scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch);
+        let little = scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch);
+        let gpu = scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch);
+        for row in 0..4 {
+            self.leak.set_model(row, lane, &big, params.initial_temp_c);
+        }
+        self.leak.set_model(4, lane, &little, params.initial_temp_c);
+        self.leak.set_model(5, lane, &gpu, params.initial_temp_c);
+        for node in 0..self.delta.rows() {
+            self.baseline[node * self.lanes + lane] = params.initial_temp_c;
+            self.delta.set(node, lane, 0.0);
+        }
+        // The lane's drive no longer matches its baseline: force a
+        // rebaseline on the next interval. The setup cache keys on
+        // `(state, demand)` with `params` fixed, so admission invalidates it.
+        self.drive_keys[lane] = (u64::MAX, u64::MAX);
+        self.setup_cache[lane] = None;
+        self.params[lane] = params;
+    }
+
+    /// The same contract as the f64 [`PanelEngine`](crate::PanelEngine), at
+    /// f32 panel width.
+    fn step_interval(
+        &mut self,
+        inputs: &[LaneInput<'_>],
+        interval_s: f64,
+        steps: &mut Vec<Result<PlantStep, SimError>>,
+    ) -> Result<(), SimError> {
+        steps.clear();
+        if inputs.len() != self.lanes {
+            return Err(SimError::InvalidConfig(
+                "lane input count must match the batch width",
+            ));
+        }
+        if !(interval_s > 0.0) {
+            return Err(SimError::InvalidConfig("control interval must be positive"));
+        }
+        let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
+
+        // Bounded exactly like the f64 batch: eviction is only safe between
+        // intervals, while `lane_transition` holds no live indices.
+        if self.transitions.len() >= 32 {
+            self.transitions.clear();
+        }
+
+        // Per-lane interval setup in f64: power linearisation + transition
+        // key (demoted on store). The linearisation, uncore orphan and
+        // throughput are pure functions of `(spec, params, state, demand)`,
+        // so a lane whose inputs repeat the previous computation keeps the
+        // stored coefficients untouched — in sweep steady state this skips
+        // the whole f64 setup per lane.
+        let mut lane_errors: Vec<Option<SimError>> = Vec::with_capacity(self.lanes);
+        for (lane, input) in inputs.iter().enumerate() {
+            let cached = self.setup_cache[lane]
+                .as_ref()
+                .is_some_and(|(s, d)| s == input.state && d == input.demand);
+            if cached {
+                lane_errors.push(None);
+            } else {
+                let (online_buf, online_mask, online_count) =
+                    online_cores(input.state, input.state.active_cluster);
+                let ops = compute_interval_ops(
+                    &self.spec,
+                    &self.params[lane],
+                    input.state,
+                    input.demand,
+                    &online_buf[..online_count],
+                );
+                match ops {
+                    Ok(ops) => {
+                        self.fill_lane_linearisation(lane, &ops, &online_mask);
+                        self.uncore_orphan_w[lane] = if ops.active_is_big && online_count == 0 {
+                            ops.uncore
+                        } else {
+                            0.0
+                        };
+                        self.throughput_cache[lane] =
+                            throughput_units_per_s(&self.spec, input.state, input.demand);
+                        self.setup_cache[lane] = Some((input.state.clone(), *input.demand));
+                        lane_errors.push(None);
+                    }
+                    Err(e) => {
+                        self.zero_lane(lane);
+                        self.uncore_orphan_w[lane] = 0.0;
+                        self.setup_cache[lane] = None;
+                        lane_errors.push(Some(e));
+                    }
+                }
+            }
+            let boost = self.spec.fan().conductance_boost_w_per_k(input.fan_level);
+            let index = self.ensure_transition(boost, input.ambient_c)?;
+            self.lane_transition[lane] = index;
+        }
+        let uniform = self
+            .lane_transition
+            .iter()
+            .all(|&i| i == self.lane_transition[0]);
+        self.prefill_constant_power_rows();
+
+        // Rebaseline when any lane's transition key changed (fan / ambient /
+        // admission) or the amortisation horizon ran out: fold the f32
+        // deviations back into the f64 baseline, demote the new `T0` for the
+        // leakage reads and recompute the constant delta drive `(R − I)·T0`
+        // from each lane's *undemoted* transition — all in f64, so the
+        // micro-step rounding only ever touches increment-sized values.
+        let keys_current =
+            self.lane_transition
+                .iter()
+                .zip(&self.drive_keys)
+                .all(|(&index, &key)| {
+                    let t = &self.transitions[index];
+                    (t.fan_bits, t.ambient_bits) == key
+                });
+        if !keys_current || self.intervals_since_rebaseline >= REBASELINE_INTERVALS {
+            self.rebaseline(uniform);
+        }
+        self.intervals_since_rebaseline += 1;
+
+        self.accum.fill(0.0);
+        for _ in 0..micro_steps {
+            self.micro_step(uniform);
+        }
+
+        // Constant-power rows (no leakage source) hold the same injection
+        // for the whole interval, so their contribution to the per-domain
+        // sums is `micro_steps × P` — added once here instead of every
+        // micro-step.
+        {
+            let MixedPanelEngine {
+                powers,
+                accum,
+                node_domain,
+                node_leak_row,
+                ..
+            } = &mut *self;
+            let k = micro_steps as f64;
+            for (node, &dom) in node_domain.iter().enumerate() {
+                if dom == usize::MAX || node_leak_row[node] != usize::MAX {
+                    continue;
+                }
+                let p = powers.row(node);
+                for (a, &v) in accum.row_mut(dom).iter_mut().zip(p) {
+                    *a += k * f64::from(v);
+                }
+            }
+        }
+
+        let scale = 1.0 / micro_steps as f64;
+        steps.extend(inputs.iter().enumerate().map(|(lane, input)| {
+            if let Some(e) = lane_errors[lane].take() {
+                return Err(e);
+            }
+            let domain_power = DomainPower::new(
+                self.accum.get(0, lane) * scale + self.uncore_orphan_w[lane],
+                self.accum.get(1, lane) * scale,
+                self.accum.get(2, lane) * scale,
+                self.accum.get(3, lane) * scale,
+            );
+            let fan_power = self.spec.fan().power_w(input.fan_level);
+            let platform_power_w =
+                domain_power.total() + self.params[lane].board_base_w + fan_power;
+            let work_done = self.throughput_cache[lane] * interval_s;
+            Ok(PlantStep {
+                domain_power,
+                core_temps_c: self.core_temps_c(lane),
+                platform_power_w,
+                work_done,
+            })
+        }));
+        Ok(())
+    }
+
+    fn core_temps_c(&self, lane: usize) -> [f64; 4] {
+        let cores = self.thermal.big_core_nodes();
+        [
+            self.node_temp(cores[0].0, lane),
+            self.node_temp(cores[1].0, lane),
+            self.node_temp(cores[2].0, lane),
+            self.node_temp(cores[3].0, lane),
+        ]
+    }
+
+    fn node_temps_into(&self, lane: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.delta.rows(), "node output length");
+        for (node, slot) in out.iter_mut().enumerate() {
+            *slot = self.node_temp(node, lane);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchPlant;
+    use crate::PanelEngine;
     use soc_model::{FanLevel, PlatformState};
     use workload::Demand;
 
@@ -823,8 +780,8 @@ mod tests {
     fn mixed_batch_tracks_f64_batch_within_budget() {
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
-        let mut full = BatchPlant::new(spec.clone(), &[params, params]);
-        let mut mixed = MixedBatchPlant::new(spec.clone(), &[params, params]);
+        let mut full = PanelEngine::new(spec.clone(), &[params, params]);
+        let mut mixed = MixedPanelEngine::new(spec.clone(), &[params, params]);
         assert_eq!(mixed.lanes(), 2);
         assert_eq!(mixed.node_count(), full.node_count());
         let state = PlatformState::default_for(&spec);
@@ -844,9 +801,11 @@ mod tests {
             },
         ];
         let mut worst = 0.0f64;
+        let mut full_steps = Vec::new();
+        let mut mixed_steps = Vec::new();
         for i in 0..600 {
-            let full_steps = full.step_interval(&inputs, 0.1).unwrap();
-            let mixed_steps = mixed.step_interval(&inputs, 0.1).unwrap();
+            full.step_interval(&inputs, 0.1, &mut full_steps).unwrap();
+            mixed.step_interval(&inputs, 0.1, &mut mixed_steps).unwrap();
             for lane in 0..2 {
                 let a = full_steps[lane].as_ref().unwrap();
                 let b = mixed_steps[lane].as_ref().unwrap();
@@ -873,7 +832,7 @@ mod tests {
     fn mixed_batch_admit_and_reject_mirror_the_f64_batch() {
         let spec = SocSpec::odroid_xu_e();
         let params = PlantPowerParams::default();
-        let mut mixed = MixedBatchPlant::new(spec.clone(), &[params, params]);
+        let mut mixed = MixedPanelEngine::new(spec.clone(), &[params, params]);
         let state = PlatformState::default_for(&spec);
         let d = demand();
         let input = LaneInput {
@@ -882,11 +841,16 @@ mod tests {
             fan_level: FanLevel::Off,
             ambient_c: 28.0,
         };
-        assert!(mixed.step_interval(&[input], 0.1).is_err());
-        assert!(mixed.step_interval(&[input, input], 0.0).is_err());
+        let mut steps = Vec::new();
+        assert!(mixed.step_interval(&[input], 0.1, &mut steps).is_err());
+        assert!(mixed
+            .step_interval(&[input, input], 0.0, &mut steps)
+            .is_err());
 
         for _ in 0..30 {
-            mixed.step_interval(&[input, input], 0.1).unwrap();
+            mixed
+                .step_interval(&[input, input], 0.1, &mut steps)
+                .unwrap();
         }
         let untouched = mixed.core_temps_c(0);
         let fresh = PlantPowerParams {
@@ -894,14 +858,16 @@ mod tests {
             initial_temp_c: 38.5,
             ..PlantPowerParams::default()
         };
-        mixed.admit_lane(1, fresh);
+        mixed.admit(1, fresh);
         assert_eq!(mixed.core_temps_c(1), [38.5; 4]);
         assert_eq!(mixed.core_temps_c(0), untouched);
         let mut nodes = vec![0.0; mixed.node_count()];
         mixed.node_temps_into(1, &mut nodes);
         assert!(nodes.iter().all(|&t| t == 38.5));
         // The admitted lane must step finitely straight away (fresh anchor).
-        let steps = mixed.step_interval(&[input, input], 0.1).unwrap();
+        mixed
+            .step_interval(&[input, input], 0.1, &mut steps)
+            .unwrap();
         assert!(steps.iter().all(Result::is_ok));
         assert!(mixed.core_temps_c(1).iter().all(|t| t.is_finite()));
     }

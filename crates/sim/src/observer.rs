@@ -1,68 +1,34 @@
-//! Streaming per-run observation: the [`RunObserver`] seam and its built-in
-//! implementations.
+//! Streaming per-run observation: the [`RunObserver`] seam and the
+//! [`OnlineRunStats`] observer.
 //!
-//! Before this module existed every run *accumulated*: the control loop
-//! retained one [`TraceRecord`] per 100 ms interval and analysis happened
-//! post-hoc on the full [`Trace`], so a sweep's memory grew as
-//! scenarios × intervals — the batched engines could advance far more
-//! scenarios than a campaign could afford to remember. The observer seam
-//! turns the result path around: the executor *streams* every absorbed
-//! interval through a [`RunObserver`], and what a run retains is whatever its
-//! observer chose to keep.
+//! A run does not retain one [`TraceRecord`] per 100 ms interval to report
+//! its figures: the control loop folds every absorbed interval into an
+//! [`OnlineRunStats`], which keeps O(1) state (Welford mean/variance and
+//! running min/max via [`numeric::Welford`], running power sum,
+//! intervention/residency counters) and produces the
+//! [`crate::metrics::StabilityReport`] and
+//! [`crate::metrics::BenchmarkComparison`] inputs of a run — the same
+//! numbers the post-hoc analysis computes from a retained trace, to within
+//! the Welford-vs-two-pass variance rounding (≤ 1e-9; mean power, min and
+//! max are bit-identical).
 //!
-//! Two observers cover the spectrum:
-//!
-//! * [`Trace`] itself implements [`RunObserver`] — full per-interval
-//!   retention, the classic [`crate::SimulationResult`] path.
-//! * [`OnlineRunStats`] retains nothing per-interval: it folds each record
-//!   into O(1) state (Welford mean/variance and running min/max via
-//!   [`numeric::Welford`], running power sum, intervention/residency
-//!   counters) and can produce the [`crate::metrics::StabilityReport`] and
-//!   [`crate::metrics::BenchmarkComparison`] inputs of a run — the same
-//!   numbers the post-hoc analysis computes from a retained trace, to within
-//!   the Welford-vs-two-pass variance rounding (≤ 1e-9; mean power, min and
-//!   max are bit-identical).
-//!
-//! The control loop *always* maintains an [`OnlineRunStats`] — it costs a
-//! handful of flops per interval against the plant's thousands — so every
-//! run produces a [`crate::metrics::RunSummary`]; [`TracePolicy`] (a knob
-//! on [`crate::Experiment`], [`crate::ScenarioSweep`] and the campaign
-//! runner) decides whether it retains a [`Trace`] besides.
+//! The stats cost a handful of flops per interval against the plant's
+//! thousands, so every run produces a [`crate::metrics::RunSummary`];
+//! [`TracePolicy`] (a knob on [`crate::Experiment`], [`crate::ScenarioSweep`]
+//! and the campaign runner) decides whether the control loop also pushes
+//! each record onto a [`crate::Trace`].
 
 use crate::metrics::StabilityReport;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::TraceRecord;
 
-/// Per-run streaming observation: one callback per absorbed control interval,
-/// one at retirement.
+/// Per-run streaming observation: one callback per absorbed control interval.
 ///
-/// The control-loop executor ([`crate::Experiment`], the lockstep runner and
-/// every sweep/campaign path — they all share one executor) folds every
-/// absorbed interval's [`TraceRecord`] into the run's [`OnlineRunStats`]
-/// through this seam, and pushes it onto the run's [`Trace`] when it retains
-/// one. Both implement it, so one record stream can feed either or both;
-/// [`RunObserver::finish`] hands back whatever trajectory an observer
-/// retained.
+/// The control loop folds every absorbed interval's [`TraceRecord`] into the
+/// run's [`OnlineRunStats`] through this seam; any other consumer of the
+/// record stream can implement it too.
 pub trait RunObserver: std::fmt::Debug + Send {
     /// Called once per absorbed control interval, in time order.
     fn on_interval(&mut self, record: &TraceRecord);
-
-    /// Called once when the run retires (benchmark complete, duration cap, or
-    /// error); hands back the retained trajectory, if any. The observer is
-    /// spent afterwards.
-    fn finish(&mut self) -> Option<Trace> {
-        None
-    }
-}
-
-/// Full per-interval retention: the trace *is* the observer.
-impl RunObserver for Trace {
-    fn on_interval(&mut self, record: &TraceRecord) {
-        self.push(*record);
-    }
-
-    fn finish(&mut self) -> Option<Trace> {
-        Some(std::mem::take(self))
-    }
 }
 
 /// The online-metrics observer: O(1) state per run, no per-interval
@@ -77,6 +43,8 @@ impl RunObserver for Trace {
 /// the first `skip` intervals from the *stability* window only (mean power
 /// and the rates always cover the whole run), the streaming analogue of
 /// [`StabilityReport::of_steady_portion`]'s prefix skip.
+///
+/// [`Trace::mean_platform_power_w`]: crate::Trace::mean_platform_power_w
 #[derive(Debug, Clone)]
 pub struct OnlineRunStats {
     skip: usize,
@@ -113,6 +81,8 @@ impl OnlineRunStats {
 
     /// Mean measured platform power, watts; 0 before the first interval
     /// (mirroring [`Trace::mean_platform_power_w`]).
+    ///
+    /// [`Trace::mean_platform_power_w`]: crate::Trace::mean_platform_power_w
     pub fn mean_platform_power_w(&self) -> f64 {
         if self.intervals == 0 {
             0.0
@@ -127,6 +97,8 @@ impl OnlineRunStats {
     ///
     /// Panics if the stability window is empty (no intervals past the
     /// configured skip), mirroring [`Trace::temperature_summary`].
+    ///
+    /// [`Trace::temperature_summary`]: crate::Trace::temperature_summary
     pub fn stability(&self) -> StabilityReport {
         let summary = self.max_temp.summary();
         StabilityReport {
@@ -194,6 +166,7 @@ pub enum TracePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
     use power_model::DomainPower;
     use soc_model::{ClusterKind, FanLevel};
 
@@ -226,22 +199,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_observer_retains_everything() {
-        let mut trace = Trace::new();
-        replay(&mut trace, 37);
-        let kept = trace.finish().expect("full retention");
-        assert_eq!(kept.len(), 37);
-        assert_eq!(kept.records()[36], record(36));
-    }
-
-    #[test]
     fn online_stats_match_the_retained_trace() {
         let mut trace = Trace::new();
         let mut stats = OnlineRunStats::new();
-        replay(&mut trace, 211);
+        for k in 0..211 {
+            trace.push(record(k));
+        }
         replay(&mut stats, 211);
         assert_eq!(stats.intervals(), 211);
-        assert_eq!(stats.finish(), None, "stats retain no trace");
         // The running power sum is the same left fold `Iterator::sum` does.
         assert_eq!(stats.mean_platform_power_w(), trace.mean_platform_power_w());
         assert_eq!(stats.intervention_rate(), trace.intervention_rate());

@@ -152,7 +152,7 @@ struct CachedTransition {
 /// control interval (platform state and demand are held constant within an
 /// interval, so only the temperature-dependent leakage terms vary per
 /// micro-step). Shared between the scalar plant and the batched
-/// [`crate::batch::BatchPlant`].
+/// [`crate::PanelEngine`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IntervalOps {
     pub(crate) active_is_big: bool,
@@ -443,7 +443,7 @@ impl PhysicalPlant {
 }
 
 /// The interval-constant part of the true power computation, shared between
-/// the scalar [`PhysicalPlant`] and the batched [`crate::batch::BatchPlant`]
+/// the scalar [`PhysicalPlant`] and the batched [`crate::PanelEngine`]
 /// (which evaluates it once per lane per control interval).
 pub(crate) fn compute_interval_ops(
     spec: &SocSpec,

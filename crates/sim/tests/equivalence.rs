@@ -3,7 +3,7 @@
 //! The zero-allocation engine ([`PhysicalPlant`]) must reproduce the
 //! trajectories of the naive baseline ([`NaivePhysicalPlant`] in
 //! `tests/naive`, the original allocation-heavy loop), the
-//! structure-of-arrays batch engine ([`BatchPlant`]) must reproduce the
+//! structure-of-arrays batch engine ([`PanelEngine`]) must reproduce the
 //! scalar plant lane by lane, and the parallel scenario sweep must reproduce
 //! sequential execution exactly.
 //!
@@ -20,8 +20,8 @@ mod naive;
 
 use naive::NaivePhysicalPlant;
 use platform_sim::{
-    BatchPlant, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, LaneInput,
-    PhysicalPlant, PlantPowerParams, ScenarioSweep,
+    CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, LaneInput, PanelEngine,
+    PhysicalPlant, PlantEngine, PlantPowerParams, ScenarioSweep,
 };
 use proptest::prelude::*;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, SocSpec};
@@ -197,8 +197,8 @@ fn lane_state(spec: &SocSpec, lane: usize, i: usize) -> (PlatformState, FanLevel
 fn batch_plant_matches_scalar_trajectories_for_mixed_lane_counts() {
     // Lane counts covering the scalar case, a partial chunk, a full 8-lane
     // chunk and a chunk-plus-remainder; every lane follows its own actuation
-    // schedule (including diverging fan levels, which force the per-lane
-    // strided transition fallback).
+    // schedule (including diverging fan levels, which run one panel pass per
+    // fan transition in use).
     let spec = SocSpec::odroid_xu_e();
     for lanes in [1usize, 3, 8, 11] {
         let params: Vec<PlantPowerParams> = (0..lanes)
@@ -208,12 +208,13 @@ fn batch_plant_matches_scalar_trajectories_for_mixed_lane_counts() {
                 ..PlantPowerParams::default()
             })
             .collect();
-        let mut batch = BatchPlant::new(spec.clone(), &params);
+        let mut batch = PanelEngine::new(spec.clone(), &params);
         let mut scalars: Vec<PhysicalPlant> = params
             .iter()
             .map(|p| PhysicalPlant::new(spec.clone(), *p))
             .collect();
 
+        let mut batch_steps = Vec::new();
         for i in 0..800 {
             let lane_inputs: Vec<(PlatformState, FanLevel, Demand)> = (0..lanes)
                 .map(|lane| {
@@ -230,9 +231,9 @@ fn batch_plant_matches_scalar_trajectories_for_mixed_lane_counts() {
                     ambient_c: 28.0,
                 })
                 .collect();
-            let batch_steps = batch.step_interval(&inputs, 0.1).unwrap();
+            batch.step_interval(&inputs, 0.1, &mut batch_steps).unwrap();
             for (lane, ((state, fan, demand), batch_step)) in
-                lane_inputs.iter().zip(batch_steps).enumerate()
+                lane_inputs.iter().zip(batch_steps.drain(..)).enumerate()
             {
                 let scalar_step = scalars[lane]
                     .step_interval(state, demand, *fan, 28.0, 0.1)

@@ -22,8 +22,8 @@ use workload::{BenchmarkId, Demand};
 
 /// Per-lane actuation schedule: frequency steps, hotplug, cluster migration
 /// and fan phases, offset per lane and by a per-case seed so the lanes (and
-/// cases) genuinely diverge — diverging fan levels also force the per-lane
-/// strided transition fallback.
+/// cases) genuinely diverge — diverging fan levels also run the f64 engine's
+/// per-transition panel passes and the f32 engine's strided fallback.
 fn lane_state(spec: &SocSpec, seed: usize, lane: usize, i: usize) -> (PlatformState, FanLevel) {
     let mut state = PlatformState::default_for(spec);
     let phase = (i + lane * 37 + seed * 13) % 400;
@@ -85,6 +85,8 @@ fn run_pair(
     let mut mixed_steps = Vec::new();
     let mut nodes_a = vec![0.0; oracle.node_count()];
     let mut nodes_b = vec![0.0; mixed.node_count()];
+    let mut energy_f64 = vec![0.0; lanes];
+    let mut energy_f32 = vec![0.0; lanes];
     for i in 0..intervals {
         let lane_inputs: Vec<(PlatformState, FanLevel, Demand)> = (0..lanes)
             .map(|lane| {
@@ -115,6 +117,8 @@ fn run_pair(
             let a = oracle_steps[lane].as_ref().expect("oracle lane steps");
             let b = mixed_steps[lane].as_ref().expect("mixed lane steps");
             assert_eq!(a.work_done, b.work_done, "work model must agree exactly");
+            energy_f64[lane] += a.platform_power_w * period_s;
+            energy_f32[lane] += b.platform_power_w * period_s;
             oracle.node_temps_into(lane, &mut nodes_a);
             mixed.node_temps_into(lane, &mut nodes_b);
             for (x, y) in nodes_a.iter().zip(&nodes_b) {
@@ -127,9 +131,7 @@ fn run_pair(
     }
 
     let mut worst_energy_rel = 0.0f64;
-    for lane in 0..lanes {
-        let a = oracle.energy_j(lane);
-        let b = mixed.energy_j(lane);
+    for (a, b) in energy_f64.iter().zip(&energy_f32) {
         worst_energy_rel = worst_energy_rel.max((a - b).abs() / a.abs().max(1.0));
     }
     PairRun {

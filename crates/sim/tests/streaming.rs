@@ -10,7 +10,7 @@
 use platform_sim::{
     Calibration, CalibrationCampaign, CollectSink, Experiment, ExperimentConfig, ExperimentKind,
     OnlineRunStats, RunObserver, RunSummary, ScenarioSweep, StabilityReport, SweepSpec,
-    TracePolicy,
+    TracePolicy, TraceRecord,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
@@ -369,12 +369,21 @@ fn summary_only_sweeps_reject_the_vec_api() {
 /// the seam future sinks (live plots, remote shipping) build on.
 #[test]
 fn observers_compose_over_one_record_stream() {
+    /// An observer from outside the crate that keeps every record.
+    #[derive(Debug, Default)]
+    struct Retain(Vec<TraceRecord>);
+    impl RunObserver for Retain {
+        fn on_interval(&mut self, record: &TraceRecord) {
+            self.0.push(*record);
+        }
+    }
+
     let config = config_for(3, 0, 11, 2.0);
     let result = Experiment::new(&config, calibration())
         .expect("experiment builds")
         .run()
         .expect("experiment runs");
-    let mut full = platform_sim::Trace::new();
+    let mut full = Retain::default();
     let mut stats = OnlineRunStats::new();
     {
         let observers: [&mut dyn RunObserver; 2] = [&mut full, &mut stats];
@@ -384,7 +393,7 @@ fn observers_compose_over_one_record_stream() {
             }
         }
     }
-    assert_eq!(full.finish().expect("full trace").len(), result.trace.len());
+    assert_eq!(full.0, result.trace.records());
     assert_eq!(stats.intervals(), result.trace.len());
     assert_eq!(
         stats.mean_platform_power_w(),

@@ -54,7 +54,7 @@
 //! [`network::BatchStepTransition`] that advances a `numeric::Panel` of
 //! temperatures — **one scenario per column**, each node row contiguous
 //! across scenarios. One call to
-//! [`network::BatchStepTransition::apply_panel`] is a blocked mat-mat that
+//! [`network::BatchStepTransition::apply_into`] is a blocked mat-mat that
 //! streams the two `n × n` matrices through the cache once for *all* lanes,
 //! instead of once per scenario as the scalar
 //! [`network::StepTransition::apply`] loop does.
@@ -63,12 +63,12 @@
 //! an affine input of the linear model, so each lane carries its own drive
 //! column ([`network::BatchStepTransition::ambient_drive_into`]) that seeds
 //! the lane's accumulator: lanes at different ambients share one blocked
-//! pass. Lanes whose fan levels diverge mid-sweep are advanced by the
-//! strided [`network::BatchStepTransition::apply_lane`] fallback, which
-//! accumulates in the same per-lane order and is therefore bit-identical to
-//! the panel path (and to the scalar transition). Scalar stepping remains
-//! the right tool for a single trajectory; the panel pays for itself from a
-//! handful of lanes up.
+//! pass. Each lane accumulates in the scalar transition's order, so its
+//! result is bit-identical to the scalar transition whatever the panel
+//! width and the other lanes hold; a panel whose lanes sit at different fan
+//! levels runs one pass per transition and keeps each lane's own. Scalar
+//! stepping remains the right tool for a single trajectory; the panel pays
+//! for itself from a handful of lanes up.
 //!
 //! # Example
 //!

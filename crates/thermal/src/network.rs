@@ -547,7 +547,7 @@ impl ThermalNetwork {
     /// Precomputes the one-micro-step RK4 transition for one fan boost in
     /// its structure-of-arrays batch form: the matrices of
     /// [`ThermalNetwork::step_transition`], stored row-major so
-    /// [`BatchStepTransition::apply_panel`] can advance a whole temperature
+    /// [`BatchStepTransition::apply_into`] can advance a whole temperature
     /// panel (one scenario per column) with the matrices loaded once per
     /// micro-step for all lanes. Ambient is not part of the key: each lane's
     /// ambient enters as its own drive column
@@ -692,18 +692,17 @@ impl StepTransition {
 ///
 /// Ambient is an affine input of the linear model, so it is not baked into
 /// the transition: every lane brings its own drive column `c = S_p·(g·T_amb)`
-/// ([`BatchStepTransition::ambient_drive_into`]), and the apply paths seed
-/// each lane's accumulator from that column. Lanes at different ambients
+/// ([`BatchStepTransition::ambient_drive_into`]), and the apply seeds each
+/// lane's accumulator from that column. Lanes at different ambients
 /// therefore share one transition and one blocked pass.
 ///
-/// [`BatchStepTransition::apply_panel`] advances every lane in one blocked
+/// [`BatchStepTransition::apply_into`] advances every lane in one blocked
 /// mat-mat pass (`numeric::affine_panel_bias_apply_elem`), so the two 8×8
 /// matrices are streamed through the cache once per micro-step for *all*
-/// scenarios; [`BatchStepTransition::apply_lane`] advances a single column
-/// at stride and is used when lanes diverge (different fan levels) within a
-/// batch. Both paths accumulate each lane in the same order as
+/// scenarios. It accumulates each lane in the same order as
 /// [`StepTransition::apply`], so a batched lane's trajectory is bit-identical
-/// to the scalar transition given identical power inputs and ambient.
+/// to the scalar transition given identical power inputs and ambient, at any
+/// panel width and whatever the other lanes hold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchStepTransition {
     n: usize,
@@ -722,28 +721,16 @@ impl BatchStepTransition {
     }
 
     /// The transition matrix `R` (row-major `n × n`, stored as a panel
-    /// whose lanes are the matrix columns).
-    ///
-    /// Together with [`BatchStepTransition::s_power`] and
-    /// [`BatchStepTransition::ambient_drive_into`] this exposes the complete
-    /// affine micro-step `T⁺ = R·T + S_p·p + c` as borrowed views, so an
-    /// alternative `PlantEngine` backend (a GPU kernel over device buffers,
-    /// a different SoA layout) can consume the precomputed per-step math
-    /// without going through the CPU [`Panel`] apply paths.
+    /// whose lanes are the matrix columns), for engines that fold a
+    /// temperature baseline into their drive (`(R − I)·T0`).
     pub fn r(&self) -> &Panel {
         &self.r
     }
 
-    /// The power-injection matrix `S·diag(1/C)` (row-major `n × n`), applied
-    /// to the raw per-node power vector (see [`BatchStepTransition::r`]).
-    pub fn s_power(&self) -> &Panel {
-        &self.s_power
-    }
-
     /// Writes the constant ambient drive `c = S_p·(g·T_amb)` at `ambient_c`
-    /// into `out` (one entry per node) — a lane's drive column for the
-    /// apply paths, bit-identical to the drive of the scalar
-    /// [`StepTransition`] at the same fan boost and ambient.
+    /// into `out` (one entry per node) — a lane's drive column for
+    /// [`BatchStepTransition::apply_into`], bit-identical to the drive of the
+    /// scalar [`StepTransition`] at the same fan boost and ambient.
     ///
     /// # Panics
     ///
@@ -760,64 +747,18 @@ impl BatchStepTransition {
 
     /// Advances every lane of `temps` by one micro-step with the per-lane
     /// node power injections in `powers` and the per-lane ambient drive
-    /// columns in `drive` (`T⁺ = drive + R·T + S_p·p`), using `tmp` as
-    /// scratch (its contents are overwritten; after the call `temps` holds
-    /// the new temperatures). Allocation-free.
+    /// columns in `drive` (`T⁺ = drive + R·T + S_p·p`), writing the new
+    /// temperatures into `out` and leaving `temps` as it was.
+    /// Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if the panels do not all have `node_count` rows and matching
     /// lane counts.
     #[inline]
-    pub fn apply_panel(&self, temps: &mut Panel, powers: &Panel, drive: &Panel, tmp: &mut Panel) {
-        numeric::affine_panel_bias_apply_elem(&self.r, &self.s_power, drive, temps, powers, tmp)
+    pub fn apply_into(&self, temps: &Panel, powers: &Panel, drive: &Panel, out: &mut Panel) {
+        numeric::affine_panel_bias_apply_elem(&self.r, &self.s_power, drive, temps, powers, out)
             .expect("panel shapes must cover all nodes");
-        std::mem::swap(temps, tmp);
-    }
-
-    /// Advances only lane `lane` of `temps` by one micro-step — the strided
-    /// fallback for batches whose lanes need different transitions. The
-    /// accumulator starts from the lane's `drive` column and the per-lane
-    /// accumulation order matches [`BatchStepTransition::apply_panel`]
-    /// exactly, so mixing the two paths never changes a trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels do not have `node_count` rows, `lane` is out of
-    /// range, or `col` does not cover all nodes.
-    #[inline]
-    pub fn apply_lane(
-        &self,
-        temps: &mut Panel,
-        powers: &Panel,
-        drive: &Panel,
-        lane: usize,
-        col: &mut [f64],
-    ) {
-        let n = self.n;
-        assert_eq!(temps.rows(), n, "temperature panel rows");
-        assert_eq!(powers.rows(), n, "power panel rows");
-        assert_eq!(drive.rows(), n, "drive panel rows");
-        assert_eq!(col.len(), n, "column scratch length");
-        assert!(lane < temps.lanes(), "lane index out of bounds");
-        let r = self.r.as_slice();
-        let s = self.s_power.as_slice();
-        for (i, slot) in col.iter_mut().enumerate() {
-            let mut acc = drive.get(i, lane);
-            for j in 0..n {
-                acc = numeric::simd::madd2(
-                    r[i * n + j],
-                    temps.get(j, lane),
-                    s[i * n + j],
-                    powers.get(j, lane),
-                    acc,
-                );
-            }
-            *slot = acc;
-        }
-        for (i, &v) in col.iter().enumerate() {
-            temps.set(i, lane, v);
-        }
     }
 }
 
@@ -830,7 +771,7 @@ impl BatchStepTransition {
 /// [`BatchStepTransitionF32::from_f64`]. The apply paths then run entirely
 /// at f32 width through the width-generic panel kernels
 /// ([`numeric::affine_panel_bias_apply_elem`]), doubling the lanes advanced
-/// per vector relative to [`BatchStepTransition::apply_panel`]. Like the f64
+/// per vector relative to [`BatchStepTransition::apply_into`]. Like the f64
 /// form, the constant term arrives as a per-lane bias panel and the panel
 /// and per-lane paths share one per-lane accumulation order, so mixing them
 /// never changes a trajectory.
@@ -1246,7 +1187,8 @@ mod tests {
                     .step_into(&mut staged, &powers, 28.0, DT_S, boost, &mut scratch)
                     .unwrap();
                 transition.apply(&mut scalar, &powers, &mut tmp);
-                batch.apply_panel(&mut panel, &power_panel, &drive, &mut tmp_panel);
+                batch.apply_into(&panel, &power_panel, &drive, &mut tmp_panel);
+                std::mem::swap(&mut panel, &mut tmp_panel);
             }
 
             let mut forms = vec![("staged RK4", staged), ("StepTransition", scalar)];
@@ -1449,7 +1391,7 @@ mod tests {
                 let label = format!("boost {boost_w_per_k} W/K, ambient {ambient_c} °C");
                 assert_eq!(bits(batch.r().as_slice()), bits(r.as_slice()), "R, {label}");
                 assert_eq!(
-                    bits(batch.s_power().as_slice()),
+                    bits(batch.s_power.as_slice()),
                     bits(s_power.as_slice()),
                     "S_p, {label}"
                 );
@@ -1479,10 +1421,9 @@ mod tests {
     fn batch_transition_lanes_match_scalar_transition_bitwise() {
         // A mixed-ambient panel — lane l at AMBIENTS[l % 4], each lane's
         // ambient riding in as its drive column — advanced through the bias
-        // kernel (active arm and the scalar arm), the strided per-lane
-        // fallback, and the scalar StepTransition of the lane's own ambient:
-        // all four must agree to the bit at every width up to and past two
-        // LANE_CHUNKs.
+        // kernel (active arm and the scalar arm) and the scalar
+        // StepTransition of the lane's own ambient: all three must agree to
+        // the bit at every width up to and past two LANE_CHUNKs.
         let plant = ExynosThermalNetwork::odroid_xu_e();
         let network = plant.network();
         let n = network.node_count();
@@ -1514,15 +1455,15 @@ mod tests {
                 scalar_temps.push(t);
                 scalar_powers.push(p);
             }
-            let mut strided = temps.clone();
             let mut scalar_arm = temps.clone();
             let mut tmp = Panel::zeros(n, lanes);
             for _ in 0..100 {
-                batch.apply_panel(&mut temps, &powers, &drive, &mut tmp);
+                batch.apply_into(&temps, &powers, &drive, &mut tmp);
+                std::mem::swap(&mut temps, &mut tmp);
                 numeric::affine_panel_bias_apply_elem_with(
                     numeric::PanelKernel::Scalar,
                     batch.r(),
-                    batch.s_power(),
+                    &batch.s_power,
                     &drive,
                     &scalar_arm,
                     &powers,
@@ -1530,9 +1471,6 @@ mod tests {
                 )
                 .unwrap();
                 std::mem::swap(&mut scalar_arm, &mut tmp);
-                for lane in 0..lanes {
-                    batch.apply_lane(&mut strided, &powers, &drive, lane, &mut column);
-                }
                 for (lane, (lane_temps, lane_powers)) in
                     scalar_temps.iter_mut().zip(&scalar_powers).enumerate()
                 {
@@ -1547,11 +1485,6 @@ mod tests {
                         scalar_arm.get(i, lane).to_bits(),
                         expected.to_bits(),
                         "scalar arm, {label}"
-                    );
-                    assert_eq!(
-                        strided.get(i, lane).to_bits(),
-                        expected.to_bits(),
-                        "strided, {label}"
                     );
                 }
             }
@@ -1602,7 +1535,8 @@ mod tests {
         }
         let mut scratch = vec![0.0f32; n];
         for _ in 0..200 {
-            batch.apply_panel(&mut temps64, &powers64, &drive64, &mut tmp64);
+            batch.apply_into(&temps64, &powers64, &drive64, &mut tmp64);
+            std::mem::swap(&mut temps64, &mut tmp64);
             demoted.apply_panel_bias(&mut temps32, &powers32, &drive32, &mut tmp32);
             for lane in 0..lanes {
                 demoted.apply_lane_bias(&mut lane32, &powers32, &drive32, lane, &mut scratch);
