@@ -19,10 +19,11 @@
 //!   the stall. Stalls sleep rather than burn CPU, so the gap measures the
 //!   scheduling difference honestly on any core count.
 //! * **Dispatch overhead** (ceiling ≤ [`OVERHEAD_CEILING`]): coordinator +
-//!   one healthy local worker (binary frames over an in-process pipe, one
-//!   outcome frame per cell) versus the plain in-process
-//!   [`platform_sim::CampaignRunner`] at the same thread count on the same
-//!   grid.
+//!   one healthy local worker (binary frames over an in-process pipe; both
+//!   half-grid leases queued at the worker at once and run by its session's
+//!   one sweep; outcome frames of up to eight cells) versus the plain
+//!   in-process [`platform_sim::CampaignRunner`] at the same thread count
+//!   on the same grid.
 //!
 //! Every coordinator arm must fold the **bit-identical** aggregate of the
 //! in-process run (compared by encoding, where every float is a bit
@@ -50,8 +51,9 @@ const WORKERS: usize = 2;
 const LEASE_CELLS: usize = 2;
 /// How long the straggling worker goes silent.
 const STRAGGLER_STALL: Duration = Duration::from_millis(400);
-/// Lease deadline in the straggler arm (a lease that sends no cell frame
-/// this long is released): the bound leasing puts on the stall's damage.
+/// Lease deadline in the straggler arm (a lease whose worker sends no
+/// frame this long is released): the bound leasing puts on the stall's
+/// damage.
 const LEASE_TIMEOUT: Duration = Duration::from_millis(100);
 /// The static split's lease deadline: longer than any run, so nothing is
 /// ever re-leased.
@@ -59,8 +61,9 @@ const NO_RELEASE: Duration = Duration::from_secs(3600);
 /// Threads per side in the overhead arm.
 const OVERHEAD_THREADS: usize = 2;
 /// Lease size in the overhead arm: half the grid per lease, so the tax
-/// measured is the per-cell frame transport, not scheduler
-/// round-trip latency (arm (a) covers micro-shard scheduling).
+/// measured is the frame transport and the one lease boundary, which the
+/// worker's session sweep crosses without a drain or a round trip, not
+/// micro-shard scheduling (arm (a) covers that).
 const OVERHEAD_LEASE_CELLS: usize = 12;
 /// Retry budget covering the injected panicking cell.
 const MAX_RETRIES: u32 = 2;

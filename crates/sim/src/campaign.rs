@@ -32,11 +32,11 @@
 //!   memory is O(cells), never O(cells × intervals).
 //!
 //! The whole grid, a subset ([`CampaignRunner::run_indices_into`], which
-//! [`CampaignRunner::resume_from`] uses) and a distributed worker's lease
-//! are three claim cursors over one campaign body: each hands cell indices
-//! to the sweep loop, which materialises a cell only when it admits it.
+//! [`CampaignRunner::resume_from`] uses) and a distributed worker's session
+//! (the leases it has received, in order) are three claim cursors over one
+//! campaign body: each hands cell indices to the sweep loop, which
+//! materialises a cell only when it admits it.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dtpm::DtpmConfig;
@@ -467,30 +467,13 @@ impl CampaignRunner<'_> {
     where
         S: ResultSink + Send + ?Sized,
     {
-        self.run_range_into(0..self.spec.cells(), calibration, sink);
-    }
-
-    /// Runs the grid cells of `cells`, claimed in order from one cursor —
-    /// [`CampaignRunner::run_into`] over the whole grid, and a worker's
-    /// lease.
-    ///
-    /// # Panics
-    ///
-    /// Panics (when the cell is claimed) if the range reaches past the grid.
-    pub(crate) fn run_range_into<S>(
-        &self,
-        cells: Range<usize>,
-        calibration: &Calibration,
-        sink: &mut S,
-    ) where
-        S: ResultSink + Send + ?Sized,
-    {
-        let next = AtomicUsize::new(cells.start);
+        let cells = self.spec.cells();
+        let next = AtomicUsize::new(0);
         let claim = || {
             let index = next.fetch_add(1, Ordering::Relaxed);
-            (index < cells.end).then_some(index)
+            (index < cells).then_some(index)
         };
-        self.run_claimed(cells.len(), &claim, calibration, sink);
+        self.run_claimed(cells, &claim, calibration, sink);
     }
 
     /// Runs an arbitrary subset of the grid — `indices` are global cell
@@ -510,11 +493,20 @@ impl CampaignRunner<'_> {
         self.run_claimed(indices.len(), &claim, calibration, sink);
     }
 
-    /// The one campaign body: `count` cells handed out by `claim`, streamed
-    /// through the compacting sweep on at most `count` workers. Every cell
-    /// shares the campaign's control period and precision, so the whole
-    /// grid is one lockstep group.
-    fn run_claimed<S>(
+    /// The one campaign body: the grid cells handed out by `claim`, streamed
+    /// through the compacting sweep on at most `count` workers, where
+    /// `count` bounds how many cells `claim` can hand out (`usize::MAX` for
+    /// a distributed worker's session, which claims from leases as they
+    /// arrive). It returns once every sweep worker has found `claim` empty
+    /// with its lanes drained, so every claimed cell has reached `sink`.
+    /// Every cell shares the campaign's control period and precision, so
+    /// the whole grid is one lockstep group.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the cell is claimed) if `claim` hands out an index past
+    /// the grid.
+    pub(crate) fn run_claimed<S>(
         &self,
         count: usize,
         claim: &(dyn Fn() -> Option<usize> + Sync),

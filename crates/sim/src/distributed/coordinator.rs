@@ -5,19 +5,24 @@
 //!
 //! # Leasing protocol
 //!
-//! The fold is the only record of which cells are done. Each idle worker is
-//! leased the first run of at most [`Coordinator::with_lease_cells`] cells,
-//! from the fold's cursor, that the fold has not seen and no unreleased
-//! lease holds. A worker sends each cell's outcome as the cell retires, and
-//! every such frame pushes its lease's deadline forward. A lease whose
-//! deadline passes is **released**: it turns *suspect* and holds no cells,
-//! so a peer can be leased the ones it has not reported, and one more
-//! silent deadline window abandons the worker for good. A suspect worker
-//! that was merely stalled and reports late is welcomed back: its outcomes
-//! fold through cell-level dedup (cells another worker already delivered
-//! count once) and it returns to the rotation. A cell that nobody has
-//! reported and nobody holds can always be leased, so a lost worker or a
-//! lease that ends with cells unreported costs a re-run, never a hang.
+//! The fold is the only record of which cells are done. Every live worker
+//! holds up to two leases, topped up one lease per worker per round; each
+//! lease is the first run of at most [`Coordinator::with_lease_cells`]
+//! cells, from the fold's cursor, that the fold has not seen and no
+//! unreleased lease holds. The worker queues its second lease behind the
+//! first, so its sweep moves on without waiting for a round trip. Workers
+//! report retired cells in frames of up to eight, and any frame from a
+//! worker pushes forward the deadline of every lease it holds — liveness is
+//! per worker, so a queued lease is not released while the one ahead of it
+//! runs. A lease whose deadline passes is **released**: it turns *suspect*
+//! and holds no cells, so a peer can be leased the ones it has not
+//! reported, and one more silent deadline window abandons the worker for
+//! good. A suspect worker that was merely stalled and reports late is
+//! welcomed back: its outcomes fold through cell-level dedup (cells another
+//! worker already delivered count once) and it returns to the rotation. A
+//! cell that nobody has reported and nobody holds can always be leased, so
+//! a lost worker or a lease that ends with cells unreported costs a re-run,
+//! never a hang.
 //!
 //! Because every cell's outcome is deterministic and the fold is the
 //! canonical in-order [`MergeSink`], none of this machinery can change the
@@ -93,10 +98,11 @@ impl Coordinator {
         self
     }
 
-    /// The lease deadline: a lease that sends no cell for this long is
-    /// released, and its unreported cells are leased again. Workers send
-    /// each cell as it retires (batched with sink delivery), so set this to
-    /// comfortably more than a few cells' wall time.
+    /// The lease deadline: a lease whose worker sends nothing for this long
+    /// is released, and its unreported cells are leased again. Any frame
+    /// from the worker restarts the window of every lease it holds, and a
+    /// worker sends one at least every eight retired cells per thread, so
+    /// set this to comfortably more than the time that takes.
     #[must_use]
     pub fn with_lease_timeout(mut self, lease_timeout: Duration) -> Self {
         self.lease_timeout = lease_timeout;
@@ -166,7 +172,7 @@ impl Coordinator {
                 writer,
                 alive: true,
                 ready: false,
-                lease: None,
+                leases: Vec::with_capacity(LEASES_IN_FLIGHT),
             });
         }
         drop(events_tx);
@@ -252,6 +258,10 @@ fn spawn_pump(
     });
 }
 
+/// Leases each live worker holds: the one its sweep runs and the next,
+/// already queued at the worker when the first runs out.
+const LEASES_IN_FLIGHT: usize = 2;
+
 /// An outstanding lease on one worker.
 #[derive(Debug)]
 struct LeaseState {
@@ -268,18 +278,17 @@ struct WorkerState {
     writer: Box<dyn Write + Send>,
     alive: bool,
     ready: bool,
-    lease: Option<LeaseState>,
+    /// Outstanding leases, oldest first: at most [`LEASES_IN_FLIGHT`].
+    leases: Vec<LeaseState>,
 }
 
 impl WorkerState {
-    /// Gives the worker up and drops its lease, counting the lease as
-    /// released unless its deadline already did.
+    /// Gives the worker up and drops its leases, counting each as released
+    /// unless its deadline already did.
     fn lose(&mut self, stats: &mut LeaseStats) {
         self.alive = false;
         stats.lost_workers += 1;
-        if self.lease.take().is_some_and(|lease| !lease.suspect) {
-            stats.releases += 1;
-        }
+        stats.releases += self.leases.drain(..).filter(|l| !l.suspect).count();
     }
 }
 
@@ -385,36 +394,39 @@ impl WorkerPool {
         let lease_timeout = self.lease_timeout;
 
         while !fold.is_complete() {
-            // Lease every idle live worker the first cells nobody holds.
-            for id in 0..self.workers.len() {
-                if !self.workers[id].alive || self.workers[id].lease.is_some() {
-                    continue;
+            // Top every live worker up to LEASES_IN_FLIGHT with the first
+            // cells nobody holds, one lease per worker per round.
+            'top_up: for held in 0..LEASES_IN_FLIGHT {
+                for id in 0..self.workers.len() {
+                    if !self.workers[id].alive || self.workers[id].leases.len() > held {
+                        continue;
+                    }
+                    let Some(range) = unleased(&fold, &self.workers, lease_size) else {
+                        break 'top_up;
+                    };
+                    let worker = &mut self.workers[id];
+                    let message = ToWorker::Lease {
+                        lease: next_lease,
+                        start: range.start,
+                        end: range.end,
+                    };
+                    if let Err(e) = write_frame(&mut worker.writer, &message.encode()) {
+                        eprintln!(
+                            "dtpm distributed: worker {} lost on lease write: {e}",
+                            worker.label
+                        );
+                        worker.lose(&mut stats);
+                        continue;
+                    }
+                    stats.leases += 1;
+                    worker.leases.push(LeaseState {
+                        id: next_lease,
+                        cells: range,
+                        deadline: Instant::now() + lease_timeout,
+                        suspect: false,
+                    });
+                    next_lease += 1;
                 }
-                let Some(range) = unleased(&fold, &self.workers, lease_size) else {
-                    break;
-                };
-                let worker = &mut self.workers[id];
-                let message = ToWorker::Lease {
-                    lease: next_lease,
-                    start: range.start,
-                    end: range.end,
-                };
-                if let Err(e) = write_frame(&mut worker.writer, &message.encode()) {
-                    eprintln!(
-                        "dtpm distributed: worker {} lost on lease write: {e}",
-                        worker.label
-                    );
-                    worker.lose(&mut stats);
-                    continue;
-                }
-                stats.leases += 1;
-                worker.lease = Some(LeaseState {
-                    id: next_lease,
-                    cells: range,
-                    deadline: Instant::now() + lease_timeout,
-                    suspect: false,
-                });
-                next_lease += 1;
             }
 
             if !self.workers.iter().any(|w| w.alive) {
@@ -429,7 +441,7 @@ impl WorkerPool {
             let wait = self
                 .workers
                 .iter()
-                .filter_map(|w| w.lease.as_ref())
+                .flat_map(|w| &w.leases)
                 .map(|l| l.deadline.saturating_duration_since(Instant::now()))
                 .min()
                 .unwrap_or(lease_timeout);
@@ -455,26 +467,27 @@ impl WorkerPool {
                 Err(RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
                     for worker in self.workers.iter_mut().filter(|w| w.alive) {
-                        let Some(lease) = worker.lease.as_mut() else {
-                            continue;
-                        };
-                        if lease.deadline > now {
-                            continue;
+                        let mut abandon = false;
+                        for lease in worker.leases.iter_mut().filter(|l| l.deadline <= now) {
+                            if lease.suspect {
+                                // Second silent window: abandon the worker.
+                                // Its cells were free for a peer since the
+                                // first.
+                                abandon = true;
+                            } else {
+                                // First miss: free the cells for a peer, keep
+                                // listening for late ones.
+                                stats.releases += 1;
+                                lease.suspect = true;
+                                lease.deadline = now + lease_timeout;
+                            }
                         }
-                        if lease.suspect {
-                            // Second silent window: abandon the worker. Its
-                            // cells were free for a peer since the first.
+                        if abandon {
                             eprintln!(
                                 "dtpm distributed: worker {} abandoned after repeated silence",
                                 worker.label
                             );
                             worker.lose(&mut stats);
-                        } else {
-                            // First miss: free the cells for a peer, keep
-                            // listening for late ones.
-                            stats.releases += 1;
-                            lease.suspect = true;
-                            lease.deadline = now + lease_timeout;
                         }
                     }
                 }
@@ -503,28 +516,28 @@ impl WorkerPool {
         stats: &mut LeaseStats,
         lease_timeout: Duration,
     ) {
+        // Any frame shows the worker alive, so every lease it holds gets a
+        // fresh window: a queued lease is not released while the one ahead
+        // of it runs. A released lease stays released — its cells may
+        // already be re-leased — but its worker is not abandoned.
+        let deadline = Instant::now() + lease_timeout;
+        for state in &mut worker.leases {
+            state.deadline = deadline;
+        }
         match message {
-            ToCoordinator::Cell {
-                lease,
-                index,
-                outcome,
-            } => {
-                // A released lease stays released — its cells may already be
-                // re-leased — but the worker is clearly alive, so keep
-                // extending its window instead of abandoning it.
-                if let Some(state) = worker.lease.as_mut().filter(|state| state.id == lease) {
-                    state.deadline = Instant::now() + lease_timeout;
-                }
-                // Dedup: a cell that already landed (from a re-lease) counts
-                // once, and the duplicate is telemetry.
-                if fold.is_cell_complete(index) {
-                    stats.duplicate_cells += 1;
-                } else if fold.range().contains(&index) {
-                    fold.offer(index, outcome);
+            ToCoordinator::Cells(cells) => {
+                for (index, outcome) in cells {
+                    // Dedup: a cell that already landed (from a re-lease)
+                    // counts once, and the duplicate is telemetry.
+                    if fold.is_cell_complete(index) {
+                        stats.duplicate_cells += 1;
+                    } else if fold.range().contains(&index) {
+                        fold.offer(index, outcome);
+                    }
                 }
             }
             ToCoordinator::LeaseDone { lease } => {
-                worker.lease.take_if(|state| state.id == lease);
+                worker.leases.retain(|state| state.id != lease);
             }
             ToCoordinator::Ready => {
                 // Spurious after the handshake; ignore.
@@ -539,7 +552,7 @@ fn unleased(fold: &MergeSink, workers: &[WorkerState], lease_size: usize) -> Opt
     let held = |index: usize| {
         workers
             .iter()
-            .filter_map(|w| w.lease.as_ref())
+            .flat_map(|w| &w.leases)
             .any(|lease| !lease.suspect && lease.cells.contains(&index))
     };
     let mut free = fold.unreported().filter(|&index| !held(index));
@@ -599,16 +612,23 @@ mod tests {
         write_frame(writer, &message.encode()).expect("the coordinator is listening");
     }
 
-    /// The Cell frame of a scripted worker: any outcome folds.
-    fn cell(lease: u64, index: usize) -> ToCoordinator {
-        ToCoordinator::Cell {
-            lease,
-            index,
-            outcome: CellOutcome::Failed(CellFailure {
-                index,
-                error: "scripted".to_owned(),
-            }),
-        }
+    /// A scripted worker's frame reporting `indices`: any outcome folds.
+    fn cells(indices: impl IntoIterator<Item = usize>) -> ToCoordinator {
+        ToCoordinator::Cells(
+            indices
+                .into_iter()
+                .map(|index| {
+                    let error = "scripted".to_owned();
+                    (index, CellOutcome::Failed(CellFailure { index, error }))
+                })
+                .collect(),
+        )
+    }
+
+    /// Reports every cell of a lease, then its end.
+    fn report(writer: &mut dyn Write, lease: u64, range: Range<usize>) {
+        send(writer, &cells(range));
+        send(writer, &ToCoordinator::LeaseDone { lease });
     }
 
     /// Connects `coordinator` (calibrating with the cheap test recipe) to
@@ -639,9 +659,8 @@ mod tests {
     fn a_lease_done_that_omits_cells_gets_them_leased_again() {
         let (coordinator_end, worker_end) = MemoryTransport::pair();
         // Reports only the first cell of every lease, then calls it done.
-        let worker = scripted_worker(worker_end, |writer, lease, cells| {
-            send(writer, &cell(lease, cells.start));
-            send(writer, &ToCoordinator::LeaseDone { lease });
+        let worker = scripted_worker(worker_end, |writer, lease, range| {
+            report(writer, lease, range.start..range.start + 1);
             true
         });
         let pool = connect(
@@ -676,13 +695,10 @@ mod tests {
         // pause lets A's hang-up reach the coordinator first: the two
         // workers' frames arrive on different threads.
         let (gone, a_gone) = mpsc::channel::<()>();
-        let b = scripted_worker(b_worker, move |writer, lease, cells| {
+        let b = scripted_worker(b_worker, move |writer, lease, range| {
             a_gone.recv().expect("A hangs up");
             thread::sleep(Duration::from_millis(100));
-            for index in cells {
-                send(writer, &cell(lease, index));
-            }
-            send(writer, &ToCoordinator::LeaseDone { lease });
+            report(writer, lease, range);
             true
         });
         let pool = connect(
@@ -702,6 +718,118 @@ mod tests {
         assert_eq!(
             (stats.leases, stats.releases, stats.lost_workers),
             (2, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.duplicate_cells, 0);
+    }
+
+    #[test]
+    fn a_worker_holds_its_second_lease_before_it_reports() {
+        let (coordinator_end, worker_end) = MemoryTransport::pair();
+        // Says nothing until its second lease arrives, then reports both.
+        let mut first = None;
+        let worker = scripted_worker(worker_end, move |writer, lease, range| {
+            match first.take() {
+                None => first = Some((lease, range)),
+                Some((first_lease, first_range)) => {
+                    report(writer, first_lease, first_range);
+                    report(writer, lease, range);
+                }
+            }
+            true
+        });
+        let pool = connect(
+            Coordinator::new(spec(4))
+                .with_lease_cells(2)
+                .with_lease_timeout(Duration::from_secs(30)),
+            vec![coordinator_end],
+        );
+        let report = spawn_run(pool)
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the second lease must not wait for the first one's cells")
+            .expect("the campaign completes");
+        assert!(report.fold().is_complete());
+        assert_eq!(
+            worker.join().expect("the scripted worker"),
+            [(0, 2), (2, 4)]
+        );
+        let stats = report.stats();
+        assert_eq!((stats.leases, stats.releases), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn a_slow_first_lease_keeps_the_queued_one_alive() {
+        let (coordinator_end, worker_end) = MemoryTransport::pair();
+        // One cell per 300 ms against a 1 s deadline: the first lease takes
+        // 1.2 s while its successor waits in the worker's queue, and every
+        // frame keeps both leases alive.
+        let worker = scripted_worker(worker_end, |writer, lease, range| {
+            for index in range.clone() {
+                if lease == 1 {
+                    thread::sleep(Duration::from_millis(300));
+                }
+                send(writer, &cells([index]));
+            }
+            send(writer, &ToCoordinator::LeaseDone { lease });
+            true
+        });
+        let pool = connect(
+            Coordinator::new(spec(8))
+                .with_lease_cells(4)
+                .with_lease_timeout(Duration::from_secs(1)),
+            vec![coordinator_end],
+        );
+        let report = spawn_run(pool)
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the campaign must finish")
+            .expect("the campaign completes");
+        assert!(report.fold().is_complete());
+        assert_eq!(
+            worker.join().expect("the scripted worker"),
+            [(0, 4), (4, 8)]
+        );
+        let stats = report.stats();
+        assert_eq!(
+            (stats.leases, stats.releases, stats.duplicate_cells),
+            (2, 0, 0),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_worker_that_hangs_up_holding_two_leases_releases_each_once() {
+        let (a_end, a_worker) = MemoryTransport::pair();
+        let (b_end, b_worker) = MemoryTransport::pair();
+        // A takes its two leases and hangs up on receiving the second.
+        let mut held = 0;
+        let a = scripted_worker(a_worker, move |_, _, _| {
+            held += 1;
+            held < 2
+        });
+        // B reports whatever it is leased, A's cells included.
+        let b = scripted_worker(b_worker, |writer, lease, range| {
+            report(writer, lease, range);
+            true
+        });
+        let pool = connect(
+            Coordinator::new(spec(8))
+                .with_lease_cells(2)
+                .with_lease_timeout(Duration::from_secs(30)),
+            vec![a_end, b_end],
+        );
+        let report = spawn_run(pool)
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the campaign must finish")
+            .expect("the campaign completes");
+        assert!(report.fold().is_complete());
+        assert_eq!(a.join().expect("worker A"), [(0, 2), (4, 6)]);
+        let mut b_leases = b.join().expect("worker B");
+        b_leases.sort_unstable();
+        assert_eq!(b_leases, [(0, 2), (2, 4), (4, 6), (6, 8)]);
+        let stats = report.stats();
+        assert_eq!(
+            (stats.leases, stats.releases, stats.lost_workers),
+            (6, 2, 1),
             "{stats:?}"
         );
         assert_eq!(stats.duplicate_cells, 0);

@@ -14,14 +14,16 @@
 //!  ───────────────────────────              ─────────────────────
 //!  calibrate once
 //!  SweepSpec + the fold       ── Hello ──►  decode SweepSpec and
-//!  one pump thread / worker   ◄─ Ready ──   Calibration bits
+//!  one pump thread / worker   ◄─ Ready ──   Calibration bits; build the
+//!         │                                 runner once per session
+//!         ├──────────────── Lease ×2 ────►  reader thread queues leases;
+//!         │                                 one sweep claims their cells
+//!         │                                 in order, checking each range
+//!   fold dedup ◄────────────── Cells ────   ≤ 8 outcomes per frame
+//!         │                 ◄─ LeaseDone ─  after the lease's last cell
+//!         ├─────────────────── Lease ────►  tops the worker up to two
 //!         │
-//!         ├─────────────────── Lease ────►  check the range, then claim
-//!         │                                 its cells in the sweep loop
-//!   fold dedup ◄─────────────── Cell ────   one outcome per retired cell
-//!         │                 ◄─ LeaseDone ─  lease id only
-//!         │
-//!         └───────────────── Shutdown ───►  exit
+//!         └───────────────── Shutdown ───►  drain, exit
 //! ```
 //!
 //! * **One [`Transport`] trait, three wirings.** Localhost TCP
@@ -30,20 +32,24 @@
 //!   in-process byte pipe ([`MemoryTransport`]) for tests and benches. All
 //!   three carry the same length-prefixed binary frames
 //!   ([`write_frame`]/[`read_frame`]).
-//! * **Micro-shard leasing, not static splits.** As workers go idle, the
-//!   coordinator leases each the next small index range that the fold has
-//!   not seen and no other lease holds, so a slow worker naturally takes
-//!   fewer cells — the shard-level analogue of the lane-compacting
-//!   scheduler, and the fix for a static split's convoy on ragged grids (a
-//!   static split is the special case of one `cells / workers` lease each,
-//!   never re-leased). Workers send each cell's outcome as it retires, and
-//!   that frame is the liveness signal. When a lease's worker misses its
-//!   deadline or dies, the cells the lease never reported are leased again;
-//!   a worker that merely stalled and reports late is folded through
-//!   **cell-index dedup**, so a twice-landed cell counts once. A worker
-//!   runs each lease through the in-process runner's one sweep loop,
-//!   claiming the range's cells in order, and rejects a lease that reaches
-//!   past the grid before any of its cells runs.
+//! * **Micro-shard leasing, not static splits.** The coordinator keeps two
+//!   leases at every live worker, each the next small index range that the
+//!   fold has not seen and no other lease holds, and tops a worker up as
+//!   its leases finish, so a slow worker naturally takes fewer cells — the
+//!   shard-level analogue of the lane-compacting scheduler, and the fix for
+//!   a static split's convoy on ragged grids (a static split is the special
+//!   case of one `cells / workers` lease each, never re-leased). Workers
+//!   report retired cells in frames of up to eight outcomes, and any frame
+//!   is its worker's liveness signal. When a worker misses its deadline or
+//!   dies, the cells its leases never reported are leased again; a worker
+//!   that merely stalled and reports late is folded through **cell-index
+//!   dedup**, so a twice-landed cell counts once.
+//! * **One sweep per worker session.** A worker builds its runner once and
+//!   runs the in-process runner's one sweep loop over its queued leases:
+//!   the claim moves on to the next lease without a round trip or a drain,
+//!   and only when nothing has arrived does the sweep drain, send what it
+//!   holds, and wait. A lease that reaches past the grid is rejected before
+//!   any of its cells runs.
 //! * **One canonical fold.** Workers return *per-cell* outcomes, and the
 //!   coordinator offers them to a single
 //!   [`MergeSink`](crate::resilience::MergeSink) over the whole grid
@@ -71,13 +77,14 @@
 //! # Lease sizing
 //!
 //! [`Coordinator::with_lease_cells`] sets the cells per lease; the default
-//! targets ~8 leases per worker so the tail is fine-grained without
-//! drowning the wire in round trips. Shrink it toward 1 when cell runtimes
-//! are wildly ragged (faster straggler recovery, more frames); grow it when
-//! cells are uniform and tiny (fewer round trips). The lease deadline
-//! ([`Coordinator::with_lease_timeout`]) must comfortably exceed the wall
-//! time of a few cells — workers send a frame per retired cell (batched
-//! with the result sink's delivery, so allow a handful of cells of slack).
+//! targets ~8 leases per worker so the tail is fine-grained. With a second
+//! lease always queued at the worker, a lease boundary costs no round trip,
+//! so small leases cost little more than the frames that end them. Shrink
+//! the size toward 1 when cell runtimes are wildly ragged (faster straggler
+//! recovery); grow it when cells are uniform and tiny. The lease deadline
+//! ([`Coordinator::with_lease_timeout`]) must comfortably exceed the time a
+//! worker takes to retire eight cells per thread: it sends a frame at least
+//! that often, and any frame restarts the deadline of every lease it holds.
 
 pub mod codec;
 pub mod coordinator;

@@ -2,6 +2,13 @@
 //! encoded with the [`super::codec`] field encoders inside length-prefixed
 //! frames ([`super::transport::write_frame`]).
 //!
+//! A session is Hello → Ready, then leases one way and outcomes the other.
+//! The coordinator keeps up to two [`ToWorker::Lease`]s queued at each
+//! worker. The worker reports retired cells in [`ToCoordinator::Cells`]
+//! frames of up to [`SINK_BATCH`](crate::experiment::SINK_BATCH) outcomes,
+//! and a lease's [`ToCoordinator::LeaseDone`] follows the frame that carries
+//! its last cell. Any frame from a worker is its liveness signal.
+//!
 //! Messages are *not* individually checksummed — the transport's framing
 //! already bounds each payload, and the standalone-blob CRC discipline is
 //! reserved for payloads that touch disk. A structurally malformed message
@@ -41,7 +48,8 @@ pub(crate) enum ToWorker {
     /// decoded them.
     Hello(Box<WorkerSetup>),
     /// Leases cells `[start, end)` of the grid to this worker under an
-    /// opaque lease id (echoed in every cell frame and in the completion).
+    /// opaque lease id (echoed in the lease's completion). The worker queues
+    /// it behind the leases it already holds.
     Lease {
         lease: u64,
         start: usize,
@@ -56,18 +64,20 @@ pub(crate) enum ToWorker {
 pub(crate) enum ToCoordinator {
     /// The worker decoded its Hello and accepts leases.
     Ready,
-    /// Cell `index` of lease `lease` retired with `outcome`. Sent once per
-    /// retired cell (modulo the sink's delivery batching), so it is also the
-    /// worker's liveness signal. The grid index lets the coordinator dedup
-    /// cells that a re-lease ran twice.
-    Cell {
-        lease: u64,
-        index: usize,
-        outcome: CellOutcome,
-    },
-    /// Lease `lease` finished: the worker sends no more cells for it.
+    /// Retired cells as `(grid index, outcome)`: at most
+    /// [`SINK_BATCH`](crate::experiment::SINK_BATCH) per frame, sent when the
+    /// worker holds that many, when a lease's last cell retires, and when
+    /// its sweep drains. The grid index lets the coordinator dedup cells
+    /// that a re-lease ran twice; a failure's own
+    /// [`crate::resilience::CellFailure::index`] must equal it.
+    Cells(Vec<(usize, CellOutcome)>),
+    /// Lease `lease` finished: every one of its cells has been sent.
     LeaseDone { lease: u64 },
 }
+
+/// The fewest bytes one entry of a [`ToCoordinator::Cells`] frame encodes
+/// to: its grid index, then a failure's tag, index and empty message.
+const MIN_CELL_BYTES: usize = 8 + 1 + 8 + 8;
 
 fn malformed(what: &str) -> SimError {
     SimError::Io(format!("malformed protocol message: {what}"))
@@ -125,15 +135,13 @@ impl ToCoordinator {
         let mut w = ByteWriter::new();
         match self {
             ToCoordinator::Ready => w.put_u8(0),
-            ToCoordinator::Cell {
-                lease,
-                index,
-                outcome,
-            } => {
+            ToCoordinator::Cells(cells) => {
                 w.put_u8(1);
-                w.put_u64(*lease);
-                w.put_usize(*index);
-                codec::put_outcome(&mut w, outcome);
+                w.put_usize(cells.len());
+                for (index, outcome) in cells {
+                    w.put_usize(*index);
+                    codec::put_outcome(&mut w, outcome);
+                }
             }
             ToCoordinator::LeaseDone { lease } => {
                 w.put_u8(2);
@@ -148,11 +156,22 @@ impl ToCoordinator {
         let mut r = ByteReader::new(bytes);
         let message = match r.take_u8().map_err(codec::codec_error)? {
             0 => ToCoordinator::Ready,
-            1 => ToCoordinator::Cell {
-                lease: r.take_u64().map_err(codec::codec_error)?,
-                index: r.take_usize().map_err(codec::codec_error)?,
-                outcome: codec::take_outcome(&mut r)?,
-            },
+            1 => {
+                let count = r.take_usize().map_err(codec::codec_error)?;
+                if count > r.remaining() / MIN_CELL_BYTES {
+                    return Err(malformed("more cells than the frame holds"));
+                }
+                let mut cells = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    let index = r.take_usize().map_err(codec::codec_error)?;
+                    let outcome = codec::take_outcome(&mut r)?;
+                    if matches!(&outcome, CellOutcome::Failed(failure) if failure.index != index) {
+                        return Err(malformed("a failure record names another cell"));
+                    }
+                    cells.push((index, outcome));
+                }
+                ToCoordinator::Cells(cells)
+            }
             2 => ToCoordinator::LeaseDone {
                 lease: r.take_u64().map_err(codec::codec_error)?,
             },
@@ -170,8 +189,8 @@ mod tests {
     use crate::resilience::{CellFailure, CellStats};
     use workload::BenchmarkId;
 
-    /// One message of every kind, Hello fully populated and a Cell with
-    /// each kind of outcome.
+    /// One message of every kind, Hello fully populated and a multi-cell
+    /// frame holding each kind of outcome.
     fn sample_messages() -> (Vec<ToWorker>, Vec<ToCoordinator>) {
         let setup = WorkerSetup {
             spec: SweepSpec::new(
@@ -213,16 +232,7 @@ mod tests {
             ],
             vec![
                 ToCoordinator::Ready,
-                ToCoordinator::Cell {
-                    lease: 9,
-                    index: 1,
-                    outcome: completed,
-                },
-                ToCoordinator::Cell {
-                    lease: 9,
-                    index: 2,
-                    outcome: failed,
-                },
+                ToCoordinator::Cells(vec![(1, completed), (2, failed)]),
                 ToCoordinator::LeaseDone { lease: 9 },
             ],
         )
@@ -269,5 +279,24 @@ mod tests {
         let mut frame = ToCoordinator::Ready.encode();
         frame.push(0);
         assert!(ToCoordinator::decode(&frame).is_err());
+        // A cell count the remaining bytes cannot hold is rejected before
+        // anything is allocated for it.
+        let mut w = ByteWriter::new();
+        w.put_u8(1);
+        w.put_usize(usize::MAX);
+        match ToCoordinator::decode(&w.into_bytes()) {
+            Err(SimError::Io(message)) => assert!(message.contains("more cells"), "{message}"),
+            other => panic!("a count past the frame must be rejected, got {other:?}"),
+        }
+        // A failure record must name the cell it is reported under, or the
+        // fold would keep it under another cell's index.
+        let misfiled = ToCoordinator::Cells(vec![(
+            3,
+            CellOutcome::Failed(CellFailure {
+                index: 2,
+                error: "chaos".to_owned(),
+            }),
+        )]);
+        assert!(ToCoordinator::decode(&misfiled.encode()).is_err());
     }
 }

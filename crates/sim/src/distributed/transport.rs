@@ -10,7 +10,7 @@
 //! corrupt or hostile prefix cannot trigger an unbounded allocation.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::mpsc;
 
@@ -98,9 +98,9 @@ pub trait Transport: Send {
     fn label(&self) -> String;
 
     /// Splits the transport into its write and read halves. Dropping the
-    /// write half signals end-of-stream to the peer where the medium
-    /// supports it (pipes, child stdin); for TCP both halves share one
-    /// socket and the stream closes when both are dropped.
+    /// write half signals end-of-stream to the peer, even while the read
+    /// half is still blocked in a read — except over this process's own
+    /// stdio ([`StdioTransport`]), which ends when the process exits.
     ///
     /// # Errors
     ///
@@ -152,7 +152,30 @@ impl Transport for TcpTransport {
 
     fn split(self: Box<Self>) -> io::Result<(Box<dyn Write + Send>, Box<dyn Read + Send>)> {
         let reader = self.stream.try_clone()?;
-        Ok((Box::new(self.stream), Box::new(reader)))
+        Ok((Box::new(TcpWriter(self.stream)), Box::new(reader)))
+    }
+}
+
+/// The write half of a [`TcpTransport`]. Both halves share one socket, so
+/// dropping this half shuts the socket's sending side down: the peer reads
+/// end-of-stream although the read half (a worker's reader thread, a
+/// coordinator's pump) may still be blocked in a read.
+#[derive(Debug)]
+struct TcpWriter(TcpStream);
+
+impl Write for TcpWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Drop for TcpWriter {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Write);
     }
 }
 
@@ -450,12 +473,16 @@ mod tests {
             let (mut tx, mut rx) = Box::new(transport).split().expect("split");
             let frame = read_frame(&mut rx).expect("read").expect("frame");
             write_frame(&mut tx, &frame).expect("echo");
+            // Hang up by dropping the write half alone; the read half lives
+            // on until the thread is joined.
+            rx
         });
         let client = TcpTransport::connect(addr).expect("connect");
         assert!(client.label().starts_with("tcp:"));
         let (mut tx, mut rx) = Box::new(client).split().expect("split");
         write_frame(&mut tx, b"ping").expect("write");
         assert_eq!(read_frame(&mut rx).expect("read"), Some(b"ping".to_vec()));
+        assert_eq!(read_frame(&mut rx).expect("a clean end"), None);
         server.join().expect("server thread");
     }
 }

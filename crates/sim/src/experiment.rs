@@ -33,7 +33,7 @@ use workload::BenchmarkId;
 
 use self::control::{retained_trace, ControlLoop};
 use self::executor::{drive_engine, engine_for, LaneSlot};
-pub(crate) use self::sweep::sweep_stream;
+pub(crate) use self::sweep::{sweep_stream, SINK_BATCH};
 pub use self::sweep::{CollectSink, ResultSink};
 use crate::calibrate::Calibration;
 use crate::engine::EnginePrecision;

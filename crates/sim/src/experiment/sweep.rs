@@ -229,8 +229,16 @@ impl ResultSink for () {
     fn accept(&mut self, _index: usize, _outcome: Result<RunReport, SimError>) {}
 }
 
+/// Retired results a sweep worker buffers before taking the sink lock:
+/// batching amortises the mutex handoff across deliveries, so a wide pool of
+/// fast cells no longer serialises on the sink. Small enough that sink-side
+/// effects (checkpoint cadence, a distributed worker's outcome frames) lag
+/// completion by at most a few cells; a distributed worker's `Cells` frame
+/// holds at most this many outcomes.
+pub(crate) const SINK_BATCH: usize = 8;
+
 /// The one streaming sweep body every sweep, campaign, resume and worker
-/// lease runs through: `threads` workers (at least one) drive
+/// session runs through: `threads` workers (at least one) drive
 /// lane-compacting engines of `lanes` lanes at one control period and
 /// engine precision. A worker takes result slots from `claim` and builds
 /// each slot's configuration through `cell` only when it admits the slot —
@@ -266,12 +274,6 @@ pub(crate) fn sweep_stream<S>(
 ) where
     S: ResultSink + Send + ?Sized,
 {
-    /// Retired results a worker buffers before taking the sink lock:
-    /// batching amortises the mutex handoff across deliveries, so a wide
-    /// pool of fast cells no longer serialises on the sink. Small enough
-    /// that sink-side effects (checkpoint cadence, worker cell frames) lag
-    /// completion by at most a few cells.
-    const SINK_BATCH: usize = 8;
     let worker = || {
         // Retired results awaiting delivery. Each entry is handed to the
         // sink exactly once — at the next batch flush or at worker exit —

@@ -3,11 +3,13 @@
 //! over both transport wirings (child stdio and localhost TCP).
 //!
 //! Verifies the full stack — binary spawn, the Hello/Ready handshake that
-//! ships the coordinator's calibration, micro-shard leasing, one outcome
-//! frame per retired cell, subprocess death recovery (the cells a dead
-//! worker sent fold, the rest are leased again) — and that the merged
-//! aggregate is bit-identical to the in-process run of the same grid. Also
-//! covers the binary's `inspect` subcommand on a checkpoint file.
+//! ships the coordinator's calibration, micro-shard leasing with two leases
+//! queued at each worker, each worker session's one sweep over its leases,
+//! outcome frames of up to eight cells, subprocess death recovery (the
+//! cells a dead worker sent fold, the rest are leased again) — and that the
+//! merged aggregate is bit-identical to the in-process run of the same
+//! grid. Also covers the binary's `inspect` subcommand on a checkpoint
+//! file.
 
 use std::net::TcpListener;
 use std::process::Command;
