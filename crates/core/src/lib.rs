@@ -49,7 +49,7 @@
 //! let decision = policy.decide(
 //!     &DtpmInputs {
 //!         spec: &spec,
-//!         proposed: proposed.clone(),
+//!         proposed,
 //!         core_temps_c: [45.0; 4],
 //!         measured_power: DomainPower::new(1.0, 0.05, 0.1, 0.3),
 //!     },

@@ -87,9 +87,10 @@ pub struct DtpmDecision {
 /// the K cloned policies of a lockstep sweep all hold the *same* map), which
 /// serves both the per-interval violation pre-check — one affine application
 /// instead of a `horizon`-length model loop — and the power-budget
-/// computation. A decision is allocation-free and, in the affirmed steady
-/// state, horizon-independent (the paper's "negligible overhead" in-kernel
-/// requirement).
+/// computation. A successful decision touches no heap — the proposal it
+/// reads and the state it returns are `Copy` values — and, in the affirmed
+/// steady state, is horizon-independent (the paper's "negligible overhead"
+/// in-kernel requirement).
 #[derive(Debug, Clone)]
 pub struct DtpmPolicy {
     config: DtpmConfig,
@@ -288,7 +289,7 @@ impl DtpmPolicy {
         // untouched. This is the steady-state common path.
         if predicted_peak <= constraint {
             return Ok(DtpmDecision {
-                state: inputs.proposed.clone(),
+                state: inputs.proposed,
                 action: DtpmAction::Affirmed,
                 predicted_peak_c: predicted_peak,
                 budget: None,
@@ -330,7 +331,7 @@ impl DtpmPolicy {
         };
         let candidate = self.highest_fitting_frequency(opps, proposed_freq, |f| fits(f, 1.0))?;
         if let Some(freq) = candidate {
-            let mut state = inputs.proposed.clone();
+            let mut state = inputs.proposed;
             state.set_cluster_frequency(cluster, freq);
             return Ok(DtpmDecision {
                 state,
@@ -358,7 +359,7 @@ impl DtpmPolicy {
                 let freq = self
                     .highest_fitting_frequency(opps, proposed_freq, |f| fits(f, ratio))?
                     .unwrap_or_else(|| opps.lowest().frequency);
-                let mut state = inputs.proposed.clone();
+                let mut state = inputs.proposed;
                 // Take the hottest *online* core offline.
                 let hottest_online = inputs
                     .core_temps_c
@@ -411,7 +412,7 @@ impl DtpmPolicy {
             .highest_fitting_frequency(little_opps, little_opps.highest().frequency, little_fits)?
             .unwrap_or_else(|| little_opps.lowest().frequency);
 
-        let mut state = inputs.proposed.clone();
+        let mut state = inputs.proposed;
         state.migrate_to_cluster(ClusterKind::Little, little_freq);
         let gpu_active = inputs.measured_power[PowerDomain::Gpu] > 0.08;
         let mut gpu_throttled = false;

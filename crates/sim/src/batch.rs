@@ -119,6 +119,9 @@ pub struct PanelEngine {
     steps_since_anchor: Vec<usize>,
     /// Per-lane column scratch for the drive.
     col_scratch: Vec<f64>,
+    /// Per-lane interval-setup failure, written for every lane before the
+    /// interval's steps are assembled and taken back out by them.
+    lane_errors: Vec<Option<SimError>>,
 }
 
 impl PanelEngine {
@@ -192,6 +195,7 @@ impl PanelEngine {
             drive_keys: vec![(usize::MAX, 0); lanes],
             steps_since_anchor: vec![0; lanes],
             col_scratch: vec![0.0; node_count],
+            lane_errors: vec![None; lanes],
             thermal,
         };
         for (lane, p) in params.iter().enumerate() {
@@ -464,7 +468,6 @@ impl PlantEngine for PanelEngine {
         let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
 
         // Per-lane interval setup: power linearisation, transition and drive.
-        let mut lane_errors: Vec<Option<SimError>> = Vec::with_capacity(self.lanes);
         for (lane, input) in inputs.iter().enumerate() {
             let (online_buf, online_mask, online_count) =
                 online_cores(input.state, input.state.active_cluster);
@@ -487,12 +490,12 @@ impl PlantEngine for PanelEngine {
                     } else {
                         0.0
                     };
-                    lane_errors.push(None);
+                    self.lane_errors[lane] = None;
                 }
                 Err(e) => {
                     self.zero_lane(lane);
                     self.uncore_orphan_w[lane] = 0.0;
-                    lane_errors.push(Some(e));
+                    self.lane_errors[lane] = Some(e);
                 }
             }
             let boost = self.spec.fan().conductance_boost_w_per_k(input.fan_level);
@@ -514,7 +517,7 @@ impl PlantEngine for PanelEngine {
 
         let scale = 1.0 / micro_steps as f64;
         steps.extend(inputs.iter().enumerate().map(|(lane, input)| {
-            if let Some(e) = lane_errors[lane].take() {
+            if let Some(e) = self.lane_errors[lane].take() {
                 return Err(e);
             }
             let domain_power = DomainPower::new(

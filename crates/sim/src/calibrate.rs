@@ -379,8 +379,9 @@ impl CalibrationCampaign {
         let mut plant = PhysicalPlant::new(spec.clone(), self.plant);
         let mut sensors = self.sensors(seed.wrapping_add(1000 + experiment_index as u64));
         let mut governor = UserspaceGovernor::new(spec.big_opps().lowest().frequency);
+        let boot = PlatformState::default_for(spec);
         for &bit in prbs.values() {
-            let (state, demand) = self.excitation_point(spec, target, bit, &mut governor);
+            let (state, demand) = self.excitation_point(spec, boot, target, bit, &mut governor);
             let step = plant.step_interval(
                 &state,
                 &demand,
@@ -396,15 +397,17 @@ impl CalibrationCampaign {
     }
 
     /// The platform state and workload demand used to excite one power source
-    /// with a PRBS bit (all other sources held low/constant).
+    /// with a PRBS bit (all other sources held low/constant), starting from
+    /// the board's `boot` state.
     fn excitation_point(
         &self,
         spec: &SocSpec,
+        boot: PlatformState,
         target: PowerDomain,
         bit: f64,
         governor: &mut UserspaceGovernor,
     ) -> (PlatformState, Demand) {
-        let mut state = PlatformState::default_for(spec);
+        let mut state = boot;
         let high = bit > 0.5;
         let mut demand = Demand {
             cpu_streams: 0.3,

@@ -223,7 +223,7 @@ impl ControlLoop {
     /// the hotplug governor picks the core count and a simple GPU governor
     /// tracks GPU utilisation.
     fn default_proposal(&mut self, demand: &Demand) -> PlatformState {
-        let mut proposal = self.state.clone();
+        let mut proposal = self.state;
         // The stock switcher prefers the big cluster whenever there is
         // foreground load (all paper benchmarks run on the big cores).
         proposal.active_cluster = ClusterKind::Big;

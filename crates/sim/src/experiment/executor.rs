@@ -55,7 +55,7 @@ impl LaneSlot {
 /// lanes idle identically.
 fn frozen_inputs(control: &ControlLoop) -> (PlatformState, Demand, FanLevel, f64) {
     (
-        control.state.clone(),
+        control.state,
         Demand::idle(),
         FanLevel::Off,
         control.config.ambient_c,
@@ -73,6 +73,17 @@ pub(super) fn panic_error(payload: &(dyn std::any::Any + Send)) -> SimError {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string());
     SimError::Panicked(message)
+}
+
+/// Empties `buffer` and returns its allocation for inputs of another
+/// lifetime. An interval's engine inputs borrow the lanes, which the
+/// executor mutates between intervals, so no one `Vec` can hold them from
+/// one interval to the next; its allocation can. The map never runs, and
+/// collecting an emptied `Vec` into one of the same layout reuses its
+/// allocation.
+fn recycle<'b>(mut buffer: Vec<LaneInput<'_>>) -> Vec<LaneInput<'b>> {
+    buffer.clear();
+    buffer.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// One lane's engine inputs for the current interval: the decided inputs
@@ -155,6 +166,7 @@ pub(super) fn drive_engine<E, N, P>(
 {
     debug_assert_eq!(engine.lanes(), lanes.len(), "engine width matches lanes");
     let mut steps: Vec<Result<PlantStep, SimError>> = Vec::with_capacity(lanes.len());
+    let mut spare_inputs: Vec<LaneInput<'static>> = Vec::with_capacity(lanes.len());
     loop {
         // Phase 1: retire → admit → decide, per lane.
         let mut any_active = false;
@@ -222,19 +234,13 @@ pub(super) fn drive_engine<E, N, P>(
         }
 
         // Phase 2: advance every engine lane one interval (frozen inputs for
-        // idle lanes). The single-lane case — the scalar `Experiment::run`
-        // hot path — borrows its one input on the stack, keeping that path
-        // allocation-free per interval as before the refactor.
-        let single_input;
-        let multi_inputs;
-        let inputs: &[LaneInput<'_>] = if let [lane] = &*lanes {
-            single_input = [lane_input(lane)];
-            &single_input
-        } else {
-            multi_inputs = lanes.iter().map(lane_input).collect::<Vec<_>>();
-            &multi_inputs
-        };
-        if let Err(e) = engine.step_interval(inputs, period_s, &mut steps) {
+        // idle lanes), with the inputs built in the one buffer this call
+        // carries from interval to interval.
+        let mut inputs = recycle(std::mem::take(&mut spare_inputs));
+        inputs.extend(lanes.iter().map(lane_input));
+        let stepped = engine.step_interval(&inputs, period_s, &mut steps);
+        spare_inputs = recycle(inputs);
+        if let Err(e) = stepped {
             // An engine-level error (malformed call, lost device) cannot be
             // attributed to one lane; report it on all unfinished lanes. The
             // engine is unusable now, so the queue's remaining scenarios can

@@ -77,8 +77,26 @@
 //!
 //! # Hot-path architecture
 //!
-//! [`plant::PhysicalPlant::step_interval`] performs zero heap allocations per
-//! micro-step in steady state:
+//! Once a cell is admitted, its control intervals touch no heap until it
+//! retires: in a summaries-only run (the default [`TracePolicy`]) on either
+//! f64 engine, each interval decides, steps the plant and absorbs in state
+//! that admission or engine construction sized.
+//!
+//! * [`soc_model::PlatformState`] is a `Copy` value with fixed-size hotplug
+//!   masks, so the governors' proposal, a DTPM decision
+//!   ([`dtpm::DtpmPolicy::decide`]) and an idle lane's frozen inputs are
+//!   copies,
+//! * the executor builds each interval's engine inputs in one buffer it
+//!   keeps across intervals and hands the engine one reused step buffer,
+//!   and [`batch::PanelEngine`] keeps its per-lane setup errors in a field.
+//!
+//! `tests/interval_allocations.rs` enforces this with a counting allocator:
+//! one grid of the three paper kinds, healthy and under sensor faults, on
+//! one lane and on eight, run to two duration caps; the extra intervals
+//! must add fewer than one allocation per cell.
+//!
+//! Inside the interval, [`plant::PhysicalPlant::step_interval`] performs
+//! zero heap allocations per micro-step:
 //!
 //! * the node-power vector and integrator scratch live inside the plant and
 //!   are reused across micro-steps,

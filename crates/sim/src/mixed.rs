@@ -647,7 +647,7 @@ impl PlantEngine for MixedPanelEngine {
                         };
                         self.throughput_cache[lane] =
                             throughput_units_per_s(&self.spec, input.state, input.demand);
-                        self.setup_cache[lane] = Some((input.state.clone(), *input.demand));
+                        self.setup_cache[lane] = Some((*input.state, *input.demand));
                         lane_errors.push(None);
                     }
                     Err(e) => {

@@ -718,7 +718,7 @@ mod tests {
         assert!(log.is_empty());
         let spec = SocSpec::odroid_xu_e();
         let mut state = PlatformState::default_for(&spec);
-        let before = state.clone();
+        let before = state;
         assert!(!ladder.enforce(&mut state, &spec));
         assert_eq!(state, before, "Normal rung must not touch the state");
     }

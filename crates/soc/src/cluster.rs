@@ -1,6 +1,7 @@
 //! CPU clusters of the big.LITTLE processor.
 
 use crate::opp::OppTable;
+use crate::platform::CORES_PER_CLUSTER;
 
 /// The two CPU cluster types of the ARM big.LITTLE architecture.
 ///
@@ -73,7 +74,7 @@ impl ClusterSpec {
     pub fn exynos5410_big() -> Self {
         ClusterSpec {
             kind: ClusterKind::Big,
-            core_count: 4,
+            core_count: CORES_PER_CLUSTER,
             opps: OppTable::exynos5410_big(),
             performance_per_ghz: 1.0,
         }
@@ -83,7 +84,7 @@ impl ClusterSpec {
     pub fn exynos5410_little() -> Self {
         ClusterSpec {
             kind: ClusterKind::Little,
-            core_count: 4,
+            core_count: CORES_PER_CLUSTER,
             opps: OppTable::exynos5410_little(),
             performance_per_ghz: 0.35,
         }

@@ -115,8 +115,17 @@ impl Default for SocSpec {
     }
 }
 
+/// Cores per CPU cluster: both Exynos 5410 clusters have four, and
+/// [`SocSpec::odroid_xu_e`] is the only platform. The hotplug masks of
+/// [`PlatformState`] are this wide.
+pub(crate) const CORES_PER_CLUSTER: usize = 4;
+
 /// The actuator state of the platform: everything a governor or the DTPM
 /// algorithm can change at run time.
+///
+/// A plain `Copy` value: the hotplug masks are fixed-size arrays, so a
+/// governor proposal or a policy decision copies the state without touching
+/// the heap.
 ///
 /// # Example
 ///
@@ -128,7 +137,7 @@ impl Default for SocSpec {
 /// state.set_cluster_frequency(ClusterKind::Big, Frequency::from_mhz(1200));
 /// assert_eq!(state.active_frequency().mhz(), 1200);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformState {
     /// Which CPU cluster is currently powered (cluster-exclusive switching).
     pub active_cluster: ClusterKind,
@@ -139,9 +148,9 @@ pub struct PlatformState {
     /// Operating frequency of the GPU.
     pub gpu_frequency: Frequency,
     /// Hotplug state of the big cores (`true` = online).
-    pub big_cores_online: Vec<bool>,
+    pub big_cores_online: [bool; CORES_PER_CLUSTER],
     /// Hotplug state of the little cores (`true` = online).
-    pub little_cores_online: Vec<bool>,
+    pub little_cores_online: [bool; CORES_PER_CLUSTER],
     /// Current fan level (always `Off` when the fan is removed/disabled).
     pub fan_level: crate::fan::FanLevel,
 }
@@ -156,8 +165,8 @@ impl PlatformState {
             big_frequency: spec.big_opps().highest().frequency,
             little_frequency: spec.little_opps().highest().frequency,
             gpu_frequency: spec.gpu_opps().lowest().frequency,
-            big_cores_online: vec![true; spec.big_cluster().core_count],
-            little_cores_online: vec![true; spec.little_cluster().core_count],
+            big_cores_online: [true; CORES_PER_CLUSTER],
+            little_cores_online: [true; CORES_PER_CLUSTER],
             fan_level: crate::fan::FanLevel::Off,
         }
     }
@@ -263,13 +272,6 @@ impl PlatformState {
         if self.active_online_core_count() == 0 {
             return Err(SocError::InvalidState("active cluster has no online cores"));
         }
-        if self.big_cores_online.len() != spec.big_cluster().core_count
-            || self.little_cores_online.len() != spec.little_cluster().core_count
-        {
-            return Err(SocError::InvalidState(
-                "hotplug mask length does not match cluster size",
-            ));
-        }
         for (table, freq, target) in [
             (spec.big_opps(), self.big_frequency, "big cluster"),
             (spec.little_opps(), self.little_frequency, "little cluster"),
@@ -316,6 +318,32 @@ mod tests {
         assert!(!state.is_core_online(ClusterKind::Big, 99));
         state.bring_all_cores_online(ClusterKind::Big);
         assert_eq!(state.online_core_count(ClusterKind::Big), 4);
+    }
+
+    #[test]
+    fn hotplug_masks_span_each_cluster_and_ignore_other_indices() {
+        let spec = SocSpec::odroid_xu_e();
+        for kind in [ClusterKind::Big, ClusterKind::Little] {
+            let mut state = PlatformState::default_for(&spec);
+            let cores = spec.cluster(kind).core_count;
+            let mask: &[bool] = state.core_mask(kind);
+            assert_eq!(mask, vec![true; cores]);
+            state.set_core_online(kind, 1, false);
+            // Indices outside the cluster are ignored and read as offline.
+            for core in [cores, cores + 1, 99, usize::MAX] {
+                state.set_core_online(kind, core, true);
+                state.set_core_online(kind, core, false);
+                state.set_core_online(kind, core, true);
+                assert!(!state.is_core_online(kind, core));
+            }
+            assert_eq!(state.core_mask(kind), [true, false, true, true]);
+            assert_eq!(state.online_core_count(kind), cores - 1);
+            // The state is a value: a copy keeps the mask it was taken with.
+            let copy = state;
+            state.bring_all_cores_online(kind);
+            assert_eq!(copy.online_core_count(kind), cores - 1);
+            assert_eq!(state.online_core_count(kind), cores);
+        }
     }
 
     #[test]
