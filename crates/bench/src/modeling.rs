@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use platform_sim::{PhysicalPlant, PlantPowerParams, SensorSuite, SimError};
-use power_model::{FurnaceDataset, PowerModel};
+use power_model::{LeakageModel, PowerModel};
 use soc_model::{FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use sysid::{n_step_prediction, IdentificationDataset, PrbsConfig, PrbsSignal};
 use workload::{BenchmarkId, WorkloadState};
@@ -28,7 +28,7 @@ pub fn fig4_2(context: &ExperimentContext) -> Result<String, SimError> {
         memory_intensity: 0.1,
         frequency_scalability: 1.0,
     };
-    for &setpoint in &FurnaceDataset::PAPER_SWEEP_C {
+    for &setpoint in &LeakageModel::FURNACE_SWEEP_C {
         let mut plant = PhysicalPlant::new(
             spec.clone().with_ambient_c(setpoint),
             PlantPowerParams::default(),
@@ -136,7 +136,7 @@ pub fn fig4_7(context: &ExperimentContext) -> Result<String, SimError> {
     };
     let mut out = String::from("Figure 4.7 — power model validation (predicted vs measured)\n");
     let mut worst_rel = 0.0f64;
-    for &setpoint in &FurnaceDataset::PAPER_SWEEP_C {
+    for &setpoint in &LeakageModel::FURNACE_SWEEP_C {
         let mut plant = PhysicalPlant::new(
             spec.clone().with_ambient_c(setpoint),
             PlantPowerParams::default(),

@@ -162,12 +162,6 @@ impl PowerBudget {
             dynamic_w,
         })
     }
-
-    /// Returns `true` if the budget cannot be met at all (zero dynamic power
-    /// allowed).
-    pub fn is_exhausted(&self) -> bool {
-        self.dynamic_w <= f64::EPSILON
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +268,6 @@ mod tests {
         .unwrap();
         assert_eq!(budget.total_w, 0.0);
         assert_eq!(budget.dynamic_w, 0.0);
-        assert!(budget.is_exhausted());
         assert!(budget.headroom_c < 0.0);
     }
 

@@ -272,22 +272,6 @@ impl ThermalPredictor {
             .into_iter()
             .fold(f64::NEG_INFINITY, f64::max))
     }
-
-    /// Returns `true` if a thermal violation of `constraint_c` is predicted at
-    /// the horizon for the given constant powers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thermal-model errors.
-    pub fn violation_predicted(
-        &self,
-        core_temps_c: [f64; HOTSPOT_COUNT],
-        powers: &DomainPower,
-        horizon: usize,
-        constraint_c: f64,
-    ) -> Result<bool, DtpmError> {
-        Ok(self.predict_peak(core_temps_c, powers, horizon)? > constraint_c)
-    }
 }
 
 #[cfg(test)]
@@ -357,15 +341,6 @@ mod tests {
         for t in predicted {
             assert!((28.0 - 1e-9..45.0).contains(&t));
         }
-    }
-
-    #[test]
-    fn violation_detection_uses_constraint() {
-        let p = example_predictor();
-        let temps = [61.0, 60.0, 61.5, 60.5];
-        let powers = DomainPower::new(3.5, 0.05, 0.3, 0.4);
-        assert!(p.violation_predicted(temps, &powers, 10, 63.0).unwrap());
-        assert!(!p.violation_predicted(temps, &powers, 10, 90.0).unwrap());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! crate provides those stock pieces plus the baselines the evaluation
 //! compares against:
 //!
-//! * [`cpufreq`] — the `ondemand` and `interactive` frequency governors the
-//!   default configuration runs, along with `performance`, `powersave` and
-//!   `userspace`,
+//! * [`cpufreq`] — the `ondemand` frequency governor the default
+//!   configuration runs, and the `userspace` governor the PRBS
+//!   identification experiments pin the big-cluster frequency with,
 //! * [`hotplug`] — the idle-state/core-count governor that wakes additional
 //!   cores as the number of runnable threads grows,
 //! * [`fan`] — the board's default fan controller (57/63/68 °C thresholds),
@@ -19,11 +19,11 @@
 //! # Example
 //!
 //! ```
-//! use governors::{CpufreqGovernor, GovernorInput, OndemandGovernor};
+//! use governors::{GovernorInput, OndemandGovernor};
 //! use soc_model::{Frequency, OppTable};
 //!
 //! let opps = OppTable::exynos5410_big();
-//! let mut gov = OndemandGovernor::default();
+//! let gov = OndemandGovernor::default();
 //! let busy = GovernorInput { load: 0.97, current: Frequency::from_mhz(800) };
 //! assert_eq!(gov.select_frequency(&busy, &opps).mhz(), 1600);
 //! ```
@@ -36,10 +36,7 @@ pub mod fan;
 pub mod hotplug;
 pub mod reactive;
 
-pub use cpufreq::{
-    CpufreqGovernor, GovernorInput, GovernorKind, InteractiveGovernor, OndemandGovernor,
-    PerformanceGovernor, PowersaveGovernor, UserspaceGovernor,
-};
+pub use cpufreq::{GovernorInput, OndemandGovernor, UserspaceGovernor};
 pub use fan::FanController;
 pub use hotplug::HotplugGovernor;
 pub use reactive::ReactiveThrottler;

@@ -11,8 +11,8 @@
 //!   `I_leak = c1·T²·e^(c2/T) + I_gate` to furnace measurements ([`fit`]).
 //!
 //! On top of those, [`stats`] provides the descriptive statistics used by the
-//! evaluation (variance, max–min spread, RMSE, MAPE, fit percentage) and
-//! [`interp`] provides the table interpolation used by voltage/frequency maps.
+//! evaluation (variance, max–min spread, RMSE, fit percentage, and the
+//! mergeable [`Welford`] accumulator).
 //!
 //! For batched scenario evaluation, [`panel`] adds the structure-of-arrays
 //! [`Panel`] (one scenario per column, [`PANEL_ALIGN`]-byte-aligned storage)
@@ -93,7 +93,6 @@ pub mod aligned;
 pub mod codec;
 pub mod elem;
 pub mod fit;
-pub mod interp;
 pub mod lstsq;
 pub mod matrix;
 pub mod panel;
@@ -108,7 +107,6 @@ pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use elem::Elem;
 pub use error::NumericError;
 pub use fit::{levenberg_marquardt, FitOptions, FitReport};
-pub use interp::{interp1, Table1d};
 pub use lstsq::{lstsq, ridge_lstsq, NormalEquations};
 pub use matrix::{Matrix, Vector};
 pub use panel::{

@@ -201,39 +201,6 @@ pub fn ridge_lstsq(phi: &Matrix, y: &Vector, lambda: f64) -> Result<Vector, Nume
     Ok(thetas.pop().expect("one target has one solution"))
 }
 
-/// Residual vector `Φθ − y` of a least-squares fit.
-///
-/// # Errors
-///
-/// Returns a dimension error if the operands are incompatible.
-pub fn residuals(phi: &Matrix, y: &Vector, theta: &Vector) -> Result<Vector, NumericError> {
-    let predicted = phi.mul_vector(theta)?;
-    if predicted.len() != y.len() {
-        return Err(NumericError::DimensionMismatch {
-            operation: "residual computation",
-            left: (predicted.len(), 1),
-            right: (y.len(), 1),
-        });
-    }
-    Ok(Vector::from_iter(
-        predicted.iter().zip(y.iter()).map(|(p, t)| p - t),
-    ))
-}
-
-/// Coefficient of determination (R²) of a fit; 1.0 means a perfect fit.
-///
-/// Returns `None` when the target has zero variance (R² is undefined).
-pub fn r_squared(phi: &Matrix, y: &Vector, theta: &Vector) -> Option<f64> {
-    let res = residuals(phi, y, theta).ok()?;
-    let ss_res: f64 = res.iter().map(|r| r * r).sum();
-    let mean = y.iter().sum::<f64>() / y.len() as f64;
-    let ss_tot: f64 = y.iter().map(|v| (v - mean) * (v - mean)).sum();
-    if ss_tot <= f64::EPSILON {
-        return None;
-    }
-    Some(1.0 - ss_res / ss_tot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +213,6 @@ mod tests {
         let theta = lstsq(&phi, &y).unwrap();
         assert!((theta[0] - 3.0).abs() < 1e-12);
         assert!((theta[1] + 1.5).abs() < 1e-12);
-        assert_eq!(r_squared(&phi, &y, &theta), Some(1.0));
     }
 
     #[test]
@@ -267,7 +233,6 @@ mod tests {
         let theta = lstsq(&phi, &y).unwrap();
         assert!((theta[0] - 0.8).abs() < 0.01);
         assert!((theta[1] - 0.05).abs() < 0.01);
-        assert!(r_squared(&phi, &y, &theta).unwrap() > 0.999);
     }
 
     #[test]
@@ -295,7 +260,7 @@ mod tests {
         assert!(matches!(lstsq(&phi, &y), Err(NumericError::Singular)));
         let theta = ridge_lstsq(&phi, &y, 1e-6).unwrap();
         // The ridge solution still reproduces the targets.
-        let res = residuals(&phi, &y, &theta).unwrap();
+        let res = phi.mul_vector(&theta).unwrap() - y;
         assert!(res.inf_norm() < 1e-3);
     }
 
@@ -351,13 +316,5 @@ mod tests {
         assert_eq!(thetas.len(), 2);
         assert_eq!(thetas[0], ridge_lstsq(&phi, &y, 0.0).unwrap());
         assert_eq!(thetas[1], ridge_lstsq(&phi, &doubled, 0.0).unwrap());
-    }
-
-    #[test]
-    fn r_squared_undefined_for_constant_target() {
-        let phi = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]).unwrap();
-        let y = Vector::from_slice(&[4.0, 4.0, 4.0]);
-        let theta = lstsq(&phi, &y).unwrap();
-        assert_eq!(r_squared(&phi, &y, &theta), None);
     }
 }

@@ -93,15 +93,6 @@ impl Matrix {
         Matrix::from_vec(rows.len(), cols, data)
     }
 
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let mut m = Matrix::zeros(diag.len(), diag.len());
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -317,32 +308,6 @@ impl Matrix {
         }
     }
 
-    /// Raises a square matrix to the `n`-th power by repeated multiplication.
-    ///
-    /// `pow(0)` returns the identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::NotSquare`] if the matrix is not square.
-    pub fn pow(&self, n: usize) -> Result<Matrix, NumericError> {
-        if !self.is_square() {
-            return Err(NumericError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let mut result = Matrix::identity(self.rows);
-        for _ in 0..n {
-            result = result.mul(self)?;
-        }
-        Ok(result)
-    }
-
-    /// Frobenius norm (square root of the sum of squared entries).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry of the matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -524,15 +489,6 @@ impl Vector {
         self.data.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Index of the maximum element, or `None` for an empty vector.
-    pub fn argmax(&self) -> Option<usize> {
-        self.data
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
-
     /// Multiplies every element by the scalar `s`.
     pub fn scale(&self, s: f64) -> Vector {
         Vector::from_iter(self.data.iter().map(|&x| x * s))
@@ -707,25 +663,15 @@ mod tests {
     }
 
     #[test]
-    fn pow_of_identity_and_zero_exponent() {
-        let a = Matrix::from_rows(&[&[0.5, 0.1], &[0.0, 0.5]]).unwrap();
-        assert_eq!(a.pow(0).unwrap(), Matrix::identity(2));
-        let a2 = a.pow(2).unwrap();
-        assert!((a2[(0, 0)] - 0.25).abs() < 1e-12);
-        assert!((a2[(0, 1)] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.inf_norm(), 7.0);
     }
 
     #[test]
     fn spectral_radius_of_diagonal() {
-        let a = Matrix::from_diagonal(&[0.9, 0.3]);
+        let a = Matrix::from_rows(&[&[0.9, 0.0], &[0.0, 0.3]]).unwrap();
         let rho = a.spectral_radius_estimate(200).unwrap();
         assert!((rho - 0.9).abs() < 1e-6, "rho = {rho}");
     }
@@ -752,7 +698,6 @@ mod tests {
         assert_eq!(v.inf_norm(), 3.0);
         assert_eq!(v.max(), 3.0);
         assert_eq!(v.min(), -2.0);
-        assert_eq!(v.argmax(), Some(2));
         let w = v.clone() + Vector::from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(w.as_slice(), &[2.0, 0.0, 6.0]);
         let d = w - Vector::from_slice(&[2.0, 0.0, 6.0]);

@@ -211,20 +211,6 @@ impl<E: Elem> PanelT<E> {
     }
 }
 
-impl Matrix {
-    /// The `i`-th row as a borrowed slice — the allocation-free form of
-    /// [`Matrix::row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.rows()`.
-    #[inline]
-    pub fn row_slice(&self, i: usize) -> &[f64] {
-        assert!(i < self.rows(), "row index out of bounds");
-        &self.as_slice()[i * self.cols()..(i + 1) * self.cols()]
-    }
-}
-
 /// Fused affine panel step `out = bias ⊗ 1ᵀ + a·x + b·y` in f64, with one
 /// bias value per row broadcast to every lane — the shape the batched DTPM
 /// predictor advances its scenarios with.
@@ -702,14 +688,6 @@ mod tests {
         assert_eq!(p.as_slice().as_ptr() as usize % PANEL_ALIGN, 0);
         let twin = p.clone();
         assert_eq!(twin.as_slice().as_ptr() as usize % PANEL_ALIGN, 0);
-    }
-
-    #[test]
-    fn row_slice_matches_row() {
-        let m = test_matrix(4, 0.3);
-        for i in 0..4 {
-            assert_eq!(m.row_slice(i), m.row(i).as_slice());
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! LU factorisation with partial pivoting, linear solves and inversion.
+//! LU factorisation with partial pivoting and linear solves.
 
 use crate::{Matrix, NumericError, Vector};
 
@@ -28,8 +28,6 @@ pub struct LuDecomposition {
     lu: Matrix,
     /// Row permutation applied by partial pivoting.
     permutation: Vec<usize>,
-    /// Sign of the permutation, used for the determinant.
-    permutation_sign: f64,
 }
 
 /// Pivot entries whose magnitude falls below this threshold are treated as
@@ -54,7 +52,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut permutation: Vec<usize> = (0..n).collect();
-        let mut permutation_sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: find the largest entry in column k at or below row k.
@@ -76,7 +73,6 @@ impl LuDecomposition {
                     lu[(pivot_row, j)] = tmp;
                 }
                 permutation.swap(k, pivot_row);
-                permutation_sign = -permutation_sign;
             }
             for i in (k + 1)..n {
                 let factor = lu[(i, k)] / lu[(k, k)];
@@ -87,11 +83,7 @@ impl LuDecomposition {
             }
         }
 
-        Ok(LuDecomposition {
-            lu,
-            permutation,
-            permutation_sign,
-        })
+        Ok(LuDecomposition { lu, permutation })
     }
 
     /// Dimension of the factorised matrix.
@@ -134,34 +126,6 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Determinant of the factorised matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.permutation_sign;
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-
-    /// Computes the inverse of the factorised matrix column by column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve`].
-    pub fn inverse(&self) -> Result<Matrix, NumericError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = Vector::zeros(n);
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
 }
 
 impl Matrix {
@@ -174,36 +138,6 @@ impl Matrix {
     /// [`NumericError::DimensionMismatch`] if `b` has the wrong length.
     pub fn solve(&self, b: &Vector) -> Result<Vector, NumericError> {
         LuDecomposition::new(self)?.solve(b)
-    }
-
-    /// Computes the matrix inverse.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Matrix::solve`].
-    pub fn inverse(&self) -> Result<Matrix, NumericError> {
-        LuDecomposition::new(self)?.inverse()
-    }
-
-    /// Computes the determinant via LU factorisation.
-    ///
-    /// Returns 0 if the matrix is singular to working precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::NotSquare`] if the matrix is not square.
-    pub fn determinant(&self) -> Result<f64, NumericError> {
-        if !self.is_square() {
-            return Err(NumericError::NotSquare {
-                rows: self.rows(),
-                cols: self.cols(),
-            });
-        }
-        match LuDecomposition::new(self) {
-            Ok(lu) => Ok(lu.determinant()),
-            Err(NumericError::Singular) => Ok(0.0),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -241,32 +175,15 @@ mod tests {
             LuDecomposition::new(&a),
             Err(NumericError::Singular)
         ));
-        assert_eq!(a.determinant().unwrap(), 0.0);
     }
 
     #[test]
     fn non_square_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(
-            a.determinant(),
+            LuDecomposition::new(&a),
             Err(NumericError::NotSquare { .. })
         ));
-    }
-
-    #[test]
-    fn determinant_matches_hand_computation() {
-        let a =
-            Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 10.0]]).unwrap();
-        assert_close(a.determinant().unwrap(), -3.0, 1e-10);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0, 2.0], &[3.0, 6.0, 1.0], &[2.0, 5.0, 9.0]]).unwrap();
-        let inv = a.inverse().unwrap();
-        let prod = a.mul(&inv).unwrap();
-        let diff = prod.sub(&Matrix::identity(3)).unwrap();
-        assert!(diff.max_abs() < 1e-10);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Descriptive statistics used throughout the evaluation.
 //!
 //! The paper reports thermal stability as average temperature, max–min spread
-//! and temperature *variance* (the "6× reduction in variance" headline),
-//! prediction quality as mean absolute percentage error, and power/performance
-//! as relative savings/loss. All of those reductions live here so every crate
-//! computes them identically.
+//! and temperature *variance* (the "6× reduction in variance" headline), and
+//! the identified model's prediction quality as RMSE, maximum error and fit
+//! percentage. Those reductions live here so every crate computes them
+//! identically.
 
 /// Summary statistics of a scalar time series.
 ///
@@ -299,48 +299,6 @@ pub fn rmse(predicted: &[f64], actual: &[f64]) -> f64 {
     (sum / predicted.len() as f64).sqrt()
 }
 
-/// Mean absolute error between two equally long series.
-///
-/// # Panics
-///
-/// Panics if the series lengths differ or are zero.
-pub fn mean_absolute_error(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "mae length mismatch");
-    assert!(!predicted.is_empty(), "mae of empty series");
-    predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a).abs())
-        .sum::<f64>()
-        / predicted.len() as f64
-}
-
-/// Mean absolute percentage error (in percent) between predictions and actual
-/// values. Samples whose actual value is zero are skipped.
-///
-/// This is the metric behind the paper's "average prediction error is less
-/// than 3%" claim (with temperatures expressed in °C).
-///
-/// # Panics
-///
-/// Panics if the series lengths differ.
-pub fn mean_absolute_percentage_error(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "mape length mismatch");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, a) in predicted.iter().zip(actual) {
-        if a.abs() > f64::EPSILON {
-            total += ((p - a) / a).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        100.0 * total / count as f64
-    }
-}
-
 /// Maximum absolute error between two equally long series.
 ///
 /// # Panics
@@ -388,18 +346,6 @@ pub fn fit_percentage(predicted: &[f64], actual: &[f64]) -> f64 {
     }
 }
 
-/// Relative change from `baseline` to `value` in percent. Positive means
-/// `value` is larger than the baseline.
-///
-/// Returns 0 if the baseline is zero.
-pub fn relative_change_percent(baseline: f64, value: f64) -> f64 {
-    if baseline.abs() <= f64::EPSILON {
-        0.0
-    } else {
-        100.0 * (value - baseline) / baseline
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,21 +380,7 @@ mod tests {
         let p = [1.0, 2.0, 3.0];
         let a = [1.0, 2.0, 5.0];
         assert!((rmse(&p, &a) - (4.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((mean_absolute_error(&p, &a) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(max_absolute_error(&p, &a), 2.0);
-    }
-
-    #[test]
-    fn mape_skips_zero_actuals() {
-        let p = [1.1, 2.0, 50.0];
-        let a = [1.0, 2.0, 0.0];
-        // Only the first two points count: (10% + 0%) / 2 = 5%.
-        assert!((mean_absolute_percentage_error(&p, &a) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mape_all_zero_actuals_is_zero() {
-        assert_eq!(mean_absolute_percentage_error(&[1.0], &[0.0]), 0.0);
     }
 
     #[test]
@@ -593,12 +525,5 @@ mod tests {
             empty.max(),
         );
         assert_eq!(back, empty);
-    }
-
-    #[test]
-    fn relative_change() {
-        assert_eq!(relative_change_percent(2.0, 1.0), -50.0);
-        assert_eq!(relative_change_percent(0.0, 1.0), 0.0);
-        assert_eq!(relative_change_percent(4.0, 5.0), 25.0);
     }
 }

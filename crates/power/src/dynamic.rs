@@ -46,22 +46,6 @@ impl DynamicPowerModel {
         let v = voltage.volts();
         self.alpha_c_f * v * v * frequency.hz()
     }
-
-    /// The frequency (in Hz, continuous) at which this model would consume
-    /// exactly `budget_w` at the given voltage — the inversion
-    /// `f_budget = P_budget / (αCV²)` used by the DTPM algorithm (Eq. 5.7).
-    ///
-    /// Returns `None` when the capacitance is (numerically) zero, i.e. the
-    /// workload draws no measurable dynamic power and any frequency satisfies
-    /// the budget.
-    pub fn frequency_for_budget_hz(&self, budget_w: f64, voltage: Voltage) -> Option<f64> {
-        let v = voltage.volts();
-        let denom = self.alpha_c_f * v * v;
-        if denom <= f64::EPSILON {
-            return None;
-        }
-        Some((budget_w / denom).max(0.0))
-    }
 }
 
 /// Run-time estimator of the `αC` product for one power domain (Figure 4.4).
@@ -202,24 +186,6 @@ mod tests {
         let p_2f = m.power_w(Voltage::from_volts(1.0), Frequency::from_mhz(2000));
         assert!((p_2v / p_base - 4.0).abs() < 1e-9);
         assert!((p_2f / p_base - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn budget_frequency_inverts_power() {
-        let m = DynamicPowerModel::new(0.3e-9);
-        let v = Voltage::from_volts(1.1);
-        let f = Frequency::from_mhz(1400);
-        let p = m.power_w(v, f);
-        let f_back = m.frequency_for_budget_hz(p, v).unwrap();
-        assert!((f_back - f.hz()).abs() / f.hz() < 1e-12);
-    }
-
-    #[test]
-    fn budget_frequency_none_for_zero_capacitance() {
-        let m = DynamicPowerModel::new(0.0);
-        assert!(m
-            .frequency_for_budget_hz(1.0, Voltage::from_volts(1.0))
-            .is_none());
     }
 
     #[test]

@@ -1017,6 +1017,10 @@ impl LeakageModel {
         voltage.volts() * self.current_a(temp_c)
     }
 
+    /// The furnace setpoints of the paper's characterisation sweep
+    /// (Section 4.1.1): 40 °C to 80 °C in 10 °C steps.
+    pub const FURNACE_SWEEP_C: [f64; 5] = [40.0, 50.0, 60.0, 70.0, 80.0];
+
     /// Fits the leakage parameters to furnace measurements.
     ///
     /// Each sample pairs a die temperature (°C) with the measured *total*

@@ -8,13 +8,13 @@
 //! I_leak(T) = c1·T²·e^(c2/T) + I_gate
 //! ```
 //!
-//! Three pieces reproduce the paper's methodology:
+//! Two pieces reproduce the paper's methodology:
 //!
 //! * [`leakage`] — the condensed leakage-current model and the nonlinear fit
 //!   of `c1`, `c2`, `I_gate` from furnace measurements (Figures 4.1–4.3),
-//! * [`furnace`] — the furnace characterisation procedure itself: sweep the
-//!   ambient temperature from 40 °C to 80 °C with a light fixed-frequency
-//!   workload and collect total-power samples (Figure 4.2),
+//!   with the paper's five furnace setpoints
+//!   ([`LeakageModel::FURNACE_SWEEP_C`]); the sweep itself runs on the
+//!   simulated plant, in the `platform-sim` crate's calibration campaign,
 //! * [`dynamic`] — the run-time estimation of the activity-factor ×
 //!   switching-capacitance product `αC` by subtracting modelled leakage from
 //!   measured power (Figure 4.4), and the resulting dynamic-power predictor.
@@ -56,13 +56,11 @@
 pub mod domain_power;
 pub mod dynamic;
 pub mod error;
-pub mod furnace;
 pub mod leakage;
 pub mod model;
 
 pub use domain_power::DomainPower;
 pub use dynamic::{ActivityEstimator, DynamicPowerModel};
 pub use error::PowerError;
-pub use furnace::{FurnaceDataset, FurnaceRun, FurnaceSample};
 pub use leakage::{currents_batch, LeakageModel, LeakagePanel, LeakagePanelF32, LeakageParams};
 pub use model::{DomainPowerModel, PowerModel};

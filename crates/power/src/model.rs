@@ -5,22 +5,6 @@ use soc_model::{Frequency, PowerDomain, Voltage};
 use crate::dynamic::ActivityEstimator;
 use crate::leakage::LeakageModel;
 
-/// Split of one domain's measured power into its components.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSplit {
-    /// Modelled leakage power, in watts.
-    pub leakage_w: f64,
-    /// Residual dynamic power (measured minus leakage, clamped at zero), in watts.
-    pub dynamic_w: f64,
-}
-
-impl PowerSplit {
-    /// Total of the two components, in watts.
-    pub fn total(&self) -> f64 {
-        self.leakage_w + self.dynamic_w
-    }
-}
-
 /// Power model of a single measured domain: a characterised leakage model
 /// plus the run-time activity estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,16 +38,6 @@ impl DomainPowerModel {
     /// The current activity (αC) estimator of this domain.
     pub fn activity(&self) -> &ActivityEstimator {
         &self.activity
-    }
-
-    /// Splits a measured total power into leakage and dynamic components at
-    /// the given die temperature and supply voltage (Figure 4.4).
-    pub fn split(&self, measured_total_w: f64, temp_c: f64, voltage: Voltage) -> PowerSplit {
-        let leakage_w = self.leakage.power_w(voltage, temp_c);
-        PowerSplit {
-            leakage_w,
-            dynamic_w: (measured_total_w - leakage_w).max(0.0),
-        }
     }
 
     /// Feeds one sensor observation into the activity estimator.
@@ -258,19 +232,6 @@ mod tests {
             ActivityEstimator::for_cpu_cluster(),
         );
         PowerModel::new(vec![big.clone(), big.clone(), big.clone(), big]);
-    }
-
-    #[test]
-    fn split_separates_leakage_and_dynamic() {
-        let model = PowerModel::exynos5410_defaults();
-        let big = model.domain(PowerDomain::BigCpu);
-        let v = Voltage::from_volts(1.2);
-        let split = big.split(1.0, 60.0, v);
-        assert!(split.leakage_w > 0.05 && split.leakage_w < 0.3);
-        assert!((split.total() - 1.0).abs() < 1e-12);
-        // Measured power below leakage clamps dynamic at zero.
-        let idle = big.split(0.01, 80.0, v);
-        assert_eq!(idle.dynamic_w, 0.0);
     }
 
     #[test]

@@ -45,8 +45,8 @@ use thermal_model::{BatchStepTransition, ExynosThermalNetwork};
 
 use crate::engine::{LaneInput, PlantEngine};
 use crate::plant::{
-    compute_interval_ops, online_cores, scaled, throughput_units_per_s, IntervalOps,
-    PlantPowerParams, PlantStep,
+    compute_interval_ops, micro_steps, online_cores, scaled, throughput_units_per_s, true_leakage,
+    IntervalOps, PlantPowerParams, PlantStep, PLANT_DT_S,
 };
 use crate::SimError;
 
@@ -72,7 +72,6 @@ pub struct PanelEngine {
     spec: SocSpec,
     thermal: ExynosThermalNetwork,
     lanes: usize,
-    plant_dt_s: f64,
     params: Vec<PlantPowerParams>,
     /// Node temperatures, °C; `node_count × lanes`.
     temps: Panel,
@@ -169,7 +168,6 @@ impl PanelEngine {
         let mut engine = PanelEngine {
             spec,
             lanes,
-            plant_dt_s: 0.01,
             params: params.to_vec(),
             temps: Panel::zeros(node_count, lanes),
             powers: Panel::zeros(node_count, lanes),
@@ -215,7 +213,7 @@ impl PanelEngine {
         let transition = self
             .thermal
             .network()
-            .batch_step_transition(boost, self.plant_dt_s)?;
+            .batch_step_transition(boost, PLANT_DT_S)?;
         self.transitions.push(TransitionEntry {
             fan_bits,
             transition,
@@ -433,9 +431,7 @@ impl PlantEngine for PanelEngine {
     /// temperatures, anchors and cadences stay as they were.
     fn admit(&mut self, lane: usize, params: PlantPowerParams) {
         assert!(lane < self.lanes, "lane index out of bounds");
-        let big = scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch);
-        let little = scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch);
-        let gpu = scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch);
+        let [big, little, gpu] = true_leakage(&params);
         for row in 0..4 {
             self.leak.set_model(row, lane, &big, params.initial_temp_c);
         }
@@ -465,7 +461,7 @@ impl PlantEngine for PanelEngine {
         if !(interval_s > 0.0) {
             return Err(SimError::InvalidConfig("control interval must be positive"));
         }
-        let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
+        let micro_steps = micro_steps(interval_s);
 
         // Per-lane interval setup: power linearisation, transition and drive.
         for (lane, input) in inputs.iter().enumerate() {

@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use dtpm::ThermalPredictor;
-use governors::{CpufreqGovernor, UserspaceGovernor};
-use power_model::{ActivityEstimator, DomainPowerModel, FurnaceDataset, LeakageModel, PowerModel};
+use governors::UserspaceGovernor;
+use power_model::{ActivityEstimator, DomainPowerModel, LeakageModel, PowerModel};
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec, Voltage};
 use sysid::{
     identify, n_step_prediction, BlockWriter, DatasetRows, IdentificationDataset,
@@ -172,7 +172,7 @@ impl CalibrationCampaign {
         let logged: Vec<OnceLock<Result<(), SimError>>> =
             blocks.iter().map(|_| OnceLock::new()).collect();
         let setpoints: &[f64] = if furnace.is_some() {
-            &FurnaceDataset::PAPER_SWEEP_C
+            &LeakageModel::FURNACE_SWEEP_C
         } else {
             &[]
         };
@@ -310,8 +310,7 @@ impl CalibrationCampaign {
             memory_intensity: 0.1,
             frequency_scalability: 1.0,
         };
-        let dynamic_w =
-            PhysicalPlant::new(spec.clone(), self.plant).true_dynamic_power_w(&state, &demand)?;
+        let dynamic_w = true_dynamic_power_w(spec, &self.plant, &state, &demand)?;
         Ok(FurnaceLoad {
             state,
             demand,
@@ -489,24 +488,23 @@ fn identify_with_retries(
     )))
 }
 
-impl PhysicalPlant {
-    /// True dynamic power of the big cluster for a pinned state and demand —
-    /// the `αCV²f` value of the characterisation workload, which the paper
-    /// treats as known during the furnace experiment.
-    pub fn true_dynamic_power_w(
-        &self,
-        state: &PlatformState,
-        demand: &Demand,
-    ) -> Result<f64, SimError> {
-        let spec = SocSpec::odroid_xu_e();
-        let volts = spec.big_opps().voltage_for(state.big_frequency)?.volts();
-        let v2f = volts * volts * state.big_frequency.hz();
-        let mut dynamic = self.params().big_uncore_ceff_f * v2f;
-        let online = state.online_core_count(ClusterKind::Big) as f64;
-        let busy = demand.cpu_streams.min(online);
-        dynamic += self.params().big_core_ceff_f * demand.activity_factor * busy * v2f;
-        Ok(dynamic)
-    }
+/// True dynamic power of the big cluster of a plant with power parameters
+/// `plant` for a pinned state and demand — the `αCV²f` value of the
+/// characterisation workload, which the paper treats as known during the
+/// furnace experiment.
+fn true_dynamic_power_w(
+    spec: &SocSpec,
+    plant: &PlantPowerParams,
+    state: &PlatformState,
+    demand: &Demand,
+) -> Result<f64, SimError> {
+    let volts = spec.big_opps().voltage_for(state.big_frequency)?.volts();
+    let v2f = volts * volts * state.big_frequency.hz();
+    let mut dynamic = plant.big_uncore_ceff_f * v2f;
+    let online = state.online_core_count(ClusterKind::Big) as f64;
+    let busy = demand.cpu_streams.min(online);
+    dynamic += plant.big_core_ceff_f * demand.activity_factor * busy * v2f;
+    Ok(dynamic)
 }
 
 #[cfg(test)]

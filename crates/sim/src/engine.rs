@@ -28,7 +28,9 @@
 //! (temperatures to the scenario's initial value, per-lane power parameters
 //! and leakage models), so a sweep scheduler can retire a finished scenario
 //! and admit a queued one into the freed lane mid-flight — the basis of the
-//! lane-compacting scheduler in [`crate::ScenarioSweep`].
+//! lane-compacting scheduler in [`crate::ScenarioSweep`]. Every engine
+//! admits in place: the lane keeps its buffers and the engine its cached
+//! transitions, so an admission builds no plant.
 
 use soc_model::{FanLevel, PlatformState, SocSpec};
 use workload::Demand;
@@ -135,7 +137,6 @@ pub trait PlantEngine {
 /// structure-of-arrays [`PanelEngine`](crate::PanelEngine).
 #[derive(Debug, Clone)]
 pub struct ScalarEngine {
-    spec: SocSpec,
     plants: Vec<PhysicalPlant>,
 }
 
@@ -152,7 +153,7 @@ impl ScalarEngine {
             .iter()
             .map(|p| PhysicalPlant::new(spec.clone(), *p))
             .collect();
-        ScalarEngine { spec, plants }
+        ScalarEngine { plants }
     }
 }
 
@@ -166,7 +167,7 @@ impl PlantEngine for ScalarEngine {
     }
 
     fn admit(&mut self, lane: usize, params: PlantPowerParams) {
-        self.plants[lane] = PhysicalPlant::new(self.spec.clone(), params);
+        self.plants[lane].readmit(params);
     }
 
     fn step_interval(
@@ -320,6 +321,56 @@ mod tests {
             assert!(nodes.iter().all(|&t| t == 33.0));
         }
         assert_eq!(panel.core_temps_c(0), untouched_before);
+    }
+
+    /// Steps a one-lane engine by one interval at `fan_level` and 28 °C.
+    fn step_lane(engine: &mut ScalarEngine, spec: &SocSpec, fan_level: FanLevel) -> PlantStep {
+        let state = PlatformState::default_for(spec);
+        let d = demand();
+        let input = LaneInput {
+            state: &state,
+            demand: &d,
+            fan_level,
+            ambient_c: 28.0,
+        };
+        let mut steps = Vec::new();
+        engine.step_interval(&[input], 0.1, &mut steps).unwrap();
+        steps.pop().unwrap().unwrap()
+    }
+
+    #[test]
+    fn a_readmitted_scalar_lane_matches_a_fresh_engine_bit_for_bit() {
+        let spec = SocSpec::odroid_xu_e();
+        let [first, second] = params();
+        let mut readmitted = ScalarEngine::new(spec.clone(), &[first]);
+        // The first scenario leaves heat and a cached transition behind.
+        for _ in 0..50 {
+            step_lane(&mut readmitted, &spec, FanLevel::Off);
+        }
+        readmitted.admit(0, second);
+        let mut fresh = ScalarEngine::new(spec.clone(), &[second]);
+        let mut a = vec![0.0; fresh.node_count()];
+        let mut b = vec![0.0; fresh.node_count()];
+        for k in 0..100 {
+            // The fan switches on halfway: the kept transition serves the
+            // first half, a rebuilt one the second.
+            let fan = if k < 50 {
+                FanLevel::Off
+            } else {
+                FanLevel::Full
+            };
+            let (x, y) = (
+                step_lane(&mut readmitted, &spec, fan),
+                step_lane(&mut fresh, &spec, fan),
+            );
+            assert_eq!(x, y, "interval {k}");
+            readmitted.node_temps_into(0, &mut a);
+            fresh.node_temps_into(0, &mut b);
+            assert!(
+                a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "interval {k}: {a:?} vs {b:?}"
+            );
+        }
     }
 
     #[test]

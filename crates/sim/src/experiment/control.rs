@@ -3,8 +3,7 @@
 
 use dtpm::{DtpmInputs, DtpmPolicy};
 use governors::{
-    CpufreqGovernor, FanController, GovernorInput, HotplugGovernor, OndemandGovernor,
-    ReactiveThrottler,
+    FanController, GovernorInput, HotplugGovernor, OndemandGovernor, ReactiveThrottler,
 };
 use power_model::PowerModel;
 use soc_model::{ClusterKind, FanLevel, Frequency, PlatformState, PowerDomain, SocSpec};

@@ -90,10 +90,16 @@
 //!   keeps across intervals and hands the engine one reused step buffer,
 //!   and [`batch::PanelEngine`] keeps its per-lane setup errors in a field.
 //!
-//! `tests/interval_allocations.rs` enforces this with a counting allocator:
+//! Admission itself builds no plant: every engine re-initialises the freed
+//! lane in place ([`engine::PlantEngine::admit`]), so what a cell costs the
+//! heap (its control loop and report) does not depend on the lane count.
+//!
+//! `tests/interval_allocations.rs` enforces both with a counting allocator:
 //! one grid of the three paper kinds, healthy and under sensor faults, on
 //! one lane and on eight, run to two duration caps; the extra intervals
-//! must add fewer than one allocation per cell.
+//! must add fewer than one allocation per cell. The same grid at one and
+//! at two replicates bounds what an extra cell costs one lane by what it
+//! costs eight, plus one allocation.
 //!
 //! Inside the interval, [`plant::PhysicalPlant::step_interval`] performs
 //! zero heap allocations per micro-step:

@@ -47,8 +47,8 @@ use workload::Demand;
 
 use crate::engine::{LaneInput, PlantEngine};
 use crate::plant::{
-    compute_interval_ops, online_cores, scaled, throughput_units_per_s, IntervalOps,
-    PlantPowerParams, PlantStep,
+    compute_interval_ops, micro_steps, online_cores, scaled, throughput_units_per_s, true_leakage,
+    IntervalOps, PlantPowerParams, PlantStep, PLANT_DT_S,
 };
 use crate::SimError;
 
@@ -87,7 +87,6 @@ pub struct MixedPanelEngine {
     spec: SocSpec,
     thermal: ExynosThermalNetwork,
     lanes: usize,
-    plant_dt_s: f64,
     params: Vec<PlantPowerParams>,
     /// f64 per-lane node-temperature baseline `T0`, °C; row-major
     /// `node_count × lanes`, advanced at every rebaseline (at most every
@@ -228,7 +227,6 @@ impl MixedPanelEngine {
         MixedPanelEngine {
             spec,
             lanes,
-            plant_dt_s: 0.01,
             params: params.to_vec(),
             baseline,
             baseline_f32: PanelF32::zeros(node_count, lanes),
@@ -284,7 +282,7 @@ impl MixedPanelEngine {
         let full = self
             .thermal
             .network()
-            .batch_step_transition(boost, self.plant_dt_s)?;
+            .batch_step_transition(boost, PLANT_DT_S)?;
         let mut ambient_drive = vec![0.0; full.node_count()];
         full.ambient_drive_into(ambient_c, &mut ambient_drive);
         let demoted = BatchStepTransitionF32::from_f64(&full);
@@ -569,9 +567,7 @@ impl PlantEngine for MixedPanelEngine {
     /// the new initial temperature; all other lanes untouched.
     fn admit(&mut self, lane: usize, params: PlantPowerParams) {
         assert!(lane < self.lanes, "lane index out of bounds");
-        let big = scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch);
-        let little = scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch);
-        let gpu = scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch);
+        let [big, little, gpu] = true_leakage(&params);
         for row in 0..4 {
             self.leak.set_model(row, lane, &big, params.initial_temp_c);
         }
@@ -606,7 +602,7 @@ impl PlantEngine for MixedPanelEngine {
         if !(interval_s > 0.0) {
             return Err(SimError::InvalidConfig("control interval must be positive"));
         }
-        let micro_steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
+        let micro_steps = micro_steps(interval_s);
 
         // Bounded exactly like the f64 batch: eviction is only safe between
         // intervals, while `lane_transition` holds no live indices.

@@ -128,8 +128,6 @@ pub struct PhysicalPlant {
     big_leak: LeakageModel,
     little_leak: LeakageModel,
     gpu_leak: LeakageModel,
-    /// Integration step of the plant, much finer than the control interval.
-    plant_dt_s: f64,
     /// Reusable per-node power-injection vector.
     node_powers: Vec<f64>,
     /// Reusable integrator scratch for [`StepTransition::apply`].
@@ -138,6 +136,16 @@ pub struct PhysicalPlant {
     /// for; rebuilt only when those change (fan steps are rare, ambient is
     /// constant within an experiment).
     transition: Option<CachedTransition>,
+}
+
+/// Integration step of every plant engine, s: ten micro-steps per 100 ms
+/// control interval.
+pub(crate) const PLANT_DT_S: f64 = 0.01;
+
+/// The number of [`PLANT_DT_S`] micro-steps that cover a control interval
+/// of `interval_s` seconds (at least one).
+pub(crate) fn micro_steps(interval_s: f64) -> usize {
+    (interval_s / PLANT_DT_S).round().max(1.0) as usize
 }
 
 /// A [`StepTransition`] together with the key it was built for.
@@ -182,25 +190,48 @@ pub(crate) fn scaled(params: LeakageParams, factor: f64) -> LeakageModel {
     })
 }
 
+/// The silicon's true big, little and GPU leakage models: the characterised
+/// ones scaled by the plant's leakage mismatch.
+pub(crate) fn true_leakage(params: &PlantPowerParams) -> [LeakageModel; 3] {
+    [
+        LeakageParams::exynos5410_big(),
+        LeakageParams::exynos5410_little(),
+        LeakageParams::exynos5410_gpu(),
+    ]
+    .map(|characterised| scaled(characterised, params.leakage_mismatch))
+}
+
 impl PhysicalPlant {
     /// Creates a plant for the given platform at the configured initial
     /// temperature.
     pub fn new(spec: SocSpec, params: PlantPowerParams) -> Self {
         let thermal = ExynosThermalNetwork::odroid_xu_e();
         let node_count = thermal.network().node_count();
+        let [big_leak, little_leak, gpu_leak] = true_leakage(&params);
         PhysicalPlant {
             node_temps_c: vec![params.initial_temp_c; node_count],
-            big_leak: scaled(LeakageParams::exynos5410_big(), params.leakage_mismatch),
-            little_leak: scaled(LeakageParams::exynos5410_little(), params.leakage_mismatch),
-            gpu_leak: scaled(LeakageParams::exynos5410_gpu(), params.leakage_mismatch),
+            big_leak,
+            little_leak,
+            gpu_leak,
             spec,
             params,
             thermal,
-            plant_dt_s: 0.01,
             node_powers: vec![0.0; node_count],
             step_tmp: vec![0.0; node_count],
             transition: None,
         }
+    }
+
+    /// Re-initialises the plant in place for a new scenario: its power
+    /// parameters, the leakage models derived from them and every node
+    /// temperature (to `params.initial_temp_c`). The spec, the thermal
+    /// network, the buffers and the cached transition stay: the transition
+    /// is a pure function of the fan boost, the ambient and the step size,
+    /// so the plant steps bit-identically to a freshly built one.
+    pub(crate) fn readmit(&mut self, params: PlantPowerParams) {
+        [self.big_leak, self.little_leak, self.gpu_leak] = true_leakage(&params);
+        self.params = params;
+        self.reset_temps(params.initial_temp_c);
     }
 
     /// The plant's power parameters.
@@ -373,11 +404,10 @@ impl PhysicalPlant {
             self.transition = Some(CachedTransition {
                 fan_boost_bits: boost_w_per_k.to_bits(),
                 ambient_bits: ambient_c.to_bits(),
-                transition: self.thermal.network().step_transition(
-                    fan_boost,
-                    ambient_c,
-                    self.plant_dt_s,
-                )?,
+                transition: self
+                    .thermal
+                    .network()
+                    .step_transition(fan_boost, ambient_c, PLANT_DT_S)?,
             });
         }
 
@@ -387,7 +417,7 @@ impl PhysicalPlant {
         let online = &online_buf[..online_count];
         let ops = self.interval_ops(state, demand, online)?;
 
-        let steps = (interval_s / self.plant_dt_s).round().max(1.0) as usize;
+        let steps = micro_steps(interval_s);
         let mut power_accum = DomainPower::default();
         // Split the borrows: the power computation reads the models while the
         // integrator writes the reusable buffers.

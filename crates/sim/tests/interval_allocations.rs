@@ -1,16 +1,20 @@
-//! Steady-state control intervals allocate nothing.
+//! Steady-state control intervals allocate nothing, and admitting a cell
+//! costs a one-lane engine no more than a panel engine.
 //!
 //! Once a cell is admitted, each of its intervals decides, steps the plant
 //! and absorbs without touching the heap: the platform state is a `Copy`
 //! value, and every per-interval buffer is owned by the executor, the
 //! engine or the control loop and reused. Admission and retirement may
 //! allocate (a control loop, its report); the intervals in between may not.
+//! The engine's side of an admission re-initialises a lane in place on
+//! every engine, so it allocates nothing either.
 //!
 //! The allocator below counts allocations per thread, because the test
 //! harness runs tests on parallel threads and a one-thread sweep runs on the
-//! calling thread. Each test runs one grid at a duration cap and at twice
-//! that cap, and asserts that the extra intervals add fewer than one
-//! allocation per cell.
+//! calling thread. The steady-state tests run one grid at a duration cap and
+//! at twice that cap, and assert that the extra intervals add fewer than one
+//! allocation per cell. The admission test runs the grid at one and at two
+//! replicates, so that one-time engine set-up cancels.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -134,10 +138,9 @@ fn grid(duration_s: f64) -> SweepSpec {
     spec
 }
 
-/// Runs the grid at `duration_s` on this thread with `lanes` engine lanes,
-/// and returns the allocations the run made and the cells' summaries.
-fn run(lanes: usize, duration_s: f64) -> (u64, Vec<RunSummary>) {
-    let spec = grid(duration_s);
+/// Runs `spec` on this thread with `lanes` engine lanes, and returns the
+/// allocations the run made and the cells' summaries.
+fn run(lanes: usize, spec: &SweepSpec) -> (u64, Vec<RunSummary>) {
     let runner = spec.runner().with_threads(1).with_lanes(lanes);
     let mut sink = CollectSink::new(spec.cells());
     let before = ALLOCATIONS.with(Cell::get);
@@ -155,9 +158,9 @@ fn run(lanes: usize, duration_s: f64) -> (u64, Vec<RunSummary>) {
 /// cell on engines of `lanes` lanes.
 fn assert_steady_state_allocates_nothing(lanes: usize) {
     // One-time set-up (lazily built caches, kernel dispatch) lands here.
-    run(lanes, SHORT_S);
-    let (short, short_cells) = run(lanes, SHORT_S);
-    let (long, long_cells) = run(lanes, 2.0 * SHORT_S);
+    run(lanes, &grid(SHORT_S));
+    let (short, short_cells) = run(lanes, &grid(SHORT_S));
+    let (long, long_cells) = run(lanes, &grid(2.0 * SHORT_S));
     // The extra intervals are steady state: every cell ran to both caps,
     // logged its last incident before the shorter one, and its policy kept
     // acting.
@@ -189,4 +192,28 @@ fn steady_state_intervals_allocate_nothing_on_eight_lanes() {
 #[test]
 fn steady_state_intervals_allocate_nothing_on_one_lane() {
     assert_steady_state_allocates_nothing(1);
+}
+
+/// The allocations that the grid's second replicate adds to a sweep on
+/// engines of `lanes` lanes, and how many cells it adds.
+fn second_replicate_allocations(lanes: usize) -> (u64, u64) {
+    let one = grid(SHORT_S);
+    let two = grid(SHORT_S).with_replicates(2);
+    // One-time set-up (lazily built caches, kernel dispatch) lands here.
+    run(lanes, &one);
+    let (single, _) = run(lanes, &one);
+    let (double, _) = run(lanes, &two);
+    (double - single, (two.cells() - one.cells()) as u64)
+}
+
+#[test]
+fn an_admitted_cell_costs_one_lane_no_more_allocations_than_eight() {
+    let (one_lane, cells) = second_replicate_allocations(1);
+    let (eight_lanes, _) = second_replicate_allocations(8);
+    // Per extra cell: one lane at most one allocation above eight lanes.
+    assert!(
+        one_lane <= eight_lanes + cells,
+        "{cells} extra cells made {one_lane} allocations on one lane against \
+         {eight_lanes} on eight"
+    );
 }

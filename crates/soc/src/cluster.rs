@@ -26,11 +26,6 @@ impl ClusterKind {
             ClusterKind::Little => ClusterKind::Big,
         }
     }
-
-    /// `true` for the big cluster.
-    pub fn is_big(self) -> bool {
-        matches!(self, ClusterKind::Big)
-    }
 }
 
 impl std::fmt::Display for ClusterKind {
@@ -39,16 +34,6 @@ impl std::fmt::Display for ClusterKind {
             ClusterKind::Big => write!(f, "big"),
             ClusterKind::Little => write!(f, "little"),
         }
-    }
-}
-
-/// Identifier of a core inside a cluster (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct CoreId(pub usize);
-
-impl std::fmt::Display for CoreId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "core{}", self.0)
     }
 }
 
@@ -107,7 +92,6 @@ mod tests {
     fn display_names() {
         assert_eq!(ClusterKind::Big.to_string(), "big");
         assert_eq!(ClusterKind::Little.to_string(), "little");
-        assert_eq!(CoreId(3).to_string(), "core3");
     }
 
     #[test]
@@ -121,12 +105,6 @@ mod tests {
         let big = ClusterSpec::exynos5410_big();
         let little = ClusterSpec::exynos5410_little();
         assert!(big.performance_per_ghz > little.performance_per_ghz);
-        assert!(big.is_big_kind());
-    }
-
-    impl ClusterSpec {
-        fn is_big_kind(&self) -> bool {
-            self.kind.is_big()
-        }
+        assert_eq!(big.kind, ClusterKind::Big);
     }
 }

@@ -40,22 +40,12 @@ impl PowerDomain {
         }
     }
 
-    /// The domain at the given power-vector index, if valid.
-    pub fn from_index(index: usize) -> Option<PowerDomain> {
-        PowerDomain::ALL.get(index).copied()
-    }
-
     /// The CPU power domain corresponding to a cluster.
     pub fn from_cluster(kind: ClusterKind) -> PowerDomain {
         match kind {
             ClusterKind::Big => PowerDomain::BigCpu,
             ClusterKind::Little => PowerDomain::LittleCpu,
         }
-    }
-
-    /// Returns `true` if this domain is one of the CPU clusters.
-    pub fn is_cpu(self) -> bool {
-        matches!(self, PowerDomain::BigCpu | PowerDomain::LittleCpu)
     }
 }
 
@@ -77,10 +67,9 @@ mod tests {
 
     #[test]
     fn indices_round_trip() {
-        for domain in PowerDomain::ALL {
-            assert_eq!(PowerDomain::from_index(domain.index()), Some(domain));
+        for (index, domain) in PowerDomain::ALL.into_iter().enumerate() {
+            assert_eq!(domain.index(), index);
         }
-        assert_eq!(PowerDomain::from_index(4), None);
         assert_eq!(PowerDomain::ALL.len(), PowerDomain::COUNT);
     }
 
@@ -94,10 +83,6 @@ mod tests {
             PowerDomain::from_cluster(ClusterKind::Little),
             PowerDomain::LittleCpu
         );
-        assert!(PowerDomain::BigCpu.is_cpu());
-        assert!(PowerDomain::LittleCpu.is_cpu());
-        assert!(!PowerDomain::Gpu.is_cpu());
-        assert!(!PowerDomain::Memory.is_cpu());
     }
 
     #[test]

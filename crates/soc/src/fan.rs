@@ -44,11 +44,6 @@ impl FanLevel {
             FanLevel::Full => 1.00,
         }
     }
-
-    /// Returns `true` if the fan is spinning at all.
-    pub fn is_on(self) -> bool {
-        !matches!(self, FanLevel::Off)
-    }
 }
 
 impl std::fmt::Display for FanLevel {
@@ -232,12 +227,5 @@ mod tests {
         assert_eq!(p.level_for(40.0, FanLevel::Off), FanLevel::Off);
         // Cooling all the way down turns the fan off even from Full.
         assert_eq!(p.level_for(40.0, FanLevel::Full), FanLevel::Off);
-    }
-
-    #[test]
-    fn fan_is_on_reports_spinning() {
-        assert!(!FanLevel::Off.is_on());
-        assert!(FanLevel::Base.is_on());
-        assert!(FanLevel::Full.is_on());
     }
 }

@@ -43,7 +43,7 @@ pub mod fan;
 pub mod opp;
 pub mod platform;
 
-pub use cluster::{ClusterKind, ClusterSpec, CoreId};
+pub use cluster::{ClusterKind, ClusterSpec};
 pub use domain::PowerDomain;
 pub use error::SocError;
 pub use fan::{FanLevel, FanModel, FanPolicy};

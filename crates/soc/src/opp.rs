@@ -279,13 +279,6 @@ impl OppTable {
         }
     }
 
-    /// The operating point one level above the given frequency, or `None` if
-    /// already at (or above) the highest level.
-    pub fn step_up(&self, frequency: Frequency) -> Option<OperatingPoint> {
-        let idx = self.index_of(frequency)?;
-        self.points.get(idx + 1).copied()
-    }
-
     /// Returns the operating point closest to scaling `frequency` by `factor`
     /// without exceeding it (used by the reactive throttling heuristic that
     /// cuts the frequency by 18 % / 25 %).
@@ -374,16 +367,18 @@ mod tests {
     }
 
     #[test]
-    fn step_up_and_down() {
+    fn step_down_moves_one_level() {
         let t = OppTable::exynos5410_little();
-        let f = Frequency::from_mhz(500);
-        assert!(t.step_down(f).is_none());
-        assert_eq!(t.step_up(f).unwrap().frequency.mhz(), 600);
-        let top = Frequency::from_mhz(1200);
-        assert!(t.step_up(top).is_none());
-        assert_eq!(t.step_down(top).unwrap().frequency.mhz(), 1100);
+        assert!(t.step_down(Frequency::from_mhz(500)).is_none());
+        assert_eq!(
+            t.step_down(Frequency::from_mhz(1200))
+                .unwrap()
+                .frequency
+                .mhz(),
+            1100
+        );
         // Frequencies not in the table have no neighbours.
-        assert!(t.step_up(Frequency::from_mhz(555)).is_none());
+        assert!(t.step_down(Frequency::from_mhz(555)).is_none());
     }
 
     #[test]

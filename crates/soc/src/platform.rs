@@ -1,8 +1,8 @@
 //! The complete platform specification and its run-time actuator state.
 
 use crate::cluster::{ClusterKind, ClusterSpec};
-use crate::fan::{FanModel, FanPolicy};
-use crate::opp::{Frequency, OppTable, Voltage};
+use crate::fan::FanModel;
+use crate::opp::{Frequency, OppTable};
 use crate::SocError;
 
 /// Static description of the SoC and board: clusters, GPU, fan.
@@ -10,10 +10,10 @@ use crate::SocError;
 /// # Example
 ///
 /// ```
-/// use soc_model::SocSpec;
+/// use soc_model::{ClusterKind, SocSpec};
 ///
 /// let spec = SocSpec::odroid_xu_e();
-/// assert_eq!(spec.big_cluster().core_count, 4);
+/// assert_eq!(spec.cluster(ClusterKind::Big).core_count, 4);
 /// assert_eq!(spec.gpu_opps().len(), 5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +22,6 @@ pub struct SocSpec {
     little: ClusterSpec,
     gpu_opps: OppTable,
     fan: FanModel,
-    fan_policy: FanPolicy,
     /// Ambient temperature around the board in °C.
     ambient_c: f64,
 }
@@ -35,7 +34,6 @@ impl SocSpec {
             little: ClusterSpec::exynos5410_little(),
             gpu_opps: OppTable::exynos5410_gpu(),
             fan: FanModel::odroid_xu_e(),
-            fan_policy: FanPolicy::odroid_default(),
             ambient_c: 28.0,
         }
     }
@@ -46,16 +44,6 @@ impl SocSpec {
     pub fn with_ambient_c(mut self, ambient_c: f64) -> Self {
         self.ambient_c = ambient_c;
         self
-    }
-
-    /// The big (Cortex-A15) cluster description.
-    pub fn big_cluster(&self) -> &ClusterSpec {
-        &self.big
-    }
-
-    /// The little (Cortex-A7) cluster description.
-    pub fn little_cluster(&self) -> &ClusterSpec {
-        &self.little
     }
 
     /// The cluster description for the given kind.
@@ -91,21 +79,9 @@ impl SocSpec {
         &self.fan
     }
 
-    /// The default fan-control thresholds.
-    pub fn fan_policy(&self) -> &FanPolicy {
-        &self.fan_policy
-    }
-
     /// Ambient temperature around the board, in °C.
     pub fn ambient_c(&self) -> f64 {
         self.ambient_c
-    }
-
-    /// Number of temperature hotspots with dedicated sensors. On the Exynos
-    /// 5410 each of the four big cores has its own sensor; these are the
-    /// states of the identified thermal model.
-    pub fn hotspot_count(&self) -> usize {
-        self.big.core_count
     }
 }
 
@@ -193,17 +169,6 @@ impl PlatformState {
             ClusterKind::Big => self.big_frequency = frequency,
             ClusterKind::Little => self.little_frequency = frequency,
         }
-    }
-
-    /// Supply voltage of the active cluster at its current frequency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::UnsupportedFrequency`] if the current frequency is
-    /// not one of the cluster's operating points.
-    pub fn active_voltage(&self, spec: &SocSpec) -> Result<Voltage, SocError> {
-        spec.cluster_opps(self.active_cluster)
-            .voltage_for(self.active_frequency())
     }
 
     /// Number of online cores in the given cluster.
@@ -383,20 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn active_voltage_follows_frequency() {
-        let spec = SocSpec::odroid_xu_e();
-        let mut state = PlatformState::default_for(&spec);
-        assert_eq!(state.active_voltage(&spec).unwrap().volts(), 1.20);
-        state.set_cluster_frequency(ClusterKind::Big, Frequency::from_mhz(800));
-        assert_eq!(state.active_voltage(&spec).unwrap().volts(), 0.92);
-        state.migrate_to_cluster(ClusterKind::Little, Frequency::from_mhz(500));
-        assert_eq!(state.active_voltage(&spec).unwrap().volts(), 0.90);
-    }
-
-    #[test]
     fn spec_accessors() {
         let spec = SocSpec::odroid_xu_e();
-        assert_eq!(spec.hotspot_count(), 4);
         assert_eq!(spec.cluster(ClusterKind::Big).kind, ClusterKind::Big);
         assert_eq!(spec.cluster_opps(ClusterKind::Little).len(), 8);
         assert_eq!(spec.ambient_c(), 28.0);

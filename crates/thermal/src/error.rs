@@ -20,11 +20,6 @@ pub enum ThermalError {
     InvalidParameter(&'static str),
     /// The underlying linear algebra failed (singular conductance matrix, ...).
     Numeric(String),
-    /// The model is unstable (spectral radius of `As` is not below one).
-    UnstableModel {
-        /// Estimated spectral radius of the state matrix.
-        spectral_radius: f64,
-    },
 }
 
 impl fmt::Display for ThermalError {
@@ -37,10 +32,6 @@ impl fmt::Display for ThermalError {
             } => write!(f, "{what} has length {actual}, expected {expected}"),
             ThermalError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             ThermalError::Numeric(msg) => write!(f, "numeric failure: {msg}"),
-            ThermalError::UnstableModel { spectral_radius } => write!(
-                f,
-                "thermal model is unstable (spectral radius {spectral_radius:.4} >= 1)"
-            ),
         }
     }
 }

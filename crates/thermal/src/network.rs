@@ -30,8 +30,8 @@ pub struct NodeId(pub usize);
 ///
 /// # fn main() -> Result<(), thermal_model::ThermalError> {
 /// let mut b = ThermalNetworkBuilder::new();
-/// let die = b.add_node("die", 0.2);
-/// let case = b.add_node("case", 8.0);
+/// let die = b.add_node(0.2);
+/// let case = b.add_node(8.0);
 /// b.connect(die, case, 2.0)?;
 /// b.connect_to_ambient(case, 0.07)?;
 /// let network = b.build()?;
@@ -41,7 +41,6 @@ pub struct NodeId(pub usize);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ThermalNetworkBuilder {
-    names: Vec<String>,
     capacitances: Vec<f64>,
     /// (node a, node b, conductance W/K)
     couplings: Vec<(usize, usize, f64)>,
@@ -55,13 +54,11 @@ impl ThermalNetworkBuilder {
         ThermalNetworkBuilder::default()
     }
 
-    /// Adds a node with the given name and heat capacitance (J/K) and returns
-    /// its id.
-    pub fn add_node(&mut self, name: &str, capacitance_j_per_k: f64) -> NodeId {
-        self.names.push(name.to_owned());
+    /// Adds a node with the given heat capacitance (J/K) and returns its id.
+    pub fn add_node(&mut self, capacitance_j_per_k: f64) -> NodeId {
         self.capacitances.push(capacitance_j_per_k);
         self.ambient_conductances.push(0.0);
-        NodeId(self.names.len() - 1)
+        NodeId(self.capacitances.len() - 1)
     }
 
     /// Connects two nodes with a thermal conductance (W/K).
@@ -76,7 +73,7 @@ impl ThermalNetworkBuilder {
         b: NodeId,
         conductance_w_per_k: f64,
     ) -> Result<(), ThermalError> {
-        if a.0 >= self.names.len() || b.0 >= self.names.len() {
+        if a.0 >= self.capacitances.len() || b.0 >= self.capacitances.len() {
             return Err(ThermalError::InvalidParameter("unknown node id"));
         }
         if a == b {
@@ -105,7 +102,7 @@ impl ThermalNetworkBuilder {
         node: NodeId,
         conductance_w_per_k: f64,
     ) -> Result<(), ThermalError> {
-        if node.0 >= self.names.len() {
+        if node.0 >= self.capacitances.len() {
             return Err(ThermalError::InvalidParameter("unknown node id"));
         }
         if !(conductance_w_per_k > 0.0) {
@@ -125,7 +122,7 @@ impl ThermalNetworkBuilder {
     /// a node has a non-positive capacitance, or no node is connected to the
     /// ambient (the network could then not shed heat at all).
     pub fn build(self) -> Result<ThermalNetwork, ThermalError> {
-        if self.names.is_empty() {
+        if self.capacitances.is_empty() {
             return Err(ThermalError::InvalidParameter("network has no nodes"));
         }
         if self.capacitances.iter().any(|&c| !(c > 0.0)) {
@@ -143,7 +140,6 @@ impl ThermalNetworkBuilder {
         // as a flat edge list.
         let inv_capacitances = self.capacitances.iter().map(|c| 1.0 / c).collect();
         Ok(ThermalNetwork {
-            names: self.names,
             capacitances: self.capacitances,
             couplings: self.couplings,
             ambient_conductances: self.ambient_conductances,
@@ -158,7 +154,7 @@ impl ThermalNetworkBuilder {
 ///
 /// The per-interval simulation loop used to call
 /// [`ThermalNetwork::with_extra_ambient_conductance`], cloning the entire
-/// network (names included) once per control interval. A `FanBoost` carries
+/// network once per control interval. A `FanBoost` carries
 /// the same information as a two-word value instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanBoost {
@@ -240,7 +236,6 @@ impl RkScratch {
 /// A lumped RC thermal network integrated with fixed-step RK4.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalNetwork {
-    names: Vec<String>,
     capacitances: Vec<f64>,
     couplings: Vec<(usize, usize, f64)>,
     ambient_conductances: Vec<f64>,
@@ -251,21 +246,7 @@ pub struct ThermalNetwork {
 impl ThermalNetwork {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node id is out of range.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0]
-    }
-
-    /// Looks up a node id by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.names.iter().position(|n| n == name).map(NodeId)
+        self.capacitances.len()
     }
 
     /// Additional conductance to ambient applied to `node` (used to model the
@@ -898,14 +879,14 @@ impl ExynosThermalNetwork {
     /// (Figure 1.1), while light loads settle in the mid-40s.
     pub fn odroid_xu_e() -> Self {
         let mut b = ThermalNetworkBuilder::new();
-        let big0 = b.add_node("big_core0", 0.18);
-        let big1 = b.add_node("big_core1", 0.18);
-        let big2 = b.add_node("big_core2", 0.18);
-        let big3 = b.add_node("big_core3", 0.18);
-        let little = b.add_node("little_cluster", 0.35);
-        let gpu = b.add_node("gpu", 0.30);
-        let memory = b.add_node("memory", 0.40);
-        let case = b.add_node("case", 11.0);
+        let big0 = b.add_node(0.18);
+        let big1 = b.add_node(0.18);
+        let big2 = b.add_node(0.18);
+        let big3 = b.add_node(0.18);
+        let little = b.add_node(0.35);
+        let gpu = b.add_node(0.30);
+        let memory = b.add_node(0.40);
+        let case = b.add_node(11.0);
 
         // Big cores sit on a 2x2 grid: 0-1 / 2-3. The relatively small
         // conductances produce per-core gradients of a degree or two under
@@ -1092,7 +1073,7 @@ mod tests {
         assert!(ThermalNetworkBuilder::new().build().is_err());
 
         let mut b = ThermalNetworkBuilder::new();
-        let n = b.add_node("n", 1.0);
+        let n = b.add_node(1.0);
         // No ambient connection.
         assert!(b.clone().build().is_err());
         assert!(b.connect(n, n, 1.0).is_err());
@@ -1106,7 +1087,7 @@ mod tests {
     #[test]
     fn builder_rejects_non_positive_capacitance() {
         let mut b = ThermalNetworkBuilder::new();
-        let n = b.add_node("bad", 0.0);
+        let n = b.add_node(0.0);
         b.connect_to_ambient(n, 0.5).unwrap();
         assert!(b.build().is_err());
     }
@@ -1289,6 +1270,7 @@ mod tests {
         let boost = plant.fan_boost(0.055);
         let transition = network.step_transition(boost, 28.0, 0.01).unwrap();
         assert_eq!(transition.node_count(), 8);
+        assert_eq!(network.capacitances().len(), 8);
 
         let mut staged = uniform_start(network, 52.0);
         let mut fast = staged.clone();
@@ -1571,16 +1553,6 @@ mod tests {
             .network()
             .step_transition(FanBoost::NONE, 28.0, 0.0)
             .is_err());
-    }
-
-    #[test]
-    fn node_lookup_by_name() {
-        let plant = ExynosThermalNetwork::odroid_xu_e();
-        let network = plant.network();
-        assert_eq!(network.node_by_name("gpu"), Some(plant.gpu_node()));
-        assert_eq!(network.node_by_name("nonexistent"), None);
-        assert_eq!(network.node_name(plant.case_node()), "case");
-        assert_eq!(network.capacitances().len(), 8);
     }
 
     #[test]

@@ -60,42 +60,6 @@ impl DiscreteThermalModel {
         })
     }
 
-    /// Builds the model by Euler-discretising a continuous thermal network
-    /// description `C·dT/dt = −G·T + P`:
-    ///
-    /// ```text
-    /// As = I − Ts·C⁻¹·G,   Bs = Ts·C⁻¹          (Eq. 4.4)
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the matrices are incompatible, `C` is singular, or
-    /// the resulting discrete model is unstable (sample period too long for
-    /// the fastest time constant).
-    pub fn from_continuous(
-        capacitance: &Matrix,
-        conductance: &Matrix,
-        sample_period_s: f64,
-    ) -> Result<Self, ThermalError> {
-        if !capacitance.is_square() || !conductance.is_square() {
-            return Err(ThermalError::InvalidParameter(
-                "capacitance and conductance matrices must be square",
-            ));
-        }
-        let c_inv = capacitance.inverse()?;
-        let a = Matrix::identity(capacitance.rows())
-            .sub(&c_inv.mul(conductance)?.scale(sample_period_s))?;
-        let b = c_inv.scale(sample_period_s);
-        let model = DiscreteThermalModel::new(a, b, sample_period_s)?;
-        let rho = model.spectral_radius()?;
-        if rho >= 1.0 {
-            return Err(ThermalError::UnstableModel {
-                spectral_radius: rho,
-            });
-        }
-        Ok(model)
-    }
-
     /// Number of thermal states (hotspots).
     pub fn state_count(&self) -> usize {
         self.a.rows()
@@ -119,26 +83,6 @@ impl DiscreteThermalModel {
     /// The sample period `Ts` in seconds.
     pub fn sample_period_s(&self) -> f64 {
         self.sample_period_s
-    }
-
-    /// The `i`-th row of `As` (written `As,i` in the paper's budget equation)
-    /// as a borrowed slice — no per-call allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn a_row(&self, i: usize) -> &[f64] {
-        self.a.row_slice(i)
-    }
-
-    /// The `i`-th row of `Bs` (written `Bs,i` in the paper's budget equation)
-    /// as a borrowed slice — no per-call allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn b_row(&self, i: usize) -> &[f64] {
-        self.b.row_slice(i)
     }
 
     /// One prediction step: `T[k+1] = As·T[k] + Bs·P[k]`.
@@ -223,28 +167,6 @@ impl DiscreteThermalModel {
             std::mem::swap(state, tmp);
         }
         Ok(())
-    }
-
-    /// Predicts the full temperature trajectory for a given power trajectory
-    /// (Eq. 4.5). Returns one temperature vector per step, starting at
-    /// `T[k+1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::DimensionMismatch`] if any power vector has the
-    /// wrong length.
-    pub fn predict_trajectory(
-        &self,
-        temps: &Vector,
-        power_trajectory: &[Vector],
-    ) -> Result<Vec<Vector>, ThermalError> {
-        let mut out = Vec::with_capacity(power_trajectory.len());
-        let mut state = temps.clone();
-        for powers in power_trajectory {
-            state = self.step(&state, powers)?;
-            out.push(state.clone());
-        }
-        Ok(out)
     }
 
     /// The "aggregate" one-shot form of an `n`-step constant-power prediction:
@@ -460,7 +382,8 @@ mod tests {
     fn construction_validates_inputs() {
         let a = Matrix::identity(2).scale(0.9);
         let b = Matrix::zeros(2, 3);
-        assert!(DiscreteThermalModel::new(a.clone(), b.clone(), 0.1).is_ok());
+        let model = DiscreteThermalModel::new(a.clone(), b.clone(), 0.1).unwrap();
+        assert_eq!(model.sample_period_s(), 0.1);
         assert!(DiscreteThermalModel::new(a.clone(), b.clone(), 0.0).is_err());
         assert!(DiscreteThermalModel::new(a.clone(), Matrix::zeros(3, 2), 0.1).is_err());
         assert!(DiscreteThermalModel::new(Matrix::zeros(2, 3), b, 0.1).is_err());
@@ -537,23 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_prediction_tracks_varying_power() {
-        let model = example_model();
-        let t = Vector::zeros(4);
-        let trajectory: Vec<Vector> = (0..20)
-            .map(|k| {
-                let load = if k < 10 { 2.5 } else { 0.5 };
-                Vector::from_slice(&[load, 0.05, 0.1, 0.3])
-            })
-            .collect();
-        let temps = model.predict_trajectory(&t, &trajectory).unwrap();
-        assert_eq!(temps.len(), 20);
-        // Heating during the first phase, cooling during the second.
-        assert!(temps[9][0] > temps[0][0]);
-        assert!(temps[19][0] < temps[9][0]);
-    }
-
-    #[test]
     fn zero_horizon_rejected() {
         let model = example_model();
         assert!(model
@@ -567,33 +473,6 @@ mod tests {
         let model = example_model();
         assert!(model.step(&Vector::zeros(3), &Vector::zeros(4)).is_err());
         assert!(model.step(&Vector::zeros(4), &Vector::zeros(2)).is_err());
-    }
-
-    #[test]
-    fn from_continuous_produces_stable_model() {
-        // Simple 2-node network: both nodes 1 J/K, coupled by 0.5 W/K, node 0
-        // connected to ambient with 0.2 W/K.
-        let c = Matrix::from_diagonal(&[1.0, 1.0]);
-        let g = Matrix::from_rows(&[&[0.7, -0.5], &[-0.5, 0.5]]).unwrap();
-        let model = DiscreteThermalModel::from_continuous(&c, &g, 0.1).unwrap();
-        assert!(model.is_stable());
-        assert_eq!(model.state_count(), 2);
-        assert_eq!(model.input_count(), 2);
-        // Heating node 1 heats node 0 through the coupling.
-        let heated = model
-            .predict_constant_power(&Vector::zeros(2), &Vector::from_slice(&[0.0, 1.0]), 500)
-            .unwrap();
-        assert!(heated[0] > 0.5);
-        assert!(heated[1] > heated[0]);
-    }
-
-    #[test]
-    fn from_continuous_rejects_too_long_sample_period() {
-        // Same network, but a 10 s Euler step is way past the stability limit.
-        let c = Matrix::from_diagonal(&[0.1, 0.1]);
-        let g = Matrix::from_rows(&[&[0.7, -0.5], &[-0.5, 0.5]]).unwrap();
-        let err = DiscreteThermalModel::from_continuous(&c, &g, 10.0).unwrap_err();
-        assert!(matches!(err, ThermalError::UnstableModel { .. }));
     }
 
     #[test]
@@ -658,13 +537,5 @@ mod tests {
         assert!(map.apply_into(&[0.0; 3], &[0.0; 4], &mut out).is_err());
         assert!(map.apply_into(&[0.0; 4], &[0.0; 5], &mut out).is_err());
         assert!(map.apply_into(&[0.0; 4], &[0.0; 4], &mut [0.0; 2]).is_err());
-    }
-
-    #[test]
-    fn row_accessors_match_matrices() {
-        let model = example_model();
-        assert_eq!(model.a_row(2), model.a().row(2).as_slice());
-        assert_eq!(model.b_row(1), model.b().row(1).as_slice());
-        assert_eq!(model.sample_period_s(), 0.1);
     }
 }

@@ -19,11 +19,7 @@ use thermal_model::{
 fn build_network(caps: &[f64], conds: &[f64], ambient_conds: &[f64]) -> ThermalNetwork {
     let n = caps.len();
     let mut b = ThermalNetworkBuilder::new();
-    let ids: Vec<_> = caps
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| b.add_node(&format!("n{i}"), c))
-        .collect();
+    let ids: Vec<_> = caps.iter().map(|&c| b.add_node(c)).collect();
     // A chain keeps every node connected; a long-range edge adds structure.
     for i in 0..n - 1 {
         b.connect(ids[i], ids[i + 1], conds[i % conds.len()])

@@ -148,15 +148,6 @@ impl BenchmarkId {
         }
     }
 
-    /// Looks up a benchmark by its [`BenchmarkId::name`],
-    /// ASCII-case-insensitively (`"SHA"`, `"Matrix-Mult"` and
-    /// `"matrix-mult"` all resolve).
-    pub fn from_name(name: &str) -> Option<BenchmarkId> {
-        BenchmarkId::ALL
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(name))
-    }
-
     /// The full description of this benchmark.
     pub fn spec(self) -> Benchmark {
         Benchmark::of(self)
@@ -465,16 +456,6 @@ impl Benchmark {
     pub fn total_work_units(&self) -> f64 {
         self.phases.iter().map(|p| p.work_units).sum()
     }
-
-    /// Approximate execution time at the maximum big-cluster performance
-    /// (all streams on big cores at 1.6 GHz), in seconds. Used to sanity-check
-    /// the profiles against the run lengths shown in the paper's figures.
-    pub fn nominal_duration_s(&self) -> f64 {
-        self.phases
-            .iter()
-            .map(|p| p.work_units / (1.6 * p.cpu_streams.min(4.0)))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -489,15 +470,11 @@ mod tests {
     }
 
     #[test]
-    fn names_are_unique_and_round_trip() {
+    fn names_are_unique() {
         let mut names: Vec<&str> = BenchmarkId::ALL.iter().map(|b| b.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), BenchmarkId::ALL.len());
-        for id in BenchmarkId::ALL {
-            assert_eq!(BenchmarkId::from_name(id.name()), Some(id));
-        }
-        assert_eq!(BenchmarkId::from_name("no-such-benchmark"), None);
     }
 
     #[test]
@@ -511,29 +488,6 @@ mod tests {
         for id in BenchmarkId::paper_set() {
             assert!(BenchmarkId::all().any(|b| b == id), "{id} missing");
         }
-    }
-
-    #[test]
-    fn from_name_is_case_insensitive() {
-        assert_eq!(
-            BenchmarkId::from_name("BLOWFISH"),
-            Some(BenchmarkId::Blowfish)
-        );
-        assert_eq!(
-            BenchmarkId::from_name("Matrix-Mult"),
-            Some(BenchmarkId::MatrixMult)
-        );
-        assert_eq!(
-            BenchmarkId::from_name("TempleRun"),
-            Some(BenchmarkId::Templerun)
-        );
-        for id in BenchmarkId::all() {
-            assert_eq!(
-                BenchmarkId::from_name(&id.name().to_ascii_uppercase()),
-                Some(id)
-            );
-        }
-        assert_eq!(BenchmarkId::from_name("NO-SUCH-BENCHMARK"), None);
     }
 
     #[test]
@@ -588,18 +542,6 @@ mod tests {
                 assert!((0.0..=1.0).contains(&phase.memory_intensity), "{id} memory");
             }
             assert!(spec.thread_count >= 1 && spec.thread_count <= 4);
-        }
-    }
-
-    #[test]
-    fn nominal_durations_match_the_papers_run_lengths() {
-        // The figures show runs between roughly one and five minutes.
-        for id in BenchmarkId::ALL {
-            let d = id.spec().nominal_duration_s();
-            assert!(
-                (40.0..=400.0).contains(&d),
-                "{id} nominal duration {d:.0} s out of range"
-            );
         }
     }
 
