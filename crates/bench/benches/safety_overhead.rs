@@ -85,7 +85,7 @@ fn main() {
             armed.trace, disabled.trace,
             "lane {lane}: armed safety must be bit-identical on healthy runs"
         );
-        intervals += armed.trace.len();
+        intervals += armed.summary.intervals;
     }
     bench.config("intervals", intervals);
 

@@ -20,8 +20,8 @@
 
 use bench::microbench::{Bound, Microbench};
 use platform_sim::{
-    Calibration, CalibrationCampaign, ExperimentConfig, ExperimentKind, ScenarioSweep, SimError,
-    SimulationResult,
+    Calibration, CalibrationCampaign, ExperimentConfig, ExperimentKind, RunReport, ScenarioSweep,
+    SimError,
 };
 use workload::BenchmarkId;
 
@@ -57,7 +57,7 @@ fn ragged_configs(short_s: f64, long_s: f64) -> Vec<ExperimentConfig> {
 fn run_static(
     configs: &[ExperimentConfig],
     calibration: &Calibration,
-) -> Vec<Result<SimulationResult, SimError>> {
+) -> Vec<Result<RunReport, SimError>> {
     let mut results = Vec::with_capacity(configs.len());
     for tile in configs.chunks(LANES) {
         let sweep = ScenarioSweep::new(tile.to_vec())
@@ -105,14 +105,17 @@ fn main() {
     // Lane recycling must be invisible in the results.
     assert_eq!(static_results.len(), compact_results.len());
     for (slot, (a, b)) in static_results.iter().zip(&compact_results).enumerate() {
-        let a = a.as_ref().expect("static run succeeds");
-        let b = b.as_ref().expect("compacting run succeeds");
+        let a = &a.as_ref().expect("static run succeeds").summary;
+        let b = &b.as_ref().expect("compacting run succeeds").summary;
         assert_eq!(a.config, b.config, "slot {slot} out of order");
         assert_eq!(
             a.execution_time_s, b.execution_time_s,
             "slot {slot} execution time diverged"
         );
-        assert_eq!(a.trace.len(), b.trace.len(), "slot {slot} trace diverged");
+        assert_eq!(
+            a.intervals, b.intervals,
+            "slot {slot} interval count diverged"
+        );
         assert!(
             (a.energy_j - b.energy_j).abs() <= 1e-6 * a.energy_j.abs().max(1.0),
             "slot {slot} energy diverged: {} vs {}",

@@ -3,22 +3,29 @@
 use std::fmt::Write as _;
 
 use platform_sim::{
-    Experiment, ExperimentConfig, ExperimentKind, SimError, SimulationResult, StabilityReport,
+    Experiment, ExperimentConfig, ExperimentKind, RunReport, RunSummary, SimError, StabilityReport,
+    Trace,
 };
 use workload::BenchmarkId;
 
 use crate::ExperimentContext;
 
+/// Runs one benchmark with its trace retained: the summary for the printed
+/// numbers, the trace for the plotted series.
 fn run(
     context: &ExperimentContext,
     kind: ExperimentKind,
     benchmark: BenchmarkId,
-) -> Result<SimulationResult, SimError> {
+) -> Result<(RunSummary, Trace), SimError> {
     let mut config = ExperimentConfig::new(kind, benchmark).with_seed(7);
     if context.quick {
         config.max_duration_s = 240.0;
     }
-    Experiment::new(&config, &context.calibration)?.run()
+    let RunReport { summary, trace } = Experiment::new(&config, &context.calibration)?.run()?;
+    Ok((
+        summary,
+        trace.expect("an experiment retains its trace by default"),
+    ))
 }
 
 fn temperature_figure(
@@ -29,14 +36,13 @@ fn temperature_figure(
 ) -> Result<String, SimError> {
     let mut out = format!("{title}\n");
     for &kind in kinds {
-        let result = run(context, kind, benchmark)?;
-        let series = result.trace.max_temp_series();
-        let times: Vec<f64> = result.trace.records().iter().map(|r| r.time_s).collect();
-        let stability = StabilityReport::of(&result);
+        let (summary, trace) = run(context, kind, benchmark)?;
+        let series = trace.max_temp_series();
+        let times: Vec<f64> = trace.records().iter().map(|r| r.time_s).collect();
         let _ = writeln!(
             out,
             "  [{kind}] execution {:.1} s, peak {:.1} degC, mean {:.1} degC",
-            result.execution_time_s, stability.peak_temp_c, stability.mean_temp_c
+            summary.execution_time_s, summary.stability.peak_temp_c, summary.stability.mean_temp_c
         );
         out.push_str(&crate::format_series(
             &format!("max core temperature ({kind})"),
@@ -56,16 +62,16 @@ fn frequency_figure(
 ) -> Result<String, SimError> {
     let mut out = format!("{title}\n");
     for kind in [ExperimentKind::DefaultWithFan, ExperimentKind::Dtpm] {
-        let result = run(context, kind, benchmark)?;
-        let times: Vec<f64> = result.trace.records().iter().map(|r| r.time_s).collect();
-        let freqs = result.trace.frequency_series();
-        let temps = result.trace.max_temp_series();
+        let (summary, trace) = run(context, kind, benchmark)?;
+        let times: Vec<f64> = trace.records().iter().map(|r| r.time_s).collect();
+        let freqs = trace.frequency_series();
+        let temps = trace.max_temp_series();
         let _ = writeln!(
             out,
             "  [{kind}] execution {:.1} s, mean platform power {:.2} W, DTPM intervention rate {:.1}%",
-            result.execution_time_s,
-            result.mean_platform_power_w,
-            100.0 * result.trace.intervention_rate()
+            summary.execution_time_s,
+            summary.mean_platform_power_w,
+            100.0 * summary.intervention_rate
         );
         out.push_str(&crate::format_series(
             &format!("frequency ({kind})"),
@@ -142,8 +148,8 @@ pub fn fig6_5(context: &ExperimentContext) -> Result<String, SimError> {
             ExperimentKind::DefaultWithFan,
             ExperimentKind::Dtpm,
         ] {
-            let result = run(context, kind, benchmark)?;
-            let stability = StabilityReport::of_steady_portion(&result, 0.3);
+            let (_, trace) = run(context, kind, benchmark)?;
+            let stability = StabilityReport::of_steady_portion(&trace, 0.3);
             let _ = writeln!(
                 out,
                 "  {:<12} {:<18} {:>10.1} {:>12.1} {:>10.2}",

@@ -259,9 +259,9 @@ impl Microbench {
     }
 
     /// Ends the run. A full run writes `BENCH_<name>.json` when every check
-    /// passed, or when no record of this format exists yet: a bench's first
-    /// record is written whatever its verdicts, so a claim that is not met
-    /// is on record. Any other failing run leaves the old record in place.
+    /// passed, or when no record exists yet: a bench's first record is
+    /// written whatever its verdicts, so a claim that is not met is on
+    /// record. Any other failing run leaves the old record in place.
     ///
     /// # Panics
     ///
@@ -274,10 +274,7 @@ impl Microbench {
             );
             return;
         }
-        let first = self
-            .previous
-            .as_ref()
-            .is_none_or(|record| record.get("results").is_none());
+        let first = self.previous.is_none();
         let record = Json::object([
             ("bench", self.name.into()),
             ("config", Json::Object(self.config)),
@@ -313,16 +310,8 @@ fn record_path(name: &str) -> PathBuf {
 
 /// The headline number of result `name` in a previous record.
 fn previous_number(record: &Json, name: &str) -> Option<f64> {
-    if let Some(result) = record.get("results").and_then(|r| r.get(name)) {
-        return result.get("median").or(result.get("value"))?.as_f64();
-    }
-    // Records written before this recorder kept each headline as a
-    // top-level number, and an overhead as a percentage.
-    let percent = || record.get(&format!("{name}_pct"))?.as_f64();
-    record
-        .get(name)
-        .and_then(Json::as_f64)
-        .or_else(|| percent().map(|pct| 1.0 + pct / 100.0))
+    let result = record.get("results")?.get(name)?;
+    result.get("median").or(result.get("value"))?.as_f64()
 }
 
 /// Best, first quartile, median and third quartile of `samples`, the
@@ -596,14 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn previous_numbers_are_found_in_both_record_formats() {
+    fn previous_numbers_are_read_from_the_results_object() {
         let current = r#"{"results": {"speedup": {"median": 2.5}, "bytes": {"value": 64}}}"#;
         let current = Json::parse(current).expect("valid record");
         assert_eq!(previous_number(&current, "speedup"), Some(2.5));
         assert_eq!(previous_number(&current, "bytes"), Some(64.0));
         assert_eq!(previous_number(&current, "missing"), None);
-        let legacy = Json::parse(r#"{"speedup": 1.833, "overhead_pct": -4.0}"#).expect("valid");
-        assert_eq!(previous_number(&legacy, "speedup"), Some(1.833));
-        assert_eq!(previous_number(&legacy, "overhead"), Some(0.96));
     }
 }

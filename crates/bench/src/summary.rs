@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 
 use dtpm::{distribute_budget, DistributionMethod, ResourceLoad};
 use platform_sim::{
-    BenchmarkComparison, CollectSink, ExperimentConfig, ExperimentKind, RunSummary, ScenarioSweep,
-    SimError, TracePolicy,
+    BenchmarkComparison, ExperimentConfig, ExperimentKind, RunSummary, ScenarioSweep, SimError,
+    TracePolicy,
 };
 use soc_model::{OppTable, SocSpec};
 use workload::{BenchmarkCategory, BenchmarkId};
@@ -87,12 +87,9 @@ fn summary_rows(
         ));
         configs.push(config_for(context, ExperimentKind::Dtpm, benchmark));
     }
-    let mut sink = CollectSink::new(configs.len());
-    ScenarioSweep::new(configs)
+    let mut results = ScenarioSweep::new(configs)
         .with_recording(TracePolicy::SummaryOnly)
-        .run_into(&context.calibration, &mut sink);
-    let mut results = sink
-        .into_reports()
+        .run(&context.calibration)
         .into_iter()
         .map(|report| report.map(|report| report.summary));
 
@@ -106,7 +103,7 @@ fn summary_rows(
     for &benchmark in benchmarks {
         let baseline: RunSummary = results.next().expect("one result per config")?;
         let dtpm: RunSummary = results.next().expect("one result per config")?;
-        let cmp = BenchmarkComparison::from_summaries(&baseline, &dtpm);
+        let cmp = BenchmarkComparison::against_baseline(&baseline, &dtpm);
         let peak = dtpm.stability.peak_temp_c;
         let _ = writeln!(
             out,

@@ -182,8 +182,8 @@ impl ExperimentConfig {
     }
 }
 
-/// What one retired run reports through the streaming pipeline: its always-
-/// streamed [`RunSummary`] plus whatever trajectory its observer retained
+/// What every run path returns for one run: its always-streamed
+/// [`RunSummary`] plus whatever trajectory its [`TracePolicy`] retained
 /// (full under [`TracePolicy::Full`], none under
 /// [`TracePolicy::SummaryOnly`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -194,59 +194,12 @@ pub struct RunReport {
     pub trace: Option<Trace>,
 }
 
-impl RunReport {
-    /// Converts a trace-retaining report into the classic
-    /// [`SimulationResult`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run retained no trace ([`TracePolicy::SummaryOnly`]);
-    /// use [`RunReport::summary`] directly in streaming pipelines.
-    pub fn into_simulation_result(self) -> SimulationResult {
-        let trace = self
-            .trace
-            .expect("run retained no trace (TracePolicy::SummaryOnly); use the summary instead");
-        let RunSummary {
-            config,
-            completed,
-            execution_time_s,
-            energy_j,
-            mean_platform_power_w,
-            ..
-        } = self.summary;
-        SimulationResult {
-            config,
-            trace,
-            execution_time_s,
-            completed,
-            mean_platform_power_w,
-            energy_j,
-        }
-    }
-}
-
-/// Outcome of one benchmark run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulationResult {
-    /// The configuration that produced this result.
-    pub config: ExperimentConfig,
-    /// Per-interval trace.
-    pub trace: Trace,
-    /// Execution time of the benchmark, seconds (equal to the duration cap if
-    /// the benchmark did not finish).
-    pub execution_time_s: f64,
-    /// Whether the benchmark ran to completion within the duration cap.
-    pub completed: bool,
-    /// Mean total platform power over the run, watts.
-    pub mean_platform_power_w: f64,
-    /// Total platform energy over the run, joules.
-    pub energy_j: f64,
-}
-
 /// The closed-loop simulation of one benchmark run: a control loop wired
 /// to a single-lane engine (scalar f64 by default, the mixed-precision
 /// panel under [`EnginePrecision::F32`]) and driven by the same generic
-/// executor as the sweeping paths.
+/// executor as the sweeping paths. [`Experiment::run`] returns the same
+/// [`RunReport`] a sweep delivers per scenario; the trace is retained by
+/// default ([`Experiment::with_recording`] turns it off).
 #[derive(Debug)]
 pub struct Experiment {
     control: ControlLoop,
@@ -255,8 +208,8 @@ pub struct Experiment {
 impl Experiment {
     /// Builds an experiment from its configuration and the characterised
     /// models (power model + identified thermal predictor). The configuration
-    /// is borrowed; the one owned copy lives in the eventual
-    /// [`SimulationResult`].
+    /// is borrowed; the one owned copy lives in the eventual report's
+    /// [`RunSummary`].
     ///
     /// # Errors
     ///
@@ -268,37 +221,21 @@ impl Experiment {
     }
 
     /// Replaces the run's trace-retention policy (the default is
-    /// [`TracePolicy::Full`]). Under [`TracePolicy::SummaryOnly`] use
-    /// [`Experiment::run_report`] — [`Experiment::run`] needs a retained
-    /// trace.
+    /// [`TracePolicy::Full`]).
     #[must_use]
     pub fn with_recording(mut self, recording: TracePolicy) -> Self {
         self.control.trace = retained_trace(recording);
         self
     }
 
-    /// Runs the experiment to completion and returns the result.
+    /// Runs the experiment to completion and returns its report: the
+    /// streamed [`RunSummary`] plus the trace, if the recording policy
+    /// retained one.
     ///
     /// # Errors
     ///
     /// Propagates plant, platform and DTPM errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the experiment was switched to [`TracePolicy::SummaryOnly`]
-    /// (no trace to build the result from); use [`Experiment::run_report`].
-    pub fn run(self) -> Result<SimulationResult, SimError> {
-        self.run_report().map(RunReport::into_simulation_result)
-    }
-
-    /// Runs the experiment to completion and returns its streamed report:
-    /// the always-present [`RunSummary`] plus whatever trace the recording
-    /// policy retained.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plant, platform and DTPM errors.
-    pub fn run_report(self) -> Result<RunReport, SimError> {
+    pub fn run(self) -> Result<RunReport, SimError> {
         let control = self.control;
         let period_s = control.config.control_period_s;
         let mut engine = engine_for(

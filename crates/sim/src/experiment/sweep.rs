@@ -8,7 +8,7 @@ use soc_model::SocSpec;
 
 use super::control::ControlLoop;
 use super::executor::{drive_engine, engine_for, panic_error, LaneSlot};
-use super::{ExperimentConfig, RunReport, ScenarioSweep, SimulationResult};
+use super::{ExperimentConfig, RunReport, ScenarioSweep};
 use crate::calibrate::Calibration;
 use crate::engine::EnginePrecision;
 use crate::observer::TracePolicy;
@@ -42,9 +42,8 @@ impl ScenarioSweep {
     /// Sets what each run retains per interval: full traces (the default)
     /// or streamed summaries only — the knob that
     /// decouples a campaign's memory footprint from its scenario count.
-    /// [`TracePolicy::SummaryOnly`] requires streaming through
-    /// [`ScenarioSweep::run_into`]; [`ScenarioSweep::run`] builds its
-    /// [`SimulationResult`]s from retained traces.
+    /// Every report carries its [`RunSummary`](crate::RunSummary) under
+    /// either policy; only its `trace` depends on this.
     pub fn with_recording(mut self, recording: TracePolicy) -> Self {
         self.recording = recording;
         self
@@ -75,7 +74,7 @@ impl ScenarioSweep {
         self.lanes
     }
 
-    /// The per-run trace-retention policy [`ScenarioSweep::run_into`] uses.
+    /// The per-run trace-retention policy.
     pub fn recording(&self) -> TracePolicy {
         self.recording
     }
@@ -94,35 +93,19 @@ impl ScenarioSweep {
         self.resilience
     }
 
-    /// Runs every configuration and returns one result per configuration, in
-    /// input order. Individual failures do not abort the sweep.
+    /// Runs every configuration and returns one report per configuration,
+    /// in input order. Individual failures do not abort the sweep.
     ///
     /// This is the trivial-sink instantiation of the streaming pipeline: the
-    /// sweep runs under its trace-retaining [`ScenarioSweep::with_recording`]
-    /// policy into a [`CollectSink`] and the collected reports become
-    /// [`SimulationResult`]s — under the default [`TracePolicy::Full`],
-    /// memory scales as scenarios × intervals.
-    /// Campaigns that only need per-run summaries should stream through
-    /// [`ScenarioSweep::run_into`] with [`TracePolicy::SummaryOnly`]
-    /// instead, which retains O(1) per scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep was configured with [`TracePolicy::SummaryOnly`]:
-    /// there would be no traces to build the results from — stream through
-    /// [`ScenarioSweep::run_into`].
-    pub fn run(&self, calibration: &Calibration) -> Vec<Result<SimulationResult, SimError>> {
-        assert!(
-            self.recording != TracePolicy::SummaryOnly,
-            "ScenarioSweep::run builds SimulationResults from retained traces; \
-             stream a TracePolicy::SummaryOnly sweep through run_into instead"
-        );
+    /// sweep runs into a [`CollectSink`], so every report is held until the
+    /// last one retires — under the default [`TracePolicy::Full`] memory
+    /// scales as scenarios × intervals, under [`TracePolicy::SummaryOnly`]
+    /// as scenarios. Campaigns that aggregate as they go should stream
+    /// through [`ScenarioSweep::run_into`] instead.
+    pub fn run(&self, calibration: &Calibration) -> Vec<Result<RunReport, SimError>> {
         let mut sink = CollectSink::new(self.configs.len());
         self.run_into(calibration, &mut sink);
         sink.into_reports()
-            .into_iter()
-            .map(|report| report.map(RunReport::into_simulation_result))
-            .collect()
     }
 
     /// Runs every configuration, pushing each scenario's [`RunReport`] into

@@ -215,16 +215,17 @@
 //! mean/variance and running min/max via [`numeric::Welford`], running
 //! power sum, intervention/residency counters — O(1) state); under
 //! [`observer::TracePolicy::Full`] it also keeps the record in the run's
-//! [`Trace`]. When the run
-//! retires it reports a [`RunReport`]: the streamed [`RunSummary`] — every
-//! input of the paper's figures ([`StabilityReport`], mean power, energy,
-//! execution time) — plus whatever trajectory the policy retained. Summaries
-//! from a streaming run are bit-equal to those computed post-hoc from a
-//! fully retained trace of the same run (`tests/streaming.rs`).
+//! [`Trace`]. Every run path — [`Experiment::run`], [`ScenarioSweep::run`],
+//! sinks, campaigns and workers — reports a run as one [`RunReport`]: the
+//! streamed [`RunSummary`] — every input of the paper's figures
+//! ([`StabilityReport`], mean power, energy, execution time) — plus the
+//! trace, if the policy retained one. The policy never changes the summary,
+//! and the summary equals a replay of the retained trace through the same
+//! accumulators (`tests/streaming.rs`).
 //!
 //! Sweeps push reports into a [`ResultSink`] as lanes retire, tagged with
 //! the scenario's input-order index; [`ScenarioSweep::run`] is the trivial
-//! [`CollectSink`] instantiation with full traces. On top,
+//! [`CollectSink`] instantiation. On top,
 //! [`campaign::SweepSpec`] declares a whole evaluation grid as a value —
 //! axes, campaign seed, shared timing — expands cells *lazily* as workers
 //! claim them (per-cell seeds are [`campaign::splitmix64`] of the campaign
@@ -233,12 +234,13 @@
 //!
 //! **Retain traces** ([`observer::TracePolicy::Full`]) when you need
 //! trajectories: plots, CSV export, steady-portion analyses with a skip
-//! fraction chosen after the fact. **Stream summaries**
-//! ([`observer::TracePolicy::SummaryOnly`], the campaign default) for large
-//! grids: retained memory is O(cells) instead of O(cells × intervals) — the
-//! `sweep_campaign` bench measures the retention ratio on a 200-cell grid
-//! (`BENCH_sweep_campaign.json`), and the gap grows linearly with run
-//! length. Scenario count is bounded by compute, not memory.
+//! fraction chosen after the fact ([`StabilityReport::of_steady_portion`]).
+//! **Stream summaries** ([`observer::TracePolicy::SummaryOnly`], the
+//! campaign default) for large grids: retained memory is O(cells) instead
+//! of O(cells × intervals) — the `sweep_campaign` bench measures the
+//! retention ratio on a 200-cell grid (`BENCH_sweep_campaign.json`), and the
+//! gap grows linearly with run length. Scenario count is bounded by
+//! compute, not memory.
 //!
 //! # Robustness: faults, the safety ladder, graceful degradation
 //!
@@ -285,8 +287,8 @@
 //! let calibration = CalibrationCampaign::default().run(7)?;
 //! // ...then run Temple Run under the proposed DTPM policy.
 //! let config = ExperimentConfig::new(ExperimentKind::Dtpm, BenchmarkId::Templerun);
-//! let result = Experiment::new(&config, &calibration)?.run()?;
-//! println!("execution time: {:.1} s", result.execution_time_s);
+//! let report = Experiment::new(&config, &calibration)?.run()?;
+//! println!("execution time: {:.1} s", report.summary.execution_time_s);
 //! # Ok(())
 //! # }
 //! ```
@@ -320,8 +322,7 @@ pub use distributed::{
 pub use engine::{EnginePrecision, LaneInput, PlantEngine, ScalarEngine};
 pub use error::SimError;
 pub use experiment::{
-    CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport,
-    ScenarioSweep, SimulationResult,
+    CollectSink, Experiment, ExperimentConfig, ExperimentKind, ResultSink, RunReport, ScenarioSweep,
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow, SensorChannel};
 pub use metrics::{BenchmarkComparison, RunSummary, StabilityReport};

@@ -6,17 +6,16 @@
 //! [`OnlineRunStats`], which keeps O(1) state (Welford mean/variance and
 //! running min/max via [`numeric::Welford`], running power sum,
 //! intervention/residency counters) and produces the
-//! [`crate::metrics::StabilityReport`] and
-//! [`crate::metrics::BenchmarkComparison`] inputs of a run — the same
-//! numbers the post-hoc analysis computes from a retained trace, to within
-//! the Welford-vs-two-pass variance rounding (≤ 1e-9; mean power, min and
-//! max are bit-identical).
+//! [`crate::metrics::StabilityReport`], mean power and rates of the run's
+//! [`crate::metrics::RunSummary`]. Mean power, min and max are bit-identical
+//! to the two-pass statistics of a retained trace; the Welford mean and
+//! variance agree with them to within rounding (≤ 1e-9).
 //!
 //! The stats cost a handful of flops per interval against the plant's
-//! thousands, so every run produces a [`crate::metrics::RunSummary`];
-//! [`TracePolicy`] (a knob on [`crate::Experiment`], [`crate::ScenarioSweep`]
-//! and the campaign runner) decides whether the control loop also pushes
-//! each record onto a [`crate::Trace`].
+//! thousands, so every run path reports its summary; [`TracePolicy`] (a
+//! knob on [`crate::Experiment`], [`crate::ScenarioSweep`] and the campaign
+//! runner) decides whether the control loop also pushes each record onto a
+//! [`crate::Trace`].
 
 use crate::metrics::StabilityReport;
 use crate::trace::TraceRecord;
@@ -39,15 +38,11 @@ pub trait RunObserver: std::fmt::Debug + Send {
 /// and running min/max of the per-interval maximum core temperature), mean
 /// platform power (plain running sum, bit-identical to
 /// [`Trace::mean_platform_power_w`] over the same records), and the
-/// intervention/residency rates. An optional absolute warm-up skip excludes
-/// the first `skip` intervals from the *stability* window only (mean power
-/// and the rates always cover the whole run), the streaming analogue of
-/// [`StabilityReport::of_steady_portion`]'s prefix skip.
+/// intervention/residency rates, all over the whole run.
 ///
 /// [`Trace::mean_platform_power_w`]: crate::Trace::mean_platform_power_w
 #[derive(Debug, Clone)]
 pub struct OnlineRunStats {
-    skip: usize,
     intervals: usize,
     power_sum_w: f64,
     max_temp: numeric::Welford,
@@ -56,16 +51,9 @@ pub struct OnlineRunStats {
 }
 
 impl OnlineRunStats {
-    /// Statistics over the whole run (no warm-up skip).
+    /// Empty statistics, before the run's first interval.
     pub fn new() -> OnlineRunStats {
-        OnlineRunStats::with_skipped_intervals(0)
-    }
-
-    /// Statistics whose *stability* window excludes the first `skip`
-    /// intervals (mean power and the rates still cover every interval).
-    pub fn with_skipped_intervals(skip: usize) -> OnlineRunStats {
         OnlineRunStats {
-            skip,
             intervals: 0,
             power_sum_w: 0.0,
             max_temp: numeric::Welford::new(),
@@ -91,14 +79,12 @@ impl OnlineRunStats {
         }
     }
 
-    /// Thermal stability over the (post-warm-up) stability window.
+    /// Thermal stability over every interval folded in so far.
     ///
     /// # Panics
     ///
-    /// Panics if the stability window is empty (no intervals past the
-    /// configured skip), mirroring [`Trace::temperature_summary`].
-    ///
-    /// [`Trace::temperature_summary`]: crate::Trace::temperature_summary
+    /// Panics before the first interval, mirroring
+    /// [`StabilityReport::of_steady_portion`] on an empty trace.
     pub fn stability(&self) -> StabilityReport {
         let summary = self.max_temp.summary();
         StabilityReport {
@@ -137,9 +123,7 @@ impl Default for OnlineRunStats {
 impl RunObserver for OnlineRunStats {
     fn on_interval(&mut self, record: &TraceRecord) {
         self.power_sum_w += record.platform_power_w;
-        if self.intervals >= self.skip {
-            self.max_temp.push(record.max_core_temp_c());
-        }
+        self.max_temp.push(record.max_core_temp_c());
         if record.dtpm_intervened {
             self.intervened += 1;
         }
@@ -155,8 +139,8 @@ impl RunObserver for OnlineRunStats {
 /// campaign runner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePolicy {
-    /// Retain the full per-interval trace (the [`crate::SimulationResult`]
-    /// path). Memory per run is O(intervals).
+    /// Retain the full per-interval trace in the run's
+    /// [`crate::RunReport::trace`]. Memory per run is O(intervals).
     Full,
     /// Retain nothing per interval; the run reports only its streamed
     /// [`crate::metrics::RunSummary`]. Memory per run is O(1).
@@ -215,31 +199,11 @@ mod tests {
             trace.little_cluster_residency()
         );
         let online = stats.stability();
-        let summary = trace.temperature_summary();
+        let summary = numeric::Summary::of(&trace.max_temp_series());
         assert_eq!(online.peak_temp_c, summary.max);
         assert_eq!(online.temp_range_c, summary.range());
         assert!((online.mean_temp_c - summary.mean).abs() < 1e-12);
         assert!((online.temp_variance - summary.variance).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_skip_excludes_only_the_stability_window() {
-        let mut all = OnlineRunStats::new();
-        let mut skipped = OnlineRunStats::with_skipped_intervals(50);
-        replay(&mut all, 120);
-        replay(&mut skipped, 120);
-        // Whole-run quantities are unaffected by the warm-up skip.
-        assert_eq!(all.mean_platform_power_w(), skipped.mean_platform_power_w());
-        assert_eq!(all.intervention_rate(), skipped.intervention_rate());
-        // The stability window is the suffix: recompute it directly.
-        let mut reference = numeric::Welford::new();
-        for k in 50..120 {
-            reference.push(record(k).max_core_temp_c());
-        }
-        let stability = skipped.stability();
-        assert_eq!(stability.peak_temp_c, reference.max());
-        assert!((stability.mean_temp_c - reference.mean()).abs() < 1e-12);
-        assert!((stability.temp_variance - reference.variance()).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use numeric::Summary;
 use power_model::DomainPower;
 use soc_model::{ClusterKind, FanLevel};
 
@@ -96,15 +95,6 @@ impl Trace {
     /// Time series of total platform power, watts.
     pub fn platform_power_series(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.platform_power_w).collect()
-    }
-
-    /// Summary statistics of the maximum core temperature.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn temperature_summary(&self) -> Summary {
-        Summary::of(&self.max_temp_series())
     }
 
     /// Mean platform power over the trace, watts; 0 for an empty trace.
@@ -212,7 +202,7 @@ mod tests {
         }
         assert_eq!(trace.len(), 50);
         assert_eq!(trace.max_temp_series().len(), 50);
-        let summary = trace.temperature_summary();
+        let summary = numeric::Summary::of(&trace.max_temp_series());
         assert!(summary.max > summary.min);
         assert!((trace.mean_platform_power_w() - 5.3).abs() < 1e-9);
         assert_eq!(trace.intervention_rate(), 0.0);

@@ -13,7 +13,7 @@
 
 use platform_sim::{
     Calibration, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, FaultKind,
-    FaultPlan, FaultWindow, ScenarioSweep, SensorChannel, SimError, SimulationResult,
+    FaultPlan, FaultWindow, RunReport, ScenarioSweep, SensorChannel, SimError, Trace,
 };
 use proptest::prelude::*;
 use workload::BenchmarkId;
@@ -56,26 +56,23 @@ fn ragged_config(i: usize, duration_s: f64) -> ExperimentConfig {
 
 /// Asserts that a sweep result matches the scalar run of the same
 /// configuration: identical discrete outcome, trajectory within 1e-9 °C.
-fn assert_matches_scalar(result: &SimulationResult, label: &str) {
-    let scalar = Experiment::new(&result.config, calibration())
+fn assert_matches_scalar(result: &RunReport, label: &str) {
+    let scalar = Experiment::new(&result.summary.config, calibration())
         .expect("scalar experiment builds")
         .run()
         .expect("scalar experiment runs");
-    assert_eq!(result.completed, scalar.completed, "{label}: completed");
+    let (swept, solo) = (&result.summary, &scalar.summary);
+    assert_eq!(swept.completed, solo.completed, "{label}: completed");
     assert_eq!(
-        result.execution_time_s, scalar.execution_time_s,
+        swept.execution_time_s, solo.execution_time_s,
         "{label}: execution time"
     );
-    assert_eq!(
-        result.trace.len(),
-        scalar.trace.len(),
-        "{label}: trace length"
-    );
-    for (k, (a, b)) in result
-        .trace
+    let (swept_trace, solo_trace) = (trace(result), trace(&scalar));
+    assert_eq!(swept_trace.len(), solo_trace.len(), "{label}: trace length");
+    for (k, (a, b)) in swept_trace
         .records()
         .iter()
-        .zip(scalar.trace.records())
+        .zip(solo_trace.records())
         .enumerate()
     {
         for (x, y) in a.core_temps_c.iter().zip(b.core_temps_c.iter()) {
@@ -90,16 +87,21 @@ fn assert_matches_scalar(result: &SimulationResult, label: &str) {
         );
     }
     assert!(
-        (result.energy_j - scalar.energy_j).abs() <= 1e-6 * scalar.energy_j.abs().max(1.0),
+        (swept.energy_j - solo.energy_j).abs() <= 1e-6 * solo.energy_j.abs().max(1.0),
         "{label}: energy {} vs {}",
-        result.energy_j,
-        scalar.energy_j
+        swept.energy_j,
+        solo.energy_j
     );
+}
+
+/// The trace of a report from a trace-retaining (default) run.
+fn trace(report: &RunReport) -> &Trace {
+    report.trace.as_ref().expect("full trace retained")
 }
 
 /// Runs `config` alone through the panel engine: a one-scenario sweep
 /// configured for two lanes (the engine is sized to the one claimed lane).
-fn solo_panel_run(config: &ExperimentConfig) -> SimulationResult {
+fn solo_panel_run(config: &ExperimentConfig) -> RunReport {
     ScenarioSweep::new(vec![config.clone()])
         .with_threads(1)
         .with_lanes(2)
@@ -137,7 +139,7 @@ proptest! {
         for (i, (config, result)) in configs.iter().zip(&results).enumerate() {
             let result = result.as_ref().expect("sweep run must succeed");
             // Seeds are unique per input slot, so config equality pins order.
-            prop_assert_eq!(&result.config, config);
+            prop_assert_eq!(&result.summary.config, config);
             let label = format!("threads={threads} lanes={lanes} count={count} slot={i}");
             assert_matches_scalar(result, &label);
             if lanes >= 2 {
@@ -239,7 +241,7 @@ proptest! {
                 continue;
             }
             let result = result.as_ref().expect("non-drained run must succeed");
-            prop_assert_eq!(&result.config, config);
+            prop_assert_eq!(&result.summary.config, config);
             assert_matches_scalar(result, &format!("{label} slot={i}"));
         }
     }
@@ -260,7 +262,7 @@ fn recycled_lanes_reproduce_scalar_trajectories() {
     assert_eq!(results.len(), configs.len());
     for (i, (config, result)) in configs.iter().zip(&results).enumerate() {
         let result = result.as_ref().expect("sweep run must succeed");
-        assert_eq!(&result.config, config);
+        assert_eq!(&result.summary.config, config);
         assert_matches_scalar(result, &format!("ragged slot {i}"));
     }
 }
@@ -283,7 +285,7 @@ fn sweeps_over_mixed_control_periods_group_and_complete() {
     assert_eq!(results.len(), configs.len());
     for (i, (config, result)) in configs.iter().zip(&results).enumerate() {
         let result = result.as_ref().expect("sweep run must succeed");
-        assert_eq!(&result.config, config, "slot {i} out of order");
+        assert_eq!(&result.summary.config, config, "slot {i} out of order");
         assert_matches_scalar(result, &format!("mixed-period slot {i}"));
     }
 }
@@ -304,7 +306,7 @@ fn failing_scenarios_do_not_disturb_their_lane_mates() {
             assert!(result.is_err(), "invalid scenario must report its error");
         } else {
             let result = result.as_ref().expect("valid scenario must succeed");
-            assert_eq!(&result.config, &configs[i]);
+            assert_eq!(&result.summary.config, &configs[i]);
             assert_matches_scalar(result, &format!("fault-isolation slot {i}"));
         }
     }

@@ -156,8 +156,9 @@ fn scenario_sweep_matches_sequential_runs() {
         let sequential = Experiment::new(config, &calibration)
             .unwrap()
             .run()
-            .unwrap();
-        let result = result.expect("sweep run must succeed");
+            .unwrap()
+            .summary;
+        let result = result.expect("sweep run must succeed").summary;
         // Bit-exact determinism: the sweep runs the very same simulation.
         assert_eq!(result.config, sequential.config);
         assert_eq!(result.execution_time_s, sequential.execution_time_s);
@@ -166,7 +167,7 @@ fn scenario_sweep_matches_sequential_runs() {
             result.mean_platform_power_w,
             sequential.mean_platform_power_w
         );
-        assert_eq!(result.trace.len(), sequential.trace.len());
+        assert_eq!(result.intervals, sequential.intervals);
     }
 }
 
@@ -298,11 +299,12 @@ fn lockstep_runner_matches_scalar_experiments() {
         .run(&calibration);
     assert_eq!(lockstep.len(), configs.len());
     for (config, result) in configs.iter().zip(lockstep) {
-        let result = result.expect("lockstep run must succeed");
+        let result = result.expect("lockstep run must succeed").summary;
         let sequential = Experiment::new(config, &calibration)
             .unwrap()
             .run()
-            .unwrap();
+            .unwrap()
+            .summary;
         // The control loops are identical state machines; only the plant
         // integration is batched (reassociated leakage at ~1e-13 °C), so the
         // discrete outcomes must agree exactly and the continuous ones to
@@ -310,7 +312,7 @@ fn lockstep_runner_matches_scalar_experiments() {
         assert_eq!(result.config, sequential.config);
         assert_eq!(result.execution_time_s, sequential.execution_time_s);
         assert_eq!(result.completed, sequential.completed);
-        assert_eq!(result.trace.len(), sequential.trace.len());
+        assert_eq!(result.intervals, sequential.intervals);
         assert!(
             (result.energy_j - sequential.energy_j).abs()
                 <= 1e-6 * sequential.energy_j.abs().max(1.0),
@@ -374,7 +376,7 @@ proptest! {
         for (config, result) in configs.iter().zip(&results) {
             let result = result.as_ref().expect("sweep run must succeed");
             // Seeds are unique per input slot, so config equality pins order.
-            prop_assert_eq!(&result.config, config);
+            prop_assert_eq!(&result.summary.config, config);
         }
     }
 }

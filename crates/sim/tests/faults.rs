@@ -75,11 +75,11 @@ fn armed_safety_is_invisible_on_fault_free_runs() {
 
             let armed_report = Experiment::new(&armed, calibration())
                 .expect("armed experiment builds")
-                .run_report()
+                .run()
                 .expect("armed experiment runs");
             let disabled_report = Experiment::new(&disabled, calibration())
                 .expect("disabled experiment builds")
-                .run_report()
+                .run()
                 .expect("disabled experiment runs");
 
             let label = format!("{kind:?} ideal={ideal}");
@@ -135,7 +135,7 @@ fn identical_seed_and_plan_replay_bit_identical_incident_logs() {
 
     let scalar = Experiment::new(&faulted, calibration())
         .expect("experiment builds")
-        .run_report()
+        .run()
         .expect("experiment runs");
     assert!(
         !scalar.summary.incidents.is_empty(),
@@ -146,7 +146,7 @@ fn identical_seed_and_plan_replay_bit_identical_incident_logs() {
     // Exact re-run: the whole summary is bit-identical.
     let again = Experiment::new(&faulted, calibration())
         .expect("experiment builds")
-        .run_report()
+        .run()
         .expect("experiment runs");
     assert_eq!(scalar.summary, again.summary, "scalar replay");
 
@@ -158,13 +158,11 @@ fn identical_seed_and_plan_replay_bit_identical_incident_logs() {
             .map(|i| base_config(ExperimentKind::Reactive, 9_000 + i as u64, 2.0))
             .collect();
         configs[slot] = faulted.clone();
-        let mut sink = CollectSink::new(configs.len());
-        ScenarioSweep::new(configs)
+        let reports = ScenarioSweep::new(configs)
             .with_threads(threads)
             .with_lanes(lanes)
             .with_recording(TracePolicy::SummaryOnly)
-            .run_into(calibration(), &mut sink);
-        let reports = sink.into_reports();
+            .run(calibration());
         let report = reports[slot]
             .as_ref()
             .expect("faulted cell completes in the sweep");
@@ -187,7 +185,7 @@ fn dropped_sensor_degrades_the_policy_and_recovery_promotes_it() {
         base_config(ExperimentKind::Dtpm, 42, 6.0).with_faults(dropped_temp_plan(0, 1.0, 2.5));
     let report = Experiment::new(&config, calibration())
         .expect("experiment builds")
-        .run_report()
+        .run()
         .expect("a degraded run still completes");
     let incidents = &report.summary.incidents;
 
@@ -226,7 +224,7 @@ fn unreliable_sensors_drain_the_run_when_fallback_is_disabled() {
     config.safety.health.degraded_fallback = false;
     let error = Experiment::new(&config, calibration())
         .expect("experiment builds")
-        .run_report()
+        .run()
         .expect_err("an unreliable chain without fallback must drain");
     assert!(
         matches!(error, SimError::Sensor(_)),
@@ -253,7 +251,7 @@ fn stuck_high_sensor_walks_the_ladder_to_simulated_shutdown() {
     let config = base_config(ExperimentKind::DefaultWithFan, 13, 10.0).with_faults(plan);
     let report = Experiment::new(&config, calibration())
         .expect("experiment builds")
-        .run_report()
+        .run()
         .expect("a simulated shutdown is a reported outcome, not an error");
     let incidents = &report.summary.incidents;
     assert!(incidents.shut_down(), "the ladder must reach shutdown");

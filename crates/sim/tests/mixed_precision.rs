@@ -288,19 +288,21 @@ fn f64_default_precision_is_bit_identical() {
     let default_run = Experiment::new(&config, calibration())
         .unwrap()
         .run()
-        .unwrap();
+        .unwrap()
+        .summary;
     let explicit = config.clone().with_precision(EnginePrecision::F64);
     let explicit_run = Experiment::new(&explicit, calibration())
         .unwrap()
         .run()
-        .unwrap();
+        .unwrap()
+        .summary;
     assert_eq!(default_run.energy_j, explicit_run.energy_j);
     assert_eq!(default_run.execution_time_s, explicit_run.execution_time_s);
     assert_eq!(
         default_run.mean_platform_power_w,
         explicit_run.mean_platform_power_w
     );
-    assert_eq!(default_run.trace.len(), explicit_run.trace.len());
+    assert_eq!(default_run.intervals, explicit_run.intervals);
 }
 
 #[test]
@@ -317,12 +319,14 @@ fn f32_closed_loop_runs_track_f64_across_experiment_kinds() {
         let f64_run = Experiment::new(&config, calibration())
             .unwrap()
             .run()
-            .unwrap();
+            .unwrap()
+            .summary;
         let f32_config = config.clone().with_precision(EnginePrecision::F32);
         let f32_run = Experiment::new(&f32_config, calibration())
             .unwrap()
             .run()
-            .unwrap();
+            .unwrap()
+            .summary;
         assert_eq!(f64_run.completed, f32_run.completed, "kind {kind}");
         assert_eq!(
             f64_run.execution_time_s, f32_run.execution_time_s,

@@ -21,8 +21,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use platform_sim::{
-    Calibration, CalibrationCampaign, CampaignCheckpoint, ChaosPlan, CheckpointSink, CollectSink,
-    Experiment, ExperimentConfig, ExperimentKind, FaultKind, FaultPlan, FaultWindow, MergeSink,
+    Calibration, CalibrationCampaign, CampaignCheckpoint, ChaosPlan, CheckpointSink, Experiment,
+    ExperimentConfig, ExperimentKind, FaultKind, FaultPlan, FaultWindow, MergeSink,
     ResiliencePolicy, ResultSink, RunReport, RunSummary, ScenarioSweep, SensorChannel, SimError,
     SweepSpec, TracePolicy,
 };
@@ -310,13 +310,11 @@ fn a_panicking_cell_is_quarantined_and_its_panel_siblings_are_unaffected() {
     let mut configs = sibling_configs();
     configs[1] = configs[1].clone().with_chaos(ChaosPlan::panic_at(3));
 
-    let mut sink = CollectSink::new(configs.len());
-    ScenarioSweep::new(configs.clone())
+    let reports = ScenarioSweep::new(configs.clone())
         .with_threads(1)
         .with_lanes(2)
         .with_recording(TracePolicy::SummaryOnly)
-        .run_into(calibration(), &mut sink);
-    let reports = sink.into_reports();
+        .run(calibration());
 
     match &reports[1] {
         Err(SimError::Panicked(message)) => {
@@ -338,7 +336,7 @@ fn a_panicking_cell_is_quarantined_and_its_panel_siblings_are_unaffected() {
             .expect("solo run");
         assert_summaries_close(
             &report.summary,
-            &RunSummary::of(&reference),
+            &reference.summary,
             &format!("sibling {index}"),
         );
     }
@@ -349,14 +347,12 @@ fn a_deadline_blown_cell_reports_a_structured_deadline_error() {
     let mut configs = sibling_configs();
     configs[1].max_duration_s = 30.0; // would run 300 intervals unchecked
 
-    let mut sink = CollectSink::new(configs.len());
-    ScenarioSweep::new(configs.clone())
+    let reports = ScenarioSweep::new(configs.clone())
         .with_threads(1)
         .with_lanes(2)
         .with_recording(TracePolicy::SummaryOnly)
         .with_resilience(ResiliencePolicy::default().with_deadline_intervals(20))
-        .run_into(calibration(), &mut sink);
-    let reports = sink.into_reports();
+        .run(calibration());
 
     match &reports[1] {
         Err(SimError::Deadline { intervals }) => {
@@ -381,12 +377,10 @@ fn a_transient_panic_is_retried_deterministically_and_heals() {
         .with_chaos(ChaosPlan::panic_at(4).healing_after(1));
 
     // Without retries the transient fault is a quarantined failure.
-    let mut sink = CollectSink::new(configs.len());
-    ScenarioSweep::new(configs.clone())
+    let reports = ScenarioSweep::new(configs.clone())
         .with_threads(1)
         .with_recording(TracePolicy::SummaryOnly)
-        .run_into(calibration(), &mut sink);
-    let reports = sink.into_reports();
+        .run(calibration());
     assert!(
         matches!(&reports[1], Err(SimError::Panicked(_))),
         "no retry budget: the fault surfaces"
@@ -394,13 +388,11 @@ fn a_transient_panic_is_retried_deterministically_and_heals() {
 
     // With a retry budget the second, healed attempt completes — and its
     // numbers match a run that never faulted at all.
-    let mut sink = CollectSink::new(configs.len());
-    ScenarioSweep::new(configs.clone())
+    let reports = ScenarioSweep::new(configs.clone())
         .with_threads(1)
         .with_recording(TracePolicy::SummaryOnly)
         .with_resilience(ResiliencePolicy::default().with_max_retries(2))
-        .run_into(calibration(), &mut sink);
-    let reports = sink.into_reports();
+        .run(calibration());
     let healed = reports[1].as_ref().expect("healed retry completes");
 
     let clean = sibling_configs()[1].clone();
@@ -408,7 +400,7 @@ fn a_transient_panic_is_retried_deterministically_and_heals() {
         .expect("clean experiment")
         .run()
         .expect("clean run");
-    assert_summaries_close(&healed.summary, &RunSummary::of(&reference), "healed retry");
+    assert_summaries_close(&healed.summary, &reference.summary, "healed retry");
 }
 
 /// 36 cells at the runner's default panel width (2 kinds × 3 benchmarks ×

@@ -1,11 +1,12 @@
 //! Correctness of the streaming observer/sink/campaign pipeline.
 //!
 //! The result path's contract is that *streaming is invisible in the
-//! numbers*: a run that retains nothing per interval must report the same
-//! summary the post-hoc analysis computes from a fully retained trace, and a
-//! grid campaign streamed through a summaries-only sink must agree with the
-//! trace-retaining sweep of the same cells — while provably not retaining
-//! any per-interval traces.
+//! numbers*: every run reports the summary its control loop streamed, which
+//! equals a replay of its retained trace through the same accumulators and
+//! does not depend on the trace policy; and a grid campaign streamed
+//! through a summaries-only sink must agree with the trace-retaining sweep
+//! of the same cells — while provably not retaining any per-interval
+//! traces.
 
 use platform_sim::{
     Calibration, CalibrationCampaign, CollectSink, Experiment, ExperimentConfig, ExperimentKind,
@@ -128,23 +129,23 @@ fn assert_summaries_close(streamed: &RunSummary, reference: &RunSummary, label: 
 
 proptest! {
     /// The online-metrics observer, replaying the records a trace-retaining
-    /// run kept, reproduces every post-hoc metric: the steady-portion
-    /// stability report, the mean platform power, and the rates — to ≤ 1e-9
-    /// (mean power, peak and range bit-equal).
+    /// run kept, reproduces every post-hoc metric of that trace (mean power,
+    /// peak and range bit-equal, the rest to ≤ 1e-9) and the run's streamed
+    /// summary bit for bit; a summaries-only run streams the same summary.
     #[test]
     fn online_metrics_match_post_hoc_analysis(
         kind_index in 0usize..4,
         bench_index in 0usize..4,
         seed in 0i64..1_000_000,
         duration_s in 1.5f64..4.0,
-        skip_fraction in 0.0f64..0.9,
     ) {
         let config = config_for(kind_index, bench_index, seed as u64, duration_s);
-        let result = Experiment::new(&config, calibration())
+        let report = Experiment::new(&config, calibration())
             .expect("experiment builds")
             .run()
             .expect("experiment runs");
-        let records = result.trace.records();
+        let trace = report.trace.as_ref().expect("full trace retained");
+        let records = trace.records();
         prop_assert!(!records.is_empty());
 
         // Whole-run statistics.
@@ -154,42 +155,40 @@ proptest! {
         }
         prop_assert_eq!(stats.intervals(), records.len());
         // The running power sum is the same left fold `Iterator::sum` does.
-        prop_assert_eq!(stats.mean_platform_power_w(), result.trace.mean_platform_power_w());
-        prop_assert_eq!(stats.intervention_rate(), result.trace.intervention_rate());
+        prop_assert_eq!(stats.mean_platform_power_w(), trace.mean_platform_power_w());
+        prop_assert_eq!(stats.intervention_rate(), trace.intervention_rate());
         prop_assert_eq!(
             stats.little_cluster_residency(),
-            result.trace.little_cluster_residency()
+            trace.little_cluster_residency()
         );
         let online = stats.stability();
-        let reference = StabilityReport::of_steady_portion(&result, 0.0);
+        let reference = StabilityReport::of_steady_portion(trace, 0.0);
         prop_assert_eq!(online.peak_temp_c, reference.peak_temp_c);
         prop_assert_eq!(online.temp_range_c, reference.temp_range_c);
         prop_assert!((online.mean_temp_c - reference.mean_temp_c).abs() <= 1e-9);
         prop_assert!((online.temp_variance - reference.temp_variance).abs() <= 1e-9);
 
-        // Steady-portion statistics: the online skip is the same prefix
-        // `of_steady_portion` drops (`floor(len · fraction)` records).
-        let skip = ((records.len() as f64) * skip_fraction).floor() as usize;
-        let mut steady = OnlineRunStats::with_skipped_intervals(skip);
-        for record in records {
-            steady.on_interval(record);
-        }
-        let online = steady.stability();
-        let reference = StabilityReport::of_steady_portion(&result, skip_fraction);
-        prop_assert_eq!(online.peak_temp_c, reference.peak_temp_c);
-        prop_assert_eq!(online.temp_range_c, reference.temp_range_c);
-        prop_assert!((online.mean_temp_c - reference.mean_temp_c).abs() <= 1e-9);
-        prop_assert!((online.temp_variance - reference.temp_variance).abs() <= 1e-9);
+        // The streamed summary is that replay, bit for bit: the control loop
+        // folded the same records through the same accumulators.
+        let summary = &report.summary;
+        prop_assert_eq!(summary.intervals, stats.intervals());
+        prop_assert_eq!(summary.mean_platform_power_w, stats.mean_platform_power_w());
+        prop_assert_eq!(summary.stability, online);
+        prop_assert_eq!(summary.intervention_rate, stats.intervention_rate());
+        prop_assert_eq!(
+            summary.little_cluster_residency,
+            stats.little_cluster_residency()
+        );
 
         // A live summary-only run of the same configuration streams the
         // bit-identical summary (same record sequence, same accumulators).
-        let report = Experiment::new(&config, calibration())
+        let summary_only = Experiment::new(&config, calibration())
             .expect("experiment builds")
             .with_recording(TracePolicy::SummaryOnly)
-            .run_report()
+            .run()
             .expect("experiment runs");
-        prop_assert!(report.trace.is_none(), "summary-only retains no trace");
-        prop_assert_eq!(&report.summary, &RunSummary::of(&result));
+        prop_assert!(summary_only.trace.is_none(), "summary-only retains no trace");
+        prop_assert_eq!(&summary_only.summary, summary);
     }
 
     /// Grid expansion derives a distinct, deterministic seed for every cell,
@@ -271,7 +270,7 @@ fn streamed_campaign_matches_trace_retaining_sweep() {
     .with_campaign_seed(0xCA11B0A7);
     assert_eq!(spec.cells(), 12, "3 kinds x 2 benchmarks x 2 ambients");
 
-    // Trace-retaining arm: the classic Vec-collecting sweep over the same
+    // Trace-retaining arm: the Vec-collecting sweep over the same
     // cells. Both arms run the panel engine, where a cell's trajectory does
     // not depend on its lane, batch mates or thread, so the summary
     // comparison is exact rather than merely within the batched-engine
@@ -300,8 +299,7 @@ fn streamed_campaign_matches_trace_retaining_sweep() {
         );
         assert_eq!(report.summary.config, configs[index], "cell {index}: order");
         assert_eq!(
-            &report.summary,
-            &RunSummary::of(result),
+            report.summary, result.summary,
             "cell {index}: streamed summary must be bit-equal to the \
              trace-retaining path"
         );
@@ -326,13 +324,12 @@ fn parallel_streaming_covers_every_cell() {
     // Parallel sweep: every cell's report arrives exactly once (CollectSink
     // asserts single writes), carries its full trace, and its summary
     // matches the scalar reference run.
-    let mut sink = CollectSink::new(spec.cells());
-    ScenarioSweep::new(configs.clone())
+    let reports = ScenarioSweep::new(configs.clone())
         .with_threads(2)
         .with_lanes(2)
         .with_recording(TracePolicy::Full)
-        .run_into(calibration(), &mut sink);
-    for (index, report) in sink.into_reports().into_iter().enumerate() {
+        .run(calibration());
+    for (index, report) in reports.into_iter().enumerate() {
         let report = report.expect("cell succeeds");
         assert_eq!(report.summary.config, configs[index]);
         let trace = report.trace.as_ref().expect("full trace retained");
@@ -347,22 +344,37 @@ fn parallel_streaming_covers_every_cell() {
             .expect("reference runs");
         assert_summaries_close(
             &report.summary,
-            &RunSummary::of(&reference),
+            &reference.summary,
             &format!("cell {index}"),
         );
     }
 }
 
-/// A summaries-only sweep cannot produce `SimulationResult`s: `run()`
-/// rejects the combination loudly instead of silently overriding the
-/// configured policy.
+/// A summaries-only [`ScenarioSweep::run`] returns one report per
+/// configuration, in input order, each without a trace and with the summary
+/// the trace-retaining sweep of the same configurations reports: the trace
+/// policy never changes a summary.
 #[test]
-#[should_panic(expected = "run_into")]
-fn summary_only_sweeps_reject_the_vec_api() {
-    let configs = vec![config_for(0, 0, 1, 2.0)];
-    ScenarioSweep::new(configs)
+fn summary_only_sweeps_return_reports() {
+    let configs: Vec<ExperimentConfig> = (0..5)
+        .map(|i| config_for(i, i + 1, 40 + i as u64, 1.5 + 0.25 * i as f64))
+        .collect();
+    let sweep = ScenarioSweep::new(configs.clone())
+        .with_threads(2)
+        .with_lanes(2);
+    let full = sweep.run(calibration());
+    let summaries_only = sweep
         .with_recording(TracePolicy::SummaryOnly)
         .run(calibration());
+    assert_eq!(summaries_only.len(), configs.len());
+    for (index, (report, reference)) in summaries_only.iter().zip(&full).enumerate() {
+        let report = report.as_ref().expect("summary-only cell succeeds");
+        let reference = reference.as_ref().expect("trace-retaining cell succeeds");
+        assert_eq!(report.summary.config, configs[index], "cell {index}: order");
+        assert!(report.trace.is_none(), "cell {index}: no trace retained");
+        assert!(reference.trace.is_some(), "cell {index}: Full retains one");
+        assert_eq!(report.summary, reference.summary, "cell {index}: summary");
+    }
 }
 
 /// `RunObserver` is usable as a plain streaming tee outside the executor —
@@ -379,24 +391,22 @@ fn observers_compose_over_one_record_stream() {
     }
 
     let config = config_for(3, 0, 11, 2.0);
-    let result = Experiment::new(&config, calibration())
+    let report = Experiment::new(&config, calibration())
         .expect("experiment builds")
         .run()
         .expect("experiment runs");
+    let trace = report.trace.as_ref().expect("full trace retained");
     let mut full = Retain::default();
     let mut stats = OnlineRunStats::new();
     {
         let observers: [&mut dyn RunObserver; 2] = [&mut full, &mut stats];
         for observer in observers {
-            for record in result.trace.records() {
+            for record in trace.records() {
                 observer.on_interval(record);
             }
         }
     }
-    assert_eq!(full.0, result.trace.records());
-    assert_eq!(stats.intervals(), result.trace.len());
-    assert_eq!(
-        stats.mean_platform_power_w(),
-        result.trace.mean_platform_power_w()
-    );
+    assert_eq!(full.0, trace.records());
+    assert_eq!(stats.intervals(), trace.len());
+    assert_eq!(stats.mean_platform_power_w(), trace.mean_platform_power_w());
 }

@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example gaming_thermal_control`.
 
 use platform_sim::{
-    CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, StabilityReport,
+    CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, RunReport, StabilityReport,
 };
 use workload::BenchmarkId;
 
@@ -28,31 +28,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline_power = None;
     for kind in ExperimentKind::ALL {
         let config = ExperimentConfig::new(kind, BenchmarkId::Templerun).with_seed(3);
-        let result = Experiment::new(&config, &calibration)?.run()?;
-        let stability = StabilityReport::of_steady_portion(&result, 0.3);
+        let RunReport { summary, trace } = Experiment::new(&config, &calibration)?.run()?;
+        let trace = trace.expect("an experiment retains its trace by default");
+        let stability = StabilityReport::of_steady_portion(&trace, 0.3);
         println!(
             "{:<18} {:>10.1} {:>12.2} {:>10.1} {:>10.1} {:>12.1} {:>12.1}",
             kind.name(),
-            result.execution_time_s,
-            result.mean_platform_power_w,
+            summary.execution_time_s,
+            summary.mean_platform_power_w,
             stability.peak_temp_c,
             stability.mean_temp_c,
             stability.temp_range_c,
-            100.0 * result.trace.little_cluster_residency(),
+            100.0 * summary.little_cluster_residency,
         );
         if kind == ExperimentKind::DefaultWithFan {
-            baseline_power = Some(result.mean_platform_power_w);
+            baseline_power = Some(summary.mean_platform_power_w);
         }
         if kind == ExperimentKind::Dtpm {
             if let Some(base) = baseline_power {
                 println!(
                     "  -> DTPM saves {:.1}% platform power relative to the fan-cooled default",
-                    100.0 * (base - result.mean_platform_power_w) / base
+                    100.0 * (base - summary.mean_platform_power_w) / base
                 );
             }
             // Export the DTPM trace for plotting.
             let path = std::path::Path::new("target/experiments/templerun_dtpm_trace.csv");
-            result.trace.write_csv(path)?;
+            trace.write_csv(path)?;
             println!("  -> full DTPM trace written to {}", path.display());
         }
     }

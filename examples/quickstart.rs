@@ -6,7 +6,6 @@
 
 use platform_sim::{
     BenchmarkComparison, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind,
-    StabilityReport,
 };
 use workload::BenchmarkId;
 
@@ -28,23 +27,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &ExperimentConfig::new(ExperimentKind::DefaultWithFan, benchmark),
         &calibration,
     )?
-    .run()?;
+    .run()?
+    .summary;
 
     println!("Running {benchmark} under the proposed DTPM algorithm (no fan)...");
     let dtpm = Experiment::new(
         &ExperimentConfig::new(ExperimentKind::Dtpm, benchmark),
         &calibration,
     )?
-    .run()?;
+    .run()?
+    .summary;
 
     // 3. Report the comparison.
-    for (name, result) in [("default+fan", &baseline), ("DTPM", &dtpm)] {
-        let stability = StabilityReport::of(result);
+    for (name, summary) in [("default+fan", &baseline), ("DTPM", &dtpm)] {
+        let stability = &summary.stability;
         println!(
             "\n  {name:<12} execution {:.1} s | platform power {:.2} W | peak {:.1} °C | \
              mean {:.1} °C | max–min {:.1} °C | variance {:.2}",
-            result.execution_time_s,
-            result.mean_platform_power_w,
+            summary.execution_time_s,
+            summary.mean_platform_power_w,
             stability.peak_temp_c,
             stability.mean_temp_c,
             stability.temp_range_c,

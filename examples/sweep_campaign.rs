@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ) else {
                 continue;
             };
-            let cmp = BenchmarkComparison::from_summaries(baseline, dtpm);
+            let cmp = BenchmarkComparison::against_baseline(baseline, dtpm);
             println!(
                 "{:>12} {:>8}C {:>11.1}% {:>11.1}% {:>11.1}x {:>10.1}",
                 benchmark.name(),

@@ -17,7 +17,7 @@ fn configurations_rank_as_in_the_paper_for_a_heavy_benchmark() {
     let reactive = common::run(&calibration, ExperimentKind::Reactive, benchmark);
     let dtpm = common::run(&calibration, ExperimentKind::Dtpm, benchmark);
 
-    let peak = |r: &platform_sim::SimulationResult| r.trace.temperature_summary().max;
+    let peak = |r: &platform_sim::RunReport| r.summary.stability.peak_temp_c;
 
     // Without any thermal management the temperature runs away well past the
     // fan-cooled baseline (Figure 1.1 / Figure 6.3 "Without Fan").
@@ -44,17 +44,17 @@ fn configurations_rank_as_in_the_paper_for_a_heavy_benchmark() {
     // DTPM saves platform power relative to the fan-cooled default (the fan
     // power goes away and the cluster runs at lower V/f when throttled).
     assert!(
-        dtpm.mean_platform_power_w < with_fan.mean_platform_power_w,
+        dtpm.summary.mean_platform_power_w < with_fan.summary.mean_platform_power_w,
         "DTPM {:.2} W vs with-fan {:.2} W",
-        dtpm.mean_platform_power_w,
-        with_fan.mean_platform_power_w
+        dtpm.summary.mean_platform_power_w,
+        with_fan.summary.mean_platform_power_w
     );
 
     // The performance cost of DTPM stays bounded for a run of this length
     // (the paper reports at most ~5%; allow extra head-room for the simulated
     // plant, which heats faster than the real board).
-    let loss =
-        100.0 * (dtpm.execution_time_s - with_fan.execution_time_s) / with_fan.execution_time_s;
+    let loss = 100.0 * (dtpm.summary.execution_time_s - with_fan.summary.execution_time_s)
+        / with_fan.summary.execution_time_s;
     assert!(
         (0.0..20.0).contains(&loss),
         "DTPM performance loss {loss:.1}% out of expected range"
@@ -62,7 +62,8 @@ fn configurations_rank_as_in_the_paper_for_a_heavy_benchmark() {
 
     // All four configurations complete the benchmark within the cap.
     for result in [&with_fan, &without_fan, &reactive, &dtpm] {
-        assert!(result.completed, "{} did not finish", result.config.kind);
+        let summary = &result.summary;
+        assert!(summary.completed, "{} did not finish", summary.config.kind);
     }
 }
 
@@ -78,8 +79,11 @@ fn dtpm_is_more_stable_than_the_fan_once_regulation_engages() {
     // and variance than the fan-cooled default, which limit-cycles through its
     // 57/63/68 degC thresholds. Evaluate over the regulated portion of the
     // runs (skip the shared warm-up ramp).
-    let fan_stability = StabilityReport::of_steady_portion(&with_fan, 0.3);
-    let dtpm_stability = StabilityReport::of_steady_portion(&dtpm, 0.3);
+    let steady = |r: &platform_sim::RunReport| {
+        StabilityReport::of_steady_portion(r.trace.as_ref().expect("trace retained"), 0.3)
+    };
+    let fan_stability = steady(&with_fan);
+    let dtpm_stability = steady(&dtpm);
 
     assert!(
         dtpm_stability.temp_range_c < fan_stability.temp_range_c,
@@ -103,8 +107,8 @@ fn reactive_heuristic_fails_to_hold_the_constraint_that_dtpm_holds() {
     let reactive = common::run(&calibration, ExperimentKind::Reactive, benchmark);
     let dtpm = common::run(&calibration, ExperimentKind::Dtpm, benchmark);
 
-    let reactive_peak = reactive.trace.temperature_summary().max;
-    let dtpm_peak = dtpm.trace.temperature_summary().max;
+    let reactive_peak = reactive.summary.stability.peak_temp_c;
+    let dtpm_peak = dtpm.summary.stability.peak_temp_c;
 
     // The reactive heuristic only acts after the threshold has been crossed
     // and its fixed 18%/25% cuts are not matched to the actual power budget,

@@ -1,8 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use platform_sim::{
-    Calibration, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind,
-    SimulationResult,
+    Calibration, CalibrationCampaign, Experiment, ExperimentConfig, ExperimentKind, RunReport,
 };
 use workload::BenchmarkId;
 
@@ -28,13 +27,10 @@ pub fn full_calibration() -> Calibration {
         .expect("calibration campaign must succeed")
 }
 
-/// Runs one benchmark under one configuration with a fixed seed.
+/// Runs one benchmark under one configuration with a fixed seed, its trace
+/// retained.
 #[allow(dead_code)]
-pub fn run(
-    calibration: &Calibration,
-    kind: ExperimentKind,
-    benchmark: BenchmarkId,
-) -> SimulationResult {
+pub fn run(calibration: &Calibration, kind: ExperimentKind, benchmark: BenchmarkId) -> RunReport {
     let config = ExperimentConfig::new(kind, benchmark).with_seed(7);
     Experiment::new(&config, calibration)
         .expect("experiment construction must succeed")

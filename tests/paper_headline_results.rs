@@ -23,7 +23,7 @@ fn power_savings_grow_with_workload_intensity() {
     ] {
         let with_fan = common::run(&calibration, ExperimentKind::DefaultWithFan, benchmark);
         let dtpm = common::run(&calibration, ExperimentKind::Dtpm, benchmark);
-        let cmp = BenchmarkComparison::against_baseline(&with_fan, &dtpm);
+        let cmp = BenchmarkComparison::against_baseline(&with_fan.summary, &dtpm.summary);
         savings.push((
             benchmark,
             cmp.power_saving_percent,
@@ -67,13 +67,13 @@ fn dtpm_keeps_every_category_within_the_constraint() {
         BenchmarkId::Basicmath,
         BenchmarkId::Templerun,
     ] {
-        let result = common::run(&calibration, ExperimentKind::Dtpm, benchmark);
-        let peak = result.trace.temperature_summary().max;
+        let summary = common::run(&calibration, ExperimentKind::Dtpm, benchmark).summary;
+        let peak = summary.stability.peak_temp_c;
         assert!(
             peak <= 65.0,
             "{benchmark} peaked at {peak:.1} degC under DTPM"
         );
-        assert!(result.completed, "{benchmark} did not complete under DTPM");
+        assert!(summary.completed, "{benchmark} did not complete under DTPM");
     }
 }
 
@@ -84,7 +84,7 @@ fn multi_threaded_benchmarks_show_the_same_trend_as_figure_6_10() {
         assert_eq!(benchmark.spec().category, BenchmarkCategory::High);
         let with_fan = common::run(&calibration, ExperimentKind::DefaultWithFan, benchmark);
         let dtpm = common::run(&calibration, ExperimentKind::Dtpm, benchmark);
-        let cmp = BenchmarkComparison::against_baseline(&with_fan, &dtpm);
+        let cmp = BenchmarkComparison::against_baseline(&with_fan.summary, &dtpm.summary);
         assert!(
             cmp.power_saving_percent > 3.0,
             "{benchmark}: savings {:.1}% too small",
@@ -95,7 +95,7 @@ fn multi_threaded_benchmarks_show_the_same_trend_as_figure_6_10() {
             "{benchmark}: loss {:.1}% too large",
             cmp.performance_loss_percent
         );
-        let peak = dtpm.trace.temperature_summary().max;
+        let peak = dtpm.summary.stability.peak_temp_c;
         assert!(peak <= 65.0, "{benchmark}: DTPM peak {peak:.1}");
     }
 }
