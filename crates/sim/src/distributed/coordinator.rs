@@ -5,24 +5,26 @@
 //!
 //! # Leasing protocol
 //!
-//! The fold is the only record of which cells are done. Every live worker
-//! holds up to two leases, topped up one lease per worker per round; each
-//! lease is the first run of at most [`Coordinator::with_lease_cells`]
-//! cells, from the fold's cursor, that the fold has not seen and no
-//! unreleased lease holds. The worker queues its second lease behind the
-//! first, so its sweep moves on without waiting for a round trip. Workers
-//! report retired cells in frames of up to eight, and any frame from a
-//! worker pushes forward the deadline of every lease it holds — liveness is
-//! per worker, so a queued lease is not released while the one ahead of it
-//! runs. A lease whose deadline passes is **released**: it turns *suspect*
-//! and holds no cells, so a peer can be leased the ones it has not
-//! reported, and one more silent deadline window abandons the worker for
-//! good. A suspect worker that was merely stalled and reports late is
-//! welcomed back: its outcomes fold through cell-level dedup (cells another
-//! worker already delivered count once) and it returns to the rotation. A
-//! cell that nobody has reported and nobody holds can always be leased, so
-//! a lost worker or a lease that ends with cells unreported costs a re-run,
-//! never a hang.
+//! The fold is the only record of which cells and which leases are done.
+//! Every live worker holds up to two leases, topped up one lease per worker
+//! per round; each lease is the first run of at most
+//! [`Coordinator::with_lease_cells`] cells, from the fold's cursor, that the
+//! fold has not seen and no unreleased lease holds. The worker queues its
+//! second lease behind the first, so its sweep moves on without waiting for
+//! a round trip. No message ends a lease: after folding a worker's frame,
+//! the coordinator retires each of that worker's leases whose cells the fold
+//! now holds. Any frame from a worker pushes forward the deadline of every
+//! lease it holds — liveness is per worker, so a queued lease is not
+//! released while the one ahead of it runs. A lease whose deadline passes is
+//! **released**: it turns *suspect* and holds no cells, so a peer can be
+//! leased the ones it has not reported, and one more silent deadline window
+//! abandons the worker for good. A suspect worker that was merely stalled
+//! and reports late is welcomed back: its outcomes fold through cell-level
+//! dedup (cells another worker already delivered count once), its leases
+//! retire as the fold completes them, and it returns to the rotation. A cell
+//! that nobody has reported and nobody holds can always be leased, so a lost
+//! worker or a lease whose cells never all arrive costs a deadline and a
+//! re-run, never a hang.
 //!
 //! Because every cell's outcome is deterministic and the fold is the
 //! canonical in-order [`MergeSink`], none of this machinery can change the
@@ -101,8 +103,9 @@ impl Coordinator {
     /// The lease deadline: a lease whose worker sends nothing for this long
     /// is released, and its unreported cells are leased again. Any frame
     /// from the worker restarts the window of every lease it holds, and a
-    /// worker sends one at least every eight retired cells per thread, so
-    /// set this to comfortably more than the time that takes.
+    /// worker sends one whenever it holds eight outcomes and whenever its
+    /// sweep drains, so set this to comfortably more than the time one of
+    /// its threads takes to retire eight cells.
     #[must_use]
     pub fn with_lease_timeout(mut self, lease_timeout: Duration) -> Self {
         self.lease_timeout = lease_timeout;
@@ -118,7 +121,11 @@ impl Coordinator {
         self
     }
 
-    /// Shard threads each worker runs its leases with.
+    /// Sweep threads each worker session runs its leases with, capped on
+    /// the worker at its host's available parallelism: a session claims
+    /// cells as leases arrive, so it has no cell count to cap the threads
+    /// at, the way an in-process run does. No cell's bits depend on the
+    /// count.
     #[must_use]
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads.max(1);
@@ -259,13 +266,17 @@ fn spawn_pump(
 }
 
 /// Leases each live worker holds: the one its sweep runs and the next,
-/// already queued at the worker when the first runs out.
+/// already queued at the worker when the first runs out. A lease leaves the
+/// count once the fold holds all its cells. The worker sends a lease's last
+/// outcomes with its next full frame, so with leases longer than a frame a
+/// slot frees up while the worker still runs the lease behind it.
 const LEASES_IN_FLIGHT: usize = 2;
 
-/// An outstanding lease on one worker.
+/// An outstanding lease on one worker. It retires once the fold holds every
+/// one of its cells, checked after each frame from its worker, so a lease
+/// whose cells a peer completed retires at its own worker's next frame.
 #[derive(Debug)]
 struct LeaseState {
-    id: u64,
     cells: Range<usize>,
     deadline: Instant,
     /// Missed one deadline already: released (it holds no cells), one more
@@ -390,7 +401,6 @@ impl WorkerPool {
             workers: self.workers.len(),
             ..LeaseStats::default()
         };
-        let mut next_lease: u64 = 1;
         let lease_timeout = self.lease_timeout;
 
         while !fold.is_complete() {
@@ -406,7 +416,6 @@ impl WorkerPool {
                     };
                     let worker = &mut self.workers[id];
                     let message = ToWorker::Lease {
-                        lease: next_lease,
                         start: range.start,
                         end: range.end,
                     };
@@ -420,12 +429,10 @@ impl WorkerPool {
                     }
                     stats.leases += 1;
                     worker.leases.push(LeaseState {
-                        id: next_lease,
                         cells: range,
                         deadline: Instant::now() + lease_timeout,
                         suspect: false,
                     });
-                    next_lease += 1;
                 }
             }
 
@@ -535,9 +542,11 @@ impl WorkerPool {
                         fold.offer(index, outcome);
                     }
                 }
-            }
-            ToCoordinator::LeaseDone { lease } => {
-                worker.leases.retain(|state| state.id != lease);
+                // The fold is the lease ledger: a lease whose every cell
+                // has landed, from this worker or a peer, is done.
+                worker
+                    .leases
+                    .retain(|lease| !lease.cells.clone().all(|i| fold.is_cell_complete(i)));
             }
             ToCoordinator::Ready => {
                 // Spurious after the handshake; ignore.
@@ -587,7 +596,7 @@ mod tests {
     /// transport by then.
     fn scripted_worker(
         transport: MemoryTransport,
-        mut on_lease: impl FnMut(&mut dyn Write, u64, Range<usize>) -> bool + Send + 'static,
+        mut on_lease: impl FnMut(&mut dyn Write, Range<usize>) -> bool + Send + 'static,
     ) -> thread::JoinHandle<Vec<(usize, usize)>> {
         thread::spawn(move || {
             let (mut writer, mut reader) = Box::new(transport).split().expect("memory halves");
@@ -595,9 +604,9 @@ mod tests {
             while let Some(frame) = read_frame(&mut reader).expect("a frame") {
                 match ToWorker::decode(&frame).expect("a coordinator message") {
                     ToWorker::Hello(_) => send(writer.as_mut(), &ToCoordinator::Ready),
-                    ToWorker::Lease { lease, start, end } => {
+                    ToWorker::Lease { start, end } => {
                         leases.push((start, end));
-                        if !on_lease(writer.as_mut(), lease, start..end) {
+                        if !on_lease(writer.as_mut(), start..end) {
                             break;
                         }
                     }
@@ -625,12 +634,6 @@ mod tests {
         )
     }
 
-    /// Reports every cell of a lease, then its end.
-    fn report(writer: &mut dyn Write, lease: u64, range: Range<usize>) {
-        send(writer, &cells(range));
-        send(writer, &ToCoordinator::LeaseDone { lease });
-    }
-
     /// Connects `coordinator` (calibrating with the cheap test recipe) to
     /// the scripted workers behind `transports`.
     fn connect(coordinator: Coordinator, transports: Vec<MemoryTransport>) -> WorkerPool {
@@ -656,29 +659,37 @@ mod tests {
     }
 
     #[test]
-    fn a_lease_done_that_omits_cells_gets_them_leased_again() {
-        let (coordinator_end, worker_end) = MemoryTransport::pair();
-        // Reports only the first cell of every lease, then calls it done.
-        let worker = scripted_worker(worker_end, |writer, lease, range| {
-            report(writer, lease, range.start..range.start + 1);
+    fn unreported_cells_are_leased_again_at_the_deadline() {
+        let (a_end, a_worker) = MemoryTransport::pair();
+        let (b_end, b_worker) = MemoryTransport::pair();
+        // A reports only the first cell of every lease, so the fold never
+        // completes its lease 0..3 and the lease never retires.
+        let a = scripted_worker(a_worker, |writer, range| {
+            send(writer, &cells(range.start..range.start + 1));
+            true
+        });
+        // B reports whatever it is leased: first 3..6, then, once A's lease
+        // is released at its deadline, A's unreported cells.
+        let b = scripted_worker(b_worker, |writer, range| {
+            send(writer, &cells(range));
             true
         });
         let pool = connect(
-            Coordinator::new(spec(3))
+            Coordinator::new(spec(6))
                 .with_lease_cells(3)
-                .with_lease_timeout(Duration::from_secs(30)),
-            vec![coordinator_end],
+                .with_lease_timeout(Duration::from_secs(1)),
+            vec![a_end, b_end],
         );
         let report = spawn_run(pool)
             .recv_timeout(Duration::from_secs(20))
-            .expect("the coordinator must not wait on cells nobody holds")
+            .expect("the coordinator must not wait on cells nobody reports")
             .expect("the campaign completes");
         assert!(report.fold().is_complete());
-        assert_eq!(
-            worker.join().expect("the scripted worker"),
-            [(0, 3), (1, 3), (2, 3)]
-        );
-        assert_eq!(report.stats().releases, 0);
+        assert_eq!(a.join().expect("worker A")[0], (0, 3));
+        let b_leases = b.join().expect("worker B");
+        assert!(b_leases.contains(&(1, 3)), "{b_leases:?}");
+        let stats = report.stats();
+        assert!(stats.releases >= 1, "{stats:?}");
     }
 
     #[test]
@@ -687,7 +698,7 @@ mod tests {
         let (b_end, b_worker) = MemoryTransport::pair();
         // A takes the only cell, stays silent through its 1 s deadline and
         // hangs up at 1.5 s, before a second deadline could abandon it.
-        let a = scripted_worker(a_worker, |_, _, _| {
+        let a = scripted_worker(a_worker, |_, _| {
             thread::sleep(Duration::from_millis(1500));
             false
         });
@@ -695,10 +706,10 @@ mod tests {
         // pause lets A's hang-up reach the coordinator first: the two
         // workers' frames arrive on different threads.
         let (gone, a_gone) = mpsc::channel::<()>();
-        let b = scripted_worker(b_worker, move |writer, lease, range| {
+        let b = scripted_worker(b_worker, move |writer, range| {
             a_gone.recv().expect("A hangs up");
             thread::sleep(Duration::from_millis(100));
-            report(writer, lease, range);
+            send(writer, &cells(range));
             true
         });
         let pool = connect(
@@ -728,12 +739,12 @@ mod tests {
         let (coordinator_end, worker_end) = MemoryTransport::pair();
         // Says nothing until its second lease arrives, then reports both.
         let mut first = None;
-        let worker = scripted_worker(worker_end, move |writer, lease, range| {
+        let worker = scripted_worker(worker_end, move |writer, range| {
             match first.take() {
-                None => first = Some((lease, range)),
-                Some((first_lease, first_range)) => {
-                    report(writer, first_lease, first_range);
-                    report(writer, lease, range);
+                None => first = Some(range),
+                Some(first_range) => {
+                    send(writer, &cells(first_range));
+                    send(writer, &cells(range));
                 }
             }
             true
@@ -763,14 +774,13 @@ mod tests {
         // One cell per 300 ms against a 1 s deadline: the first lease takes
         // 1.2 s while its successor waits in the worker's queue, and every
         // frame keeps both leases alive.
-        let worker = scripted_worker(worker_end, |writer, lease, range| {
+        let worker = scripted_worker(worker_end, |writer, range| {
             for index in range.clone() {
-                if lease == 1 {
+                if range.start == 0 {
                     thread::sleep(Duration::from_millis(300));
                 }
                 send(writer, &cells([index]));
             }
-            send(writer, &ToCoordinator::LeaseDone { lease });
             true
         });
         let pool = connect(
@@ -802,13 +812,13 @@ mod tests {
         let (b_end, b_worker) = MemoryTransport::pair();
         // A takes its two leases and hangs up on receiving the second.
         let mut held = 0;
-        let a = scripted_worker(a_worker, move |_, _, _| {
+        let a = scripted_worker(a_worker, move |_, _| {
             held += 1;
             held < 2
         });
         // B reports whatever it is leased, A's cells included.
-        let b = scripted_worker(b_worker, |writer, lease, range| {
-            report(writer, lease, range);
+        let b = scripted_worker(b_worker, |writer, range| {
+            send(writer, &cells(range));
             true
         });
         let pool = connect(

@@ -19,8 +19,8 @@
 //!         ├──────────────── Lease ×2 ────►  reader thread queues leases;
 //!         │                                 one sweep claims their cells
 //!         │                                 in order, checking each range
-//!   fold dedup ◄────────────── Cells ────   ≤ 8 outcomes per frame
-//!         │                 ◄─ LeaseDone ─  after the lease's last cell
+//!   fold dedup ◄────────────── Cells ────   8 outcomes per frame, fewer
+//!   retires complete leases                 only when the sweep drains
 //!         ├─────────────────── Lease ────►  tops the worker up to two
 //!         │
 //!         └───────────────── Shutdown ───►  drain, exit
@@ -34,16 +34,19 @@
 //!   ([`write_frame`]/[`read_frame`]).
 //! * **Micro-shard leasing, not static splits.** The coordinator keeps two
 //!   leases at every live worker, each the next small index range that the
-//!   fold has not seen and no other lease holds, and tops a worker up as
-//!   its leases finish, so a slow worker naturally takes fewer cells — the
-//!   shard-level analogue of the lane-compacting scheduler, and the fix for
-//!   a static split's convoy on ragged grids (a static split is the special
-//!   case of one `cells / workers` lease each, never re-leased). Workers
-//!   report retired cells in frames of up to eight outcomes, and any frame
-//!   is its worker's liveness signal. When a worker misses its deadline or
-//!   dies, the cells its leases never reported are leased again; a worker
-//!   that merely stalled and reports late is folded through **cell-index
-//!   dedup**, so a twice-landed cell counts once.
+//!   fold has not seen and no other lease holds, so a slow worker naturally
+//!   takes fewer cells — the shard-level analogue of the lane-compacting
+//!   scheduler, and the fix for a static split's convoy on ragged grids (a
+//!   static split is the special case of one `cells / workers` lease each,
+//!   never re-leased). Workers report retired cells in frames of eight
+//!   outcomes, fewer only when their sweep drains, and any frame is its
+//!   worker's liveness signal. The fold is the one lease ledger: no message
+//!   ends a lease, and after each frame the coordinator retires the
+//!   sender's leases whose cells the fold now holds and tops the worker up.
+//!   When a worker misses its deadline or dies, the cells its leases never
+//!   reported are leased again; a worker that merely stalled and reports
+//!   late is folded through **cell-index dedup**, so a twice-landed cell
+//!   counts once.
 //! * **One sweep per worker session.** A worker builds its runner once and
 //!   runs the in-process runner's one sweep loop over its queued leases:
 //!   the claim moves on to the next lease without a round trip or a drain,
@@ -78,13 +81,17 @@
 //!
 //! [`Coordinator::with_lease_cells`] sets the cells per lease; the default
 //! targets ~8 leases per worker so the tail is fine-grained. With a second
-//! lease always queued at the worker, a lease boundary costs no round trip,
-//! so small leases cost little more than the frames that end them. Shrink
-//! the size toward 1 when cell runtimes are wildly ragged (faster straggler
-//! recovery); grow it when cells are uniform and tiny. The lease deadline
-//! ([`Coordinator::with_lease_timeout`]) must comfortably exceed the time a
-//! worker takes to retire eight cells per thread: it sends a frame at least
-//! that often, and any frame restarts the deadline of every lease it holds.
+//! lease always queued at the worker, a lease boundary costs no round trip
+//! as long as a lease is longer than a frame: the fold learns of a lease's
+//! last cells with the worker's next full frame, while the worker runs the
+//! lease behind it. Leases shorter than a frame can run out before it
+//! fills; the worker then drains, sends and waits for its next lease.
+//! Shrink the size toward 1 when cell runtimes are wildly ragged (faster
+//! straggler recovery); grow it when cells are uniform and tiny. The lease
+//! deadline ([`Coordinator::with_lease_timeout`]) must comfortably exceed
+//! the time a worker takes to retire eight cells per thread: it sends a
+//! frame at least that often, and any frame restarts the deadline of every
+//! lease it holds.
 
 pub mod codec;
 pub mod coordinator;

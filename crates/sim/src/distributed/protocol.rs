@@ -5,9 +5,10 @@
 //! A session is Hello → Ready, then leases one way and outcomes the other.
 //! The coordinator keeps up to two [`ToWorker::Lease`]s queued at each
 //! worker. The worker reports retired cells in [`ToCoordinator::Cells`]
-//! frames of up to [`SINK_BATCH`](crate::experiment::SINK_BATCH) outcomes,
-//! and a lease's [`ToCoordinator::LeaseDone`] follows the frame that carries
-//! its last cell. Any frame from a worker is its liveness signal.
+//! frames of [`SINK_BATCH`](crate::experiment::SINK_BATCH) outcomes, fewer
+//! only when its sweep drains or just before an injected death. No message
+//! ends a lease: the coordinator retires one once its fold holds every cell
+//! of it. Any frame from a worker is its liveness signal.
 //!
 //! Messages are *not* individually checksummed — the transport's framing
 //! already bounds each payload, and the standalone-blob CRC discipline is
@@ -34,7 +35,8 @@ pub(crate) struct WorkerSetup {
     pub spec: SweepSpec,
     /// The models every cell runs with, calibrated once by the coordinator.
     pub calibration: Calibration,
-    /// Worker-local shard threads per lease.
+    /// Sweep threads the worker session asks for; the worker caps them at
+    /// its host's available parallelism.
     pub threads: usize,
     /// Cell-level containment policy, identical on every worker.
     pub resilience: ResiliencePolicy,
@@ -47,14 +49,9 @@ pub(crate) enum ToWorker {
     /// knobs. The worker answers [`ToCoordinator::Ready`] once it has
     /// decoded them.
     Hello(Box<WorkerSetup>),
-    /// Leases cells `[start, end)` of the grid to this worker under an
-    /// opaque lease id (echoed in the lease's completion). The worker queues
-    /// it behind the leases it already holds.
-    Lease {
-        lease: u64,
-        start: usize,
-        end: usize,
-    },
+    /// Leases cells `[start, end)` of the grid to this worker. The worker
+    /// queues it behind the leases it already holds.
+    Lease { start: usize, end: usize },
     /// Ends the session; the worker exits its serve loop.
     Shutdown,
 }
@@ -66,13 +63,11 @@ pub(crate) enum ToCoordinator {
     Ready,
     /// Retired cells as `(grid index, outcome)`: at most
     /// [`SINK_BATCH`](crate::experiment::SINK_BATCH) per frame, sent when the
-    /// worker holds that many, when a lease's last cell retires, and when
-    /// its sweep drains. The grid index lets the coordinator dedup cells
-    /// that a re-lease ran twice; a failure's own
+    /// worker holds that many, when its sweep drains, and just before an
+    /// injected death. The grid index lets the coordinator dedup cells that
+    /// a re-lease ran twice; a failure's own
     /// [`crate::resilience::CellFailure::index`] must equal it.
     Cells(Vec<(usize, CellOutcome)>),
-    /// Lease `lease` finished: every one of its cells has been sent.
-    LeaseDone { lease: u64 },
 }
 
 /// The fewest bytes one entry of a [`ToCoordinator::Cells`] frame encodes
@@ -95,9 +90,8 @@ impl ToWorker {
                 w.put_usize(setup.threads);
                 codec::put_resilience(&mut w, &setup.resilience);
             }
-            ToWorker::Lease { lease, start, end } => {
+            ToWorker::Lease { start, end } => {
                 w.put_u8(1);
-                w.put_u64(*lease);
                 w.put_usize(*start);
                 w.put_usize(*end);
             }
@@ -117,7 +111,6 @@ impl ToWorker {
                 resilience: codec::take_resilience(&mut r)?,
             })),
             1 => ToWorker::Lease {
-                lease: r.take_u64().map_err(codec::codec_error)?,
                 start: r.take_usize().map_err(codec::codec_error)?,
                 end: r.take_usize().map_err(codec::codec_error)?,
             },
@@ -142,10 +135,6 @@ impl ToCoordinator {
                     w.put_usize(*index);
                     codec::put_outcome(&mut w, outcome);
                 }
-            }
-            ToCoordinator::LeaseDone { lease } => {
-                w.put_u8(2);
-                w.put_u64(*lease);
             }
         }
         w.into_bytes()
@@ -172,9 +161,6 @@ impl ToCoordinator {
                 }
                 ToCoordinator::Cells(cells)
             }
-            2 => ToCoordinator::LeaseDone {
-                lease: r.take_u64().map_err(codec::codec_error)?,
-            },
             _ => return Err(malformed("unknown worker message tag")),
         };
         r.finish().map_err(codec::codec_error)?;
@@ -223,17 +209,12 @@ mod tests {
         (
             vec![
                 ToWorker::Hello(Box::new(setup)),
-                ToWorker::Lease {
-                    lease: 9,
-                    start: 1,
-                    end: 3,
-                },
+                ToWorker::Lease { start: 1, end: 3 },
                 ToWorker::Shutdown,
             ],
             vec![
                 ToCoordinator::Ready,
                 ToCoordinator::Cells(vec![(1, completed), (2, failed)]),
-                ToCoordinator::LeaseDone { lease: 9 },
             ],
         )
     }
@@ -275,6 +256,15 @@ mod tests {
         assert!(ToWorker::decode(&[]).is_err());
         assert!(ToWorker::decode(&[99]).is_err());
         assert!(ToCoordinator::decode(&[99]).is_err());
+        // Tag 2 is unknown: no worker message ends a lease (the
+        // coordinator's fold does), so a worker that sends one is in error.
+        let mut w = ByteWriter::new();
+        w.put_u8(2);
+        w.put_u64(9);
+        match ToCoordinator::decode(&w.into_bytes()) {
+            Err(SimError::Io(message)) => assert!(message.contains("unknown"), "{message}"),
+            other => panic!("tag 2 must be an unknown tag, got {other:?}"),
+        }
         // Trailing bytes after a well-formed message are a protocol error.
         let mut frame = ToCoordinator::Ready.encode();
         frame.push(0);

@@ -11,13 +11,14 @@
 //! nothing has arrived it returns `None`, the sweep drains, the worker sends
 //! what it holds, and only then does it block for the next message. The
 //! coordinator keeps a second lease queued at each worker, so a lease
-//! boundary normally costs neither a round trip nor a drain. Retired cells
-//! go back in `Cells` frames of up to eight outcomes, each lease's
-//! `LeaseDone` after the frame that carries its last cell. A lease that
-//! ends before it starts or reaches past the grid is a protocol error,
-//! found when the lease is taken from the inbox and before any of its cells
-//! runs: the cells already claimed finish and are sent, and the session
-//! returns the error.
+//! boundary normally costs neither a round trip nor a drain. The worker
+//! keeps no record of its leases: it sends retired cells in `Cells` frames
+//! of eight outcomes, fewer only when its sweep drains, and the
+//! coordinator's fold decides when a lease is done. A lease that ends before
+//! it starts or reaches past the grid is a protocol error, found when the
+//! lease is taken from the inbox and before any of its cells runs: the
+//! cells already claimed finish and are sent, and the session returns the
+//! error.
 //!
 //! A session keeps nothing the campaign needs: every cell's seed and
 //! configuration derive from the shared [`crate::SweepSpec`], so a worker
@@ -102,17 +103,6 @@ impl ChaosState {
     }
 }
 
-/// A received lease that still owes the coordinator cells.
-#[derive(Debug)]
-struct OpenLease {
-    id: u64,
-    start: usize,
-    /// Per cell from `start`: not yet retired.
-    owed: Vec<bool>,
-    /// How many entries of `owed` are set.
-    left: usize,
-}
-
 /// One worker session, shared by its sweep's claim and its sink.
 struct Session {
     /// The grid's cell count: every lease must lie within it.
@@ -123,9 +113,6 @@ struct Session {
     chaos: ChaosState,
     /// The newest lease's unclaimed cells.
     claimable: Range<usize>,
-    /// Leases with cells owed, oldest first. Two of them can share cells: a
-    /// released lease's cells can be leased back to the same worker.
-    open: Vec<OpenLease>,
     /// Retired outcomes not yet sent.
     frame: Vec<(usize, CellOutcome)>,
     /// The worker died (chaos) or the coordinator hung up: send nothing more.
@@ -161,7 +148,7 @@ impl Session {
     /// coordinator hung up.
     fn receive(&mut self, message: Option<Result<ToWorker, SimError>>) {
         match message {
-            Some(Ok(ToWorker::Lease { lease, start, end })) => self.open_lease(lease, start, end),
+            Some(Ok(ToWorker::Lease { start, end })) => self.open_lease(start, end),
             // Goodbye, or the coordinator hung up: nothing left to do.
             Some(Ok(ToWorker::Shutdown)) | None => self.finish(Ok(())),
             Some(Ok(ToWorker::Hello(_))) => {
@@ -172,29 +159,19 @@ impl Session {
     }
 
     /// Makes `[start, end)` the claimable cells, or ends the session with an
-    /// error naming the lease if that is not a range within the grid.
-    fn open_lease(&mut self, lease: u64, start: usize, end: usize) {
+    /// error naming the range if that is not a range within the grid.
+    fn open_lease(&mut self, start: usize, end: usize) {
         if start > end || end > self.cells {
             return self.finish(Err(SimError::Io(format!(
-                "lease {lease} names cells {start}..{end}, not a range within the grid's {} cells",
+                "leased cells {start}..{end} are not a range within the grid's {} cells",
                 self.cells
             ))));
         }
-        if start == end {
-            return self.send(&ToCoordinator::LeaseDone { lease });
-        }
         self.claimable = start..end;
-        self.open.push(OpenLease {
-            id: lease,
-            start,
-            owed: vec![true; end - start],
-            left: end - start,
-        });
     }
 
     /// Takes a retired cell's outcome: the frame goes out when it holds
-    /// [`SINK_BATCH`] outcomes or the cell was its lease's last, and then
-    /// that lease's `LeaseDone` follows it.
+    /// [`SINK_BATCH`] outcomes.
     fn retire(&mut self, index: usize, outcome: &Result<RunReport, SimError>) {
         if self.silent {
             return;
@@ -209,40 +186,18 @@ impl Session {
         }
         self.frame
             .push((index, CellOutcome::from_run(index, outcome)));
-        if let Some(lease) = self.settle(index) {
-            self.send_frame();
-            self.send(&ToCoordinator::LeaseDone { lease });
-        } else if self.frame.len() >= SINK_BATCH {
+        if self.frame.len() >= SINK_BATCH {
             self.send_frame();
         }
     }
 
-    /// Marks `index` retired in the oldest open lease that still owes it,
-    /// and closes that lease, returning its id, once it owes nothing more.
-    fn settle(&mut self, index: usize) -> Option<u64> {
-        let at = self.open.iter_mut().position(|lease| {
-            let owed = index
-                .checked_sub(lease.start)
-                .and_then(|k| lease.owed.get_mut(k));
-            owed.is_some_and(std::mem::take)
-        })?;
-        let lease = &mut self.open[at];
-        lease.left -= 1;
-        (lease.left == 0).then(|| self.open.remove(at).id)
-    }
-
+    /// Sends the retired outcomes not yet sent, if any.
     fn send_frame(&mut self) {
-        if !self.frame.is_empty() {
-            let cells = std::mem::replace(&mut self.frame, Vec::with_capacity(SINK_BATCH));
-            self.send(&ToCoordinator::Cells(cells));
-        }
-    }
-
-    fn send(&mut self, message: &ToCoordinator) {
-        if self.silent {
+        if self.silent || self.frame.is_empty() {
             return;
         }
-        if write_frame(self.writer.as_mut(), &message.encode()).is_err() {
+        let cells = std::mem::replace(&mut self.frame, Vec::with_capacity(SINK_BATCH));
+        if write_frame(self.writer.as_mut(), &ToCoordinator::Cells(cells).encode()).is_err() {
             // The coordinator hung up (campaign complete, or this worker was
             // abandoned as a straggler). Not an error on this side: the
             // session is simply over.
@@ -289,6 +244,13 @@ fn forward(mut reader: Box<dyn Read + Send>, inbox: Sender<Result<ToWorker, SimE
     }
 }
 
+/// The sweep threads a session runs: the `requested` count from Hello,
+/// capped at the host's `available` parallelism. The session has no cell
+/// count to cap them at, and it starts them again after every drain.
+fn session_threads(requested: usize, available: usize) -> usize {
+    requested.min(available)
+}
+
 /// Serves leases over `transport` until the coordinator says
 /// `Shutdown` or closes the connection. This is the whole
 /// worker: the `dtpm-worker` binary is a thin argument parser around it.
@@ -305,10 +267,10 @@ pub fn serve(transport: Box<dyn Transport>) -> Result<(), SimError> {
 ///
 /// # Errors
 ///
-/// As [`serve`], plus [`SimError::Io`] naming the lease when a lease
-/// reaches past the grid or ends before it starts — rejected before any of
-/// its cells runs, once the cells already claimed have finished and been
-/// sent.
+/// As [`serve`], plus [`SimError::Io`] naming the leased range when a
+/// lease reaches past the grid or ends before it starts — rejected before
+/// any of its cells runs, once the cells already claimed have finished and
+/// been sent.
 pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(), SimError> {
     let (mut writer, mut reader) = transport.split()?;
     let frame = read_frame(&mut reader)?
@@ -327,10 +289,11 @@ pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(
     // finished session must not wait for.
     let (forwarder, inbox) = mpsc::channel();
     thread::spawn(move || forward(reader, forwarder));
+    let available = thread::available_parallelism().map_or(1, usize::from);
     let runner = setup
         .spec
         .runner()
-        .with_threads(setup.threads)
+        .with_threads(session_threads(setup.threads, available))
         .with_resilience(setup.resilience);
     let mut session = Session {
         cells: setup.spec.cells(),
@@ -338,7 +301,6 @@ pub fn serve_with(transport: Box<dyn Transport>, chaos: WorkerChaos) -> Result<(
         writer,
         chaos: ChaosState::new(chaos),
         claimable: 0..0,
-        open: Vec::new(),
         frame: Vec::with_capacity(SINK_BATCH),
         silent: false,
         end: None,
@@ -382,14 +344,17 @@ mod tests {
             .with_max_duration_s(1.0)
     }
 
-    /// Serves one Hello and `leases` as `(id, start, end)`, all queued
-    /// before the worker starts, then Shutdown, over a memory transport;
-    /// returns what `serve_with` returned and every frame the worker wrote
-    /// after Ready.
+    /// The cells of one `Cells` frame.
+    type Frame = Vec<(usize, CellOutcome)>;
+
+    /// Serves one Hello and `leases` as `(start, end)`, all queued before
+    /// the worker starts, then Shutdown, over a memory transport; returns
+    /// what `serve_with` returned and the cells of every frame the worker
+    /// wrote after Ready.
     fn serve_leases(
         spec: &SweepSpec,
-        leases: &[(u64, usize, usize)],
-    ) -> (Result<(), SimError>, Vec<ToCoordinator>) {
+        leases: &[(usize, usize)],
+    ) -> (Result<(), SimError>, Vec<Frame>) {
         let (coordinator_end, worker_end) = MemoryTransport::pair();
         let (mut writer, mut reader) = Box::new(coordinator_end).split().expect("memory halves");
         let setup = WorkerSetup {
@@ -399,8 +364,8 @@ mod tests {
             resilience: ResiliencePolicy::default(),
         };
         write_frame(&mut writer, &ToWorker::Hello(Box::new(setup)).encode()).expect("hello");
-        for &(lease, start, end) in leases {
-            let lease = ToWorker::Lease { lease, start, end };
+        for &(start, end) in leases {
+            let lease = ToWorker::Lease { start, end };
             write_frame(&mut writer, &lease.encode()).expect("lease");
         }
         write_frame(&mut writer, &ToWorker::Shutdown.encode()).expect("shutdown");
@@ -412,22 +377,12 @@ mod tests {
         assert_eq!(ToCoordinator::decode(&ready), Ok(ToCoordinator::Ready));
         let mut frames = Vec::new();
         while let Some(frame) = read_frame(&mut reader).expect("a clean end") {
-            frames.push(ToCoordinator::decode(&frame).expect("a worker message"));
-        }
-        (served, frames)
-    }
-
-    /// Every reported `(index, outcome)` in frame order, checking that no
-    /// frame holds more than [`SINK_BATCH`] of them.
-    fn reported(frames: &[ToCoordinator]) -> Vec<(usize, CellOutcome)> {
-        let mut cells = Vec::new();
-        for frame in frames {
-            if let ToCoordinator::Cells(batch) = frame {
-                assert!(batch.len() <= SINK_BATCH, "{} outcomes", batch.len());
-                cells.extend(batch.iter().cloned());
+            match ToCoordinator::decode(&frame).expect("a worker message") {
+                ToCoordinator::Cells(cells) => frames.push(cells),
+                other => panic!("after Ready a worker sends only cells, got {other:?}"),
             }
         }
-        cells
+        (served, frames)
     }
 
     fn sorted_indices(cells: &[(usize, CellOutcome)]) -> Vec<usize> {
@@ -441,47 +396,31 @@ mod tests {
         let spec = spec(1);
         let cells = spec.cells();
         for (start, end) in [(0, cells + 1), (1, 0), (0, usize::MAX)] {
-            let (served, frames) = serve_leases(&spec, &[(3, start, end)]);
+            let (served, frames) = serve_leases(&spec, &[(start, end)]);
             match served {
-                Err(SimError::Io(message)) => assert!(
-                    message.contains("lease 3") && message.contains(&format!("{start}..{end}")),
-                    "{message}"
-                ),
+                Err(SimError::Io(message)) => {
+                    assert!(message.contains(&format!("{start}..{end}")), "{message}")
+                }
                 other => panic!("lease {start}..{end} must be rejected, got {other:?}"),
             }
             assert!(frames.is_empty(), "lease {start}..{end}: {frames:?}");
         }
-        // The whole grid is a lease the worker runs: its cells, then
-        // LeaseDone.
-        let (served, frames) = serve_leases(&spec, &[(3, 0, cells)]);
+        // The whole grid is a lease the worker runs.
+        let (served, frames) = serve_leases(&spec, &[(0, cells)]);
         served.expect("an in-grid lease is served");
         assert_eq!(
-            sorted_indices(&reported(&frames)),
+            sorted_indices(&frames.concat()),
             (0..cells).collect::<Vec<_>>()
         );
-        assert_eq!(frames.last(), Some(&ToCoordinator::LeaseDone { lease: 3 }));
     }
 
     #[test]
     fn a_session_runs_queued_leases_as_one_sweep_and_reports_each_cell_once() {
         let spec = spec(20);
-        let leases = [(3, 0, 9), (4, 9, 20)];
-        let (served, frames) = serve_leases(&spec, &leases);
+        let (served, frames) = serve_leases(&spec, &[(0, 9), (9, 20)]);
         served.expect("both leases are served");
-        let cells = reported(&frames);
+        let cells = frames.concat();
         assert_eq!(sorted_indices(&cells), (0..20).collect::<Vec<_>>());
-        // Each LeaseDone comes once, after every cell of its lease.
-        for (lease, start, end) in leases {
-            let done = ToCoordinator::LeaseDone { lease };
-            let at = frames.iter().position(|frame| *frame == done);
-            let at = at.unwrap_or_else(|| panic!("no LeaseDone for lease {lease}: {frames:?}"));
-            assert_eq!(frames.iter().filter(|frame| **frame == done).count(), 1);
-            let before = sorted_indices(&reported(&frames[..at]));
-            assert!(
-                (start..end).all(|index| before.binary_search(&index).is_ok()),
-                "lease {lease} done before its cells: {frames:?}"
-            );
-        }
         // The outcomes fold to the bits of an in-process run.
         let mut fold = MergeSink::new(0..20);
         for (index, outcome) in cells {
@@ -494,19 +433,30 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_sends_full_frames_until_its_sweep_drains() {
+        // Within one lease the sweep never drains, so every frame holds
+        // SINK_BATCH outcomes but the one sent when the lease runs out.
+        let spec = spec(2 * SINK_BATCH + 3);
+        let (served, frames) = serve_leases(&spec, &[(0, spec.cells())]);
+        served.expect("the lease is served");
+        let sizes: Vec<usize> = frames.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [SINK_BATCH, SINK_BATCH, 3]);
+    }
+
+    #[test]
     fn a_bad_lease_queued_behind_a_good_one_ends_the_session_after_the_good_one() {
         let spec = spec(6);
-        let (served, frames) = serve_leases(&spec, &[(3, 0, 4), (4, 4, 7)]);
+        let (served, frames) = serve_leases(&spec, &[(0, 4), (4, 7)]);
         match served {
-            Err(SimError::Io(message)) => {
-                assert!(
-                    message.contains("lease 4") && message.contains("4..7"),
-                    "{message}"
-                )
-            }
+            Err(SimError::Io(message)) => assert!(message.contains("4..7"), "{message}"),
             other => panic!("lease 4..7 must be rejected, got {other:?}"),
         }
-        assert_eq!(sorted_indices(&reported(&frames)), [0, 1, 2, 3]);
-        assert_eq!(frames.last(), Some(&ToCoordinator::LeaseDone { lease: 3 }));
+        assert_eq!(sorted_indices(&frames.concat()), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_session_runs_at_most_one_sweep_thread_per_available_cpu() {
+        assert_eq!(session_threads(usize::MAX, 2), 2);
+        assert_eq!(session_threads(1, 2), 1);
     }
 }
