@@ -997,6 +997,7 @@ fn render_sink(out: &mut String, sink: &MergeSink) {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::super::protocol::{ToCoordinator, ToWorker, WorkerSetup};
     use super::*;
     use crate::calibrate::CalibrationCampaign;
     use crate::experiment::ExperimentKind;
@@ -1376,6 +1377,172 @@ pub(crate) mod tests {
         for len in 0..bytes.len() {
             check(format!("truncated to {len} bytes"), &bytes[..len]);
         }
+    }
+
+    /// A calibration built from literal values, so a change to calibration
+    /// numerics cannot move the `Hello` pin below.
+    fn literal_calibration() -> Calibration {
+        let domains = PowerDomain::ALL
+            .into_iter()
+            .zip(1u32..)
+            .map(|(domain, k)| {
+                let k = f64::from(k);
+                DomainPowerModel::new(
+                    domain,
+                    LeakageModel::new(LeakageParams {
+                        c1: 0.25e-3 * k,
+                        c2: -2_500.0 - 125.0 * k,
+                        igate_a: 0.005 * k,
+                    }),
+                    ActivityEstimator::from_parts(0.5e-9 * k, 0.25, 40 + k as u64),
+                )
+            })
+            .collect();
+        let a: Vec<f64> = (0..16)
+            .map(|i| if i % 5 == 0 { 0.875 } else { 0.031_25 })
+            .collect();
+        let b: Vec<f64> = (0..16).map(|i| 0.062_5 + f64::from(i) / 256.0).collect();
+        let model = DiscreteThermalModel::new(
+            Matrix::from_vec(4, 4, a).unwrap(),
+            Matrix::from_vec(4, 4, b).unwrap(),
+            0.1,
+        )
+        .unwrap();
+        Calibration {
+            power_model: PowerModel::new(domains),
+            predictor: ThermalPredictor::new(model, 28.0).unwrap(),
+            validation: PredictionErrorReport {
+                horizon_steps: 10,
+                horizon_s: 1.0,
+                mean_abs_error_c: 0.25,
+                mean_percent_error: 0.5,
+                max_abs_error_c: 1.5,
+                max_percent_error: 3.0,
+                samples: 4_000,
+            },
+        }
+    }
+
+    /// `bytes.len()` and, for a sealed blob, its 4-byte CRC32 trailer.
+    fn length_and_trailer(bytes: &[u8]) -> (usize, u32) {
+        let trailer = bytes[bytes.len() - 4..].try_into().expect("4 bytes");
+        (bytes.len(), u32::from_le_bytes(trailer))
+    }
+
+    fn from_hex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// [`checkpoint`]'s blob as the `DCP2` format wrote it when this pin was
+    /// taken.
+    const CHECKPOINT_HEX: &str = "\
+    444350320df00000000000000000000000000000460000000000000001000000\
+    0000000001000000000000000000000000000000010000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000\
+    0000f07f000000000000f0ff0000000000000000000000000000000000000000\
+    00000000000000000000f07f000000000000f0ff000000000000000000000000\
+    000000000000000000000000000000000000f07f000000000000f0ff00000000\
+    0000000000000000000000000000000000000000000000000000f07f00000000\
+    0000f0ff00000000000000000000000000000000000000000000000000000000\
+    0000f07f000000000000f0ff0100000000000000000000000000000021000000\
+    63656c6c2070616e69636b65642028636f6e7461696e6564293a20626f6f6d20\
+    3003000000000000000200000000000000010200000000000000210000006365\
+    6c6c2070616e69636b65642028636f6e7461696e6564293a20626f6f6d203240\
+    000000000000000140000000000000002200000063656c6c2070616e69636b65\
+    642028636f6e7461696e6564293a20626f6f6d20363445000000000000000145\
+    000000000000002200000063656c6c2070616e69636b65642028636f6e746169\
+    6e6564293a20626f6f6d203639b5ae2618";
+
+    #[test]
+    fn the_format_bytes_are_pinned() {
+        // Round trips pass any self-consistent change of the bytes; these
+        // pins do not. A moved fingerprint orphans every checkpoint on disk,
+        // so a change here is a format change and needs a new blob magic.
+        let mut spec = spec()
+            .with_max_duration_s(12.5)
+            .with_ideal_sensors(true)
+            .with_precision(EnginePrecision::F64);
+        spec.control_period_s = 0.1;
+        spec.base_dtpm = DtpmConfig {
+            temperature_constraint_c: 61.5,
+            prediction_horizon_steps: 12,
+            hot_core_delta_c: 2.5,
+            min_big_cores: 1,
+            prediction_margin_c: 0.75,
+        };
+        spec.plant = PlantPowerParams {
+            big_core_ceff_f: 0.5e-9,
+            big_uncore_ceff_f: 0.125e-9,
+            little_core_ceff_f: 0.25e-9,
+            little_uncore_ceff_f: 0.062_5e-9,
+            gpu_ceff_f: 1.5e-9,
+            memory_base_w: 0.25,
+            memory_active_w: 0.5,
+            board_base_w: 1.25,
+            leakage_mismatch: 1.125,
+            gated_leakage_fraction: 0.375,
+            initial_temp_c: 40.0,
+        };
+        assert_eq!(spec.fingerprint(), 0x5319_FF77_B4B6_D037);
+        // A sealed blob's CRC32 over all its bytes is the CRC residue
+        // whatever they are, so the pin is the trailer, with the length.
+        for (what, blob, pinned) in [
+            ("spec", encode_spec(&spec), (355, 0x1E33_FB87)),
+            ("sink", encode_sink(&mid_flight_sink()), (613, 0x6539_B7FB)),
+            (
+                "checkpoint",
+                encode_checkpoint(&checkpoint()),
+                (529, 0x1826_AEB5),
+            ),
+        ] {
+            assert_eq!(length_and_trailer(&blob), pinned, "{what} blob");
+        }
+        let setup = WorkerSetup {
+            spec,
+            calibration: literal_calibration(),
+            threads: 2,
+            resilience: ResiliencePolicy::default().with_max_retries(1),
+        };
+        let cells = vec![
+            (4, CellOutcome::Completed(stats(4.0))),
+            (
+                9,
+                CellOutcome::Failed(CellFailure {
+                    index: 9,
+                    error: "cell panicked (contained): boom".to_owned(),
+                }),
+            ),
+        ];
+        for (what, frame, pinned) in [
+            (
+                "Hello",
+                ToWorker::Hello(Box::new(setup)).encode(),
+                (913, 0x425E_D1DC),
+            ),
+            (
+                "Lease",
+                ToWorker::Lease { start: 24, end: 56 }.encode(),
+                (17, 0x8D55_D3E7),
+            ),
+            ("Shutdown", ToWorker::Shutdown.encode(), (1, 0x3C0C_8EA1)),
+            ("Ready", ToCoordinator::Ready.encode(), (1, 0xD202_EF8D)),
+            (
+                "Cells",
+                ToCoordinator::Cells(cells).encode(),
+                (144, 0x4F99_F6DE),
+            ),
+        ] {
+            assert_eq!((frame.len(), crc32(&frame)), pinned, "{what} frame");
+        }
+        // A checkpoint written before this pin was taken still decodes.
+        let blob = from_hex(CHECKPOINT_HEX);
+        assert_eq!(decode_checkpoint(&blob).expect("pinned blob"), checkpoint());
+        assert_eq!(encode_checkpoint(&checkpoint()), blob);
     }
 
     #[test]
