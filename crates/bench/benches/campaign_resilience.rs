@@ -1,7 +1,8 @@
 //! Microbench of the wall-clock overhead of checkpointed campaigns.
 //!
-//! The same ~200-cell summaries-only grid as `sweep_campaign` is run through
-//! two sinks:
+//! A 200-cell campaign (kinds × benchmarks × ambients × DTPM variants ×
+//! replicates), which streams summaries as every campaign does, is run
+//! through two sinks:
 //!
 //! * **plain** — a bare [`MergeSink`]: the in-memory canonical fold, no
 //!   persistence.
@@ -18,7 +19,7 @@
 use bench::microbench::{Bound, Microbench, Timer};
 use platform_sim::{
     Calibration, CalibrationCampaign, CheckpointSink, DtpmVariant, ExperimentKind, MergeSink,
-    SweepSpec, TracePolicy,
+    SweepSpec,
 };
 use workload::BenchmarkId;
 
@@ -87,7 +88,6 @@ fn run_plain(spec: &SweepSpec, calibration: &Calibration, timer: &mut Timer) -> 
         spec.runner()
             .with_threads(1)
             .with_lanes(LANES)
-            .with_recording(TracePolicy::SummaryOnly)
             .run_into(calibration, &mut sink)
     });
     sink
@@ -107,7 +107,6 @@ fn run_checkpointed(
         spec.runner()
             .with_threads(1)
             .with_lanes(LANES)
-            .with_recording(TracePolicy::SummaryOnly)
             .run_into(calibration, &mut sink)
     });
     let (checkpoint, (), write) = sink.finish();

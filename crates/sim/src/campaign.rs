@@ -28,8 +28,11 @@
 //!   subset) in which cells execute.
 //! * **Streaming results.** [`CampaignRunner::run_into`] drives the grid
 //!   through the compacting sweep scheduler into a
-//!   [`crate::experiment::ResultSink`], summaries-only by default: retained
-//!   memory is O(cells), never O(cells × intervals).
+//!   [`crate::experiment::ResultSink`], and a campaign always streams
+//!   summaries: retained memory is O(cells), never O(cells × intervals).
+//!   For a grid's trajectories, run its cells through
+//!   [`crate::ScenarioSweep`]: `ScenarioSweep::new(spec.expand().collect())`
+//!   retains every trace by default.
 //!
 //! The whole grid, a subset ([`CampaignRunner::run_indices_into`], which
 //! [`CampaignRunner::resume_from`] uses) and a distributed worker's session
@@ -365,12 +368,15 @@ impl SweepSpec {
         splitmix64(fnv1a(w.as_slice()))
     }
 
-    /// A runner for this campaign: streaming, summaries-only, one worker
-    /// per available CPU, each driving a panel engine of
-    /// [`numeric::LANE_CHUNK`] lanes (the width of the panel kernels' fast
-    /// path). A cell's result is the same bits at any width of two or more
-    /// lanes and any thread count; `with_lanes(1)` selects the scalar
-    /// engine instead.
+    /// A runner for this campaign: one worker per available CPU, each
+    /// driving a panel engine of [`numeric::LANE_CHUNK`] lanes (the width of
+    /// the panel kernels' fast path). A cell's result is the same bits at any
+    /// width of two or more lanes and any thread count; `with_lanes(1)`
+    /// selects the scalar engine instead.
+    ///
+    /// A campaign always streams summaries and retains no trace. For the
+    /// grid's trajectories, run `ScenarioSweep::new(spec.expand().collect())`,
+    /// which retains every trace by default.
     pub fn runner(&self) -> CampaignRunner<'_> {
         let parallelism = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -379,7 +385,6 @@ impl SweepSpec {
             spec: self,
             threads: parallelism.min(self.cells()).max(1),
             lanes: numeric::LANE_CHUNK,
-            recording: TracePolicy::SummaryOnly,
             resilience: ResiliencePolicy::default(),
         }
     }
@@ -388,19 +393,20 @@ impl SweepSpec {
 /// Executes a [`SweepSpec`] through the lane-compacting sweep scheduler into
 /// a [`ResultSink`], expanding cells lazily as workers claim them.
 ///
-/// Built by [`SweepSpec::runner`]; defaults to one worker per available CPU,
-/// [`numeric::LANE_CHUNK`]-lane panel engines, and
-/// [`TracePolicy::SummaryOnly`] — the configuration whose retained memory is
-/// O(cells) regardless of run lengths. Every cell's result is the same bits
-/// at any panel width, thread count, lease split or resume point, so the
-/// merged aggregate of a default run is reproducible however the cells were
+/// Built by [`SweepSpec::runner`]; defaults to one worker per available CPU
+/// and [`numeric::LANE_CHUNK`]-lane panel engines. Every cell runs under
+/// [`TracePolicy::SummaryOnly`], so retained memory is O(cells) regardless
+/// of run lengths; a grid's trajectories come from
+/// `ScenarioSweep::new(spec.expand().collect())` instead (see
+/// [`crate::ScenarioSweep`]). Every cell's result is the same bits at any
+/// panel width, thread count, lease split or resume point, so the merged
+/// aggregate of a default run is reproducible however the cells were
 /// scheduled.
 #[derive(Debug, Clone)]
 pub struct CampaignRunner<'a> {
     spec: &'a SweepSpec,
     threads: usize,
     lanes: usize,
-    recording: TracePolicy,
     resilience: ResiliencePolicy,
 }
 
@@ -422,14 +428,6 @@ impl CampaignRunner<'_> {
         self
     }
 
-    /// Sets what each cell's run retains per interval (default:
-    /// [`TracePolicy::SummaryOnly`]).
-    #[must_use]
-    pub fn with_recording(mut self, recording: TracePolicy) -> Self {
-        self.recording = recording;
-        self
-    }
-
     /// The worker-thread count the runner will use.
     pub fn threads(&self) -> usize {
         self.threads
@@ -438,11 +436,6 @@ impl CampaignRunner<'_> {
     /// The batch width (cells advanced per instruction stream).
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// The per-run trace-retention policy.
-    pub fn recording(&self) -> TracePolicy {
-        self.recording
     }
 
     /// Sets the containment policy: retry budget for panicking/overrunning
@@ -523,7 +516,7 @@ impl CampaignRunner<'_> {
             spec.precision,
             claim,
             &|index| spec.cell(index),
-            self.recording,
+            TracePolicy::SummaryOnly,
             calibration,
             &self.resilience,
             &std::sync::Mutex::new(sink),

@@ -1430,10 +1430,9 @@ pub(crate) mod tests {
     }
 
     fn from_hex(hex: &str) -> Vec<u8> {
-        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
-        digits
-            .chunks(2)
-            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        (0..hex.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).unwrap())
             .collect()
     }
 

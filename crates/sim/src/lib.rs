@@ -232,15 +232,16 @@
 //! seed plus the cell index: distinct, stable, order-independent), and
 //! streams through the same compacting scheduler.
 //!
-//! **Retain traces** ([`observer::TracePolicy::Full`]) when you need
-//! trajectories: plots, CSV export, steady-portion analyses with a skip
-//! fraction chosen after the fact ([`StabilityReport::of_steady_portion`]).
-//! **Stream summaries** ([`observer::TracePolicy::SummaryOnly`], the
-//! campaign default) for large grids: retained memory is O(cells) instead
-//! of O(cells × intervals) — the `sweep_campaign` bench measures the
-//! retention ratio on a 200-cell grid (`BENCH_sweep_campaign.json`), and the
-//! gap grows linearly with run length. Scenario count is bounded by
-//! compute, not memory.
+//! **Retain traces** ([`observer::TracePolicy::Full`], the
+//! [`ScenarioSweep`] default) when you need trajectories: plots, CSV
+//! export, steady-portion analyses with a skip fraction chosen after the
+//! fact ([`StabilityReport::of_steady_portion`]); a grid's trajectories come
+//! from `ScenarioSweep::new(spec.expand().collect())`. **Stream summaries**
+//! ([`observer::TracePolicy::SummaryOnly`]) for large grids: a campaign
+//! always does, so its retained memory is O(cells) instead of O(cells ×
+//! intervals), a gap that grows linearly with run length
+//! (`tests/streaming.rs` holds that a streamed campaign retains no trace).
+//! Scenario count is bounded by compute, not memory.
 //!
 //! # Robustness: faults, the safety ladder, graceful degradation
 //!

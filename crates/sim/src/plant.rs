@@ -257,24 +257,10 @@ impl PhysicalPlant {
         }
     }
 
-    /// Precomputes everything about the true power computation that does not
-    /// depend on the evolving temperatures. Platform state, demand and fan are
-    /// held constant over a control interval, so this runs once per interval;
-    /// only the leakage terms in [`PhysicalPlant::domain_powers_into`] remain
-    /// in the per-micro-step path.
-    fn interval_ops(
-        &self,
-        state: &PlatformState,
-        demand: &Demand,
-        online: &[usize],
-    ) -> Result<IntervalOps, SimError> {
-        compute_interval_ops(&self.spec, &self.params, state, demand, online)
-    }
-
     /// True per-domain power at the current temperatures, written directly
     /// into the per-node power vector `node_powers`. Allocation-free:
-    /// everything state/demand-dependent was precomputed by
-    /// [`PhysicalPlant::interval_ops`]; this only evaluates the
+    /// everything state/demand-dependent was precomputed once per interval
+    /// by [`compute_interval_ops`]; this only evaluates the
     /// temperature-dependent leakage terms.
     ///
     /// A free function over split borrows so the caller can keep mutable
@@ -361,18 +347,6 @@ impl PhysicalPlant {
         DomainPower::new(big_total, little_total, gpu_power, ops.mem_power)
     }
 
-    /// CPU work completed per second for the given state and demand.
-    ///
-    /// Real applications are not perfectly frequency-scalable: memory-bound
-    /// phases progress at (almost) the same rate regardless of the CPU clock.
-    /// The demand's `frequency_scalability` interpolates between a fully
-    /// memory-bound (0) and a fully compute-bound (1) workload, which is what
-    /// keeps the paper's performance loss small even when the DTPM algorithm
-    /// throttles the frequency.
-    fn throughput_units_per_s(&self, state: &PlatformState, demand: &Demand) -> f64 {
-        throughput_units_per_s(&self.spec, state, demand)
-    }
-
     /// Advances the plant by one control interval of `interval_s` seconds with
     /// the platform state, workload demand and fan level held constant.
     ///
@@ -415,7 +389,7 @@ impl PhysicalPlant {
         // a fixed-size array (work streams spill over them in index order).
         let (online_buf, online_mask, online_count) = online_cores(state, state.active_cluster);
         let online = &online_buf[..online_count];
-        let ops = self.interval_ops(state, demand, online)?;
+        let ops = compute_interval_ops(&self.spec, &self.params, state, demand, online)?;
 
         let steps = micro_steps(interval_s);
         let mut power_accum = DomainPower::default();
@@ -461,7 +435,7 @@ impl PhysicalPlant {
         );
         let fan_power = self.spec.fan().power_w(fan_level);
         let platform_power_w = domain_power.total() + self.params.board_base_w + fan_power;
-        let work_done = self.throughput_units_per_s(state, demand) * interval_s;
+        let work_done = throughput_units_per_s(&self.spec, state, demand) * interval_s;
 
         Ok(PlantStep {
             domain_power,
@@ -474,7 +448,9 @@ impl PhysicalPlant {
 
 /// The interval-constant part of the true power computation, shared between
 /// the scalar [`PhysicalPlant`] and the batched [`crate::PanelEngine`]
-/// (which evaluates it once per lane per control interval).
+/// (which evaluates it once per lane per control interval). Platform state,
+/// demand and fan are held constant over a control interval, so only the
+/// temperature-dependent leakage terms remain in the per-micro-step path.
 pub(crate) fn compute_interval_ops(
     spec: &SocSpec,
     params: &PlantPowerParams,
@@ -578,9 +554,15 @@ pub(crate) fn online_cores(
     (online_buf, online_mask, online_count)
 }
 
-/// CPU work completed per second for the given state and demand (see
-/// [`PhysicalPlant::throughput_units_per_s`]); shared with the batched plant
-/// so both engines report bit-identical work.
+/// CPU work completed per second for the given state and demand; shared by
+/// every plant engine so they all report bit-identical work.
+///
+/// Real applications are not perfectly frequency-scalable: memory-bound
+/// phases progress at (almost) the same rate regardless of the CPU clock.
+/// The demand's `frequency_scalability` interpolates between a fully
+/// memory-bound (0) and a fully compute-bound (1) workload, which is what
+/// keeps the paper's performance loss small even when the DTPM algorithm
+/// throttles the frequency.
 pub(crate) fn throughput_units_per_s(
     spec: &SocSpec,
     state: &PlatformState,

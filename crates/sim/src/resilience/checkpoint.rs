@@ -169,10 +169,11 @@ impl CampaignCheckpoint {
 /// cells, while forwarding every result unchanged to the wrapped sink.
 ///
 /// Persistence failures never interrupt the campaign: a failed write is
-/// recorded (and retried at the next checkpoint boundary) rather than
-/// panicking a worker — losing checkpoint durability is strictly better
-/// than losing the campaign. [`CheckpointSink::finish`] performs the final
-/// write and surfaces any persistent failure.
+/// recorded (and retried at the next checkpoint boundary, `every`
+/// completions later) rather than panicking a worker — losing checkpoint
+/// durability is strictly better than losing the campaign.
+/// [`CheckpointSink::finish`] performs the final write and surfaces any
+/// persistent failure.
 #[derive(Debug)]
 pub struct CheckpointSink<S: ResultSink> {
     inner: S,
@@ -250,18 +251,12 @@ impl<S: ResultSink> CheckpointSink<S> {
     }
 
     /// Persists the checkpoint, recording rather than propagating failure.
+    /// The cadence restarts whatever the outcome, so a persistently failing
+    /// write (a missing directory, a full disk) costs what a healthy one
+    /// does instead of re-encoding the fold on every completion.
     fn try_write(&mut self) {
-        match self.checkpoint.write_atomic(&self.path) {
-            Ok(()) => {
-                self.since_write = 0;
-                self.last_write_error = None;
-            }
-            Err(error) => {
-                // Leave since_write at the threshold so the very next
-                // completion retries the write.
-                self.last_write_error = Some(error);
-            }
-        }
+        self.since_write = 0;
+        self.last_write_error = self.checkpoint.write_atomic(&self.path).err();
     }
 }
 
@@ -288,6 +283,14 @@ mod tests {
 
     fn failed(index: usize) -> Result<RunReport, SimError> {
         Err(SimError::Panicked(format!("boom {index}")))
+    }
+
+    /// Counts forwarded outcomes.
+    struct Counter(usize);
+    impl ResultSink for Counter {
+        fn accept(&mut self, _index: usize, _outcome: Result<RunReport, SimError>) {
+            self.0 += 1;
+        }
     }
 
     #[test]
@@ -387,13 +390,6 @@ mod tests {
 
     #[test]
     fn checkpoint_sink_persists_on_cadence_and_forwards_everything() {
-        /// Counts forwarded outcomes.
-        struct Counter(usize);
-        impl ResultSink for Counter {
-            fn accept(&mut self, _index: usize, _outcome: Result<RunReport, SimError>) {
-                self.0 += 1;
-            }
-        }
         let path = temp_path("cadence");
         std::fs::remove_file(&path).ok();
         let mut sink = CheckpointSink::new(42, 10, &path, 4, Counter(0));
@@ -424,6 +420,49 @@ mod tests {
             "finish persists the final state"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_write_waits_for_the_next_checkpoint_boundary() {
+        // A file under a directory that does not exist cannot be created,
+        // whoever runs the test.
+        let dir = std::env::temp_dir().join(format!(
+            "dtpm-checkpoint-{}-missing-dir",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("campaign.ckpt");
+
+        // The directory stays absent: every write fails, the campaign never
+        // notices, and `finish` surfaces the failure with the state intact.
+        let mut sink = CheckpointSink::new(42, 10, &path, 4, Counter(0));
+        for k in 0..10 {
+            sink.accept(k, failed(k));
+        }
+        assert!(sink.last_write_error().is_some());
+        let (checkpoint, inner, write) = sink.finish();
+        assert!(write.is_err(), "the final write fails too");
+        assert_eq!(inner.0, 10, "every outcome forwarded");
+        assert_eq!(checkpoint.completed(), 10, "the state is never lost");
+
+        // The directory appears after the 5th accept. The write that failed
+        // at the 4th is retried at the next boundary, the 8th, not at every
+        // completion in between.
+        let mut sink = CheckpointSink::new(42, 10, &path, 4, Counter(0));
+        for k in 0..5 {
+            sink.accept(k, failed(k));
+        }
+        assert!(sink.last_write_error().is_some());
+        std::fs::create_dir_all(&dir).expect("create the checkpoint directory");
+        for k in 5..7 {
+            sink.accept(k, failed(k));
+            assert!(!path.exists(), "accept {}: written off the cadence", k + 1);
+        }
+        sink.accept(7, failed(7));
+        let on_disk = CampaignCheckpoint::load(&path).expect("written at the next boundary");
+        assert_eq!(on_disk.completed(), 8);
+        assert!(sink.last_write_error().is_none(), "a good write clears it");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -126,10 +126,7 @@ fn record_campaign(
     spec: &SweepSpec,
     lanes: Option<usize>,
 ) -> Vec<(usize, Result<RunReport, SimError>)> {
-    let mut runner = spec
-        .runner()
-        .with_threads(1)
-        .with_recording(TracePolicy::SummaryOnly);
+    let mut runner = spec.runner().with_threads(1);
     if let Some(lanes) = lanes {
         runner = runner.with_lanes(lanes);
     }
@@ -188,10 +185,7 @@ fn assert_resume_is_bit_identical(
     let loaded = CampaignCheckpoint::load(&path).expect("checkpoint load");
     assert_eq!(loaded.completed(), k, "{label}");
     let mut sink = CheckpointSink::resume(loaded.clone(), &path, 2, NullSink);
-    let mut runner = spec
-        .runner()
-        .with_threads(threads)
-        .with_recording(TracePolicy::SummaryOnly);
+    let mut runner = spec.runner().with_threads(threads);
     if let Some(lanes) = lanes {
         runner = runner.with_lanes(lanes);
     }

@@ -19,21 +19,20 @@
 //! # Hot-path architecture
 //!
 //! Large calibration/evaluation sweeps step the plant millions of times, so
-//! the integrator offers allocation-free forms next to the allocating
-//! conveniences:
+//! the simulator never runs the staged integrator:
 //!
-//! * [`network::ThermalNetwork::step_into`] advances the temperatures in
-//!   place through a reusable [`network::RkScratch`] (six preallocated
-//!   buffers); [`network::ThermalNetwork::step`] is a thin wrapper, so the
-//!   two are bit-identical.
-//! * The fan's extra case-to-ambient conductance is a [`network::FanBoost`]
-//!   *step parameter* — the per-interval path never clones the network.
+//! * [`network::ThermalNetwork::step`] is the one staged RK4: four
+//!   derivative sweeps, allocating its stage buffers on every call. It is
+//!   the reference the transitions below are held to.
 //! * [`network::ThermalNetwork::step_transition`] precomputes one RK4 step of
 //!   the (linear, constant-coefficient) thermal ODE as an affine map
 //!   `T⁺ = R·T + S·p + c`; [`network::StepTransition::apply`] evaluates it
 //!   with two dense mat-vecs, several times faster than the staged sweeps and
 //!   equal to them up to floating-point reassociation. The simulator caches
 //!   one transition per (fan level, ambient).
+//! * The fan's extra case-to-ambient conductance is a [`network::FanBoost`]
+//!   *transition parameter* — building a transition never clones the
+//!   network.
 //! * Per-node inverse capacitances are precomputed at build time, and
 //!   [`state_space::DiscreteThermalModel::step_into`] /
 //!   [`state_space::DiscreteThermalModel::predict_constant_power_into`] give
@@ -99,7 +98,7 @@ pub mod state_space;
 
 pub use error::ThermalError;
 pub use network::{
-    BatchStepTransition, BatchStepTransitionF32, ExynosThermalNetwork, FanBoost, NodeId, RkScratch,
+    BatchStepTransition, BatchStepTransitionF32, ExynosThermalNetwork, FanBoost, NodeId,
     StepTransition, ThermalNetwork, ThermalNetworkBuilder,
 };
 pub use state_space::{DiscreteThermalModel, HorizonMap};

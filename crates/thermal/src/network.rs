@@ -148,14 +148,13 @@ impl ThermalNetworkBuilder {
     }
 }
 
-/// Extra node-to-ambient conductance applied during a single integration step
-/// without modifying (or cloning) the network — how the fan's contribution
-/// enters the hot path.
+/// Extra node-to-ambient conductance that a transition is built under — how
+/// the fan's contribution enters [`ThermalNetwork::step_transition`] and
+/// [`ThermalNetwork::batch_step_transition`] without cloning the network.
 ///
-/// The per-interval simulation loop used to call
-/// [`ThermalNetwork::with_extra_ambient_conductance`], cloning the entire
-/// network once per control interval. A `FanBoost` carries
-/// the same information as a two-word value instead.
+/// A transition built with `FanBoost::at(node, g)` equals the one built with
+/// [`FanBoost::NONE`] for the network
+/// [`ThermalNetwork::with_extra_ambient_conductance`]`(node, g)` returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanBoost {
     node: usize,
@@ -170,7 +169,7 @@ impl FanBoost {
     };
 
     /// Adds `conductance_w_per_k` (clamped at zero) of extra ambient
-    /// conductance to `node` for the duration of a step.
+    /// conductance to `node`.
     pub fn at(node: NodeId, conductance_w_per_k: f64) -> Self {
         FanBoost {
             node: node.0,
@@ -192,44 +191,6 @@ impl FanBoost {
 impl Default for FanBoost {
     fn default() -> Self {
         FanBoost::NONE
-    }
-}
-
-/// Reusable buffers for the in-place RK4 integrator
-/// ([`ThermalNetwork::step_into`]).
-///
-/// Holding one `RkScratch` per integration loop makes stepping completely
-/// allocation-free: the four slope vectors, the stage-state vector and the
-/// edge-flow accumulator are allocated once and reused for every micro-step.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RkScratch {
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    k4: Vec<f64>,
-    stage: Vec<f64>,
-    flows: Vec<f64>,
-}
-
-impl RkScratch {
-    /// Creates scratch buffers sized for a network with `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
-        let mut scratch = RkScratch::default();
-        scratch.ensure(node_count);
-        scratch
-    }
-
-    fn ensure(&mut self, n: usize) {
-        for buf in [
-            &mut self.k1,
-            &mut self.k2,
-            &mut self.k3,
-            &mut self.k4,
-            &mut self.stage,
-            &mut self.flows,
-        ] {
-            buf.resize(n, 0.0);
-        }
     }
 }
 
@@ -260,14 +221,13 @@ impl ThermalNetwork {
     }
 
     /// Temperature derivative `dT/dt` for the given state, power injection and
-    /// ambient temperature, written into `out` without allocating. `flows`
-    /// accumulates the node-to-node edge flows.
+    /// ambient temperature, written into `out`. `flows` accumulates the
+    /// node-to-node edge flows.
     fn derivative_into(
         &self,
         temps: &[f64],
         powers: &[f64],
         ambient_c: f64,
-        boost: FanBoost,
         flows: &mut [f64],
         out: &mut [f64],
     ) {
@@ -280,38 +240,34 @@ impl ThermalNetwork {
         }
         // Ambient exchange and power injection.
         for (i, slot) in out.iter_mut().enumerate() {
-            let mut g_amb = self.ambient_conductances[i];
-            if i == boost.node {
-                g_amb += boost.conductance_w_per_k;
-            }
-            let ambient_flow = g_amb * (ambient_c - temps[i]);
+            let ambient_flow = self.ambient_conductances[i] * (ambient_c - temps[i]);
             *slot = (flows[i] + ambient_flow + powers[i]) * self.inv_capacitances[i];
         }
     }
 
-    /// Advances `temps_c` in place by `dt` seconds using one RK4 step with the
-    /// node power injections `powers_w` (W) held constant over the step.
+    /// Advances the node temperatures by `dt` seconds using one classical
+    /// RK4 step, in four staged derivative sweeps, with the node power
+    /// injections `powers_w` (W) held constant over the step.
     ///
-    /// This is the allocation-free hot path: all intermediate state lives in
-    /// `scratch`, and `fan_boost` injects the fan's extra ambient conductance
-    /// without cloning the network (pass [`FanBoost::NONE`] when the fan is
-    /// off). [`ThermalNetwork::step`] is a convenience wrapper around this
-    /// method, so the two are bit-identical by construction.
+    /// This is the staged reference that the precomputed transitions
+    /// ([`ThermalNetwork::step_transition`],
+    /// [`ThermalNetwork::batch_step_transition`]) equal up to rounding. It
+    /// allocates its stage buffers on every call; the simulator steps the
+    /// transitions instead. To step with the fan on, step the network that
+    /// [`ThermalNetwork::with_extra_ambient_conductance`] returns.
     ///
     /// # Errors
     ///
     /// Returns [`ThermalError::DimensionMismatch`] if the vectors have the
     /// wrong length, or [`ThermalError::InvalidParameter`] for a non-positive
     /// step size.
-    pub fn step_into(
+    pub fn step(
         &self,
-        temps_c: &mut [f64],
+        temps_c: &[f64],
         powers_w: &[f64],
         ambient_c: f64,
         dt_s: f64,
-        fan_boost: FanBoost,
-        scratch: &mut RkScratch,
-    ) -> Result<(), ThermalError> {
+    ) -> Result<Vec<f64>, ThermalError> {
         let n = self.node_count();
         if temps_c.len() != n {
             return Err(ThermalError::DimensionMismatch {
@@ -330,72 +286,26 @@ impl ThermalNetwork {
         if !(dt_s > 0.0) || !dt_s.is_finite() {
             return Err(ThermalError::InvalidParameter("step size must be positive"));
         }
-        scratch.ensure(n);
-        let RkScratch {
-            k1,
-            k2,
-            k3,
-            k4,
-            stage,
-            flows,
-        } = scratch;
+        let [mut k1, mut k2, mut k3, mut k4, mut stage, mut flows]: [Vec<f64>; 6] =
+            std::array::from_fn(|_| vec![0.0; n]);
 
-        self.derivative_into(temps_c, powers_w, ambient_c, fan_boost, flows, k1);
+        self.derivative_into(temps_c, powers_w, ambient_c, &mut flows, &mut k1);
         for i in 0..n {
             stage[i] = temps_c[i] + 0.5 * dt_s * k1[i];
         }
-        self.derivative_into(stage, powers_w, ambient_c, fan_boost, flows, k2);
+        self.derivative_into(&stage, powers_w, ambient_c, &mut flows, &mut k2);
         for i in 0..n {
             stage[i] = temps_c[i] + 0.5 * dt_s * k2[i];
         }
-        self.derivative_into(stage, powers_w, ambient_c, fan_boost, flows, k3);
+        self.derivative_into(&stage, powers_w, ambient_c, &mut flows, &mut k3);
         for i in 0..n {
             stage[i] = temps_c[i] + dt_s * k3[i];
         }
-        self.derivative_into(stage, powers_w, ambient_c, fan_boost, flows, k4);
+        self.derivative_into(&stage, powers_w, ambient_c, &mut flows, &mut k4);
 
-        for i in 0..n {
-            temps_c[i] += dt_s / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        Ok(())
-    }
-
-    /// Advances the node temperatures by `dt` seconds using one RK4 step with
-    /// the node power injections `powers_w` (W) held constant over the step.
-    ///
-    /// Allocating convenience wrapper over [`ThermalNetwork::step_into`];
-    /// prefer the latter (with a reused [`RkScratch`]) in loops.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::DimensionMismatch`] if the vectors have the
-    /// wrong length, or [`ThermalError::InvalidParameter`] for a non-positive
-    /// step size.
-    pub fn step(
-        &self,
-        temps_c: &[f64],
-        powers_w: &[f64],
-        ambient_c: f64,
-        dt_s: f64,
-    ) -> Result<Vec<f64>, ThermalError> {
-        if temps_c.len() != self.node_count() {
-            return Err(ThermalError::DimensionMismatch {
-                what: "temperature vector",
-                expected: self.node_count(),
-                actual: temps_c.len(),
-            });
-        }
-        let mut out = temps_c.to_vec();
-        let mut scratch = RkScratch::new(self.node_count());
-        self.step_into(
-            &mut out,
-            powers_w,
-            ambient_c,
-            dt_s,
-            FanBoost::NONE,
-            &mut scratch,
-        )?;
-        Ok(out)
+        Ok((0..n)
+            .map(|i| temps_c[i] + dt_s / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
+            .collect())
     }
 
     /// The node-to-node couplings as `(a, b, conductance W/K)` triples — the
@@ -424,7 +334,7 @@ impl ThermalNetwork {
     ///
     /// [`StepTransition::apply`] evaluates that map with two dense
     /// matrix–vector products — several times cheaper than the four staged
-    /// derivative sweeps of [`ThermalNetwork::step_into`], at the cost of
+    /// derivative sweeps of [`ThermalNetwork::step`], at the cost of
     /// floating-point *reassociation*: results agree with the staged RK4 to
     /// rounding error (~1e-12 °C over long horizons), not bit-exactly. The
     /// simulation hot loop caches one transition per (fan level, ambient)
@@ -956,9 +866,10 @@ impl ExynosThermalNetwork {
         self.network.node_count()
     }
 
-    /// The fan's contribution as a [`FanBoost`] step parameter for
-    /// [`ThermalNetwork::step_into`] — the allocation-free alternative to
-    /// [`ExynosThermalNetwork::network_with_fan_boost`].
+    /// The fan's contribution as the [`FanBoost`] that the transitions of
+    /// [`ExynosThermalNetwork::network`] are built under: they then equal
+    /// those of [`ExynosThermalNetwork::network_with_fan_boost`], and the
+    /// network is not cloned.
     pub fn fan_boost(&self, fan_boost_w_per_k: f64) -> FanBoost {
         FanBoost::at(self.case, fan_boost_w_per_k)
     }
@@ -1008,34 +919,13 @@ impl ExynosThermalNetwork {
     ) -> Vec<f64> {
         assert_eq!(big_core_powers.len(), 4, "expected four big-core powers");
         let mut p = vec![0.0; self.network.node_count()];
-        self.power_vector_into(big_core_powers, little_w, gpu_w, memory_w, &mut p);
-        p
-    }
-
-    /// Fills `out` with the per-node power-injection vector, the
-    /// allocation-free form of [`ExynosThermalNetwork::power_vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `big_core_powers` does not have four entries or `out` does
-    /// not cover all nodes.
-    pub fn power_vector_into(
-        &self,
-        big_core_powers: &[f64],
-        little_w: f64,
-        gpu_w: f64,
-        memory_w: f64,
-        out: &mut [f64],
-    ) {
-        assert_eq!(big_core_powers.len(), 4, "expected four big-core powers");
-        assert_eq!(out.len(), self.network.node_count(), "power vector length");
-        out.fill(0.0);
         for (node, &power) in self.big_cores.iter().zip(big_core_powers) {
-            out[node.0] = power;
+            p[node.0] = power;
         }
-        out[self.little.0] = little_w;
-        out[self.gpu.0] = gpu_w;
-        out[self.memory.0] = memory_w;
+        p[self.little.0] = little_w;
+        p[self.gpu.0] = gpu_w;
+        p[self.memory.0] = memory_w;
+        p
     }
 
     /// Extracts the big-core (hotspot) temperatures from a full plant state.
@@ -1146,8 +1036,8 @@ mod tests {
                 .steady_state(&powers, 28.0)
                 .unwrap();
 
+            let boosted = plant.network_with_fan_boost(boost_w_per_k);
             let mut staged = uniform_start(network, 28.0);
-            let mut scratch = RkScratch::new(n);
             let transition = network.step_transition(boost, 28.0, DT_S).unwrap();
             let mut scalar = uniform_start(network, 28.0);
             let mut tmp = vec![0.0; n];
@@ -1164,9 +1054,7 @@ mod tests {
             }
             let mut tmp_panel = Panel::zeros(n, LANES);
             for _ in 0..STEPS {
-                network
-                    .step_into(&mut staged, &powers, 28.0, DT_S, boost, &mut scratch)
-                    .unwrap();
+                staged = boosted.step(&staged, &powers, 28.0, DT_S).unwrap();
                 transition.apply(&mut scalar, &powers, &mut tmp);
                 batch.apply_into(&panel, &power_panel, &drive, &mut tmp_panel);
                 std::mem::swap(&mut panel, &mut tmp_panel);
@@ -1272,14 +1160,12 @@ mod tests {
         assert_eq!(transition.node_count(), 8);
         assert_eq!(network.capacitances().len(), 8);
 
+        let boosted = plant.network_with_fan_boost(0.055);
         let mut staged = uniform_start(network, 52.0);
         let mut fast = staged.clone();
-        let mut scratch = RkScratch::new(network.node_count());
         let mut tmp = vec![0.0; network.node_count()];
         for step in 0..20_000 {
-            network
-                .step_into(&mut staged, &powers, 28.0, 0.01, boost, &mut scratch)
-                .unwrap();
+            staged = boosted.step(&staged, &powers, 28.0, 0.01).unwrap();
             transition.apply(&mut fast, &powers, &mut tmp);
             if step % 1000 == 0 {
                 for (a, b) in staged.iter().zip(&fast) {
