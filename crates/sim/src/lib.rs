@@ -106,7 +106,7 @@
 //!
 //! * the node-power vector and integrator scratch live inside the plant and
 //!   are reused across micro-steps,
-//! * the fan enters the integrator as a [`thermal_model::FanBoost`] step
+//! * the fan enters the transition as a [`thermal_model::FanBoost`]
 //!   parameter instead of a cloned network, and the RK4 transition
 //!   ([`thermal_model::StepTransition`]) for the current (fan, ambient) pair
 //!   is cached across intervals,

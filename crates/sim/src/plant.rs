@@ -114,7 +114,7 @@ pub struct PlantStep {
 ///
 /// Stepping is allocation-free in steady state: the node-power and integrator
 /// scratch buffers live inside the plant and are reused by every micro-step,
-/// the fan enters the integrator as a [`thermal_model::FanBoost`] step
+/// the fan enters the transition as a [`thermal_model::FanBoost`]
 /// parameter (no network clone), the online-core list is a fixed-size array
 /// computed once per control interval, and the thermal ODE is advanced with a
 /// cached [`StepTransition`] (the precomputed affine form of one RK4 step,
@@ -365,7 +365,7 @@ impl PhysicalPlant {
         if !(interval_s > 0.0) {
             return Err(SimError::InvalidConfig("control interval must be positive"));
         }
-        // The fan enters the integrator as a step parameter — no network
+        // The fan enters the transition as a parameter — no network
         // clone — and the RK4 transition for this (fan, ambient) pair is
         // cached across intervals.
         let boost_w_per_k = self.spec.fan().conductance_boost_w_per_k(fan_level);
